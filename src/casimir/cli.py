@@ -39,6 +39,8 @@ from .split_structure import (
     compute_mu,
     frame_from_components,
     frame_from_vectors,
+    mat_inverse,
+    mat_mul,
     metric_from_exprs,
     metric_from_frame_solution,
     solve_invariant_frame,
@@ -286,8 +288,6 @@ def cmd_build_metric(args) -> int:
 
 
 def _metric_from_user_frame(spec, rep, seed) -> list:
-    from .split_structure import mat_inverse
-
     frame = frame_from_vectors(spec.chart, spec.frame_vectors, spec.frame_names, seed=seed)
     mu = compute_mu(frame, spec.generators, spec.constants, seed=seed)
     if any(e != ex.ZERO for row in mu.mu for e in row):
@@ -295,7 +295,7 @@ def _metric_from_user_frame(spec, rep, seed) -> list:
     # e_d = L^a_d xi_a  =>  E = L^T Xi
     ximat = [list(g.comps) for g in spec.generators]
     emat = [list(v.comps) for v in frame.vectors]
-    lmat_t = [row[:] for row in mat_mul_local(emat, mat_inverse(ximat))]
+    lmat_t = [[ex.simplify(e) for e in row] for row in mat_mul(emat, mat_inverse(ximat))]
     r = len(lmat_t)
     g = [
         [
@@ -309,14 +309,6 @@ def _metric_from_user_frame(spec, rep, seed) -> list:
     rep.add_check("killing-condition", metric.killing_ok(), rank=metric.rank,
                   provenance=metric.provenance)
     return [[ex.unparse(e) for e in row] for row in metric.g]
-
-
-def mat_mul_local(a, b):
-    n, m, k = len(a), len(b[0]), len(b)
-    return [
-        [ex.simplify(ex.add(*[ex.mul(a[i][s], b[s][j]) for s in range(k)])) for j in range(m)]
-        for i in range(n)
-    ]
 
 
 # --- harmonics -----------------------------------------------------------------

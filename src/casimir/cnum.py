@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd
 
 
 _FRACTION_ZERO = Fraction(0)
@@ -142,10 +142,3 @@ def fraction_sqrt(r: Fraction) -> tuple[Fraction, int]:
 
 def fraction_gcd(a: Fraction, b: Fraction) -> Fraction:
     return Fraction(gcd(a.numerator, b.numerator), (a.denominator * b.denominator) // gcd(a.denominator, b.denominator))
-
-
-def is_perfect_square(n: int) -> bool:
-    if n < 0:
-        return False
-    r = isqrt(n)
-    return r * r == n

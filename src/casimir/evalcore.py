@@ -1,101 +1,136 @@
-"""Expression-to-program compilation and evaluation backend selection.
+"""Expression-to-function compilation and the hypergeometric series.
 
 Numeric verification samples every residual at dozens of points and grid
 export evaluates whole component tables, so batch evaluation is the hot path.
-Expressions compile once into a flat stack program which either the Cython
-extension (`casimir._fasteval`) or the pure-Python twin (`casimir._pyeval`)
-executes.  Set CASIMIR_PURE_EVAL=1 to force the fallback.
+`compile_expr` writes one Python function per expression, ``run(points)``,
+which loops over the points with one statement per distinct node, and
+compiles it once.  The generated source never contains user text: variables
+are ``x0 .. xn`` by position, node values ``v0 ..`` in post-order, constants
+``c0 ..`` are bound as globals, and function names come from the kernel's
+closed set sin/cos/exp.
+
+Values are bit-for-bit those of a left-to-right fold over the canonical node
+order: sums start from ``0j`` and add each term in turn; products start from
+``complex(1.0)``, multiply by the coefficient (when it is not 1) and then by
+each factor; powers go through `expr._ipow`, with ``cmath.sqrt`` for the half
+of a half-integer exponent.  Sums are accumulated one statement per term, so
+neither ``sum()`` (compensated from Python 3.12) nor a deeply nested infix
+chain is ever emitted.  A pole raises ``ZeroDivisionError`` from `_ipow`.
 """
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass
+import cmath
+from dataclasses import dataclass, field
+from typing import Callable
 
 from . import expr as ex
 
-if os.environ.get("CASIMIR_PURE_EVAL"):
-    from . import _pyeval as _backend
-else:
-    try:
-        from . import _fasteval as _backend  # type: ignore[attr-defined]
-    except ImportError:
-        from . import _pyeval as _backend
-
-OP_CONST = 0
-OP_VAR = 1
-OP_ADD = 2
-OP_MUL = 3
-OP_POW = 4
-OP_FUN = {"sin": 5, "cos": 6, "exp": 7}
+_FUNCTIONS = {"sin": "_sin", "cos": "_cos", "exp": "_exp"}
 
 
 def backend_name() -> str:
-    return _backend.BACKEND
+    """Name of the numeric evaluator, recorded in report provenance."""
+    return "python"
 
 
 @dataclass(frozen=True)
 class Program:
-    code: tuple
-    consts: tuple
     varnames: tuple
+    source: str
+    fn: Callable = field(repr=False, compare=False)
 
     def run(self, points) -> list:
         """points: sequence of tuples aligned with varnames."""
-        return _backend.run_program(self.code, self.consts, len(self.varnames), points)
-
-    def run_env(self, envs) -> list:
-        pts = [tuple(env[n] for n in self.varnames) for env in envs]
-        return self.run(pts)
+        return self.fn(points)
 
 
 def compile_expr(e: ex.Expr, varnames) -> Program:
     varnames = tuple(varnames)
     index = {n: i for i, n in enumerate(varnames)}
-    code: list[int] = []
-    consts: list[complex] = []
-    cpool: dict[complex, int] = {}
+    namespace = {"_ipow": ex._ipow, "_sqrt": cmath.sqrt, "_sin": cmath.sin,
+                 "_cos": cmath.cos, "_exp": cmath.exp}
+    cpool: dict[complex, str] = {}
+    names: dict[ex.Expr, str] = {}
+    body: list[str] = []
 
-    def emit_const(v: complex):
-        k = cpool.get(v)
-        if k is None:
-            k = len(consts)
-            consts.append(v)
-            cpool[v] = k
-        code.extend((OP_CONST, k))
+    def const(v: complex) -> str:
+        name = cpool.get(v)
+        if name is None:
+            name = cpool[v] = f"c{len(cpool)}"
+            namespace[name] = v
+        return name
 
-    def go(n: ex.Expr):
+    def fresh() -> str:
+        return f"v{len(names)}"
+
+    def go(n: ex.Expr) -> str:
+        name = names.get(n)
+        if name is not None:
+            return name
         tt = type(n)
         if tt is ex.Num:
-            emit_const(n.val.to_complex())
+            name = const(n.val.to_complex())
         elif tt is ex.Sym:
             try:
-                code.extend((OP_VAR, index[n.name]))
+                i = index[n.name]
             except KeyError:
                 raise ex.EvalError(f"unbound symbol {n.name!r} in compiled program") from None
+            name = f"x{i}"
+            body.append(f"{name} = complex(pt[{i}])")
         elif tt is ex.Fun:
-            go(n.arg)
-            code.append(OP_FUN[n.fname])
+            arg = go(n.arg)
+            name = fresh()
+            body.append(f"{name} = {_FUNCTIONS[n.fname]}({arg})")
         elif tt is ex.Pow:
-            go(n.base)
-            code.extend((OP_POW, n.exp.numerator, n.exp.denominator))
+            base = go(n.base)
+            p, q = n.exp.numerator, n.exp.denominator
+            name = fresh()
+            if q == 1:
+                body.append(f"{name} = _ipow({base}, {p})")
+            else:
+                body.append(f"{name} = _ipow({base}, {(p - 1) // 2}) * _sqrt({base})")
         elif tt is ex.Mul:
-            count = len(n.factors)
-            if not n.coef.is_one():
-                emit_const(n.coef.to_complex())
-                count += 1
-            for f in n.factors:
-                go(f)
-            code.extend((OP_MUL, count))
+            ops = [const(n.coef.to_complex())] if not n.coef.is_one() else []
+            ops += [go(f) for f in n.factors]
+            name = fresh()
+            body.append(f"{name} = (1+0j) * {ops[0]}")  # (1+0j) is complex(1.0)
+            body.extend(f"{name} *= {op}" for op in ops[1:])
         else:
-            for t in n.terms:
-                go(t)
-            code.extend((OP_ADD, len(n.terms)))
+            ops = [go(t) for t in n.terms]
+            name = fresh()
+            body.append(f"{name} = 0j + {ops[0]}")
+            body.extend(f"{name} += {op}" for op in ops[1:])
+        names[n] = name
+        return name
 
-    go(e)
-    return Program(tuple(code), tuple(consts), varnames)
+    root = go(e)
+    source = "\n".join(
+        ["def run(points):", "    out = []", "    for pt in points:"]
+        + [f"        {line}" for line in body]
+        + [f"        out.append({root})", "    return out"]
+    )
+    exec(compile(source, "<casimir.evalcore>", "exec"), namespace)
+    return Program(varnames, source, namespace["run"])
 
 
 def hyp2f1(a: complex, b: complex, c: complex, zs, tol: float = 1e-15, max_terms: int = 20000):
-    """Batch Gauss hypergeometric series on |z| < 1 via the active backend."""
-    return _backend.hyp2f1_many(complex(a), complex(b), complex(c), list(map(complex, zs)), tol, max_terms)
+    """Gauss hypergeometric series sum_k (a)_k (b)_k / ((c)_k k!) z^k at each z, |z| < 1."""
+    a, b, c = complex(a), complex(b), complex(c)
+    out = []
+    for z in map(complex, zs):
+        if abs(z) >= 1.0:
+            raise ValueError(f"series argument outside the unit disk: |z|={abs(z):.3f}")
+        term = complex(1.0)
+        total = complex(1.0)
+        k = 0
+        while k < max_terms:
+            term = term * (a + k) * (b + k) / ((c + k) * (k + 1)) * z
+            total += term
+            k += 1
+            if abs(term) <= tol * (1.0 + abs(total)):
+                break
+        else:  # pragma: no cover
+            raise ValueError("hypergeometric series did not converge")
+        out.append(total)
+    return out

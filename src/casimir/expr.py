@@ -179,10 +179,6 @@ def sym(name: str) -> Sym:
     return Sym(name)
 
 
-def syms(names: str) -> list:
-    return [sym(n) for n in names.replace(",", " ").split()]
-
-
 def as_expr(x) -> Expr:
     if isinstance(x, Expr):
         return x
@@ -1002,10 +998,6 @@ def _common_exponent_pass(s: Add) -> Expr:
                     new_terms.append(mul(Num(c), *rest, atom, pt))
             return add(*new_terms)
     return s
-
-
-def is_zero_expr(e: Expr) -> bool:
-    return simplify(e) == ZERO
 
 
 # ---------------------------------------------------------------------------

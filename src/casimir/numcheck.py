@@ -151,8 +151,3 @@ def _locate_pole(progs, pts, envs) -> dict:
             except ZeroDivisionError:
                 return envs[j]
     return {}  # pragma: no cover - pole vanished on retry
-
-
-def all_zero(exprs, box: dict | None = None, seed: int = 0, **kw) -> tuple[bool, list[ZeroReport]]:
-    reports = [is_zero(e, box, seed, **kw) for e in exprs]
-    return all(r.is_zero for r in reports), reports

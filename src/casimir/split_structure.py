@@ -284,11 +284,6 @@ def compute_mu(frame: Frame, generators, sc: StructureConstants, seed: int = 0) 
     return mf
 
 
-def invariant_mu(frame: Frame, generators, sc: StructureConstants, seed: int = 0) -> MuFactors:
-    """MuFactors for a frame known to be invariant (all factors zero)."""
-    return compute_mu(frame, generators, sc, seed)
-
-
 # --- invariant frame for simply transitive actions --------------------------
 
 

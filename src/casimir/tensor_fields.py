@@ -118,22 +118,6 @@ def tensor_scale(a: TensorField, s) -> TensorField:
     return TensorField(a.chart, a.p, a.q, tuple(ex.mul(s, c) for c in a.comps), a.frame)
 
 
-def tensor_product(a: TensorField, b: TensorField) -> TensorField:
-    """Tensor product with a's upper/lower slots first."""
-    if a.chart is not b.chart and a.chart != b.chart:
-        raise ChartMismatchError("tensor product needs a shared chart")
-    d = a.chart.dim
-    p, q = a.p + b.p, a.q + b.q
-    comps = []
-    for idx in itertools.product(range(d), repeat=p + q):
-        au = idx[: a.p]
-        bu = idx[a.p : a.p + b.p]
-        al = idx[a.p + b.p : a.p + b.p + a.q]
-        bl = idx[a.p + b.p + a.q :]
-        comps.append(ex.mul(a.comp(*au, *al), b.comp(*bu, *bl)))
-    return TensorField(a.chart, p, q, tuple(comps), a.frame)
-
-
 def lie_bracket(x: VectorField, y: VectorField) -> VectorField:
     """[X, Y]^a = X^c d_c Y^a - Y^c d_c X^a."""
     if x.chart != y.chart:

@@ -44,6 +44,13 @@ def test_pole_reports_undefined_point():
         nc.is_zero(e, {"x": (0.0, 0.0)})
 
 
+def test_sum_with_many_terms_is_sampled():
+    e = parse("(" + " + ".join(f"x^{k}" for k in range(1, 70)) + ")^(1/2) - y", ["x", "y"])
+    r = nc.is_zero(e, {"x": (0.1, 0.9), "y": (-1.0, 0.0)})
+    assert r.verdict is nc.Verdict.NONZERO
+    assert abs(ex.evaluate(e, r.witness)) == pytest.approx(r.max_abs)
+
+
 def test_constant_expressions():
     assert nc.is_zero(ex.num(0), {}).verdict is nc.Verdict.SYMBOLIC_ZERO
     assert nc.is_zero(ex.num(1, 1), {}).verdict is nc.Verdict.NONZERO

@@ -29,7 +29,7 @@ from .lie_algebra import (
 )
 from .modelio import SchemaError, load_family, load_model
 from .models import bianchi2_model, so3_model
-from .operator import CasimirOperator, certify_eigen, reduce_to_scalar
+from .operator import CasimirOperator, assemble_from_json, certify_eigen, reduce_to_scalar
 from .parser import ParseError, parse
 from .report import Report, Stopwatch, format_number
 from .split_structure import (
@@ -42,7 +42,7 @@ from .split_structure import (
     mat_inverse,
     mat_mul,
     metric_from_exprs,
-    metric_from_frame_solution,
+    metric_from_frame,
     solve_invariant_frame,
 )
 from .tensor_fields import TensorField, verify_realization
@@ -168,8 +168,11 @@ def _verify_family(args) -> int:
     doc = load_family(args.family)
     rep = Report("verify-family", {"family": args.family, "model": doc["model"], "kind": doc["kind"]}, seed)
     with Stopwatch(rep, "total"):
-        stored = {c["name"]: c.get("verdict", "ok" if c.get("ok") else "failed") for c in doc["certificates"]}
-        recomputed = _recertify(doc, seed)
+        try:
+            stored = {c["name"]: c.get("verdict", "ok" if c.get("ok") else "failed") for c in doc["certificates"]}
+            recomputed = _recertify(doc, seed)
+        except (LookupError, ParseError, ValueError) as e:
+            raise SchemaError(f"malformed family document: {e}") from None
         for name, verdict in recomputed.items():
             if name in stored:
                 rep.add_check(
@@ -192,20 +195,13 @@ def _recertify(doc: dict, seed: int) -> dict:
         model = so3_model()
         lam = parse(doc["eigenvalues"]["G"], [], [])
         if kind == "scalar":
-            box = model.sphere.full_box()
-            k_op = model.scalar_operator()
             for key, comp in doc["components"].items():
-                t = parse(comp, model.sphere.coords, ["m"])
-                m_label = int(key.split("m=")[1])
-                r1 = nc.is_zero(ex.sub(k_op.apply(t), ex.mul(lam, t)), box, seed)
-                r2 = nc.is_zero(
-                    ex.sub(model.ladder[2].apply(t), ex.mul(ex.num(m_label), t)), box, seed
-                )
-                out[f"casimir-eigenvalue m={m_label}"] = r1.verdict.value
-                out[f"axis-eigenvalue m={m_label}"] = r2.verdict.value
+                m = int(key.split("m=")[1])
+                for c in model.scalar_certificates(parse(comp, model.sphere.coords), lam, m, seed):
+                    out[f"{c.name} m={m}"] = c.payload.verdict.value
         elif kind == "tensor20":
             for tag, monos in doc.get("assemblies", {}).items():
-                tens = model.assemble_from_json(monos)
+                tens = assemble_from_json(model.frame, monos)
                 res = certify_eigen(model.op_space, tens, lam, seed)
                 verdict = "ok" if res.ok else "failed"
                 out[f"casimir-eigenvalue {tag}"] = verdict
@@ -221,7 +217,7 @@ def _recertify(doc: dict, seed: int) -> dict:
             r1 = nc.is_zero(ex.sub(k_op.apply(t), ex.mul(lam, t)), box, seed)
             out["casimir-eigenvalue"] = r1.verdict.value
         for tag, monos in doc.get("assemblies", {}).items():
-            tens = model.assemble_from_json(monos)
+            tens = assemble_from_json(model.frame, monos)
             res = certify_eigen(model.op, tens, lam, seed)
             out[f"casimir-eigenvalue {tag}"] = "ok" if res.ok else "failed"
         if kind == "hypergeometric":
@@ -278,7 +274,7 @@ def cmd_build_metric(args) -> int:
                     return EXIT_SOLVER_LIMIT
             else:
                 rep.add_check("invariant-frame", fs.ok(), base_point={k: str(v) for k, v in fs.base_point.items()})
-                metric = metric_from_frame_solution(fs, spec.constants, spec.generators, seed=seed)
+                metric = metric_from_frame(fs.L, spec.constants, spec.generators, seed=seed)
                 rep.add_check("killing-condition", metric.killing_ok(), rank=metric.rank,
                               provenance=metric.provenance)
                 gmat = [[ex.unparse(e) for e in row] for row in metric.g]
@@ -296,15 +292,7 @@ def _metric_from_user_frame(spec, rep, seed) -> list:
     ximat = [list(g.comps) for g in spec.generators]
     emat = [list(v.comps) for v in frame.vectors]
     lmat_t = [[ex.simplify(e) for e in row] for row in mat_mul(emat, mat_inverse(ximat))]
-    r = len(lmat_t)
-    g = [
-        [
-            ex.simplify(ex.add(*[ex.mul(lmat_t[d][i], lmat_t[d][k]) for d in range(r)]))
-            for k in range(r)
-        ]
-        for i in range(r)
-    ]
-    metric = metric_from_exprs(g, spec.constants, spec.generators, "frame-built", seed)
+    metric = metric_from_frame(list(zip(*lmat_t)), spec.constants, spec.generators, seed)
     rep.add_check("invariant-frame", True, provenance="user-supplied")
     rep.add_check("killing-condition", metric.killing_ok(), rank=metric.rank,
                   provenance=metric.provenance)
@@ -337,10 +325,9 @@ def cmd_harmonics(args) -> int:
                 print(f"unsupported tensor type {args.tensor_type!r}", file=sys.stderr)
                 return EXIT_INPUT_ERROR
             fam = model.tensor20_harmonic(args.l, m_values=m_values, seed=seed)
-            chart = model.sphere
         else:
             fam = model.scalar_family(args.l, m_values=m_values, seed=seed)
-            chart = model.sphere
+        chart = model.sphere
     else:
         model = bianchi2_model()
         chart = model.chart
@@ -348,11 +335,8 @@ def cmd_harmonics(args) -> int:
             if args.mu is None or args.nu is None or args.lam is None:
                 print("hyper families need --mu --nu --lam", file=sys.stderr)
                 return EXIT_INPUT_ERROR
-            fam = model.hypergeometric_harmonic(
-                float(Fraction(str(args.mu))), float(Fraction(str(args.nu))),
-                float(Fraction(str(args.lam))), float(Fraction(str(args.A))),
-                float(Fraction(str(args.B))), seed=seed,
-            )
+            labels = [float(_parse_rational(getattr(args, k), f"--{k}")) for k in ("mu", "nu", "lam", "A", "B")]
+            fam = model.hypergeometric_harmonic(*labels, seed=seed)
         elif args.point_series:
             if args.n is None or args.m is None or args.nu is None:
                 print("point series needs --n --m --nu", file=sys.stderr)
@@ -390,8 +374,15 @@ def _grid_samples(fam, chart, grid_specs) -> dict:
             raise SchemaError(f"--grid names unknown coordinate {name!r}")
         if n < 1:
             raise SchemaError("--grid needs at least one point")
+        lo, hi = chart.box[name]
+        if not (lo <= a <= hi and lo <= b <= hi):
+            raise SchemaError(f"--grid {spec!r} leaves the domain box {name} in [{lo}, {hi}]")
         axes[name] = [a + (b - a) * j / max(n - 1, 1) for j in range(n)]
     names = [c for c in chart.coords if c in axes]
+    for label, comp in sorted(fam.components.items()):
+        missing = sorted(ex.free_symbols(comp) - set(names))
+        if missing:
+            raise SchemaError(f"component {label!r} depends on {missing}; add a --grid for each")
     import itertools as it
 
     pts = list(it.product(*[axes[n] for n in names]))
@@ -435,13 +426,9 @@ def _leg_indices(text: str, names: tuple) -> tuple:
 def cmd_reduce(args) -> int:
     seed = args.seed
     if args.model == "so3":
-        model = so3_model()
-        op = model.op_ladder
-        names = ("r", "+1", "-1")
+        op = so3_model().op_ladder
     elif args.model == "bianchi2":
-        model = bianchi2_model()
-        op = model.op
-        names = ("1", "2", "3")
+        op = bianchi2_model().op
     else:
         spec = load_model(args.model)
         if spec.frame_vectors is None or spec.metric is None:
@@ -450,10 +437,9 @@ def cmd_reduce(args) -> int:
         frame = frame_from_vectors(spec.chart, spec.frame_vectors, spec.frame_names, seed=seed)
         mu = compute_mu(frame, spec.generators, spec.constants, seed=seed)
         op = CasimirOperator(spec.name, spec.chart, spec.generators, spec.metric, frame, mu)
-        names = frame.names
     try:
-        upper = _leg_indices(args.upper, names)
-        lower = _leg_indices(args.lower, names)
+        upper = _leg_indices(args.upper, op.frame.names)
+        lower = _leg_indices(args.lower, op.frame.names)
     except SchemaError as e:
         print(str(e), file=sys.stderr)
         return EXIT_INPUT_ERROR
@@ -472,15 +458,9 @@ def cmd_reduce(args) -> int:
 def cmd_residual(args) -> int:
     seed = args.seed
     if args.model == "so3":
-        model = so3_model()
-        op = model.op_space
-        chart = model.space
-        assemble_json = model.assemble_from_json
+        op = so3_model().op_space
     elif args.model == "bianchi2":
-        model = bianchi2_model()
-        op = model.op
-        chart = model.chart
-        assemble_json = model.assemble_from_json
+        op = bianchi2_model().op
     else:
         print("residual supports the built-in models so3 and bianchi2", file=sys.stderr)
         return EXIT_INPUT_ERROR
@@ -496,11 +476,11 @@ def cmd_residual(args) -> int:
         return EXIT_INPUT_ERROR
     try:
         if "monomials" in doc:
-            tens = assemble_json(doc["monomials"])
+            tens = assemble_from_json(op.frame, doc["monomials"])
         else:
             p, q = doc["type"]
-            comps = tuple(parse(s, chart.coords, []) for s in doc["components"])
-            tens = TensorField(chart, p, q, comps)
+            comps = tuple(parse(s, op.chart.coords, []) for s in doc["components"])
+            tens = TensorField(op.chart, p, q, comps)
     except (KeyError, ParseError, ValueError) as e:
         print(f"bad tensor file: {e}", file=sys.stderr)
         return EXIT_INPUT_ERROR

@@ -105,7 +105,6 @@ class CNum:
         return f"CNum({self.re}, {self.im})"
 
 
-CN_ZERO = CNum(0)
 CN_ONE = CNum(1)
 CN_I = CNum(0, 1)
 

@@ -27,6 +27,8 @@ from typing import Callable
 from . import expr as ex
 
 _FUNCTIONS = {"sin": "_sin", "cos": "_cos", "exp": "_exp"}
+HYP2F1_TOL = 1e-15  # stop once a term is below this fraction of 1 + |partial sum|
+HYP2F1_MAX_TERMS = 20000
 
 
 def backend_name() -> str:
@@ -114,7 +116,7 @@ def compile_expr(e: ex.Expr, varnames) -> Program:
     return Program(varnames, source, namespace["run"])
 
 
-def hyp2f1(a: complex, b: complex, c: complex, zs, tol: float = 1e-15, max_terms: int = 20000):
+def hyp2f1(a: complex, b: complex, c: complex, zs):
     """Gauss hypergeometric series sum_k (a)_k (b)_k / ((c)_k k!) z^k at each z, |z| < 1."""
     a, b, c = complex(a), complex(b), complex(c)
     out = []
@@ -124,11 +126,11 @@ def hyp2f1(a: complex, b: complex, c: complex, zs, tol: float = 1e-15, max_terms
         term = complex(1.0)
         total = complex(1.0)
         k = 0
-        while k < max_terms:
+        while k < HYP2F1_MAX_TERMS:
             term = term * (a + k) * (b + k) / ((c + k) * (k + 1)) * z
             total += term
             k += 1
-            if abs(term) <= tol * (1.0 + abs(total)):
+            if abs(term) <= HYP2F1_TOL * (1.0 + abs(total)):
                 break
         else:  # pragma: no cover
             raise ValueError("hypergeometric series did not converge")

@@ -645,12 +645,9 @@ def _factor_poly(b: Add):
                 rem_terms.append(mul(Num(CNum(c)), power(kernel, d)))
         rem = add(*rem_terms)
         scale, prim = _primitive_sum(rem) if isinstance(rem, Add) else (CN_ONE, rem)
-        if isinstance(scale, CNum) and not scale.is_one():
+        if not scale.is_one():
             lead *= scale.re
-        if isinstance(prim, Add):
-            factors.append((prim, 1))
-        else:
-            factors.append((prim, 1))
+        factors.append((prim, 1))
     if len(factors) == 1 and factors[0][1] == 1 and isinstance(factors[0][0], Add):
         return None
     return CNum(lead), factors
@@ -1007,18 +1004,10 @@ def _common_exponent_pass(s: Add) -> Expr:
 def _num_str(v: CNum) -> str:
     if v.im == 0:
         return str(v.re)
-    if v.re == 0:
-        if v.im == 1:
-            return "i"
-        if v.im == -1:
-            return "-i"
-        return f"{v.im}*i"
     im = f"{v.im}*i" if v.im not in (1, -1) else ("i" if v.im == 1 else "-i")
-    if v.im > 0 or im.startswith("-"):
-        joined = f"{v.re}+{im}" if not im.startswith("-") else f"{v.re}{im}"
-    else:  # pragma: no cover
-        joined = f"{v.re}{im}"
-    return f"({joined})"
+    if v.re == 0:
+        return im
+    return f"({v.re}{im})" if im.startswith("-") else f"({v.re}+{im})"
 
 
 def _pow_str(p: Pow) -> str:

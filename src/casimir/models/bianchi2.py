@@ -28,24 +28,25 @@ from ..operator import (
     ScalarOperator,
     TensorMonomial,
     assemble,
+    assembly_to_json,
     certify_eigen,
     reduce_to_scalar,
-    scalar_casimir,
 )
 from ..parser import parse
-from ..split_structure import compute_mu, metric_from_frame_solution, solve_invariant_frame
-from ..tensor_fields import Chart, TensorField, VectorField, lie_derivative
+from ..split_structure import compute_mu, metric_from_frame, solve_invariant_frame
+from ..tensor_fields import Chart, VectorField, lie_derivative
 from .family import Certificate, HarmonicFamily
 from .hypergeom import RadialProfile
 
 GENERATOR_COMPONENTS = (("exp(-y)", "0", "0"), ("0", "1", "0"), ("0", "0", "1"))
-FRAME_NAMES = ("1", "2", "3")
 AMPLITUDE_NAMES = ("a_1", "a_2", "a_3")
 SERIES_BOX = (-0.9, 0.9)
+HYPER_POINTS = 16  # sample points of the radial-equation residual
+HYPER_TOL = 1e-8  # bound on max |residual| relative to max(1, max |f|)
 
 
 class Bianchi2Model:
-    def __init__(self, seed: int = 0):
+    def __init__(self):
         self.name = "bianchi2"
         amp_box = {a: (0.3, 1.6) for a in AMPLITUDE_NAMES}
         self.chart = Chart(
@@ -59,18 +60,16 @@ class Bianchi2Model:
             VectorField(self.chart, tuple(parse(s, self.chart.coords) for s in comps))
             for comps in GENERATOR_COMPONENTS
         )
-        self.frame_solution = solve_invariant_frame(self.constants, self.generators, seed=seed)
+        self.frame_solution = solve_invariant_frame(self.constants, self.generators)
         self.frame = self.frame_solution.frame
-        self.metric = metric_from_frame_solution(
-            self.frame_solution, self.constants, self.generators, seed=seed
-        )
-        self.mu = compute_mu(self.frame, self.generators, self.constants, seed=seed)
+        self.metric = metric_from_frame(self.frame_solution.L, self.constants, self.generators)
+        self.mu = compute_mu(self.frame, self.generators, self.constants)
         self.op = CasimirOperator(
             "bianchi2", self.chart, self.generators, self.metric.g, self.frame, self.mu
         )
 
     def scalar_operator(self) -> ScalarOperator:
-        return scalar_casimir(self.op)
+        return reduce_to_scalar(self.op)
 
     def reduced_operator(self, upper: tuple = (), lower: tuple = ()) -> ScalarOperator:
         return reduce_to_scalar(self.op, upper, lower)
@@ -164,14 +163,6 @@ class Bianchi2Model:
                 ),
             ),
         ] + scalar_fam.certificates
-        assembly = [
-            {
-                "upper": [],
-                "lower": [FRAME_NAMES[leg]],
-                "scalar": ex.unparse(mono.scalar),
-            }
-            for leg, mono in enumerate(monos)
-        ]
         return HarmonicFamily(
             model=self.name,
             kind="covector",
@@ -179,22 +170,10 @@ class Bianchi2Model:
             eigenvalues=dict(scalar_fam.eigenvalues),
             components=dict(scalar_fam.components),
             amplitudes=tuple(AMPLITUDE_NAMES) if amplitudes is None else (),
-            assemblies={"covector": assembly},
+            assemblies={"covector": assembly_to_json(self.frame, monos)},
             certificates=certs,
             notes=("coframe legs: e^1 = dv + v dy, e^2 = dy, e^3 = dz",),
         )
-
-    def assemble_from_json(self, monomials: list) -> TensorField:
-        name_to_idx = {n: i for i, n in enumerate(FRAME_NAMES)}
-        monos = []
-        p = q = 0
-        for mo in monomials:
-            upper = tuple(name_to_idx[a] for a in mo["upper"])
-            lower = tuple(name_to_idx[b] for b in mo["lower"])
-            scalar = parse(mo["scalar"], self.chart.coords, AMPLITUDE_NAMES)
-            monos.append(TensorMonomial(upper, lower, scalar))
-            p, q = len(upper), len(lower)
-        return assemble(self.frame, monos, p, q)
 
     # -- hypergeometric branch ---------------------------------------------------
 
@@ -202,7 +181,6 @@ class Bianchi2Model:
         return RadialProfile(mu, nu, lam, amp_even, amp_odd)
 
     def hypergeometric_harmonic(self, mu, nu, lam, amp_even=1.0, amp_odd=0.0,
-                                points: int = 16, tol: float = 1e-8,
                                 seed: int = 0) -> HarmonicFamily:
         """Continuous-spectrum family; numeric residual certificate on the
         series domain (restricted to v > 0 when the odd branch is present)."""
@@ -210,12 +188,12 @@ class Bianchi2Model:
         lo, hi = SERIES_BOX
         if amp_odd:
             lo = 0.05
-        vs = [lo + (hi - lo) * row[0] for row in nc.halton_points(1, points, seed)]
+        vs = [lo + (hi - lo) * row[0] for row in nc.halton_points(1, HYPER_POINTS, seed)]
         resid = prof.residuals(vs)
         fvals = prof.values(vs)
         scale = max(1.0, max(abs(f) for f in fvals))
         worst = max(abs(r) for r in resid)
-        ok = worst < tol * scale
+        ok = worst < HYPER_TOL * scale
         notes = ["series evaluation valid on |v| < 1; no analytic continuation"]
         if amp_odd:
             notes.append("odd branch certified on v > 0 (|v| prefactor)")
@@ -225,7 +203,7 @@ class Bianchi2Model:
             "max_abs": worst,
             "scale": scale,
             "points": len(vs),
-            "tolerance": tol,
+            "tolerance": HYPER_TOL,
         }
         return HarmonicFamily(
             model=self.name,

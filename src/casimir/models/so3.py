@@ -26,15 +26,14 @@ from ..operator import (
     ScalarOperator,
     TensorMonomial,
     assemble,
+    assembly_to_json,
     certify_eigen,
-    project_component,
     reduce_to_scalar,
-    scalar_casimir,
     shifted_generator,
 )
 from ..parser import parse
 from ..split_structure import compute_mu, frame_from_vectors
-from ..tensor_fields import Chart, TensorField, VectorField, lie_derivative
+from ..tensor_fields import Chart, VectorField
 from .family import Certificate, HarmonicFamily
 from .legendre import solve_generalized_legendre
 
@@ -60,7 +59,7 @@ _LEGS_FOR_N = {0: (), 1: (1,), -1: (2,), 2: (1, 1), -2: (2, 2)}
 class So3Model:
     """Charts, generators, eigenframe, scale factors, and both operators."""
 
-    def __init__(self, seed: int = 0):
+    def __init__(self):
         self.name = "so3"
         box2 = {"theta": (EPS_GUARD, math.pi - EPS_GUARD), "phi": (0.05, 6.2)}
         loci = (ex.sin(ex.sym("theta")),)
@@ -86,8 +85,8 @@ class So3Model:
         e_r = self._vf3(("1", "0", "0"), with_r=True)
         e_p = self._vf3(("1/2", "-i/2*sin(theta)^(-1)"))
         e_m = self._vf3(("1/2", "i/2*sin(theta)^(-1)"))
-        self.frame = frame_from_vectors(self.space, (e_r, e_p, e_m), FRAME_NAMES, seed=seed)
-        self.mu = compute_mu(self.frame, self.space_ladder, self.ladder_constants, seed=seed)
+        self.frame = frame_from_vectors(self.space, (e_r, e_p, e_m), FRAME_NAMES)
+        self.mu = compute_mu(self.frame, self.space_ladder, self.ladder_constants)
 
         delta = tuple(
             tuple(ex.ONE if i == k else ex.ZERO for k in range(3)) for i in range(3)
@@ -125,7 +124,9 @@ class So3Model:
 
     def scalar_operator(self) -> ScalarOperator:
         """K = sum_i xi_i xi_i, the orbit Laplacian."""
-        return scalar_casimir(self.op_generators)
+        if "K" not in self._operators:
+            self._operators["K"] = reduce_to_scalar(self.op_generators)
+        return self._operators["K"]
 
     def ladder_scalar_operator(self) -> ScalarOperator:
         """-(L_+ L_- + L_3^2 - L_3) built from the ladder fields."""
@@ -181,33 +182,32 @@ class So3Model:
         if not (isinstance(l, int) and l >= 0 and abs(m) <= l):
             raise ValueError(f"labels out of range: l={l}, m={m}")
         t = self.ladder_family(l, 0)[m]
-        box = self.sphere.full_box()
-        k_op = self.scalar_operator()
         lam = ex.num(-l * (l + 1))
-        certs = [
-            Certificate(
-                "casimir-eigenvalue",
-                nc.is_zero(ex.sub(k_op.apply(t), ex.mul(lam, t)), box, seed),
-            ),
-            Certificate(
-                "axis-eigenvalue",
-                nc.is_zero(ex.sub(self._h3_apply(t), ex.mul(ex.num(m), t)), box, seed),
-            ),
-        ]
         return HarmonicFamily(
             model=self.name,
             kind="scalar",
             labels={"l": l, "m": m},
             eigenvalues={"G": lam, "axis": ex.num(m)},
             components={f"n=0,m={m}": t},
-            certificates=certs,
+            certificates=self.scalar_certificates(t, lam, m, seed),
             notes=(
                 "weight family generated by normalized ladder moves from the top seed",
             ),
         )
 
-    def _h3_apply(self, t: ex.Expr) -> ex.Expr:
-        return self.ladder[2].apply(t)
+    def scalar_certificates(self, t: ex.Expr, lam: ex.Expr, m: int, seed: int = 0) -> list:
+        """Residual certificates of a scalar on the sphere: K t = lam t and L_3 t = m t."""
+        box = self.sphere.full_box()
+        return [
+            Certificate(
+                "casimir-eigenvalue",
+                nc.is_zero(ex.sub(self.scalar_operator().apply(t), ex.mul(lam, t)), box, seed),
+            ),
+            Certificate(
+                "axis-eigenvalue",
+                nc.is_zero(ex.sub(self.ladder[2].apply(t), ex.mul(ex.num(m), t)), box, seed),
+            ),
+        ]
 
     def scalar_family(self, l: int, m_values=None, seed: int = 0) -> HarmonicFamily:
         """All scalar weight-l members in one family document."""
@@ -276,14 +276,7 @@ class So3Model:
             for upper, lower, n, amp in self.tensor_slots(l):
                 scalar = ex.mul(amps[amp], self.ladder_family(l, n)[m])
                 monos.append(TensorMonomial(upper, lower, scalar))
-            assemblies[f"m={m}"] = [
-                {
-                    "upper": [FRAME_NAMES[a] for a in mo.upper],
-                    "lower": [FRAME_NAMES[b] for b in mo.lower],
-                    "scalar": ex.unparse(mo.scalar),
-                }
-                for mo in monos
-            ]
+            assemblies[f"m={m}"] = assembly_to_json(self.frame, monos)
             for n in n_values:
                 t = self.ladder_family(l, n)[m]
                 resid = ex.sub(reduced[n].apply(t), ex.mul(lam, t))
@@ -293,7 +286,7 @@ class So3Model:
                 certs.append(
                     Certificate(
                         f"axis-eigenvalue n={n} m={m}",
-                        nc.is_zero(ex.sub(self._h3_apply(t), ex.mul(ex.num(m), t)), box, seed),
+                        nc.is_zero(ex.sub(self.ladder[2].apply(t), ex.mul(ex.num(m), t)), box, seed),
                     )
                 )
             if m in full_tensor_m:
@@ -329,21 +322,6 @@ class So3Model:
         target = fam[m + s]
         rep = nc.is_zero(ex.sub(moved, ex.mul(coef, target)), box, seed)
         return coef, m + s, rep
-
-    def assemble_from_json(self, monomials: list) -> TensorField:
-        """Rebuild an assembled tensor from serialized monomials."""
-        name_to_idx = {n: i for i, n in enumerate(FRAME_NAMES)}
-        monos = []
-        p = q = None
-        for mo in monomials:
-            upper = tuple(name_to_idx[a] for a in mo["upper"])
-            lower = tuple(name_to_idx[b] for b in mo["lower"])
-            scalar = parse(
-                mo["scalar"], self.space.coords, list(AMPLITUDE_NAMES) + ["m"]
-            )
-            monos.append(TensorMonomial(upper, lower, scalar))
-            p, q = len(upper), len(lower)
-        return assemble(self.frame, monos, p, q)
 
 
 def _leg_weight(leg: int) -> int:

@@ -93,13 +93,12 @@ def sample_box(box: dict, n: int, seed: int = 0) -> list[dict]:
     return out
 
 
-def is_zero(e: ex.Expr, box: dict | None = None, seed: int = 0, points: int = NUM_POINTS,
-            rel_tol: float = REL_TOL) -> ZeroReport:
+def is_zero(e: ex.Expr, box: dict | None = None, seed: int = 0) -> ZeroReport:
     """Decide whether `e` vanishes on the box.
 
     Symbolically zero when simplification reaches the 0 literal; otherwise
-    numerically zero when max |e| < rel_tol * (1 + max term magnitude) over
-    the sample; otherwise nonzero with a witness point.
+    numerically zero when max |e| < REL_TOL * (1 + max term magnitude) over
+    NUM_POINTS samples; otherwise nonzero with a witness point.
     """
     s = ex.simplify(e)
     if s == ex.ZERO:
@@ -112,11 +111,11 @@ def is_zero(e: ex.Expr, box: dict | None = None, seed: int = 0, points: int = NU
         raise ex.EvalError(f"no sampling interval for symbols {missing}")
     if not names:
         v = abs(ex.evaluate(s, {}))
-        if v < rel_tol:
+        if v < REL_TOL:
             return ZeroReport(Verdict.NUMERIC_ZERO, max_abs=v, scale=1.0)
         return ZeroReport(Verdict.NONZERO, witness={}, max_abs=v, scale=1.0)
 
-    envs = sample_box({n: box[n] for n in names}, points, seed)
+    envs = sample_box({n: box[n] for n in names}, NUM_POINTS, seed)
     terms = s.terms if type(s) is ex.Add else (s,)
     progs = [evalcore.compile_expr(t, names) for t in terms]
     pts = [tuple(env[n] for n in names) for env in envs]
@@ -138,7 +137,7 @@ def is_zero(e: ex.Expr, box: dict | None = None, seed: int = 0, points: int = NU
         a = abs(tot)
         if a > max_total:
             max_total, witness = a, env
-    if max_total < rel_tol * (1.0 + scale):
+    if max_total < REL_TOL * (1.0 + scale):
         return ZeroReport(Verdict.NUMERIC_ZERO, max_abs=max_total, scale=scale)
     return ZeroReport(Verdict.NONZERO, witness=witness, max_abs=max_total, scale=scale)
 

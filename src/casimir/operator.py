@@ -20,6 +20,7 @@ from fractions import Fraction
 
 from . import expr as ex
 from . import numcheck as nc
+from .parser import parse
 from .split_structure import Frame, MuFactors
 from .tensor_fields import Chart, TensorField, VectorField, lie_derivative, tensor_add, tensor_scale
 
@@ -175,11 +176,18 @@ class ScalarOperator:
         }
 
 
-def shifted_generator(op: CasimirOperator, i: int, upper: tuple, lower: tuple) -> ScalarOperator:
-    """First-order operator xi_i - phi_i acting on a monomial component."""
+def _weight(op: CasimirOperator, upper: tuple, lower: tuple, i: int) -> ex.Expr:
+    """phi_i of the monomial; a scalar (no legs) needs no frame scale factors."""
+    if not upper and not lower:
+        return ex.ZERO
     if op.mu is None:
         raise ValueError(f"operator {op.name} has no frame scale factors")
-    phi = op.mu.weight(upper, lower, i)
+    return op.mu.weight(upper, lower, i)
+
+
+def shifted_generator(op: CasimirOperator, i: int, upper: tuple, lower: tuple) -> ScalarOperator:
+    """First-order operator xi_i - phi_i acting on a monomial component."""
+    phi = _weight(op, upper, lower, i)
     out = ScalarOperator.from_vector_field(op.generators[i])
     if phi != ex.ZERO:
         out = out.plus(ScalarOperator.multiplication(op.chart, ex.neg(phi)))
@@ -190,11 +198,12 @@ def reduce_to_scalar(op: CasimirOperator, upper: tuple = (), lower: tuple = ()) 
     """Scalar operator acting on the (upper, lower) monomial component.
 
     Computed as g^{ik} (xi_i - phi_i)(xi_k - phi_k); with all scale factors
-    zero this degenerates to the plain scalar Casimir operator K."""
+    zero, and with no legs at all, this is the plain scalar Casimir operator
+    K = g^{ik} xi_i xi_k."""
     shifted = [shifted_generator(op, i, upper, lower) for i in range(op.r)]
     total = ScalarOperator.zero(op.chart)
     for i in range(op.r):
-        phi_i = op.mu.weight(upper, lower, i)
+        phi_i = _weight(op, upper, lower, i)
         for k in range(op.r):
             gik = op.metric[i][k]
             if gik == ex.ZERO:
@@ -204,19 +213,6 @@ def reduce_to_scalar(op: CasimirOperator, upper: tuple = (), lower: tuple = ()) 
             if phi_i != ex.ZERO:
                 composed = composed.plus(inner.scaled(ex.neg(phi_i)))
             total = total.plus(composed.scaled(gik))
-    return total
-
-
-def scalar_casimir(op: CasimirOperator) -> ScalarOperator:
-    """K = g^{ik} xi_i xi_k on scalar functions."""
-    total = ScalarOperator.zero(op.chart)
-    for i in range(op.r):
-        for k in range(op.r):
-            gik = op.metric[i][k]
-            if gik == ex.ZERO:
-                continue
-            inner = ScalarOperator.from_vector_field(op.generators[k])
-            total = total.plus(inner.compose_vf_left(op.generators[i]).scaled(gik))
     return total
 
 
@@ -230,11 +226,6 @@ class TensorMonomial:
     upper: tuple  # frame leg indices for vector slots
     lower: tuple  # frame leg indices for covector slots
     scalar: ex.Expr
-
-    def label(self, frame: Frame) -> str:
-        up = ",".join(frame.names[a] for a in self.upper)
-        lo = ",".join(frame.names[b] for b in self.lower)
-        return f"[{up}|{lo}]"
 
 
 def assemble(frame: Frame, monomials, p: int, q: int) -> TensorField:
@@ -256,6 +247,38 @@ def assemble(frame: Frame, monomials, p: int, q: int) -> TensorField:
         ex.simplify(total[idx]) for idx in itertools.product(range(d), repeat=p + q)
     )
     return TensorField(chart, p, q, comps)
+
+
+def assembly_to_json(frame: Frame, monomials) -> list:
+    """Serialize monomials by frame leg names and scalar text."""
+    return [
+        {
+            "upper": [frame.names[a] for a in mo.upper],
+            "lower": [frame.names[b] for b in mo.lower],
+            "scalar": ex.unparse(mo.scalar),
+        }
+        for mo in monomials
+    ]
+
+
+def assemble_from_json(frame: Frame, monomials) -> TensorField:
+    """Rebuild an assembled tensor from monomials serialized by `assembly_to_json`.
+
+    Legs are named by the frame; scalars may use the chart coordinates and
+    its parameters (the amplitudes)."""
+    if not monomials:
+        raise ValueError("an assembly needs at least one monomial")
+    chart = frame.chart
+    legs = {name: a for a, name in enumerate(frame.names)}
+    monos = [
+        TensorMonomial(
+            tuple(legs[a] for a in mo["upper"]),
+            tuple(legs[b] for b in mo["lower"]),
+            parse(mo["scalar"], chart.coords, chart.params),
+        )
+        for mo in monomials
+    ]
+    return assemble(frame, monos, len(monos[0].upper), len(monos[0].lower))
 
 
 def project_component(t: TensorField, frame: Frame, upper: tuple, lower: tuple) -> ex.Expr:

@@ -11,13 +11,11 @@ with rational spectra).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import expr as ex
 from . import numcheck as nc
-from .cnum import CNum
 from .lie_algebra import StructureConstants, ad_matrix
 from .tensor_fields import (
     Chart,
@@ -54,11 +52,8 @@ def pairing(omega: TensorField, x: VectorField) -> ex.Expr:
 
 
 def mat_mul(a, b):
-    n, m, k = len(a), len(b[0]), len(b)
-    return [
-        [ex.add(*[ex.mul(a[i][s], b[s][j]) for s in range(k)]) for j in range(m)]
-        for i in range(n)
-    ]
+    """Product of nested-list matrices with exact Fraction or Expr entries."""
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
 
 
 def mat_det(a) -> ex.Expr:
@@ -341,19 +336,15 @@ def _char_poly(a) -> list:
     n = len(a)
     coeffs = [Fraction(0)] * (n + 1)
     coeffs[n] = Fraction(1)
-    m = [[Fraction(0)] * n for _ in range(n)]
-    ident = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    m = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
     for k in range(1, n + 1):
-        # M_k = A M_{k-1} + c_{n-k+1} I
-        if k == 1:
-            m = [row[:] for row in ident]
-        else:
-            am = [[sum(a[i][s] * m[s][j] for s in range(n)) for j in range(n)] for i in range(n)]
+        # M_k = A M_{k-1} + c_{n-k+1} I, with M_1 = I
+        if k > 1:
             m = [
                 [am[i][j] + (coeffs[n - k + 1] if i == j else 0) for j in range(n)]
                 for i in range(n)
             ]
-        am = [[sum(a[i][s] * m[s][j] for s in range(n)) for j in range(n)] for i in range(n)]
+        am = mat_mul(a, m)
         tr = sum(am[i][i] for i in range(n))
         coeffs[n - k] = -tr / k
     return coeffs
@@ -373,16 +364,10 @@ def expm_rational(a, t: ex.Expr):
     ident = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
     p_mats = [ident]
     for j in range(1, n):
-        prev = p_mats[-1]
         shifted = [
             [a[i][k] - (lams[j - 1] if i == k else 0) for k in range(n)] for i in range(n)
         ]
-        p_mats.append(
-            [
-                [sum(prev[i][s] * shifted[s][k] for s in range(n)) for k in range(n)]
-                for i in range(n)
-            ]
-        )
+        p_mats.append(mat_mul(p_mats[-1], shifted))
     rs = [{lams[0]: [Fraction(1)]}]
     for j in range(1, n):
         rs.append(_polyexp_integrate(rs[-1], lams[j]))
@@ -459,7 +444,7 @@ def solve_invariant_frame(sc: StructureConstants, generators, seed: int = 0) -> 
     envs = nc.sample_box(box, 8, seed) if box else [{}]
     for env in envs:
         mat = [[ex.evaluate(c, env) for c in g.comps] for g in generators]
-        if abs(_numeric_det(mat)) < 1e-12:
+        if _numeric_rank(mat) < r:
             raise NotSimplyTransitiveError(f"generators are dependent near {env}")
 
     ident = [[ex.ONE if i == j else ex.ZERO for j in range(d)] for i in range(d)]
@@ -545,10 +530,6 @@ def _order_legs(legs, chart: Chart):
     while remaining:
         progressed = False
         for leg in remaining:
-            later_ok = all(
-                chart.coords[other["axis"]] not in leg["deps"] or other is leg
-                for other in order
-            )
             # leg can be placed now iff none of its deps belong to already-moved axes
             moved = {chart.coords[l2["axis"]] for l2 in order}
             if leg["deps"] & moved:
@@ -560,24 +541,6 @@ def _order_legs(legs, chart: Chart):
         if not progressed:
             raise NoClosedFormError("flow factors have cyclic coordinate dependencies")
     return order
-
-
-def _numeric_det(m) -> complex:
-    n = len(m)
-    a = [row[:] for row in m]
-    det = 1.0 + 0j
-    for col in range(n):
-        piv = max(range(col, n), key=lambda rr: abs(a[rr][col]))
-        if abs(a[piv][col]) < 1e-300:
-            return 0j
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = -det
-        det *= a[col][col]
-        for rr in range(col + 1, n):
-            f = a[rr][col] / a[col][col]
-            a[rr] = [x - f * y for x, y in zip(a[rr], a[col])]
-    return det
 
 
 # --- invariant metric -------------------------------------------------------
@@ -594,14 +557,13 @@ class InvariantMetric:
         return all(r.is_zero for r in self.killing)
 
 
-def metric_from_frame_solution(
-    fs: FrameSolution, sc: StructureConstants, generators, seed: int = 0
-) -> InvariantMetric:
-    """g^{ik} = sum_d L^i_d L^k_d, certified against the Killing equations."""
+def metric_from_frame(L, sc: StructureConstants, generators, seed: int = 0) -> InvariantMetric:
+    """g^{ik} = sum_d L^i_d L^k_d for an invariant frame e_d = L^a_d xi_a,
+    certified against the Killing equations."""
     r = sc.r
     g = [
         [
-            ex.simplify(ex.add(*[ex.mul(fs.L[i][dd], fs.L[k][dd]) for dd in range(r)]))
+            ex.simplify(ex.add(*[ex.mul(L[i][dd], L[k][dd]) for dd in range(r)]))
             for k in range(r)
         ]
         for i in range(r)

@@ -234,10 +234,11 @@ def test_criterion_09_hypergeometric_branch(b2):
         (0.5, 0.5, 2.0, 1.0, 1.0),
     ]
     for mu, nu, lam, amp_a, amp_b in cases:
-        fam = b2.hypergeometric_harmonic(mu, nu, lam, amp_a, amp_b, points=16, tol=1e-8)
+        fam = b2.hypergeometric_harmonic(mu, nu, lam, amp_a, amp_b)
         payload = fam.certificates[0].payload
         assert payload["ok"], (mu, nu, lam, payload)
         assert payload["points"] == 16
+        assert payload["tolerance"] == 1e-8
         assert payload["max_abs"] < 1e-8 * payload["scale"]
     # the even branch at (0,0,1) is the closed-form sqrt profile
     prof = b2.radial_profile(0.0, 0.0, 1.0)

@@ -25,6 +25,19 @@ def run(capsys, *argv) -> tuple[int, str]:
     return code, out
 
 
+def assert_input_error(capsys, *argv):
+    """Exit code 2 with a one-line message on stderr (an escaping exception fails the test)."""
+    code = main(list(argv))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
+
+
+def operator_table(out: str) -> list:
+    return [(t["derivative"], t["coefficient"]) for t in json.loads(out)["operator"]["terms"]]
+
+
 class TestVerify:
     @pytest.mark.parametrize("model", ["so3", "bianchi2", "abelian"])
     def test_builtin_models_pass(self, capsys, model):
@@ -79,8 +92,11 @@ class TestBuildMetric:
         assert code == 0
         doc = json.loads(out)
         assert doc["cartan"]["degenerate"]
-        assert doc["metric"][1][1] == "1"
-        assert "exp(2*y)" in doc["metric"][0][0]
+        assert doc["metric"] == [
+            ["exp(2*y) + exp(2*y)*v^2", "-v*exp(y)", "0"],
+            ["-v*exp(y)", "1", "0"],
+            ["0", "0", "1"],
+        ]
 
     def test_abelian_identity_via_frame(self, capsys):
         code, out = run(capsys, "build-metric", "--model", "abelian")
@@ -109,7 +125,7 @@ class TestBuildMetric:
         code, out = run(capsys, "build-metric", "--model", str(p))
         assert code == 0
         got = json.loads(out)["metric"]
-        assert got[0][0] == "exp(2*y) + x^2"
+        assert got == [["exp(2*y) + x^2", "-x", "0"], ["-x", "1", "0"], ["0", "0", "1"]]
 
 
 class TestHarmonics:
@@ -165,6 +181,19 @@ class TestHarmonics:
         doc = json.loads(out)
         assert len(doc["samples"]["rows"]) == 4
 
+    @pytest.mark.parametrize("flag,value", [("--lam", "nan"), ("--A", "x"), ("--mu", "1/0")])
+    def test_hyper_label_not_rational(self, capsys, flag, value):
+        argv = {"--mu": "0", "--nu": "0", "--lam": "1", flag: value}
+        assert_input_error(capsys, "harmonics", "bianchi2", "--hyper",
+                           *[x for kv in argv.items() for x in kv])
+
+    def test_grid_must_cover_every_component_coordinate(self, capsys):
+        assert_input_error(capsys, "harmonics", "so3", "--l", "1", "--grid", "theta=0.2:3.0:5")
+
+    @pytest.mark.parametrize("grid", ["theta=0:3.0:3", "theta=0.2:3.2:3", "phi=0.1:6.3:2"])
+    def test_grid_must_stay_in_the_domain_box(self, capsys, grid):
+        assert_input_error(capsys, "harmonics", "so3", "--l", "0", "--grid", grid)
+
 
 class TestFamilyRoundTrip:
     def test_scalar_family_recertifies(self, capsys, tmp_path):
@@ -184,6 +213,28 @@ class TestFamilyRoundTrip:
         code, out = run(capsys, "verify", "--family", str(p))
         assert code == 0
         assert json.loads(out)["ok"]
+
+    @pytest.mark.parametrize("component", ["sin(theta", "m*cos(theta)"])
+    def test_bad_scalar_component_is_an_input_error(self, capsys, tmp_path, component):
+        p = tmp_path / "fam.json"
+        assert main(["harmonics", "so3", "--l", "1", "--m", "0", "--out", str(p)]) == 0
+        doc = json.loads(p.read_text())
+        doc["components"]["n=0,m=0"] = component
+        p.write_text(json.dumps(doc))
+        assert_input_error(capsys, "verify", "--family", str(p))
+
+    @pytest.mark.parametrize("monomials", [
+        [],
+        [{"upper": [], "lower": ["+1", "-1"], "scalar": "m*h*cos(theta)"}],
+        [{"upper": [], "lower": ["+1", "nope"], "scalar": "h"}],
+    ])
+    def test_bad_assembly_is_an_input_error(self, capsys, tmp_path, monomials):
+        p = tmp_path / "fam.json"
+        assert main(["harmonics", "so3", "--type", "2,0", "--l", "0", "--out", str(p)]) == 0
+        doc = json.loads(p.read_text())
+        doc["assemblies"] = {"m=0": monomials}
+        p.write_text(json.dumps(doc))
+        assert_input_error(capsys, "verify", "--family", str(p))
 
     def test_point_series_recertifies(self, capsys, tmp_path):
         p = tmp_path / "fam.json"
@@ -222,18 +273,26 @@ class TestReduceAndResidual:
     def test_reduce_rotation_weighted_slot(self, capsys):
         code, out = run(capsys, "reduce", "--model", "so3", "--lower", "+1")
         assert code == 0
-        doc = json.loads(out)
-        terms = {tuple(t["derivative"]): t["coefficient"] for t in doc["operator"]["terms"]}
-        assert terms[(0, 2, 0)] == "1"
-        assert (0, 0, 1) in terms  # the weighted first-order term
+        sing = "(1 + cos(theta))^(-1)*(1 - cos(theta))^(-1)"
+        assert operator_table(out) == [
+            ([0, 0, 0], f"-{sing}"),
+            ([0, 0, 1], f"-2*i*cos(theta)*{sing}"),  # the weighted first-order term
+            ([0, 0, 2], sing),
+            ([0, 1, 0], f"cos(theta)*sin(theta)*{sing}"),
+            ([0, 2, 0], "1"),
+        ]
 
     def test_reduce_solvable_is_plain_casimir(self, capsys):
-        code, out = run(capsys, "reduce", "--model", "bianchi2", "--lower", "1,2")
-        assert code == 0
-        doc = json.loads(out)
-        terms = {tuple(t["derivative"]): t["coefficient"] for t in doc["operator"]["terms"]}
-        assert terms[(0, 0, 2)] == "1"
-        assert terms[(2, 0, 0)] == "1 + v^2"
+        for lower in ("1", "1,2"):
+            code, out = run(capsys, "reduce", "--model", "bianchi2", "--lower", lower)
+            assert code == 0
+            assert operator_table(out) == [
+                ([0, 0, 2], "1"),
+                ([0, 2, 0], "1"),
+                ([1, 0, 0], "v"),
+                ([1, 1, 0], "-2*v"),
+                ([2, 0, 0], "1 + v^2"),
+            ]
 
     def test_reduce_unknown_leg(self, capsys):
         assert main(["reduce", "--model", "so3", "--lower", "nope"]) == 2

@@ -108,7 +108,7 @@ class TestReduce:
 
     def test_mixed_legs_cancel_the_weight(self, so3):
         red = op.reduce_to_scalar(so3.op_ladder, (), (1, 2))
-        k = op.scalar_casimir(so3.op_ladder)
+        k = op.reduce_to_scalar(so3.op_ladder)
         assert red.equal_to(k)
 
     def test_missing_scale_factors_rejected(self, so3):

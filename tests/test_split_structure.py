@@ -240,7 +240,7 @@ class TestMuFactors:
 class TestInvariantMetric:
     def test_solvable_metric_components(self, solv, solv_solution):
         chart, gens, sc = solv
-        metric = ss.metric_from_frame_solution(solv_solution, sc, gens)
+        metric = ss.metric_from_frame(solv_solution.L, sc, gens)
         want = (
             ("(1+v^2)*exp(2*y)", "-v*exp(y)", "0"),
             ("-v*exp(y)", "1", "0"),
@@ -262,7 +262,7 @@ class TestInvariantMetric:
         ]
         sc = la.abelian(3)
         fs = ss.solve_invariant_frame(sc, gens)
-        metric = ss.metric_from_frame_solution(fs, sc, gens)
+        metric = ss.metric_from_frame(fs.L, sc, gens)
         assert all(
             metric.g[i][k] == (ex.ONE if i == k else ex.ZERO) for i in range(3) for k in range(3)
         )

@@ -10,17 +10,19 @@ limitation.
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import io
+import itertools
 import json
 import os
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 
 from . import evalcore
 from . import expr as ex
-from . import numcheck as nc
 from .lie_algebra import (
     DegenerateCartanError,
     cartan_tensor,
@@ -122,8 +124,7 @@ def _emit(args, text: str):
 
 def cmd_verify(args) -> int:
     if bool(args.model) == bool(args.family):
-        print("verify needs exactly one of --model or --family", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+        raise SchemaError("verify needs exactly one of --model or --family")
     if args.family:
         return _verify_family(args)
     seed = args.seed
@@ -168,11 +169,9 @@ def _verify_family(args) -> int:
     doc = load_family(args.family)
     rep = Report("verify-family", {"family": args.family, "model": doc["model"], "kind": doc["kind"]}, seed)
     with Stopwatch(rep, "total"):
-        try:
+        with _as_input_error("malformed family document"):
             stored = {c["name"]: c.get("verdict", "ok" if c.get("ok") else "failed") for c in doc["certificates"]}
-            recomputed = _recertify(doc, seed)
-        except (LookupError, ParseError, ValueError) as e:
-            raise SchemaError(f"malformed family document: {e}") from None
+        recomputed = _recertify(doc, seed)
         for name, verdict in recomputed.items():
             if name in stored:
                 rep.add_check(
@@ -187,21 +186,44 @@ def _verify_family(args) -> int:
     return EXIT_OK if rep.ok else EXIT_CHECK_FAILED
 
 
+@contextmanager
+def _as_input_error(what: str):
+    """Report a missing, wrongly typed or unparsable input field as a
+    SchemaError (exit code 2)."""
+    try:
+        yield
+    except (LookupError, TypeError, AttributeError, ValueError, ParseError) as e:
+        raise SchemaError(f"{what}: {e}") from None
+
+
 def _recertify(doc: dict, seed: int) -> dict:
+    """Recompute every certificate of a family document.
+
+    All document fields are read first, under `_as_input_error`; errors raised
+    while certifying propagate unchanged."""
     model_name = doc["model"]
     kind = doc["kind"]
     out: dict[str, str] = {}
     if model_name == "so3":
         model = so3_model()
-        lam = parse(doc["eigenvalues"]["G"], [], [])
+        with _as_input_error("malformed family document"):
+            lam = parse(doc["eigenvalues"]["G"], [], [])
+            if kind == "scalar":
+                comps = [
+                    (int(key.split("m=")[1]), parse(comp, model.sphere.coords))
+                    for key, comp in doc["components"].items()
+                ]
+            elif kind == "tensor20":
+                tensors = [
+                    (tag, assemble_from_json(model.frame, monos))
+                    for tag, monos in doc.get("assemblies", {}).items()
+                ]
         if kind == "scalar":
-            for key, comp in doc["components"].items():
-                m = int(key.split("m=")[1])
-                for c in model.scalar_certificates(parse(comp, model.sphere.coords), lam, m, seed):
+            for m, t in comps:
+                for c in model.scalar_certificates(t, lam, m, seed):
                     out[f"{c.name} m={m}"] = c.payload.verdict.value
         elif kind == "tensor20":
-            for tag, monos in doc.get("assemblies", {}).items():
-                tens = assemble_from_json(model.frame, monos)
+            for tag, tens in tensors:
                 res = certify_eigen(model.op_space, tens, lam, seed)
                 verdict = "ok" if res.ok else "failed"
                 out[f"casimir-eigenvalue {tag}"] = verdict
@@ -209,22 +231,26 @@ def _recertify(doc: dict, seed: int) -> dict:
             raise SchemaError(f"unknown so3 family kind {kind!r}")
     elif model_name == "bianchi2":
         model = bianchi2_model()
-        lam = parse(doc["eigenvalues"]["G"], [], [])
-        box = model.chart.full_box()
-        k_op = model.scalar_operator()
-        for key, comp in doc["components"].items():
-            t = parse(comp, model.chart.coords, [])
-            r1 = nc.is_zero(ex.sub(k_op.apply(t), ex.mul(lam, t)), box, seed)
-            out["casimir-eigenvalue"] = r1.verdict.value
-        for tag, monos in doc.get("assemblies", {}).items():
-            tens = assemble_from_json(model.frame, monos)
+        with _as_input_error("malformed family document"):
+            lam = parse(doc["eigenvalues"]["G"], [], [])
+            comps = [parse(comp, model.chart.coords, []) for comp in doc["components"].values()]
+            tensors = [
+                (tag, assemble_from_json(model.frame, monos))
+                for tag, monos in doc.get("assemblies", {}).items()
+            ]
+            if kind == "hypergeometric":
+                lab = doc["labels"]
+                labels = [
+                    float(_parse_rational(lab.get(k, default), f"label {k!r}"))
+                    for k, default in (("mu", None), ("nu", None), ("lambda", None), ("A", 1), ("B", 0))
+                ]
+        for t in comps:
+            out["casimir-eigenvalue"] = model.casimir_certificate(t, lam, seed).payload.verdict.value
+        for tag, tens in tensors:
             res = certify_eigen(model.op, tens, lam, seed)
             out[f"casimir-eigenvalue {tag}"] = "ok" if res.ok else "failed"
         if kind == "hypergeometric":
-            lab = doc["labels"]
-            fam = model.hypergeometric_harmonic(
-                lab["mu"], lab["nu"], lab["lambda"], lab.get("A", 1), lab.get("B", 0), seed=seed
-            )
+            fam = model.hypergeometric_harmonic(*labels, seed=seed)
             c = fam.certificates[0]
             out["radial-equation-residual"] = c.payload["verdict"]
     else:
@@ -313,42 +339,39 @@ def cmd_harmonics(args) -> int:
     seed = args.seed
     if args.model == "so3":
         model = so3_model()
+        chart = model.sphere
+        _grid_points(chart, args.grid)
         if args.l is None:
-            print("harmonics so3 needs --l", file=sys.stderr)
-            return EXIT_INPUT_ERROR
+            raise SchemaError("harmonics so3 needs --l")
         if args.l < 0 or (args.m is not None and abs(args.m) > args.l):
             print(f"labels out of range: l={args.l}, m={args.m}", file=sys.stderr)
             return EXIT_CHECK_FAILED
         m_values = None if args.m is None else [args.m]
         if args.tensor_type:
             if args.tensor_type.replace(" ", "") not in ("2,0", "0,2"):
-                print(f"unsupported tensor type {args.tensor_type!r}", file=sys.stderr)
-                return EXIT_INPUT_ERROR
+                raise SchemaError(f"unsupported tensor type {args.tensor_type!r}")
             fam = model.tensor20_harmonic(args.l, m_values=m_values, seed=seed)
         else:
             fam = model.scalar_family(args.l, m_values=m_values, seed=seed)
-        chart = model.sphere
     else:
         model = bianchi2_model()
         chart = model.chart
+        _grid_points(chart, args.grid)
         if args.hyper:
             if args.mu is None or args.nu is None or args.lam is None:
-                print("hyper families need --mu --nu --lam", file=sys.stderr)
-                return EXIT_INPUT_ERROR
+                raise SchemaError("hyper families need --mu --nu --lam")
             labels = [float(_parse_rational(getattr(args, k), f"--{k}")) for k in ("mu", "nu", "lam", "A", "B")]
             fam = model.hypergeometric_harmonic(*labels, seed=seed)
         elif args.point_series:
             if args.n is None or args.m is None or args.nu is None:
-                print("point series needs --n --m --nu", file=sys.stderr)
-                return EXIT_INPUT_ERROR
+                raise SchemaError("point series needs --n --m --nu")
             try:
                 fam = model.point_series(args.n, args.m, _parse_rational(args.nu, "--nu"), seed=seed)
             except ValueError as e:
                 print(str(e), file=sys.stderr)
                 return EXIT_CHECK_FAILED
         else:
-            print("harmonics bianchi2 needs --point-series or --hyper", file=sys.stderr)
-            return EXIT_INPUT_ERROR
+            raise SchemaError("harmonics bianchi2 needs --point-series or --hyper")
     doc = fam.to_json()
     doc["seed"] = seed
     if args.grid:
@@ -361,7 +384,10 @@ def cmd_harmonics(args) -> int:
     return EXIT_OK if fam.ok else EXIT_CHECK_FAILED
 
 
-def _grid_samples(fam, chart, grid_specs) -> dict:
+def _grid_points(chart, grid_specs) -> tuple:
+    """Parse --grid specs into (coordinate names, points in chart order).
+
+    Needs only the chart, so a bad grid is refused before a family is built."""
     axes = {}
     for spec in grid_specs:
         try:
@@ -374,23 +400,38 @@ def _grid_samples(fam, chart, grid_specs) -> dict:
             raise SchemaError(f"--grid names unknown coordinate {name!r}")
         if n < 1:
             raise SchemaError("--grid needs at least one point")
-        lo, hi = chart.box[name]
-        if not (lo <= a <= hi and lo <= b <= hi):
-            raise SchemaError(f"--grid {spec!r} leaves the domain box {name} in [{lo}, {hi}]")
         axes[name] = [a + (b - a) * j / max(n - 1, 1) for j in range(n)]
     names = [c for c in chart.coords if c in axes]
+    pts = list(itertools.product(*[axes[n] for n in names]))
+    # The kernel's rewrites hold on the side of each singular locus where the
+    # sampling box lies, so every grid point must be strictly on that side.
+    centre = {c: (lo + hi) / 2 for c, (lo, hi) in chart.box.items()}
+    for locus in chart.singular_loci:
+        if not ex.free_symbols(locus) <= set(names):
+            continue  # no component may depend on a coordinate left out (see _grid_samples)
+        side = ex.evaluate(locus, centre).real > 0
+        for pt, val in zip(pts, evalcore.compile_expr(locus, names).run(pts)):
+            if abs(val) <= 1e-9 or (val.real > 0) != side:
+                where = ", ".join(f"{c}={v:g}" for c, v in zip(names, pt))
+                raise SchemaError(f"--grid point {where} lies on or beyond the singular locus {ex.unparse(locus)} = 0")
+    return names, pts
+
+
+def _grid_samples(fam, chart, grid_specs) -> dict:
+    names, pts = _grid_points(chart, grid_specs)
     for label, comp in sorted(fam.components.items()):
         missing = sorted(ex.free_symbols(comp) - set(names))
         if missing:
             raise SchemaError(f"component {label!r} depends on {missing}; add a --grid for each")
-    import itertools as it
-
-    pts = list(it.product(*[axes[n] for n in names]))
     columns = list(names)
     rows = [[format_number(v) for v in pt] for pt in pts]
     for label, comp in sorted(fam.components.items()):
-        prog = evalcore.compile_expr(comp, names)
-        vals = prog.run([tuple(p) for p in pts])
+        try:
+            vals = evalcore.compile_expr(comp, names).run(pts)
+        except (ArithmeticError, ex.EvalError) as e:
+            raise SchemaError(f"component {label!r} cannot be evaluated on the --grid: {e}") from None
+        if not all(cmath.isfinite(v) for v in vals):
+            raise SchemaError(f"component {label!r} is not finite on the --grid")
         columns.append(f"{label}.re")
         columns.append(f"{label}.im")
         for row, val in zip(rows, vals):
@@ -432,17 +473,12 @@ def cmd_reduce(args) -> int:
     else:
         spec = load_model(args.model)
         if spec.frame_vectors is None or spec.metric is None:
-            print("reduce on user models needs both a frame and a metric in the file", file=sys.stderr)
-            return EXIT_INPUT_ERROR
+            raise SchemaError("reduce on user models needs both a frame and a metric in the file")
         frame = frame_from_vectors(spec.chart, spec.frame_vectors, spec.frame_names, seed=seed)
         mu = compute_mu(frame, spec.generators, spec.constants, seed=seed)
         op = CasimirOperator(spec.name, spec.chart, spec.generators, spec.metric, frame, mu)
-    try:
-        upper = _leg_indices(args.upper, op.frame.names)
-        lower = _leg_indices(args.lower, op.frame.names)
-    except SchemaError as e:
-        print(str(e), file=sys.stderr)
-        return EXIT_INPUT_ERROR
+    upper = _leg_indices(args.upper, op.frame.names)
+    lower = _leg_indices(args.lower, op.frame.names)
     reduced = reduce_to_scalar(op, upper, lower)
     rep = Report("reduce", {"model": args.model, "upper": list(args.upper), "lower": list(args.lower)}, seed)
     rep.add_check("reduced-operator", True, order=reduced.order())
@@ -462,28 +498,20 @@ def cmd_residual(args) -> int:
     elif args.model == "bianchi2":
         op = bianchi2_model().op
     else:
-        print("residual supports the built-in models so3 and bianchi2", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+        raise SchemaError("residual supports the built-in models so3 and bianchi2")
     path = Path(args.tensor)
     if not path.exists():
-        print(f"tensor file {args.tensor!r} not found", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    doc = json.loads(path.read_text())
-    try:
+        raise SchemaError(f"tensor file {args.tensor!r} not found")
+    with _as_input_error("bad eigenvalue"):
         lam = parse(str(args.eigenvalue), [], [])
-    except ParseError as e:
-        print(f"bad eigenvalue: {e}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    try:
+    with _as_input_error("bad tensor file"):
+        doc = json.loads(path.read_text())
         if "monomials" in doc:
             tens = assemble_from_json(op.frame, doc["monomials"])
         else:
             p, q = doc["type"]
             comps = tuple(parse(s, op.chart.coords, []) for s in doc["components"])
             tens = TensorField(op.chart, p, q, comps)
-    except (KeyError, ParseError, ValueError) as e:
-        print(f"bad tensor file: {e}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
     res = certify_eigen(op, tens, lam, seed)
     rep = Report("residual", {"model": args.model, "tensor": args.tensor,
                               "eigenvalue": ex.unparse(lam)}, seed)
@@ -500,18 +528,10 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     if args.seed is None:
         args.seed = _seed_default()
+    commands = {"verify": cmd_verify, "build-metric": cmd_build_metric, "harmonics": cmd_harmonics,
+                "reduce": cmd_reduce, "residual": cmd_residual}
     try:
-        if args.command == "verify":
-            return cmd_verify(args)
-        if args.command == "build-metric":
-            return cmd_build_metric(args)
-        if args.command == "harmonics":
-            return cmd_harmonics(args)
-        if args.command == "reduce":
-            return cmd_reduce(args)
-        if args.command == "residual":
-            return cmd_residual(args)
-        raise AssertionError(args.command)
+        return commands[args.command](args)
     except SchemaError as e:
         print(f"input error: {e}", file=sys.stderr)
         return EXIT_INPUT_ERROR

@@ -90,6 +90,16 @@ def _need(doc: dict, key: str, kind, where: str):
     return val
 
 
+def _expr_row(row, n: int, what: str, coords, params) -> tuple:
+    """Parse a list of n expression strings; `what` names the row in errors."""
+    if not (isinstance(row, list) and len(row) == n):
+        raise SchemaError(f"{what} needs {n} components")
+    try:
+        return tuple(parse(str(s), coords, params) for s in row)
+    except ParseError as e:
+        raise SchemaError(f"{what}: {e}") from None
+
+
 def load_model(ref: str) -> ModelSpec:
     """Load a built-in model by name or a model file by path."""
     if ref in BUILTIN_MODELS:
@@ -142,17 +152,10 @@ def model_from_dict(doc: dict, source: str = "<dict>") -> ModelSpec:
     gen_rows = _need(doc, "generators", list, "model")
     if len(gen_rows) != r:
         raise SchemaError(f"expected {r} generators, found {len(gen_rows)}")
-    generators = []
-    for gi, row in enumerate(gen_rows):
-        if not (isinstance(row, list) and len(row) == len(coords)):
-            raise SchemaError(f"generator {gi + 1} needs {len(coords)} components")
-        comps = []
-        for s in row:
-            try:
-                comps.append(parse(str(s), coords, params))
-            except ParseError as e:
-                raise SchemaError(f"generator {gi + 1}: {e}") from None
-        generators.append(VectorField(chart, tuple(comps)))
+    generators = [
+        VectorField(chart, _expr_row(row, len(coords), f"generator {gi + 1}", coords, params))
+        for gi, row in enumerate(gen_rows)
+    ]
 
     _validate_box_against_loci(chart)
 
@@ -163,39 +166,22 @@ def model_from_dict(doc: dict, source: str = "<dict>") -> ModelSpec:
         fr = _need(doc, "frame", dict, "model")
         rows = _need(fr, "vectors", list, "frame")
         frame_names = tuple(fr.get("names", [str(i + 1) for i in range(len(rows))]))
-        vecs = []
-        for fi, row in enumerate(rows):
-            if len(row) != len(coords):
-                raise SchemaError(f"frame vector {fi + 1} needs {len(coords)} components")
-            try:
-                vecs.append(
-                    VectorField(chart, tuple(parse(str(s), coords, params) for s in row))
-                )
-            except ParseError as e:
-                raise SchemaError(f"frame vector {fi + 1}: {e}") from None
-        frame_vecs = tuple(vecs)
+        frame_vecs = tuple(
+            VectorField(chart, _expr_row(row, len(coords), f"frame vector {fi + 1}", coords, params))
+            for fi, row in enumerate(rows)
+        )
         if "covectors" in fr:
-            covs = []
-            for fi, row in enumerate(fr["covectors"]):
-                if len(row) != len(coords):
-                    raise SchemaError(f"frame covector {fi + 1} needs {len(coords)} components")
-                try:
-                    covs.append(tuple(parse(str(s), coords, params) for s in row))
-                except ParseError as e:
-                    raise SchemaError(f"frame covector {fi + 1}: {e}") from None
-            frame_covs = tuple(covs)
+            frame_covs = tuple(
+                _expr_row(row, len(coords), f"frame covector {fi + 1}", coords, params)
+                for fi, row in enumerate(_need(fr, "covectors", list, "frame"))
+            )
 
     metric = None
     if "metric" in doc:
         rows = _need(doc, "metric", list, "model")
-        if len(rows) != r or any(len(row) != r for row in rows):
+        if len(rows) != r:
             raise SchemaError(f"metric must be an {r}x{r} matrix of expression strings")
-        try:
-            metric = tuple(
-                tuple(parse(str(s), coords, params) for s in row) for row in rows
-            )
-        except ParseError as e:
-            raise SchemaError(f"metric entry: {e}") from None
+        metric = tuple(_expr_row(row, r, f"metric row {i + 1}", coords, params) for i, row in enumerate(rows))
         for i in range(r):
             for k in range(i + 1, r):
                 if ex.simplify(ex.sub(metric[i][k], metric[k][i])) != ex.ZERO:

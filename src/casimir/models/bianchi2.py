@@ -74,6 +74,11 @@ class Bianchi2Model:
     def reduced_operator(self, upper: tuple = (), lower: tuple = ()) -> ScalarOperator:
         return reduce_to_scalar(self.op, upper, lower)
 
+    def casimir_certificate(self, t: ex.Expr, lam: ex.Expr, seed: int = 0) -> Certificate:
+        """Residual certificate of a scalar: K t = lam t."""
+        resid = ex.sub(self.scalar_operator().apply(t), ex.mul(lam, t))
+        return Certificate("casimir-eigenvalue", nc.is_zero(resid, self.chart.full_box(), seed))
+
     # -- point series ---------------------------------------------------------
 
     def point_series_profile(self, n: int, m: int) -> ex.Expr:
@@ -96,12 +101,8 @@ class Bianchi2Model:
         )
         lam = ex.num(nu * nu + n * n)
         box = self.chart.full_box()
-        k_op = self.scalar_operator()
         certs = [
-            Certificate(
-                "casimir-eigenvalue",
-                nc.is_zero(ex.sub(k_op.apply(t), ex.mul(lam, t)), box, seed),
-            ),
+            self.casimir_certificate(t, lam, seed),
             Certificate(
                 "y-translation-eigenvalue",
                 nc.is_zero(ex.sub(self.generators[1].apply(t), ex.mul(ex.num(m), t)), box, seed),

@@ -576,8 +576,8 @@ def metric_from_constant(g_inv, sc: StructureConstants, generators, seed: int = 
     return _certify_metric(g, sc, generators, "cartan-inverse", seed)
 
 
-def metric_from_exprs(g, sc: StructureConstants, generators, provenance="user-supplied", seed: int = 0) -> InvariantMetric:
-    return _certify_metric([list(row) for row in g], sc, generators, provenance, seed)
+def metric_from_exprs(g, sc: StructureConstants, generators, seed: int = 0) -> InvariantMetric:
+    return _certify_metric([list(row) for row in g], sc, generators, "user-supplied", seed)
 
 
 def _certify_metric(g, sc, generators, provenance, seed) -> InvariantMetric:

@@ -3,10 +3,12 @@
 import csv
 import io
 import json
+import math
 
 import pytest
 
 from casimir.cli import main
+from casimir.models.so3 import So3Model
 
 GOOD_SOLVABLE = {
     "name": "solvable-custom",
@@ -74,6 +76,17 @@ class TestVerify:
 
     def test_missing_file_exit_code(self):
         assert main(["verify", "--model", "no-such-model"]) == 2
+
+    @pytest.mark.parametrize("key,value", [
+        ("frame", {"vectors": [5, ["0", "1", "0"], ["0", "0", "1"]]}),
+        ("frame", {"vectors": [["1", "0", "0"]] * 3, "covectors": 5}),
+        ("metric", [["1", "0", "0"], ["0", "1"], ["0", "0", "1"]]),
+        ("metric", [["1", "0", "0"], ["0", "q", "0"], ["0", "0", "1"]]),
+    ])
+    def test_bad_expression_rows_exit_code(self, capsys, tmp_path, key, value):
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps({**GOOD_SOLVABLE, key: value}))
+        assert_input_error(capsys, "verify", "--model", str(p))
 
     def test_needs_exactly_one_input(self):
         assert main(["verify"]) == 2
@@ -190,9 +203,36 @@ class TestHarmonics:
     def test_grid_must_cover_every_component_coordinate(self, capsys):
         assert_input_error(capsys, "harmonics", "so3", "--l", "1", "--grid", "theta=0.2:3.0:5")
 
-    @pytest.mark.parametrize("grid", ["theta=0:3.0:3", "theta=0.2:3.2:3", "phi=0.1:6.3:2"])
-    def test_grid_must_stay_in_the_domain_box(self, capsys, grid):
+    @pytest.mark.parametrize("grid", ["theta=0:3.0:3", "theta=0.2:3.2:3", "theta=3.3:4:2"])
+    def test_grid_must_keep_off_the_singular_locus(self, capsys, grid):
         assert_input_error(capsys, "harmonics", "so3", "--l", "0", "--grid", grid)
+
+    def test_bad_grid_is_refused_before_the_family_is_built(self, capsys, monkeypatch):
+        def build(*args, **kwargs):
+            raise AssertionError("family built before the grid was checked")
+
+        monkeypatch.setattr(So3Model, "tensor20_harmonic", build)
+        assert_input_error(capsys, "harmonics", "so3", "--type", "2,0", "--l", "2", "--grid", "theta=0:1:2")
+
+    def test_grid_may_leave_the_sampling_box(self, capsys):
+        # phi is periodic and a point series is closed-form in v, y and z:
+        # neither range is cut down to the box the certificates sample.
+        code, _ = run(capsys, "harmonics", "so3", "--l", "1", "--m", "1",
+                      "--grid", "theta=0.5:2.5:3", "--grid", "phi=0:6.3:4")
+        assert code == 0
+        code, out = run(capsys, "harmonics", "bianchi2", "--point-series", "--n", "2", "--m", "1",
+                        "--nu", "2", "--grid", "v=2:2:1", "--grid", "y=2:2:1", "--grid", "z=0:0:1")
+        assert code == 0
+        value = float(json.loads(out)["samples"]["rows"][0][3])
+        assert value == pytest.approx(math.exp(2) * 5 ** 1.5, rel=1e-12)
+
+    @pytest.mark.parametrize("v,z", [
+        ("0:1e200:2", "0:1:2"),  # (1 + v^2)^(3/2) overflows to inf
+        ("0:1:2", "0:1000:2"),  # exp(2*z) raises OverflowError
+    ])
+    def test_grid_values_must_be_finite(self, capsys, v, z):
+        assert_input_error(capsys, "harmonics", "bianchi2", "--point-series", "--n", "2", "--m", "0",
+                           "--nu", "2", "--grid", f"v={v}", "--grid", "y=0:1:2", "--grid", f"z={z}")
 
 
 class TestFamilyRoundTrip:
@@ -235,6 +275,42 @@ class TestFamilyRoundTrip:
         doc["assemblies"] = {"m=0": monomials}
         p.write_text(json.dumps(doc))
         assert_input_error(capsys, "verify", "--family", str(p))
+
+    @pytest.mark.parametrize("field,value", [
+        ("components", ["cos(theta)"]),
+        ("components", {"n=1,m=0": 3}),
+        ("components", {"m0": "cos(theta)"}),
+        ("eigenvalues", "-2"),
+        ("certificates", [1]),
+    ])
+    def test_wrongly_typed_field_is_an_input_error(self, capsys, tmp_path, field, value):
+        p = tmp_path / "fam.json"
+        assert main(["harmonics", "so3", "--l", "1", "--m", "0", "--out", str(p)]) == 0
+        doc = json.loads(p.read_text())
+        doc[field] = value
+        p.write_text(json.dumps(doc))
+        assert_input_error(capsys, "verify", "--family", str(p))
+
+    @pytest.mark.parametrize("label", ["nan", "x", None])
+    def test_bad_hyper_label_is_an_input_error(self, capsys, tmp_path, label):
+        p = tmp_path / "fam.json"
+        assert main(["harmonics", "bianchi2", "--hyper", "--mu", "0.2", "--nu", "0.3",
+                     "--lam", "1.5", "--out", str(p)]) == 0
+        doc = json.loads(p.read_text())
+        doc["labels"]["lambda"] = label
+        p.write_text(json.dumps(doc))
+        assert_input_error(capsys, "verify", "--family", str(p))
+
+    def test_certification_errors_are_not_input_errors(self, capsys, tmp_path, monkeypatch):
+        p = tmp_path / "fam.json"
+        assert main(["harmonics", "so3", "--l", "1", "--m", "0", "--out", str(p)]) == 0
+
+        def fail(*args):
+            raise ValueError("solver failure")
+
+        monkeypatch.setattr(So3Model, "scalar_certificates", fail)
+        with pytest.raises(ValueError, match="solver failure"):
+            main(["verify", "--family", str(p)])
 
     def test_point_series_recertifies(self, capsys, tmp_path):
         p = tmp_path / "fam.json"
@@ -318,3 +394,9 @@ class TestReduceAndResidual:
         }))
         assert main(["residual", "--model", "bianchi2", "--tensor", str(p),
                      "--eigenvalue", "2"]) == 0
+
+    @pytest.mark.parametrize("text", ["{not json", '{"type": 5, "components": []}', "[1]"])
+    def test_residual_bad_tensor_file(self, capsys, tmp_path, text):
+        p = tmp_path / "t.json"
+        p.write_text(text)
+        assert_input_error(capsys, "residual", "--model", "so3", "--tensor", str(p), "--eigenvalue", "-2")

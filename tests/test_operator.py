@@ -11,6 +11,13 @@ from casimir.operator import ScalarOperator, TensorMonomial
 from casimir.parser import parse
 
 
+SING = "(1 + cos(theta))^(-1)*(1 - cos(theta))^(-1)"  # sin(theta)^(-2)
+
+
+def unparsed(k: ScalarOperator) -> list:
+    return [(idx, ex.unparse(c)) for idx, c in k.table]
+
+
 @pytest.fixture(scope="module")
 def so3():
     return so3_model()
@@ -110,6 +117,15 @@ class TestReduce:
         red = op.reduce_to_scalar(so3.op_ladder, (), (1, 2))
         k = op.reduce_to_scalar(so3.op_ladder)
         assert red.equal_to(k)
+        assert unparsed(k) == [
+            ((0, 0, 2), SING),
+            ((0, 1, 0), f"cos(theta)*sin(theta)*{SING}"),
+            ((0, 2, 0), "1"),
+        ]
+
+    def test_no_legs_is_the_orbit_laplacian(self, so3):
+        k = op.reduce_to_scalar(so3.op_generators)
+        assert unparsed(k) == [((0, 2), SING), ((1, 0), f"cos(theta)*sin(theta)*{SING}"), ((2, 0), "1")]
 
     def test_missing_scale_factors_rejected(self, so3):
         with pytest.raises(ValueError, match="no frame scale factors"):

@@ -37,8 +37,10 @@ class CNum:
         self.re = as_fraction(re)
         self.im = as_fraction(im)
 
+    # real-only fast paths test `not im`: Fraction.__bool__ is much cheaper
+    # than Fraction.__eq__; multiplying by the shared CN_ONE returns the other side
     def __add__(self, other: "CNum") -> "CNum":
-        if self.im == 0 and other.im == 0:
+        if not self.im and not other.im:
             return CNum(self.re + other.re)
         return CNum(self.re + other.re, self.im + other.im)
 
@@ -46,7 +48,11 @@ class CNum:
         return CNum(self.re - other.re, self.im - other.im)
 
     def __mul__(self, other: "CNum") -> "CNum":
-        if self.im == 0 and other.im == 0:
+        if other is CN_ONE:
+            return self
+        if self is CN_ONE:
+            return other
+        if not self.im and not other.im:
             return CNum(self.re * other.re)
         return CNum(
             self.re * other.re - self.im * other.im,
@@ -84,13 +90,13 @@ class CNum:
         return hash((self.re, self.im))
 
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return not self.re and not self.im
 
     def is_one(self) -> bool:
-        return self.re == 1 and self.im == 0
+        return not self.im and self.re == 1
 
     def is_real(self) -> bool:
-        return self.im == 0
+        return not self.im
 
     def negative_lead(self) -> bool:
         """Sign used for canonical orientation: (re, im) lexicographic."""

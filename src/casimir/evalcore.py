@@ -4,10 +4,12 @@ Numeric verification samples every residual at dozens of points and grid
 export evaluates whole component tables, so batch evaluation is the hot path.
 `compile_expr` writes one Python function per expression, ``run(points)``,
 which loops over the points with one statement per distinct node, and
-compiles it once.  The generated source never contains user text: variables
-are ``x0 .. xn`` by position, node values ``v0 ..`` in post-order, constants
-``c0 ..`` are bound as globals, and function names come from the kernel's
-closed set sin/cos/exp.
+compiles it once.  A tuple of expressions (the terms of a residual) compiles
+into one function too, which returns per point the tuple of their values and
+computes subtrees shared between them once.  The generated source never
+contains user text: variables are ``x0 .. xn`` by position, node values
+``v0 ..`` in post-order, constants ``c0 ..`` are bound as globals, and
+function names come from the kernel's closed set sin/cos/exp.
 
 Values are bit-for-bit those of a left-to-right fold over the canonical node
 order: sums start from ``0j`` and add each term in turn; products start from
@@ -47,7 +49,8 @@ class Program:
         return self.fn(points)
 
 
-def compile_expr(e: ex.Expr, varnames) -> Program:
+def compile_expr(e, varnames) -> Program:
+    """Compile an expression, or a tuple of expressions, over `varnames`."""
     varnames = tuple(varnames)
     index = {n: i for i, n in enumerate(varnames)}
     namespace = {"_ipow": ex._ipow, "_sqrt": cmath.sqrt, "_sin": cmath.sin,
@@ -106,7 +109,10 @@ def compile_expr(e: ex.Expr, varnames) -> Program:
         names[n] = name
         return name
 
-    root = go(e)
+    if isinstance(e, tuple):
+        root = "(" + "".join(f"{go(t)}, " for t in e) + ")"
+    else:
+        root = go(e)
     source = "\n".join(
         ["def run(points):", "    out = []", "    for pt in points:"]
         + [f"        {line}" for line in body]

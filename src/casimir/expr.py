@@ -17,12 +17,33 @@ built-in charts guarantee; ``simplify`` adds one sum-level normalization
 (lowering same-base power atoms to a common exponent) and is idempotent.
 Anything the kernel cannot prove zero falls back to numeric sampling in
 :mod:`casimir.numcheck`.
+
+Products of sums are the kernel's hot path, so construction shares work
+through module-level memo tables:
+
+* ``_ATOMS`` interns atoms (hash-consing): ``Fun`` and ``Pow`` look up
+  their fields on construction, so equal atoms are one object, equality
+  tests hit on identity, and the other tables share atoms instead of
+  holding copies;
+* ``_MONO_CACHE`` maps a pair of coefficient-free monomials to the terms of
+  their product; ``mul`` distributes sums as flat (coefficient, monomial)
+  pairs, scales the memoized terms by exact coefficients and gathers them
+  once with ``_collect``, the same step ``add`` uses;
+* ``_DIFF_CACHE`` and ``_ADD_POWER_CACHE`` memoize ``diff`` and powers of
+  sums.
+
+Every table is an idempotent memo: it never changes a result, is cleared
+when it reaches its cap, and is safe to share between threads.  A race or a
+clear can only build a second atom equal to an existing one, and equality
+stays structural through ``_key``, so canonical forms do not depend on what
+the tables hold.
 """
 
 from __future__ import annotations
 
 import cmath
 from fractions import Fraction
+from math import isqrt
 
 from .cnum import CN_I, CN_ONE, CNum, fraction_gcd, fraction_sqrt
 
@@ -116,24 +137,47 @@ class Sym(Expr):
         self._hash = hash(self._key)
 
 
+# interned Fun and Pow atoms by (tag, fields); see the module docstring
+_ATOMS: dict = {}
+_ATOMS_CAP = 100_000
+
+
+def _intern(key: tuple, atom: Expr) -> None:
+    if len(_ATOMS) >= _ATOMS_CAP:
+        _ATOMS.clear()
+    _ATOMS[key] = atom
+
+
 class Fun(Expr):
     __slots__ = ("fname", "arg")
 
-    def __init__(self, fname: str, arg: Expr):
-        self.fname = fname
-        self.arg = arg
-        self._key = (2, fname, arg._key)
-        self._hash = hash((2, fname, arg._hash))
+    def __new__(cls, fname: str, arg: Expr):
+        key = (2, fname, arg)
+        self = _ATOMS.get(key)
+        if self is None:
+            self = object.__new__(cls)
+            self.fname = fname
+            self.arg = arg
+            self._key = (2, fname, arg._key)
+            self._hash = hash((2, fname, arg._hash))
+            _intern(key, self)
+        return self
 
 
 class Pow(Expr):
     __slots__ = ("base", "exp")
 
-    def __init__(self, base: Expr, exp: Fraction):
-        self.base = base
-        self.exp = exp
-        self._key = (3, base._key, exp)
-        self._hash = hash((3, base._hash, exp.numerator, exp.denominator))
+    def __new__(cls, base: Expr, exp: Fraction):
+        key = (3, base, exp.numerator, exp.denominator)
+        self = _ATOMS.get(key)
+        if self is None:
+            self = object.__new__(cls)
+            self.base = base
+            self.exp = exp
+            self._key = (3, base._key, exp)
+            self._hash = hash((3, base._hash, exp.numerator, exp.denominator))
+            _intern(key, self)
+        return self
 
 
 class Mul(Expr):
@@ -144,9 +188,9 @@ class Mul(Expr):
     def __init__(self, coef: CNum, factors: tuple):
         self.coef = coef
         self.factors = factors
-        self._key = (4, tuple(f._key for f in factors), coef.re, coef.im)
+        self._key = (4, tuple([f._key for f in factors]), coef.re, coef.im)
         self._hash = hash(
-            (4, tuple(f._hash for f in factors),
+            (4, tuple([f._hash for f in factors]),
              coef.re.numerator, coef.re.denominator, coef.im.numerator, coef.im.denominator)
         )
 
@@ -234,31 +278,35 @@ def _term_expr(c: CNum, mono: tuple) -> Expr:
     return Mul(c, mono)
 
 
-def _mono_key(t: Expr) -> tuple:
-    return tuple(f._key for f in _coef_mono(t)[1])
+def _mono_order(item: tuple) -> list:
+    """Sort key of a (mono, coef) item: the factor keys, lexicographically."""
+    return [f._key for f in item[0]]
 
 
 def add(*items) -> Expr:
-    acc: dict[tuple, list] = {}
-    stack = list(items)
-    while stack:
-        e = stack.pop()
+    pairs = []
+    for e in items:
         if type(e) is Add:
-            stack.extend(e.terms)
-            continue
-        c, mono = _coef_mono(e)
-        ent = acc.get(mono)
-        if ent is None:
-            acc[mono] = [c, mono]
+            pairs.extend(_coef_mono(t) for t in e.terms)
         else:
-            ent[0] = ent[0] + c
-    terms = [_term_expr(c, mono) for c, mono in acc.values() if not c.is_zero()]
-    if not terms:
+            pairs.append(_coef_mono(e))
+    return _collect(pairs)
+
+
+def _collect(pairs) -> Expr:
+    """Canonical sum of (coefficient, monomial) pairs; like monomials merge."""
+    acc: dict[tuple, CNum] = {}
+    for c, mono in pairs:
+        cur = acc.get(mono)
+        acc[mono] = c if cur is None else cur + c
+    items = [(mono, c) for mono, c in acc.items() if not c.is_zero()]
+    if not items:
         return ZERO
-    if len(terms) == 1:
-        return terms[0]
-    terms.sort(key=_mono_key)
-    return Add(tuple(terms))
+    if len(items) == 1:
+        mono, c = items[0]
+        return _term_expr(c, mono)
+    items.sort(key=_mono_order)
+    return Add(tuple([_term_expr(c, mono) for mono, c in items]))
 
 
 def neg(e) -> Expr:
@@ -418,10 +466,34 @@ def mul(*items) -> Expr:
     base_expr = _assemble(coef, pmap)
     if not pend:
         return base_expr
-    exprs = [base_expr]
+    # distribute: every term is (coef, mono); monomial products come from the memo
+    pairs = [_coef_mono(base_expr)]
     for a in pend:
-        exprs = [mul(x, t) for x in exprs for t in a.terms]
-    return add(*exprs)
+        parts = [_coef_mono(t) for t in a.terms]
+        nxt = []
+        for c1, m1 in pairs:
+            for c2, m2 in parts:
+                c12 = c1 * c2
+                nxt.extend([(c12 * c, m) for c, m in _mono_product(m1, m2)])
+        pairs = nxt
+    return _collect(pairs)
+
+
+_MONO_CACHE: dict = {}
+_MONO_CACHE_CAP = 50_000
+
+
+def _mono_product(m1: tuple, m2: tuple) -> tuple:
+    """Terms (coef, mono) of the coefficient-free product mul(*m1, *m2)."""
+    key = (m1, m2)
+    hit = _MONO_CACHE.get(key)
+    if hit is None:
+        p = mul(*m1, *m2)
+        hit = tuple(_coef_mono(t) for t in (p.terms if type(p) is Add else (p,)))
+        if len(_MONO_CACHE) >= _MONO_CACHE_CAP:
+            _MONO_CACHE.clear()
+        _MONO_CACHE[key] = hit
+    return hit
 
 
 def _assemble(coef: CNum, pmap: dict) -> Expr:
@@ -695,8 +767,14 @@ def _rational_roots(poly: list[Fraction]) -> list[tuple[Fraction, int]]:
 
 
 def _divisors(n: int) -> list[int]:
-    out = [d for d in range(1, n + 1) if n % d == 0]
-    return out
+    """Positive divisors of n in ascending order, from the pairs d * (n // d)."""
+    low, high = [], []
+    for d in range(1, isqrt(n) + 1):
+        if n % d == 0:
+            low.append(d)
+            if d * d != n:
+                high.append(n // d)
+    return low + high[::-1]
 
 
 def _poly_eval(poly: list[Fraction], x: Fraction) -> Fraction:

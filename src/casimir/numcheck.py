@@ -117,21 +117,20 @@ def is_zero(e: ex.Expr, box: dict | None = None, seed: int = 0) -> ZeroReport:
 
     envs = sample_box({n: box[n] for n in names}, NUM_POINTS, seed)
     terms = s.terms if type(s) is ex.Add else (s,)
-    progs = [evalcore.compile_expr(t, names) for t in terms]
+    prog = evalcore.compile_expr(terms, names)  # one function: the term values per point
     pts = [tuple(env[n] for n in names) for env in envs]
     try:
-        per_term = [p.run(pts) for p in progs]
+        rows = prog.run(pts)
     except ZeroDivisionError:
-        bad = _locate_pole(progs, pts, envs)
+        bad = _locate_pole(prog, pts, envs)
         raise UndefinedPointError(
             f"sample point hit a pole at {bad}; shrink the domain box", bad
         ) from None
 
     max_total, scale, witness = 0.0, 0.0, None
-    for j, env in enumerate(envs):
+    for env, vals in zip(envs, rows):
         tot = 0j
-        for vals in per_term:
-            v = vals[j]
+        for v in vals:
             tot += v
             scale = max(scale, abs(v))
         a = abs(tot)
@@ -142,11 +141,10 @@ def is_zero(e: ex.Expr, box: dict | None = None, seed: int = 0) -> ZeroReport:
     return ZeroReport(Verdict.NONZERO, witness=witness, max_abs=max_total, scale=scale)
 
 
-def _locate_pole(progs, pts, envs) -> dict:
-    for j, pt in enumerate(pts):
-        for p in progs:
-            try:
-                p.run([pt])
-            except ZeroDivisionError:
-                return envs[j]
+def _locate_pole(prog, pts, envs) -> dict:
+    for pt, env in zip(pts, envs):
+        try:
+            prog.run([pt])
+        except ZeroDivisionError:
+            return env
     return {}  # pragma: no cover - pole vanished on retry

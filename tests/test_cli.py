@@ -1,6 +1,7 @@
 """Command-line surface: reports, exit codes, round trips, determinism."""
 
 import csv
+import hashlib
 import io
 import json
 import math
@@ -324,6 +325,21 @@ class TestDeterminism:
         # body excluding timings is byte-identical
         da.pop("timings"), db.pop("timings")
         assert json.dumps(da, sort_keys=True) == json.dumps(db, sort_keys=True)
+
+    def test_tensor_family_bytes_are_pinned(self, capsys, tmp_path, monkeypatch):
+        """Regression gate for kernel changes: the `--type 2,0 --l 1` family
+        document and its `verify --family` digest, as released before the
+        monomial-product memo and atom interning."""
+        monkeypatch.chdir(tmp_path)
+        assert main(["harmonics", "so3", "--type", "2,0", "--l", "1", "--seed", "0",
+                     "--out", "fam.json"]) == 0
+        family = (tmp_path / "fam.json").read_bytes()
+        assert hashlib.sha256(family).hexdigest() == (
+            "081dcd078aaa57ae58b4dc5c29ec50de268c12eb99f75411b453b02f311d929b")
+        code, out = run(capsys, "verify", "--family", "fam.json", "--seed", "0")
+        assert code == 0
+        assert json.loads(out)["digest"] == (
+            "370f01239625f85ecf70d771048e8ac6ae1b6d4d30be612be529832bea93c3e2")
 
     def test_seed_changes_inputs_echo_only_not_verdicts(self, capsys):
         _, a = run(capsys, "verify", "--model", "so3", "--seed", "1")

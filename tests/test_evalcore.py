@@ -31,6 +31,16 @@ def test_program_matches_tree_walk(text, names):
         assert got == ex.evaluate(e, dict(zip(names, pt)))
 
 
+def test_tuple_of_terms_compiles_to_one_function():
+    names = ("theta", "phi")
+    e = parse("cot(theta)*cos(phi) + sin(theta)^3 - exp(i*phi)*sin(theta)^3 + 2", names)
+    prog = evalcore.compile_expr(e.terms, names)
+    pts = _points(names)
+    rows = prog.run(pts)
+    singles = [evalcore.compile_expr(t, names).run(pts) for t in e.terms]
+    assert rows == [tuple(col) for col in zip(*singles)]
+
+
 def test_pole_raises_zero_division():
     e = parse("1/x", ["x"])
     prog = evalcore.compile_expr(e, ["x"])

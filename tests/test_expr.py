@@ -1,12 +1,16 @@
 """Expression kernel: parsing, calculus, canonical form, printing."""
 
 import cmath
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from casimir import expr as ex
+from casimir import operator as op
+from casimir.models import so3_model
 from casimir.parser import ParseError, parse
 
 
@@ -181,6 +185,89 @@ class TestUnparse:
     def test_round_trip(self, text):
         e = parse(text, ["v"])
         assert parse(ex.unparse(e), ["v"]) == e
+
+
+def _clear_kernel_caches():
+    for table in (ex._MONO_CACHE, ex._ATOMS, ex._DIFF_CACHE, ex._ADD_POWER_CACHE):
+        table.clear()
+
+
+def _casimir_of_tensor02() -> list:
+    """Canonical forms of G applied to a small type-(0,2) so3 tensor."""
+    so3 = so3_model()
+    t = so3.ladder_family(2, 1)[1]
+    tens = op.assemble(so3.frame, [op.TensorMonomial((), (1, 1), t)], 0, 2)
+    return [ex.unparse(c) for c in op.apply_casimir(so3.op_space, tens).comps]
+
+
+class TestKernelCaches:
+    """The memo tables and atom interning never change a result."""
+
+    def test_equal_atoms_are_one_object(self):
+        x = ex.sym("x")
+        b1, b2 = parse("1 + x^2", ["x"]), parse("x^2 + 1", ["x"])
+        assert b1 is not b2
+        assert ex.Pow(b1, Fraction(-1, 2)) is ex.Pow(b2, Fraction(-1, 2))
+        assert ex.Fun("cos", x) is ex.Fun("cos", ex.sym("x"))
+        assert ex.Pow(b1, Fraction(1, 2)) is not ex.Pow(b1, Fraction(-1, 2))
+
+    def test_clearing_the_caches_keeps_canonical_forms(self):
+        warm = _casimir_of_tensor02()
+        again = _casimir_of_tensor02()
+        _clear_kernel_caches()
+        cold = _casimir_of_tensor02()
+        assert warm == again == cold
+        assert any(c != "0" for c in cold)
+
+    def test_tables_stay_under_their_caps(self, monkeypatch):
+        want = _casimir_of_tensor02()
+        assert len(ex._MONO_CACHE) <= ex._MONO_CACHE_CAP
+        assert len(ex._ATOMS) <= ex._ATOMS_CAP
+        # tiny caps clear the tables many times mid-computation
+        monkeypatch.setattr(ex, "_MONO_CACHE_CAP", 7)
+        monkeypatch.setattr(ex, "_ATOMS_CAP", 5)
+        _clear_kernel_caches()
+        got = _casimir_of_tensor02()
+        assert len(ex._MONO_CACHE) <= 7
+        assert len(ex._ATOMS) <= 5
+        assert got == want
+
+    def test_threads_sharing_the_tables_agree(self, monkeypatch):
+        want = _casimir_of_tensor02()
+        monkeypatch.setattr(ex, "_MONO_CACHE_CAP", 50)
+        monkeypatch.setattr(ex, "_ATOMS_CAP", 20)
+        _clear_kernel_caches()
+        results = []
+
+        def work():
+            results.append(_casimir_of_tensor02())
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work) for _ in range(4)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=120)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(th.is_alive() for th in threads)
+        assert results == [want] * 4
+
+
+class TestRationalRoots:
+    def test_divisors_match_brute_force(self):
+        for n in range(400):
+            assert ex._divisors(n) == [d for d in range(1, n + 1) if n % d == 0]
+
+    def test_constant_near_1e12_factors(self):
+        # (u - 999983)(u^2 + 1000003): the constant is about 1e12 and has two
+        # prime factors, so scanning every integer up to it would never end
+        e = parse("((u - 999983)*(u^2 + 1000003))^(-1/2)", ["u"])
+        assert ex.unparse(e) == "-i*(999983 - u)^(-1/2)*(1000003 + u^2)^(-1/2)"
+        poly = [Fraction(c) for c in (-999983 * 1000003, 1000003, -999983, 1)]
+        assert ex._rational_roots(poly) == [(999983, 1)]
 
 
 # -- randomized properties ----------------------------------------------------

@@ -1,7 +1,10 @@
 """Tri-state zero verification and sampling determinism."""
 
+from fractions import Fraction
+
 import pytest
 
+from casimir import evalcore
 from casimir import expr as ex
 from casimir import numcheck as nc
 from casimir.parser import parse
@@ -49,6 +52,59 @@ def test_sum_with_many_terms_is_sampled():
     r = nc.is_zero(e, {"x": (0.1, 0.9), "y": (-1.0, 0.0)})
     assert r.verdict is nc.Verdict.NONZERO
     assert abs(ex.evaluate(e, r.witness)) == pytest.approx(r.max_abs)
+
+
+def _per_term_report(e, box, seed=0):
+    """is_zero's numeric stage with one compiled function per term."""
+    s = ex.simplify(e)
+    names = sorted(ex.free_symbols(s))
+    envs = nc.sample_box({n: box[n] for n in names}, nc.NUM_POINTS, seed)
+    pts = [tuple(env[n] for n in names) for env in envs]
+    per_term = [evalcore.compile_expr(t, names).run(pts) for t in s.terms]
+    max_total, scale, witness = 0.0, 0.0, None
+    for j, env in enumerate(envs):
+        tot = 0j
+        for vals in per_term:
+            tot += vals[j]
+            scale = max(scale, abs(vals[j]))
+        if abs(tot) > max_total:
+            max_total, witness = abs(tot), env
+    return max_total, scale, witness
+
+
+@pytest.mark.parametrize("text", [
+    "sin(2*u) - 2*sin(u)*cos(u) + w*(cos(3*w) - 4*cos(w)^3 + 3*cos(w))",
+    "sin(2*u) - 2*sin(u)*cos(u) + 1/1000000",
+    "u*w - (u + 3)^(-1/2) + exp(u)*sin(w)",
+])
+def test_one_function_per_residual(monkeypatch, text):
+    """Compiled once; max_abs, scale and witness equal the per-term evaluation bit for bit."""
+    box = {"u": (0.1, 2.0), "w": (-1.0, 1.5)}
+    e = parse(text, ["u", "w"])
+    want = _per_term_report(e, box, seed=3)
+    compiled = []
+    real_compile = evalcore.compile_expr
+
+    def counting_compile(expr, names):
+        compiled.append(expr)
+        return real_compile(expr, names)
+
+    monkeypatch.setattr(evalcore, "compile_expr", counting_compile)
+    r = nc.is_zero(e, box, seed=3)
+    assert len(compiled) == 1
+    max_abs, scale, witness = want
+    assert (r.max_abs, r.scale) == (max_abs, scale)
+    assert r.witness == (witness if r.verdict is nc.Verdict.NONZERO else None)
+
+
+def test_pole_names_the_sample_point_that_hit_it():
+    # put a pole exactly on the fifth sample point, in the second term
+    box = {"x": (0.0, 1.0)}
+    p = nc.sample_box(box, nc.NUM_POINTS)[4]["x"]
+    e = ex.add(ex.sym("x"), ex.power(ex.sub(ex.sym("x"), ex.num(Fraction(p))), -1))
+    with pytest.raises(nc.UndefinedPointError) as err:
+        nc.is_zero(e, box)
+    assert err.value.point == {"x": p}
 
 
 def test_constant_expressions():

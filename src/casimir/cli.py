@@ -35,6 +35,7 @@ from .operator import CasimirOperator, assemble_from_json, certify_eigen, reduce
 from .parser import ParseError, parse
 from .report import Report, Stopwatch, format_number
 from .split_structure import (
+    DualityError,
     NoClosedFormError,
     NotEigenFrameError,
     NotSimplyTransitiveError,
@@ -150,7 +151,7 @@ def cmd_verify(args) -> int:
                     )
                 mu = compute_mu(frame, spec.generators, spec.constants, seed=seed)
                 rep.add_check("frame", True, mu=[[ex.unparse(e) for e in row] for row in mu.mu])
-            except (NotEigenFrameError, Exception) as e:  # noqa: BLE001 - reported, not raised
+            except (NotEigenFrameError, DualityError, NoClosedFormError, NotSimplyTransitiveError) as e:
                 rep.add_check("frame", False, error=str(e))
         if spec.metric is not None:
             metric = metric_from_exprs(spec.metric, spec.constants, spec.generators, seed=seed)
@@ -241,7 +242,7 @@ def _recertify(doc: dict, seed: int) -> dict:
             if kind == "hypergeometric":
                 lab = doc["labels"]
                 labels = [
-                    float(_parse_rational(lab.get(k, default), f"label {k!r}"))
+                    _parse_float(lab.get(k, default), f"label {k!r}")
                     for k, default in (("mu", None), ("nu", None), ("lambda", None), ("A", 1), ("B", 0))
                 ]
         for t in comps:
@@ -335,6 +336,14 @@ def _parse_rational(text, what):
         raise SchemaError(f"{what} must be rational, got {text!r}") from None
 
 
+def _parse_float(text, what):
+    """A rational label as the float the numeric families take."""
+    try:
+        return float(_parse_rational(text, what))
+    except OverflowError:
+        raise SchemaError(f"{what} is out of floating-point range, got {text!r}") from None
+
+
 def cmd_harmonics(args) -> int:
     seed = args.seed
     if args.model == "so3":
@@ -360,7 +369,7 @@ def cmd_harmonics(args) -> int:
         if args.hyper:
             if args.mu is None or args.nu is None or args.lam is None:
                 raise SchemaError("hyper families need --mu --nu --lam")
-            labels = [float(_parse_rational(getattr(args, k), f"--{k}")) for k in ("mu", "nu", "lam", "A", "B")]
+            labels = [_parse_float(getattr(args, k), f"--{k}") for k in ("mu", "nu", "lam", "A", "B")]
             fam = model.hypergeometric_harmonic(*labels, seed=seed)
         elif args.point_series:
             if args.n is None or args.m is None or args.nu is None:
@@ -535,7 +544,7 @@ def main(argv=None) -> int:
     except SchemaError as e:
         print(f"input error: {e}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    except (NoClosedFormError, NotSimplyTransitiveError) as e:
+    except (NoClosedFormError, NotSimplyTransitiveError, evalcore.SeriesNotConvergedError) as e:
         print(f"solver limitation: {e}", file=sys.stderr)
         return EXIT_SOLVER_LIMIT
 

@@ -1,44 +1,52 @@
-"""Exact complex-rational scalars used as expression coefficients."""
+"""Exact complex-rational scalars used as expression coefficients.
+
+A real or imaginary part is a Python ``int`` whenever it is integral and a
+``fractions.Fraction`` only when a denominator is really present.  An int
+compares, hashes and prints the same as the equal Fraction, so the choice is
+invisible to keys, hashes and printed forms; it only keeps the common
+small-integer arithmetic on machine ints.
+"""
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
-_FRACTION_ZERO = Fraction(0)
-_FRACTION_ONE = Fraction(1)
-
-
-def as_fraction(x) -> Fraction:
-    if type(x) is Fraction:
-        return x
+def as_fraction(x) -> int | Fraction:
+    """The exact rational x, as an int when its denominator is 1."""
     if type(x) is int:
-        if x == 0:
-            return _FRACTION_ZERO
-        if x == 1:
-            return _FRACTION_ONE
-        return Fraction(x)
+        return x
+    if type(x) is Fraction:
+        return x.numerator if x.denominator == 1 else x
     if isinstance(x, (Fraction, int)):
-        return Fraction(x)
+        return as_fraction(Fraction(x))
     raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
+
+
+def _div(a, b) -> int | Fraction:
+    """Exact a / b of two rationals (b nonzero)."""
+    if type(a) is int and type(b) is int:
+        return as_fraction(Fraction(a, b))
+    return as_fraction(a / b)
 
 
 class CNum:
     """Complex number with exact rational real and imaginary parts.
 
     Immutable; all arithmetic is exact, so identities that hold over the
-    rationals hold bit-for-bit here.
+    rationals hold bit-for-bit here.  ``re`` and ``im`` are ints when
+    integral, Fractions otherwise (see the module docstring).
     """
 
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        self.re = as_fraction(re)
-        self.im = as_fraction(im)
+        self.re = re if type(re) is int else as_fraction(re)
+        self.im = im if type(im) is int else as_fraction(im)
 
-    # real-only fast paths test `not im`: Fraction.__bool__ is much cheaper
-    # than Fraction.__eq__; multiplying by the shared CN_ONE returns the other side
+    # real-only fast paths test `not im`; multiplying by the shared CN_ONE
+    # returns the other side
     def __add__(self, other: "CNum") -> "CNum":
         if not self.im and not other.im:
             return CNum(self.re + other.re)
@@ -63,10 +71,11 @@ class CNum:
         return CNum(-self.re, -self.im)
 
     def inverse(self) -> "CNum":
-        d = self.re * self.re + self.im * self.im
-        if d == 0:
+        re, im = self.re, self.im
+        d = re * re + im * im
+        if not d:
             raise ZeroDivisionError("division by exact zero")
-        return CNum(self.re / d, -self.im / d)
+        return CNum(_div(re, d), _div(-im, d))
 
     def __truediv__(self, other: "CNum") -> "CNum":
         return self * other.inverse()
@@ -74,7 +83,7 @@ class CNum:
     def __pow__(self, n: int) -> "CNum":
         if n < 0:
             return self.inverse() ** (-n)
-        out = CNum(1)
+        out = CN_ONE
         base = self
         while n:
             if n & 1:
@@ -100,13 +109,13 @@ class CNum:
 
     def negative_lead(self) -> bool:
         """Sign used for canonical orientation: (re, im) lexicographic."""
-        return self.re < 0 or (self.re == 0 and self.im < 0)
+        return self.re < 0 or (not self.re and self.im < 0)
 
     def to_complex(self) -> complex:
         return complex(float(self.re), float(self.im))
 
     def __repr__(self) -> str:
-        if self.im == 0:
+        if not self.im:
             return f"CNum({self.re})"
         return f"CNum({self.re}, {self.im})"
 
@@ -136,14 +145,16 @@ def square_part(n: int) -> tuple[int, int]:
     return s, f
 
 
-def fraction_sqrt(r: Fraction) -> tuple[Fraction, int]:
-    """Write sqrt(r) for r > 0 as q * sqrt(f) with q rational, f squarefree int."""
-    if r <= 0:
+def fraction_sqrt(num: int, den: int) -> tuple[int | Fraction, int]:
+    """Write sqrt(num/den) > 0 as q * sqrt(f) with q rational, f a squarefree int."""
+    if num <= 0 or den <= 0:
         raise ValueError("fraction_sqrt needs a positive rational")
-    radicand = r.numerator * r.denominator
-    s, f = square_part(radicand)
-    return Fraction(s, r.denominator), f
+    g = gcd(num, den)
+    num, den = num // g, den // g
+    s, f = square_part(num * den)
+    return as_fraction(Fraction(s, den)), f
 
 
-def fraction_gcd(a: Fraction, b: Fraction) -> Fraction:
-    return Fraction(gcd(a.numerator, b.numerator), (a.denominator * b.denominator) // gcd(a.denominator, b.denominator))
+def fraction_gcd(a, b) -> int | Fraction:
+    """Greatest common divisor of two nonnegative rationals."""
+    return as_fraction(Fraction(gcd(a.numerator, b.numerator), lcm(a.denominator, b.denominator)))

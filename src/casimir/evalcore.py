@@ -33,6 +33,10 @@ HYP2F1_TOL = 1e-15  # stop once a term is below this fraction of 1 + |partial su
 HYP2F1_MAX_TERMS = 20000
 
 
+class SeriesNotConvergedError(Exception):
+    """A series did not converge within its term budget (a solver limitation)."""
+
+
 def backend_name() -> str:
     """Name of the numeric evaluator, recorded in report provenance."""
     return "python"
@@ -138,7 +142,8 @@ def hyp2f1(a: complex, b: complex, c: complex, zs):
             k += 1
             if abs(term) <= HYP2F1_TOL * (1.0 + abs(total)):
                 break
-        else:  # pragma: no cover
-            raise ValueError("hypergeometric series did not converge")
+        else:
+            raise SeriesNotConvergedError(
+                f"hypergeometric series did not converge in {HYP2F1_MAX_TERMS} terms at z={z}")
         out.append(total)
     return out

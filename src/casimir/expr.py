@@ -2,8 +2,13 @@
 
 A deliberately small kernel: exact complex-rational coefficients, flattened
 and sorted sums/products, integer and half-integer powers, and the function
-set sin/cos/exp (cot and sqrt are rewritten on input).  Construction keeps
-expressions in an expanded normal form:
+set sin/cos/exp (cot and sqrt are rewritten on input).  Exact scalars stay on
+machine ints: coefficient parts are ints unless a denominator is present
+(:mod:`casimir.cnum`), and every exponent is carried as the int twice its
+value (``Pow.e2``), doubled once on input by ``_as_exp``, so the power-map
+rules below run on int arithmetic.  ``Pow.exp`` is the public value: an int
+when integral, otherwise the equal half-integer Fraction.  Construction
+keeps expressions in an expanded normal form:
 
 * products distribute over sums; positive integer powers of sums expand;
 * even powers of sin collapse to polynomials in cos, so the Pythagorean
@@ -46,8 +51,6 @@ from fractions import Fraction
 from math import isqrt
 
 from .cnum import CN_I, CN_ONE, CNum, fraction_gcd, fraction_sqrt
-
-HALF = Fraction(1, 2)
 
 _FUNCTIONS = ("sin", "cos", "exp")
 _INPUT_FUNCTIONS = ("sin", "cos", "cot", "exp", "sqrt")
@@ -165,19 +168,27 @@ class Fun(Expr):
 
 
 class Pow(Expr):
-    __slots__ = ("base", "exp")
+    """base^exp; ``exp`` is an int or a half-integer Fraction, ``e2`` twice it."""
 
-    def __new__(cls, base: Expr, exp: Fraction):
-        key = (3, base, exp.numerator, exp.denominator)
-        self = _ATOMS.get(key)
-        if self is None:
-            self = object.__new__(cls)
-            self.base = base
-            self.exp = exp
-            self._key = (3, base._key, exp)
-            self._hash = hash((3, base._hash, exp.numerator, exp.denominator))
-            _intern(key, self)
-        return self
+    __slots__ = ("base", "exp", "e2")
+
+    def __new__(cls, base: Expr, exp):
+        return _pow(base, _as_exp(exp))
+
+
+def _pow(base: Expr, e2: int) -> Pow:
+    """The interned atom base^(e2/2)."""
+    key = (3, base, e2)
+    self = _ATOMS.get(key)
+    if self is None:
+        self = object.__new__(Pow)
+        self.base = base
+        self.e2 = e2
+        self.exp = exp = _exp_value(e2)
+        self._key = (3, base._key, exp)
+        self._hash = hash((3, base._hash, exp.numerator, exp.denominator))
+        _intern(key, self)
+    return self
 
 
 class Mul(Expr):
@@ -231,18 +242,29 @@ def as_expr(x) -> Expr:
     raise TypeError(f"cannot coerce {type(x).__name__} to Expr")
 
 
-def _as_exp(e) -> Fraction:
-    if isinstance(e, int):
-        e = Fraction(e)
-    elif isinstance(e, Num):
-        if e.val.im != 0:
+def _as_exp(e) -> int:
+    """Twice the exponent e: an int, a Fraction or a real Num, integral or half-integral."""
+    if isinstance(e, Num):
+        if e.val.im:
             raise ExprError("exponent must be a real rational")
         e = e.val.re
+    if isinstance(e, int):
+        return 2 * e
     if not isinstance(e, Fraction):
         raise ExprError(f"bad exponent {e!r}")
     if e.denominator not in (1, 2):
         raise ExprError(f"only integer and half-integer exponents are supported, got {e}")
-    return e
+    return e.numerator * (2 // e.denominator)
+
+
+def _exp_value(e2: int):
+    """The exponent e2/2 as an int when integral, otherwise a Fraction."""
+    return Fraction(e2, 2) if e2 & 1 else e2 >> 1
+
+
+def _sin_peels(e2: int) -> bool:
+    """sin(u)^e with integral e >= 2 or e <= -1 is rewritten through 1 - cos^2."""
+    return not e2 & 1 and (e2 >= 4 or e2 <= -2)
 
 
 def _coef_mono(t: Expr) -> tuple[CNum, tuple]:
@@ -348,21 +370,21 @@ def _cos_bases(u: Expr) -> tuple[Expr, Expr]:
     return minus, plus
 
 
-def _padd(pmap: dict, base: Expr, e: Fraction):
+def _padd(pmap: dict, base: Expr, e2: int):
     cur = pmap.get(base)
     if cur is None:
-        pmap[base] = e
+        pmap[base] = e2
     else:
-        tot = cur + e
-        if tot == 0:
-            del pmap[base]
-        else:
+        tot = cur + e2
+        if tot:
             pmap[base] = tot
+        else:
+            del pmap[base]
 
 
 def mul(*items) -> Expr:
     coef = CN_ONE
-    pmap: dict[Expr, Fraction] = {}
+    pmap: dict[Expr, int] = {}  # base -> twice its exponent
     pend: list[Add] = []
     stack = list(items)
     while stack:
@@ -376,9 +398,9 @@ def mul(*items) -> Expr:
         elif tt is Add:
             pend.append(e)
         elif tt is Pow:
-            _padd(pmap, e.base, e.exp)
+            _padd(pmap, e.base, e.e2)
         elif tt is Sym or tt is Fun:
-            _padd(pmap, e, Fraction(1))
+            _padd(pmap, e, 2)
         else:
             raise TypeError(f"cannot multiply {e!r}")
     if coef.is_zero():
@@ -387,12 +409,12 @@ def mul(*items) -> Expr:
     # merge exp factors: exp(u)^a * exp(w)^b -> exp(a*u + b*w)
     exp_parts = []
     for b in [b for b in pmap if type(b) is Fun and b.fname == "exp"]:
-        e = pmap.pop(b)
-        exp_parts.append(b.arg if e == 1 else mul(Num(CNum(e)), b.arg))
+        e2 = pmap.pop(b)
+        exp_parts.append(b.arg if e2 == 2 else mul(Num(CNum(_exp_value(e2))), b.arg))
     if exp_parts:
         s = add(*exp_parts)
         if s is not ZERO:
-            _padd(pmap, Fun("exp", s), Fraction(1))
+            _padd(pmap, Fun("exp", s), 2)
 
     # normalization rules on the power map
     changed = True
@@ -400,13 +422,13 @@ def mul(*items) -> Expr:
         changed = False
         # pair half powers of 1 -/+ cos(u) back into sin(u)
         cos_pairs: dict[tuple, dict] = {}
-        if any(type(b) is Add and e.denominator == 2 for b, e in pmap.items()):
-            for b, e in pmap.items():
-                if e.denominator != 2:
+        if any(type(b) is Add and e2 & 1 for b, e2 in pmap.items()):
+            for b, e2 in pmap.items():
+                if not e2 & 1:
                     continue
                 tag = _classify_cos_base(b)
                 if tag is not None:
-                    cos_pairs.setdefault(tag[1]._key, {"u": tag[1]})[tag[0]] = (b, e)
+                    cos_pairs.setdefault(tag[1]._key, {"u": tag[1]})[tag[0]] = (b, e2)
         for ent in cos_pairs.values():
             if _ONE_MINUS_COS in ent and _ONE_PLUS_COS in ent:
                 bm, hm = ent[_ONE_MINUS_COS]
@@ -423,29 +445,29 @@ def mul(*items) -> Expr:
         if changed:
             continue
         # sin(u)^e with |e| >= 2 (or e <= -1): peel even part into 1 - cos^2
-        for b, e in list(pmap.items()):
-            if type(b) is Fun and b.fname == "sin" and e.denominator == 1 and (e >= 2 or e <= -1):
-                r = int(e) % 2
-                k = (int(e) - r) // 2
+        for b, e2 in list(pmap.items()):
+            if type(b) is Fun and b.fname == "sin" and _sin_peels(e2):
+                r = (e2 >> 1) & 1
+                k2 = (e2 >> 1) - r  # twice the exponent of each cos base
                 if r:
-                    pmap[b] = Fraction(r)
+                    pmap[b] = 2
                 else:
                     del pmap[b]
                 bm, bp = _cos_bases(b.arg)
-                _padd(pmap, bm, Fraction(k))
-                _padd(pmap, bp, Fraction(k))
+                _padd(pmap, bm, k2)
+                _padd(pmap, bp, k2)
                 changed = True
         if changed:
             continue
         # polynomial powers of sums expand; half powers >= 3/2 shed one copy
-        for b, e in list(pmap.items()):
+        for b, e2 in list(pmap.items()):
             if type(b) is Add:
-                if e.denominator == 1 and e > 0:
+                if not e2 & 1 and e2 > 0:
                     del pmap[b]
-                    pend.extend([b] * int(e))
+                    pend.extend([b] * (e2 >> 1))
                     changed = True
-                elif e.denominator == 2 and e >= Fraction(3, 2):
-                    pmap[b] = e - 1
+                elif e2 & 1 and e2 >= 3:
+                    pmap[b] = e2 - 2
                     pend.append(b)
                     changed = True
 
@@ -453,12 +475,12 @@ def mul(*items) -> Expr:
     if pend:
         remaining = []
         for a in pend:
-            e = pmap.get(a)
-            if e is not None and e <= Fraction(-1, 2):
-                if e == -1:
+            e2 = pmap.get(a)
+            if e2 is not None and e2 <= -1:
+                if e2 == -2:
                     del pmap[a]
                 else:
-                    pmap[a] = e + 1
+                    pmap[a] = e2 + 2
             else:
                 remaining.append(a)
         pend = remaining
@@ -498,26 +520,26 @@ def _mono_product(m1: tuple, m2: tuple) -> tuple:
 
 def _assemble(coef: CNum, pmap: dict) -> Expr:
     factors = []
-    radicand = Fraction(1)
-    for b, e in pmap.items():
+    rad_num = rad_den = 1  # the radicand rad_num/rad_den of the numeric half powers
+    for b, e2 in pmap.items():
         if type(b) is Num and b.val.is_real():
-            if e.denominator == 1:
-                coef = coef * (b.val ** int(e))
+            if not e2 & 1:
+                coef = coef * (b.val ** (e2 >> 1))
                 continue
-            k = int(e - HALF)
-            coef = coef * (b.val ** k)
+            coef = coef * (b.val ** ((e2 - 1) >> 1))
             r = b.val.re
             if r < 0:
                 coef = coef * CN_I
                 r = -r
-            radicand *= r
+            rad_num *= r.numerator
+            rad_den *= r.denominator
         else:
-            factors.append(b if e == 1 else Pow(b, e))
-    if radicand != 1:
-        q, f = fraction_sqrt(radicand)
+            factors.append(b if e2 == 2 else _pow(b, e2))
+    if rad_num != rad_den:
+        q, f = fraction_sqrt(rad_num, rad_den)
         coef = coef * CNum(q)
         if f != 1:
-            factors.append(Pow(Num(CNum(f)), HALF))
+            factors.append(_pow(Num(CNum(f)), 1))
     if coef.is_zero():
         return ZERO
     if not factors:
@@ -537,92 +559,98 @@ def div(a, b) -> Expr:
 
 
 def power(b, e) -> Expr:
-    b = as_expr(b)
-    e = _as_exp(e)
-    if e == 0:
+    return _power(as_expr(b), _as_exp(e))
+
+
+def _power(b: Expr, e2: int) -> Expr:
+    """b^(e2/2) for an exponent already doubled by _as_exp."""
+    if e2 == 0:
         return ONE  # bases are assumed nonzero on the working domain
-    if e == 1:
+    if e2 == 2:
         return b
     tt = type(b)
     if tt is Num:
-        return _num_power(b.val, e)
+        return _num_power(b.val, e2)
     if tt is Mul:
-        return mul(_num_power(b.coef, e), *[power(f, e) for f in b.factors])
+        return mul(_num_power(b.coef, e2), *[_power(f, e2) for f in b.factors])
     if tt is Pow:
-        return power(b.base, b.exp * e)
+        p = b.e2 * e2  # four times the product of the exponents
+        if p & 1:
+            raise ExprError(
+                f"only integer and half-integer exponents are supported, got {Fraction(p, 4)}")
+        return _power(b.base, p >> 1)
     if tt is Add:
-        if e.denominator == 1 and e > 0:
-            return mul(*([b] * int(e)))
-        return _add_power(b, e)
+        if not e2 & 1 and e2 > 0:
+            return mul(*([b] * (e2 >> 1)))
+        return _add_power(b, e2)
     if tt is Fun and b.fname == "exp":
-        return fun("exp", mul(Num(CNum(e)), b.arg))
-    if tt is Fun and b.fname == "sin" and e.denominator == 1 and (e >= 2 or e <= -1):
-        return mul(Pow(b, e))
-    return Pow(b, e)
+        return fun("exp", mul(Num(CNum(_exp_value(e2))), b.arg))
+    if tt is Fun and b.fname == "sin" and _sin_peels(e2):
+        return mul(_pow(b, e2))
+    return _pow(b, e2)
 
 
-def _num_power(v: CNum, e: Fraction) -> Expr:
-    if e.denominator == 1:
-        return Num(v ** int(e))
+def _num_power(v: CNum, e2: int) -> Expr:
+    if not e2 & 1:
+        return Num(v ** (e2 >> 1))
     if v.is_zero():
-        if e > 0:
+        if e2 > 0:
             return ZERO
         raise ExprError("0 raised to a negative half-integer power")
     if not v.is_real():
         # exact complex roots are out of scope; keep an opaque atom
-        return Pow(Num(v), e)
-    k = int(e - HALF)
-    out = v ** k
+        return _pow(Num(v), e2)
+    out = v ** ((e2 - 1) >> 1)
     r = v.re
     if r < 0:
         out = out * CN_I
         r = -r
-    q, f = fraction_sqrt(r)
+    q, f = fraction_sqrt(r.numerator, r.denominator)
     out = out * CNum(q)
     if f == 1:
         return Num(out)
-    return mul(Num(out), Pow(Num(CNum(f)), HALF))
+    return mul(Num(out), _pow(Num(CNum(f)), 1))
 
 
 _ADD_POWER_CACHE: dict = {}
 
 
-def _add_power(b: Add, e: Fraction) -> Expr:
-    key = (b, e)
+def _add_power(b: Add, e2: int) -> Expr:
+    key = (b, e2)
     hit = _ADD_POWER_CACHE.get(key)
     if hit is not None:
         return hit
-    out = _add_power_uncached(b, e)
+    out = _add_power_uncached(b, e2)
     if len(_ADD_POWER_CACHE) > 100_000:
         _ADD_POWER_CACHE.clear()
     _ADD_POWER_CACHE[key] = out
     return out
 
 
-def _add_power_uncached(b: Add, e: Fraction) -> Expr:
+def _add_power_uncached(b: Add, e2: int) -> Expr:
     scale, prim = _primitive_sum(b)
     parts = _factor_poly(prim)
-    out = [_num_power(scale, e)]
+    out = [_num_power(scale, e2)]
     if parts is None:
-        out.append(_atom_power(prim, e))
+        out.append(_atom_power(prim, e2))
     else:
         lead, factors = parts
-        out.append(_num_power(lead, e))
+        out.append(_num_power(lead, e2))
         for base, mult in factors:
-            fe = mult * e
+            fe2 = mult * e2
             if isinstance(base, Add):
-                if fe.denominator == 1 and fe > 0:
-                    out.append(mul(*([base] * int(fe))))
+                if not fe2 & 1 and fe2 > 0:
+                    out.append(mul(*([base] * (fe2 >> 1))))
                 else:
-                    out.append(_atom_power(base, fe))
+                    out.append(_atom_power(base, fe2))
             else:
-                out.append(power(base, fe))
+                out.append(_power(base, fe2))
     return mul(*out)
 
 
-def _atom_power(prim: Add, e: Fraction) -> Expr:
+def _atom_power(prim: Add, e2: int) -> Expr:
     # route through mul so the >=3/2 shedding and cos pairing rules apply
-    return mul(Pow(prim, e))
+    return mul(_pow(prim, e2))
 
 
 def _primitive_sum(b: Add) -> tuple[CNum, Add]:
@@ -663,9 +691,9 @@ def _factor_poly(b: Add):
         elif len(mono) == 1:
             f = mono[0]
             if type(f) is Pow:
-                if not (type(f.base) in (Sym, Fun) and f.exp.denominator == 1 and f.exp > 0):
+                if not (type(f.base) in (Sym, Fun) and not f.e2 & 1 and f.e2 > 0):
                     return None
-                k, deg = f.base, int(f.exp)
+                k, deg = f.base, f.e2 >> 1
             elif type(f) in (Sym, Fun):
                 k, deg = f, 1
             else:
@@ -801,7 +829,7 @@ def _deflate(poly: list[Fraction], r: Fraction) -> list[Fraction]:
 def fun(name: str, arg) -> Expr:
     arg = as_expr(arg)
     if name == "sqrt":
-        return power(arg, HALF)
+        return _power(arg, 1)
     if name == "cot":
         return mul(fun("cos", arg), power(fun("sin", arg), -1))
     if name not in _FUNCTIONS:
@@ -835,7 +863,7 @@ def cot(arg) -> Expr:
 
 
 def sqrt(arg) -> Expr:
-    return power(as_expr(arg), HALF)
+    return _power(as_expr(arg), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -878,7 +906,7 @@ def _diff(e: Expr, x: str) -> Expr:
         db = diff(e.base, x)
         if db is ZERO:
             return ZERO
-        return mul(Num(CNum(e.exp)), power(e.base, e.exp - 1), db)
+        return mul(Num(CNum(e.exp)), _power(e.base, e.e2 - 2), db)
     if tt is Mul:
         parts = []
         fs = e.factors
@@ -923,7 +951,7 @@ def subs(e: Expr, mapping: dict) -> Expr:
         if tt is Fun:
             return fun(n.fname, go(n.arg))
         if tt is Pow:
-            return power(go(n.base), n.exp)
+            return _power(go(n.base), n.e2)
         if tt is Mul:
             return mul(Num(n.coef), *[go(f) for f in n.factors])
         return add(*[go(t) for t in n.terms])
@@ -931,14 +959,10 @@ def subs(e: Expr, mapping: dict) -> Expr:
     return go(e)
 
 
-def _cpow(v: complex, e: Fraction) -> complex:
-    if e.denominator == 1:
-        k = int(e)
-    else:
-        k = int(e - HALF)
-        root = cmath.sqrt(v)
-        return _ipow(v, k) * root
-    return _ipow(v, k)
+def _cpow(v: complex, e2: int) -> complex:
+    if e2 & 1:
+        return _ipow(v, (e2 - 1) >> 1) * cmath.sqrt(v)
+    return _ipow(v, e2 >> 1)
 
 
 def _ipow(v: complex, k: int) -> complex:
@@ -974,7 +998,7 @@ def evaluate(e: Expr, env: dict) -> complex:
             return cmath.cos(v)
         return cmath.exp(v)
     if tt is Pow:
-        return _cpow(evaluate(e.base, env), e.exp)
+        return _cpow(evaluate(e.base, env), e.e2)
     if tt is Mul:
         out = e.coef.to_complex()
         for f in e.factors:
@@ -997,7 +1021,7 @@ def simplify(e: Expr) -> Expr:
     if tt is Fun:
         return fun(e.fname, simplify(e.arg))
     if tt is Pow:
-        return power(simplify(e.base), e.exp)
+        return _power(simplify(e.base), e.e2)
     if tt is Mul:
         return mul(Num(e.coef), *[simplify(f) for f in e.factors])
     s = add(*[simplify(t) for t in e.terms])
@@ -1011,15 +1035,15 @@ def simplify(e: Expr) -> Expr:
     raise ExprError("simplify did not reach a fixed point")
 
 
-def _term_atom_exp(mono: tuple, base: Expr) -> tuple[Fraction | None, tuple]:
-    """Exponent of `base` in the monomial and the remaining factors."""
+def _term_atom_exp(mono: tuple, base: Expr) -> tuple[int | None, tuple]:
+    """Twice the exponent of `base` in the monomial, and the remaining factors."""
     rest = []
     found = None
     for f in mono:
         if type(f) is Pow and f.base == base:
-            found = f.exp
+            found = f.e2
         elif f == base:
-            found = Fraction(1)
+            found = 2
         else:
             rest.append(f)
     return found, tuple(rest)
@@ -1034,21 +1058,21 @@ def _common_exponent_pass(s: Add) -> Expr:
     such as sqrt-type derivatives and inverse-square potentials.
     """
     decomp = [_coef_mono(t) for t in s.terms]
-    spots: dict[Expr, dict[int, set]] = {}
+    spots: dict[Expr, dict[int, set]] = {}  # base -> parity -> doubled exponents
     plain: dict[Expr, int] = {}
     for c, mono in decomp:
         for f in mono:
             base = f.base if type(f) is Pow else f
             if type(base) is Add:
-                e = f.exp if type(f) is Pow else Fraction(1)
-                spots.setdefault(base, {}).setdefault(e.denominator, set()).add(e)
+                e2 = f.e2 if type(f) is Pow else 2
+                spots.setdefault(base, {}).setdefault(e2 & 1, set()).add(e2)
     for base in spots:
         plain[base] = sum(1 for c, mono in decomp if _term_atom_exp(mono, base)[0] is None)
     for base in sorted(spots, key=lambda b: b._key):
         classes = spots[base]
-        for den in (1, 2):
-            exps = classes.get(den, set())
-            if den == 1:
+        for odd in (0, 1):
+            exps = classes.get(odd, set())
+            if not odd:
                 # integer-class atoms are always negative powers; bare
                 # polynomial terms can cancel against them after inflation
                 fire = bool(exps) and (len(exps) > 1 or plain.get(base, 0) > 0)
@@ -1060,15 +1084,14 @@ def _common_exponent_pass(s: Add) -> Expr:
             new_terms = []
             for c, mono in decomp:
                 cur, rest = _term_atom_exp(mono, base)
-                if cur is None and den == 1:
-                    cur, rest = Fraction(0), mono
-                if cur is None or cur.denominator != den or cur == target:
+                if cur is None and not odd:
+                    cur, rest = 0, mono
+                if cur is None or cur & 1 != odd or cur == target:
                     new_terms.append(_term_expr(c, mono))
                     continue
-                delta = cur - target
-                polyterm = power(base, delta)
+                polyterm = _power(base, cur - target)
                 polyterms = polyterm.terms if type(polyterm) is Add else (polyterm,)
-                atom = Pow(base, target)
+                atom = _pow(base, target)
                 for pt in polyterms:
                     new_terms.append(mul(Num(c), *rest, atom, pt))
             return add(*new_terms)
@@ -1080,7 +1103,7 @@ def _common_exponent_pass(s: Add) -> Expr:
 
 
 def _num_str(v: CNum) -> str:
-    if v.im == 0:
+    if not v.im:
         return str(v.re)
     im = f"{v.im}*i" if v.im not in (1, -1) else ("i" if v.im == 1 else "-i")
     if v.re == 0:

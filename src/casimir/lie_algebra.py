@@ -66,15 +66,6 @@ class StructureConstants:
         ]
         return StructureConstants.from_dense(arr)
 
-    def to_sparse(self) -> list[dict]:
-        out = []
-        for k in range(self.r):
-            for i in range(self.r):
-                for j in range(i + 1, self.r):
-                    if self.c[k][i][j] != 0:
-                        out.append({"k": k + 1, "i": i + 1, "j": j + 1, "value": str(self.c[k][i][j])})
-        return out
-
 
 def abelian(r: int = 3) -> StructureConstants:
     return StructureConstants.from_dense([[[0] * r for _ in range(r)] for _ in range(r)])

@@ -14,9 +14,7 @@ families carry the eigenvalue -l(l+1) here; reports state this explicitly.
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import expr as ex
 from . import numcheck as nc
@@ -335,38 +333,3 @@ def check_commutes(op: CasimirOperator, j: int, t: TensorField, seed: int = 0):
     rhs = lie_derivative(gj, apply_casimir(op, t))
     box = op.chart.full_box()
     return [nc.is_zero(ex.sub(a, b), box, seed) for a, b in zip(lhs.comps, rhs.comps)]
-
-
-def random_polynomial_tensor(chart: Chart, p: int, q: int, seed: int, degree: int = 2) -> TensorField:
-    """Random tensor with low-degree rational polynomial components.
-
-    Polynomial components keep symbolic zero tests decidable, so property
-    checks certify symbolically instead of through sampling."""
-    rng = random.Random(seed)
-    d = chart.dim
-    monos = [(0,) * d]
-    for total in range(1, degree + 1):
-        for idx in itertools.product(range(d), repeat=total):
-            counts = [0] * d
-            for a in idx:
-                counts[a] += 1
-            monos.append(tuple(counts))
-    monos = sorted(set(monos))
-
-    def poly():
-        parts = []
-        for counts in monos:
-            if rng.random() < 0.5:
-                continue
-            c = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
-            if c == 0:
-                continue
-            factors = [ex.num(c)]
-            for axis, k in enumerate(counts):
-                if k:
-                    factors.append(ex.power(ex.sym(chart.coords[axis]), k))
-            parts.append(ex.mul(*factors))
-        return ex.add(*parts) if parts else ex.num(1)
-
-    comps = tuple(poly() for _ in range(d ** (p + q)))
-    return TensorField(chart, p, q, comps)

@@ -571,11 +571,6 @@ def metric_from_frame(L, sc: StructureConstants, generators, seed: int = 0) -> I
     return _certify_metric(g, sc, generators, "frame-built", seed)
 
 
-def metric_from_constant(g_inv, sc: StructureConstants, generators, seed: int = 0) -> InvariantMetric:
-    g = [[ex.num(Fraction(v)) for v in row] for row in g_inv]
-    return _certify_metric(g, sc, generators, "cartan-inverse", seed)
-
-
 def metric_from_exprs(g, sc: StructureConstants, generators, seed: int = 0) -> InvariantMetric:
     return _certify_metric([list(row) for row in g], sc, generators, "user-supplied", seed)
 

@@ -213,15 +213,3 @@ def verify_realization(fields, sc, seed: int = 0) -> RealizationReport:
             )
             pairs.append(PairReport(i, j, reports))
     return RealizationReport(tuple(pairs))
-
-
-def check_lie_commutator(x: VectorField, y: VectorField, t: TensorField, seed: int = 0):
-    """Verdict on ([L_X, L_Y] - L_[X,Y]) T, componentwise."""
-    lhs = lie_derivative(x, lie_derivative(y, t))
-    rhs = lie_derivative(y, lie_derivative(x, t))
-    brk = lie_derivative(lie_bracket(x, y), t)
-    box = t.chart.full_box()
-    return [
-        nc.is_zero(ex.sub(ex.sub(a, b), c), box, seed)
-        for a, b, c in zip(lhs.comps, rhs.comps, brk.comps)
-    ]

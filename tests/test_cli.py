@@ -128,6 +128,29 @@ class TestBuildMetric:
         code = main(["build-metric", "--model", str(p)])
         assert code == 3
 
+    def _frame_model(self, tmp_path, vectors):
+        p = tmp_path / "framed.json"
+        p.write_text(json.dumps({**GOOD_SOLVABLE, "frame": {"vectors": vectors}}))
+        return str(p)
+
+    def test_frame_solver_errors_are_reported(self, capsys, tmp_path):
+        singular = [["1", "0", "0"], ["1", "0", "0"], ["0", "0", "1"]]
+        not_eigen = [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
+        for vectors, error in ((singular, "singular"), (not_eigen, "off its axis")):
+            code, out = run(capsys, "verify", "--model", self._frame_model(tmp_path, vectors))
+            assert code == 1
+            frame = [c for c in json.loads(out)["checks"] if c["name"] == "frame"]
+            assert not frame[0]["ok"] and error in frame[0]["error"]
+
+    def test_frame_programming_errors_propagate(self, tmp_path, monkeypatch):
+        def fail(*args, **kwargs):
+            raise RuntimeError("bug in the frame check")
+
+        monkeypatch.setattr("casimir.cli.compute_mu", fail)
+        path = self._frame_model(tmp_path, [["1", "0", "0"], ["-v", "1", "0"], ["0", "0", "1"]])
+        with pytest.raises(RuntimeError, match="bug in the frame check"):
+            main(["verify", "--model", path])
+
     def test_user_frame_rescues_the_build(self, capsys, tmp_path):
         doc = json.loads(json.dumps(GOOD_SOLVABLE))
         doc["chart"]["coords"] = ["x", "y", "z"]
@@ -195,11 +218,18 @@ class TestHarmonics:
         doc = json.loads(out)
         assert len(doc["samples"]["rows"]) == 4
 
-    @pytest.mark.parametrize("flag,value", [("--lam", "nan"), ("--A", "x"), ("--mu", "1/0")])
+    @pytest.mark.parametrize("flag,value", [("--lam", "nan"), ("--A", "x"), ("--mu", "1/0"),
+                                            ("--mu", "1e400"), ("--B", "1e999")])
     def test_hyper_label_not_rational(self, capsys, flag, value):
         argv = {"--mu": "0", "--nu": "0", "--lam": "1", flag: value}
         assert_input_error(capsys, "harmonics", "bianchi2", "--hyper",
                            *[x for kv in argv.items() for x in kv])
+
+    def test_hyper_series_not_converging_is_a_solver_limit(self, capsys):
+        code = main(["harmonics", "bianchi2", "--hyper", "--mu", "0", "--nu", "0", "--lam", "1e30"])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("solver limitation: hypergeometric series did not converge")
 
     def test_grid_must_cover_every_component_coordinate(self, capsys):
         assert_input_error(capsys, "harmonics", "so3", "--l", "1", "--grid", "theta=0.2:3.0:5")
@@ -285,7 +315,7 @@ class TestFamilyRoundTrip:
         p.write_text(json.dumps(doc))
         assert_input_error(capsys, "verify", "--family", str(p))
 
-    @pytest.mark.parametrize("label", ["nan", "x", None])
+    @pytest.mark.parametrize("label", ["nan", "x", None, "1e400"])
     def test_bad_hyper_label_is_an_input_error(self, capsys, tmp_path, label):
         p = tmp_path / "fam.json"
         assert main(["harmonics", "bianchi2", "--hyper", "--mu", "0.2", "--nu", "0.3",
@@ -340,6 +370,19 @@ class TestDeterminism:
         assert code == 0
         assert json.loads(out)["digest"] == (
             "370f01239625f85ecf70d771048e8ac6ae1b6d4d30be612be529832bea93c3e2")
+
+    @pytest.mark.parametrize("argv,sha", [
+        (["so3", "--l", "4"], "3f8dd4330c0d03e5d029aafa1ec503cf2038f4e41dd6bab7855387d9a0dc70a0"),
+        (["bianchi2", "--point-series", "--n", "3", "--m", "1", "--nu", "1/2"],
+         "08398fde3baf04e10937284035ba56bbc6e4c193c6a852d7cd2276011a91c00f"),
+    ])
+    def test_half_power_family_bytes_are_pinned(self, tmp_path, argv, sha):
+        """Regression gate for the half-power and numeric-radicand paths: the
+        so3 scalar family at l = 4 and a bianchi2 point series with a
+        half-integer label, as released before integral parts became ints."""
+        path = tmp_path / "fam.json"
+        assert main(["harmonics", *argv, "--seed", "0", "--out", str(path)]) == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == sha
 
     def test_seed_changes_inputs_echo_only_not_verdicts(self, capsys):
         _, a = run(capsys, "verify", "--model", "so3", "--seed", "1")

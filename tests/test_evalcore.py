@@ -140,6 +140,13 @@ def test_hyp2f1_against_mpmath():
             assert abs(got - want) < 1e-12 * (1 + abs(want))
 
 
+def test_hyp2f1_budget_exhausted_is_a_solver_limit(monkeypatch):
+    monkeypatch.setattr(evalcore, "HYP2F1_MAX_TERMS", 3)
+    with pytest.raises(evalcore.SeriesNotConvergedError, match="did not converge in 3 terms"):
+        evalcore.hyp2f1(0.5, 0.5, 1.5, [0.9])
+    assert evalcore.hyp2f1(-1.0, 0.5, 1.5, [0.9])[0] == 1 - 0.5 / 1.5 * 0.9  # terminates in 2
+
+
 def test_hyp2f1_outside_unit_disk_rejected():
     with pytest.raises(ValueError, match="unit disk"):
         evalcore.hyp2f1(0.5, 0.5, 1.5, [1.2])

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from casimir import expr as ex
 from casimir import operator as op
+from casimir.cnum import CNum
 from casimir.models import so3_model
 from casimir.parser import ParseError, parse
 
@@ -168,6 +169,18 @@ class TestCanonicalForm:
             ex.power(ex.sym("x"), Fraction(1, 3))
 
 
+    def test_exponent_forms_agree(self):
+        x = ex.sym("x")
+        bases = [x, parse("1 + x^2", ["x"]), ex.sin(x), ex.exp(x), ex.num(3), ex.mul(ex.num(2), x)]
+        for b in bases:
+            assert ex.power(b, ex.num(2)) == ex.power(b, 2) == ex.power(b, Fraction(2))
+            assert ex.power(b, ex.num(Fraction(-1, 2))) == ex.power(b, Fraction(-1, 2))
+        assert type(ex.power(x, -1).exp) is int
+        assert ex.power(x, Fraction(-3, 2)).exp == Fraction(-3, 2)
+        with pytest.raises(ex.ExprError):
+            ex.power(ex.power(x, Fraction(1, 2)), Fraction(1, 2))
+
+
 class TestUnparse:
     @pytest.mark.parametrize(
         "text",
@@ -268,6 +281,77 @@ class TestRationalRoots:
         assert ex.unparse(e) == "-i*(999983 - u)^(-1/2)*(1000003 + u^2)^(-1/2)"
         poly = [Fraction(c) for c in (-999983 * 1000003, 1000003, -999983, 1)]
         assert ex._rational_roots(poly) == [(999983, 1)]
+
+
+# -- CNum against a Fraction-pair reference -----------------------------------
+
+_RATIONALS = st.one_of(
+    st.integers(-40, 40),
+    st.fractions(min_value=-20, max_value=20, max_denominator=12),
+    st.integers(-40, 40).map(Fraction),  # integral Fractions must normalize to ints
+)
+
+
+def _ref_mul(a, b):
+    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+
+def _ref_pow(a, n):
+    if n < 0:
+        d = a[0] * a[0] + a[1] * a[1]
+        a, n = (a[0] / d, -a[1] / d), -n
+    out = (Fraction(1), Fraction(0))
+    for _ in range(n):
+        out = _ref_mul(out, a)
+    return out
+
+
+def _matches(c: CNum, ref) -> bool:
+    """Equal parts, each an int exactly when integral."""
+    return all(
+        part == want and (type(part) is int) == (Fraction(want).denominator == 1)
+        for part, want in ((c.re, ref[0]), (c.im, ref[1]))
+    )
+
+
+@given(_RATIONALS, _RATIONALS, _RATIONALS, _RATIONALS, st.integers(-3, 3))
+@settings(max_examples=200, deadline=None)
+def test_cnum_matches_fraction_pairs(a_re, a_im, b_re, b_im, n):
+    a, b = CNum(a_re, a_im), CNum(b_re, b_im)
+    ra, rb = (Fraction(a_re), Fraction(a_im)), (Fraction(b_re), Fraction(b_im))
+    assert _matches(a, ra) and _matches(b, rb)
+    assert _matches(a + b, (ra[0] + rb[0], ra[1] + rb[1]))
+    assert _matches(a - b, (ra[0] - rb[0], ra[1] - rb[1]))
+    assert _matches(a * b, _ref_mul(ra, rb))
+    assert _matches(-a, (-ra[0], -ra[1]))
+    if any(ra):
+        assert _matches(a.inverse(), _ref_pow(ra, -1))
+        assert _matches(b / a, _ref_mul(rb, _ref_pow(ra, -1)))
+        assert _matches(a ** n, _ref_pow(ra, n))
+    else:
+        with pytest.raises(ZeroDivisionError):
+            a.inverse()
+    assert a.is_zero() == (ra == (0, 0))
+    assert a.is_one() == (ra == (1, 0))
+    assert a.is_real() == (ra[1] == 0)
+    assert a.negative_lead() == (ra[0] < 0 or (ra[0] == 0 and ra[1] < 0))
+    assert (a == b) == (ra == rb)
+
+
+@given(_RATIONALS, _RATIONALS)
+@settings(max_examples=100, deadline=None)
+def test_integral_parts_key_and_hash_like_fractions(re, im):
+    """An int part keys and hashes as the equal Fraction did, so canonical
+    order, hashes and digests do not depend on how a value was built."""
+    fr, fi = Fraction(re), Fraction(im)
+    built = [CNum(re, im), CNum(fr, fi), CNum(fr.numerator, fi) if fr.denominator == 1 else CNum(fr, fi)]
+    assert len({hash(c) for c in built}) == 1 and hash(built[0]) == hash((fr, fi))
+    x = ex.sym("x")
+    for c in built:
+        n, m = ex.Num(c), ex.Mul(c, (x,))
+        assert n._key == (0, fr, fi) and m._key == (4, (x._key,), fr, fi)
+        assert n._hash == hash((0, fr.numerator, fr.denominator, fi.numerator, fi.denominator))
+        assert m._hash == hash((4, (x._hash,), fr.numerator, fr.denominator, fi.numerator, fi.denominator))
 
 
 # -- randomized properties ----------------------------------------------------

@@ -174,8 +174,12 @@ class TestInverse:
 class TestJsonRoundTrip:
     def test_sparse_round_trip(self):
         sc = la.so3()
-        again = la.StructureConstants.from_sparse(3, sc.to_sparse())
-        assert again == sc
+        entries = [
+            {"k": k + 1, "i": i + 1, "j": j + 1, "value": str(sc.c[k][i][j])}
+            for k in range(3) for i in range(3) for j in range(i + 1, 3) if sc.c[k][i][j]
+        ]
+        assert len(entries) == 3
+        assert la.StructureConstants.from_sparse(3, entries) == sc
 
     def test_conflicting_entries_rejected(self):
         with pytest.raises(ValueError, match="conflicting"):

@@ -9,6 +9,7 @@ from casimir import tensor_fields as tf
 from casimir.models import bianchi2_model, so3_model
 from casimir.operator import ScalarOperator, TensorMonomial
 from casimir.parser import parse
+from helpers import random_polynomial_tensor
 
 
 SING = "(1 + cos(theta))^(-1)*(1 - cos(theta))^(-1)"  # sin(theta)^(-2)
@@ -193,13 +194,13 @@ class TestCertify:
 class TestCommutation:
     @pytest.mark.parametrize("seed", range(10))
     def test_rotation_operator_commutes(self, so3, seed):
-        t = op.random_polynomial_tensor(so3.sphere, *((0, 0) if seed % 2 else (0, 1)), seed=seed)
+        t = random_polynomial_tensor(so3.sphere, *((0, 0) if seed % 2 else (0, 1)), seed=seed)
         reports = op.check_commutes(so3.op_generators, seed % 3, t)
         assert all(r.is_zero for r in reports)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_solvable_operator_commutes(self, b2, seed):
-        t = op.random_polynomial_tensor(b2.chart, *((0, 0) if seed % 2 else (1, 0)), seed=seed)
+        t = random_polynomial_tensor(b2.chart, *((0, 0) if seed % 2 else (1, 0)), seed=seed)
         reports = op.check_commutes(b2.op, seed % 3, t)
         assert all(r.is_zero for r in reports)
 
@@ -211,6 +212,6 @@ class TestCommutation:
         )
         delta = ((ex.ONE, ex.ZERO), (ex.ZERO, ex.ONE))
         cop = op.CasimirOperator("flat", chart, gens, delta)
-        t = op.random_polynomial_tensor(chart, 1, 1, seed=3)
+        t = random_polynomial_tensor(chart, 1, 1, seed=3)
         for j in range(2):
             assert all(r.is_zero for r in op.check_commutes(cop, j, t))

@@ -10,7 +10,6 @@ from casimir import lie_algebra as la
 from casimir import numcheck as nc
 from casimir import split_structure as ss
 from casimir import tensor_fields as tf
-from casimir.operator import random_polynomial_tensor
 from casimir.parser import parse
 
 
@@ -276,7 +275,6 @@ class TestInvariantMetric:
             ("0", "0", "-1"),
         )
         gens = [tf.VectorField(chart, tuple(parse(s, chart.coords) for s in row)) for row in rows]
-        metric = ss.metric_from_constant(
-            [[1, 0, 0], [0, 1, 0], [0, 0, 1]], la.so3(), gens
-        )
+        identity = [[ex.ONE if i == k else ex.ZERO for k in range(3)] for i in range(3)]
+        metric = ss.metric_from_exprs(identity, la.so3(), gens)
         assert metric.killing_ok()

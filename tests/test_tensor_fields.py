@@ -8,8 +8,8 @@ from casimir import expr as ex
 from casimir import lie_algebra as la
 from casimir import numcheck as nc
 from casimir import tensor_fields as tf
-from casimir.operator import random_polynomial_tensor
 from casimir.parser import parse
+from helpers import check_lie_commutator, random_polynomial_tensor
 
 
 @pytest.fixture(scope="module")
@@ -145,14 +145,14 @@ class TestCommutatorIdentity:
     def test_rotation_pair_on_random_tensors(self, sphere, rot_fields, ptype):
         p, q = ptype
         t = random_polynomial_tensor(sphere, p, q, seed=37 * p + q)
-        reports = tf.check_lie_commutator(rot_fields[0], rot_fields[1], t)
+        reports = check_lie_commutator(rot_fields[0], rot_fields[1], t)
         assert all(r.is_zero for r in reports)
 
     @pytest.mark.parametrize("ptype", [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1)])
     def test_solvable_pair_on_random_tensors(self, solv_chart, solv_fields, ptype):
         p, q = ptype
         t = random_polynomial_tensor(solv_chart, p, q, seed=11 * p + q)
-        reports = tf.check_lie_commutator(solv_fields[0], solv_fields[1], t)
+        reports = check_lie_commutator(solv_fields[0], solv_fields[1], t)
         assert all(r.is_zero for r in reports)
 
     def test_commuting_flows(self, solv_chart, solv_fields):
@@ -163,7 +163,7 @@ class TestCommutatorIdentity:
 
     def test_solvable_pair_on_invariant_coframe_leg(self, solv_chart, solv_fields):
         e1 = tf.one_form(solv_chart, tuple(parse(s, solv_chart.coords) for s in ("1", "v", "0")))
-        reports = tf.check_lie_commutator(solv_fields[0], solv_fields[1], e1)
+        reports = check_lie_commutator(solv_fields[0], solv_fields[1], e1)
         assert all(r.verdict is nc.Verdict.SYMBOLIC_ZERO for r in reports)
 
 

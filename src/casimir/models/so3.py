@@ -128,14 +128,6 @@ class So3Model:
             self._operators["K"] = reduce_to_scalar(self.op_generators)
         return self._operators["K"]
 
-    def ladder_scalar_operator(self) -> ScalarOperator:
-        """-(L_+ L_- + L_3^2 - L_3) built from the ladder fields."""
-        hp, hm, h3 = (ScalarOperator.from_vector_field(g) for g in self.ladder)
-        out = hm.compose_vf_left(self.ladder[0])
-        out = out.plus(h3.compose_vf_left(self.ladder[2]))
-        out = out.plus(h3.scaled(ex.num(-1)))
-        return out.scaled(ex.num(-1))
-
     def reduced_operator(self, n: int) -> ScalarOperator:
         """Scalar operator on a monomial component with covector weight n."""
         key = ("reduced", n)

@@ -1,10 +1,17 @@
 """The generalized Casimir operator and its reduction to scalar operators.
 
-``G = g^{ik} L_i L_k`` acts on tensors through nested Lie derivatives; on a
-frame that diagonalizes the group action it reduces, monomial by monomial,
-to a scalar second-order operator whose shift terms come from the frame
-scale factors.  Eigenvalue claims are certified by residual checks, never
-asserted from labels.
+``G = g^{ik} L_i L_k`` is built from Lie derivatives.  On the coordinate
+components of a type-(p, q) tensor each ``L_i`` is a first-order operator
+``A_i = xi_i . d + R_i``, with ``R_i`` the correction rows of
+:func:`casimir.tensor_fields.lie_correction_rows`, so G is a fixed matrix of
+second-order scalar operators ``G_IJ``.  One routine composes
+``sum g^{ik} A_i A_k``; ``apply_casimir`` builds the matrix once per
+operator and tensor type (memoized on the operator) and applies it
+componentwise.  On a frame that diagonalizes the group action G reduces,
+monomial by monomial, to the 1x1 case of the same composition,
+``A_i = xi_i - phi_i``, whose shift terms come from the frame scale factors.
+Eigenvalue claims are certified by residual checks, never asserted from
+labels.
 
 Sign convention: eigenvalues are stored for G itself.  On the rotation
 model the familiar spherical-harmonic convention quotes -G, so weight-l
@@ -14,13 +21,20 @@ families carry the eigenvalue -l(l+1) here; reports state this explicitly.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import expr as ex
 from . import numcheck as nc
 from .parser import parse
 from .split_structure import Frame, MuFactors
-from .tensor_fields import Chart, TensorField, VectorField, lie_derivative, tensor_add, tensor_scale
+from .tensor_fields import (
+    COORDINATE_FRAME,
+    Chart,
+    FrameMismatchError,
+    TensorField,
+    lie_correction_rows,
+    lie_derivative,
+)
 
 SIGN_NOTE = "eigenvalue of G = g^{ik} L_i L_k itself; rotation-harmonic conventions quote -G"
 
@@ -35,6 +49,8 @@ class CasimirOperator:
     metric: tuple  # metric[i][k]: Expr
     frame: Frame | None = None
     mu: MuFactors | None = None
+    # G's component matrix per tensor type (p, q), built on first use
+    _matrices: dict = field(default_factory=dict, init=False, compare=False, hash=False, repr=False)
 
     @property
     def r(self) -> int:
@@ -42,21 +58,20 @@ class CasimirOperator:
 
 
 def apply_casimir(op: CasimirOperator, t: TensorField) -> TensorField:
-    """G T = sum_ik g^{ik} L_i (L_k T), exact components."""
+    """G T componentwise: (G T)_I = sum_J G_IJ T_J, exact and simplified."""
     if t.chart != op.chart:
         raise ValueError("tensor lives on a different chart")
-    first = [lie_derivative(g, t) for g in op.generators]
-    total = None
-    for i, gi in enumerate(op.generators):
-        for k in range(op.r):
-            coeff = op.metric[i][k]
-            if coeff == ex.ZERO:
-                continue
-            piece = tensor_scale(lie_derivative(gi, first[k]), coeff)
-            total = piece if total is None else tensor_add(total, piece)
-    if total is None:
-        total = tensor_scale(t, ex.ZERO)
-    return TensorField(t.chart, t.p, t.q, tuple(ex.simplify(c) for c in total.comps), t.frame)
+    if t.frame != COORDINATE_FRAME:
+        raise FrameMismatchError("apply_casimir acts on coordinate-frame tensors")
+    key = (t.p, t.q)
+    matrix = op._matrices.get(key)
+    if matrix is None:
+        rows = [lie_correction_rows(x, t.p, t.q) for x in op.generators]
+        matrix = op._matrices[key] = _compose(op, rows)
+    comps = tuple(
+        ex.simplify(ex.add(*[entry.apply(t.comps[j]) for j, entry in row])) for row in matrix
+    )
+    return TensorField(t.chart, t.p, t.q, comps, t.frame)
 
 
 # --- scalar differential operators -----------------------------------------
@@ -82,34 +97,6 @@ class ScalarOperator:
     def as_dict(self) -> dict:
         return dict(self.table)
 
-    @staticmethod
-    def zero(chart: Chart) -> "ScalarOperator":
-        return ScalarOperator(chart, ())
-
-    @staticmethod
-    def multiplication(chart: Chart, f: ex.Expr) -> "ScalarOperator":
-        return ScalarOperator.from_table(chart, {(0,) * chart.dim: f})
-
-    @staticmethod
-    def from_vector_field(x: VectorField) -> "ScalarOperator":
-        chart = x.chart
-        tab = {}
-        for c, comp in enumerate(x.comps):
-            idx = [0] * chart.dim
-            idx[c] = 1
-            tab[tuple(idx)] = comp
-        return ScalarOperator.from_table(chart, tab)
-
-    def plus(self, other: "ScalarOperator") -> "ScalarOperator":
-        tab = dict(self.table)
-        for idx, c in other.table:
-            tab[idx] = ex.add(tab.get(idx, ex.ZERO), c)
-        return ScalarOperator.from_table(self.chart, tab)
-
-    def scaled(self, s) -> "ScalarOperator":
-        s = ex.as_expr(s)
-        return ScalarOperator.from_table(self.chart, {idx: ex.mul(s, c) for idx, c in self.table})
-
     def apply(self, f: ex.Expr) -> ex.Expr:
         parts = []
         for idx, coeff in self.table:
@@ -119,23 +106,6 @@ class ScalarOperator:
                     d = ex.diff(d, self.chart.coords[axis])
             parts.append(ex.mul(coeff, d))
         return ex.add(*parts)
-
-    def compose_vf_left(self, x: VectorField) -> "ScalarOperator":
-        """The operator (X followed by self's input), i.e. X o self."""
-        tab: dict[tuple, ex.Expr] = {}
-
-        def acc(idx, c):
-            tab[idx] = ex.add(tab.get(idx, ex.ZERO), c)
-
-        for idx, coeff in self.table:
-            for axis, comp in enumerate(x.comps):
-                if comp == ex.ZERO:
-                    continue
-                acc(idx, ex.mul(comp, ex.diff(coeff, self.chart.coords[axis])))
-                up = list(idx)
-                up[axis] += 1
-                acc(tuple(up), ex.mul(comp, coeff))
-        return ScalarOperator.from_table(self.chart, tab)
 
     def order(self) -> int:
         return max((sum(idx) for idx, _ in self.table), default=0)
@@ -185,33 +155,94 @@ def _weight(op: CasimirOperator, upper: tuple, lower: tuple, i: int) -> ex.Expr:
 
 def shifted_generator(op: CasimirOperator, i: int, upper: tuple, lower: tuple) -> ScalarOperator:
     """First-order operator xi_i - phi_i acting on a monomial component."""
-    phi = _weight(op, upper, lower, i)
-    out = ScalarOperator.from_vector_field(op.generators[i])
-    if phi != ex.ZERO:
-        out = out.plus(ScalarOperator.multiplication(op.chart, ex.neg(phi)))
-    return out
+    return ScalarOperator.from_table(op.chart, _first_order(op, i, _weight(op, upper, lower, i)))
 
 
 def reduce_to_scalar(op: CasimirOperator, upper: tuple = (), lower: tuple = ()) -> ScalarOperator:
     """Scalar operator acting on the (upper, lower) monomial component.
 
-    Computed as g^{ik} (xi_i - phi_i)(xi_k - phi_k); with all scale factors
-    zero, and with no legs at all, this is the plain scalar Casimir operator
-    K = g^{ik} xi_i xi_k."""
-    shifted = [shifted_generator(op, i, upper, lower) for i in range(op.r)]
-    total = ScalarOperator.zero(op.chart)
+    The 1x1 case of G's component matrix, g^{ik} (xi_i - phi_i)(xi_k - phi_k);
+    with all scale factors zero, and with no legs at all, this is the plain
+    scalar Casimir operator K = g^{ik} xi_i xi_k."""
+    rows = []
     for i in range(op.r):
-        phi_i = _weight(op, upper, lower, i)
+        phi = _weight(op, upper, lower, i)
+        rows.append(({0: ex.neg(phi)} if phi != ex.ZERO else {},))
+    entries = _compose(op, rows)[0]
+    return entries[0][1] if entries else ScalarOperator(op.chart, ())
+
+
+def _first_order(op: CasimirOperator, i: int, shift: ex.Expr) -> dict:
+    """Table of the first-order operator xi_i - shift."""
+    d = op.chart.dim
+    tab = {}
+    for a, comp in enumerate(op.generators[i].comps):
+        if comp != ex.ZERO:
+            tab[tuple(int(b == a) for b in range(d))] = comp
+    if shift != ex.ZERO:
+        tab[(0,) * d] = ex.neg(shift)
+    return tab
+
+
+def _compose(op: CasimirOperator, rows: list) -> tuple:
+    """sum_ik g^{ik} A_i A_k as a matrix of scalar operators.
+
+    A_i = xi_i . d + R_i acts on a column of components, with R_i = rows[i]
+    given as rows {J: factor}.  Raw coefficient terms are collected per
+    entry and each entry is simplified once, at the end.  Returns, per row
+    I, the nonzero entries as (J, ScalarOperator) pairs."""
+    chart = op.chart
+    n = len(rows[0])
+    a_ops = []  # a_ops[i][I] = {J: first-order table of (A_i)_IJ}
+    for i in range(op.r):
+        transport = _first_order(op, i, ex.ZERO)
+        a_i = []
+        for row_i, row in enumerate(rows[i]):
+            ent = {j: {(0,) * chart.dim: f} for j, f in row.items()}
+            ent.setdefault(row_i, {}).update(transport)
+            a_i.append(ent)
+        a_ops.append(a_i)
+    acc = [{} for _ in range(n)]  # acc[I][K][multi-index] -> raw coefficient terms
+    for i in range(op.r):
         for k in range(op.r):
-            gik = op.metric[i][k]
-            if gik == ex.ZERO:
+            g = op.metric[i][k]
+            if g == ex.ZERO:
                 continue
-            inner = shifted[k]
-            composed = inner.compose_vf_left(op.generators[i])
-            if phi_i != ex.ZERO:
-                composed = composed.plus(inner.scaled(ex.neg(phi_i)))
-            total = total.plus(composed.scaled(gik))
-    return total
+            for row_i in range(n):
+                for j, outer in a_ops[i][row_i].items():
+                    for col, inner in a_ops[k][j].items():
+                        terms = acc[row_i].setdefault(col, {})
+                        for idx, term in _leibniz(chart.coords, g, outer, inner):
+                            terms.setdefault(idx, []).append(term)
+    matrix = []
+    for row_i in range(n):
+        entries = []
+        for col in sorted(acc[row_i]):
+            entry = ScalarOperator.from_table(
+                chart, {idx: ex.add(*terms) for idx, terms in acc[row_i][col].items()}
+            )
+            if entry.table:
+                entries.append((col, entry))
+        matrix.append(tuple(entries))
+    return tuple(matrix)
+
+
+def _leibniz(coords: tuple, g: ex.Expr, outer: dict, inner: dict):
+    """Raw terms (multi-index, coefficient) of g * (outer o inner), for a
+    first-order table `outer` and any table `inner`."""
+    for alpha, s in outer.items():
+        if not any(alpha):
+            for beta, c in inner.items():
+                yield beta, ex.mul(g, s, c)
+            continue
+        axis = alpha.index(1)
+        for beta, c in inner.items():
+            dc = ex.diff(c, coords[axis])
+            if dc != ex.ZERO:
+                yield beta, ex.mul(g, s, dc)
+            up = list(beta)
+            up[axis] += 1
+            yield tuple(up), ex.mul(g, s, c)
 
 
 # --- monomials ---------------------------------------------------------------

@@ -73,13 +73,12 @@ class TensorField:
     frame: str = COORDINATE_FRAME
 
     def __post_init__(self):
+        for n in (self.p, self.q):
+            if type(n) is not int or n < 0:
+                raise ValueError(f"tensor type needs non-negative integers, got ({self.p!r}, {self.q!r})")
         want = self.chart.dim ** (self.p + self.q)
         if len(self.comps) != want:
             raise ValueError(f"need {want} components, got {len(self.comps)}")
-
-    @property
-    def rank(self) -> int:
-        return self.p + self.q
 
     def flat(self, idx: tuple) -> int:
         d = self.chart.dim
@@ -90,9 +89,6 @@ class TensorField:
 
     def comp(self, *idx) -> ex.Expr:
         return self.comps[self.flat(idx)]
-
-    def indices(self):
-        return itertools.product(range(self.chart.dim), repeat=self.rank)
 
 
 def scalar_field(chart: Chart, e: ex.Expr) -> TensorField:
@@ -107,17 +103,6 @@ def vector_as_tensor(x: VectorField) -> TensorField:
     return TensorField(x.chart, 1, 0, x.comps)
 
 
-def tensor_add(a: TensorField, b: TensorField) -> TensorField:
-    if (a.chart, a.p, a.q, a.frame) != (b.chart, b.p, b.q, b.frame):
-        raise FrameMismatchError("tensor shapes differ")
-    return TensorField(a.chart, a.p, a.q, tuple(ex.add(x, y) for x, y in zip(a.comps, b.comps)), a.frame)
-
-
-def tensor_scale(a: TensorField, s) -> TensorField:
-    s = ex.as_expr(s)
-    return TensorField(a.chart, a.p, a.q, tuple(ex.mul(s, c) for c in a.comps), a.frame)
-
-
 def lie_bracket(x: VectorField, y: VectorField) -> VectorField:
     """[X, Y]^a = X^c d_c Y^a - Y^c d_c X^a."""
     if x.chart != y.chart:
@@ -128,37 +113,49 @@ def lie_bracket(x: VectorField, y: VectorField) -> VectorField:
     return VectorField(x.chart, comps)
 
 
-def lie_derivative(x: VectorField, t: TensorField) -> TensorField:
-    """Lie derivative of a coordinate-frame tensor along X.
+def lie_correction_rows(x: VectorField, p: int, q: int) -> tuple:
+    """The non-transport part of L_X on type-(p, q) components, as rows.
 
-    Component formula: transport along X, plus one correction per lower index
-    with the derivative of X loading the index, minus one per upper index.
+    (L_X T)_I = X(T_I) + sum_J rows[I][J] T_J over flat component indices:
+    one correction per lower index with the derivative of X loading the
+    index, minus one per upper index.
     """
+    chart = x.chart
+    d = chart.dim
+    # dx[c][a] = d_a X^c
+    dx = [[ex.diff(comp, coord) for coord in chart.coords] for comp in x.comps]
+    stride = [d ** (p + q - 1 - slot) for slot in range(p + q)]
+    rows = []
+    for i, idx in enumerate(itertools.product(range(d), repeat=p + q)):
+        row: dict[int, ex.Expr] = {}
+        for slot, a in enumerate(idx):
+            for c in range(d):
+                f = dx[c][a] if slot >= p else ex.neg(dx[a][c])
+                if f == ex.ZERO:
+                    continue
+                j = i + (c - a) * stride[slot]
+                f = ex.add(row[j], f) if j in row else f
+                if f == ex.ZERO:
+                    del row[j]
+                else:
+                    row[j] = f
+        rows.append(row)
+    return tuple(rows)
+
+
+def lie_derivative(x: VectorField, t: TensorField) -> TensorField:
+    """Lie derivative of a coordinate-frame tensor along X: transport along X
+    plus the correction rows of `lie_correction_rows`."""
     if t.frame != COORDINATE_FRAME:
         raise FrameMismatchError("lie_derivative acts on coordinate-frame tensors")
     if x.chart != t.chart:
         raise ChartMismatchError("vector and tensor live on different charts")
-    chart = t.chart
-    d = chart.dim
-    p, q = t.p, t.q
-    out = []
-    for idx in t.indices() if t.rank else [()]:
-        parts = [ex.mul(x.comps[c], ex.diff(t.comps[t.flat(idx)], chart.coords[c])) for c in range(d)]
-        for n in range(q):
-            slot = p + n
-            for c in range(d):
-                repl = idx[:slot] + (c,) + idx[slot + 1 :]
-                parts.append(
-                    ex.mul(t.comps[t.flat(repl)], ex.diff(x.comps[c], chart.coords[idx[slot]]))
-                )
-        for k in range(p):
-            for c in range(d):
-                repl = idx[:k] + (c,) + idx[k + 1 :]
-                parts.append(
-                    ex.neg(ex.mul(t.comps[t.flat(repl)], ex.diff(x.comps[idx[k]], chart.coords[c])))
-                )
-        out.append(ex.add(*parts))
-    return TensorField(chart, p, q, tuple(out))
+    rows = lie_correction_rows(x, t.p, t.q)
+    out = tuple(
+        ex.add(x.apply(comp), *[ex.mul(t.comps[j], f) for j, f in row.items()])
+        for comp, row in zip(t.comps, rows)
+    )
+    return TensorField(t.chart, t.p, t.q, out)
 
 
 @dataclass(frozen=True)

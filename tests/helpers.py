@@ -1,5 +1,6 @@
-"""Test-only helpers: a seeded polynomial tensor generator and the Lie
-derivative commutator identity."""
+"""Test-only helpers: a seeded polynomial tensor generator, the Lie
+derivative commutator identity, tensor sums and scalings, the nested
+definition of G, and the ladder-built orbit Laplacian."""
 
 from __future__ import annotations
 
@@ -9,7 +10,15 @@ from fractions import Fraction
 
 from casimir import expr as ex
 from casimir import numcheck as nc
-from casimir.tensor_fields import Chart, TensorField, VectorField, lie_bracket, lie_derivative
+from casimir.operator import CasimirOperator, ScalarOperator
+from casimir.tensor_fields import (
+    Chart,
+    FrameMismatchError,
+    TensorField,
+    VectorField,
+    lie_bracket,
+    lie_derivative,
+)
 
 
 def random_polynomial_tensor(chart: Chart, p: int, q: int, seed: int, degree: int = 2) -> TensorField:
@@ -57,3 +66,56 @@ def check_lie_commutator(x: VectorField, y: VectorField, t: TensorField, seed: i
         nc.is_zero(ex.sub(ex.sub(a, b), c), box, seed)
         for a, b, c in zip(lhs.comps, rhs.comps, brk.comps)
     ]
+
+
+def tensor_add(a: TensorField, b: TensorField) -> TensorField:
+    if (a.chart, a.p, a.q, a.frame) != (b.chart, b.p, b.q, b.frame):
+        raise FrameMismatchError("tensor shapes differ")
+    return TensorField(a.chart, a.p, a.q, tuple(ex.add(x, y) for x, y in zip(a.comps, b.comps)), a.frame)
+
+
+def tensor_scale(a: TensorField, s) -> TensorField:
+    s = ex.as_expr(s)
+    return TensorField(a.chart, a.p, a.q, tuple(ex.mul(s, c) for c in a.comps), a.frame)
+
+
+def nested_casimir(op: CasimirOperator, t: TensorField) -> TensorField:
+    """G T = sum_ik g^{ik} L_i (L_k T), straight from the definition."""
+    first = [lie_derivative(g, t) for g in op.generators]
+    total = tensor_scale(t, ex.ZERO)
+    for i, gi in enumerate(op.generators):
+        for k in range(op.r):
+            if op.metric[i][k] != ex.ZERO:
+                total = tensor_add(total, tensor_scale(lie_derivative(gi, first[k]), op.metric[i][k]))
+    return total
+
+
+def _vector_table(x: VectorField) -> dict:
+    d = x.chart.dim
+    return {tuple(int(b == a) for b in range(d)): c for a, c in enumerate(x.comps) if c != ex.ZERO}
+
+
+def _after_vector(x: VectorField, table: dict) -> list:
+    """Raw (multi-index, coefficient) terms of X o S, S given by its table."""
+    out = []
+    for idx, coeff in table.items():
+        for axis, comp in enumerate(x.comps):
+            if comp == ex.ZERO:
+                continue
+            out.append((idx, ex.mul(comp, ex.diff(coeff, x.chart.coords[axis]))))
+            up = list(idx)
+            up[axis] += 1
+            out.append((tuple(up), ex.mul(comp, coeff)))
+    return out
+
+
+def ladder_scalar_operator(so3) -> ScalarOperator:
+    """-(L_+ L_- + L_3^2 - L_3) built from the rotation model's ladder fields,
+    an independent construction of the orbit Laplacian K."""
+    raising, lowering, axis = so3.ladder
+    terms = _after_vector(raising, _vector_table(lowering)) + _after_vector(axis, _vector_table(axis))
+    terms += [(idx, ex.neg(c)) for idx, c in _vector_table(axis).items()]
+    table: dict = {}
+    for idx, c in terms:
+        table.setdefault(idx, []).append(ex.neg(c))
+    return ScalarOperator.from_table(so3.sphere, {idx: ex.add(*cs) for idx, cs in table.items()})

@@ -21,7 +21,7 @@ from casimir.cli import main
 from casimir.models import bianchi2_model, so3_model
 from casimir.operator import ScalarOperator, TensorMonomial
 from casimir.parser import parse
-from helpers import random_polynomial_tensor
+from helpers import ladder_scalar_operator, random_polynomial_tensor
 
 SYM = nc.Verdict.SYMBOLIC_ZERO
 
@@ -109,7 +109,7 @@ def test_criterion_04_operator_reproduction(so3, b2):
         },
     )
     assert k.equal_to(want)
-    assert so3.ladder_scalar_operator().equal_to(k)
+    assert ladder_scalar_operator(so3).equal_to(k)
     k2 = b2.scalar_operator()
     want2 = ScalarOperator.from_table(
         b2.chart,

@@ -174,6 +174,13 @@ class TestHarmonics:
         assert doc["eigenvalues"]["G"] == "5"
         assert doc["certified"]
 
+    def test_negative_label_written_with_equals(self, capsys):
+        """argparse takes `-1/2` after a space for an option; `--nu=-1/2` is the documented form."""
+        code, out = run(capsys, "harmonics", "bianchi2", "--point-series",
+                        "--n", "1", "--m", "0", "--nu=-1/2")
+        assert code == 0
+        assert json.loads(out)["labels"]["nu"] == "-1/2"
+
     def test_scalar_weight_zero(self, capsys):
         code, out = run(capsys, "harmonics", "so3", "--l", "0")
         assert code == 0
@@ -371,6 +378,15 @@ class TestDeterminism:
         assert json.loads(out)["digest"] == (
             "370f01239625f85ecf70d771048e8ac6ae1b6d4d30be612be529832bea93c3e2")
 
+    def test_benchmarked_tensor_family_bytes_are_pinned(self, tmp_path):
+        """The `--type 2,0 --l 2` family the tensor-cert benchmark runs, as
+        released before G became a cached component matrix."""
+        path = tmp_path / "fam.json"
+        assert main(["harmonics", "so3", "--type", "2,0", "--l", "2", "--seed", "0",
+                     "--out", str(path)]) == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "245122a896183258dede4cd025f5c3d18df330fabf51c4511b97d991c2f6e16c")
+
     @pytest.mark.parametrize("argv,sha", [
         (["so3", "--l", "4"], "3f8dd4330c0d03e5d029aafa1ec503cf2038f4e41dd6bab7855387d9a0dc70a0"),
         (["bianchi2", "--point-series", "--n", "3", "--m", "1", "--nu", "1/2"],
@@ -447,7 +463,19 @@ class TestReduceAndResidual:
         assert main(["residual", "--model", "bianchi2", "--tensor", str(p),
                      "--eigenvalue", "2"]) == 0
 
-    @pytest.mark.parametrize("text", ["{not json", '{"type": 5, "components": []}', "[1]"])
+    @pytest.mark.parametrize("tensor_type", [[1, -1], [-1, 1], [1.5, 0], [True, False]])
+    def test_residual_tensor_type_must_be_counts(self, capsys, tmp_path, tensor_type):
+        p = tmp_path / "t.json"
+        p.write_text(json.dumps({"type": tensor_type, "components": ["1"] * 3}))
+        assert main(["residual", "--model", "so3", "--tensor", str(p), "--eigenvalue", "-2"]) == 2
+        assert "non-negative integers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", [
+        "{not json", '{"type": 5, "components": []}', "[1]",
+        '{"type": [1, -1], "components": ["1"]}', '{"type": [-1, 1], "components": ["1"]}',
+        '{"type": [1.5, 0], "components": ["1", "1", "1", "1", "1"]}',
+        '{"type": [true, false], "components": ["1", "1", "1"]}',
+    ])
     def test_residual_bad_tensor_file(self, capsys, tmp_path, text):
         p = tmp_path / "t.json"
         p.write_text(text)

@@ -1,5 +1,7 @@
 """Generalized Casimir operator: application, reduction, certification."""
 
+import dataclasses
+
 import pytest
 
 from casimir import expr as ex
@@ -9,7 +11,7 @@ from casimir import tensor_fields as tf
 from casimir.models import bianchi2_model, so3_model
 from casimir.operator import ScalarOperator, TensorMonomial
 from casimir.parser import parse
-from helpers import random_polynomial_tensor
+from helpers import ladder_scalar_operator, nested_casimir, random_polynomial_tensor
 
 
 SING = "(1 + cos(theta))^(-1)*(1 - cos(theta))^(-1)"  # sin(theta)^(-2)
@@ -43,7 +45,7 @@ class TestScalarOperatorTables:
         assert k.equal_to(want)
 
     def test_ladder_form_agrees_with_metric_form(self, so3):
-        assert so3.ladder_scalar_operator().equal_to(so3.scalar_operator())
+        assert ladder_scalar_operator(so3).equal_to(so3.scalar_operator())
 
     def test_solvable_table(self, b2):
         k = b2.scalar_operator()
@@ -89,6 +91,46 @@ class TestApply:
         gt = op.apply_casimir(so3.op_space, t)
         want = so3.scalar_operator().apply(parse("cos(theta)", so3.sphere.coords))
         assert ex.simplify(ex.sub(gt.comps[0], want)) == ex.ZERO
+
+
+TYPES = [(p, q) for p in range(3) for q in range(3) if p + q <= 2]
+
+
+class TestCasimirMatrix:
+    """apply_casimir applies G's component matrix, built once per operator
+    and tensor type; it must agree with the nested definition."""
+
+    @pytest.mark.parametrize("pq", TYPES, ids=[f"type{p}{q}" for p, q in TYPES])
+    @pytest.mark.parametrize("model", ["so3", "bianchi2"])
+    def test_matches_nested_lie_derivatives(self, so3, b2, model, pq):
+        cop = so3.op_space if model == "so3" else b2.op
+        t = random_polynomial_tensor(cop.chart, *pq, seed=sum(pq) + 7 * pq[0])
+        got = op.apply_casimir(cop, t)
+        want = nested_casimir(cop, t)
+        box = cop.chart.full_box()
+        for a, b in zip(got.comps, want.comps):
+            assert nc.is_zero(ex.sub(a, b), box).verdict is nc.Verdict.SYMBOLIC_ZERO
+
+    def test_matrix_built_once_per_type_and_operator(self, so3, monkeypatch):
+        cop = dataclasses.replace(so3.op_space)
+        builds = []
+        compose = op._compose
+        monkeypatch.setattr(op, "_compose", lambda *a: builds.append(a) or compose(*a))
+        for seed in (1, 2):
+            op.apply_casimir(cop, random_polynomial_tensor(cop.chart, 0, 1, seed=seed))
+        assert len(builds) == 1
+        assert list(cop._matrices) == [(0, 1)]
+        other = dataclasses.replace(cop)
+        assert other == cop and other._matrices == {}
+        op.apply_casimir(other, random_polynomial_tensor(cop.chart, 0, 1, seed=3))
+        assert len(builds) == 2
+        assert other._matrices is not cop._matrices
+
+    def test_non_coordinate_frame_is_refused(self, so3):
+        t = random_polynomial_tensor(so3.space, 0, 1, seed=4)
+        framed = tf.TensorField(t.chart, t.p, t.q, t.comps, frame="rotation-eigenframe")
+        with pytest.raises(tf.FrameMismatchError):
+            op.apply_casimir(so3.op_space, framed)
 
 
 class TestReduce:

@@ -9,7 +9,7 @@ from casimir import lie_algebra as la
 from casimir import numcheck as nc
 from casimir import tensor_fields as tf
 from casimir.parser import parse
-from helpers import check_lie_commutator, random_polynomial_tensor
+from helpers import check_lie_commutator, random_polynomial_tensor, tensor_add, tensor_scale
 
 
 @pytest.fixture(scope="module")
@@ -172,10 +172,10 @@ class TestLeibniz:
         f = parse("theta*phi + 1/2", sphere.coords)
         t = random_polynomial_tensor(sphere, 0, 1, seed=9)
         x = rot_fields[1]
-        ft = tf.tensor_scale(t, f)
+        ft = tensor_scale(t, f)
         lhs = tf.lie_derivative(x, ft)
-        rhs = tf.tensor_add(
-            tf.tensor_scale(t, x.apply(f)), tf.tensor_scale(tf.lie_derivative(x, t), f)
+        rhs = tensor_add(
+            tensor_scale(t, x.apply(f)), tensor_scale(tf.lie_derivative(x, t), f)
         )
         assert all(
             ex.simplify(ex.sub(a, b)) == ex.ZERO for a, b in zip(lhs.comps, rhs.comps)

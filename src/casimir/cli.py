@@ -31,6 +31,7 @@ from .lie_algebra import (
 )
 from .modelio import SchemaError, load_family, load_model
 from .models import bianchi2_model, so3_model
+from .numcheck import UndefinedPointError
 from .operator import CasimirOperator, assemble_from_json, certify_eigen, reduce_to_scalar
 from .parser import ParseError, parse
 from .report import Report, Stopwatch, format_number
@@ -352,6 +353,8 @@ def cmd_harmonics(args) -> int:
         _grid_points(chart, args.grid)
         if args.l is None:
             raise SchemaError("harmonics so3 needs --l")
+        if max(abs(args.l), abs(args.m or 0)) > sys.maxsize:
+            raise SchemaError(f"so3 labels must lie in the machine integer range, |--l|, |--m| <= {sys.maxsize}")
         if args.l < 0 or (args.m is not None and abs(args.m) > args.l):
             print(f"labels out of range: l={args.l}, m={args.m}", file=sys.stderr)
             return EXIT_CHECK_FAILED
@@ -541,7 +544,7 @@ def main(argv=None) -> int:
                 "reduce": cmd_reduce, "residual": cmd_residual}
     try:
         return commands[args.command](args)
-    except SchemaError as e:
+    except (SchemaError, UndefinedPointError) as e:
         print(f"input error: {e}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except (NoClosedFormError, NotSimplyTransitiveError, evalcore.SeriesNotConvergedError) as e:

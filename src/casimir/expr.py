@@ -23,6 +23,14 @@ built-in charts guarantee; ``simplify`` adds one sum-level normalization
 Anything the kernel cannot prove zero falls back to numeric sampling in
 :mod:`casimir.numcheck`.
 
+Every node is a fixed point of its constructor: ``mul(Num(coef), *factors)``
+rebuilds a ``Mul``, ``add(*terms)`` an ``Add``, ``_power(base, e2)`` a ``Pow``
+and ``fun(fname, arg)`` a ``Fun``, each equal to the node.  This holds
+because nodes are built only in this module, by ``_assemble``, ``_collect``,
+``_cos_bases``, ``fun`` and ``_power``.  ``simplify`` relies
+on it: a node whose children all come back as the same objects is returned
+as it is, so only sums, through the common-exponent pass, do new work.
+
 Products of sums are the kernel's hot path, so construction shares work
 through module-level memo tables:
 
@@ -47,6 +55,7 @@ the tables hold.
 from __future__ import annotations
 
 import cmath
+import operator
 from fractions import Fraction
 from math import isqrt
 
@@ -522,11 +531,14 @@ def _assemble(coef: CNum, pmap: dict) -> Expr:
     factors = []
     rad_num = rad_den = 1  # the radicand rad_num/rad_den of the numeric half powers
     for b, e2 in pmap.items():
-        if type(b) is Num and b.val.is_real():
+        if type(b) is Num:
             if not e2 & 1:
                 coef = coef * (b.val ** (e2 >> 1))
                 continue
             coef = coef * (b.val ** ((e2 - 1) >> 1))
+            if not b.val.is_real():
+                factors.append(_pow(b, 1))  # the opaque atom of _num_power
+                continue
             r = b.val.re
             if r < 0:
                 coef = coef * CN_I
@@ -597,10 +609,10 @@ def _num_power(v: CNum, e2: int) -> Expr:
         if e2 > 0:
             return ZERO
         raise ExprError("0 raised to a negative half-integer power")
-    if not v.is_real():
-        # exact complex roots are out of scope; keep an opaque atom
-        return _pow(Num(v), e2)
     out = v ** ((e2 - 1) >> 1)
+    if not v.is_real():
+        # exact complex roots are out of scope; keep an opaque square root
+        return mul(Num(out), _pow(Num(v), 1))
     r = v.re
     if r < 0:
         out = out * CN_I
@@ -1015,16 +1027,27 @@ def evaluate(e: Expr, env: dict) -> complex:
 
 
 def simplify(e: Expr) -> Expr:
+    """Canonical form with the common-exponent pass applied to every sum.
+
+    A node whose children all come back as the same objects is returned as
+    it is: kernel nodes are fixed points of their constructors (see the
+    module docstring), so only sums can still change, through the pass."""
     tt = type(e)
     if tt is Num or tt is Sym:
         return e
     if tt is Fun:
-        return fun(e.fname, simplify(e.arg))
+        a = simplify(e.arg)
+        return e if a is e.arg else fun(e.fname, a)
     if tt is Pow:
-        return _power(simplify(e.base), e.e2)
+        b = simplify(e.base)
+        return e if b is e.base else _power(b, e.e2)
     if tt is Mul:
-        return mul(Num(e.coef), *[simplify(f) for f in e.factors])
-    s = add(*[simplify(t) for t in e.terms])
+        fs = [simplify(f) for f in e.factors]
+        if all(map(operator.is_, fs, e.factors)):
+            return e
+        return mul(Num(e.coef), *fs)
+    ts = [simplify(t) for t in e.terms]
+    s = e if all(map(operator.is_, ts, e.terms)) else add(*ts)
     for _ in range(64):
         if type(s) is not Add:
             return s
@@ -1059,15 +1082,16 @@ def _common_exponent_pass(s: Add) -> Expr:
     """
     decomp = [_coef_mono(t) for t in s.terms]
     spots: dict[Expr, dict[int, set]] = {}  # base -> parity -> doubled exponents
-    plain: dict[Expr, int] = {}
+    holders: dict[Expr, int] = {}  # base -> number of terms holding it
     for c, mono in decomp:
         for f in mono:
             base = f.base if type(f) is Pow else f
             if type(base) is Add:
                 e2 = f.e2 if type(f) is Pow else 2
                 spots.setdefault(base, {}).setdefault(e2 & 1, set()).add(e2)
-    for base in spots:
-        plain[base] = sum(1 for c, mono in decomp if _term_atom_exp(mono, base)[0] is None)
+                holders[base] = holders.get(base, 0) + 1
+    if not spots:
+        return s
     for base in sorted(spots, key=lambda b: b._key):
         classes = spots[base]
         for odd in (0, 1):
@@ -1075,26 +1099,26 @@ def _common_exponent_pass(s: Add) -> Expr:
             if not odd:
                 # integer-class atoms are always negative powers; bare
                 # polynomial terms can cancel against them after inflation
-                fire = bool(exps) and (len(exps) > 1 or plain.get(base, 0) > 0)
+                fire = bool(exps) and (len(exps) > 1 or holders[base] < len(decomp))
             else:
                 fire = len(exps) > 1
             if not fire:
                 continue
             target = min(exps)
-            new_terms = []
+            atom = _pow(base, target)
+            pairs = []
             for c, mono in decomp:
                 cur, rest = _term_atom_exp(mono, base)
                 if cur is None and not odd:
                     cur, rest = 0, mono
                 if cur is None or cur & 1 != odd or cur == target:
-                    new_terms.append(_term_expr(c, mono))
+                    pairs.append((c, mono))
                     continue
                 polyterm = _power(base, cur - target)
-                polyterms = polyterm.terms if type(polyterm) is Add else (polyterm,)
-                atom = _pow(base, target)
-                for pt in polyterms:
-                    new_terms.append(mul(Num(c), *rest, atom, pt))
-            return add(*new_terms)
+                for pt in polyterm.terms if type(polyterm) is Add else (polyterm,):
+                    p = mul(Num(c), *rest, atom, pt)
+                    pairs.extend(_coef_mono(t) for t in (p.terms if type(p) is Add else (p,)))
+            return _collect(pairs)
     return s
 
 

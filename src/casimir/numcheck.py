@@ -31,7 +31,7 @@ class Verdict(Enum):
 
 
 class UndefinedPointError(ex.EvalError):
-    """A sample point hit a pole; the caller should shrink the box."""
+    """A sample point hit a pole or overflowed; the caller should shrink the box."""
 
 
 @dataclass(frozen=True)
@@ -110,7 +110,10 @@ def is_zero(e: ex.Expr, box: dict | None = None, seed: int = 0) -> ZeroReport:
     if missing:
         raise ex.EvalError(f"no sampling interval for symbols {missing}")
     if not names:
-        v = abs(ex.evaluate(s, {}))
+        try:
+            v = abs(ex.evaluate(s, {}))
+        except OverflowError:
+            raise UndefinedPointError("constant overflowed floating point", {}) from None
         if v < REL_TOL:
             return ZeroReport(Verdict.NUMERIC_ZERO, max_abs=v, scale=1.0)
         return ZeroReport(Verdict.NONZERO, witness={}, max_abs=v, scale=1.0)
@@ -121,10 +124,11 @@ def is_zero(e: ex.Expr, box: dict | None = None, seed: int = 0) -> ZeroReport:
     pts = [tuple(env[n] for n in names) for env in envs]
     try:
         rows = prog.run(pts)
-    except ZeroDivisionError:
-        bad = _locate_pole(prog, pts, envs)
+    except (ZeroDivisionError, OverflowError) as err:
+        bad = _locate_undefined(prog, pts, envs)
+        what = "hit a pole" if isinstance(err, ZeroDivisionError) else "overflowed floating point"
         raise UndefinedPointError(
-            f"sample point hit a pole at {bad}; shrink the domain box", bad
+            f"sample point {what} at {bad}; shrink the domain box", bad
         ) from None
 
     max_total, scale, witness = 0.0, 0.0, None
@@ -141,10 +145,11 @@ def is_zero(e: ex.Expr, box: dict | None = None, seed: int = 0) -> ZeroReport:
     return ZeroReport(Verdict.NONZERO, witness=witness, max_abs=max_total, scale=scale)
 
 
-def _locate_pole(prog, pts, envs) -> dict:
+def _locate_undefined(prog, pts, envs) -> dict:
+    """The first sample point at which the program has no finite value."""
     for pt, env in zip(pts, envs):
         try:
             prog.run([pt])
-        except ZeroDivisionError:
+        except (ZeroDivisionError, OverflowError):
             return env
-    return {}  # pragma: no cover - pole vanished on retry
+    return {}  # pragma: no cover - failure vanished on retry

@@ -137,9 +137,12 @@ class _Parser:
     def term(self) -> ex.Expr:
         e = self.unary()
         while self.peek().kind in ("*", "/"):
-            op = self.take().kind
+            op = self.take()
             rhs = self.unary()
-            e = ex.mul(e, rhs) if op == "*" else ex.div(e, rhs)
+            try:
+                e = ex.mul(e, rhs) if op.kind == "*" else ex.div(e, rhs)
+            except (ex.ExprError, ZeroDivisionError) as err:
+                raise _kernel_error(err, op, self.text) from None
         return e
 
     def unary(self) -> ex.Expr:
@@ -164,8 +167,8 @@ class _Parser:
                 )
             try:
                 return ex.power(base, frac)
-            except ex.ExprError as err:
-                raise ParseError(str(err), op.pos, self.text) from None
+            except (ex.ExprError, ZeroDivisionError) as err:
+                raise _kernel_error(err, op, self.text) from None
         return base
 
     def primary(self) -> ex.Expr:
@@ -185,7 +188,10 @@ class _Parser:
                 self.take()
                 arg = self.expr()
                 self.expect(")")
-                return ex.fun(t.value, arg)
+                try:
+                    return ex.fun(t.value, arg)  # cot divides by sin
+                except ZeroDivisionError as err:
+                    raise _kernel_error(err, t, self.text) from None
             if t.value not in self.names:
                 raise ParseError(
                     f"unknown symbol {t.value!r} (declared: {sorted(self.names)})",
@@ -194,6 +200,13 @@ class _Parser:
                 )
             return ex.sym(t.value)
         raise ParseError(f"unexpected {t.value!r}", t.pos, self.text)
+
+
+def _kernel_error(err: Exception, tok: _Token, text: str) -> ParseError:
+    """A kernel error raised by the operation at `tok` (an exact division by
+    zero, an unsupported power) as a ParseError at its position."""
+    msg = "division by zero" if isinstance(err, ZeroDivisionError) else str(err)
+    return ParseError(msg, tok.pos, text)
 
 
 def _const_rational(e: ex.Expr):

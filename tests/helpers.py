@@ -1,6 +1,7 @@
 """Test-only helpers: a seeded polynomial tensor generator, the Lie
 derivative commutator identity, tensor sums and scalings, the nested
-definition of G, and the ladder-built orbit Laplacian."""
+definition of G, the ladder-built orbit Laplacian, and the rebuild-everything
+simplify kept as a differential oracle."""
 
 from __future__ import annotations
 
@@ -119,3 +120,68 @@ def ladder_scalar_operator(so3) -> ScalarOperator:
     for idx, c in terms:
         table.setdefault(idx, []).append(ex.neg(c))
     return ScalarOperator.from_table(so3.sphere, {idx: ex.add(*cs) for idx, cs in table.items()})
+
+
+def reference_simplify(e: ex.Expr) -> ex.Expr:
+    """The kernel's simplify before it returned unchanged subtrees as they
+    are: every product and sum is rebuilt through mul/add, and the
+    common-exponent pass rescans the sum once per base.  A differential
+    oracle for ``expr.simplify``."""
+    tt = type(e)
+    if tt is ex.Num or tt is ex.Sym:
+        return e
+    if tt is ex.Fun:
+        return ex.fun(e.fname, reference_simplify(e.arg))
+    if tt is ex.Pow:
+        return ex._power(reference_simplify(e.base), e.e2)
+    if tt is ex.Mul:
+        return ex.mul(ex.Num(e.coef), *[reference_simplify(f) for f in e.factors])
+    s = ex.add(*[reference_simplify(t) for t in e.terms])
+    for _ in range(64):
+        if type(s) is not ex.Add:
+            return s
+        s2 = _reference_common_exponent_pass(s)
+        if s2 is s:
+            return s
+        s = s2
+    raise ex.ExprError("simplify did not reach a fixed point")
+
+
+def _reference_common_exponent_pass(s: ex.Add) -> ex.Expr:
+    decomp = [ex._coef_mono(t) for t in s.terms]
+    spots: dict = {}
+    plain: dict = {}
+    for c, mono in decomp:
+        for f in mono:
+            base = f.base if type(f) is ex.Pow else f
+            if type(base) is ex.Add:
+                e2 = f.e2 if type(f) is ex.Pow else 2
+                spots.setdefault(base, {}).setdefault(e2 & 1, set()).add(e2)
+    for base in spots:
+        plain[base] = sum(1 for c, mono in decomp if ex._term_atom_exp(mono, base)[0] is None)
+    for base in sorted(spots, key=lambda b: b._key):
+        classes = spots[base]
+        for odd in (0, 1):
+            exps = classes.get(odd, set())
+            if not odd:
+                fire = bool(exps) and (len(exps) > 1 or plain.get(base, 0) > 0)
+            else:
+                fire = len(exps) > 1
+            if not fire:
+                continue
+            target = min(exps)
+            new_terms = []
+            for c, mono in decomp:
+                cur, rest = ex._term_atom_exp(mono, base)
+                if cur is None and not odd:
+                    cur, rest = 0, mono
+                if cur is None or cur & 1 != odd or cur == target:
+                    new_terms.append(ex._term_expr(c, mono))
+                    continue
+                polyterm = ex._power(base, cur - target)
+                polyterms = polyterm.terms if type(polyterm) is ex.Add else (polyterm,)
+                atom = ex._pow(base, target)
+                for pt in polyterms:
+                    new_terms.append(ex.mul(ex.Num(c), *rest, atom, pt))
+            return ex.add(*new_terms)
+    return s

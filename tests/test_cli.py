@@ -232,6 +232,15 @@ class TestHarmonics:
         assert_input_error(capsys, "harmonics", "bianchi2", "--hyper",
                            *[x for kv in argv.items() for x in kv])
 
+    @pytest.mark.parametrize("labels", [
+        ("--l", "100000000000000000000"),
+        ("--l", "100000000000000000000", "--type", "2,0"),
+        ("--l", "3", "--m=-100000000000000000000"),
+        ("--l=-100000000000000000000",),
+    ])
+    def test_so3_label_beyond_machine_integers(self, capsys, labels):
+        assert_input_error(capsys, "harmonics", "so3", *labels)
+
     def test_hyper_series_not_converging_is_a_solver_limit(self, capsys):
         code = main(["harmonics", "bianchi2", "--hyper", "--mu", "0", "--nu", "0", "--lam", "1e30"])
         err = capsys.readouterr().err
@@ -463,6 +472,21 @@ class TestReduceAndResidual:
         assert main(["residual", "--model", "bianchi2", "--tensor", str(p),
                      "--eigenvalue", "2"]) == 0
 
+    @pytest.mark.parametrize("eigenvalue", ["1/0", "(2-2)^(-1)"])
+    def test_residual_eigenvalue_dividing_by_zero(self, capsys, tmp_path, eigenvalue):
+        p = tmp_path / "t.json"
+        p.write_text(json.dumps({"type": [0, 0], "components": ["cos(theta)"]}))
+        assert_input_error(capsys, "residual", "--model", "so3", "--tensor", str(p),
+                           "--eigenvalue", eigenvalue)
+
+    def test_residual_overflow_names_the_sample_point(self, capsys, tmp_path):
+        p = tmp_path / "t.json"
+        p.write_text(json.dumps({"type": [0, 0], "components": ["exp(exp(exp(theta)))"]}))
+        assert main(["residual", "--model", "so3", "--tensor", str(p), "--eigenvalue", "-2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error: sample point overflowed floating point at {'theta': ")
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("tensor_type", [[1, -1], [-1, 1], [1.5, 0], [True, False]])
     def test_residual_tensor_type_must_be_counts(self, capsys, tmp_path, tensor_type):
         p = tmp_path / "t.json"
@@ -475,6 +499,10 @@ class TestReduceAndResidual:
         '{"type": [1, -1], "components": ["1"]}', '{"type": [-1, 1], "components": ["1"]}',
         '{"type": [1.5, 0], "components": ["1", "1", "1", "1", "1"]}',
         '{"type": [true, false], "components": ["1", "1", "1"]}',
+        '{"type": [0, 0], "components": ["1/(theta-theta)"]}',
+        '{"type": [0, 0], "components": ["cot(phi-phi)"]}',
+        '{"type": [0, 0], "components": ["exp(exp(exp(theta)))"]}',
+        '{"type": [0, 0], "components": ["exp(exp(exp(3)))"]}',
     ])
     def test_residual_bad_tensor_file(self, capsys, tmp_path, text):
         p = tmp_path / "t.json"

@@ -1,6 +1,7 @@
 """Expression kernel: parsing, calculus, canonical form, printing."""
 
 import cmath
+import itertools
 import sys
 import threading
 from fractions import Fraction
@@ -13,6 +14,7 @@ from casimir import operator as op
 from casimir.cnum import CNum
 from casimir.models import so3_model
 from casimir.parser import ParseError, parse
+from helpers import reference_simplify
 
 
 def central_difference(f, x0: float, h: float = 1e-6) -> float:
@@ -71,6 +73,14 @@ class TestParse:
             parse("x^y", ["x", "y"])
         with pytest.raises(ParseError, match="exponent"):
             parse("x^(1/3)", ["x"])
+
+    @pytest.mark.parametrize("text,pos", [
+        ("1/0", 1), ("x + 2/(x-x)", 5), ("0^(-1)", 1), ("cot(x-x)", 0), ("exp(1/(2-2))", 5),
+    ])
+    def test_exact_division_by_zero_is_a_parse_error(self, text, pos):
+        with pytest.raises(ParseError, match="division by zero") as err:
+            parse(text, ["x"])
+        assert err.value.pos == pos
 
     def test_parameters_allowed(self):
         e = parse("exp(m*y)", ["y"], ["m"])
@@ -163,6 +173,23 @@ class TestCanonicalForm:
             e = parse(s, ["y"], ["m"])
             s1 = ex.simplify(e)
             assert ex.simplify(s1) == s1
+        # products and atoms come back as the same object
+        for s in ("exp(m*y)*sin(y)*(1+y^2)^(-3/2)", "(1+y^2)^(-1/2)*cos(y)", "sin(exp(y))",
+                  "(1-cos(y))^(1/2)", "(1+i)^(1/2)*y"):
+            s1 = ex.simplify(parse(s, ["y"], ["m"]))
+            assert type(s1) in (ex.Mul, ex.Pow, ex.Fun)
+            assert ex.simplify(s1) is s1
+
+    def test_complex_square_roots_fold_like_real_ones(self):
+        # integral parts of a complex base's exponent fold into the
+        # coefficient, as for real bases; only the square root stays an atom
+        x, sq = ex.sym("x"), parse("(1+i)^(1/2)", [])
+        assert ex.unparse(ex.mul(sq, x, sq)) == "(1+i)*x"
+        assert ex.mul(ex.power(sq, 6), x) == parse("(-2+2*i)*x", ["x"])
+        assert ex.unparse(parse("(1+i)^(-3/2)", [])) == "-1/2*i*((1+i))^(1/2)"
+        for e in (ex.mul(sq, x), ex.power(sq, 3)):
+            assert ex.mul(ex.Num(e.coef), *e.factors) == e
+            assert ex.simplify(e) is e
 
     def test_power_exponent_restriction(self):
         with pytest.raises(ex.ExprError):
@@ -396,6 +423,80 @@ def test_simplify_preserves_value(e):
         a = ex.evaluate(e, env)
         b = ex.evaluate(s, env)
         assert abs(a - b) <= 1e-12 * (1 + abs(a))
+
+
+_RADICALS = tuple(parse(t, _COORDS) for t in (
+    "(1+x^2)^(1/2)", "(1+x^2)^(-1/2)", "(1+y^2)^(-3/2)", "(1-cos(x))^(1/2)", "(1+cos(x))^(1/2)",
+    "(1-cos(y))^(-1/2)", "(1+cos(y))^(3/2)", "(1+i)^(1/2)", "exp(i*y)",
+))
+
+
+def _rich_exprs():
+    """_exprs plus division, half powers of 1+x^2 and 1 -/+ cos, exp and diff."""
+    leaves = st.one_of(
+        st.sampled_from([ex.sym(c) for c in _COORDS]),
+        st.integers(-3, 3).map(ex.num),
+        st.tuples(st.integers(-6, 6), st.integers(1, 4)).map(lambda t: ex.num(Fraction(t[0], t[1]))),
+        st.sampled_from(_RADICALS),
+    )
+
+    def extend(children):
+        pairs = st.tuples(children, children)
+        return st.one_of(
+            pairs.map(lambda t: ex.add(*t)),
+            pairs.map(lambda t: ex.sub(*t)),
+            pairs.map(lambda t: ex.mul(*t)),
+            pairs.map(lambda t: t[0] if t[1] == ex.ZERO else ex.div(*t)),
+            children.map(ex.sin),
+            children.map(ex.cos),
+            children.map(ex.exp),
+            children.map(lambda e: ex.diff(e, "x")),
+            children.map(lambda e: ex.diff(e, "y")),
+        )
+
+    tree = st.recursive(leaves, extend, max_leaves=6)
+    # sums of products, where powers of one base meet and the common-exponent pass fires
+    products = st.lists(tree, min_size=1, max_size=3).map(lambda fs: ex.mul(*fs))
+    sums = st.lists(products, min_size=2, max_size=4).map(lambda ts: ex.add(*ts))
+    return st.one_of(tree, sums, sums.map(lambda e: ex.diff(e, "x")))
+
+
+def _nodes(e):
+    stack = [e]
+    while stack:
+        n = stack.pop()
+        yield n
+        tt = type(n)
+        if tt is ex.Fun:
+            stack.append(n.arg)
+        elif tt is ex.Pow:
+            stack.append(n.base)
+        elif tt is ex.Mul:
+            stack.extend(n.factors)
+        elif tt is ex.Add:
+            stack.extend(n.terms)
+
+
+@given(_rich_exprs())
+@settings(max_examples=150, deadline=None)
+def test_every_node_is_a_fixed_point_of_its_constructor(e):
+    # simplify returns a node whose children come back unchanged as it is
+    for n in itertools.chain(_nodes(e), _nodes(ex.simplify(e))):
+        tt = type(n)
+        if tt is ex.Mul:
+            assert ex.mul(ex.Num(n.coef), *n.factors) == n
+        elif tt is ex.Add:
+            assert ex.add(*n.terms) == n
+        elif tt is ex.Pow:
+            assert ex._power(n.base, n.e2) == n
+        elif tt is ex.Fun:
+            assert ex.fun(n.fname, n.arg) == n
+
+
+@given(_rich_exprs())
+@settings(max_examples=150, deadline=None)
+def test_simplify_matches_the_rebuilding_reference(e):
+    assert ex.unparse(ex.simplify(e)) == ex.unparse(reference_simplify(e))
 
 
 @given(_exprs())

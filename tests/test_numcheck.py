@@ -47,6 +47,14 @@ def test_pole_reports_undefined_point():
         nc.is_zero(e, {"x": (0.0, 0.0)})
 
 
+def test_overflow_reports_undefined_point():
+    with pytest.raises(nc.UndefinedPointError, match="overflowed floating point") as err:
+        nc.is_zero(parse("exp(exp(exp(x)))", ["x"]), {"x": (2.0, 3.0)})
+    assert set(err.value.point) == {"x"}
+    with pytest.raises(nc.UndefinedPointError, match="overflowed floating point"):
+        nc.is_zero(parse("exp(exp(exp(3)))", []), {})
+
+
 def test_sum_with_many_terms_is_sampled():
     e = parse("(" + " + ".join(f"x^{k}" for k in range(1, 70)) + ")^(1/2) - y", ["x", "y"])
     r = nc.is_zero(e, {"x": (0.1, 0.9), "y": (-1.0, 0.0)})

@@ -56,6 +56,11 @@ EXIT_CHECK_FAILED = 1
 EXIT_INPUT_ERROR = 2
 EXIT_SOLVER_LIMIT = 3
 
+# Largest labels `harmonics` accepts: the work grows steeply with them, and
+# at these limits every family ends within minutes (README gives timings).
+SO3_MAX_L = 32
+POINT_SERIES_MAX = 16  # bounds --n and --n - --m (one more than the derivative order)
+
 
 def _seed_default() -> int:
     try:
@@ -355,6 +360,8 @@ def cmd_harmonics(args) -> int:
             raise SchemaError("harmonics so3 needs --l")
         if max(abs(args.l), abs(args.m or 0)) > sys.maxsize:
             raise SchemaError(f"so3 labels must lie in the machine integer range, |--l|, |--m| <= {sys.maxsize}")
+        if args.l > SO3_MAX_L:
+            raise SchemaError(f"so3 --l above {SO3_MAX_L} is refused, got {args.l}")
         if args.l < 0 or (args.m is not None and abs(args.m) > args.l):
             print(f"labels out of range: l={args.l}, m={args.m}", file=sys.stderr)
             return EXIT_CHECK_FAILED
@@ -377,6 +384,9 @@ def cmd_harmonics(args) -> int:
         elif args.point_series:
             if args.n is None or args.m is None or args.nu is None:
                 raise SchemaError("point series needs --n --m --nu")
+            if max(args.n, args.n - args.m) > POINT_SERIES_MAX:
+                raise SchemaError(f"point series --n and --n - --m above {POINT_SERIES_MAX} are refused, "
+                                  f"got --n {args.n}, --m {args.m}")
             try:
                 fam = model.point_series(args.n, args.m, _parse_rational(args.nu, "--nu"), seed=seed)
             except ValueError as e:

@@ -6,7 +6,10 @@ the generator basis (Cartan inverse).  The eigenframe is {dr, e^s} with
 e^s = d theta + i s sin(theta) d phi, on which the raising/lowering
 combinations of the generators act by scale factors, so type-(0,2)
 harmonics split into scalar families t^l_{n,m} generated by normalized
-ladder moves from a top-weight seed.
+ladder moves from a top-weight seed.  Each (l, n) family is cached and
+extended on demand: a request for weight m lowers from the family's lowest
+built member down to m and no further, so the members below the lowest
+weight asked for are never built.
 
 Weight families carry the eigenvalue -l(l+1) of G itself (see operator
 module sign note).
@@ -146,20 +149,36 @@ class So3Model:
 
     def ladder_family(self, l: int, n: int) -> dict:
         """t^l_{n,m} for m = -l..l, normalized so ladder moves carry
-        exactly the sqrt(l(l+1) - m(m+s)) coefficients."""
-        if abs(n) > l:
-            raise ValueError(f"no weight-{l} family on legs summing to {n}")
+        exactly the sqrt(l(l+1) - m(m+s)) coefficients.
+
+        Builds whatever part of the cached family is still missing; callers
+        that need only weights m >= m0 extend it only down to m0."""
+        _check_labels(l, n)
+        return self._family_down_to(l, n, -l)
+
+    def _family_down_to(self, l: int, n: int, low: int) -> dict:
+        """The cached (l, n) family with every member from m = l down to
+        max(low, -l) built.
+
+        A family grows by lowering from its lowest member only as far as a
+        caller asks.  A published family dict is never changed: a longer one
+        is built on a copy and replaces it, so a dict handed to one thread
+        stays whole for its range while another thread extends the family."""
+        low = max(low, -l)
         key = (l, n)
-        if key in self._families:
-            return self._families[key]
-        seed_p = solve_generalized_legendre(l, n, l, box=self.sphere.box)
-        if not seed_p.ok:
-            raise RuntimeError(f"seed solution failed its residual check for (l={l}, n={n})")
-        phi = ex.sym("phi")
-        top = ex.simplify(ex.mul(ex.exp(ex.mul(ex.num(0, l), phi)), seed_p.expr))
-        fam = {l: top}
+        fam = self._families.get(key)
+        if fam is None:
+            seed_p = solve_generalized_legendre(l, n, l, box=self.sphere.box)
+            if not seed_p.ok:
+                raise RuntimeError(f"seed solution failed its residual check for (l={l}, n={n})")
+            phi = ex.sym("phi")
+            fam = {l: ex.simplify(ex.mul(ex.exp(ex.mul(ex.num(0, l), phi)), seed_p.expr))}
+        elif low in fam:
+            return fam
+        else:
+            fam = dict(fam)
         lower = self.shifted_ladder(1, n)
-        for m in range(l, -l, -1):
+        for m in range(min(fam), low, -1):
             c2 = l * (l + 1) - m * (m - 1)
             nxt = lower.apply(fam[m])
             fam[m - 1] = ex.simplify(ex.mul(nxt, ex.power(ex.num(c2), Fraction(-1, 2))))
@@ -171,9 +190,8 @@ class So3Model:
 
     def scalar_harmonic(self, l: int, m: int, seed: int = 0) -> HarmonicFamily:
         """Scalar weight-(l, m) harmonic with axis and Casimir certificates."""
-        if not (isinstance(l, int) and l >= 0 and abs(m) <= l):
-            raise ValueError(f"labels out of range: l={l}, m={m}")
-        t = self.ladder_family(l, 0)[m]
+        _check_labels(l, 0, m)
+        t = self._family_down_to(l, 0, m)[m]
         lam = ex.num(-l * (l + 1))
         return HarmonicFamily(
             model=self.name,
@@ -255,10 +273,11 @@ class So3Model:
         amps = {a: ex.sym(a) for a in AMPLITUDE_NAMES}
         components = {}
         n_values = sorted({n for _u, _lo, n, _a in self.tensor_slots(l)})
+        low = min(m_values, default=l)
+        fams = {n: self._family_down_to(l, n, low) for n in n_values}
         for n in n_values:
-            fam = self.ladder_family(l, n)
             for m in m_values:
-                components[f"n={n},m={m}"] = fam[m]
+                components[f"n={n},m={m}"] = fams[n][m]
         certs = []
         assemblies = {}
         box = self.space.full_box()
@@ -266,11 +285,11 @@ class So3Model:
         for m in m_values:
             monos = []
             for upper, lower, n, amp in self.tensor_slots(l):
-                scalar = ex.mul(amps[amp], self.ladder_family(l, n)[m])
+                scalar = ex.mul(amps[amp], fams[n][m])
                 monos.append(TensorMonomial(upper, lower, scalar))
             assemblies[f"m={m}"] = assembly_to_json(self.frame, monos)
             for n in n_values:
-                t = self.ladder_family(l, n)[m]
+                t = fams[n][m]
                 resid = ex.sub(reduced[n].apply(t), ex.mul(lam, t))
                 certs.append(
                     Certificate(f"reduced-eigenvalue n={n} m={m}", nc.is_zero(resid, box, seed))
@@ -302,7 +321,10 @@ class So3Model:
         """One ladder move on t^l_{n,m}; returns (coefficient, target m, report).
 
         At the family edge the move annihilates and the coefficient is 0."""
-        fam = self.ladder_family(l, n)
+        _check_labels(l, n, m)
+        if not _is_int(s) or s not in (1, -1):
+            raise ValueError(f"a ladder step is +1 or -1, got s={s!r}")
+        fam = self._family_down_to(l, n, min(m, m + s))
         t = fam[m]
         opn = self.shifted_ladder(0 if s > 0 else 1, n)
         moved = opn.apply(t)
@@ -314,6 +336,20 @@ class So3Model:
         target = fam[m + s]
         rep = nc.is_zero(ex.sub(moved, ex.mul(coef, target)), box, seed)
         return coef, m + s, rep
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _check_labels(l, n, *ms) -> None:
+    """Refuse labels that name no member of the weight-l family on legs
+    summing to n: labels that are not plain ints, or out of range."""
+    for x in (l, n, *ms):
+        if not _is_int(x):
+            raise ValueError(f"so3 labels must be integers, got {x!r}")
+    if l < 0 or abs(n) > l or any(abs(m) > l for m in ms):
+        raise ValueError(f"labels out of range: l={l}, n={n}" + "".join(f", m={m}" for m in ms))
 
 
 def _leg_weight(leg: int) -> int:

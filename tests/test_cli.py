@@ -241,6 +241,22 @@ class TestHarmonics:
     def test_so3_label_beyond_machine_integers(self, capsys, labels):
         assert_input_error(capsys, "harmonics", "so3", *labels)
 
+    @pytest.mark.parametrize("labels", [
+        ("--l", "33", "--m", "33"),
+        ("--l", "33", "--m", "33", "--type", "2,0"),
+        ("--l", "9223372036854775807", "--m", "9223372036854775807"),
+    ])
+    def test_so3_label_above_the_limit(self, capsys, labels):
+        assert_input_error(capsys, "harmonics", "so3", *labels)
+
+    @pytest.mark.parametrize("n,m", [
+        ("17", "16"), ("100000000000000000000", "0"), ("1", "-16"), ("16", "-1"),
+        ("1", "-100000000000000000000"),
+    ])
+    def test_point_series_labels_above_the_limit(self, capsys, n, m):
+        assert_input_error(capsys, "harmonics", "bianchi2", "--point-series",
+                           "--n", n, f"--m={m}", "--nu", "2")
+
     def test_hyper_series_not_converging_is_a_solver_limit(self, capsys):
         code = main(["harmonics", "bianchi2", "--hyper", "--mu", "0", "--nu", "0", "--lam", "1e30"])
         err = capsys.readouterr().err
@@ -408,6 +424,20 @@ class TestDeterminism:
         path = tmp_path / "fam.json"
         assert main(["harmonics", *argv, "--seed", "0", "--out", str(path)]) == 0
         assert hashlib.sha256(path.read_bytes()).hexdigest() == sha
+
+    def test_partial_scalar_family_bytes_are_pinned(self, capsys, tmp_path, monkeypatch):
+        """A one-member family built only down to m = 0, and its `verify
+        --family` digest, as released when every request built m = -l..l."""
+        monkeypatch.chdir(tmp_path)
+        assert main(["harmonics", "so3", "--l", "6", "--m", "0", "--seed", "0",
+                     "--out", "fam.json"]) == 0
+        family = (tmp_path / "fam.json").read_bytes()
+        assert hashlib.sha256(family).hexdigest() == (
+            "2b146acefbe03771e20daeea010bee0330ba933cd4586118dc83c272f6f09e27")
+        code, out = run(capsys, "verify", "--family", "fam.json", "--seed", "0")
+        assert code == 0
+        assert json.loads(out)["digest"] == (
+            "a4a060c341c71669239c91bdf45fd99f0e2c5d2e0b62452c36127e12f42f4722")
 
     def test_seed_changes_inputs_echo_only_not_verdicts(self, capsys):
         _, a = run(capsys, "verify", "--model", "so3", "--seed", "1")

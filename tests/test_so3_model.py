@@ -1,6 +1,8 @@
 """Rotation model: weighted angular functions, ladder algebra, tensor families."""
 
 import math
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -12,6 +14,7 @@ from casimir.models.legendre import (
     NonTerminatingSeriesError,
     solve_generalized_legendre,
 )
+from casimir.models.so3 import So3Model
 from casimir.parser import parse
 
 BOX = {"theta": (0.01, math.pi - 0.01)}
@@ -169,3 +172,95 @@ class TestTensorFamilies:
         assert any("h_rr" in s for s in scalars)
         assert any("h_r" in s for s in scalars)
         assert fam.amplitudes == ("h_rr", "h_r", "h")
+
+
+class TestLabelValidation:
+    @pytest.mark.parametrize("l,m", [(2, 0.5), (2, True), (2.0, 0), (True, 0), (2, "1"), (-1, 0)])
+    def test_scalar_harmonic_refuses_bad_labels(self, model, l, m):
+        with pytest.raises(ValueError):
+            model.scalar_harmonic(l, m)
+
+    @pytest.mark.parametrize("l,n", [(2, 0.0), (2, True), (2.5, 0), (None, 0), (2, 3), (-1, 0)])
+    def test_ladder_family_refuses_bad_labels(self, model, l, n):
+        with pytest.raises(ValueError):
+            model.ladder_family(l, n)
+
+    @pytest.mark.parametrize("l,n,m,s", [
+        (2, 0, 1, 2), (2, 0, 1, 0), (2, 0, 1, 1.0), (2, 0, 1, True), (2, 0, 1, -2),
+        (2, 0, 0.5, 1), (2, 0, False, 1), (2, 0.0, 1, 1), (2, 0, 3, -1), (2, 3, 0, 1),
+    ])
+    def test_apply_ladder_refuses_bad_labels_and_steps(self, model, l, n, m, s):
+        with pytest.raises(ValueError):
+            model.apply_ladder(l, n, m, s)
+
+
+class TestOnDemandFamilies:
+    """Families are built from the top member down to the lowest weight asked
+    for; every member equals the one a full `ladder_family` builds."""
+
+    @pytest.fixture(scope="class")
+    def full(self):
+        fresh = So3Model()
+        return {(l, n): {m: ex.unparse(t) for m, t in fresh.ladder_family(l, n).items()}
+                for l, n in ((3, 0), (3, -1), (4, 2))}
+
+    @pytest.mark.parametrize("l,n", [(3, 0), (3, -1), (4, 2)])
+    @pytest.mark.parametrize("order", ["top-first", "bottom-first", "both-directions"])
+    def test_request_order_does_not_change_members(self, full, l, n, order):
+        moves = {
+            "top-first": [(l, -1), (1, -1), (0, +1), (-l, +1)],
+            "bottom-first": [(-l, +1), (0, -1), (l, -1)],
+            "both-directions": [(0, +1), (-1, +1), (1, -1), (-2, -1), (l, +1), (-l, -1)],
+        }[order]
+        want = full[(l, n)]
+        model = So3Model()
+        for m, s in moves:
+            if n == 0:
+                fam = model.scalar_harmonic(l, m)
+                assert ex.unparse(fam.components[f"n=0,m={m}"]) == want[m], (m, s)
+            _coef, target, rep = model.apply_ladder(l, n, m, s)
+            assert rep.verdict is nc.Verdict.SYMBOLIC_ZERO, (m, s)
+            assert target == (m + s if abs(m + s) <= l else None)
+            built = model._families[(l, n)]
+            assert {m2: ex.unparse(t) for m2, t in built.items()} == {
+                m2: want[m2] for m2 in built}
+        got = {m: ex.unparse(t) for m, t in model.ladder_family(l, n).items()}
+        assert got == want
+
+    def test_members_are_built_only_down_to_the_request(self):
+        model = So3Model()
+        model.scalar_harmonic(4, 0)
+        assert sorted(model._families[(4, 0)]) == [0, 1, 2, 3, 4]
+        # a raising move needs its own weight m, not only the target m + 1
+        _coef, target, rep = model.apply_ladder(3, 1, -2, +1)
+        assert target == -1 and rep.verdict is nc.Verdict.SYMBOLIC_ZERO
+        assert min(model._families[(3, 1)]) == -2
+        model.apply_ladder(3, 1, -2, -1)
+        assert min(model._families[(3, 1)]) == -3
+        model.tensor20_harmonic(2, m_values=[1], full_tensor_m=())
+        assert {n: min(model._families[(2, n)]) for n in range(-2, 3)} == {n: 1 for n in range(-2, 3)}
+
+    def test_threads_extending_one_family_agree(self):
+        l, ms = 4, (4, 0, -2, -4)
+        sequential = So3Model()
+        want = [sequential.scalar_harmonic(l, m).to_json() for m in ms]
+        shared = So3Model()
+        results = {}
+
+        def work(i):
+            results[i] = shared.scalar_harmonic(l, ms[i]).to_json()
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(len(ms))]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=120)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(th.is_alive() for th in threads)
+        assert [results[i] for i in range(len(ms))] == want
+        full = {m: ex.unparse(t) for m, t in sequential.ladder_family(l, 0).items()}
+        assert {m: ex.unparse(t) for m, t in shared.ladder_family(l, 0).items()} == full

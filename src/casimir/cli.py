@@ -31,6 +31,7 @@ from .lie_algebra import (
 )
 from .modelio import SchemaError, load_family, load_model
 from .models import bianchi2_model, so3_model
+from .models.hypergeom import SeriesNotConvergedError
 from .numcheck import UndefinedPointError
 from .operator import CasimirOperator, assemble_from_json, certify_eigen, reduce_to_scalar
 from .parser import ParseError, parse
@@ -49,7 +50,7 @@ from .split_structure import (
     metric_from_frame,
     solve_invariant_frame,
 )
-from .tensor_fields import TensorField, verify_realization
+from .tensor_fields import OffChartError, TensorField, one_form, verify_realization
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -78,7 +79,6 @@ def build_argparser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=None,
                         help="sampling seed (default: CASIMIR_SEED or 0)")
     common.add_argument("--out", help="write the report/family to this path instead of stdout")
-    common.add_argument("--format", choices=("json", "csv"), default="json")
     sub = ap.add_subparsers(dest="command", required=True)
 
     v = sub.add_parser("verify", parents=[common],
@@ -104,6 +104,8 @@ def build_argparser() -> argparse.ArgumentParser:
     h.add_argument("--A", default="1")
     h.add_argument("--B", default="0")
     h.add_argument("--grid", action="append", default=[], metavar="coord=a:b:n")
+    h.add_argument("--format", choices=("json", "csv"), default="json",
+                   help="csv writes only the --grid samples")
 
     r = sub.add_parser("reduce", parents=[common],
                        help="print the reduced scalar operator for a monomial")
@@ -145,8 +147,6 @@ def cmd_verify(args) -> int:
         if spec.frame_vectors is not None:
             try:
                 if spec.frame_covectors is not None:
-                    from .tensor_fields import one_form
-
                     covs = [one_form(spec.chart, row) for row in spec.frame_covectors]
                     frame = frame_from_components(
                         spec.chart, spec.frame_vectors, covs, spec.frame_names, seed=seed
@@ -177,18 +177,20 @@ def _verify_family(args) -> int:
     rep = Report("verify-family", {"family": args.family, "model": doc["model"], "kind": doc["kind"]}, seed)
     with Stopwatch(rep, "total"):
         with _as_input_error("malformed family document"):
-            stored = {c["name"]: c.get("verdict", "ok" if c.get("ok") else "failed") for c in doc["certificates"]}
-        recomputed = _recertify(doc, seed)
-        for name, verdict in recomputed.items():
-            if name in stored:
-                rep.add_check(
-                    f"recertify: {name}",
-                    verdict == stored[name],
-                    stored=stored[name],
-                    recomputed=verdict,
-                )
+            stored: dict[str, list] = {}
+            for c in doc["certificates"]:
+                stored.setdefault(c["name"], []).append(c.get("verdict", "ok" if c.get("ok") else "failed"))
+        seen: dict[str, int] = {}
+        # a document may hold several certificates of one name (a tensor's and
+        # its scalar's); the k-th recomputed one answers the k-th stored one
+        for name, verdict in _recertify(doc, seed):
+            k = seen[name] = seen.get(name, 0) + 1
+            label = f"recertify: {name}" + (f" #{k}" if k > 1 else "")
+            if k <= len(stored.get(name, ())):
+                want = stored[name][k - 1]
+                rep.add_check(label, verdict == want, stored=want, recomputed=verdict)
             else:
-                rep.add_check(f"recertify: {name}", False, error="no stored certificate")
+                rep.add_check(label, False, error="no stored certificate")
     _emit(args, rep.render())
     return EXIT_OK if rep.ok else EXIT_CHECK_FAILED
 
@@ -203,14 +205,15 @@ def _as_input_error(what: str):
         raise SchemaError(f"{what}: {e}") from None
 
 
-def _recertify(doc: dict, seed: int) -> dict:
-    """Recompute every certificate of a family document.
+def _recertify(doc: dict, seed: int) -> list:
+    """Recompute every certificate of a family document, as (name, verdict)
+    pairs in the order the document lists them.
 
     All document fields are read first, under `_as_input_error`; errors raised
     while certifying propagate unchanged."""
     model_name = doc["model"]
     kind = doc["kind"]
-    out: dict[str, str] = {}
+    out: list[tuple[str, str]] = []
     if model_name == "so3":
         model = so3_model()
         with _as_input_error("malformed family document"):
@@ -228,12 +231,11 @@ def _recertify(doc: dict, seed: int) -> dict:
         if kind == "scalar":
             for m, t in comps:
                 for c in model.scalar_certificates(t, lam, m, seed):
-                    out[f"{c.name} m={m}"] = c.payload.verdict.value
+                    out.append((f"{c.name} m={m}", c.payload.verdict.value))
         elif kind == "tensor20":
             for tag, tens in tensors:
                 res = certify_eigen(model.op_space, tens, lam, seed)
-                verdict = "ok" if res.ok else "failed"
-                out[f"casimir-eigenvalue {tag}"] = verdict
+                out.append((f"casimir-eigenvalue {tag}", "ok" if res.ok else "failed"))
         else:
             raise SchemaError(f"unknown so3 family kind {kind!r}")
     elif model_name == "bianchi2":
@@ -241,25 +243,22 @@ def _recertify(doc: dict, seed: int) -> dict:
         with _as_input_error("malformed family document"):
             lam = parse(doc["eigenvalues"]["G"], [], [])
             comps = [parse(comp, model.chart.coords, []) for comp in doc["components"].values()]
-            tensors = [
-                (tag, assemble_from_json(model.frame, monos))
-                for tag, monos in doc.get("assemblies", {}).items()
-            ]
+            tensors = [assemble_from_json(model.frame, monos) for monos in doc.get("assemblies", {}).values()]
             if kind == "hypergeometric":
                 lab = doc["labels"]
                 labels = [
                     _parse_float(lab.get(k, default), f"label {k!r}")
                     for k, default in (("mu", None), ("nu", None), ("lambda", None), ("A", 1), ("B", 0))
                 ]
-        for t in comps:
-            out["casimir-eigenvalue"] = model.casimir_certificate(t, lam, seed).payload.verdict.value
-        for tag, tens in tensors:
+        # a covector document lists the tensor's certificate before its scalar's
+        for tens in tensors:
             res = certify_eigen(model.op, tens, lam, seed)
-            out[f"casimir-eigenvalue {tag}"] = "ok" if res.ok else "failed"
+            out.append(("casimir-eigenvalue", "ok" if res.ok else "failed"))
+        for t in comps:
+            out.append(("casimir-eigenvalue", model.casimir_certificate(t, lam, seed).payload.verdict.value))
         if kind == "hypergeometric":
             fam = model.hypergeometric_harmonic(*labels, seed=seed)
-            c = fam.certificates[0]
-            out["radial-equation-residual"] = c.payload["verdict"]
+            out.append(("radial-equation-residual", fam.certificates[0].payload["verdict"]))
     else:
         raise SchemaError(f"family re-certification supports built-in models, not {model_name!r}")
     return out
@@ -354,28 +353,24 @@ def cmd_harmonics(args) -> int:
     seed = args.seed
     if args.model == "so3":
         model = so3_model()
-        chart = model.sphere
-        _grid_points(chart, args.grid)
+        grid = _grid_points(model.sphere, args.grid)
         if args.l is None:
             raise SchemaError("harmonics so3 needs --l")
         if max(abs(args.l), abs(args.m or 0)) > sys.maxsize:
             raise SchemaError(f"so3 labels must lie in the machine integer range, |--l|, |--m| <= {sys.maxsize}")
         if args.l > SO3_MAX_L:
             raise SchemaError(f"so3 --l above {SO3_MAX_L} is refused, got {args.l}")
-        if args.l < 0 or (args.m is not None and abs(args.m) > args.l):
-            print(f"labels out of range: l={args.l}, m={args.m}", file=sys.stderr)
+        if args.tensor_type and args.tensor_type.replace(" ", "") not in ("2,0", "0,2"):
+            raise SchemaError(f"unsupported tensor type {args.tensor_type!r}")
+        build = model.tensor20_harmonic if args.tensor_type else model.scalar_family
+        try:
+            fam = build(args.l, m_values=None if args.m is None else [args.m], seed=seed)
+        except ValueError as e:  # labels outside the weight-l family
+            print(str(e), file=sys.stderr)
             return EXIT_CHECK_FAILED
-        m_values = None if args.m is None else [args.m]
-        if args.tensor_type:
-            if args.tensor_type.replace(" ", "") not in ("2,0", "0,2"):
-                raise SchemaError(f"unsupported tensor type {args.tensor_type!r}")
-            fam = model.tensor20_harmonic(args.l, m_values=m_values, seed=seed)
-        else:
-            fam = model.scalar_family(args.l, m_values=m_values, seed=seed)
     else:
         model = bianchi2_model()
-        chart = model.chart
-        _grid_points(chart, args.grid)
+        grid = _grid_points(model.chart, args.grid)
         if args.hyper:
             if args.mu is None or args.nu is None or args.lam is None:
                 raise SchemaError("hyper families need --mu --nu --lam")
@@ -397,10 +392,10 @@ def cmd_harmonics(args) -> int:
     doc = fam.to_json()
     doc["seed"] = seed
     if args.grid:
-        samples = _grid_samples(fam, chart, args.grid)
-        doc["samples"] = samples
+        doc["samples"] = _grid_samples(fam, *grid)
+        del grid  # free the points before the document is rendered
         if args.format == "csv":
-            _emit(args, _samples_csv(samples))
+            _emit(args, _samples_csv(doc["samples"]))
             return EXIT_OK if fam.ok else EXIT_CHECK_FAILED
     _emit(args, json.dumps(doc, indent=2, sort_keys=True))
     return EXIT_OK if fam.ok else EXIT_CHECK_FAILED
@@ -425,22 +420,15 @@ def _grid_points(chart, grid_specs) -> tuple:
         axes[name] = [a + (b - a) * j / max(n - 1, 1) for j in range(n)]
     names = [c for c in chart.coords if c in axes]
     pts = list(itertools.product(*[axes[n] for n in names]))
-    # The kernel's rewrites hold on the side of each singular locus where the
-    # sampling box lies, so every grid point must be strictly on that side.
-    centre = {c: (lo + hi) / 2 for c, (lo, hi) in chart.box.items()}
-    for locus in chart.singular_loci:
-        if not ex.free_symbols(locus) <= set(names):
-            continue  # no component may depend on a coordinate left out (see _grid_samples)
-        side = ex.evaluate(locus, centre).real > 0
-        for pt, val in zip(pts, evalcore.compile_expr(locus, names).run(pts)):
-            if abs(val) <= 1e-9 or (val.real > 0) != side:
-                where = ", ".join(f"{c}={v:g}" for c, v in zip(names, pt))
-                raise SchemaError(f"--grid point {where} lies on or beyond the singular locus {ex.unparse(locus)} = 0")
+    try:
+        chart.check_points(names, pts)
+    except OffChartError as e:
+        raise SchemaError(f"--grid {e}") from None
     return names, pts
 
 
-def _grid_samples(fam, chart, grid_specs) -> dict:
-    names, pts = _grid_points(chart, grid_specs)
+def _grid_samples(fam, names, pts) -> dict:
+    """Component values of the family at grid points already checked by `_grid_points`."""
     for label, comp in sorted(fam.components.items()):
         missing = sorted(ex.free_symbols(comp) - set(names))
         if missing:
@@ -557,7 +545,7 @@ def main(argv=None) -> int:
     except (SchemaError, UndefinedPointError) as e:
         print(f"input error: {e}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    except (NoClosedFormError, NotSimplyTransitiveError, evalcore.SeriesNotConvergedError) as e:
+    except (NoClosedFormError, NotSimplyTransitiveError, SeriesNotConvergedError) as e:
         print(f"solver limitation: {e}", file=sys.stderr)
         return EXIT_SOLVER_LIMIT
 

@@ -1,4 +1,4 @@
-"""Expression-to-function compilation and the hypergeometric series.
+"""Expression-to-function compilation.
 
 Numeric verification samples every residual at dozens of points and grid
 export evaluates whole component tables, so batch evaluation is the hot path.
@@ -29,12 +29,6 @@ from typing import Callable
 from . import expr as ex
 
 _FUNCTIONS = {"sin": "_sin", "cos": "_cos", "exp": "_exp"}
-HYP2F1_TOL = 1e-15  # stop once a term is below this fraction of 1 + |partial sum|
-HYP2F1_MAX_TERMS = 20000
-
-
-class SeriesNotConvergedError(Exception):
-    """A series did not converge within its term budget (a solver limitation)."""
 
 
 def backend_name() -> str:
@@ -124,26 +118,3 @@ def compile_expr(e, varnames) -> Program:
     )
     exec(compile(source, "<casimir.evalcore>", "exec"), namespace)
     return Program(varnames, source, namespace["run"])
-
-
-def hyp2f1(a: complex, b: complex, c: complex, zs):
-    """Gauss hypergeometric series sum_k (a)_k (b)_k / ((c)_k k!) z^k at each z, |z| < 1."""
-    a, b, c = complex(a), complex(b), complex(c)
-    out = []
-    for z in map(complex, zs):
-        if abs(z) >= 1.0:
-            raise ValueError(f"series argument outside the unit disk: |z|={abs(z):.3f}")
-        term = complex(1.0)
-        total = complex(1.0)
-        k = 0
-        while k < HYP2F1_MAX_TERMS:
-            term = term * (a + k) * (b + k) / ((c + k) * (k + 1)) * z
-            total += term
-            k += 1
-            if abs(term) <= HYP2F1_TOL * (1.0 + abs(total)):
-                break
-        else:
-            raise SeriesNotConvergedError(
-                f"hypergeometric series did not converge in {HYP2F1_MAX_TERMS} terms at z={z}")
-        out.append(total)
-    return out

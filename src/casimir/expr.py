@@ -537,7 +537,8 @@ def _assemble(coef: CNum, pmap: dict) -> Expr:
                 continue
             coef = coef * (b.val ** ((e2 - 1) >> 1))
             if not b.val.is_real():
-                factors.append(_pow(b, 1))  # the opaque atom of _num_power
+                # exact complex roots are out of scope; keep an opaque square root
+                factors.append(_pow(b, 1))
                 continue
             r = b.val.re
             if r < 0:
@@ -603,25 +604,14 @@ def _power(b: Expr, e2: int) -> Expr:
 
 
 def _num_power(v: CNum, e2: int) -> Expr:
+    """v^(e2/2), exact; a half-integer power goes through `_assemble`'s radicand."""
     if not e2 & 1:
         return Num(v ** (e2 >> 1))
     if v.is_zero():
         if e2 > 0:
             return ZERO
         raise ExprError("0 raised to a negative half-integer power")
-    out = v ** ((e2 - 1) >> 1)
-    if not v.is_real():
-        # exact complex roots are out of scope; keep an opaque square root
-        return mul(Num(out), _pow(Num(v), 1))
-    r = v.re
-    if r < 0:
-        out = out * CN_I
-        r = -r
-    q, f = fraction_sqrt(r.numerator, r.denominator)
-    out = out * CNum(q)
-    if f == 1:
-        return Num(out)
-    return mul(Num(out), _pow(Num(CNum(f)), 1))
+    return _assemble(CN_ONE, {Num(v): e2})
 
 
 _ADD_POWER_CACHE: dict = {}

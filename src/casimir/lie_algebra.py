@@ -83,7 +83,7 @@ def heisenberg() -> StructureConstants:
     return StructureConstants.from_sparse(3, [{"k": 1, "i": 1, "j": 2, "value": "1"}])
 
 
-# the 3-parameter non-abelian algebra used by the second built-in model
+# the 3-parameter non-abelian algebra of the second built-in model
 bianchi2 = heisenberg
 
 

@@ -13,16 +13,21 @@ Two harmonic constructions ship built in:
   d^{n-m-1}/dv^{n-m-1} (1+v^2)^(n-1/2), certified symbolically;
 * the continuous-spectrum hypergeometric branch, certified numerically
   on |v| <= 0.9 (series domain).
+
+The generators, structure constants and domain are those of the built-in
+model file `modelio.BUILTIN_MODELS["bianchi2"]`; the chart adds the
+amplitude parameters.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 from fractions import Fraction
 
 from .. import expr as ex
 from .. import numcheck as nc
-from ..lie_algebra import bianchi2 as bianchi2_constants
+from ..modelio import load_model
 from ..operator import (
     CasimirOperator,
     ScalarOperator,
@@ -32,15 +37,12 @@ from ..operator import (
     certify_eigen,
     reduce_to_scalar,
 )
-from ..parser import parse
 from ..split_structure import compute_mu, metric_from_frame, solve_invariant_frame
-from ..tensor_fields import Chart, VectorField, lie_derivative
+from ..tensor_fields import VectorField, lie_derivative
 from .family import Certificate, HarmonicFamily
 from .hypergeom import RadialProfile
 
-GENERATOR_COMPONENTS = (("exp(-y)", "0", "0"), ("0", "1", "0"), ("0", "0", "1"))
 AMPLITUDE_NAMES = ("a_1", "a_2", "a_3")
-SERIES_BOX = (-0.9, 0.9)
 HYPER_POINTS = 16  # sample points of the radial-equation residual
 HYPER_TOL = 1e-8  # bound on max |residual| relative to max(1, max |f|)
 
@@ -48,18 +50,11 @@ HYPER_TOL = 1e-8  # bound on max |residual| relative to max(1, max |f|)
 class Bianchi2Model:
     def __init__(self):
         self.name = "bianchi2"
+        spec = load_model("bianchi2")
         amp_box = {a: (0.3, 1.6) for a in AMPLITUDE_NAMES}
-        self.chart = Chart(
-            "solvable3",
-            ("v", "y", "z"),
-            {"v": SERIES_BOX, "y": (-1.0, 1.0), "z": (-1.0, 1.0)},
-            params=amp_box,
-        )
-        self.constants = bianchi2_constants()
-        self.generators = tuple(
-            VectorField(self.chart, tuple(parse(s, self.chart.coords) for s in comps))
-            for comps in GENERATOR_COMPONENTS
-        )
+        self.chart = dataclasses.replace(spec.chart, params=amp_box)
+        self.constants = spec.constants
+        self.generators = tuple(VectorField(self.chart, x.comps) for x in spec.generators)
         self.frame_solution = solve_invariant_frame(self.constants, self.generators)
         self.frame = self.frame_solution.frame
         self.metric = metric_from_frame(self.frame_solution.L, self.constants, self.generators)
@@ -186,12 +181,11 @@ class Bianchi2Model:
         """Continuous-spectrum family; numeric residual certificate on the
         series domain (restricted to v > 0 when the odd branch is present)."""
         prof = self.radial_profile(mu, nu, lam, amp_even, amp_odd)
-        lo, hi = SERIES_BOX
+        lo, hi = self.chart.box["v"]
         if amp_odd:
             lo = 0.05
         vs = [lo + (hi - lo) * row[0] for row in nc.halton_points(1, HYPER_POINTS, seed)]
-        resid = prof.residuals(vs)
-        fvals = prof.values(vs)
+        resid, fvals = prof.residuals(vs)
         scale = max(1.0, max(abs(f) for f in fvals))
         worst = max(abs(r) for r in resid)
         ok = worst < HYPER_TOL * scale

@@ -41,7 +41,6 @@ class GeneralizedLegendre:
     l: int
     n: int
     m: int
-    theta: str
     expr: ex.Expr
     series: tuple  # Fraction coefficients of the terminating series
     residual: nc.ZeroReport
@@ -51,8 +50,8 @@ class GeneralizedLegendre:
         return self.residual.is_zero
 
 
-def solve_generalized_legendre(l: int, n: int, m: int, theta: str = "theta",
-                               box: dict | None = None, seed: int = 0) -> GeneralizedLegendre:
+def solve_generalized_legendre(l: int, n: int, m: int, box: dict | None = None,
+                               seed: int = 0) -> GeneralizedLegendre:
     """Regular solution of the weighted angular equation, exact in cos/sin."""
     if l < 0:
         raise ValueError("weight l must be a non-negative integer")
@@ -68,8 +67,7 @@ def solve_generalized_legendre(l: int, n: int, m: int, theta: str = "theta",
     for j in range(k):
         coeffs.append(coeffs[-1] * (a + j) * (b + j) / ((j + 1) * (c0 + j)))
 
-    t = ex.sym(theta)
-    x = ex.cos(t)
+    x = ex.cos(ex.sym("theta"))
     u = ex.mul(ex.num(Fraction(1, 2)), ex.sub(ex.ONE, x))
     series = ex.add(*[ex.mul(ex.num(cj), ex.power(u, j)) for j, cj in enumerate(coeffs)])
     pref = ex.mul(
@@ -78,17 +76,17 @@ def solve_generalized_legendre(l: int, n: int, m: int, theta: str = "theta",
     )
     p = ex.simplify(ex.mul(pref, series))
 
-    residual = angular_residual(p, l, n, m, theta, box=box, seed=seed)
-    return GeneralizedLegendre(l, n, m, theta, p, tuple(coeffs), residual)
+    residual = angular_residual(p, l, n, m, box=box, seed=seed)
+    return GeneralizedLegendre(l, n, m, p, tuple(coeffs), residual)
 
 
-def angular_residual(p: ex.Expr, l: int, n: int, m: int, theta: str = "theta",
-                     box: dict | None = None, seed: int = 0) -> nc.ZeroReport:
-    """Zero verdict for the weighted angular equation applied to p."""
-    t = ex.sym(theta)
-    dp = ex.diff(p, theta)
+def angular_residual(p: ex.Expr, l: int, n: int, m: int, box: dict | None = None,
+                     seed: int = 0) -> nc.ZeroReport:
+    """Zero verdict for the weighted angular equation applied to p(theta)."""
+    t = ex.sym("theta")
+    dp = ex.diff(p, "theta")
     lhs = ex.add(
-        ex.diff(dp, theta),
+        ex.diff(dp, "theta"),
         ex.mul(ex.cot(t), dp),
         ex.neg(
             ex.mul(
@@ -100,5 +98,5 @@ def angular_residual(p: ex.Expr, l: int, n: int, m: int, theta: str = "theta",
         ex.mul(ex.num(l * (l + 1)), p),
     )
     if box is None:
-        box = {theta: (0.01, 3.13)}
+        box = {"theta": (0.01, 3.13)}
     return nc.is_zero(lhs, box, seed)

@@ -11,6 +11,10 @@ extended on demand: a request for weight m lowers from the family's lowest
 built member down to m and no further, so the members below the lowest
 weight asked for are never built.
 
+The generators, structure constants, domain, singular locus and metric are
+those of the built-in model file `modelio.BUILTIN_MODELS["so3"]`, so
+`verify --model so3` certifies the chart the families sample.
+
 Weight families carry the eigenvalue -l(l+1) of G itself (see operator
 module sign note).
 """
@@ -18,12 +22,12 @@ module sign note).
 from __future__ import annotations
 
 import functools
-import math
 from fractions import Fraction
 
 from .. import expr as ex
 from .. import numcheck as nc
-from ..lie_algebra import StructureConstants, so3 as so3_constants
+from ..lie_algebra import StructureConstants
+from ..modelio import load_model
 from ..operator import (
     CasimirOperator,
     ScalarOperator,
@@ -40,13 +44,6 @@ from ..tensor_fields import Chart, VectorField
 from .family import Certificate, HarmonicFamily
 from .legendre import solve_generalized_legendre
 
-EPS_GUARD = 0.01  # chart guard away from the sin(theta) = 0 loci
-
-GENERATOR_COMPONENTS = (
-    ("sin(phi)", "cot(theta)*cos(phi)"),
-    ("-cos(phi)", "cot(theta)*sin(phi)"),
-    ("0", "-1"),
-)
 LADDER_COMPONENTS = (
     ("exp(i*phi)", "i*cot(theta)*exp(i*phi)"),  # raising
     ("-exp(-i*phi)", "i*cot(theta)*exp(-i*phi)"),  # lowering
@@ -64,14 +61,14 @@ class So3Model:
 
     def __init__(self):
         self.name = "so3"
-        box2 = {"theta": (EPS_GUARD, math.pi - EPS_GUARD), "phi": (0.05, 6.2)}
-        loci = (ex.sin(ex.sym("theta")),)
+        spec = load_model("so3")
+        self.sphere = sphere = spec.chart
         amp_box = {a: (0.3, 1.6) for a in AMPLITUDE_NAMES}
-        self.sphere = Chart("sphere", ("theta", "phi"), box2, loci)
         self.space = Chart(
-            "so3-space", ("r", "theta", "phi"), {"r": (1.0, 2.0), **box2}, loci, params=amp_box
+            "so3-space", ("r",) + sphere.coords, {"r": (1.0, 2.0), **sphere.box},
+            sphere.singular_loci, params=amp_box,
         )
-        self.constants = so3_constants()
+        self.constants = spec.constants
         self.ladder_constants = StructureConstants.from_sparse(
             3,
             [
@@ -80,48 +77,42 @@ class So3Model:
                 {"k": 2, "i": 2, "j": 3, "value": "1"},
             ],
         )
-        self.generators = tuple(self._vf(self.sphere, c) for c in GENERATOR_COMPONENTS)
-        self.ladder = tuple(self._vf(self.sphere, c) for c in LADDER_COMPONENTS)
-        self.space_generators = tuple(self._vf3(c) for c in GENERATOR_COMPONENTS)
-        self.space_ladder = tuple(self._vf3(c) for c in LADDER_COMPONENTS)
+        self.generators = spec.generators
+        self.ladder = tuple(self._sphere_field(c) for c in LADDER_COMPONENTS)
+        self.space_generators = tuple(self._lift(x) for x in self.generators)
+        self.space_ladder = tuple(self._lift(x) for x in self.ladder)
 
-        e_r = self._vf3(("1", "0", "0"), with_r=True)
-        e_p = self._vf3(("1/2", "-i/2*sin(theta)^(-1)"))
-        e_m = self._vf3(("1/2", "i/2*sin(theta)^(-1)"))
+        e_r = VectorField(self.space, (ex.ONE, ex.ZERO, ex.ZERO))
+        e_p = self._lift(self._sphere_field(("1/2", "-i/2*sin(theta)^(-1)")))
+        e_m = self._lift(self._sphere_field(("1/2", "i/2*sin(theta)^(-1)")))
         self.frame = frame_from_vectors(self.space, (e_r, e_p, e_m), FRAME_NAMES)
         self.mu = compute_mu(self.frame, self.space_ladder, self.ladder_constants)
 
-        delta = tuple(
-            tuple(ex.ONE if i == k else ex.ZERO for k in range(3)) for i in range(3)
-        )
         half = Fraction(1, 2)
         gl = (
             (ex.ZERO, ex.num(-half), ex.ZERO),
             (ex.num(-half), ex.ZERO, ex.ZERO),
             (ex.ZERO, ex.ZERO, ex.num(-1)),
         )
+        self.metric = spec.metric
         self.op_generators = CasimirOperator(
-            "so3", self.sphere, self.generators, delta
+            "so3", self.sphere, self.generators, self.metric
         )
         self.op_space = CasimirOperator(
-            "so3-space", self.space, self.space_generators, delta, self.frame, self.mu
+            "so3-space", self.space, self.space_generators, self.metric, self.frame, self.mu
         )
         self.op_ladder = CasimirOperator(
             "so3-ladder", self.space, self.space_ladder, gl, self.frame, self.mu
         )
-        self.metric = delta
         self._families: dict = {}
         self._operators: dict = {}
 
-    def _vf(self, chart, comps):
-        return VectorField(chart, tuple(parse(s, chart.coords) for s in comps))
+    def _sphere_field(self, comps) -> VectorField:
+        return VectorField(self.sphere, tuple(parse(s, self.sphere.coords) for s in comps))
 
-    def _vf3(self, comps, with_r: bool = False):
-        if with_r:
-            parsed = tuple(parse(s, self.space.coords) for s in comps)
-        else:
-            parsed = (ex.ZERO,) + tuple(parse(s, self.space.coords) for s in comps)
-        return VectorField(self.space, parsed)
+    def _lift(self, x: VectorField) -> VectorField:
+        """A sphere field on the space chart, with a zero r component."""
+        return VectorField(self.space, (ex.ZERO,) + x.comps)
 
     # -- scalar operators ----------------------------------------------------
 
@@ -221,8 +212,7 @@ class So3Model:
 
     def scalar_family(self, l: int, m_values=None, seed: int = 0) -> HarmonicFamily:
         """All scalar weight-l members in one family document."""
-        if m_values is None:
-            m_values = range(-l, l + 1)
+        m_values = _weights(l, m_values)
         components = {}
         certs = []
         for m in m_values:
@@ -256,19 +246,13 @@ class So3Model:
                 slots.append(((), (b1, b2), n, amp))
         return slots
 
-    def tensor20_harmonic(self, l: int, m_values=None, seed: int = 0,
-                          full_tensor_m=None) -> HarmonicFamily:
+    def tensor20_harmonic(self, l: int, m_values=None, seed: int = 0) -> HarmonicFamily:
         """Symmetric two-covector-slot harmonic family of weight l.
 
         The family content is every scalar t^l_{n,m}; per weight m the slots
-        assemble into a tensor certified against G (full Lie-derivative path
-        for the weights in full_tensor_m, reduced scalar path for all)."""
-        if m_values is None:
-            m_values = range(-l, l + 1)
-        m_values = list(m_values)
-        if full_tensor_m is None:
-            full_tensor_m = m_values
-        full_tensor_m = set(full_tensor_m)
+        assemble into a tensor certified against G, both through the reduced
+        scalar operators and through G's full Lie-derivative action."""
+        m_values = _weights(l, m_values)
         lam = ex.num(-l * (l + 1))
         amps = {a: ex.sym(a) for a in AMPLITUDE_NAMES}
         components = {}
@@ -300,11 +284,10 @@ class So3Model:
                         nc.is_zero(ex.sub(self.ladder[2].apply(t), ex.mul(ex.num(m), t)), box, seed),
                     )
                 )
-            if m in full_tensor_m:
-                tens = assemble(self.frame, monos, 0, 2)
-                certs.append(
-                    Certificate(f"casimir-eigenvalue m={m}", certify_eigen(self.op_space, tens, lam, seed))
-                )
+            tens = assemble(self.frame, monos, 0, 2)
+            certs.append(
+                Certificate(f"casimir-eigenvalue m={m}", certify_eigen(self.op_space, tens, lam, seed))
+            )
         return HarmonicFamily(
             model=self.name,
             kind="tensor20",
@@ -350,6 +333,15 @@ def _check_labels(l, n, *ms) -> None:
             raise ValueError(f"so3 labels must be integers, got {x!r}")
     if l < 0 or abs(n) > l or any(abs(m) > l for m in ms):
         raise ValueError(f"labels out of range: l={l}, n={n}" + "".join(f", m={m}" for m in ms))
+
+
+def _weights(l, m_values) -> list:
+    """The weights m a weight-l family asks for (all of -l..l by default),
+    refused by `_check_labels` unless each names a member."""
+    _check_labels(l, 0)
+    m_values = list(range(-l, l + 1) if m_values is None else m_values)
+    _check_labels(l, 0, *m_values)
+    return m_values
 
 
 def _leg_weight(leg: int) -> int:

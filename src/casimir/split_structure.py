@@ -19,6 +19,7 @@ from . import numcheck as nc
 from .lie_algebra import StructureConstants, ad_matrix
 from .tensor_fields import (
     Chart,
+    OffChartError,
     TensorField,
     VectorField,
     lie_derivative,
@@ -417,9 +418,11 @@ def _base_point(chart: Chart) -> dict:
         )
         if not ok:
             continue
-        env = {c: complex(float(v)) for c, v in cand.items()}
-        if all(abs(ex.evaluate(s, env)) > 1e-9 for s in chart.singular_loci):
-            return cand
+        try:
+            chart.check_points(chart.coords, [tuple(float(cand[c]) for c in chart.coords)])
+        except OffChartError:
+            continue
+        return cand
     raise NoClosedFormError("no usable rational base point inside the domain box")
 
 

@@ -11,10 +11,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
+from . import evalcore
 from . import expr as ex
 from . import numcheck as nc
 
 COORDINATE_FRAME = "coordinate"
+LOCUS_TOL = 1e-9  # a point closer than this to a singular locus is off the chart
 
 
 class ChartMismatchError(Exception):
@@ -25,9 +27,16 @@ class FrameMismatchError(Exception):
     pass
 
 
+class OffChartError(Exception):
+    """A point, or a whole box, where the chart may not be evaluated."""
+
+
 @dataclass(frozen=True)
 class Chart:
-    """Named coordinates with an open sampling box and excluded loci."""
+    """Named coordinates with an open sampling box and excluded loci.
+
+    `check_points` is the one rule for where the chart may be evaluated:
+    model-file domains, `--grid` points and frame base points go through it."""
 
     name: str
     coords: tuple
@@ -46,6 +55,37 @@ class Chart:
 
     def axis(self, name: str) -> int:
         return self.coords.index(name)
+
+    def check_points(self, names, points) -> None:
+        """Raise OffChartError unless the chart may be evaluated at every point.
+
+        `points` are tuples over `names`; coordinates and parameters left out
+        take their value at the centre of `full_box()` (0 for a coordinate
+        without a range).  A point is usable when every singular locus is
+        farther than LOCUS_TOL from zero there and has the sign it has at the
+        centre, since the kernel's rewrites hold on the side of each locus
+        where the box lies.  A centre on a locus refuses every point.  Each
+        locus is one compiled program over all the points."""
+        if not self.singular_loci:
+            return
+        centre = dict.fromkeys(self.coords, 0.0)
+        centre.update((c, (lo + hi) / 2) for c, (lo, hi) in self.full_box().items())
+        names = tuple(names)
+        rest = tuple(c for c in centre if c not in names)
+        fill = tuple(centre[c] for c in rest)
+        rows = [tuple(centre[c] for c in names) + fill] + [tuple(pt) + fill for pt in points]
+        for locus in self.singular_loci:
+            try:
+                vals = evalcore.compile_expr(locus, names + rest).run(rows)
+            except ArithmeticError as e:
+                raise OffChartError(f"the singular locus {ex.unparse(locus)} cannot be evaluated: {e}") from None
+            if abs(vals[0]) <= LOCUS_TOL:
+                raise OffChartError(f"the box centre lies on the singular locus {ex.unparse(locus)} = 0")
+            side = vals[0].real > 0
+            for pt, val in zip(points, vals[1:]):
+                if abs(val) <= LOCUS_TOL or (val.real > 0) != side:
+                    where = ", ".join(f"{c}={v:g}" for c, v in zip(names, pt))
+                    raise OffChartError(f"point {where} lies on or beyond the singular locus {ex.unparse(locus)} = 0")
 
 
 @dataclass(frozen=True)

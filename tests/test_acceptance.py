@@ -157,7 +157,7 @@ def test_criterion_06_rotation_harmonics(so3):
         fam = so3.tensor20_harmonic(l)
         for m in range(-l, l + 1):
             assert fam.certificate(f"casimir-eigenvalue m={m}").ok, (l, m)
-    fam3 = so3.tensor20_harmonic(3, full_tensor_m=(0, 3))
+    fam3 = so3.tensor20_harmonic(3)
     assert fam3.certificate("casimir-eigenvalue m=0").ok
     assert fam3.certificate("casimir-eigenvalue m=3").ok
     # (c) ladder coefficients, both directions, including annihilation

@@ -1,11 +1,13 @@
 """Solvable model: point series, lowering chain, covector and radial families."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
 from casimir import expr as ex
 from casimir import numcheck as nc
+from casimir.modelio import load_model
 from casimir.models import bianchi2_model
 from casimir.models.hypergeom import RadialProfile
 from casimir.parser import parse
@@ -14,6 +16,15 @@ from casimir.parser import parse
 @pytest.fixture(scope="module")
 def model():
     return bianchi2_model()
+
+
+def test_model_is_built_from_its_model_file(model):
+    """The model chart is the model file's chart plus the amplitude parameters."""
+    spec = load_model("bianchi2")
+    assert dataclasses.replace(model.chart, params={}) == spec.chart
+    assert set(model.chart.params) == {"a_1", "a_2", "a_3"}
+    assert [x.comps for x in model.generators] == [x.comps for x in spec.generators]
+    assert model.constants.c == spec.constants.c
 
 
 class TestPointSeries:

@@ -9,6 +9,8 @@ import math
 import pytest
 
 from casimir.cli import main
+from casimir.modelio import BUILTIN_MODELS
+from casimir.models import bianchi2_model
 from casimir.models.so3 import So3Model
 
 GOOD_SOLVABLE = {
@@ -91,6 +93,39 @@ class TestVerify:
 
     def test_needs_exactly_one_input(self):
         assert main(["verify"]) == 2
+
+    @pytest.mark.parametrize("theta", [[-1, 1], [-1, 2], [0.5, 3.5]])
+    def test_domain_must_keep_to_one_side_of_each_locus(self, capsys, tmp_path, theta):
+        # [-1, 1] has its centre on sin(theta) = 0; the others straddle a zero
+        doc = json.loads(json.dumps(BUILTIN_MODELS["so3"]))
+        doc["chart"]["domain"]["theta"] = theta
+        p = tmp_path / "model.json"
+        p.write_text(json.dumps(doc))
+        assert_input_error(capsys, "verify", "--model", str(p))
+
+    def test_locus_may_name_a_parameter(self, capsys, tmp_path):
+        doc = json.loads(json.dumps(GOOD_SOLVABLE))
+        doc["chart"]["parameters"] = {"a": [0, 1]}
+        doc["chart"]["singular_loci"] = ["v+a+3"]
+        p = tmp_path / "model.json"
+        p.write_text(json.dumps(doc))
+        code, out = run(capsys, "verify", "--model", str(p))
+        assert code == 0 and json.loads(out)["ok"]
+        doc["chart"]["singular_loci"] = ["v+a"]  # changes sign inside the box
+        p.write_text(json.dumps(doc))
+        assert_input_error(capsys, "verify", "--model", str(p))
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--model", "so3"],
+        ["build-metric", "--model", "so3"],
+        ["reduce", "--model", "so3"],
+        ["residual", "--model", "so3", "--tensor", "t.json", "--eigenvalue", "-2"],
+    ])
+    def test_only_harmonics_takes_a_format(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--format", "csv"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --format csv" in capsys.readouterr().err
 
 
 class TestBuildMetric:
@@ -203,6 +238,9 @@ class TestHarmonics:
 
     def test_label_out_of_range_exit_code(self, capsys):
         assert main(["harmonics", "so3", "--l", "1", "--m", "5"]) == 1
+        for labels in (["--l=-1"], ["--l=-2", "--type", "2,0"], ["--l", "1", "--m", "3", "--type", "2,0"]):
+            assert main(["harmonics", "so3", *labels]) == 1
+            assert capsys.readouterr().err.startswith("labels out of range: l=")
         assert main(["harmonics", "bianchi2", "--point-series",
                      "--n", "1", "--m", "1", "--nu", "0"]) == 1
 
@@ -367,6 +405,27 @@ class TestFamilyRoundTrip:
         monkeypatch.setattr(So3Model, "scalar_certificates", fail)
         with pytest.raises(ValueError, match="solver failure"):
             main(["verify", "--family", str(p)])
+
+    def test_covector_family_recertifies(self, capsys, tmp_path):
+        # the document holds casimir-eigenvalue twice, the tensor's and then its
+        # scalar's; each recomputed check answers its own stored certificate
+        doc = bianchi2_model().covector_harmonic(2, 0, 1).to_json()
+        assert doc["certified"]
+        p = tmp_path / "fam.json"
+        p.write_text(json.dumps(doc))
+        code, out = run(capsys, "verify", "--family", str(p))
+        assert code == 0
+        checks = json.loads(out)["checks"]
+        assert [(c["name"], c["stored"], c["recomputed"]) for c in checks] == [
+            ("recertify: casimir-eigenvalue", "ok", "ok"),
+            ("recertify: casimir-eigenvalue #2", "symbolically-zero", "symbolically-zero"),
+        ]
+        leg = doc["assemblies"]["covector"][1]
+        leg["scalar"] = f"v*({leg['scalar']})"
+        p.write_text(json.dumps(doc))
+        code, out = run(capsys, "verify", "--family", str(p))
+        assert code == 1
+        assert [c["ok"] for c in json.loads(out)["checks"]] == [False, True]
 
     def test_point_series_recertifies(self, capsys, tmp_path):
         p = tmp_path / "fam.json"

@@ -1,4 +1,5 @@
-"""Generated evaluator functions against the tree walk, and the hypergeometric series."""
+"""Generated evaluator functions against the tree walk, and the hypergeometric
+series of `casimir.models.hypergeom`."""
 
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from casimir import evalcore
 from casimir import expr as ex
+from casimir.models import hypergeom
 from casimir.parser import parse
 
 SAMPLES = [
@@ -113,7 +115,7 @@ def test_generated_function_matches_tree_walk(e):
 def test_hyp2f1_binomial_identity():
     # 2F1(-1/2, b; b; z) = (1-z)^(1/2); with z = -v^2 this is the radial profile
     for v in (0.1, 0.3, 0.5, 0.85):
-        got = evalcore.hyp2f1(-0.5, 0.5, 0.5, [-(v * v)])[0]
+        got = hypergeom.hyp2f1(-0.5, 0.5, 0.5, [-(v * v)])[0]
         assert abs(got - (1 + v * v) ** 0.5) < 1e-14
 
 
@@ -121,13 +123,13 @@ def test_hyp2f1_terminating_series():
     # a = -2 gives a quadratic polynomial: 1 - 2(b/c) z + (b(b+1)/(c(c+1))) z^2
     a, b, c = -2.0, 1.5, 0.5
     for z in (-0.7, 0.2, 0.8):
-        got = evalcore.hyp2f1(a, b, c, [z])[0]
+        got = hypergeom.hyp2f1(a, b, c, [z])[0]
         want = 1 + a * b / c * z + (a * (a + 1) * b * (b + 1)) / (c * (c + 1) * 2) * z**2
         assert abs(got - want) < 1e-13
 
 
 def test_hyp2f1_at_zero_is_one():
-    assert evalcore.hyp2f1(0.77, -1.3, 0.5, [0.0])[0] == 1.0
+    assert hypergeom.hyp2f1(0.77, -1.3, 0.5, [0.0])[0] == 1.0
 
 
 def test_hyp2f1_against_mpmath():
@@ -135,21 +137,21 @@ def test_hyp2f1_against_mpmath():
     cases = [(-0.5, 0.5, 0.5), (0.25, 1.75, 1.5), (complex(0, 0.5), complex(0, -0.5), 0.5)]
     for a, b, c in cases:
         for z in (-0.81, -0.3, 0.4):
-            got = evalcore.hyp2f1(a, b, c, [z])[0]
+            got = hypergeom.hyp2f1(a, b, c, [z])[0]
             want = complex(mp.hyp2f1(a, b, c, z))
             assert abs(got - want) < 1e-12 * (1 + abs(want))
 
 
 def test_hyp2f1_budget_exhausted_is_a_solver_limit(monkeypatch):
-    monkeypatch.setattr(evalcore, "HYP2F1_MAX_TERMS", 3)
-    with pytest.raises(evalcore.SeriesNotConvergedError, match="did not converge in 3 terms"):
-        evalcore.hyp2f1(0.5, 0.5, 1.5, [0.9])
-    assert evalcore.hyp2f1(-1.0, 0.5, 1.5, [0.9])[0] == 1 - 0.5 / 1.5 * 0.9  # terminates in 2
+    monkeypatch.setattr(hypergeom, "HYP2F1_MAX_TERMS", 3)
+    with pytest.raises(hypergeom.SeriesNotConvergedError, match="did not converge in 3 terms"):
+        hypergeom.hyp2f1(0.5, 0.5, 1.5, [0.9])
+    assert hypergeom.hyp2f1(-1.0, 0.5, 1.5, [0.9])[0] == 1 - 0.5 / 1.5 * 0.9  # terminates in 2
 
 
 def test_hyp2f1_outside_unit_disk_rejected():
     with pytest.raises(ValueError, match="unit disk"):
-        evalcore.hyp2f1(0.5, 0.5, 1.5, [1.2])
+        hypergeom.hyp2f1(0.5, 0.5, 1.5, [1.2])
 
 
 def test_backend_name_reports():

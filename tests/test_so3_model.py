@@ -9,6 +9,7 @@ import pytest
 
 from casimir import expr as ex
 from casimir import numcheck as nc
+from casimir.modelio import load_model
 from casimir.models import so3_model
 from casimir.models.legendre import (
     NonTerminatingSeriesError,
@@ -23,6 +24,20 @@ BOX = {"theta": (0.01, math.pi - 0.01)}
 @pytest.fixture(scope="module")
 def model():
     return so3_model()
+
+
+def test_model_is_built_from_its_model_file(model):
+    """`verify --model so3` certifies the generators and chart the families use."""
+    spec = load_model("so3")
+    assert model.sphere.box == spec.chart.box
+    assert model.sphere.singular_loci == spec.chart.singular_loci
+    assert [x.comps for x in model.generators] == [x.comps for x in spec.generators]
+    assert model.constants.c == spec.constants.c
+    assert model.metric == spec.metric
+    # the space chart lifts the sphere with a radius and a zero r component
+    assert {c: model.space.box[c] for c in spec.chart.coords} == spec.chart.box
+    assert model.space.singular_loci == spec.chart.singular_loci
+    assert [x.comps for x in model.space_generators] == [(ex.ZERO,) + x.comps for x in spec.generators]
 
 
 class TestGeneralizedLegendre:
@@ -147,14 +162,14 @@ class TestTensorFamilies:
         assert fam.ok
 
     def test_weight_two_family_shape(self, model):
-        fam = model.tensor20_harmonic(2, full_tensor_m=())
+        fam = model.tensor20_harmonic(2)
         assert len(fam.components) == 25
         ns = {key.split(",")[0] for key in fam.components}
         assert ns == {"n=-2", "n=-1", "n=0", "n=1", "n=2"}
         assert fam.ok
 
     def test_weight_one_family_drops_wide_slots(self, model):
-        fam = model.tensor20_harmonic(1, full_tensor_m=())
+        fam = model.tensor20_harmonic(1)
         assert len(fam.components) == 9
         slots = {tuple(mo["lower"]) for mo in fam.assemblies["m=0"]}
         assert ("+1", "+1") not in slots
@@ -162,12 +177,12 @@ class TestTensorFamilies:
 
     @pytest.mark.parametrize("l,m", [(0, 0), (1, 0), (1, 1), (2, 0), (2, 2), (2, -1)])
     def test_full_tensor_certificates(self, model, l, m):
-        fam = model.tensor20_harmonic(l, m_values=[m], full_tensor_m=[m])
+        fam = model.tensor20_harmonic(l, m_values=[m])
         cert = fam.certificate(f"casimir-eigenvalue m={m}")
         assert cert.ok
 
     def test_amplitudes_stay_symbolic(self, model):
-        fam = model.tensor20_harmonic(1, m_values=[0], full_tensor_m=())
+        fam = model.tensor20_harmonic(1, m_values=[0])
         scalars = [mo["scalar"] for mo in fam.assemblies["m=0"]]
         assert any("h_rr" in s for s in scalars)
         assert any("h_r" in s for s in scalars)
@@ -192,6 +207,15 @@ class TestLabelValidation:
     def test_apply_ladder_refuses_bad_labels_and_steps(self, model, l, n, m, s):
         with pytest.raises(ValueError):
             model.apply_ladder(l, n, m, s)
+
+    @pytest.mark.parametrize("build,l,m_values", [
+        ("scalar_family", -1, None), ("tensor20_harmonic", -2, None), ("tensor20_harmonic", 1, [3]),
+        ("scalar_family", 2, [0, -3]), ("scalar_family", 2.0, None), ("tensor20_harmonic", 1, [0.0]),
+    ])
+    def test_families_refuse_bad_labels(self, model, build, l, m_values):
+        # not an empty family marked certified, and not a bare KeyError
+        with pytest.raises(ValueError, match="labels"):
+            getattr(model, build)(l, m_values=m_values)
 
 
 class TestOnDemandFamilies:
@@ -237,7 +261,7 @@ class TestOnDemandFamilies:
         assert min(model._families[(3, 1)]) == -2
         model.apply_ladder(3, 1, -2, -1)
         assert min(model._families[(3, 1)]) == -3
-        model.tensor20_harmonic(2, m_values=[1], full_tensor_m=())
+        model.tensor20_harmonic(2, m_values=[1])
         assert {n: min(model._families[(2, n)]) for n in range(-2, 3)} == {n: 1 for n in range(-2, 3)}
 
     def test_threads_extending_one_family_agree(self):

@@ -45,6 +45,35 @@ def solv_fields(solv_chart):
     ]
 
 
+class TestChartPoints:
+    def test_points_on_the_box_side_of_the_locus_are_usable(self, sphere):
+        sphere.check_points(("theta", "phi"), [(0.5, 1.0), (3.0, 6.0), (3.1, -7.0)])
+        sphere.check_points(("phi",), [(100.0,)])  # theta stays at the box centre
+        sphere.check_points(("theta",), [])
+
+    @pytest.mark.parametrize("theta", [0.0, 1e-10, -0.5, math.pi, 4.0])
+    def test_points_on_or_beyond_the_locus_are_refused(self, sphere, theta):
+        with pytest.raises(tf.OffChartError, match=r"lies on or beyond the singular locus sin\(theta\) = 0"):
+            sphere.check_points(("theta",), [(1.0,), (theta,)])
+
+    def test_a_centre_on_the_locus_refuses_the_box(self):
+        chart = tf.Chart("c", ("x",), {"x": (-1.0, 1.0)}, (ex.sym("x"),))
+        with pytest.raises(tf.OffChartError, match="box centre"):
+            chart.check_points(("x",), [(0.5,)])
+
+    def test_parameters_take_part_in_the_rule(self):
+        x, a = ex.sym("x"), ex.sym("a")
+        chart = tf.Chart("c", ("x",), {"x": (0.0, 1.0)}, (ex.add(x, a),), {"a": (1.0, 2.0)})
+        chart.check_points(("x",), [(0.0,)])  # a at its centre 1.5
+        with pytest.raises(tf.OffChartError):
+            chart.check_points(("x", "a"), [(0.5, 1.0), (-1.5, 1.2)])
+
+    def test_a_pole_of_a_locus_is_refused(self):
+        chart = tf.Chart("c", ("x",), {"x": (0.5, 1.0)}, (ex.power(ex.sym("x"), -1),))
+        with pytest.raises(tf.OffChartError, match="cannot be evaluated"):
+            chart.check_points(("x",), [(0.0,)])
+
+
 class TestBracket:
     def test_rotation_brackets_cycle(self, sphere, rot_fields):
         box = sphere.full_box()

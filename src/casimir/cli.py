@@ -18,7 +18,6 @@ import json
 import os
 import sys
 from contextlib import contextmanager
-from fractions import Fraction
 from pathlib import Path
 
 from . import evalcore
@@ -29,8 +28,9 @@ from .lie_algebra import (
     invert_cartan,
     validate,
 )
-from .modelio import SchemaError, load_family, load_model
+from .modelio import SchemaError, load_family, load_model, parse_label, parse_rational
 from .models import bianchi2_model, so3_model
+from .models.family import verdict
 from .models.hypergeom import SeriesNotConvergedError
 from .numcheck import UndefinedPointError
 from .operator import CasimirOperator, assemble_from_json, certify_eigen, reduce_to_scalar
@@ -62,12 +62,16 @@ EXIT_SOLVER_LIMIT = 3
 SO3_MAX_L = 32
 POINT_SERIES_MAX = 16  # bounds --n and --n - --m (one more than the derivative order)
 
+# the models whose family documents `verify --family` re-certifies
+FAMILY_MODELS = {"so3": so3_model, "bianchi2": bianchi2_model}
+
 
 def _seed_default() -> int:
+    text = os.environ.get("CASIMIR_SEED", "0")
     try:
-        return int(os.environ.get("CASIMIR_SEED", "0"))
+        return int(text)
     except ValueError:
-        return 0
+        raise SchemaError(f"CASIMIR_SEED must be an integer, got {text!r}") from None
 
 
 def build_argparser() -> argparse.ArgumentParser:
@@ -179,16 +183,22 @@ def _verify_family(args) -> int:
         with _as_input_error("malformed family document"):
             stored: dict[str, list] = {}
             for c in doc["certificates"]:
-                stored.setdefault(c["name"], []).append(c.get("verdict", "ok" if c.get("ok") else "failed"))
+                stored.setdefault(c["name"], []).append(verdict(c))
+        model = FAMILY_MODELS.get(doc["model"]) if isinstance(doc["model"], str) else None
+        if model is None:
+            raise SchemaError(f"family re-certification supports built-in models, not {doc['model']!r}")
+        with _as_input_error("malformed family document"):
+            recertify = model().recertifier(doc)
         seen: dict[str, int] = {}
         # a document may hold several certificates of one name (a tensor's and
         # its scalar's); the k-th recomputed one answers the k-th stored one
-        for name, verdict in _recertify(doc, seed):
+        for cert in recertify(seed):
+            name, got = cert.name, verdict(cert.to_json())
             k = seen[name] = seen.get(name, 0) + 1
             label = f"recertify: {name}" + (f" #{k}" if k > 1 else "")
             if k <= len(stored.get(name, ())):
                 want = stored[name][k - 1]
-                rep.add_check(label, verdict == want, stored=want, recomputed=verdict)
+                rep.add_check(label, got == want, stored=want, recomputed=got)
             else:
                 rep.add_check(label, False, error="no stored certificate")
     _emit(args, rep.render())
@@ -203,65 +213,6 @@ def _as_input_error(what: str):
         yield
     except (LookupError, TypeError, AttributeError, ValueError, ParseError) as e:
         raise SchemaError(f"{what}: {e}") from None
-
-
-def _recertify(doc: dict, seed: int) -> list:
-    """Recompute every certificate of a family document, as (name, verdict)
-    pairs in the order the document lists them.
-
-    All document fields are read first, under `_as_input_error`; errors raised
-    while certifying propagate unchanged."""
-    model_name = doc["model"]
-    kind = doc["kind"]
-    out: list[tuple[str, str]] = []
-    if model_name == "so3":
-        model = so3_model()
-        with _as_input_error("malformed family document"):
-            lam = parse(doc["eigenvalues"]["G"], [], [])
-            if kind == "scalar":
-                comps = [
-                    (int(key.split("m=")[1]), parse(comp, model.sphere.coords))
-                    for key, comp in doc["components"].items()
-                ]
-            elif kind == "tensor20":
-                tensors = [
-                    (tag, assemble_from_json(model.frame, monos))
-                    for tag, monos in doc.get("assemblies", {}).items()
-                ]
-        if kind == "scalar":
-            for m, t in comps:
-                for c in model.scalar_certificates(t, lam, m, seed):
-                    out.append((f"{c.name} m={m}", c.payload.verdict.value))
-        elif kind == "tensor20":
-            for tag, tens in tensors:
-                res = certify_eigen(model.op_space, tens, lam, seed)
-                out.append((f"casimir-eigenvalue {tag}", "ok" if res.ok else "failed"))
-        else:
-            raise SchemaError(f"unknown so3 family kind {kind!r}")
-    elif model_name == "bianchi2":
-        model = bianchi2_model()
-        with _as_input_error("malformed family document"):
-            lam = parse(doc["eigenvalues"]["G"], [], [])
-            comps = [parse(comp, model.chart.coords, []) for comp in doc["components"].values()]
-            tensors = [assemble_from_json(model.frame, monos) for monos in doc.get("assemblies", {}).values()]
-            if kind == "hypergeometric":
-                lab = doc["labels"]
-                labels = [
-                    _parse_float(lab.get(k, default), f"label {k!r}")
-                    for k, default in (("mu", None), ("nu", None), ("lambda", None), ("A", 1), ("B", 0))
-                ]
-        # a covector document lists the tensor's certificate before its scalar's
-        for tens in tensors:
-            res = certify_eigen(model.op, tens, lam, seed)
-            out.append(("casimir-eigenvalue", "ok" if res.ok else "failed"))
-        for t in comps:
-            out.append(("casimir-eigenvalue", model.casimir_certificate(t, lam, seed).payload.verdict.value))
-        if kind == "hypergeometric":
-            fam = model.hypergeometric_harmonic(*labels, seed=seed)
-            out.append(("radial-equation-residual", fam.certificates[0].payload["verdict"]))
-    else:
-        raise SchemaError(f"family re-certification supports built-in models, not {model_name!r}")
-    return out
 
 
 # --- build-metric --------------------------------------------------------------
@@ -334,23 +285,10 @@ def _metric_from_user_frame(spec, rep, seed) -> list:
 # --- harmonics -----------------------------------------------------------------
 
 
-def _parse_rational(text, what):
-    try:
-        return Fraction(str(text))
-    except (ValueError, ZeroDivisionError):
-        raise SchemaError(f"{what} must be rational, got {text!r}") from None
-
-
-def _parse_float(text, what):
-    """A rational label as the float the numeric families take."""
-    try:
-        return float(_parse_rational(text, what))
-    except OverflowError:
-        raise SchemaError(f"{what} is out of floating-point range, got {text!r}") from None
-
-
 def cmd_harmonics(args) -> int:
     seed = args.seed
+    if args.format == "csv" and not args.grid:
+        raise SchemaError("--format csv writes the --grid samples; give at least one --grid")
     if args.model == "so3":
         model = so3_model()
         grid = _grid_points(model.sphere, args.grid)
@@ -374,7 +312,7 @@ def cmd_harmonics(args) -> int:
         if args.hyper:
             if args.mu is None or args.nu is None or args.lam is None:
                 raise SchemaError("hyper families need --mu --nu --lam")
-            labels = [_parse_float(getattr(args, k), f"--{k}") for k in ("mu", "nu", "lam", "A", "B")]
+            labels = [parse_label(getattr(args, k), f"--{k}") for k in ("mu", "nu", "lam", "A", "B")]
             fam = model.hypergeometric_harmonic(*labels, seed=seed)
         elif args.point_series:
             if args.n is None or args.m is None or args.nu is None:
@@ -383,7 +321,7 @@ def cmd_harmonics(args) -> int:
                 raise SchemaError(f"point series --n and --n - --m above {POINT_SERIES_MAX} are refused, "
                                   f"got --n {args.n}, --m {args.m}")
             try:
-                fam = model.point_series(args.n, args.m, _parse_rational(args.nu, "--nu"), seed=seed)
+                fam = model.point_series(args.n, args.m, parse_rational(args.nu, "--nu"), seed=seed)
             except ValueError as e:
                 print(str(e), file=sys.stderr)
                 return EXIT_CHECK_FAILED
@@ -536,11 +474,11 @@ def cmd_residual(args) -> int:
 def main(argv=None) -> int:
     ap = build_argparser()
     args = ap.parse_args(argv)
-    if args.seed is None:
-        args.seed = _seed_default()
     commands = {"verify": cmd_verify, "build-metric": cmd_build_metric, "harmonics": cmd_harmonics,
                 "reduce": cmd_reduce, "residual": cmd_residual}
     try:
+        if args.seed is None:
+            args.seed = _seed_default()
         return commands[args.command](args)
     except (SchemaError, UndefinedPointError) as e:
         print(f"input error: {e}", file=sys.stderr)

@@ -62,7 +62,6 @@ from math import isqrt
 from .cnum import CN_I, CN_ONE, CNum, fraction_gcd, fraction_sqrt
 
 _FUNCTIONS = ("sin", "cos", "exp")
-_INPUT_FUNCTIONS = ("sin", "cos", "cot", "exp", "sqrt")
 
 
 class ExprError(Exception):

@@ -7,7 +7,7 @@ condition are all zero-tolerance checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 
@@ -65,26 +65,6 @@ class StructureConstants:
             for k in range(r)
         ]
         return StructureConstants.from_dense(arr)
-
-
-def abelian(r: int = 3) -> StructureConstants:
-    return StructureConstants.from_dense([[[0] * r for _ in range(r)] for _ in range(r)])
-
-
-def so3() -> StructureConstants:
-    """Rotation algebra: [xi_i, xi_j] = eps_ijk xi_k."""
-    eps = {(0, 1, 2): 1, (1, 2, 0): 1, (2, 0, 1): 1, (1, 0, 2): -1, (2, 1, 0): -1, (0, 2, 1): -1}
-    arr = [[[eps.get((i, j, k), 0) for j in range(3)] for i in range(3)] for k in range(3)]
-    return StructureConstants.from_dense(arr)
-
-
-def heisenberg() -> StructureConstants:
-    """Nilpotent algebra with the single bracket [xi_1, xi_2] = xi_1."""
-    return StructureConstants.from_sparse(3, [{"k": 1, "i": 1, "j": 2, "value": "1"}])
-
-
-# the 3-parameter non-abelian algebra of the second built-in model
-bianchi2 = heisenberg
 
 
 @dataclass(frozen=True)

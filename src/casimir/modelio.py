@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from pathlib import Path
 
 from . import expr as ex
@@ -215,6 +216,22 @@ def _validate_box_against_loci(chart: Chart):
         chart.check_points(names, pts)
     except OffChartError as e:
         raise SchemaError(f"domain box: {e}") from None
+
+
+def parse_rational(text, what: str) -> Fraction:
+    """A rational label, given as text or a number; `what` names it in errors."""
+    try:
+        return Fraction(str(text))
+    except (ValueError, ZeroDivisionError):
+        raise SchemaError(f"{what} must be rational, got {text!r}") from None
+
+
+def parse_label(text, what: str) -> float:
+    """A rational label as the float the numeric families take."""
+    try:
+        return float(parse_rational(text, what))
+    except OverflowError:
+        raise SchemaError(f"{what} is out of floating-point range, got {text!r}") from None
 
 
 def load_family(path: str) -> dict:

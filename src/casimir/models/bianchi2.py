@@ -27,19 +27,20 @@ from fractions import Fraction
 
 from .. import expr as ex
 from .. import numcheck as nc
-from ..modelio import load_model
+from ..modelio import load_model, parse_label
 from ..operator import (
     CasimirOperator,
     ScalarOperator,
     TensorMonomial,
     assemble,
+    assemble_from_json,
     assembly_to_json,
-    certify_eigen,
     reduce_to_scalar,
 )
+from ..parser import parse
 from ..split_structure import compute_mu, metric_from_frame, solve_invariant_frame
 from ..tensor_fields import VectorField, lie_derivative
-from .family import Certificate, HarmonicFamily
+from .family import Certificate, HarmonicFamily, assembly_claim, claim
 from .hypergeom import RadialProfile
 
 AMPLITUDE_NAMES = ("a_1", "a_2", "a_3")
@@ -71,8 +72,8 @@ class Bianchi2Model:
 
     def casimir_certificate(self, t: ex.Expr, lam: ex.Expr, seed: int = 0) -> Certificate:
         """Residual certificate of a scalar: K t = lam t."""
-        resid = ex.sub(self.scalar_operator().apply(t), ex.mul(lam, t))
-        return Certificate("casimir-eigenvalue", nc.is_zero(resid, self.chart.full_box(), seed))
+        box = self.chart.full_box()
+        return claim("casimir-eigenvalue", self.scalar_operator().apply(t), ex.mul(lam, t), box, seed)
 
     # -- point series ---------------------------------------------------------
 
@@ -98,14 +99,8 @@ class Bianchi2Model:
         box = self.chart.full_box()
         certs = [
             self.casimir_certificate(t, lam, seed),
-            Certificate(
-                "y-translation-eigenvalue",
-                nc.is_zero(ex.sub(self.generators[1].apply(t), ex.mul(ex.num(m), t)), box, seed),
-            ),
-            Certificate(
-                "z-translation-eigenvalue",
-                nc.is_zero(ex.sub(self.generators[2].apply(t), ex.mul(ex.num(nu), t)), box, seed),
-            ),
+            claim("y-translation-eigenvalue", self.generators[1].apply(t), ex.mul(ex.num(m), t), box, seed),
+            claim("z-translation-eigenvalue", self.generators[2].apply(t), ex.mul(ex.num(nu), t), box, seed),
         ]
         if m - 1 < n:  # lowering: xi_1 t_m = t_{m-1}
             lower_t = ex.simplify(
@@ -116,12 +111,7 @@ class Bianchi2Model:
                     self.point_series_profile(n, m - 1),
                 )
             )
-            certs.append(
-                Certificate(
-                    "lowering-relation",
-                    nc.is_zero(ex.sub(self.generators[0].apply(t), lower_t), box, seed),
-                )
-            )
+            certs.append(claim("lowering-relation", self.generators[0].apply(t), lower_t, box, seed))
         return HarmonicFamily(
             model=self.name,
             kind="point-series",
@@ -149,7 +139,7 @@ class Bianchi2Model:
         box = self.chart.full_box()
         ly = lie_derivative(self.generators[1], tens)
         certs = [
-            Certificate("casimir-eigenvalue", certify_eigen(self.op, tens, lam, seed)),
+            assembly_claim(self.op, tens, lam, seed),
             Certificate(
                 "y-translation-eigenvalue",
                 _all_components_zero(
@@ -216,6 +206,32 @@ class Bianchi2Model:
             certificates=[Certificate("radial-equation-residual", payload)],
             notes=tuple(notes),
         )
+
+    # -- re-certification ----------------------------------------------------------
+
+    def recertifier(self, doc: dict):
+        """seed -> the certificates of a family document this model wrote,
+        recomputed by the builders' code: the Lie-derivative one of each tensor
+        assembly, then the Casimir one of each scalar (a covector document's
+        order), and a hypergeometric family's radial residual, rebuilt from its
+        labels.  Every field is read (and may raise) before this returns."""
+        lam = parse(doc["eigenvalues"]["G"], [], [])
+        comps = [parse(comp, self.chart.coords, []) for comp in doc["components"].values()]
+        tensors = [assemble_from_json(self.frame, monos) for monos in doc.get("assemblies", {}).values()]
+        hyper = None
+        if doc["kind"] == "hypergeometric":
+            lab = doc["labels"]
+            keys = (("mu", None), ("nu", None), ("lambda", None), ("A", 1), ("B", 0))
+            hyper = [parse_label(lab.get(k, default), f"label {k!r}") for k, default in keys]
+
+        def recertify(seed):
+            out = [assembly_claim(self.op, tens, lam, seed) for tens in tensors]
+            out += [self.casimir_certificate(t, lam, seed) for t in comps]
+            if hyper is not None:
+                out += self.hypergeometric_harmonic(*hyper, seed=seed).certificates
+            return out
+
+        return recertify
 
 
 def _all_components_zero(exprs, box, seed) -> dict:

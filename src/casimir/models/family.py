@@ -1,10 +1,14 @@
-"""Containers for certified harmonic families."""
+"""Containers for certified harmonic families, and the certificate builders
+shared by every model: a claim is an equation checked by a zero verdict on
+its residual."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
 from .. import expr as ex
+from .. import numcheck as nc
+from ..operator import certify_eigen
 
 
 @dataclass(frozen=True)
@@ -64,3 +68,23 @@ class HarmonicFamily:
             "notes": list(self.notes),
             "certified": self.ok,
         }
+
+
+def claim(name: str, lhs: ex.Expr, rhs: ex.Expr, box: dict, seed: int) -> Certificate:
+    """The certificate of lhs = rhs on the box: a zero verdict on lhs - rhs."""
+    return Certificate(name, nc.is_zero(ex.sub(lhs, rhs), box, seed))
+
+
+def assembly_claim(op, tens, lam, seed: int, tag: str | None = None) -> Certificate:
+    """The certificate of G T = lam T on an assembled tensor, componentwise.
+
+    Named `casimir-eigenvalue`, followed by the assembly's tag in a document
+    that holds one assembly per weight."""
+    name = "casimir-eigenvalue" if tag is None else f"casimir-eigenvalue {tag}"
+    return Certificate(name, certify_eigen(op, tens, lam, seed))
+
+
+def verdict(cert_json: dict) -> str:
+    """The string `verify --family` compares for a certificate in its JSON
+    form: its zero verdict if it has one, else `ok` or `failed`."""
+    return cert_json.get("verdict", "ok" if cert_json.get("ok") else "failed")

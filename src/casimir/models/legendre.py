@@ -50,9 +50,9 @@ class GeneralizedLegendre:
         return self.residual.is_zero
 
 
-def solve_generalized_legendre(l: int, n: int, m: int, box: dict | None = None,
-                               seed: int = 0) -> GeneralizedLegendre:
-    """Regular solution of the weighted angular equation, exact in cos/sin."""
+def solve_generalized_legendre(l: int, n: int, m: int, box: dict, seed: int = 0) -> GeneralizedLegendre:
+    """Regular solution of the weighted angular equation, exact in cos/sin,
+    certified on the theta range of `box`."""
     if l < 0:
         raise ValueError("weight l must be a non-negative integer")
     alpha = abs(n - m)
@@ -80,8 +80,7 @@ def solve_generalized_legendre(l: int, n: int, m: int, box: dict | None = None,
     return GeneralizedLegendre(l, n, m, p, tuple(coeffs), residual)
 
 
-def angular_residual(p: ex.Expr, l: int, n: int, m: int, box: dict | None = None,
-                     seed: int = 0) -> nc.ZeroReport:
+def angular_residual(p: ex.Expr, l: int, n: int, m: int, box: dict, seed: int = 0) -> nc.ZeroReport:
     """Zero verdict for the weighted angular equation applied to p(theta)."""
     t = ex.sym("theta")
     dp = ex.diff(p, "theta")
@@ -97,6 +96,4 @@ def angular_residual(p: ex.Expr, l: int, n: int, m: int, box: dict | None = None
         ),
         ex.mul(ex.num(l * (l + 1)), p),
     )
-    if box is None:
-        box = {"theta": (0.01, 3.13)}
     return nc.is_zero(lhs, box, seed)

@@ -27,21 +27,21 @@ from fractions import Fraction
 from .. import expr as ex
 from .. import numcheck as nc
 from ..lie_algebra import StructureConstants
-from ..modelio import load_model
+from ..modelio import SchemaError, load_model
 from ..operator import (
     CasimirOperator,
     ScalarOperator,
     TensorMonomial,
     assemble,
+    assemble_from_json,
     assembly_to_json,
-    certify_eigen,
     reduce_to_scalar,
     shifted_generator,
 )
 from ..parser import parse
 from ..split_structure import compute_mu, frame_from_vectors
 from ..tensor_fields import Chart, VectorField
-from .family import Certificate, HarmonicFamily
+from .family import Certificate, HarmonicFamily, assembly_claim, claim
 from .legendre import solve_generalized_legendre
 
 LADDER_COMPONENTS = (
@@ -99,13 +99,12 @@ class So3Model:
             "so3", self.sphere, self.generators, self.metric
         )
         self.op_space = CasimirOperator(
-            "so3-space", self.space, self.space_generators, self.metric, self.frame, self.mu
+            "so3-space", self.space, self.space_generators, self.metric, self.frame
         )
         self.op_ladder = CasimirOperator(
             "so3-ladder", self.space, self.space_ladder, gl, self.frame, self.mu
         )
         self._families: dict = {}
-        self._operators: dict = {}
 
     def _sphere_field(self, comps) -> VectorField:
         return VectorField(self.sphere, tuple(parse(s, self.sphere.coords) for s in comps))
@@ -118,23 +117,15 @@ class So3Model:
 
     def scalar_operator(self) -> ScalarOperator:
         """K = sum_i xi_i xi_i, the orbit Laplacian."""
-        if "K" not in self._operators:
-            self._operators["K"] = reduce_to_scalar(self.op_generators)
-        return self._operators["K"]
+        return reduce_to_scalar(self.op_generators)
 
     def reduced_operator(self, n: int) -> ScalarOperator:
         """Scalar operator on a monomial component with covector weight n."""
-        key = ("reduced", n)
-        if key not in self._operators:
-            self._operators[key] = reduce_to_scalar(self.op_ladder, (), _LEGS_FOR_N[n])
-        return self._operators[key]
+        return reduce_to_scalar(self.op_ladder, (), _LEGS_FOR_N[n])
 
     def shifted_ladder(self, which: int, n: int) -> ScalarOperator:
         """L_{H_s} - phi on weight-n components; which = 0 raise, 1 lower, 2 axis."""
-        key = ("shift", which, n)
-        if key not in self._operators:
-            self._operators[key] = shifted_generator(self.op_ladder, which, (), _LEGS_FOR_N[n])
-        return self._operators[key]
+        return shifted_generator(self.op_ladder, which, (), _LEGS_FOR_N[n])
 
     # -- families --------------------------------------------------------------
 
@@ -200,14 +191,8 @@ class So3Model:
         """Residual certificates of a scalar on the sphere: K t = lam t and L_3 t = m t."""
         box = self.sphere.full_box()
         return [
-            Certificate(
-                "casimir-eigenvalue",
-                nc.is_zero(ex.sub(self.scalar_operator().apply(t), ex.mul(lam, t)), box, seed),
-            ),
-            Certificate(
-                "axis-eigenvalue",
-                nc.is_zero(ex.sub(self.ladder[2].apply(t), ex.mul(ex.num(m), t)), box, seed),
-            ),
+            claim("casimir-eigenvalue", self.scalar_operator().apply(t), ex.mul(lam, t), box, seed),
+            claim("axis-eigenvalue", self.ladder[2].apply(t), ex.mul(ex.num(m), t), box, seed),
         ]
 
     def scalar_family(self, l: int, m_values=None, seed: int = 0) -> HarmonicFamily:
@@ -218,8 +203,7 @@ class So3Model:
         for m in m_values:
             one = self.scalar_harmonic(l, m, seed=seed)
             components.update(one.components)
-            for c in one.certificates:
-                certs.append(Certificate(f"{c.name} m={m}", c.payload))
+            certs += _at_weight(one.certificates, m)
         return HarmonicFamily(
             model=self.name,
             kind="scalar",
@@ -267,27 +251,19 @@ class So3Model:
         box = self.space.full_box()
         reduced = {n: self.reduced_operator(n) for n in n_values}
         for m in m_values:
+            tag = f"m={m}"
             monos = []
             for upper, lower, n, amp in self.tensor_slots(l):
                 scalar = ex.mul(amps[amp], fams[n][m])
                 monos.append(TensorMonomial(upper, lower, scalar))
-            assemblies[f"m={m}"] = assembly_to_json(self.frame, monos)
+            assemblies[tag] = assembly_to_json(self.frame, monos)
             for n in n_values:
                 t = fams[n][m]
-                resid = ex.sub(reduced[n].apply(t), ex.mul(lam, t))
-                certs.append(
-                    Certificate(f"reduced-eigenvalue n={n} m={m}", nc.is_zero(resid, box, seed))
-                )
-                certs.append(
-                    Certificate(
-                        f"axis-eigenvalue n={n} m={m}",
-                        nc.is_zero(ex.sub(self.ladder[2].apply(t), ex.mul(ex.num(m), t)), box, seed),
-                    )
-                )
-            tens = assemble(self.frame, monos, 0, 2)
-            certs.append(
-                Certificate(f"casimir-eigenvalue m={m}", certify_eigen(self.op_space, tens, lam, seed))
-            )
+                red = reduced[n].apply(t)
+                certs.append(claim(f"reduced-eigenvalue n={n} {tag}", red, ex.mul(lam, t), box, seed))
+                axis = self.ladder[2].apply(t)
+                certs.append(claim(f"axis-eigenvalue n={n} {tag}", axis, ex.mul(ex.num(m), t), box, seed))
+            certs.append(assembly_claim(self.op_space, assemble(self.frame, monos, 0, 2), lam, seed, tag))
         return HarmonicFamily(
             model=self.name,
             kind="tensor20",
@@ -299,6 +275,34 @@ class So3Model:
             certificates=certs,
             notes=("slots: rr, r s, s s' on the frame (dr, e^+1, e^-1)",),
         )
+
+    def recertifier(self, doc: dict):
+        """seed -> the certificates of a family document this model wrote,
+        recomputed by the builders' code: both of each scalar weight, and the
+        Lie-derivative one of each tensor assembly.  Every field is read (and
+        may raise) before this returns."""
+        kind = doc["kind"]
+        lam = parse(doc["eigenvalues"]["G"], [], [])
+        if kind == "scalar":
+            single = "m" in doc["labels"]  # one harmonic: its certificates carry no weight
+            comps = [(int(key.split("m=")[1]), parse(comp, self.sphere.coords))
+                     for key, comp in doc["components"].items()]
+
+            def recertify(seed):
+                out = []
+                for m, t in comps:
+                    certs = self.scalar_certificates(t, lam, m, seed)
+                    out += certs if single else _at_weight(certs, m)
+                return out
+        elif kind == "tensor20":
+            tensors = [(tag, assemble_from_json(self.frame, monos))
+                       for tag, monos in doc.get("assemblies", {}).items()]
+
+            def recertify(seed):
+                return [assembly_claim(self.op_space, tens, lam, seed, tag) for tag, tens in tensors]
+        else:
+            raise SchemaError(f"unknown so3 family kind {kind!r}")
+        return recertify
 
     def apply_ladder(self, l: int, n: int, m: int, s: int, seed: int = 0):
         """One ladder move on t^l_{n,m}; returns (coefficient, target m, report).
@@ -342,6 +346,11 @@ def _weights(l, m_values) -> list:
     m_values = list(range(-l, l + 1) if m_values is None else m_values)
     _check_labels(l, 0, *m_values)
     return m_values
+
+
+def _at_weight(certs, m: int) -> list:
+    """A weight's certificates as named in a document of several weights."""
+    return [Certificate(f"{c.name} m={m}", c.payload) for c in certs]
 
 
 def _leg_weight(leg: int) -> int:

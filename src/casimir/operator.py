@@ -49,8 +49,13 @@ class CasimirOperator:
     metric: tuple  # metric[i][k]: Expr
     frame: Frame | None = None
     mu: MuFactors | None = None
-    # G's component matrix per tensor type (p, q), built on first use
+    # built on first use: G's component matrix per tensor type (p, q), and
+    # the reduced and shifted scalar operators per monomial
     _matrices: dict = field(default_factory=dict, init=False, compare=False, hash=False, repr=False)
+
+    def __post_init__(self):
+        if self.mu is not None and tuple(self.mu.generators) != tuple(self.generators):
+            raise ValueError(f"operator {self.name}: the scale factors belong to other generators")
 
     @property
     def r(self) -> int:
@@ -155,7 +160,11 @@ def _weight(op: CasimirOperator, upper: tuple, lower: tuple, i: int) -> ex.Expr:
 
 def shifted_generator(op: CasimirOperator, i: int, upper: tuple, lower: tuple) -> ScalarOperator:
     """First-order operator xi_i - phi_i acting on a monomial component."""
-    return ScalarOperator.from_table(op.chart, _first_order(op, i, _weight(op, upper, lower, i)))
+    key = ("shifted", i, tuple(upper), tuple(lower))
+    if key not in op._matrices:
+        shift = _weight(op, upper, lower, i)
+        op._matrices[key] = ScalarOperator.from_table(op.chart, _first_order(op, i, shift))
+    return op._matrices[key]
 
 
 def reduce_to_scalar(op: CasimirOperator, upper: tuple = (), lower: tuple = ()) -> ScalarOperator:
@@ -164,12 +173,12 @@ def reduce_to_scalar(op: CasimirOperator, upper: tuple = (), lower: tuple = ()) 
     The 1x1 case of G's component matrix, g^{ik} (xi_i - phi_i)(xi_k - phi_k);
     with all scale factors zero, and with no legs at all, this is the plain
     scalar Casimir operator K = g^{ik} xi_i xi_k."""
-    rows = []
-    for i in range(op.r):
-        phi = _weight(op, upper, lower, i)
-        rows.append(({0: ex.neg(phi)} if phi != ex.ZERO else {},))
-    entries = _compose(op, rows)[0]
-    return entries[0][1] if entries else ScalarOperator(op.chart, ())
+    key = ("reduced", tuple(upper), tuple(lower))
+    if key not in op._matrices:
+        phis = [_weight(op, upper, lower, i) for i in range(op.r)]
+        entries = _compose(op, [({0: ex.neg(phi)} if phi != ex.ZERO else {},) for phi in phis])[0]
+        op._matrices[key] = entries[0][1] if entries else ScalarOperator(op.chart, ())
+    return op._matrices[key]
 
 
 def _first_order(op: CasimirOperator, i: int, shift: ex.Expr) -> dict:

@@ -20,7 +20,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import expr as ex
-from .cnum import CNum
 
 _FUNCTION_NAMES = ("sin", "cos", "cot", "exp", "sqrt")
 

@@ -289,7 +289,6 @@ class FrameSolution:
     frame: Frame
     base_point: dict
     invariance: tuple  # ZeroReport per (b, a, d)
-    det_report: nc.ZeroReport
 
     def ok(self) -> bool:
         return all(r.is_zero for r in self.invariance)
@@ -517,13 +516,12 @@ def solve_invariant_frame(sc: StructureConstants, generators, seed: int = 0) -> 
         for dd in range(r)
     )
     emat = [list(v.comps) for v in vectors]
-    det_rep = nc.is_zero(mat_det(emat), box, seed)
-    if det_rep.is_zero:
+    if nc.is_zero(mat_det(emat), box, seed).is_zero:
         raise NoClosedFormError("frame vectors are degenerate on the domain")
     frame = frame_from_vectors(chart, vectors, seed=seed)
     lt = tuple(tuple(lmat[a][dd] for dd in range(r)) for a in range(r))
     base_named = {c: base[c] for c in chart.coords}
-    return FrameSolution(lt, frame, base_named, tuple(invariance), det_rep)
+    return FrameSolution(lt, frame, base_named, tuple(invariance))
 
 
 def _order_legs(legs, chart: Chart):

@@ -53,9 +53,6 @@ class Chart:
         out.update(self.params)
         return out
 
-    def axis(self, name: str) -> int:
-        return self.coords.index(name)
-
     def check_points(self, names, points) -> None:
         """Raise OffChartError unless the chart may be evaluated at every point.
 

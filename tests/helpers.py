@@ -1,5 +1,5 @@
-"""Test-only helpers: a seeded polynomial tensor generator, the Lie
-derivative commutator identity, tensor sums and scalings, the nested
+"""Test-only helpers: the structure constants of three small algebras, a
+seeded polynomial tensor generator, the Lie derivative commutator identity, tensor sums and scalings, the nested
 definition of G, the ladder-built orbit Laplacian, and the rebuild-everything
 simplify kept as a differential oracle."""
 
@@ -11,6 +11,7 @@ from fractions import Fraction
 
 from casimir import expr as ex
 from casimir import numcheck as nc
+from casimir.lie_algebra import StructureConstants
 from casimir.operator import CasimirOperator, ScalarOperator
 from casimir.tensor_fields import (
     Chart,
@@ -20,6 +21,22 @@ from casimir.tensor_fields import (
     lie_bracket,
     lie_derivative,
 )
+
+
+def abelian_constants(r: int = 3) -> StructureConstants:
+    return StructureConstants.from_dense([[[0] * r for _ in range(r)] for _ in range(r)])
+
+
+def so3_constants() -> StructureConstants:
+    """Rotation algebra: [xi_i, xi_j] = eps_ijk xi_k."""
+    eps = {(0, 1, 2): 1, (1, 2, 0): 1, (2, 0, 1): 1, (1, 0, 2): -1, (2, 1, 0): -1, (0, 2, 1): -1}
+    arr = [[[eps.get((i, j, k), 0) for j in range(3)] for i in range(3)] for k in range(3)]
+    return StructureConstants.from_dense(arr)
+
+
+def bianchi2_constants() -> StructureConstants:
+    """The algebra of the second built-in model: the single bracket [xi_1, xi_2] = xi_1."""
+    return StructureConstants.from_sparse(3, [{"k": 1, "i": 1, "j": 2, "value": "1"}])
 
 
 def random_polynomial_tensor(chart: Chart, p: int, q: int, seed: int, degree: int = 2) -> TensorField:

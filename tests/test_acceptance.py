@@ -21,7 +21,7 @@ from casimir.cli import main
 from casimir.models import bianchi2_model, so3_model
 from casimir.operator import ScalarOperator, TensorMonomial
 from casimir.parser import parse
-from helpers import ladder_scalar_operator, random_polynomial_tensor
+from helpers import ladder_scalar_operator, random_polynomial_tensor, so3_constants
 
 SYM = nc.Verdict.SYMBOLIC_ZERO
 
@@ -41,7 +41,7 @@ def _announce(k: int, message: str):
 
 
 def test_criterion_01_algebra_identities(b2):
-    sc = la.so3()
+    sc = so3_constants()
     assert la.validate(sc).ok
     ct = la.cartan_tensor(sc)
     ident = tuple(tuple(Fraction(int(i == k)) for k in range(3)) for i in range(3))

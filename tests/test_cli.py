@@ -10,7 +10,7 @@ import pytest
 
 from casimir.cli import main
 from casimir.modelio import BUILTIN_MODELS
-from casimir.models import bianchi2_model
+from casimir.models import bianchi2_model, so3_model
 from casimir.models.so3 import So3Model
 
 GOOD_SOLVABLE = {
@@ -257,6 +257,9 @@ class TestHarmonics:
         val = float(rows[1][2])
         assert f"{val:.17g}" == rows[1][2]
 
+    def test_csv_needs_a_grid(self, capsys):
+        assert_input_error(capsys, "harmonics", "so3", "--l", "0", "--format", "csv")
+
     def test_grid_json_samples(self, capsys):
         code, out = run(capsys, "harmonics", "so3", "--l", "0", "--grid", "theta=0.5:2.5:4")
         assert code == 0
@@ -336,7 +339,33 @@ class TestHarmonics:
                            "--nu", "2", "--grid", f"v={v}", "--grid", "y=0:1:2", "--grid", f"z={z}")
 
 
+# one document of each kind the library writes, built by the named call
+LIBRARY_DOCUMENTS = {
+    "scalar_family": lambda: so3_model().scalar_family(2),
+    "scalar_harmonic": lambda: so3_model().scalar_harmonic(2, 1),
+    "tensor20_harmonic": lambda: so3_model().tensor20_harmonic(1),
+    "point_series": lambda: bianchi2_model().point_series(3, 1, "1/2"),
+    "covector_harmonic": lambda: bianchi2_model().covector_harmonic(2, 0, 1),
+    "hypergeometric_harmonic": lambda: bianchi2_model().hypergeometric_harmonic(0.2, 0.3, 1.5, 0.7, 0.5),
+}
+
+
 class TestFamilyRoundTrip:
+    @pytest.mark.parametrize("kind", sorted(LIBRARY_DOCUMENTS))
+    def test_library_document_recertifies(self, capsys, tmp_path, kind):
+        doc = LIBRARY_DOCUMENTS[kind]().to_json()
+        assert doc["certified"]
+        p = tmp_path / "fam.json"
+        p.write_text(json.dumps(doc))
+        code, out = run(capsys, "verify", "--family", str(p))
+        assert code == 0
+        checks = json.loads(out)["checks"]
+        stored = {c["name"] for c in doc["certificates"]}
+        assert checks
+        for c in checks:
+            assert c["name"].removeprefix("recertify: ").split(" #")[0] in stored
+            assert c["stored"] == c["recomputed"]
+
     def test_scalar_family_recertifies(self, capsys, tmp_path):
         p = tmp_path / "fam.json"
         code = main(["harmonics", "so3", "--l", "1", "--out", str(p)])
@@ -509,6 +538,10 @@ class TestDeterminism:
         monkeypatch.setenv("CASIMIR_SEED", "42")
         _, out = run(capsys, "verify", "--model", "abelian")
         assert json.loads(out)["seed"] == 42
+
+    def test_env_seed_must_be_an_integer(self, capsys, monkeypatch):
+        monkeypatch.setenv("CASIMIR_SEED", "abc")
+        assert_input_error(capsys, "verify", "--model", "abelian")
 
 
 class TestReduceAndResidual:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from casimir import lie_algebra as la
+from helpers import abelian_constants, bianchi2_constants, so3_constants
 
 
 def brute_force_violations(c) -> int:
@@ -34,10 +35,10 @@ def brute_force_violations(c) -> int:
 
 class TestValidate:
     def test_so3_valid(self):
-        assert la.validate(la.so3()).ok
+        assert la.validate(so3_constants()).ok
 
     def test_abelian_valid(self):
-        assert la.validate(la.abelian(3)).ok
+        assert la.validate(abelian_constants(3)).ok
 
     def test_corrupted_constants_fail_jacobi(self):
         bad = la.StructureConstants.from_sparse(
@@ -74,7 +75,7 @@ class TestValidate:
 
 class TestCartan:
     def test_so3_is_identity(self):
-        ct = la.cartan_tensor(la.so3())
+        ct = la.cartan_tensor(so3_constants())
         assert ct.g == tuple(
             tuple(Fraction(int(i == k)) for k in range(3)) for i in range(3)
         )
@@ -82,12 +83,12 @@ class TestCartan:
         assert ct.invariance_ok
 
     def test_abelian_is_zero(self):
-        ct = la.cartan_tensor(la.abelian(3))
+        ct = la.cartan_tensor(abelian_constants(3))
         assert all(v == 0 for row in ct.g for v in row)
         assert ct.rank == 0
 
     def test_solvable_model_is_degenerate_with_known_entry(self):
-        sc = la.bianchi2()
+        sc = bianchi2_constants()
         ct = la.cartan_tensor(sc)
         # independent double-sum oracle for the (2,2) entry
         want = Fraction(1, 2) * sum(
@@ -142,7 +143,7 @@ def brute_force_jacobi_ok(c) -> bool:
 
 class TestInverse:
     def test_so3_inverse_is_identity(self):
-        sc = la.so3()
+        sc = so3_constants()
         cm = la.invert_cartan(la.cartan_tensor(sc), sc)
         assert cm.g_inv == tuple(tuple(Fraction(int(i == k)) for k in range(3)) for i in range(3))
         assert cm.killing_ok
@@ -152,16 +153,16 @@ class TestInverse:
         ct = la.CartanTensor(
             tuple(tuple(Fraction(2 * int(i == k)) for k in range(3)) for i in range(3)), rank=3
         )
-        cm = la.invert_cartan(ct, la.abelian(3))
+        cm = la.invert_cartan(ct, abelian_constants(3))
         assert cm.g_inv[0][0] == Fraction(1, 2)
 
     def test_degenerate_raises(self):
-        sc = la.bianchi2()
+        sc = bianchi2_constants()
         with pytest.raises(la.DegenerateCartanError):
             la.invert_cartan(la.cartan_tensor(sc), sc)
 
     def test_inverse_times_cartan_is_identity(self):
-        sc = la.so3()
+        sc = so3_constants()
         ct = la.cartan_tensor(sc)
         cm = la.invert_cartan(ct, sc)
         prod = [
@@ -173,7 +174,7 @@ class TestInverse:
 
 class TestJsonRoundTrip:
     def test_sparse_round_trip(self):
-        sc = la.so3()
+        sc = so3_constants()
         entries = [
             {"k": k + 1, "i": i + 1, "j": j + 1, "value": str(sc.c[k][i][j])}
             for k in range(3) for i in range(3) for j in range(i + 1, 3) if sc.c[k][i][j]

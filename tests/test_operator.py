@@ -174,6 +174,26 @@ class TestReduce:
         with pytest.raises(ValueError, match="no frame scale factors"):
             op.reduce_to_scalar(so3.op_generators, (), (0,))
 
+    def test_scale_factors_belong_to_the_operators_generators(self, so3):
+        """The ladder basis's scale factors mean nothing on the rotation
+        generators: G on the space chart carries none, and an operator built
+        with another basis's factors is refused."""
+        assert so3.op_space.mu is None and so3.op_space.frame is so3.frame
+        with pytest.raises(ValueError, match="no frame scale factors"):
+            op.reduce_to_scalar(so3.op_space, (), (1,))
+        with pytest.raises(ValueError, match="other generators"):
+            op.CasimirOperator("mixed", so3.space, so3.space_generators, so3.metric, so3.frame, so3.mu)
+
+    def test_derived_operators_are_built_once(self, so3, monkeypatch):
+        cop = dataclasses.replace(so3.op_ladder)
+        builds = []
+        compose = op._compose
+        monkeypatch.setattr(op, "_compose", lambda *a: builds.append(a) or compose(*a))
+        first = [op.reduce_to_scalar(cop, (), (1,)), op.shifted_generator(cop, 1, (), (2,))]
+        again = [op.reduce_to_scalar(cop, (), [1]), op.shifted_generator(cop, 1, (), (2,))]
+        assert len(builds) == 1
+        assert all(a is b for a, b in zip(first, again))
+
 
 class TestReductionConsistency:
     """Applying G to a single monomial and projecting its component agrees

@@ -41,38 +41,38 @@ def test_model_is_built_from_its_model_file(model):
 
 
 class TestGeneralizedLegendre:
-    def test_plain_legendre_weight_one(self):
-        sol = solve_generalized_legendre(1, 0, 0)
+    def test_plain_legendre_weight_one(self, model):
+        sol = solve_generalized_legendre(1, 0, 0, box=model.sphere.box)
         # at n = 0 the equation is the Legendre equation; weight 1 gives cos
         ratio = ex.simplify(ex.div(sol.expr, ex.cos(ex.sym("theta"))))
         assert not ex.free_symbols(ratio)
         assert sol.ok
 
-    def test_equal_labels_stay_finite_at_the_pole(self):
+    def test_equal_labels_stay_finite_at_the_pole(self, model):
         # n = m: the singular numerator (m^2 - 2mn x + n^2) vanishes at x = 1
-        sol = solve_generalized_legendre(2, 1, 1)
+        sol = solve_generalized_legendre(2, 1, 1, box=model.sphere.box)
         val = ex.evaluate(sol.expr, {"theta": 1e-6})
         assert abs(val) < 10.0
         assert sol.ok
 
-    def test_residual_certificate_is_symbolic(self):
-        sol = solve_generalized_legendre(1, 1, 0)
+    def test_residual_certificate_is_symbolic(self, model):
+        sol = solve_generalized_legendre(1, 1, 0, box=model.sphere.box)
         assert sol.residual.verdict is nc.Verdict.SYMBOLIC_ZERO
 
-    def test_all_small_labels_certify(self):
+    def test_all_small_labels_certify(self, model):
         for l in range(0, 4):
             for n in range(-l, l + 1):
                 for m in range(-l, l + 1):
-                    sol = solve_generalized_legendre(l, n, m)
+                    sol = solve_generalized_legendre(l, n, m, box=model.sphere.box)
                     assert sol.residual.verdict is nc.Verdict.SYMBOLIC_ZERO, (l, n, m)
 
-    def test_out_of_range_weight_reports_termination_index(self):
+    def test_out_of_range_weight_reports_termination_index(self, model):
         with pytest.raises(NonTerminatingSeriesError) as err:
-            solve_generalized_legendre(1, 0, 2)
+            solve_generalized_legendre(1, 0, 2, box=model.sphere.box)
         assert err.value.termination_index == -1
 
-    def test_series_normalization(self):
-        sol = solve_generalized_legendre(3, 1, 0)
+    def test_series_normalization(self, model):
+        sol = solve_generalized_legendre(3, 1, 0, box=model.sphere.box)
         assert sol.series[0] == Fraction(1)
 
 

@@ -11,6 +11,7 @@ from casimir import numcheck as nc
 from casimir import split_structure as ss
 from casimir import tensor_fields as tf
 from casimir.parser import parse
+from helpers import abelian_constants, bianchi2_constants, so3_constants
 
 
 @pytest.fixture(scope="module")
@@ -18,7 +19,7 @@ def solv():
     chart = tf.Chart("solv", ("v", "y", "z"), {"v": (-0.9, 0.9), "y": (-1, 1), "z": (-1, 1)})
     rows = (("exp(-y)", "0", "0"), ("0", "1", "0"), ("0", "0", "1"))
     gens = [tf.VectorField(chart, tuple(parse(s, chart.coords) for s in row)) for row in rows]
-    return chart, gens, la.bianchi2()
+    return chart, gens, bianchi2_constants()
 
 
 @pytest.fixture(scope="module")
@@ -94,7 +95,7 @@ class TestInvariantFrame:
             tf.VectorField(chart, tuple(ex.ONE if i == j else ex.ZERO for j in range(3)))
             for i in range(3)
         ]
-        fs = ss.solve_invariant_frame(la.abelian(3), gens)
+        fs = ss.solve_invariant_frame(abelian_constants(3), gens)
         assert all(
             fs.L[a][d] == (ex.ONE if a == d else ex.ZERO) for a in range(3) for d in range(3)
         )
@@ -102,7 +103,7 @@ class TestInvariantFrame:
     def test_not_simply_transitive(self, rot3):
         chart, ladder, sc, _ = rot3
         with pytest.raises(ss.NotSimplyTransitiveError):
-            ss.solve_invariant_frame(la.so3(), ladder[:3])
+            ss.solve_invariant_frame(so3_constants(), ladder[:3])
         # rank deficiency: three fields on a 3d chart spanning only 2 directions
         # is caught by the numeric independence sweep
         chart2 = tf.Chart("flat", ("x", "y", "z"), {c: (-1, 1) for c in ("x", "y", "z")})
@@ -111,7 +112,7 @@ class TestInvariantFrame:
             for row in (("1", "0", "0"), ("0", "1", "0"), ("1", "1", "0"))
         ]
         with pytest.raises(ss.NotSimplyTransitiveError):
-            ss.solve_invariant_frame(la.abelian(3), gens)
+            ss.solve_invariant_frame(abelian_constants(3), gens)
 
     def test_unstraightened_realization_has_no_closed_form(self):
         chart = tf.Chart("xyz", ("x", "y", "z"), {c: (-1, 1) for c in ("x", "y", "z")})
@@ -120,7 +121,7 @@ class TestInvariantFrame:
             for row in (("1", "0", "0"), ("x", "1", "0"), ("0", "0", "1"))
         ]
         with pytest.raises(ss.NoClosedFormError):
-            ss.solve_invariant_frame(la.bianchi2(), gens)
+            ss.solve_invariant_frame(bianchi2_constants(), gens)
 
 
 class TestMatrixExponential:
@@ -259,7 +260,7 @@ class TestInvariantMetric:
             tf.VectorField(chart, tuple(ex.ONE if i == j else ex.ZERO for j in range(3)))
             for i in range(3)
         ]
-        sc = la.abelian(3)
+        sc = abelian_constants(3)
         fs = ss.solve_invariant_frame(sc, gens)
         metric = ss.metric_from_frame(fs.L, sc, gens)
         assert all(
@@ -276,5 +277,5 @@ class TestInvariantMetric:
         )
         gens = [tf.VectorField(chart, tuple(parse(s, chart.coords) for s in row)) for row in rows]
         identity = [[ex.ONE if i == k else ex.ZERO for k in range(3)] for i in range(3)]
-        metric = ss.metric_from_exprs(identity, la.so3(), gens)
+        metric = ss.metric_from_exprs(identity, so3_constants(), gens)
         assert metric.killing_ok()

@@ -5,11 +5,17 @@ import math
 import pytest
 
 from casimir import expr as ex
-from casimir import lie_algebra as la
 from casimir import numcheck as nc
 from casimir import tensor_fields as tf
 from casimir.parser import parse
-from helpers import check_lie_commutator, random_polynomial_tensor, tensor_add, tensor_scale
+from helpers import (
+    bianchi2_constants,
+    check_lie_commutator,
+    random_polynomial_tensor,
+    so3_constants,
+    tensor_add,
+    tensor_scale,
+)
 
 
 @pytest.fixture(scope="module")
@@ -111,24 +117,24 @@ class TestBracket:
 
 class TestRealization:
     def test_rotation_fields_match_their_constants(self, rot_fields):
-        rep = tf.verify_realization(rot_fields, la.so3())
+        rep = tf.verify_realization(rot_fields, so3_constants())
         assert rep.ok
         assert all(
             r.verdict is nc.Verdict.SYMBOLIC_ZERO for p in rep.pairs for r in p.reports
         )
 
     def test_solvable_fields_match_their_constants(self, solv_fields):
-        assert tf.verify_realization(solv_fields, la.bianchi2()).ok
+        assert tf.verify_realization(solv_fields, bianchi2_constants()).ok
 
     def test_wrong_constants_produce_witness(self, solv_fields):
-        rep = tf.verify_realization(solv_fields, la.so3())
+        rep = tf.verify_realization(solv_fields, so3_constants())
         assert not rep.ok
         bad = [r for p in rep.pairs for r in p.reports if r.verdict is nc.Verdict.NONZERO]
         assert bad and bad[0].witness is not None
 
     def test_count_mismatch(self, rot_fields):
         with pytest.raises(ValueError):
-            tf.verify_realization(rot_fields[:2], la.so3())
+            tf.verify_realization(rot_fields[:2], so3_constants())
 
 
 class TestLieDerivative:

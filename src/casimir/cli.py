@@ -62,6 +62,9 @@ EXIT_SOLVER_LIMIT = 3
 SO3_MAX_L = 32
 POINT_SERIES_MAX = 16  # bounds --n and --n - --m (one more than the derivative order)
 
+# the errors of a model file's frame, reported as a failed check rather than raised
+FRAME_ERRORS = (NotEigenFrameError, DualityError, NoClosedFormError, NotSimplyTransitiveError)
+
 # the models whose family documents `verify --family` re-certifies
 FAMILY_MODELS = {"so3": so3_model, "bianchi2": bianchi2_model}
 
@@ -148,31 +151,42 @@ def cmd_verify(args) -> int:
         rep.add_check("structure-constants", val.ok, **val.to_json())
         real = verify_realization(spec.generators, spec.constants, seed)
         rep.add_check("realization", real.ok, **real.to_json())
-        if spec.frame_vectors is not None:
-            try:
-                if spec.frame_covectors is not None:
-                    covs = [one_form(spec.chart, row) for row in spec.frame_covectors]
-                    frame = frame_from_components(
-                        spec.chart, spec.frame_vectors, covs, spec.frame_names, seed=seed
-                    )
-                else:
-                    frame = frame_from_vectors(
-                        spec.chart, spec.frame_vectors, spec.frame_names, seed=seed
-                    )
-                mu = compute_mu(frame, spec.generators, spec.constants, seed=seed)
-                rep.add_check("frame", True, mu=[[ex.unparse(e) for e in row] for row in mu.mu])
-            except (NotEigenFrameError, DualityError, NoClosedFormError, NotSimplyTransitiveError) as e:
-                rep.add_check("frame", False, error=str(e))
-        if spec.metric is not None:
-            metric = metric_from_exprs(spec.metric, spec.constants, spec.generators, seed=seed)
-            rep.add_check(
-                "killing-condition",
-                metric.killing_ok(),
-                rank=metric.rank,
-                residuals=[r.to_json() for r in metric.killing],
-            )
+        _check_frame_and_metric(spec, rep, seed)
     _emit(args, rep.render())
     return EXIT_OK if rep.ok else EXIT_CHECK_FAILED
+
+
+def _spec_frame(spec, seed: int):
+    """Scale factors of a model file's frame: its covectors when the file gives
+    them, else the duals of its vectors.  Raises one of FRAME_ERRORS."""
+    if spec.frame_covectors is not None:
+        covs = [one_form(spec.chart, row) for row in spec.frame_covectors]
+        frame = frame_from_components(spec.chart, spec.frame_vectors, covs, spec.frame_names, seed=seed)
+    else:
+        frame = frame_from_vectors(spec.chart, spec.frame_vectors, spec.frame_names, seed=seed)
+    return compute_mu(frame, spec.generators, spec.constants, seed=seed)
+
+
+def _check_frame_and_metric(spec, rep, seed: int):
+    """Add the `frame` and `killing-condition` checks of what the model file
+    gives; returns the frame's scale factors, or None."""
+    mu = None
+    if spec.frame_vectors is not None:
+        try:
+            mu = _spec_frame(spec, seed)
+        except FRAME_ERRORS as e:
+            rep.add_check("frame", False, error=str(e))
+        else:
+            rep.add_check("frame", True, mu=[[ex.unparse(e) for e in row] for row in mu.mu])
+    if spec.metric is not None:
+        metric = metric_from_exprs(spec.metric, spec.constants, spec.generators, seed=seed)
+        rep.add_check(
+            "killing-condition",
+            metric.killing_ok(),
+            rank=metric.rank,
+            residuals=[r.to_json() for r in metric.killing],
+        )
+    return mu
 
 
 def _verify_family(args) -> int:
@@ -201,6 +215,12 @@ def _verify_family(args) -> int:
                 rep.add_check(label, got == want, stored=want, recomputed=got)
             else:
                 rep.add_check(label, False, error="no stored certificate")
+        # a stored Casimir certificate that nothing recomputed was not verified
+        for name, wants in stored.items():
+            if str(name).startswith("casimir-eigenvalue"):
+                for k in range(seen.get(name, 0) + 1, len(wants) + 1):
+                    rep.add_check(f"recertify: {name}" + (f" #{k}" if k > 1 else ""), False,
+                                  error="not recomputed")
     _emit(args, rep.render())
     return EXIT_OK if rep.ok else EXIT_CHECK_FAILED
 
@@ -256,24 +276,30 @@ def cmd_build_metric(args) -> int:
                     _emit(args, rep.render())
                     return EXIT_SOLVER_LIMIT
             else:
-                rep.add_check("invariant-frame", fs.ok(), base_point={k: str(v) for k, v in fs.base_point.items()})
+                rep.add_check("invariant-frame", True, base_point={k: str(v) for k, v in fs.base_point.items()})
                 metric = metric_from_frame(fs.L, spec.constants, spec.generators, seed=seed)
                 rep.add_check("killing-condition", metric.killing_ok(), rank=metric.rank,
                               provenance=metric.provenance)
                 gmat = [[ex.unparse(e) for e in row] for row in metric.g]
-        rep.add_section("metric", gmat)
+        if gmat is not None:
+            rep.add_section("metric", gmat)
     _emit(args, rep.render())
     return EXIT_OK if rep.ok else EXIT_CHECK_FAILED
 
 
-def _metric_from_user_frame(spec, rep, seed) -> list:
-    frame = frame_from_vectors(spec.chart, spec.frame_vectors, spec.frame_names, seed=seed)
-    mu = compute_mu(frame, spec.generators, spec.constants, seed=seed)
+def _metric_from_user_frame(spec, rep, seed) -> list | None:
+    """The metric built from the model file's frame, or None after a failed
+    `invariant-frame` check."""
+    try:
+        mu = _spec_frame(spec, seed)
+    except FRAME_ERRORS as e:
+        rep.add_check("invariant-frame", False, error=str(e))
+        return None
     if any(e != ex.ZERO for row in mu.mu for e in row):
         raise NoClosedFormError("supplied frame is not invariant; cannot build the metric from it")
     # e_d = L^a_d xi_a  =>  E = L^T Xi
     ximat = [list(g.comps) for g in spec.generators]
-    emat = [list(v.comps) for v in frame.vectors]
+    emat = [list(v.comps) for v in mu.frame.vectors]
     lmat_t = [[ex.simplify(e) for e in row] for row in mat_mul(emat, mat_inverse(ximat))]
     metric = metric_from_frame(list(zip(*lmat_t)), spec.constants, spec.generators, seed)
     rep.add_check("invariant-frame", True, provenance="user-supplied")
@@ -414,6 +440,7 @@ def _leg_indices(text: str, names: tuple) -> tuple:
 
 def cmd_reduce(args) -> int:
     seed = args.seed
+    rep = Report("reduce", {"model": args.model, "upper": list(args.upper), "lower": list(args.lower)}, seed)
     if args.model == "so3":
         op = so3_model().op_ladder
     elif args.model == "bianchi2":
@@ -422,13 +449,14 @@ def cmd_reduce(args) -> int:
         spec = load_model(args.model)
         if spec.frame_vectors is None or spec.metric is None:
             raise SchemaError("reduce on user models needs both a frame and a metric in the file")
-        frame = frame_from_vectors(spec.chart, spec.frame_vectors, spec.frame_names, seed=seed)
-        mu = compute_mu(frame, spec.generators, spec.constants, seed=seed)
-        op = CasimirOperator(spec.name, spec.chart, spec.generators, spec.metric, frame, mu)
+        mu = _check_frame_and_metric(spec, rep, seed)
+        if not rep.ok:
+            _emit(args, rep.render())
+            return EXIT_CHECK_FAILED
+        op = CasimirOperator(spec.name, spec.chart, spec.generators, spec.metric, mu.frame, mu)
     upper = _leg_indices(args.upper, op.frame.names)
     lower = _leg_indices(args.lower, op.frame.names)
     reduced = reduce_to_scalar(op, upper, lower)
-    rep = Report("reduce", {"model": args.model, "upper": list(args.upper), "lower": list(args.lower)}, seed)
     rep.add_check("reduced-operator", True, order=reduced.order())
     rep.add_section("operator", reduced.to_json())
     rep.add_section("pretty", reduced.pretty())

@@ -38,18 +38,16 @@ def backend_name() -> str:
 
 @dataclass(frozen=True)
 class Program:
-    varnames: tuple
     source: str
     fn: Callable = field(repr=False, compare=False)
 
     def run(self, points) -> list:
-        """points: sequence of tuples aligned with varnames."""
+        """points: sequence of tuples aligned with the compiled variable names."""
         return self.fn(points)
 
 
 def compile_expr(e, varnames) -> Program:
     """Compile an expression, or a tuple of expressions, over `varnames`."""
-    varnames = tuple(varnames)
     index = {n: i for i, n in enumerate(varnames)}
     namespace = {"_ipow": ex._ipow, "_sqrt": cmath.sqrt, "_sin": cmath.sin,
                  "_cos": cmath.cos, "_exp": cmath.exp}
@@ -117,4 +115,4 @@ def compile_expr(e, varnames) -> Program:
         + [f"        out.append({root})", "    return out"]
     )
     exec(compile(source, "<casimir.evalcore>", "exec"), namespace)
-    return Program(varnames, source, namespace["run"])
+    return Program(source, namespace["run"])

@@ -114,7 +114,7 @@ def validate(sc: StructureConstants) -> ValidationReport:
 class CartanTensor:
     g: tuple  # g[i][k], symmetric
     rank: int
-    invariance_ok: bool = True
+    invariance_ok: bool
 
     @property
     def is_degenerate(self) -> bool:
@@ -148,7 +148,7 @@ def cartan_tensor(sc: StructureConstants) -> CartanTensor:
 class ConstantMetric:
     g_inv: tuple  # contravariant components g^{ik}
     provenance: str
-    killing_ok: bool = True
+    killing_ok: bool
 
 
 def invert_cartan(ct: CartanTensor, sc: StructureConstants) -> ConstantMetric:

@@ -82,7 +82,7 @@ class ModelSpec:
     frame_names: tuple | None
     metric: tuple | None  # Expr matrix
     source: str
-    frame_covectors: tuple | None = None
+    frame_covectors: tuple | None
 
 
 def _need(doc: dict, key: str, kind, where: str):
@@ -118,7 +118,7 @@ def load_model(ref: str) -> ModelSpec:
     return model_from_dict(doc, source=str(path))
 
 
-def model_from_dict(doc: dict, source: str = "<dict>") -> ModelSpec:
+def model_from_dict(doc: dict, source: str) -> ModelSpec:
     if not isinstance(doc, dict):
         raise SchemaError("model document must be a JSON object")
     chart_doc = _need(doc, "chart", dict, "model")

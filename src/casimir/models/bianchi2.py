@@ -67,9 +67,6 @@ class Bianchi2Model:
     def scalar_operator(self) -> ScalarOperator:
         return reduce_to_scalar(self.op)
 
-    def reduced_operator(self, upper: tuple = (), lower: tuple = ()) -> ScalarOperator:
-        return reduce_to_scalar(self.op, upper, lower)
-
     def casimir_certificate(self, t: ex.Expr, lam: ex.Expr, seed: int = 0) -> Certificate:
         """Residual certificate of a scalar: K t = lam t."""
         box = self.chart.full_box()
@@ -163,14 +160,11 @@ class Bianchi2Model:
 
     # -- hypergeometric branch ---------------------------------------------------
 
-    def radial_profile(self, mu, nu, lam, amp_even=1.0, amp_odd=0.0) -> RadialProfile:
-        return RadialProfile(mu, nu, lam, amp_even, amp_odd)
-
     def hypergeometric_harmonic(self, mu, nu, lam, amp_even=1.0, amp_odd=0.0,
                                 seed: int = 0) -> HarmonicFamily:
         """Continuous-spectrum family; numeric residual certificate on the
         series domain (restricted to v > 0 when the odd branch is present)."""
-        prof = self.radial_profile(mu, nu, lam, amp_even, amp_odd)
+        prof = RadialProfile(mu, nu, lam, amp_even, amp_odd)
         lo, hi = self.chart.box["v"]
         if amp_odd:
             lo = 0.05

@@ -40,7 +40,6 @@ class ZeroReport:
     witness: dict | None = None
     max_abs: float = 0.0
     scale: float = 0.0
-    detail: str = ""
 
     @property
     def is_zero(self) -> bool:
@@ -53,8 +52,6 @@ class ZeroReport:
         if self.verdict is not Verdict.SYMBOLIC_ZERO:
             out["max_abs"] = self.max_abs
             out["scale"] = self.scale
-        if self.detail:
-            out["detail"] = self.detail
         return out
 
 

@@ -27,14 +27,7 @@ from . import expr as ex
 from . import numcheck as nc
 from .parser import parse
 from .split_structure import Frame, MuFactors
-from .tensor_fields import (
-    COORDINATE_FRAME,
-    Chart,
-    FrameMismatchError,
-    TensorField,
-    lie_correction_rows,
-    lie_derivative,
-)
+from .tensor_fields import Chart, TensorField, lie_correction_rows, lie_derivative
 
 SIGN_NOTE = "eigenvalue of G = g^{ik} L_i L_k itself; rotation-harmonic conventions quote -G"
 
@@ -66,8 +59,6 @@ def apply_casimir(op: CasimirOperator, t: TensorField) -> TensorField:
     """G T componentwise: (G T)_I = sum_J G_IJ T_J, exact and simplified."""
     if t.chart != op.chart:
         raise ValueError("tensor lives on a different chart")
-    if t.frame != COORDINATE_FRAME:
-        raise FrameMismatchError("apply_casimir acts on coordinate-frame tensors")
     key = (t.p, t.q)
     matrix = op._matrices.get(key)
     if matrix is None:
@@ -76,7 +67,7 @@ def apply_casimir(op: CasimirOperator, t: TensorField) -> TensorField:
     comps = tuple(
         ex.simplify(ex.add(*[entry.apply(t.comps[j]) for j, entry in row])) for row in matrix
     )
-    return TensorField(t.chart, t.p, t.q, comps, t.frame)
+    return TensorField(t.chart, t.p, t.q, comps)
 
 
 # --- scalar differential operators -----------------------------------------
@@ -99,9 +90,6 @@ class ScalarOperator:
         items.sort(key=lambda kv: kv[0])
         return ScalarOperator(chart, tuple(items))
 
-    def as_dict(self) -> dict:
-        return dict(self.table)
-
     def apply(self, f: ex.Expr) -> ex.Expr:
         parts = []
         for idx, coeff in self.table:
@@ -115,14 +103,11 @@ class ScalarOperator:
     def order(self) -> int:
         return max((sum(idx) for idx, _ in self.table), default=0)
 
-    def equal_to(self, other: "ScalarOperator", box=None, seed: int = 0) -> bool:
-        keys = {idx for idx, _ in self.table} | {idx for idx, _ in other.table}
-        a, b = self.as_dict(), other.as_dict()
-        for idx in keys:
-            rep = nc.is_zero(ex.sub(a.get(idx, ex.ZERO), b.get(idx, ex.ZERO)), box, seed)
-            if rep.verdict is not nc.Verdict.SYMBOLIC_ZERO:
-                return False
-        return True
+    def equal_to(self, other: "ScalarOperator") -> bool:
+        """Whether every coefficient difference simplifies to 0."""
+        a, b = dict(self.table), dict(other.table)
+        return all(ex.simplify(ex.sub(a.get(idx, ex.ZERO), b.get(idx, ex.ZERO))) == ex.ZERO
+                   for idx in a.keys() | b.keys())
 
     def pretty(self) -> str:
         if not self.table:
@@ -341,7 +326,6 @@ def project_component(t: TensorField, frame: Frame, upper: tuple, lower: tuple) 
 class EigenResult:
     eigenvalue: ex.Expr
     reports: tuple
-    convention: str = SIGN_NOTE
 
     @property
     def ok(self) -> bool:
@@ -350,7 +334,7 @@ class EigenResult:
     def to_json(self) -> dict:
         return {
             "eigenvalue": ex.unparse(self.eigenvalue),
-            "convention": self.convention,
+            "convention": SIGN_NOTE,
             "residuals": [r.to_json() for r in self.reports],
         }
 

@@ -27,10 +27,9 @@ _FUNCTION_NAMES = ("sin", "cos", "cot", "exp", "sqrt")
 class ParseError(Exception):
     """Syntax or symbol error; carries the 0-based position in the input."""
 
-    def __init__(self, message: str, pos: int, text: str = ""):
+    def __init__(self, message: str, pos: int):
         super().__init__(f"{message} (at position {pos})")
         self.pos = pos
-        self.text = text
 
 
 class _Token:
@@ -80,7 +79,7 @@ def _tokenize(text: str) -> list[_Token]:
             out.append(_Token(ch, ch, i))
             i += 1
             continue
-        raise ParseError(f"unexpected character {ch!r}", i, text)
+        raise ParseError(f"unexpected character {ch!r}", i)
     out.append(_Token("end", "", n))
     return out
 
@@ -99,7 +98,6 @@ def _number_fraction(text: str) -> Fraction:
 
 class _Parser:
     def __init__(self, text: str, names: set[str]):
-        self.text = text
         self.toks = _tokenize(text)
         self.i = 0
         self.names = names
@@ -115,14 +113,14 @@ class _Parser:
     def expect(self, kind: str) -> _Token:
         t = self.take()
         if t.kind != kind:
-            raise ParseError(f"expected {kind!r}, found {t.value!r}", t.pos, self.text)
+            raise ParseError(f"expected {kind!r}, found {t.value!r}", t.pos)
         return t
 
     def parse(self) -> ex.Expr:
         e = self.expr()
         t = self.peek()
         if t.kind != "end":
-            raise ParseError(f"unexpected {t.value!r}", t.pos, self.text)
+            raise ParseError(f"unexpected {t.value!r}", t.pos)
         return e
 
     def expr(self) -> ex.Expr:
@@ -141,7 +139,7 @@ class _Parser:
             try:
                 e = ex.mul(e, rhs) if op.kind == "*" else ex.div(e, rhs)
             except (ex.ExprError, ZeroDivisionError) as err:
-                raise _kernel_error(err, op, self.text) from None
+                raise _kernel_error(err, op) from None
         return e
 
     def unary(self) -> ex.Expr:
@@ -161,13 +159,11 @@ class _Parser:
             e = self.unary()
             frac = _const_rational(e)
             if frac is None or frac.denominator not in (1, 2):
-                raise ParseError(
-                    "exponent must be an integer or half-integer constant", op.pos, self.text
-                )
+                raise ParseError("exponent must be an integer or half-integer constant", op.pos)
             try:
                 return ex.power(base, frac)
             except (ex.ExprError, ZeroDivisionError) as err:
-                raise _kernel_error(err, op, self.text) from None
+                raise _kernel_error(err, op) from None
         return base
 
     def primary(self) -> ex.Expr:
@@ -183,29 +179,25 @@ class _Parser:
                 return ex.I
             if self.peek().kind == "(":
                 if t.value not in _FUNCTION_NAMES:
-                    raise ParseError(f"unknown function {t.value!r}", t.pos, self.text)
+                    raise ParseError(f"unknown function {t.value!r}", t.pos)
                 self.take()
                 arg = self.expr()
                 self.expect(")")
                 try:
                     return ex.fun(t.value, arg)  # cot divides by sin
                 except ZeroDivisionError as err:
-                    raise _kernel_error(err, t, self.text) from None
+                    raise _kernel_error(err, t) from None
             if t.value not in self.names:
-                raise ParseError(
-                    f"unknown symbol {t.value!r} (declared: {sorted(self.names)})",
-                    t.pos,
-                    self.text,
-                )
+                raise ParseError(f"unknown symbol {t.value!r} (declared: {sorted(self.names)})", t.pos)
             return ex.sym(t.value)
-        raise ParseError(f"unexpected {t.value!r}", t.pos, self.text)
+        raise ParseError(f"unexpected {t.value!r}", t.pos)
 
 
-def _kernel_error(err: Exception, tok: _Token, text: str) -> ParseError:
+def _kernel_error(err: Exception, tok: _Token) -> ParseError:
     """A kernel error raised by the operation at `tok` (an exact division by
     zero, an unsupported power) as a ParseError at its position."""
     msg = "division by zero" if isinstance(err, ZeroDivisionError) else str(err)
-    return ParseError(msg, tok.pos, text)
+    return ParseError(msg, tok.pos)
 
 
 def _const_rational(e: ex.Expr):
@@ -218,5 +210,5 @@ def parse(text: str, coords, params=()) -> ex.Expr:
     """Parse an expression over the given coordinates and parameters."""
     names = set(coords) | set(params)
     if "i" in names:
-        raise ParseError("'i' is reserved for the imaginary unit", 0, text)
+        raise ParseError("'i' is reserved for the imaginary unit", 0)
     return _Parser(text, names).parse()

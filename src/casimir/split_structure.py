@@ -104,9 +104,6 @@ class Frame:
     def dim(self) -> int:
         return len(self.names)
 
-    def duality_ok(self) -> bool:
-        return all(r.is_zero for row in self.duality for r in row)
-
 
 def frame_from_vectors(chart: Chart, vectors, names=None, seed: int = 0) -> Frame:
     """Complete a vector frame with its dual covectors (adjugate inverse)."""
@@ -117,14 +114,12 @@ def frame_from_vectors(chart: Chart, vectors, names=None, seed: int = 0) -> Fram
     emat = [list(v.comps) for v in vectors]
     inv = mat_inverse(emat)  # inv[c][a]: component c of covector a
     covectors = tuple(one_form(chart, tuple(inv[c][a] for c in range(n))) for a in range(n))
-    return _with_duality(chart, tuple(names), vectors, covectors, seed)
+    return frame_from_components(chart, vectors, covectors, names, seed)
 
 
 def frame_from_components(chart: Chart, vectors, covectors, names, seed: int = 0) -> Frame:
-    return _with_duality(chart, tuple(names), tuple(vectors), tuple(covectors), seed)
-
-
-def _with_duality(chart, names, vectors, covectors, seed) -> Frame:
+    """A frame from given vectors and covectors, certified dual to each other."""
+    names, vectors, covectors = tuple(names), tuple(vectors), tuple(covectors)
     box = chart.full_box()
     dual = []
     for a, w in enumerate(covectors):
@@ -133,10 +128,9 @@ def _with_duality(chart, names, vectors, covectors, seed) -> Frame:
             want = ex.ONE if a == b else ex.ZERO
             row.append(nc.is_zero(ex.sub(pairing(w, v), want), box, seed))
         dual.append(tuple(row))
-    fr = Frame(chart, names, vectors, covectors, tuple(dual))
-    if not fr.duality_ok():
+    if not all(r.is_zero for row in dual for r in row):
         raise DualityError(f"frame {names} failed the duality check")
-    return fr
+    return Frame(chart, names, vectors, covectors, tuple(dual))
 
 
 # --- projectors ------------------------------------------------------------
@@ -289,9 +283,6 @@ class FrameSolution:
     frame: Frame
     base_point: dict
     invariance: tuple  # ZeroReport per (b, a, d)
-
-    def ok(self) -> bool:
-        return all(r.is_zero for r in self.invariance)
 
 
 def _polyexp_integrate(terms: dict, lam: Fraction) -> dict:

@@ -15,15 +15,10 @@ from . import evalcore
 from . import expr as ex
 from . import numcheck as nc
 
-COORDINATE_FRAME = "coordinate"
 LOCUS_TOL = 1e-9  # a point closer than this to a singular locus is off the chart
 
 
 class ChartMismatchError(Exception):
-    pass
-
-
-class FrameMismatchError(Exception):
     pass
 
 
@@ -107,7 +102,6 @@ class TensorField:
     p: int
     q: int
     comps: tuple
-    frame: str = COORDINATE_FRAME
 
     def __post_init__(self):
         for n in (self.p, self.q):
@@ -183,8 +177,6 @@ def lie_correction_rows(x: VectorField, p: int, q: int) -> tuple:
 def lie_derivative(x: VectorField, t: TensorField) -> TensorField:
     """Lie derivative of a coordinate-frame tensor along X: transport along X
     plus the correction rows of `lie_correction_rows`."""
-    if t.frame != COORDINATE_FRAME:
-        raise FrameMismatchError("lie_derivative acts on coordinate-frame tensors")
     if x.chart != t.chart:
         raise ChartMismatchError("vector and tensor live on different charts")
     rows = lie_correction_rows(x, t.p, t.q)

@@ -13,14 +13,7 @@ from casimir import expr as ex
 from casimir import numcheck as nc
 from casimir.lie_algebra import StructureConstants
 from casimir.operator import CasimirOperator, ScalarOperator
-from casimir.tensor_fields import (
-    Chart,
-    FrameMismatchError,
-    TensorField,
-    VectorField,
-    lie_bracket,
-    lie_derivative,
-)
+from casimir.tensor_fields import Chart, TensorField, VectorField, lie_bracket, lie_derivative
 
 
 def abelian_constants(r: int = 3) -> StructureConstants:
@@ -87,14 +80,14 @@ def check_lie_commutator(x: VectorField, y: VectorField, t: TensorField, seed: i
 
 
 def tensor_add(a: TensorField, b: TensorField) -> TensorField:
-    if (a.chart, a.p, a.q, a.frame) != (b.chart, b.p, b.q, b.frame):
-        raise FrameMismatchError("tensor shapes differ")
-    return TensorField(a.chart, a.p, a.q, tuple(ex.add(x, y) for x, y in zip(a.comps, b.comps)), a.frame)
+    if (a.chart, a.p, a.q) != (b.chart, b.p, b.q):
+        raise ValueError("tensor shapes differ")
+    return TensorField(a.chart, a.p, a.q, tuple(ex.add(x, y) for x, y in zip(a.comps, b.comps)))
 
 
 def tensor_scale(a: TensorField, s) -> TensorField:
     s = ex.as_expr(s)
-    return TensorField(a.chart, a.p, a.q, tuple(ex.mul(s, c) for c in a.comps), a.frame)
+    return TensorField(a.chart, a.p, a.q, tuple(ex.mul(s, c) for c in a.comps))
 
 
 def nested_casimir(op: CasimirOperator, t: TensorField) -> TensorField:

@@ -112,20 +112,20 @@ class TestCovectorHarmonics:
 
 
 class TestRadialProfiles:
-    def test_even_branch_matches_closed_form(self, model):
-        prof = model.radial_profile(0, 0, 1)
+    def test_even_branch_matches_closed_form(self):
+        prof = RadialProfile(0, 0, 1)
         for v in (0.1, 0.3, 0.5):
             got = prof.values([v])[0]
             assert abs(got - (1 + v * v) ** 0.5) < 1e-8
 
-    def test_odd_branch_is_linear_at_unit_sigma(self, model):
-        prof = model.radial_profile(0, 0, 1, amp_even=0, amp_odd=1)
+    def test_odd_branch_is_linear_at_unit_sigma(self):
+        prof = RadialProfile(0, 0, 1, amp_even=0, amp_odd=1)
         for v in (0.2, 0.7):
             assert abs(prof.values([v])[0] - v) < 1e-12
 
-    def test_series_value_at_zero(self, model):
+    def test_series_value_at_zero(self):
         # the odd branch vanishes at v = 0, so f(0) is the even amplitude
-        prof = model.radial_profile(1.0, 0.5, 2.0, amp_even=3.5, amp_odd=2.0)
+        prof = RadialProfile(1.0, 0.5, 2.0, amp_even=3.5, amp_odd=2.0)
         assert abs(prof.values([0.0])[0] - 3.5) < 1e-14
 
     @pytest.mark.parametrize(
@@ -144,7 +144,7 @@ class TestRadialProfiles:
         assert cert.ok, cert.payload
         assert cert.payload["max_abs"] < 1e-8 * cert.payload["scale"]
 
-    def test_residuals_against_independent_oracle(self, model):
+    def test_residuals_against_independent_oracle(self):
         """High-precision finite differences of an independent implementation.
 
         mpmath's own hypergeometric evaluation differentiated at step 1e-4
@@ -162,7 +162,7 @@ class TestRadialProfiles:
             def f(v):
                 return mp.hyp2f1(a, b, mp.mpf("0.5"), -(v * v))
 
-            prof = model.radial_profile(mu, nu, lam)
+            prof = RadialProfile(mu, nu, lam)
             h = mp.mpf("1e-4")
             for v0 in (0.15, 0.45, 0.8):
                 v = mp.mpf(str(v0))
@@ -180,13 +180,13 @@ class TestRadialProfiles:
                 resid = (1 + v * v) * d2 + (1 - 2 * mu) * v * d1 + (mu * mu + nu * nu - lam) * f(v)
                 assert abs(complex(resid)) < 1e-8
 
-    def test_odd_branch_derivatives_need_positive_points(self, model):
-        prof = model.radial_profile(0, 0, 1, amp_even=0, amp_odd=1)
+    def test_odd_branch_derivatives_need_positive_points(self):
+        prof = RadialProfile(0, 0, 1, amp_even=0, amp_odd=1)
         with pytest.raises(ValueError, match="v > 0"):
             prof.derivatives([-0.5])
 
-    def test_series_domain_is_enforced(self, model):
-        prof = model.radial_profile(0, 0, 1)
+    def test_series_domain_is_enforced(self):
+        prof = RadialProfile(0, 0, 1)
         with pytest.raises(ValueError, match="unit disk"):
             prof.values([1.5])
 

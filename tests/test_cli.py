@@ -1,6 +1,7 @@
 """Command-line surface: reports, exit codes, round trips, determinism."""
 
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -22,6 +23,23 @@ GOOD_SOLVABLE = {
     "structure_constants": {"r": 3, "C": [{"k": 1, "i": 1, "j": 2, "value": "1"}]},
     "generators": [["exp(-y)", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
 }
+
+# the model file of README's "Model files" section
+README_MODEL = {
+    **GOOD_SOLVABLE,
+    "name": "solvable-example",
+    "frame": {"vectors": [["1", "0", "0"], ["-v", "1", "0"], ["0", "0", "1"]],
+              "covectors": [["1", "v", "0"], ["0", "1", "0"], ["0", "0", "1"]]},
+    "metric": [["(1+v^2)*exp(2*y)", "-v*exp(y)", "0"], ["-v*exp(y)", "1", "0"], ["0", "0", "1"]],
+}
+SINGULAR_FRAME = [["1", "0", "0"], ["1", "0", "0"], ["0", "0", "1"]]
+IDENTITY = [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
+
+
+def model_file(tmp_path, doc) -> str:
+    p = tmp_path / "model.json"
+    p.write_text(json.dumps(doc))
+    return str(p)
 
 
 def run(capsys, *argv) -> tuple[int, str]:
@@ -164,14 +182,19 @@ class TestBuildMetric:
         assert code == 3
 
     def _frame_model(self, tmp_path, vectors):
-        p = tmp_path / "framed.json"
-        p.write_text(json.dumps({**GOOD_SOLVABLE, "frame": {"vectors": vectors}}))
-        return str(p)
+        return model_file(tmp_path, {**GOOD_SOLVABLE, "frame": {"vectors": vectors}})
+
+    def _xyz_model(self, tmp_path, vectors) -> str:
+        """A solvable model the frame solver cannot do, with a user frame."""
+        doc = json.loads(json.dumps(GOOD_SOLVABLE))
+        doc["chart"]["coords"] = ["x", "y", "z"]
+        doc["chart"]["domain"] = {"x": [-1, 1], "y": [-1, 1], "z": [-1, 1]}
+        doc["generators"] = [["1", "0", "0"], ["x", "1", "0"], ["0", "0", "1"]]
+        doc["frame"] = {"vectors": vectors}
+        return model_file(tmp_path, doc)
 
     def test_frame_solver_errors_are_reported(self, capsys, tmp_path):
-        singular = [["1", "0", "0"], ["1", "0", "0"], ["0", "0", "1"]]
-        not_eigen = [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
-        for vectors, error in ((singular, "singular"), (not_eigen, "off its axis")):
+        for vectors, error in ((SINGULAR_FRAME, "singular"), (IDENTITY, "off its axis")):
             code, out = run(capsys, "verify", "--model", self._frame_model(tmp_path, vectors))
             assert code == 1
             frame = [c for c in json.loads(out)["checks"] if c["name"] == "frame"]
@@ -185,19 +208,30 @@ class TestBuildMetric:
         path = self._frame_model(tmp_path, [["1", "0", "0"], ["-v", "1", "0"], ["0", "0", "1"]])
         with pytest.raises(RuntimeError, match="bug in the frame check"):
             main(["verify", "--model", path])
+        with pytest.raises(RuntimeError, match="bug in the frame check"):
+            main(["reduce", "--model", model_file(tmp_path, README_MODEL)])
+        with pytest.raises(RuntimeError, match="bug in the frame check"):
+            main(["build-metric", "--model", self._xyz_model(tmp_path, IDENTITY)])
 
     def test_user_frame_rescues_the_build(self, capsys, tmp_path):
-        doc = json.loads(json.dumps(GOOD_SOLVABLE))
-        doc["chart"]["coords"] = ["x", "y", "z"]
-        doc["chart"]["domain"] = {"x": [-1, 1], "y": [-1, 1], "z": [-1, 1]}
-        doc["generators"] = [["1", "0", "0"], ["x", "1", "0"], ["0", "0", "1"]]
-        doc["frame"] = {"vectors": [["exp(y)", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]}
-        p = tmp_path / "xyz_frame.json"
-        p.write_text(json.dumps(doc))
-        code, out = run(capsys, "build-metric", "--model", str(p))
+        path = self._xyz_model(tmp_path, [["exp(y)", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]])
+        code, out = run(capsys, "build-metric", "--model", path)
         assert code == 0
         got = json.loads(out)["metric"]
         assert got == [["exp(2*y) + x^2", "-x", "0"], ["-x", "1", "0"], ["0", "0", "1"]]
+
+    @pytest.mark.parametrize("vectors,error", [
+        (SINGULAR_FRAME, "singular"),
+        ([["1", "0", "0"], ["0", "1", "0"], ["1", "0", "1"]], "off its axis"),
+    ], ids=["singular", "not-eigen"])
+    def test_bad_user_frame_fails_the_build(self, capsys, tmp_path, vectors, error):
+        code, out = run(capsys, "build-metric", "--model", self._xyz_model(tmp_path, vectors))
+        assert code == 1
+        doc = json.loads(out)
+        assert [(c["name"], c["ok"]) for c in doc["checks"]] == [
+            ("structure-constants", True), ("invariant-frame", False)]
+        assert error in doc["checks"][1]["error"]
+        assert "metric" not in doc
 
 
 class TestHarmonics:
@@ -350,7 +384,36 @@ LIBRARY_DOCUMENTS = {
 }
 
 
+@functools.lru_cache(maxsize=None)
+def _stripped_document(case: str) -> str:
+    if case == "point series without components":
+        doc = bianchi2_model().point_series(3, 1, "1/2").to_json()
+        doc["components"] = {}
+    else:
+        doc = so3_model().tensor20_harmonic(2).to_json()
+        if case == "tensor family without assemblies":
+            del doc["assemblies"]
+        else:
+            del doc["assemblies"]["m=0"]
+    return json.dumps(doc)
+
+
 class TestFamilyRoundTrip:
+    @pytest.mark.parametrize("case,missing,answered", [
+        ("tensor family without assemblies", ["m=-2", "m=-1", "m=0", "m=1", "m=2"], 0),
+        ("tensor family without one assembly", ["m=0"], 4),
+        ("point series without components", [""], 0),
+    ], ids=["no-assemblies", "no-m0-assembly", "no-components"])
+    def test_unanswered_casimir_certificates_fail(self, capsys, tmp_path, case, missing, answered):
+        p = tmp_path / "fam.json"
+        p.write_text(_stripped_document(case))
+        code, out = run(capsys, "verify", "--family", str(p))
+        assert code == 1
+        checks = json.loads(out)["checks"]
+        assert all(c["ok"] and c["stored"] == c["recomputed"] for c in checks[:answered])
+        assert [(c["name"], c["ok"], c["error"]) for c in checks[answered:]] == [
+            (f"recertify: casimir-eigenvalue {m}".rstrip(), False, "not recomputed") for m in missing]
+
     @pytest.mark.parametrize("kind", sorted(LIBRARY_DOCUMENTS))
     def test_library_document_recertifies(self, capsys, tmp_path, kind):
         doc = LIBRARY_DOCUMENTS[kind]().to_json()
@@ -557,17 +620,41 @@ class TestReduceAndResidual:
             ([0, 2, 0], "1"),
         ]
 
-    def test_reduce_solvable_is_plain_casimir(self, capsys):
-        for lower in ("1", "1,2"):
-            code, out = run(capsys, "reduce", "--model", "bianchi2", "--lower", lower)
-            assert code == 0
-            assert operator_table(out) == [
-                ([0, 0, 2], "1"),
-                ([0, 2, 0], "1"),
-                ([1, 0, 0], "v"),
-                ([1, 1, 0], "-2*v"),
-                ([2, 0, 0], "1 + v^2"),
-            ]
+    def test_reduce_solvable_is_plain_casimir(self, capsys, tmp_path):
+        for model in ("bianchi2", model_file(tmp_path, README_MODEL)):
+            for lower in ("1", "1,2"):
+                code, out = run(capsys, "reduce", "--model", model, "--lower", lower)
+                assert code == 0
+                assert operator_table(out) == [
+                    ([0, 0, 2], "1"),
+                    ([0, 2, 0], "1"),
+                    ([1, 0, 0], "v"),
+                    ([1, 1, 0], "-2*v"),
+                    ([2, 0, 0], "1 + v^2"),
+                ]
+
+    def test_reduce_certifies_the_model_files_frame_and_metric(self, capsys, tmp_path):
+        code, out = run(capsys, "reduce", "--model", model_file(tmp_path, README_MODEL), "--lower", "1")
+        assert code == 0
+        checks = json.loads(out)["checks"]
+        assert [(c["name"], c["ok"]) for c in checks] == [
+            ("frame", True), ("killing-condition", True), ("reduced-operator", True)]
+        assert checks[0]["mu"] == [["0"] * 3] * 3
+
+    @pytest.mark.parametrize("change,failed,error", [
+        ({"frame": {"vectors": SINGULAR_FRAME}}, "frame", "singular"),
+        ({"frame": {"vectors": IDENTITY}}, "frame", "off its axis"),
+        ({"metric": IDENTITY}, "killing-condition", None),
+    ], ids=["singular-frame", "not-eigen-frame", "not-killing-metric"])
+    def test_reduce_refuses_an_uncertified_model_file(self, capsys, tmp_path, change, failed, error):
+        code, out = run(capsys, "reduce", "--model", model_file(tmp_path, {**README_MODEL, **change}),
+                        "--lower", "1")
+        assert code == 1
+        doc = json.loads(out)
+        assert [c["name"] for c in doc["checks"] if not c["ok"]] == [failed]
+        assert [c["name"] for c in doc["checks"]] == ["frame", "killing-condition"]
+        assert error is None or error in doc["checks"][0]["error"]
+        assert "operator" not in doc
 
     def test_reduce_unknown_leg(self, capsys):
         assert main(["reduce", "--model", "so3", "--lower", "nope"]) == 2

@@ -151,7 +151,8 @@ class TestInverse:
 
     def test_scaled_identity(self):
         ct = la.CartanTensor(
-            tuple(tuple(Fraction(2 * int(i == k)) for k in range(3)) for i in range(3)), rank=3
+            tuple(tuple(Fraction(2 * int(i == k)) for k in range(3)) for i in range(3)), rank=3,
+            invariance_ok=True,
         )
         cm = la.invert_cartan(ct, abelian_constants(3))
         assert cm.g_inv[0][0] == Fraction(1, 2)

@@ -169,11 +169,6 @@ class TestLieDerivative:
             ex.simplify(ex.sub(a, b)) == ex.ZERO for a, b in zip(ld.comps, br.comps)
         )
 
-    def test_frame_tag_rejected(self, sphere, rot_fields):
-        t = tf.TensorField(sphere, 0, 1, (ex.ONE, ex.ZERO), frame="eigen")
-        with pytest.raises(tf.FrameMismatchError):
-            tf.lie_derivative(rot_fields[0], t)
-
 
 class TestCommutatorIdentity:
     @pytest.mark.parametrize("ptype", [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1)])

@@ -296,7 +296,9 @@ def _metric_from_user_frame(spec, rep, seed) -> list | None:
         rep.add_check("invariant-frame", False, error=str(e))
         return None
     if any(e != ex.ZERO for row in mu.mu for e in row):
-        raise NoClosedFormError("supplied frame is not invariant; cannot build the metric from it")
+        rep.add_check("invariant-frame", False,
+                      error="supplied frame is not invariant: its scale factors are not all zero")
+        return None
     # e_d = L^a_d xi_a  =>  E = L^T Xi
     ximat = [list(g.comps) for g in spec.generators]
     emat = [list(v.comps) for v in mu.frame.vectors]

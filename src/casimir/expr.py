@@ -40,8 +40,9 @@ through module-level memo tables:
   holding copies;
 * ``_MONO_CACHE`` maps a pair of coefficient-free monomials to the terms of
   their product; ``mul`` distributes sums as flat (coefficient, monomial)
-  pairs, scales the memoized terms by exact coefficients and gathers them
-  once with ``_collect``, the same step ``add`` uses;
+  pairs, scales the memoized terms by exact coefficients, merges like
+  monomials after each sum (``_merge``) and gathers the result with
+  ``_collect``, the same step ``add`` uses;
 * ``_DIFF_CACHE`` and ``_ADD_POWER_CACHE`` memoize ``diff`` and powers of
   sums.
 
@@ -323,13 +324,19 @@ def add(*items) -> Expr:
     return _collect(pairs)
 
 
-def _collect(pairs) -> Expr:
-    """Canonical sum of (coefficient, monomial) pairs; like monomials merge."""
+def _merge(pairs) -> list:
+    """(monomial, coefficient) items of (coefficient, monomial) pairs, like
+    monomials merged by exact sums and zero sums dropped."""
     acc: dict[tuple, CNum] = {}
     for c, mono in pairs:
         cur = acc.get(mono)
         acc[mono] = c if cur is None else cur + c
-    items = [(mono, c) for mono, c in acc.items() if not c.is_zero()]
+    return [(mono, c) for mono, c in acc.items() if not c.is_zero()]
+
+
+def _collect(pairs) -> Expr:
+    """Canonical sum of (coefficient, monomial) pairs; like monomials merge."""
+    items = _merge(pairs)
     if not items:
         return ZERO
     if len(items) == 1:
@@ -496,16 +503,18 @@ def mul(*items) -> Expr:
     base_expr = _assemble(coef, pmap)
     if not pend:
         return base_expr
-    # distribute: every term is (coef, mono); monomial products come from the memo
+    # distribute: every term is (coef, mono); monomial products come from the memo.
+    # Like monomials merge after each sum but the last (`_collect` merges that
+    # one), so k copies of a two-term sum make O(k^2) products, not 2^k.
     pairs = [_coef_mono(base_expr)]
-    for a in pend:
+    for i, a in enumerate(pend):
         parts = [_coef_mono(t) for t in a.terms]
         nxt = []
         for c1, m1 in pairs:
             for c2, m2 in parts:
                 c12 = c1 * c2
                 nxt.extend([(c12 * c, m) for c, m in _mono_product(m1, m2)])
-        pairs = nxt
+        pairs = nxt if i == len(pend) - 1 else [(c, m) for m, c in _merge(nxt)]
     return _collect(pairs)
 
 

@@ -169,15 +169,24 @@ def model_from_dict(doc: dict, source: str) -> ModelSpec:
     if "frame" in doc:
         fr = _need(doc, "frame", dict, "model")
         rows = _need(fr, "vectors", list, "frame")
-        frame_names = tuple(fr.get("names", [str(i + 1) for i in range(len(rows))]))
+        if len(rows) != len(coords):
+            raise SchemaError(f"frame needs {len(coords)} vectors, one per chart coordinate, found {len(rows)}")
+        names = fr.get("names", [str(i + 1) for i in range(len(rows))])
+        if not (isinstance(names, list) and len(names) == len(rows)
+                and all(isinstance(n, str) for n in names)):
+            raise SchemaError(f"frame names must be a list of {len(rows)} strings, one per frame vector")
+        frame_names = tuple(names)
         frame_vecs = tuple(
             VectorField(chart, _expr_row(row, len(coords), f"frame vector {fi + 1}", coords, params))
             for fi, row in enumerate(rows)
         )
         if "covectors" in fr:
+            cov_rows = _need(fr, "covectors", list, "frame")
+            if len(cov_rows) != len(rows):
+                raise SchemaError(f"frame needs {len(rows)} covectors, one per frame vector, found {len(cov_rows)}")
             frame_covs = tuple(
                 _expr_row(row, len(coords), f"frame covector {fi + 1}", coords, params)
-                for fi, row in enumerate(_need(fr, "covectors", list, "frame"))
+                for fi, row in enumerate(cov_rows)
             )
 
     metric = None

@@ -3,11 +3,6 @@
 from .bianchi2 import Bianchi2Model, bianchi2_model
 from .family import Certificate, HarmonicFamily
 from .hypergeom import RadialProfile
-from .legendre import (
-    GeneralizedLegendre,
-    NonTerminatingSeriesError,
-    solve_generalized_legendre,
-)
 from .so3 import So3Model, so3_model
 
 __all__ = [
@@ -16,9 +11,6 @@ __all__ = [
     "Certificate",
     "HarmonicFamily",
     "RadialProfile",
-    "GeneralizedLegendre",
-    "NonTerminatingSeriesError",
-    "solve_generalized_legendre",
     "So3Model",
     "so3_model",
 ]

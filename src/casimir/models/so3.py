@@ -6,10 +6,17 @@ the generator basis (Cartan inverse).  The eigenframe is {dr, e^s} with
 e^s = d theta + i s sin(theta) d phi, on which the raising/lowering
 combinations of the generators act by scale factors, so type-(0,2)
 harmonics split into scalar families t^l_{n,m} generated by normalized
-ladder moves from a top-weight seed.  Each (l, n) family is cached and
-extended on demand: a request for weight m lowers from the family's lowest
-built member down to m and no further, so the members below the lowest
-weight asked for are never built.
+ladder moves from the closed-form top member
+
+    t^l_{n,l} = e^{i l phi} (1 - cos theta)^{(l-n)/2} (1 + cos theta)^{(l+n)/2}.
+
+A component of covector weight n sits on n raising legs e^+1 (or -n
+lowering legs e^-1), so every weight |n| <= l has its reduced operator,
+shifted ladder and family; each emitted member is certified by its own
+residuals (reduced or Casimir, axis, and each ladder move).  Each (l, n)
+family is cached and extended on demand: a request for weight m lowers from
+the family's lowest built member down to m and no further, so the members
+below the lowest weight asked for are never built.
 
 The generators, structure constants, domain, singular locus and metric are
 those of the built-in model file `modelio.BUILTIN_MODELS["so3"]`, so
@@ -42,7 +49,6 @@ from ..parser import parse
 from ..split_structure import compute_mu, frame_from_vectors
 from ..tensor_fields import Chart, VectorField
 from .family import Certificate, HarmonicFamily, assembly_claim, claim
-from .legendre import solve_generalized_legendre
 
 LADDER_COMPONENTS = (
     ("exp(i*phi)", "i*cot(theta)*exp(i*phi)"),  # raising
@@ -51,9 +57,6 @@ LADDER_COMPONENTS = (
 )
 FRAME_NAMES = ("r", "+1", "-1")
 AMPLITUDE_NAMES = ("h_rr", "h_r", "h")
-
-# frame leg indices: 0 = r, 1 = +1, 2 = -1
-_LEGS_FOR_N = {0: (), 1: (1,), -1: (2,), 2: (1, 1), -2: (2, 2)}
 
 
 class So3Model:
@@ -121,11 +124,11 @@ class So3Model:
 
     def reduced_operator(self, n: int) -> ScalarOperator:
         """Scalar operator on a monomial component with covector weight n."""
-        return reduce_to_scalar(self.op_ladder, (), _LEGS_FOR_N[n])
+        return reduce_to_scalar(self.op_ladder, (), _legs(n))
 
     def shifted_ladder(self, which: int, n: int) -> ScalarOperator:
         """L_{H_s} - phi on weight-n components; which = 0 raise, 1 lower, 2 axis."""
-        return shifted_generator(self.op_ladder, which, (), _LEGS_FOR_N[n])
+        return shifted_generator(self.op_ladder, which, (), _legs(n))
 
     # -- families --------------------------------------------------------------
 
@@ -150,11 +153,11 @@ class So3Model:
         key = (l, n)
         fam = self._families.get(key)
         if fam is None:
-            seed_p = solve_generalized_legendre(l, n, l, box=self.sphere.box)
-            if not seed_p.ok:
-                raise RuntimeError(f"seed solution failed its residual check for (l={l}, n={n})")
-            phi = ex.sym("phi")
-            fam = {l: ex.simplify(ex.mul(ex.exp(ex.mul(ex.num(0, l), phi)), seed_p.expr))}
+            # the top member e^{i l phi} (1 - cos)^{(l-n)/2} (1 + cos)^{(l+n)/2}
+            x = ex.cos(ex.sym("theta"))
+            p = ex.simplify(ex.mul(ex.power(ex.sub(ex.ONE, x), Fraction(l - n, 2)),
+                                   ex.power(ex.add(ex.ONE, x), Fraction(l + n, 2))))
+            fam = {l: ex.simplify(ex.mul(ex.exp(ex.mul(ex.num(0, l), ex.sym("phi"))), p))}
         elif low in fam:
             return fam
         else:
@@ -355,6 +358,12 @@ def _at_weight(certs, m: int) -> list:
 
 def _leg_weight(leg: int) -> int:
     return {0: 0, 1: 1, 2: -1}[leg]
+
+
+def _legs(n: int) -> tuple:
+    """The covector legs of weight n: n raising legs +1, or -n lowering legs -1
+    (frame leg indices: 0 = r, 1 = +1, 2 = -1)."""
+    return (1,) * n if n >= 0 else (2,) * -n
 
 
 @functools.lru_cache(maxsize=1)

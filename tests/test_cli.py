@@ -103,6 +103,11 @@ class TestVerify:
         ("frame", {"vectors": [["1", "0", "0"]] * 3, "covectors": 5}),
         ("metric", [["1", "0", "0"], ["0", "1"], ["0", "0", "1"]]),
         ("metric", [["1", "0", "0"], ["0", "q", "0"], ["0", "0", "1"]]),
+        # frame block sizes: vectors per coordinate, covectors and names per vector
+        ("frame", {"vectors": README_MODEL["frame"]["vectors"][:2]}),
+        ("frame", {"vectors": README_MODEL["frame"]["vectors"], "covectors": [["1", "v", "0"]]}),
+        ("frame", {"vectors": README_MODEL["frame"]["vectors"], "names": ["a", "b"]}),
+        ("frame", {"vectors": README_MODEL["frame"]["vectors"], "names": [1, 2, 3]}),
     ])
     def test_bad_expression_rows_exit_code(self, capsys, tmp_path, key, value):
         p = tmp_path / "bad.json"
@@ -223,7 +228,8 @@ class TestBuildMetric:
     @pytest.mark.parametrize("vectors,error", [
         (SINGULAR_FRAME, "singular"),
         ([["1", "0", "0"], ["0", "1", "0"], ["1", "0", "1"]], "off its axis"),
-    ], ids=["singular", "not-eigen"])
+        (IDENTITY, "not invariant"),
+    ], ids=["singular", "not-eigen", "not-invariant"])
     def test_bad_user_frame_fails_the_build(self, capsys, tmp_path, vectors, error):
         code, out = run(capsys, "build-metric", "--model", self._xyz_model(tmp_path, vectors))
         assert code == 1

@@ -2,6 +2,7 @@
 
 import cmath
 import itertools
+import math
 import sys
 import threading
 from fractions import Fraction
@@ -294,6 +295,25 @@ class TestKernelCaches:
             sys.setswitchinterval(old)
         assert not any(th.is_alive() for th in threads)
         assert results == [want] * 4
+
+
+def test_products_of_repeated_sums_merge_as_they_distribute(monkeypatch):
+    """Like monomials merge after each pending sum, so 16 copies of a
+    two-term sum make O(16^2) monomial products, not 2^17 - 2."""
+    calls = []
+    real = ex._mono_product
+
+    def counted(m1, m2):
+        calls.append(1)
+        return real(m1, m2)
+
+    monkeypatch.setattr(ex, "_mono_product", counted)
+    v = ex.sym("v")
+    got = ex.mul(*[parse("1 + v^2", ["v"])] * 16)
+    assert len(calls) <= 300
+    assert got == ex.add(*[ex.mul(ex.num(math.comb(16, j)), ex.power(v, 2 * j)) for j in range(17)])
+    # terms that cancel part-way through are dropped, not carried
+    assert ex.mul(*[parse("1 + v", ["v"]), parse("1 - v", ["v"])] * 3) == ex.power(parse("1 - v^2", ["v"]), 3)
 
 
 class TestRationalRoots:

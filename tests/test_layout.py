@@ -1,5 +1,5 @@
 """Package layout guards: pure-Python runtime with no third-party imports,
-and no module-level name that nothing uses."""
+exports that resolve, and no module-level name that nothing uses."""
 
 import ast
 import collections
@@ -8,7 +8,10 @@ import re
 import subprocess
 import sys
 
+import pytest
+
 import casimir
+import casimir.models
 
 PACKAGE = pathlib.Path(casimir.__file__).parent
 REPO = pathlib.Path(__file__).resolve().parent.parent
@@ -43,6 +46,11 @@ def test_every_module_imports_without_test_dependencies():
     )
     assert proc.returncode == 0, proc.stderr
     assert "casimir.models.so3" in proc.stdout
+
+
+@pytest.mark.parametrize("package", [casimir, casimir.models], ids=lambda p: p.__name__)
+def test_every_exported_name_resolves(package):
+    assert [name for name in package.__all__ if not hasattr(package, name)] == []
 
 
 def test_no_compiled_or_generated_sources():

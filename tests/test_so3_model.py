@@ -1,4 +1,4 @@
-"""Rotation model: weighted angular functions, ladder algebra, tensor families."""
+"""Rotation model: closed-form weight families, ladder algebra, tensor families."""
 
 import math
 import sys
@@ -11,10 +11,6 @@ from casimir import expr as ex
 from casimir import numcheck as nc
 from casimir.modelio import load_model
 from casimir.models import so3_model
-from casimir.models.legendre import (
-    NonTerminatingSeriesError,
-    solve_generalized_legendre,
-)
 from casimir.models.so3 import So3Model
 from casimir.parser import parse
 
@@ -40,40 +36,35 @@ def test_model_is_built_from_its_model_file(model):
     assert [x.comps for x in model.space_generators] == [(ex.ZERO,) + x.comps for x in spec.generators]
 
 
-class TestGeneralizedLegendre:
-    def test_plain_legendre_weight_one(self, model):
-        sol = solve_generalized_legendre(1, 0, 0, box=model.sphere.box)
-        # at n = 0 the equation is the Legendre equation; weight 1 gives cos
-        ratio = ex.simplify(ex.div(sol.expr, ex.cos(ex.sym("theta"))))
-        assert not ex.free_symbols(ratio)
-        assert sol.ok
+class TestWeightFamilies:
+    """Every weight |n| <= l has its reduced operator and ladder family, and
+    each member satisfies its reduced equation exactly."""
+
+    @pytest.mark.parametrize("l", [0, 1, 2, 3])
+    def test_every_weight_satisfies_its_reduced_equation(self, model, l):
+        box = model.space.full_box()
+        lam = ex.num(-l * (l + 1))
+        for n in range(-l, l + 1):
+            red = model.reduced_operator(n)
+            for m, t in model.ladder_family(l, n).items():
+                rep = nc.is_zero(ex.sub(red.apply(t), ex.mul(lam, t)), box)
+                assert rep.verdict is nc.Verdict.SYMBOLIC_ZERO, (l, n, m)
+
+    def test_top_members_to_weight_24(self, model):
+        """The closed-form top member solves (reduced(n) + l(l+1)) t = 0."""
+        box = model.space.full_box()
+        reduced = {n: model.reduced_operator(n) for n in range(-2, 3)}
+        for l in range(25):
+            for n in range(-min(l, 2), min(l, 2) + 1):
+                t = model._family_down_to(l, n, l)[l]
+                residual = ex.add(reduced[n].apply(t), ex.mul(ex.num(l * (l + 1)), t))
+                assert nc.is_zero(residual, box).verdict is nc.Verdict.SYMBOLIC_ZERO, (l, n)
 
     def test_equal_labels_stay_finite_at_the_pole(self, model):
-        # n = m: the singular numerator (m^2 - 2mn x + n^2) vanishes at x = 1
-        sol = solve_generalized_legendre(2, 1, 1, box=model.sphere.box)
-        val = ex.evaluate(sol.expr, {"theta": 1e-6})
+        # n = m: t^2_{1,1} has no pole at theta = 0
+        t = model.ladder_family(2, 1)[1]
+        val = ex.evaluate(t, {"theta": 1e-6, "phi": 0.3})
         assert abs(val) < 10.0
-        assert sol.ok
-
-    def test_residual_certificate_is_symbolic(self, model):
-        sol = solve_generalized_legendre(1, 1, 0, box=model.sphere.box)
-        assert sol.residual.verdict is nc.Verdict.SYMBOLIC_ZERO
-
-    def test_all_small_labels_certify(self, model):
-        for l in range(0, 4):
-            for n in range(-l, l + 1):
-                for m in range(-l, l + 1):
-                    sol = solve_generalized_legendre(l, n, m, box=model.sphere.box)
-                    assert sol.residual.verdict is nc.Verdict.SYMBOLIC_ZERO, (l, n, m)
-
-    def test_out_of_range_weight_reports_termination_index(self, model):
-        with pytest.raises(NonTerminatingSeriesError) as err:
-            solve_generalized_legendre(1, 0, 2, box=model.sphere.box)
-        assert err.value.termination_index == -1
-
-    def test_series_normalization(self, model):
-        sol = solve_generalized_legendre(3, 1, 0, box=model.sphere.box)
-        assert sol.series[0] == Fraction(1)
 
 
 class TestScalarHarmonics:
@@ -125,7 +116,7 @@ class TestLadder:
         assert coef == ex.num(2)
         assert target == -2 and rep.verdict is nc.Verdict.SYMBOLIC_ZERO
 
-    @pytest.mark.parametrize("l,n", [(1, 0), (2, 0), (2, 1), (3, -2), (3, 0)])
+    @pytest.mark.parametrize("l,n", [(l, n) for l in range(4) for n in range(-l, l + 1)])
     def test_both_directions_everywhere(self, model, l, n):
         for m in range(-l, l + 1):
             for s in (+1, -1):

@@ -67,6 +67,16 @@ class TestWeightFamilies:
         assert abs(val) < 10.0
 
 
+class TestGeneralizedLegendre:
+    def test_plain_legendre_weight_one(self, model):
+        # at n = 0 the reduced equation is the Legendre equation; weight 1 gives cos
+        t = model.ladder_family(1, 0)[0]
+        ratio = ex.simplify(ex.div(t, ex.cos(ex.sym("theta"))))
+        assert not ex.free_symbols(ratio) and ratio != ex.ZERO
+        residual = ex.add(model.reduced_operator(0).apply(t), ex.mul(ex.num(2), t))
+        assert nc.is_zero(residual, model.space.full_box()).verdict is nc.Verdict.SYMBOLIC_ZERO
+
+
 class TestScalarHarmonics:
     def test_weight_one_axis_zero(self, model):
         fam = model.scalar_harmonic(1, 0)

@@ -338,6 +338,8 @@ def cmd_harmonics(args) -> int:
         model = bianchi2_model()
         grid = _grid_points(model.chart, args.grid)
         if args.hyper:
+            if args.grid:
+                raise SchemaError("--grid samples symbolic components, and a --hyper family has none")
             if args.mu is None or args.nu is None or args.lam is None:
                 raise SchemaError("hyper families need --mu --nu --lam")
             labels = [parse_label(getattr(args, k), f"--{k}") for k in ("mu", "nu", "lam", "A", "B")]

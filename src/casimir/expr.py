@@ -20,16 +20,20 @@ keeps expressions in an expanded normal form:
 Half-integer powers assume a positive base on the working domain, which all
 built-in charts guarantee; ``simplify`` adds one sum-level normalization
 (lowering same-base power atoms to a common exponent) and is idempotent.
-Anything the kernel cannot prove zero falls back to numeric sampling in
+The common-exponent pass decomposes a sum once, lowers every (base, parity)
+class that fires in turn on that decomposition, and rebuilds the sum once;
+``simplify``'s loop over the pass stays as the fixed-point guard.  Anything
+the kernel cannot prove zero falls back to numeric sampling in
 :mod:`casimir.numcheck`.
 
 Every node is a fixed point of its constructor: ``mul(Num(coef), *factors)``
 rebuilds a ``Mul``, ``add(*terms)`` an ``Add``, ``_power(base, e2)`` a ``Pow``
 and ``fun(fname, arg)`` a ``Fun``, each equal to the node.  This holds
-because nodes are built only in this module, by ``_assemble``, ``_collect``,
-``_cos_bases``, ``fun`` and ``_power``.  ``simplify`` relies
-on it: a node whose children all come back as the same objects is returned
-as it is, so only sums, through the common-exponent pass, do new work.
+because nodes are built only in this module, by ``_assemble``,
+``_sum_of_items`` (which ``_collect`` ends in), ``_cos_bases``, ``fun`` and
+``_power``.  ``simplify`` relies on it: a node whose children all come back
+as the same objects is returned as it is, so only sums, through the
+common-exponent pass, do new work.
 
 Products of sums are the kernel's hot path, so construction shares work
 through module-level memo tables:
@@ -43,11 +47,18 @@ through module-level memo tables:
   pairs, scales the memoized terms by exact coefficients, merges like
   monomials after each sum (``_merge``) and gathers the result with
   ``_collect``, the same step ``add`` uses;
-* ``_DIFF_CACHE`` and ``_ADD_POWER_CACHE`` memoize ``diff`` and powers of
-  sums.
+* ``_DIFF_CACHE`` and ``_ADD_POWER_CACHE`` memoize ``diff`` and the
+  negative and half-integer powers of sums;
+* ``_COFACTOR_CACHE`` maps (base, doubled exponent) to the terms of the
+  expanded positive integer power of a sum that the common-exponent pass
+  multiplies back in.  The pass builds each lowered term as a merged
+  exponent map of the term's other factors, the new atom and one cofactor
+  term, and goes through ``mul`` only when a normalization rule could fire;
+  these products live only for the call, not in a table.
 
 Every table is an idempotent memo: it never changes a result, is cleared
-when it reaches its cap, and is safe to share between threads.  A race or a
+when it reaches its cap (a ``*_CAP`` constant next to it), and is safe to
+share between threads.  A race or a
 clear can only build a second atom equal to an existing one, and equality
 stays structural through ``_key``, so canonical forms do not depend on what
 the tables hold.
@@ -286,6 +297,11 @@ def _coef_mono(t: Expr) -> tuple[CNum, tuple]:
     return CN_ONE, (t,)
 
 
+def _terms_of(e: Expr) -> tuple:
+    """The (coefficient, monomial) pairs of a canonical expression's terms."""
+    return tuple([_coef_mono(t) for t in (e.terms if type(e) is Add else (e,))])
+
+
 def _lead_cnum(e: Expr) -> CNum:
     tt = type(e)
     if tt is Num:
@@ -307,6 +323,9 @@ def _term_expr(c: CNum, mono: tuple) -> Expr:
     if c.is_one() and len(mono) == 1:
         return mono[0]
     return Mul(c, mono)
+
+
+_by_key = operator.attrgetter("_key")
 
 
 def _mono_order(item: tuple) -> list:
@@ -336,7 +355,11 @@ def _merge(pairs) -> list:
 
 def _collect(pairs) -> Expr:
     """Canonical sum of (coefficient, monomial) pairs; like monomials merge."""
-    items = _merge(pairs)
+    return _sum_of_items(_merge(pairs))
+
+
+def _sum_of_items(items: list) -> Expr:
+    """Canonical sum of (monomial, coefficient) items with distinct, nonzero terms."""
     if not items:
         return ZERO
     if len(items) == 1:
@@ -527,8 +550,7 @@ def _mono_product(m1: tuple, m2: tuple) -> tuple:
     key = (m1, m2)
     hit = _MONO_CACHE.get(key)
     if hit is None:
-        p = mul(*m1, *m2)
-        hit = tuple(_coef_mono(t) for t in (p.terms if type(p) is Add else (p,)))
+        hit = _terms_of(mul(*m1, *m2))
         if len(_MONO_CACHE) >= _MONO_CACHE_CAP:
             _MONO_CACHE.clear()
         _MONO_CACHE[key] = hit
@@ -565,7 +587,7 @@ def _assemble(coef: CNum, pmap: dict) -> Expr:
         return ZERO
     if not factors:
         return Num(coef)
-    factors.sort(key=lambda f: f._key)
+    factors.sort(key=_by_key)
     if coef.is_one() and len(factors) == 1:
         return factors[0]
     return Mul(coef, tuple(factors))
@@ -623,6 +645,7 @@ def _num_power(v: CNum, e2: int) -> Expr:
 
 
 _ADD_POWER_CACHE: dict = {}
+_ADD_POWER_CACHE_CAP = 100_000
 
 
 def _add_power(b: Add, e2: int) -> Expr:
@@ -631,7 +654,7 @@ def _add_power(b: Add, e2: int) -> Expr:
     if hit is not None:
         return hit
     out = _add_power_uncached(b, e2)
-    if len(_ADD_POWER_CACHE) > 100_000:
+    if len(_ADD_POWER_CACHE) >= _ADD_POWER_CACHE_CAP:
         _ADD_POWER_CACHE.clear()
     _ADD_POWER_CACHE[key] = out
     return out
@@ -881,6 +904,7 @@ def sqrt(arg) -> Expr:
 
 
 _DIFF_CACHE: dict = {}
+_DIFF_CACHE_CAP = 400_000
 
 
 def diff(e: Expr, x: str) -> Expr:
@@ -889,7 +913,7 @@ def diff(e: Expr, x: str) -> Expr:
     if hit is not None:
         return hit
     out = _diff(e, x)
-    if len(_DIFF_CACHE) > 400_000:
+    if len(_DIFF_CACHE) >= _DIFF_CACHE_CAP:
         _DIFF_CACHE.clear()
     _DIFF_CACHE[key] = out
     return out
@@ -1023,6 +1047,8 @@ def evaluate(e: Expr, env: dict) -> complex:
 # ---------------------------------------------------------------------------
 # simplification
 
+_FIXED_POINT_ROUNDS = 64
+
 
 def simplify(e: Expr) -> Expr:
     """Canonical form with the common-exponent pass applied to every sum.
@@ -1046,7 +1072,7 @@ def simplify(e: Expr) -> Expr:
         return mul(Num(e.coef), *fs)
     ts = [simplify(t) for t in e.terms]
     s = e if all(map(operator.is_, ts, e.terms)) else add(*ts)
-    for _ in range(64):
+    for _ in range(_FIXED_POINT_ROUNDS):
         if type(s) is not Add:
             return s
         s2 = _common_exponent_pass(s)
@@ -1077,47 +1103,105 @@ def _common_exponent_pass(s: Add) -> Expr:
     to the minimum exponent present (multiplying the complementary expanded
     polynomial back in), which lets collection cancel algebraic combinations
     such as sqrt-type derivatives and inverse-square potentials.
+
+    The sum is decomposed once into a {monomial: coefficient} map.  Each round
+    lowers the first (base, parity) class in ``_key`` order that fires, on
+    that map, exactly as one rebuild of the sum per class would; the rounds
+    run until no class fires and the sum is rebuilt once at the end.
     """
-    decomp = [_coef_mono(t) for t in s.terms]
+    items = {mono: c for c, mono in map(_coef_mono, s.terms)}
+    lowered = False
+    for _ in range(_FIXED_POINT_ROUNDS):
+        fired = _firing_class(items) if len(items) > 1 else None
+        if fired is None:
+            break
+        items = _lower_class(items, *fired)
+        lowered = True
+    return _sum_of_items(list(items.items())) if lowered else s
+
+
+def _firing_class(items: dict):
+    """(base, parity, target) of the first class the pass lowers, or None."""
     spots: dict[Expr, dict[int, set]] = {}  # base -> parity -> doubled exponents
     holders: dict[Expr, int] = {}  # base -> number of terms holding it
-    for c, mono in decomp:
+    for mono in items:
         for f in mono:
-            base = f.base if type(f) is Pow else f
-            if type(base) is Add:
-                e2 = f.e2 if type(f) is Pow else 2
-                spots.setdefault(base, {}).setdefault(e2 & 1, set()).add(e2)
+            if type(f) is Pow and type(f.base) is Add:
+                base = f.base
+                spots.setdefault(base, {}).setdefault(f.e2 & 1, set()).add(f.e2)
                 holders[base] = holders.get(base, 0) + 1
-    if not spots:
-        return s
-    for base in sorted(spots, key=lambda b: b._key):
+    for base in sorted(spots, key=_by_key):
         classes = spots[base]
         for odd in (0, 1):
-            exps = classes.get(odd, set())
+            exps = classes.get(odd, ())
             if not odd:
                 # integer-class atoms are always negative powers; bare
                 # polynomial terms can cancel against them after inflation
-                fire = bool(exps) and (len(exps) > 1 or holders[base] < len(decomp))
+                fire = bool(exps) and (len(exps) > 1 or holders[base] < len(items))
             else:
                 fire = len(exps) > 1
-            if not fire:
-                continue
-            target = min(exps)
-            atom = _pow(base, target)
-            pairs = []
-            for c, mono in decomp:
-                cur, rest = _term_atom_exp(mono, base)
-                if cur is None and not odd:
-                    cur, rest = 0, mono
-                if cur is None or cur & 1 != odd or cur == target:
-                    pairs.append((c, mono))
-                    continue
-                polyterm = _power(base, cur - target)
-                for pt in polyterm.terms if type(polyterm) is Add else (polyterm,):
-                    p = mul(Num(c), *rest, atom, pt)
-                    pairs.extend(_coef_mono(t) for t in (p.terms if type(p) is Add else (p,)))
-            return _collect(pairs)
-    return s
+            if fire:
+                return base, odd, min(exps)
+    return None
+
+
+def _lower_class(items: dict, base: Add, odd: int, target: int) -> dict:
+    """The items with every term of the class brought to base^(target/2)."""
+    atom = _pow(base, target)
+    out: dict[tuple, CNum] = {}
+    for mono, c in items.items():
+        cur, rest = _term_atom_exp(mono, base)
+        if cur is None and not odd:
+            cur, rest = 0, mono
+        if cur is None or cur & 1 != odd or cur == target:
+            got = out.get(mono)
+            out[mono] = c if got is None else got + c
+            continue
+        for cp, pm in _cofactor_terms(base, cur - target):
+            ccp = c * cp
+            for c3, m3 in _lowered_product(rest, atom, pm):
+                got = out.get(m3)
+                out[m3] = ccp * c3 if got is None else got + ccp * c3
+    return {mono: c for mono, c in out.items() if not c.is_zero()}
+
+
+def _lowered_product(rest: tuple, atom: Pow, pm: tuple) -> tuple:
+    """Terms (coef, mono) of mul(*rest, atom, *pm).
+
+    rest·atom is a normal-form monomial (the pass only swaps one power of a
+    base for another of the same parity).  When every factor of pm is a
+    power of a symbol or of a cosine, no normalization rule of ``mul`` can
+    fire, so the product is the merged exponent map in ``_key`` order;
+    anything else (exp, sin, numeric radicands, sums) goes through ``mul``."""
+    for f in pm:
+        b = f.base if type(f) is Pow else f
+        if not (type(b) is Sym or (type(b) is Fun and b.fname == "cos")):
+            return _terms_of(mul(*rest, atom, *pm))
+    pmap = {atom.base: atom.e2}
+    for f in (*rest, *pm):
+        if type(f) is Pow:
+            _padd(pmap, f.base, f.e2)
+        else:
+            _padd(pmap, f, 2)
+    factors = [b if e2 == 2 else _pow(b, e2) for b, e2 in pmap.items()]
+    factors.sort(key=_by_key)
+    return ((CN_ONE, tuple(factors)),)
+
+
+_COFACTOR_CACHE: dict = {}
+_COFACTOR_CACHE_CAP = 10_000
+
+
+def _cofactor_terms(base: Add, d2: int) -> tuple:
+    """Terms (coef, mono) of the expanded base^(d2/2), d2 positive and even."""
+    key = (base, d2)
+    hit = _COFACTOR_CACHE.get(key)
+    if hit is None:
+        hit = _terms_of(_power(base, d2))
+        if len(_COFACTOR_CACHE) >= _COFACTOR_CACHE_CAP:
+            _COFACTOR_CACHE.clear()
+        _COFACTOR_CACHE[key] = hit
+    return hit
 
 
 # ---------------------------------------------------------------------------

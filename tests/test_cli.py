@@ -300,6 +300,11 @@ class TestHarmonics:
     def test_csv_needs_a_grid(self, capsys):
         assert_input_error(capsys, "harmonics", "so3", "--l", "0", "--format", "csv")
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_hyper_family_refuses_a_grid(self, capsys, fmt):
+        assert_input_error(capsys, "harmonics", "bianchi2", "--hyper", "--mu=0.1", "--nu=0.5", "--lam=1.5",
+                           "--A=1", "--B=0", "--grid", "v=-2:2:5", "--format", fmt)
+
     def test_grid_json_samples(self, capsys):
         code, out = run(capsys, "harmonics", "so3", "--l", "0", "--grid", "theta=0.5:2.5:4")
         assert code == 0

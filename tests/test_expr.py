@@ -14,6 +14,7 @@ from casimir import expr as ex
 from casimir import operator as op
 from casimir.cnum import CNum
 from casimir.models import so3_model
+from casimir.models.so3 import So3Model
 from casimir.parser import ParseError, parse
 from helpers import reference_simplify
 
@@ -228,14 +229,29 @@ class TestUnparse:
         assert parse(ex.unparse(e), ["v"]) == e
 
 
+# every memo table of the kernel, by the name of its cap
+_TABLES = {
+    "_MONO_CACHE_CAP": "_MONO_CACHE",
+    "_ATOMS_CAP": "_ATOMS",
+    "_DIFF_CACHE_CAP": "_DIFF_CACHE",
+    "_ADD_POWER_CACHE_CAP": "_ADD_POWER_CACHE",
+    "_COFACTOR_CACHE_CAP": "_COFACTOR_CACHE",
+}
+
+
 def _clear_kernel_caches():
-    for table in (ex._MONO_CACHE, ex._ATOMS, ex._DIFF_CACHE, ex._ADD_POWER_CACHE):
-        table.clear()
+    for table in _TABLES.values():
+        getattr(ex, table).clear()
 
 
-def _casimir_of_tensor02() -> list:
+def _set_caps(monkeypatch, cap: int):
+    for name in _TABLES:
+        monkeypatch.setattr(ex, name, cap)
+
+
+def _casimir_of_tensor02(so3=None) -> list:
     """Canonical forms of G applied to a small type-(0,2) so3 tensor."""
-    so3 = so3_model()
+    so3 = so3 or so3_model()
     t = so3.ladder_family(2, 1)[1]
     tens = op.assemble(so3.frame, [op.TensorMonomial((), (1, 1), t)], 0, 2)
     return [ex.unparse(c) for c in op.apply_casimir(so3.op_space, tens).comps]
@@ -262,21 +278,19 @@ class TestKernelCaches:
 
     def test_tables_stay_under_their_caps(self, monkeypatch):
         want = _casimir_of_tensor02()
-        assert len(ex._MONO_CACHE) <= ex._MONO_CACHE_CAP
-        assert len(ex._ATOMS) <= ex._ATOMS_CAP
+        for cap, table in _TABLES.items():
+            assert len(getattr(ex, table)) <= getattr(ex, cap), table
         # tiny caps clear the tables many times mid-computation
-        monkeypatch.setattr(ex, "_MONO_CACHE_CAP", 7)
-        monkeypatch.setattr(ex, "_ATOMS_CAP", 5)
+        _set_caps(monkeypatch, 5)
         _clear_kernel_caches()
         got = _casimir_of_tensor02()
-        assert len(ex._MONO_CACHE) <= 7
-        assert len(ex._ATOMS) <= 5
+        for table in _TABLES.values():
+            assert len(getattr(ex, table)) <= 5, table
         assert got == want
 
     def test_threads_sharing_the_tables_agree(self, monkeypatch):
         want = _casimir_of_tensor02()
-        monkeypatch.setattr(ex, "_MONO_CACHE_CAP", 50)
-        monkeypatch.setattr(ex, "_ATOMS_CAP", 20)
+        _set_caps(monkeypatch, 20)
         _clear_kernel_caches()
         results = []
 
@@ -314,6 +328,41 @@ def test_products_of_repeated_sums_merge_as_they_distribute(monkeypatch):
     assert got == ex.add(*[ex.mul(ex.num(math.comb(16, j)), ex.power(v, 2 * j)) for j in range(17)])
     # terms that cancel part-way through are dropped, not carried
     assert ex.mul(*[parse("1 + v", ["v"]), parse("1 - v", ["v"])] * 3) == ex.power(parse("1 - v^2", ["v"]), 3)
+
+
+def test_each_sum_is_lowered_in_one_pass(monkeypatch):
+    """On G of a type-(0,2) tensor, no sum that the common-exponent pass
+    changes is changed again by a second pass, and each cofactor
+    base^(cur - target) is expanded at most once while its memo is cold."""
+    real_pass, real_power = ex._common_exponent_pass, ex._power
+    outputs = []  # every sum a changing pass returned, kept alive for `is`
+    second = []
+    expanded = []
+    depth = []
+
+    def counted_pass(s):
+        depth.append(1)
+        try:
+            out = real_pass(s)
+        finally:
+            depth.pop()
+        if out is not s:
+            second.extend(1 for o in outputs if o is s)
+            outputs.append(out)
+        return out
+
+    def counted_power(b, e2):
+        if depth:
+            expanded.append((b, e2))
+        return real_power(b, e2)
+
+    monkeypatch.setattr(ex, "_common_exponent_pass", counted_pass)
+    monkeypatch.setattr(ex, "_power", counted_power)
+    _clear_kernel_caches()
+    _casimir_of_tensor02(So3Model())  # a new model composes G cold
+    assert len(outputs) > 20
+    assert not second
+    assert expanded and len(expanded) == len(set(expanded))
 
 
 class TestRationalRoots:
@@ -481,6 +530,28 @@ def _rich_exprs():
     return st.one_of(tree, sums, sums.map(lambda e: ex.diff(e, "x")))
 
 
+_BASES = tuple(parse(t, _COORDS) for t in (
+    "1 - cos(x)", "1 + cos(x)", "1 + x^2", "1 + y^2", "1 - cos(y)",
+    # cofactor terms holding sin, exp or a numeric radicand take mul's rules
+    "1 + sin(y)", "1 + exp(i*x)", "1 + sqrt(2)*y",
+))
+
+
+def _multi_base_sums():
+    """Sums in which several polynomial bases fire in one pass: powers of
+    two or more bases, integer and half-integer exponents of each, next to
+    terms that hold no power of a base."""
+    exps = st.sampled_from([Fraction(k, 2) for k in (-5, -4, -3, -2, -1, 1)])
+    powers = st.tuples(st.sampled_from(_BASES), exps).map(lambda t: ex.power(*t))
+    others = st.sampled_from([ex.ONE, *(ex.sym(c) for c in _COORDS), parse("cos(x)^2", _COORDS),
+                              parse("sin(y)", _COORDS), parse("exp(i*y)", _COORDS),
+                              parse("sqrt(3)", _COORDS)])
+    coefs = st.integers(-3, 3).filter(bool).map(ex.num)
+    terms = st.tuples(coefs, others, st.lists(powers, max_size=3)).map(
+        lambda t: ex.mul(t[0], t[1], *t[2]))
+    return st.lists(terms, min_size=2, max_size=6).map(lambda ts: ex.add(*ts))
+
+
 def _nodes(e):
     stack = [e]
     while stack:
@@ -497,8 +568,8 @@ def _nodes(e):
             stack.extend(n.terms)
 
 
-@given(_rich_exprs())
-@settings(max_examples=150, deadline=None)
+@given(st.one_of(_rich_exprs(), _multi_base_sums()))
+@settings(max_examples=200, deadline=None)
 def test_every_node_is_a_fixed_point_of_its_constructor(e):
     # simplify returns a node whose children come back unchanged as it is
     for n in itertools.chain(_nodes(e), _nodes(ex.simplify(e))):
@@ -513,8 +584,8 @@ def test_every_node_is_a_fixed_point_of_its_constructor(e):
             assert ex.fun(n.fname, n.arg) == n
 
 
-@given(_rich_exprs())
-@settings(max_examples=150, deadline=None)
+@given(st.one_of(_rich_exprs(), _multi_base_sums()))
+@settings(max_examples=200, deadline=None)
 def test_simplify_matches_the_rebuilding_reference(e):
     assert ex.unparse(ex.simplify(e)) == ex.unparse(reference_simplify(e))
 

@@ -121,6 +121,7 @@ class CNum:
 
 
 CN_ONE = CNum(1)
+CN_MINUS_ONE = CNum(-1)
 CN_I = CNum(0, 1)
 
 

@@ -35,6 +35,19 @@ because nodes are built only in this module, by ``_assemble``,
 as the same objects is returned as it is, so only sums, through the
 common-exponent pass, do new work.
 
+Each ``Fun``, ``Pow``, ``Mul`` and ``Add`` node remembers its simplified
+form in the ``_simple`` slot, filled the first time ``simplify`` reaches it
+(``Num`` and ``Sym`` are always their own).  A node that is its own
+simplified form holds the sentinel ``_FIXED``, never a reference to itself,
+so the memo makes no reference cycle.  The memo is not part of ``_key`` or
+the hash; a race between threads can only compute the same result twice.
+
+``sum_of_products(products)`` is the one accumulation primitive: it equals
+``add(*[mul(*p) for p in products])``, but ``_product`` hands it each
+product's (coefficient, monomial) pairs uncollected, so no intermediate
+product is built only to be taken apart by the sum.  ``mul`` is
+``_collect`` of the same pairs.
+
 Products of sums are the kernel's hot path, so construction shares work
 through module-level memo tables:
 
@@ -69,9 +82,9 @@ from __future__ import annotations
 import cmath
 import operator
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
-from .cnum import CN_I, CN_ONE, CNum, fraction_gcd, fraction_sqrt
+from .cnum import CN_I, CN_MINUS_ONE, CN_ONE, CNum, fraction_gcd, fraction_sqrt
 
 _FUNCTIONS = ("sin", "cos", "exp")
 
@@ -138,8 +151,13 @@ class Expr:
         return neg(self)
 
 
+# the node memo of a node that is its own simplified form; see `simplify`
+_FIXED = object()
+
+
 class Num(Expr):
     __slots__ = ("val",)
+    _simple = _FIXED
 
     def __init__(self, val: CNum):
         self.val = val
@@ -153,6 +171,7 @@ class Num(Expr):
 
 class Sym(Expr):
     __slots__ = ("name",)
+    _simple = _FIXED
 
     def __init__(self, name: str):
         self.name = name
@@ -172,7 +191,7 @@ def _intern(key: tuple, atom: Expr) -> None:
 
 
 class Fun(Expr):
-    __slots__ = ("fname", "arg")
+    __slots__ = ("fname", "arg", "_simple")
 
     def __new__(cls, fname: str, arg: Expr):
         key = (2, fname, arg)
@@ -181,6 +200,7 @@ class Fun(Expr):
             self = object.__new__(cls)
             self.fname = fname
             self.arg = arg
+            self._simple = None
             self._key = (2, fname, arg._key)
             self._hash = hash((2, fname, arg._hash))
             _intern(key, self)
@@ -190,7 +210,7 @@ class Fun(Expr):
 class Pow(Expr):
     """base^exp; ``exp`` is an int or a half-integer Fraction, ``e2`` twice it."""
 
-    __slots__ = ("base", "exp", "e2")
+    __slots__ = ("base", "exp", "e2", "_simple")
 
     def __new__(cls, base: Expr, exp):
         return _pow(base, _as_exp(exp))
@@ -205,6 +225,7 @@ def _pow(base: Expr, e2: int) -> Pow:
         self.base = base
         self.e2 = e2
         self.exp = exp = _exp_value(e2)
+        self._simple = None
         self._key = (3, base._key, exp)
         self._hash = hash((3, base._hash, exp.numerator, exp.denominator))
         _intern(key, self)
@@ -214,11 +235,12 @@ def _pow(base: Expr, e2: int) -> Pow:
 class Mul(Expr):
     """coef * f1 * f2 * ...; factors are sorted Sym/Fun/Pow atoms."""
 
-    __slots__ = ("coef", "factors")
+    __slots__ = ("coef", "factors", "_simple")
 
     def __init__(self, coef: CNum, factors: tuple):
         self.coef = coef
         self.factors = factors
+        self._simple = None
         self._key = (4, tuple([f._key for f in factors]), coef.re, coef.im)
         self._hash = hash(
             (4, tuple([f._hash for f in factors]),
@@ -229,16 +251,18 @@ class Mul(Expr):
 class Add(Expr):
     """Sorted sum of terms with distinct monomial parts."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "_simple")
 
     def __init__(self, terms: tuple):
         self.terms = terms
+        self._simple = None
         self._key = (5, tuple(t._key for t in terms))
         self._hash = hash((5, tuple(t._hash for t in terms)))
 
 
 ZERO = Num(CNum(0))
 ONE = Num(CN_ONE)
+MINUS_ONE = Num(CN_MINUS_ONE)
 I = Num(CN_I)
 
 
@@ -370,7 +394,7 @@ def _sum_of_items(items: list) -> Expr:
 
 
 def neg(e) -> Expr:
-    return mul(Num(CNum(-1)), as_expr(e))
+    return mul(MINUS_ONE, as_expr(e))
 
 
 def sub(a, b) -> Expr:
@@ -396,14 +420,14 @@ def _classify_cos_base(b: Expr):
         return None
     if c == CN_ONE:
         return (_ONE_PLUS_COS, mono[0].arg)
-    if c == CNum(-1):
+    if c == CN_MINUS_ONE:
         return (_ONE_MINUS_COS, mono[0].arg)
     return None
 
 
 def _cos_bases(u: Expr) -> tuple[Expr, Expr]:
     cos_u = Fun("cos", u)
-    minus = Add((ONE, Mul(CNum(-1), (cos_u,))))
+    minus = Add((ONE, Mul(CN_MINUS_ONE, (cos_u,))))
     plus = Add((ONE, cos_u))
     return minus, plus
 
@@ -421,6 +445,30 @@ def _padd(pmap: dict, base: Expr, e2: int):
 
 
 def mul(*items) -> Expr:
+    out = _product(items)
+    return _collect(out) if type(out) is list else out
+
+
+def sum_of_products(products) -> Expr:
+    """``add(*[mul(*p) for p in products])``, built without the products.
+
+    Each product's (coefficient, monomial) pairs go straight into one
+    collection, so no intermediate product is assembled and taken apart
+    again."""
+    pairs = []
+    for p in products:
+        out = _product(p)
+        if type(out) is list:
+            pairs.extend(out)
+        else:
+            pairs.append(_coef_mono(out))
+    return _collect(pairs)
+
+
+def _product(items):
+    """The product of `items`: a finished term when no sum is left to
+    distribute, otherwise the uncollected list of its (coefficient,
+    monomial) pairs, like monomials not yet merged."""
     coef = CN_ONE
     pmap: dict[Expr, int] = {}  # base -> twice its exponent
     pend: list[Add] = []
@@ -527,8 +575,8 @@ def mul(*items) -> Expr:
     if not pend:
         return base_expr
     # distribute: every term is (coef, mono); monomial products come from the memo.
-    # Like monomials merge after each sum but the last (`_collect` merges that
-    # one), so k copies of a two-term sum make O(k^2) products, not 2^k.
+    # Like monomials merge after each sum but the last (the caller's `_collect`
+    # merges that one), so k copies of a two-term sum make O(k^2) products, not 2^k.
     pairs = [_coef_mono(base_expr)]
     for i, a in enumerate(pend):
         parts = [_coef_mono(t) for t in a.terms]
@@ -538,7 +586,7 @@ def mul(*items) -> Expr:
                 c12 = c1 * c2
                 nxt.extend([(c12 * c, m) for c, m in _mono_product(m1, m2)])
         pairs = nxt if i == len(pend) - 1 else [(c, m) for m, c in _merge(nxt)]
-    return _collect(pairs)
+    return pairs
 
 
 _MONO_CACHE: dict = {}
@@ -702,7 +750,7 @@ def _primitive_sum(b: Add) -> tuple[CNum, Add]:
     if scale.is_one():
         return CN_ONE, b
     inv = Num(scale.inverse())
-    prim = add(*[mul(inv, t) for t in b.terms])
+    prim = sum_of_products([(inv, t) for t in b.terms])
     return scale, prim
 
 
@@ -788,8 +836,6 @@ def _factor_poly(b: Add):
 
 def _rational_roots(poly: list[Fraction]) -> list[tuple[Fraction, int]]:
     """Rational roots (with multiplicity) of poly, destructively deflating it."""
-    from math import gcd
-
     found: list[tuple[Fraction, int]] = []
 
     def record(r):
@@ -875,7 +921,7 @@ def fun(name: str, arg) -> Expr:
         return ZERO if name == "sin" else ONE
     if _lead_cnum(arg).negative_lead():
         inner = Fun(name, neg(arg))
-        return mul(Num(CNum(-1)), inner) if name == "sin" else inner
+        return mul(MINUS_ONE, inner) if name == "sin" else inner
     return Fun(name, arg)
 
 
@@ -942,14 +988,14 @@ def _diff(e: Expr, x: str) -> Expr:
             return ZERO
         return mul(Num(CNum(e.exp)), _power(e.base, e.e2 - 2), db)
     if tt is Mul:
-        parts = []
+        products = []
         fs = e.factors
         for i, f in enumerate(fs):
             df = diff(f, x)
             if df is ZERO:
                 continue
-            parts.append(mul(Num(e.coef), df, *fs[:i], *fs[i + 1:]))
-        return add(*parts)
+            products.append((Num(e.coef), df, *fs[:i], *fs[i + 1:]))
+        return sum_of_products(products)
     return add(*[diff(t, x) for t in e.terms])
 
 
@@ -1053,12 +1099,24 @@ _FIXED_POINT_ROUNDS = 64
 def simplify(e: Expr) -> Expr:
     """Canonical form with the common-exponent pass applied to every sum.
 
+    The result is kept on the node (``_simple``; ``_FIXED`` when it is the
+    node itself), so each node is simplified once."""
+    memo = e._simple
+    if memo is _FIXED:
+        return e
+    if memo is None:
+        memo = _simplify_node(e)
+        e._simple = _FIXED if memo is e else memo
+    return memo
+
+
+def _simplify_node(e: Expr) -> Expr:
+    """Simplify a Fun, Pow, Mul or Add whose memo is not set.
+
     A node whose children all come back as the same objects is returned as
     it is: kernel nodes are fixed points of their constructors (see the
     module docstring), so only sums can still change, through the pass."""
     tt = type(e)
-    if tt is Num or tt is Sym:
-        return e
     if tt is Fun:
         a = simplify(e.arg)
         return e if a is e.arg else fun(e.fname, a)

@@ -65,7 +65,9 @@ def apply_casimir(op: CasimirOperator, t: TensorField) -> TensorField:
         rows = [lie_correction_rows(x, t.p, t.q) for x in op.generators]
         matrix = op._matrices[key] = _compose(op, rows)
     comps = tuple(
-        ex.simplify(ex.add(*[entry.apply(t.comps[j]) for j, entry in row])) for row in matrix
+        ex.simplify(ex.sum_of_products(
+            itertools.chain.from_iterable(entry.products(t.comps[j]) for j, entry in row)))
+        for row in matrix
     )
     return TensorField(t.chart, t.p, t.q, comps)
 
@@ -91,14 +93,16 @@ class ScalarOperator:
         return ScalarOperator(chart, tuple(items))
 
     def apply(self, f: ex.Expr) -> ex.Expr:
-        parts = []
+        return ex.sum_of_products(self.products(f))
+
+    def products(self, f: ex.Expr):
+        """The factor pairs (coefficient, derivative of f) whose sum is apply(f)."""
         for idx, coeff in self.table:
             d = f
             for axis, k in enumerate(idx):
                 for _ in range(k):
                     d = ex.diff(d, self.chart.coords[axis])
-            parts.append(ex.mul(coeff, d))
-        return ex.add(*parts)
+            yield coeff, d
 
     def order(self) -> int:
         return max((sum(idx) for idx, _ in self.table), default=0)
@@ -182,9 +186,9 @@ def _compose(op: CasimirOperator, rows: list) -> tuple:
     """sum_ik g^{ik} A_i A_k as a matrix of scalar operators.
 
     A_i = xi_i . d + R_i acts on a column of components, with R_i = rows[i]
-    given as rows {J: factor}.  Raw coefficient terms are collected per
-    entry and each entry is simplified once, at the end.  Returns, per row
-    I, the nonzero entries as (J, ScalarOperator) pairs."""
+    given as rows {J: factor}.  Raw coefficient products are collected per
+    entry, summed by one `sum_of_products` and simplified once, at the end.
+    Returns, per row I, the nonzero entries as (J, ScalarOperator) pairs."""
     chart = op.chart
     n = len(rows[0])
     a_ops = []  # a_ops[i][I] = {J: first-order table of (A_i)_IJ}
@@ -196,7 +200,7 @@ def _compose(op: CasimirOperator, rows: list) -> tuple:
             ent.setdefault(row_i, {}).update(transport)
             a_i.append(ent)
         a_ops.append(a_i)
-    acc = [{} for _ in range(n)]  # acc[I][K][multi-index] -> raw coefficient terms
+    acc = [{} for _ in range(n)]  # acc[I][K][multi-index] -> raw coefficient products
     for i in range(op.r):
         for k in range(op.r):
             g = op.metric[i][k]
@@ -205,15 +209,15 @@ def _compose(op: CasimirOperator, rows: list) -> tuple:
             for row_i in range(n):
                 for j, outer in a_ops[i][row_i].items():
                     for col, inner in a_ops[k][j].items():
-                        terms = acc[row_i].setdefault(col, {})
-                        for idx, term in _leibniz(chart.coords, g, outer, inner):
-                            terms.setdefault(idx, []).append(term)
+                        products = acc[row_i].setdefault(col, {})
+                        for idx, factors in _leibniz(chart.coords, g, outer, inner):
+                            products.setdefault(idx, []).append(factors)
     matrix = []
     for row_i in range(n):
         entries = []
         for col in sorted(acc[row_i]):
             entry = ScalarOperator.from_table(
-                chart, {idx: ex.add(*terms) for idx, terms in acc[row_i][col].items()}
+                chart, {idx: ex.sum_of_products(ps) for idx, ps in acc[row_i][col].items()}
             )
             if entry.table:
                 entries.append((col, entry))
@@ -222,21 +226,21 @@ def _compose(op: CasimirOperator, rows: list) -> tuple:
 
 
 def _leibniz(coords: tuple, g: ex.Expr, outer: dict, inner: dict):
-    """Raw terms (multi-index, coefficient) of g * (outer o inner), for a
-    first-order table `outer` and any table `inner`."""
+    """Raw terms (multi-index, coefficient factors) of g * (outer o inner),
+    for a first-order table `outer` and any table `inner`."""
     for alpha, s in outer.items():
         if not any(alpha):
             for beta, c in inner.items():
-                yield beta, ex.mul(g, s, c)
+                yield beta, (g, s, c)
             continue
         axis = alpha.index(1)
         for beta, c in inner.items():
             dc = ex.diff(c, coords[axis])
             if dc != ex.ZERO:
-                yield beta, ex.mul(g, s, dc)
+                yield beta, (g, s, dc)
             up = list(beta)
             up[axis] += 1
-            yield tuple(up), ex.mul(g, s, c)
+            yield tuple(up), (g, s, c)
 
 
 # --- monomials ---------------------------------------------------------------
@@ -255,20 +259,18 @@ def assemble(frame: Frame, monomials, p: int, q: int) -> TensorField:
     """Sum of scalar * basis tensor products, in coordinate components."""
     chart = frame.chart
     d = chart.dim
-    total = {idx: ex.ZERO for idx in itertools.product(range(d), repeat=p + q)}
+    products = {idx: [] for idx in itertools.product(range(d), repeat=p + q)}
     for mono in monomials:
         if len(mono.upper) != p or len(mono.lower) != q:
             raise ValueError("monomial slot count does not match the tensor type")
-        for idx in itertools.product(range(d), repeat=p + q):
+        for idx, ps in products.items():
             parts = [mono.scalar]
             for slot, a in enumerate(mono.upper):
                 parts.append(frame.vectors[a].comps[idx[slot]])
             for slot, b in enumerate(mono.lower):
                 parts.append(frame.covectors[b].comps[idx[p + slot]])
-            total[idx] = ex.add(total[idx], ex.mul(*parts))
-    comps = tuple(
-        ex.simplify(total[idx]) for idx in itertools.product(range(d), repeat=p + q)
-    )
+            ps.append(parts)
+    comps = tuple(ex.simplify(ex.sum_of_products(ps)) for ps in products.values())
     return TensorField(chart, p, q, comps)
 
 
@@ -308,15 +310,15 @@ def project_component(t: TensorField, frame: Frame, upper: tuple, lower: tuple) 
     """Frame component T^A_B: contract upper slots with covectors, lower with vectors."""
     chart = t.chart
     d = chart.dim
-    parts = []
+    products = []
     for idx in itertools.product(range(d), repeat=t.p + t.q):
         factors = [t.comps[t.flat(idx)]]
         for slot, a in enumerate(upper):
             factors.append(frame.covectors[a].comps[idx[slot]])
         for slot, b in enumerate(lower):
             factors.append(frame.vectors[b].comps[idx[t.p + slot]])
-        parts.append(ex.mul(*factors))
-    return ex.simplify(ex.add(*parts))
+        products.append(factors)
+    return ex.simplify(ex.sum_of_products(products))
 
 
 # --- certification -----------------------------------------------------------

@@ -46,7 +46,7 @@ class DualityError(Exception):
 
 def pairing(omega: TensorField, x: VectorField) -> ex.Expr:
     """Inner product of a one-form with a vector."""
-    return ex.add(*[ex.mul(a, b) for a, b in zip(omega.comps, x.comps)])
+    return ex.sum_of_products(zip(omega.comps, x.comps))
 
 
 # --- symbolic matrices -----------------------------------------------------
@@ -486,9 +486,9 @@ def solve_invariant_frame(sc: StructureConstants, generators, seed: int = 0) -> 
     for b in range(r):
         for a in range(r):
             for dd in range(r):
-                resid = ex.add(
-                    generators[b].apply(lmat[a][dd]),
-                    *[ex.mul(ex.num(sc.c[a][b][q]), lmat[q][dd]) for q in range(r)],
+                resid = ex.sum_of_products(
+                    generators[b].products(lmat[a][dd])
+                    + [(ex.num(sc.c[a][b][q]), lmat[q][dd]) for q in range(r)]
                 )
                 invariance.append(nc.is_zero(resid, box, seed))
     if not all(rep.is_zero for rep in invariance):
@@ -499,7 +499,7 @@ def solve_invariant_frame(sc: StructureConstants, generators, seed: int = 0) -> 
             chart,
             tuple(
                 ex.simplify(
-                    ex.add(*[ex.mul(lmat[a][dd], generators[a].comps[c]) for a in range(r)])
+                    ex.sum_of_products([(lmat[a][dd], generators[a].comps[c]) for a in range(r)])
                 )
                 for c in range(d)
             ),
@@ -555,7 +555,7 @@ def metric_from_frame(L, sc: StructureConstants, generators, seed: int = 0) -> I
     r = sc.r
     g = [
         [
-            ex.simplify(ex.add(*[ex.mul(L[i][dd], L[k][dd]) for dd in range(r)]))
+            ex.simplify(ex.sum_of_products([(L[i][dd], L[k][dd]) for dd in range(r)]))
             for k in range(r)
         ]
         for i in range(r)
@@ -575,10 +575,10 @@ def _certify_metric(g, sc, generators, provenance, seed) -> InvariantMetric:
     for j in range(r):
         for i in range(r):
             for k in range(r):
-                resid = ex.add(
-                    generators[j].apply(g[i][k]),
-                    *[ex.mul(ex.num(sc.c[i][j][l]), g[l][k]) for l in range(r)],
-                    *[ex.mul(ex.num(sc.c[k][j][l]), g[i][l]) for l in range(r)],
+                resid = ex.sum_of_products(
+                    generators[j].products(g[i][k])
+                    + [(ex.num(sc.c[i][j][l]), g[l][k]) for l in range(r)]
+                    + [(ex.num(sc.c[k][j][l]), g[i][l]) for l in range(r)]
                 )
                 reports.append(nc.is_zero(resid, box, seed))
     env = nc.sample_box(box, 1, seed)[0] if box else {}
@@ -613,6 +613,6 @@ def _numeric_rank(m) -> int:
 def project_vector(proj: Projector, x: VectorField) -> VectorField:
     d = x.chart.dim
     comps = tuple(
-        ex.add(*[ex.mul(proj.tensor.comp(c, e), x.comps[e]) for e in range(d)]) for c in range(d)
+        ex.sum_of_products([(proj.tensor.comp(c, e), x.comps[e]) for e in range(d)]) for c in range(d)
     )
     return VectorField(x.chart, comps)

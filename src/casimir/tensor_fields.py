@@ -91,7 +91,11 @@ class VectorField:
 
     def apply(self, f: ex.Expr) -> ex.Expr:
         """Directional derivative X(f)."""
-        return ex.add(*[ex.mul(c, ex.diff(f, x)) for c, x in zip(self.comps, self.chart.coords)])
+        return ex.sum_of_products(self.products(f))
+
+    def products(self, f: ex.Expr):
+        """The factor pairs (X^a, d_a f) whose sum is X(f)."""
+        return [(c, ex.diff(f, x)) for c, x in zip(self.comps, self.chart.coords)]
 
 
 @dataclass(frozen=True)
@@ -181,7 +185,7 @@ def lie_derivative(x: VectorField, t: TensorField) -> TensorField:
         raise ChartMismatchError("vector and tensor live on different charts")
     rows = lie_correction_rows(x, t.p, t.q)
     out = tuple(
-        ex.add(x.apply(comp), *[ex.mul(t.comps[j], f) for j, f in row.items()])
+        ex.sum_of_products(x.products(comp) + [(t.comps[j], f) for j, f in row.items()])
         for comp, row in zip(t.comps, rows)
     )
     return TensorField(t.chart, t.p, t.q, out)
@@ -231,7 +235,7 @@ def verify_realization(fields, sc, seed: int = 0) -> RealizationReport:
         for j in range(i + 1, sc.r):
             br = lie_bracket(fields[i], fields[j])
             want = [
-                ex.add(*[ex.mul(ex.num(sc.c[k][i][j]), fields[k].comps[a]) for k in range(sc.r)])
+                ex.sum_of_products([(ex.num(sc.c[k][i][j]), fields[k].comps[a]) for k in range(sc.r)])
                 for a in range(chart.dim)
             ]
             reports = tuple(

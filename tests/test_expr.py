@@ -292,10 +292,14 @@ class TestKernelCaches:
         want = _casimir_of_tensor02()
         _set_caps(monkeypatch, 20)
         _clear_kernel_caches()
+        # the threads also simplify the same node objects, racing on their memos
+        shared = _unsimplified_sums()
+        want_shared = [ex.unparse(reference_simplify(e)) for e in shared]
+        assert all(e._simple is None for e in shared)
         results = []
 
         def work():
-            results.append(_casimir_of_tensor02())
+            results.append((_casimir_of_tensor02(), [ex.unparse(ex.simplify(e)) for e in shared]))
 
         old = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -308,7 +312,38 @@ class TestKernelCaches:
         finally:
             sys.setswitchinterval(old)
         assert not any(th.is_alive() for th in threads)
-        assert results == [want] * 4
+        assert results == [(want, want_shared)] * 4
+
+
+def _unsimplified_sums() -> list:
+    """First and second derivatives of products of radicals: sums in which
+    the common-exponent pass fires, built fresh and not yet simplified."""
+    texts = ("x*(1+x^2)^(1/2)*(1-cos(y))^(1/2)", "exp(m*y)*sin(y)^3*(1+y^2)^(-3/2)",
+             "(1-cos(x))^(1/2)*(1+cos(x))^(-3/2) + x*(1+x^2)^(-1/2)")
+    out = []
+    for text in texts:
+        e = parse(text, ["x", "y"], ["m"])
+        for a in ("x", "y"):
+            d = ex.diff(e, a)
+            out.extend([d, ex.diff(d, "x"), ex.diff(d, "y")])
+    return [e for e in dict.fromkeys(out) if type(e) is ex.Add]
+
+
+def test_each_sum_gets_few_common_exponent_passes(monkeypatch):
+    """On G of a type-(0,2) tensor, composed cold, the common-exponent pass
+    runs at most twice per distinct sum: a simplified node is not
+    simplified again."""
+    real_pass = ex._common_exponent_pass
+    seen = []
+
+    def counted_pass(s):
+        seen.append(s._key)
+        return real_pass(s)
+
+    monkeypatch.setattr(ex, "_common_exponent_pass", counted_pass)
+    _clear_kernel_caches()
+    _casimir_of_tensor02(So3Model())
+    assert seen and len(seen) <= 2 * len(set(seen))
 
 
 def test_products_of_repeated_sums_merge_as_they_distribute(monkeypatch):
@@ -602,3 +637,49 @@ def test_evaluate_matches_reparsed(e):
     u = parse(ex.unparse(e), _COORDS)
     env = {"x": 0.37, "y": 1.21}
     assert ex.evaluate(u, env) == ex.evaluate(e, env)
+
+
+class TestNodeMemo:
+    """``simplify`` keeps its result on the node and never changes it by that."""
+
+    def test_simplify_changes_the_shared_sums(self):
+        assert any(ex.simplify(e) != e for e in _unsimplified_sums())
+
+    @given(st.one_of(_rich_exprs(), _multi_base_sums()))
+    @settings(max_examples=100, deadline=None)
+    def test_memo_matches_a_fresh_node(self, e):
+        first = ex.simplify(e)
+        assert ex.simplify(e) is first  # read back from the memo
+        # the same expression with no memo anywhere: new atoms, new nodes
+        _clear_kernel_caches()
+        fresh = parse(ex.unparse(e), _COORDS)
+        assert fresh == e
+        assert all(n._simple is None for n in _nodes(fresh) if type(n) not in (ex.Num, ex.Sym))
+        assert ex.unparse(ex.simplify(fresh)) == ex.unparse(first)
+
+    @given(st.one_of(_rich_exprs(), _multi_base_sums()))
+    @settings(max_examples=100, deadline=None)
+    def test_simplify_is_idempotent_and_memos_hold_no_cycles(self, e):
+        s = ex.simplify(e)
+        assert ex.simplify(s) is s
+        for n in itertools.chain(_nodes(e), _nodes(s)):
+            # a node that is its own simplified form holds the sentinel
+            assert n._simple is not n
+
+
+def _sums_of_products():
+    """Lists of 1-4 factor products, with zero factors and pairs of products
+    that cancel exactly."""
+    factors = st.one_of(_rich_exprs(), _multi_base_sums(), st.just(ex.ZERO))
+    products = st.lists(factors, min_size=1, max_size=4).map(tuple)
+    return st.tuples(st.lists(products, max_size=4), st.lists(products, max_size=2)).map(
+        lambda t: t[0] + [q for p in t[1] for q in (p, (ex.MINUS_ONE, *p))])
+
+
+@given(_sums_of_products())
+@settings(max_examples=80, deadline=None)
+def test_sum_of_products_matches_adding_the_products(ps):
+    want = ex.add(*[ex.mul(*p) for p in ps])
+    got = ex.sum_of_products(ps)
+    assert ex.unparse(got) == ex.unparse(want)
+    assert got == want

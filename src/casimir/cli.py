@@ -28,7 +28,7 @@ from .lie_algebra import (
     invert_cartan,
     validate,
 )
-from .modelio import SchemaError, load_family, load_model, parse_label, parse_rational
+from .modelio import BUILTIN_MODELS, SchemaError, load_family, load_model, parse_label, parse_rational
 from .models import bianchi2_model, so3_model
 from .models.family import verdict
 from .models.hypergeom import SeriesNotConvergedError
@@ -145,7 +145,7 @@ def cmd_verify(args) -> int:
         return _verify_family(args)
     seed = args.seed
     spec = load_model(args.model)
-    rep = Report("verify", {"model": args.model, "source": spec.source}, seed)
+    rep = Report("verify", {"model": _model_name(args.model, spec), "source": spec.source}, seed)
     with Stopwatch(rep, "total"):
         val = validate(spec.constants)
         rep.add_check("structure-constants", val.ok, **val.to_json())
@@ -154,6 +154,11 @@ def cmd_verify(args) -> int:
         _check_frame_and_metric(spec, rep, seed)
     _emit(args, rep.render())
     return EXIT_OK if rep.ok else EXIT_CHECK_FAILED
+
+
+def _model_name(ref: str, spec) -> str:
+    """A built-in model by its name, a model file by the digest of its bytes."""
+    return ref if ref in BUILTIN_MODELS else spec.source
 
 
 def _spec_frame(spec, seed: int):
@@ -191,8 +196,8 @@ def _check_frame_and_metric(spec, rep, seed: int):
 
 def _verify_family(args) -> int:
     seed = args.seed
-    doc = load_family(args.family)
-    rep = Report("verify-family", {"family": args.family, "model": doc["model"], "kind": doc["kind"]}, seed)
+    doc, digest = load_family(args.family)
+    rep = Report("verify-family", {"family": digest, "model": doc["model"], "kind": doc["kind"]}, seed)
     with Stopwatch(rep, "total"):
         with _as_input_error("malformed family document"):
             stored: dict[str, list] = {}
@@ -241,7 +246,7 @@ def _as_input_error(what: str):
 def cmd_build_metric(args) -> int:
     seed = args.seed
     spec = load_model(args.model)
-    rep = Report("build-metric", {"model": args.model, "source": spec.source}, seed)
+    rep = Report("build-metric", {"model": _model_name(args.model, spec), "source": spec.source}, seed)
     with Stopwatch(rep, "total"):
         val = validate(spec.constants)
         rep.add_check("structure-constants", val.ok)
@@ -451,6 +456,7 @@ def cmd_reduce(args) -> int:
         op = bianchi2_model().op
     else:
         spec = load_model(args.model)
+        rep.inputs["model"] = _model_name(args.model, spec)
         if spec.frame_vectors is None or spec.metric is None:
             raise SchemaError("reduce on user models needs both a frame and a metric in the file")
         mu = _check_frame_and_metric(spec, rep, seed)

@@ -18,13 +18,26 @@ keeps expressions in an expanded normal form:
   of 1 - cos^2 and the product of the inverses of 1 -/+ cos coincide.
 
 Half-integer powers assume a positive base on the working domain, which all
-built-in charts guarantee; ``simplify`` adds one sum-level normalization
-(lowering same-base power atoms to a common exponent) and is idempotent.
-The common-exponent pass decomposes a sum once, lowers every (base, parity)
-class that fires in turn on that decomposition, and rebuilds the sum once;
-``simplify``'s loop over the pass stays as the fixed-point guard.  Anything
-the kernel cannot prove zero falls back to numeric sampling in
-:mod:`casimir.numcheck`.
+built-in charts guarantee; ``simplify`` adds one sum-level normalization and
+is idempotent.  In a simplified sum:
+
+* the powers of one base hold one exponent per parity (the common-exponent
+  pass lowers them to the least, multiplying the cofactor back in);
+* a linear base b = b0 + b1*x in a symbol or cosine x keeps a negative
+  integer power only if some numerator does not vanish at its root:
+  grouping the terms by their factors other than x and b, each group is a
+  polynomial in x, and while every group vanishes at the root all of them
+  are divided by b.  So sums of rational functions of cos(u) over powers
+  of 1 -/+ cos(u), such as the Legendre-type family members, keep one
+  written form: their least common denominator, over numerators in lowest
+  terms.
+
+The pass decomposes a sum once, lowers every (base, parity) class that fires
+in turn on that decomposition, and rebuilds the sum once; bases that are
+polynomials in one symbol or cosine are lowered and divided on coefficient
+lists, others through ``mul``.  ``simplify``'s loop over the pass stays as
+the fixed-point guard.  Anything the kernel cannot prove zero falls back to
+numeric sampling in :mod:`casimir.numcheck`.
 
 Every node is a fixed point of its constructor: ``mul(Num(coef), *factors)``
 rebuilds a ``Mul``, ``add(*terms)`` an ``Add``, ``_power(base, e2)`` a ``Pow``
@@ -61,13 +74,7 @@ through module-level memo tables:
   monomials after each sum (``_merge``) and gathers the result with
   ``_collect``, the same step ``add`` uses;
 * ``_DIFF_CACHE`` and ``_ADD_POWER_CACHE`` memoize ``diff`` and the
-  negative and half-integer powers of sums;
-* ``_COFACTOR_CACHE`` maps (base, doubled exponent) to the terms of the
-  expanded positive integer power of a sum that the common-exponent pass
-  multiplies back in.  The pass builds each lowered term as a merged
-  exponent map of the term's other factors, the new atom and one cofactor
-  term, and goes through ``mul`` only when a normalization rule could fire;
-  these products live only for the call, not in a table.
+  negative and half-integer powers of sums.
 
 Every table is an idempotent memo: it never changes a result, is cleared
 when it reaches its cap (a ``*_CAP`` constant next to it), and is safe to
@@ -754,13 +761,10 @@ def _primitive_sum(b: Add) -> tuple[CNum, Add]:
     return scale, prim
 
 
-def _factor_poly(b: Add):
-    """Factor a primitive univariate polynomial over its rational roots.
-
-    Returns (leading rational, [(factor, multiplicity), ...]) or None when b
-    is not a real univariate polynomial in a single kernel atom, has degree
-    < 2, or simply has no rational roots worth splitting off.
-    """
+def _univariate(b: Add):
+    """(x, {degree: rational coefficient}) when the sum b is a polynomial with
+    real rational coefficients in one symbol or non-exp function atom x,
+    otherwise None."""
     kernel = None
     coeffs: dict[int, Fraction] = {}
     for t in b.terms:
@@ -787,11 +791,27 @@ def _factor_poly(b: Add):
                 return None
         else:
             return None
-        coeffs[deg] = coeffs.get(deg, Fraction(0)) + c.re
-    degree = max(coeffs)
-    if degree < 2 or kernel is None:
+        coeffs[deg] = coeffs.get(deg, 0) + c.re
+    if kernel is None:
         return None
-    poly = [coeffs.get(d, Fraction(0)) for d in range(degree + 1)]
+    return kernel, coeffs
+
+
+def _factor_poly(b: Add):
+    """Factor a primitive univariate polynomial over its rational roots.
+
+    Returns (leading rational, [(factor, multiplicity), ...]) or None when b
+    is not a real univariate polynomial in a single kernel atom, has degree
+    < 2, or simply has no rational roots worth splitting off.
+    """
+    parts = _univariate(b)
+    if parts is None:
+        return None
+    kernel, coeffs = parts
+    degree = max(coeffs)
+    if degree < 2:
+        return None
+    poly = [Fraction(coeffs.get(d, 0)) for d in range(degree + 1)]
 
     factors: list[tuple[Expr, int]] = []
     # strip kernel^m
@@ -884,15 +904,16 @@ def _divisors(n: int) -> list[int]:
     return low + high[::-1]
 
 
-def _poly_eval(poly: list[Fraction], x: Fraction) -> Fraction:
-    out = Fraction(0)
-    for c in reversed(poly):
+def _poly_eval(poly: list, x):
+    """poly(x) for ascending Fraction or CNum coefficients, poly not empty."""
+    out = poly[-1]
+    for c in poly[-2::-1]:
         out = out * x + c
     return out
 
 
-def _deflate(poly: list[Fraction], r: Fraction) -> list[Fraction]:
-    # poly = (kernel - r) * out, ascending coefficients
+def _deflate(poly: list, r) -> list:
+    # poly = (kernel - r) * out, ascending Fraction or CNum coefficients
     n = len(poly) - 1
     out = [Fraction(0)] * n
     out[n - 1] = poly[n]
@@ -1155,12 +1176,15 @@ def _term_atom_exp(mono: tuple, base: Expr) -> tuple[int | None, tuple]:
 
 
 def _common_exponent_pass(s: Add) -> Expr:
-    """Lower same-base power atoms across a sum to one exponent per parity.
+    """Lower same-base power atoms across a sum to one exponent per parity,
+    and cancel linear bases out of the integer class.
 
     Powers of the same polynomial base that differ by an integer are brought
     to the minimum exponent present (multiplying the complementary expanded
     polynomial back in), which lets collection cancel algebraic combinations
-    such as sqrt-type derivatives and inverse-square potentials.
+    such as sqrt-type derivatives and inverse-square potentials.  A linear
+    base, such as 1 -/+ cos(u), is then divided out of the integer class for
+    as long as it divides every numerator exactly.
 
     The sum is decomposed once into a {monomial: coefficient} map.  Each round
     lowers the first (base, parity) class in ``_key`` order that fires, on
@@ -1170,16 +1194,21 @@ def _common_exponent_pass(s: Add) -> Expr:
     items = {mono: c for c, mono in map(_coef_mono, s.terms)}
     lowered = False
     for _ in range(_FIXED_POINT_ROUNDS):
-        fired = _firing_class(items) if len(items) > 1 else None
-        if fired is None:
+        out = _lower_first_class(items) if len(items) > 1 else None
+        if out is None:
             break
-        items = _lower_class(items, *fired)
+        items = out
         lowered = True
     return _sum_of_items(list(items.items())) if lowered else s
 
 
-def _firing_class(items: dict):
-    """(base, parity, target) of the first class the pass lowers, or None."""
+def _lower_first_class(items: dict):
+    """The items with the first class that fires lowered, or None.
+
+    The integer class of a base takes in the terms that do not hold it (at
+    exponent 0); it fires when its terms hold more than one exponent, or
+    when a linear base divides it out.  The half-integer class fires when
+    its terms hold more than one exponent."""
     spots: dict[Expr, dict[int, set]] = {}  # base -> parity -> doubled exponents
     holders: dict[Expr, int] = {}  # base -> number of terms holding it
     for mono in items:
@@ -1190,76 +1219,145 @@ def _firing_class(items: dict):
                 holders[base] = holders.get(base, 0) + 1
     for base in sorted(spots, key=_by_key):
         classes = spots[base]
+        poly = _atom_poly(base)
         for odd in (0, 1):
-            exps = classes.get(odd, ())
-            if not odd:
-                # integer-class atoms are always negative powers; bare
-                # polynomial terms can cancel against them after inflation
-                fire = bool(exps) and (len(exps) > 1 or holders[base] < len(items))
-            else:
-                fire = len(exps) > 1
-            if fire:
-                return base, odd, min(exps)
+            exps = classes.get(odd)
+            if not exps:
+                continue
+            if not odd and holders[base] < len(items):
+                exps = exps | {0}
+            target = min(exps)
+            if poly is None:
+                if len(exps) > 1:
+                    return _lower_class(items, base, odd, target)
+                continue
+            cancel = not odd and len(poly[1]) == 2
+            if len(exps) > 1 or cancel:
+                out = _lower_poly_class(items, base, *poly, odd, target, cancel)
+                if out is not None:
+                    return out
     return None
 
 
-def _lower_class(items: dict, base: Add, odd: int, target: int) -> dict:
-    """The items with every term of the class brought to base^(target/2)."""
-    atom = _pow(base, target)
+def _atom_poly(base: Add):
+    """(x, ascending coefficients) when the sum is a polynomial in one symbol
+    or cosine x, otherwise None: the bases the pass lowers on coefficient
+    lists instead of through ``mul``."""
+    parts = _univariate(base)
+    if parts is None:
+        return None
+    x, coeffs = parts
+    if type(x) is Fun and x.fname != "cos":
+        return None
+    return x, [CNum(coeffs.get(d, 0)) for d in range(max(coeffs) + 1)]
+
+
+def _lower_poly_class(items: dict, base: Add, x: Expr, bpoly: list, odd: int, target: int,
+                      cancel: bool):
+    """Lower one class of a base that is the polynomial `bpoly` in x.
+
+    Each term of the class, c * rest * x^j * base^(e/2), joins the group of
+    its other factors `rest` (and the parity of x's doubled exponent) as
+    c * x^j * base(x)^((e - target)/2) on a coefficient list.  With `cancel`
+    (a linear base, integer class) every group is divided by the base while
+    all of them vanish at its root, raising `target` by one towards 0.  The
+    groups are rebuilt as monomials; no rule of ``mul`` fires on them, since
+    only powers of x and of the base change.  None when nothing changes."""
     out: dict[tuple, CNum] = {}
+    groups: dict[tuple, dict[int, CNum]] = {}
+    powers = {0: [CN_ONE]}  # d -> ascending coefficients of base(x)^d
+    lifted = False
+    for mono, c in items.items():
+        cur, xe2, rest = None, 0, []
+        for f in mono:
+            fb, fe = (f.base, f.e2) if type(f) is Pow else (f, 2)
+            if fb == base:
+                cur = fe
+            elif fb == x:
+                xe2 = fe
+            else:
+                rest.append(f)
+        if cur is None and not odd:
+            cur = 0
+        if cur is None or cur & 1 != odd:
+            out[mono] = c
+            continue
+        d = (cur - target) >> 1
+        bp = powers.get(d)
+        if bp is None:
+            bp = powers[d] = _poly_pow(bpoly, d)
+        lifted = lifted or d > 0
+        poly = groups.setdefault((tuple(rest), xe2 & 1), {})
+        j0 = xe2 >> 1
+        for k, bc in enumerate(bp):
+            if not bc.is_zero():
+                got = poly.get(j0 + k)
+                poly[j0 + k] = c * bc if got is None else got + c * bc
+    lists = {}  # key -> (lowest degree, dense ascending coefficients)
+    for key, poly in groups.items():
+        js = [j for j, c in poly.items() if not c.is_zero()]
+        if js:
+            lo = min(js)
+            lists[key] = (lo, [poly.get(j, _CN_ZERO) for j in range(lo, max(js) + 1)])
+    divided = False
+    if cancel:
+        root, scale = -(bpoly[0] / bpoly[1]), bpoly[1].inverse()
+        while target < 0 and all(_poly_eval(p, root).is_zero() for _lo, p in lists.values()):
+            lists = {key: (lo, [c * scale for c in _deflate(p, root)]) for key, (lo, p) in lists.items()}
+            target += 2
+            divided = True
+    if not (lifted or divided):
+        return None
+    atom = _pow(base, target) if target else None
+    for (rest, par), (lo, p) in lists.items():
+        for j, c in enumerate(p, lo):
+            if c.is_zero():
+                continue
+            e2 = 2 * j + par
+            fs = list(rest)
+            if e2:
+                fs.append(x if e2 == 2 else _pow(x, e2))
+            if atom is not None:
+                fs.append(atom)
+            fs.sort(key=_by_key)
+            mono = tuple(fs)
+            got = out.get(mono)
+            out[mono] = c if got is None else got + c
+    return {mono: c for mono, c in out.items() if not c.is_zero()}
+
+
+_CN_ZERO = CNum(0)
+
+
+def _poly_pow(p: list, d: int) -> list:
+    """Ascending coefficients of p^d, d >= 0."""
+    out = [CN_ONE]
+    for _ in range(d):
+        nxt = [_CN_ZERO] * (len(out) + len(p) - 1)
+        for i, a in enumerate(out):
+            for k, b in enumerate(p):
+                nxt[i + k] = nxt[i + k] + a * b
+        out = nxt
+    return out
+
+
+def _lower_class(items: dict, base: Add, odd: int, target: int) -> dict:
+    """The items with every term of the class brought to base^(target/2),
+    for a base that is not a polynomial in one symbol or cosine."""
+    atom = _pow(base, target)
+    pairs = []
     for mono, c in items.items():
         cur, rest = _term_atom_exp(mono, base)
         if cur is None and not odd:
             cur, rest = 0, mono
         if cur is None or cur & 1 != odd or cur == target:
-            got = out.get(mono)
-            out[mono] = c if got is None else got + c
+            pairs.append((c, mono))
             continue
-        for cp, pm in _cofactor_terms(base, cur - target):
+        # term by term: mul would fold a whole base^k straight back into the atom
+        for cp, pm in _terms_of(_power(base, cur - target)):
             ccp = c * cp
-            for c3, m3 in _lowered_product(rest, atom, pm):
-                got = out.get(m3)
-                out[m3] = ccp * c3 if got is None else got + ccp * c3
-    return {mono: c for mono, c in out.items() if not c.is_zero()}
-
-
-def _lowered_product(rest: tuple, atom: Pow, pm: tuple) -> tuple:
-    """Terms (coef, mono) of mul(*rest, atom, *pm).
-
-    rest·atom is a normal-form monomial (the pass only swaps one power of a
-    base for another of the same parity).  When every factor of pm is a
-    power of a symbol or of a cosine, no normalization rule of ``mul`` can
-    fire, so the product is the merged exponent map in ``_key`` order;
-    anything else (exp, sin, numeric radicands, sums) goes through ``mul``."""
-    for f in pm:
-        b = f.base if type(f) is Pow else f
-        if not (type(b) is Sym or (type(b) is Fun and b.fname == "cos")):
-            return _terms_of(mul(*rest, atom, *pm))
-    pmap = {atom.base: atom.e2}
-    for f in (*rest, *pm):
-        if type(f) is Pow:
-            _padd(pmap, f.base, f.e2)
-        else:
-            _padd(pmap, f, 2)
-    factors = [b if e2 == 2 else _pow(b, e2) for b, e2 in pmap.items()]
-    factors.sort(key=_by_key)
-    return ((CN_ONE, tuple(factors)),)
-
-
-_COFACTOR_CACHE: dict = {}
-_COFACTOR_CACHE_CAP = 10_000
-
-
-def _cofactor_terms(base: Add, d2: int) -> tuple:
-    """Terms (coef, mono) of the expanded base^(d2/2), d2 positive and even."""
-    key = (base, d2)
-    hit = _COFACTOR_CACHE.get(key)
-    if hit is None:
-        hit = _terms_of(_power(base, d2))
-        if len(_COFACTOR_CACHE) >= _COFACTOR_CACHE_CAP:
-            _COFACTOR_CACHE.clear()
-        _COFACTOR_CACHE[key] = hit
-    return hit
+            pairs.extend([(ccp * c3, m3) for c3, m3 in _terms_of(mul(*rest, atom, *pm))])
+    return dict(_merge(pairs))
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ frame and/or metric.  Expression strings use the package grammar.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 from dataclasses import dataclass
@@ -111,11 +112,12 @@ def load_model(ref: str) -> ModelSpec:
     path = Path(ref)
     if not path.exists():
         raise SchemaError(f"model {ref!r} is neither built in nor a readable file")
+    raw = path.read_bytes()
     try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as e:
+        doc = json.loads(raw)
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:
         raise SchemaError(f"invalid JSON in {ref}: {e}") from None
-    return model_from_dict(doc, source=str(path))
+    return model_from_dict(doc, source=file_digest(raw))
 
 
 def model_from_dict(doc: dict, source: str) -> ModelSpec:
@@ -243,15 +245,23 @@ def parse_label(text, what: str) -> float:
         raise SchemaError(f"{what} is out of floating-point range, got {text!r}") from None
 
 
-def load_family(path: str) -> dict:
+def file_digest(raw: bytes) -> str:
+    """How reports name an input file: the sha256 of the bytes read, so a
+    report digest does not depend on the path as typed."""
+    return "sha256:" + hashlib.sha256(raw).hexdigest()
+
+
+def load_family(path: str) -> tuple[dict, str]:
+    """The family document at `path` and its `file_digest`."""
     p = Path(path)
     if not p.exists():
         raise SchemaError(f"family file {path!r} not found")
+    raw = p.read_bytes()
     try:
-        doc = json.loads(p.read_text())
-    except json.JSONDecodeError as e:
+        doc = json.loads(raw)
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:
         raise SchemaError(f"invalid JSON in {path}: {e}") from None
     for key in ("model", "kind", "labels", "eigenvalues", "components", "certificates"):
         if key not in doc:
             raise SchemaError(f"family file is missing {key!r}")
-    return doc
+    return doc, file_digest(raw)

@@ -3,7 +3,10 @@
 The numeric stage evaluates the simplified expression at quasi-random points
 of a caller-supplied coordinate box (Halton sequence, offset by a seed so CLI
 reports are reproducible) and compares against the largest term magnitude, so
-cancellation noise does not mask a genuinely nonzero expression.
+cancellation noise does not mask a genuinely nonzero expression.  That scale
+is read off the terms of ``expr.simplify``'s form, which is one form for every
+writing of a sum of rational functions of cos(u) over powers of 1 -/+ cos(u)
+(the so3 residuals), so rewriting such a residual does not move its report.
 """
 
 from __future__ import annotations

@@ -132,32 +132,33 @@ def ladder_scalar_operator(so3) -> ScalarOperator:
     return ScalarOperator.from_table(so3.sphere, {idx: ex.add(*cs) for idx, cs in table.items()})
 
 
-def reference_simplify(e: ex.Expr) -> ex.Expr:
+def reference_simplify(e: ex.Expr, cancel: bool = True) -> ex.Expr:
     """The kernel's simplify before it returned unchanged subtrees as they
     are: every product and sum is rebuilt through mul/add, and the
     common-exponent pass rescans the sum once per base.  A differential
-    oracle for ``expr.simplify``."""
+    oracle for ``expr.simplify``; with `cancel` false, linear bases are
+    lowered but never divided out, as before that step existed."""
     tt = type(e)
     if tt is ex.Num or tt is ex.Sym:
         return e
     if tt is ex.Fun:
-        return ex.fun(e.fname, reference_simplify(e.arg))
+        return ex.fun(e.fname, reference_simplify(e.arg, cancel))
     if tt is ex.Pow:
-        return ex._power(reference_simplify(e.base), e.e2)
+        return ex._power(reference_simplify(e.base, cancel), e.e2)
     if tt is ex.Mul:
-        return ex.mul(ex.Num(e.coef), *[reference_simplify(f) for f in e.factors])
-    s = ex.add(*[reference_simplify(t) for t in e.terms])
+        return ex.mul(ex.Num(e.coef), *[reference_simplify(f, cancel) for f in e.factors])
+    s = ex.add(*[reference_simplify(t, cancel) for t in e.terms])
     for _ in range(64):
         if type(s) is not ex.Add:
             return s
-        s2 = _reference_common_exponent_pass(s)
+        s2 = _reference_common_exponent_pass(s, cancel)
         if s2 is s:
             return s
         s = s2
     raise ex.ExprError("simplify did not reach a fixed point")
 
 
-def _reference_common_exponent_pass(s: ex.Add) -> ex.Expr:
+def _reference_common_exponent_pass(s: ex.Add, cancel: bool) -> ex.Expr:
     decomp = [ex._coef_mono(t) for t in s.terms]
     spots: dict = {}
     plain: dict = {}
@@ -171,13 +172,15 @@ def _reference_common_exponent_pass(s: ex.Add) -> ex.Expr:
         plain[base] = sum(1 for c, mono in decomp if ex._term_atom_exp(mono, base)[0] is None)
     for base in sorted(spots, key=lambda b: b._key):
         classes = spots[base]
+        linear = _reference_linear_base(base) if cancel else None
         for odd in (0, 1):
             exps = classes.get(odd, set())
-            if not odd:
-                fire = bool(exps) and (len(exps) > 1 or plain.get(base, 0) > 0)
-            else:
-                fire = len(exps) > 1
-            if not fire:
+            if not exps:
+                continue
+            if not odd and plain.get(base, 0) > 0:
+                exps = exps | {0}
+            divides = not odd and linear is not None
+            if len(exps) == 1 and not divides:
                 continue
             target = min(exps)
             new_terms = []
@@ -193,5 +196,74 @@ def _reference_common_exponent_pass(s: ex.Add) -> ex.Expr:
                 atom = ex._pow(base, target)
                 for pt in polyterms:
                     new_terms.append(ex.mul(ex.Num(c), *rest, atom, pt))
-            return ex.add(*new_terms)
+            divided = False
+            if divides:
+                while target < 0:
+                    smaller = _reference_divide(ex.add(*new_terms), base, *linear, target)
+                    if smaller is None:
+                        break
+                    new_terms, target, divided = smaller, target + 2, True
+            if len(exps) > 1 or divided:
+                return ex.add(*new_terms)
     return s
+
+
+def _reference_linear_base(base: ex.Add):
+    """(x, b0, b1) when base == b0 + b1*x for a symbol or cosine x, else None."""
+    if len(base.terms) != 2 or type(base.terms[0]) is not ex.Num:
+        return None
+    b0 = base.terms[0].val
+    b1, mono = ex._coef_mono(base.terms[1])
+    if not (b0.is_real() and b1.is_real()) or len(mono) != 1:
+        return None
+    x = mono[0]
+    if type(x) is ex.Sym or (type(x) is ex.Fun and x.fname == "cos"):
+        return x, Fraction(b0.re), Fraction(b1.re)
+    return None
+
+
+def _reference_divide(s: ex.Expr, base: ex.Add, x: ex.Expr, b0: Fraction, b1: Fraction, target: int):
+    """The terms of s with the base^(target/2) class divided once by the
+    linear base, or None when some group of that class does not vanish at
+    the root -b0/b1.  Groups are the class terms with equal factors apart
+    from powers of x and of the base (and equal parity of x's doubled
+    exponent); each is a Laurent polynomial in x, checked by exact
+    evaluation and divided by schoolbook long division."""
+    root = -b0 / b1
+    groups: dict = {}
+    others = []
+    for t in (s.terms if type(s) is ex.Add else (s,)):
+        c, mono = ex._coef_mono(t)
+        cur, xe2, rest = None, 0, []
+        for f in mono:
+            fb, fe = (f.base, f.e2) if type(f) is ex.Pow else (f, 2)
+            if fb == base:
+                cur = fe
+            elif fb == x:
+                xe2 = fe
+            else:
+                rest.append(f)
+        if cur != target:
+            others.append(t)
+            continue
+        poly = groups.setdefault((tuple(rest), xe2 % 2), {})
+        j = (xe2 - xe2 % 2) // 2
+        poly[j] = poly.get(j, (Fraction(0), Fraction(0)))
+        poly[j] = (poly[j][0] + Fraction(c.re), poly[j][1] + Fraction(c.im))
+    out = list(others)
+    for (rest, par), poly in groups.items():
+        for part in (0, 1):
+            if sum(cs[part] * root ** j for j, cs in poly.items()) != 0:
+                return None
+        lo, hi = min(poly), max(poly)
+        rem = {j: poly[j] for j in poly}
+        for j in range(hi, lo, -1):  # divide the top term by b1*x, subtract its multiple of base
+            q = tuple(part / b1 for part in rem.get(j, (Fraction(0), Fraction(0))))
+            rem[j] = (Fraction(0), Fraction(0))
+            low = rem.get(j - 1, (Fraction(0), Fraction(0)))
+            rem[j - 1] = (low[0] - q[0] * b0, low[1] - q[1] * b0)
+            if q != (0, 0):
+                xpow = ex.power(x, Fraction(2 * (j - 1) + par, 2))
+                out.append(ex.mul(ex.num(q[0], q[1]), *rest, xpow, ex._power(base, target + 2)))
+        assert rem[lo] == (0, 0)
+    return out

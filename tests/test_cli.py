@@ -114,6 +114,12 @@ class TestVerify:
         p.write_text(json.dumps({**GOOD_SOLVABLE, key: value}))
         assert_input_error(capsys, "verify", "--model", str(p))
 
+    @pytest.mark.parametrize("flag", ["--model", "--family"])
+    def test_undecodable_file_is_an_input_error(self, capsys, tmp_path, flag):
+        p = tmp_path / "bad.json"
+        p.write_bytes(b"\xff{}")
+        assert_input_error(capsys, "verify", flag, str(p))
+
     def test_needs_exactly_one_input(self):
         assert main(["verify"]) == 2
 
@@ -552,54 +558,71 @@ class TestDeterminism:
 
     def test_tensor_family_bytes_are_pinned(self, capsys, tmp_path, monkeypatch):
         """Regression gate for kernel changes: the `--type 2,0 --l 1` family
-        document and its `verify --family` digest, as released before the
-        monomial-product memo and atom interning."""
+        document and its `verify --family` digest, as released when linear
+        cos bases began to divide out of numerators and reports began to
+        name input files by digest."""
         monkeypatch.chdir(tmp_path)
         assert main(["harmonics", "so3", "--type", "2,0", "--l", "1", "--seed", "0",
                      "--out", "fam.json"]) == 0
         family = (tmp_path / "fam.json").read_bytes()
         assert hashlib.sha256(family).hexdigest() == (
-            "081dcd078aaa57ae58b4dc5c29ec50de268c12eb99f75411b453b02f311d929b")
+            "6c4ac835549926a50a1a5fda17e41548aeb45e3deab47c695621e73554428a77")
         code, out = run(capsys, "verify", "--family", "fam.json", "--seed", "0")
         assert code == 0
         assert json.loads(out)["digest"] == (
-            "370f01239625f85ecf70d771048e8ac6ae1b6d4d30be612be529832bea93c3e2")
+            "baea38f3be2030ffea72f4e677dcdcb4db8aa741ab1f14eb62d6a6b1b212ad12")
 
     def test_benchmarked_tensor_family_bytes_are_pinned(self, tmp_path):
         """The `--type 2,0 --l 2` family the tensor-cert benchmark runs, as
-        released before G became a cached component matrix."""
+        released when linear cos bases began to divide out of numerators."""
         path = tmp_path / "fam.json"
         assert main(["harmonics", "so3", "--type", "2,0", "--l", "2", "--seed", "0",
                      "--out", str(path)]) == 0
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-            "245122a896183258dede4cd025f5c3d18df330fabf51c4511b97d991c2f6e16c")
+            "29cc502567c536322363bc6d161a26cac5e422dca857ffbc10dffe648f5d99b1")
 
     @pytest.mark.parametrize("argv,sha", [
-        (["so3", "--l", "4"], "3f8dd4330c0d03e5d029aafa1ec503cf2038f4e41dd6bab7855387d9a0dc70a0"),
+        (["so3", "--l", "4"], "d6420ae5b3c7f6ba88be97f45ffb67695c6a281a3656f9cdca6f6ba52110b521"),
         (["bianchi2", "--point-series", "--n", "3", "--m", "1", "--nu", "1/2"],
          "08398fde3baf04e10937284035ba56bbc6e4c193c6a852d7cd2276011a91c00f"),
     ])
     def test_half_power_family_bytes_are_pinned(self, tmp_path, argv, sha):
         """Regression gate for the half-power and numeric-radicand paths: the
-        so3 scalar family at l = 4 and a bianchi2 point series with a
-        half-integer label, as released before integral parts became ints."""
+        so3 scalar family at l = 4 (as released when linear cos bases began
+        to divide out of numerators) and a bianchi2 point series with a
+        half-integer label (as released before integral parts became ints)."""
         path = tmp_path / "fam.json"
         assert main(["harmonics", *argv, "--seed", "0", "--out", str(path)]) == 0
         assert hashlib.sha256(path.read_bytes()).hexdigest() == sha
 
     def test_partial_scalar_family_bytes_are_pinned(self, capsys, tmp_path, monkeypatch):
         """A one-member family built only down to m = 0, and its `verify
-        --family` digest, as released when every request built m = -l..l."""
+        --family` digest, as released when linear cos bases began to divide
+        out of numerators and reports began to name input files by digest."""
         monkeypatch.chdir(tmp_path)
         assert main(["harmonics", "so3", "--l", "6", "--m", "0", "--seed", "0",
                      "--out", "fam.json"]) == 0
         family = (tmp_path / "fam.json").read_bytes()
         assert hashlib.sha256(family).hexdigest() == (
-            "2b146acefbe03771e20daeea010bee0330ba933cd4586118dc83c272f6f09e27")
+            "47095e834f56f4d8465d0681cba12f6dc056265a9af353b3e1cd3248055d25a9")
         code, out = run(capsys, "verify", "--family", "fam.json", "--seed", "0")
         assert code == 0
         assert json.loads(out)["digest"] == (
-            "a4a060c341c71669239c91bdf45fd99f0e2c5d2e0b62452c36127e12f42f4722")
+            "6bb2e494086a206d80e405451a07139a2dc6b3d9b37a45088277001f928fb2ea")
+
+    def test_digests_do_not_depend_on_the_path_as_typed(self, capsys, tmp_path, monkeypatch):
+        """An input file is named in a report by the sha256 of its bytes, so
+        a relative and an absolute path to it give one report digest."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "fam.json").write_text(_stripped_document("tensor family without one assembly"))
+        model_file(tmp_path, README_MODEL)
+        cases = [(("verify", "--family"), "fam.json"), (("verify", "--model"), "model.json"),
+                 (("build-metric", "--model"), "model.json"), (("reduce", "--lower", "1", "--model"), "model.json")]
+        for argv, name in cases:
+            docs = [json.loads(run(capsys, *argv, path)[1]) for path in (name, str(tmp_path / name))]
+            assert docs[0]["digest"] == docs[1]["digest"], argv
+            sha = "sha256:" + hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            assert docs[0]["inputs"][argv[-1].removeprefix("--")] == sha
 
     def test_seed_changes_inputs_echo_only_not_verdicts(self, capsys):
         _, a = run(capsys, "verify", "--model", "so3", "--seed", "1")

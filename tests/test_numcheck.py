@@ -141,3 +141,44 @@ def test_scale_guard_rejects_tiny_but_honest_residues():
     e = ex.add(ex.num(1), ex.num(-1), parse("1/1000000", []))
     r = nc.is_zero(e, {})
     assert r.verdict is nc.Verdict.NONZERO
+
+
+# The m=1 assembly of the `--type 2,0 --l 2` so3 family as the kernel wrote it
+# before linear cos bases were divided out: each `{P}` is the pole factor the
+# numerator beside it cancels.
+_POLE = "*(1 + cos(theta))^(-1)*(1 - cos(theta))^(-1)"
+_H_R = "h_r*cos(theta)*exp(i*phi)"
+_OLD_M1_ASSEMBLY = [
+    (("r", "r"), "-2*h_rr*cos(theta)*exp(i*phi)*sin(theta){P} + 2*h_rr*exp(i*phi)*sin(theta)*cos(theta)^3{P}"),
+    (("r", "+1"), f"-{_H_R} + h_r*exp(i*phi) - 2*h_r*exp(i*phi)*cos(theta)^2"),
+    (("r", "-1"), f"-{_H_R} - h_r*exp(i*phi) + 2*h_r*exp(i*phi)*cos(theta)^2"),
+    (("+1", "r"), f"-{_H_R} + h_r*exp(i*phi) - 2*h_r*exp(i*phi)*cos(theta)^2"),
+    (("+1", "+1"), "2*h*cos(theta)*exp(i*phi)*sin(theta){P} - 2*h*exp(i*phi)*sin(theta)*cos(theta)^2{P}"
+                   " - 2*h*exp(i*phi)*sin(theta)*cos(theta)^3{P} + 2*h*exp(i*phi)*sin(theta){P}"),
+    (("+1", "-1"), "-2*h*cos(theta)*exp(i*phi)*sin(theta){P} + 2*h*exp(i*phi)*sin(theta)*cos(theta)^3{P}"),
+    (("-1", "r"), f"-{_H_R} - h_r*exp(i*phi) + 2*h_r*exp(i*phi)*cos(theta)^2"),
+    (("-1", "+1"), "-2*h*cos(theta)*exp(i*phi)*sin(theta){P} + 2*h*exp(i*phi)*sin(theta)*cos(theta)^3{P}"),
+    (("-1", "-1"), "2*h*cos(theta)*exp(i*phi)*sin(theta){P} + 2*h*exp(i*phi)*sin(theta)*cos(theta)^2{P}"
+                   " - 2*h*exp(i*phi)*sin(theta)*cos(theta)^3{P} - 2*h*exp(i*phi)*sin(theta){P}"),
+]
+
+
+def test_two_writings_of_one_residual_get_one_report():
+    """The numeric threshold REL_TOL * (1 + scale) reads `scale` off the
+    simplified residual's terms, so it must not depend on how the tensor was
+    written: the old and the cancelled text of one assembly, checked at a
+    wrong eigenvalue, give identical verdicts, maxima and scales."""
+    from casimir.models import so3_model
+    from casimir.operator import assemble_from_json, certify_eigen
+
+    so3 = so3_model()
+    op = so3.op_space
+    new = so3.tensor20_harmonic(2, m_values=[1]).assemblies["m=1"]
+    old = [{"upper": [], "lower": list(lower), "scalar": text.replace("{P}", _POLE)}
+           for lower, text in _OLD_M1_ASSEMBLY]
+    assert [mo["lower"] for mo in new] == [mo["lower"] for mo in old]
+    assert all(_POLE not in mo["scalar"] for mo in new)
+    reports = [certify_eigen(op, assemble_from_json(op.frame, doc), -11).reports for doc in (old, new)]
+    assert [r.verdict for r in reports[0]].count(nc.Verdict.NONZERO) == 8
+    assert [(r.verdict, r.max_abs, r.scale) for r in reports[0]] == [
+        (r.verdict, r.max_abs, r.scale) for r in reports[1]]

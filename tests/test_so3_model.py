@@ -190,6 +190,24 @@ class TestTensorFamilies:
         assert fam.amplitudes == ("h_rr", "h_r", "h")
 
 
+class TestCancelledForms:
+    """Family members are polynomials in cos(theta) times sin(theta)^(0|1)
+    and exp(i m phi): no pole factor 1 -/+ cos(theta) is left in them."""
+
+    def test_tensor_component_in_lowest_terms(self, model):
+        fam = model.tensor20_harmonic(3, m_values=[-3])
+        want = parse("(cos(theta) - 1)^2*(cos(theta) + 1)*exp(-3*i*phi)", ["theta", "phi"])
+        assert ex.unparse(fam.components["n=1,m=-3"]) == ex.unparse(want)
+
+    @pytest.mark.parametrize("build", [lambda m: m.scalar_family(8), lambda m: m.tensor20_harmonic(3)],
+                             ids=["scalar-l8", "tensor20-l3"])
+    def test_no_negative_power_of_a_linear_cos_base(self, model, build):
+        fam = build(model)
+        for key, comp in fam.components.items():
+            text = ex.unparse(comp)
+            assert "(1 - cos(theta))^(-" not in text and "(1 + cos(theta))^(-" not in text, key
+
+
 class TestLabelValidation:
     @pytest.mark.parametrize("l,m", [(2, 0.5), (2, True), (2.0, 0), (True, 0), (2, "1"), (-1, 0)])
     def test_scalar_harmonic_refuses_bad_labels(self, model, l, m):

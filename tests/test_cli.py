@@ -546,6 +546,46 @@ class TestFamilyRoundTrip:
         assert json.loads(out)["ok"]
 
 
+# small grid exports, pinned byte for byte in both formats
+GRID_EXPORTS = {
+    "so3-scalar": ["so3", "--l", "2", "--grid", "theta=0.3:2.8:7", "--grid", "phi=0.1:6.0:9"],
+    "so3-tensor": ["so3", "--type", "2,0", "--l", "1", "--grid", "theta=0.4:2.6:3", "--grid", "phi=0.2:5:4"],
+    "point-series": ["bianchi2", "--point-series", "--n", "3", "--m", "1", "--nu", "1/2",
+                     "--grid", "v=-0.8:0.8:4", "--grid", "y=-0.5:0.5:3", "--grid", "z=-0.9:0.9:2"],
+    "repeated-axis": ["so3", "--l", "1", "--grid", "theta=1:1:3", "--grid", "phi=0.5:1.5:2"],
+    "single-point-axis": ["bianchi2", "--point-series", "--n", "2", "--m", "1", "--nu", "2",
+                          "--grid", "v=-1:1:3", "--grid", "y=2:2:1", "--grid", "z=0:0:1"],
+    "negative-zero": ["bianchi2", "--point-series", "--n", "1", "--m=-1", "--nu", "1/2",
+                      "--grid", "v=-0:-1:3", "--grid", "y=-1:1:3", "--grid", "z=0:0:1"],
+}
+GRID_EXPORT_SHA = {
+    ("so3-scalar", "json"):
+        "fec6a36e71291998a0c22fcdd0cd446a8c4cd4924ebf8dc7d7042cb043f79f3f",
+    ("so3-scalar", "csv"):
+        "d579c16fd53fc4383fb931f610e146f4b347a264c91db4f1e1acb0a472ea2315",
+    ("so3-tensor", "json"):
+        "2bec5945a9c9c597b5fab53c7d247793034c521503640396e92feada31657948",
+    ("so3-tensor", "csv"):
+        "ee8c10ec050fcae7d4813fb76078b8bb664ee18ba6b85788798b9a8b6321b74b",
+    ("point-series", "json"):
+        "493cc527aceeb58dc44deb1e640a3d8734c6e16a26555dc210a80015f8faadf8",
+    ("point-series", "csv"):
+        "9629d1ecc9b8d4eea1132e30194f26b9e1aabda9f4a069f72d50595a2f2bbb3b",
+    ("repeated-axis", "json"):
+        "8290e8947b9aecee3d381d816352bc765ac23025e20d1ccf11766e35928fc2c9",
+    ("repeated-axis", "csv"):
+        "a09f068833377ed56b53e2d177e75f4f5ba80c743e2feaa5138ad95d2678b440",
+    ("single-point-axis", "json"):
+        "989170926c9f6cf60fc082dcca042c239846943de667a15859671be59855a89f",
+    ("single-point-axis", "csv"):
+        "a69b80ed8acb8aeb933bab1ffacf98a8dc0f5858745aabb27a5c59edb908b074",
+    ("negative-zero", "json"):
+        "49e3f5794d0c356abace800491fd382bae7ffe11c000a372f833792daa3e25ae",
+    ("negative-zero", "csv"):
+        "159aa6fdda536b0f0691290fbce2c29bbd8454917696e622a6eb3fdbc391ef6b",
+}
+
+
 class TestDeterminism:
     def test_report_digest_is_stable(self, capsys):
         _, a = run(capsys, "verify", "--model", "so3", "--seed", "11")
@@ -609,6 +649,26 @@ class TestDeterminism:
         assert code == 0
         assert json.loads(out)["digest"] == (
             "6bb2e494086a206d80e405451a07139a2dc6b3d9b37a45088277001f928fb2ea")
+
+    @pytest.mark.parametrize("argv,sha", [
+        pytest.param(GRID_EXPORTS[case] + ["--format", fmt], GRID_EXPORT_SHA[case, fmt], id=f"{case}-{fmt}")
+        for case in GRID_EXPORTS for fmt in ("json", "csv")
+    ])
+    def test_grid_export_bytes_are_pinned(self, tmp_path, argv, sha):
+        """Regression gate for grid evaluation and sample rendering, as
+        released when grids were evaluated by one component program per
+        family.  The cases hold labels that CSV must quote, repeated and
+        single-point axes, and a coordinate and a value that are -0."""
+        path = tmp_path / "grid.out"
+        assert main(["harmonics", *argv, "--seed", "0", "--out", str(path)]) == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == sha
+
+    def test_grid_export_shows_negative_zero(self, capsys):
+        code, out = run(capsys, "harmonics", *GRID_EXPORTS["negative-zero"], "--format", "csv")
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(out)))
+        assert rows[1][0] == "-0"  # v = -0 + (-1 - -0) * 0
+        assert rows[1][3] == "-0"  # v * exp(-y + z/2) * (1 + v^2)^(-1/2) at v = -0
 
     def test_digests_do_not_depend_on_the_path_as_typed(self, capsys, tmp_path, monkeypatch):
         """An input file is named in a report by the sha256 of its bytes, so

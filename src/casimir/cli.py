@@ -35,7 +35,7 @@ from .models.hypergeom import SeriesNotConvergedError
 from .numcheck import UndefinedPointError
 from .operator import CasimirOperator, assemble_from_json, certify_eigen, reduce_to_scalar
 from .parser import ParseError, parse
-from .report import Report, Stopwatch, format_number
+from .report import Report, Stopwatch
 from .split_structure import (
     DualityError,
     NoClosedFormError,
@@ -364,18 +364,18 @@ def cmd_harmonics(args) -> int:
             raise SchemaError("harmonics bianchi2 needs --point-series or --hyper")
     doc = fam.to_json()
     doc["seed"] = seed
-    if args.grid:
-        doc["samples"] = _grid_samples(fam, *grid)
-        del grid  # free the points before the document is rendered
-        if args.format == "csv":
-            _emit(args, _samples_csv(doc["samples"]))
-            return EXIT_OK if fam.ok else EXIT_CHECK_FAILED
-    _emit(args, json.dumps(doc, indent=2, sort_keys=True))
+    if not args.grid:
+        _emit(args, json.dumps(doc, indent=2, sort_keys=True))
+    else:
+        columns, rows = _grid_samples(fam, *grid)
+        del grid  # free the points before the samples are rendered
+        _emit(args, _samples_csv(columns, rows) if args.format == "csv" else _samples_json(doc, columns, rows))
     return EXIT_OK if fam.ok else EXIT_CHECK_FAILED
 
 
 def _grid_points(chart, grid_specs) -> tuple:
-    """Parse --grid specs into (coordinate names, points in chart order).
+    """Parse --grid specs into (coordinate names, their axes, the points of
+    the axes' product), each in chart order.
 
     Needs only the chart, so a bad grid is refused before a family is built."""
     axes = {}
@@ -392,43 +392,68 @@ def _grid_points(chart, grid_specs) -> tuple:
             raise SchemaError("--grid needs at least one point")
         axes[name] = [a + (b - a) * j / max(n - 1, 1) for j in range(n)]
     names = [c for c in chart.coords if c in axes]
-    pts = list(itertools.product(*[axes[n] for n in names]))
+    axes = [axes[n] for n in names]
+    pts = list(itertools.product(*axes))
     try:
         chart.check_points(names, pts)
     except OffChartError as e:
         raise SchemaError(f"--grid {e}") from None
-    return names, pts
+    return names, axes, pts
 
 
-def _grid_samples(fam, names, pts) -> dict:
-    """Component values of the family at grid points already checked by `_grid_points`."""
-    for label, comp in sorted(fam.components.items()):
+def _grid_samples(fam, names, axes, pts) -> tuple:
+    """Columns and rows of the family's component values on a grid already
+    checked by `_grid_points`: a row holds the point's coordinates, then the
+    real and imaginary part of each component, as floats."""
+    labels = sorted(fam.components)
+    comps = tuple(fam.components[label] for label in labels)
+    for label, comp in zip(labels, comps):
         missing = sorted(ex.free_symbols(comp) - set(names))
         if missing:
             raise SchemaError(f"component {label!r} depends on {missing}; add a --grid for each")
-    columns = list(names)
-    rows = [[format_number(v) for v in pt] for pt in pts]
-    for label, comp in sorted(fam.components.items()):
+    try:
+        values = evalcore.compile_expr(comps, names, grid=True).run(axes)
+    except ArithmeticError:
+        values = None
+    if values is None or not all(map(cmath.isfinite, itertools.chain.from_iterable(values))):
+        _refuse_grid_component(labels, comps, names, axes)
+    columns = list(names) + [f"{label}.{part}" for label in labels for part in ("re", "im")]
+    parts = [part for col in zip(*values) for part in ([v.real for v in col], [v.imag for v in col])]
+    return columns, list(zip(*zip(*pts), *parts))
+
+
+def _refuse_grid_component(labels, comps, names, axes):
+    """Name the first component that cannot be evaluated, or is not finite, on
+    the grid: the program of all components cannot say which one failed."""
+    for label, comp in zip(labels, comps):
         try:
-            vals = evalcore.compile_expr(comp, names).run(pts)
-        except (ArithmeticError, ex.EvalError) as e:
+            vals = evalcore.compile_expr(comp, names, grid=True).run(axes)
+        except ArithmeticError as e:
             raise SchemaError(f"component {label!r} cannot be evaluated on the --grid: {e}") from None
-        if not all(cmath.isfinite(v) for v in vals):
+        if not all(map(cmath.isfinite, vals)):
             raise SchemaError(f"component {label!r} is not finite on the --grid")
-        columns.append(f"{label}.re")
-        columns.append(f"{label}.im")
-        for row, val in zip(rows, vals):
-            row.append(format_number(val.real))
-            row.append(format_number(val.imag))
-    return {"columns": columns, "rows": rows}
+    raise SchemaError("the components cannot be evaluated on the --grid")
 
 
-def _samples_csv(samples: dict) -> str:
+# JSON-escaped NUL: `unparse` never writes a NUL, so it marks one place only
+_ROWS_PLACEHOLDER = "\0"
+
+
+def _samples_json(doc: dict, columns: list, rows: list) -> str:
+    """The family document with its samples, as `json.dumps(doc, indent=2,
+    sort_keys=True)` would write rows of "%.17g" strings, one template per row."""
+    doc["samples"] = {"columns": columns, "rows": _ROWS_PLACEHOLDER}
+    text = json.dumps(doc, indent=2, sort_keys=True)
+    row = "      [\n" + ",\n".join(['        "%.17g"'] * len(columns)) + "\n      ]"
+    table = "[\n" + ",\n".join(map(row.__mod__, rows)) + "\n    ]"
+    return text.replace(json.dumps(_ROWS_PLACEHOLDER), table, 1)
+
+
+def _samples_csv(columns: list, rows: list) -> str:
     buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(samples["columns"])
-    w.writerows(samples["rows"])
-    return buf.getvalue().rstrip("\n")
+    csv.writer(buf, lineterminator="\n").writerow(columns)  # quotes labels such as "n=0,m=-1.re"
+    row = ",".join(["%.17g"] * len(columns))
+    return buf.getvalue() + "\n".join(map(row.__mod__, rows))
 
 
 # --- reduce ---------------------------------------------------------------------

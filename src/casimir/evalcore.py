@@ -4,12 +4,22 @@ Numeric verification samples every residual at dozens of points and grid
 export evaluates whole component tables, so batch evaluation is the hot path.
 `compile_expr` writes one Python function per expression, ``run(points)``,
 which loops over the points with one statement per distinct node, and
-compiles it once.  A tuple of expressions (the terms of a residual) compiles
-into one function too, which returns per point the tuple of their values and
-computes subtrees shared between them once.  The generated source never
-contains user text: variables are ``x0 .. xn`` by position, node values
-``v0 ..`` in post-order, constants ``c0 ..`` are bound as globals, and
-function names come from the kernel's closed set sin/cos/exp.
+compiles it once.  A tuple of expressions (the terms of a residual, the
+components of a family) compiles into one function too, which returns per
+point the tuple of their values and computes subtrees shared between them
+once.  The generated source never contains user text: variables are
+``x0 .. xn`` by position, node values ``v0 ..`` in post-order, constants
+``c0 ..`` are bound as globals, and function names come from the kernel's
+closed set sin/cos/exp.
+
+A grid is a product of axes, so a grid program, ``run(axes)``, is a loop
+nest with one loop per variable, in ``itertools.product`` order, and each
+node is computed in the loop of the last variable it depends on: on a
+100 x 100 (theta, phi) grid, ``cos(theta)`` is computed 100 times, not
+10,000.  Nodes that depend on no variable are computed once, before every
+loop, in the point-list program too.  Moving a statement out of a loop
+changes neither its operations nor their operands, so the values are those
+of the point-list program at every point of the product.
 
 Values are bit-for-bit those of a left-to-right fold over the canonical node
 order: sums start from ``0j`` and add each term in turn; products start from
@@ -18,6 +28,8 @@ each factor; powers go through `expr._ipow`, with ``cmath.sqrt`` for the half
 of a half-integer exponent.  Sums are accumulated one statement per term, so
 neither ``sum()`` (compensated from Python 3.12) nor a deeply nested infix
 chain is ever emitted.  A pole raises ``ZeroDivisionError`` from `_ipow`.
+Where two nodes would fail at one point, a grid program raises the error of
+the one in the outer loop, which the tree walk may reach second.
 """
 
 from __future__ import annotations
@@ -42,18 +54,25 @@ class Program:
     fn: Callable = field(repr=False, compare=False)
 
     def run(self, points) -> list:
-        """points: sequence of tuples aligned with the compiled variable names."""
+        """points: sequence of tuples aligned with the compiled variable names;
+        for a grid program, one sequence of values per name."""
         return self.fn(points)
 
 
-def compile_expr(e, varnames) -> Program:
-    """Compile an expression, or a tuple of expressions, over `varnames`."""
+def compile_expr(e, varnames, grid: bool = False) -> Program:
+    """Compile an expression, or a tuple of expressions, over `varnames`.
+
+    The program takes a sequence of points; with `grid` it takes one axis of
+    values per name and returns the values at every point of
+    ``itertools.product(*axes)``, in that order."""
     index = {n: i for i, n in enumerate(varnames)}
+    loops = [f"for p{i} in axes[{i}]:" for i in range(len(varnames))] if grid else ["for pt in points:"]
     namespace = {"_ipow": ex._ipow, "_sqrt": cmath.sqrt, "_sin": cmath.sin,
                  "_cos": cmath.cos, "_exp": cmath.exp}
     cpool: dict[complex, str] = {}
     names: dict[ex.Expr, str] = {}
-    body: list[str] = []
+    level: dict[str, int] = {}  # loop depth of each value; constants are at 0
+    body: list[list[str]] = [[] for _ in range(len(loops) + 1)]
 
     def const(v: complex) -> str:
         name = cpool.get(v)
@@ -64,6 +83,11 @@ def compile_expr(e, varnames) -> Program:
 
     def fresh() -> str:
         return f"v{len(names)}"
+
+    def emit(name: str, operands: list, *lines: str) -> None:
+        """Place a node's statements in the innermost loop an operand varies in."""
+        depth = level[name] = max([level.get(op, 0) for op in operands], default=0)
+        body[depth].extend(lines)
 
     def go(n: ex.Expr) -> str:
         name = names.get(n)
@@ -78,30 +102,30 @@ def compile_expr(e, varnames) -> Program:
             except KeyError:
                 raise ex.EvalError(f"unbound symbol {n.name!r} in compiled program") from None
             name = f"x{i}"
-            body.append(f"{name} = complex(pt[{i}])")
+            level[name] = i + 1 if grid else 1
+            body[level[name]].append(f"{name} = complex(p{i})" if grid else f"{name} = complex(pt[{i}])")
         elif tt is ex.Fun:
             arg = go(n.arg)
             name = fresh()
-            body.append(f"{name} = {_FUNCTIONS[n.fname]}({arg})")
+            emit(name, [arg], f"{name} = {_FUNCTIONS[n.fname]}({arg})")
         elif tt is ex.Pow:
             base = go(n.base)
             p, q = n.exp.numerator, n.exp.denominator
             name = fresh()
             if q == 1:
-                body.append(f"{name} = _ipow({base}, {p})")
+                emit(name, [base], f"{name} = _ipow({base}, {p})")
             else:
-                body.append(f"{name} = _ipow({base}, {(p - 1) // 2}) * _sqrt({base})")
+                emit(name, [base], f"{name} = _ipow({base}, {(p - 1) // 2}) * _sqrt({base})")
         elif tt is ex.Mul:
             ops = [const(n.coef.to_complex())] if not n.coef.is_one() else []
             ops += [go(f) for f in n.factors]
             name = fresh()
-            body.append(f"{name} = (1+0j) * {ops[0]}")  # (1+0j) is complex(1.0)
-            body.extend(f"{name} *= {op}" for op in ops[1:])
+            emit(name, ops, f"{name} = (1+0j) * {ops[0]}",  # (1+0j) is complex(1.0)
+                 *(f"{name} *= {op}" for op in ops[1:]))
         else:
             ops = [go(t) for t in n.terms]
             name = fresh()
-            body.append(f"{name} = 0j + {ops[0]}")
-            body.extend(f"{name} += {op}" for op in ops[1:])
+            emit(name, ops, f"{name} = 0j + {ops[0]}", *(f"{name} += {op}" for op in ops[1:]))
         names[n] = name
         return name
 
@@ -109,10 +133,12 @@ def compile_expr(e, varnames) -> Program:
         root = "(" + "".join(f"{go(t)}, " for t in e) + ")"
     else:
         root = go(e)
-    source = "\n".join(
-        ["def run(points):", "    out = []", "    for pt in points:"]
-        + [f"        {line}" for line in body]
-        + [f"        out.append({root})", "    return out"]
-    )
+    source = ["def run(axes):" if grid else "def run(points):", "    out = []"]
+    for depth, lines in enumerate(body):
+        if depth:
+            source.append("    " * depth + loops[depth - 1])
+        source.extend("    " * (depth + 1) + line for line in lines)
+    source += ["    " * len(body) + f"out.append({root})", "    return out"]
+    source = "\n".join(source)
     exec(compile(source, "<casimir.evalcore>", "exec"), namespace)
     return Program(source, namespace["run"])

@@ -1293,15 +1293,20 @@ def _lower_poly_class(items: dict, base: Add, x: Expr, bpoly: list, odd: int, ta
             if not bc.is_zero():
                 got = poly.get(j0 + k)
                 poly[j0 + k] = c * bc if got is None else got + c * bc
+    root = -(bpoly[0] / bpoly[1]) if cancel else None
     lists = {}  # key -> (lowest degree, dense ascending coefficients)
     for key, poly in groups.items():
         js = [j for j, c in poly.items() if not c.is_zero()]
         if js:
             lo = min(js)
             lists[key] = (lo, [poly.get(j, _CN_ZERO) for j in range(lo, max(js) + 1)])
+            # with one exponent only a division can change the class, and
+            # each group must vanish at the root for it
+            if not lifted and not (cancel and target < 0 and _poly_eval(lists[key][1], root).is_zero()):
+                return None
     divided = False
     if cancel:
-        root, scale = -(bpoly[0] / bpoly[1]), bpoly[1].inverse()
+        scale = bpoly[1].inverse()
         while target < 0 and all(_poly_eval(p, root).is_zero() for _lo, p in lists.values()):
             lists = {key: (lo, [c * scale for c in _deflate(p, root)]) for key, (lo, p) in lists.items()}
             target += 2

@@ -55,6 +55,7 @@ def assert_input_error(capsys, *argv):
     assert code == 2
     assert len(err.strip().splitlines()) == 1
     assert "Traceback" not in err
+    return err
 
 
 def operator_table(out: str) -> list:
@@ -381,13 +382,16 @@ class TestHarmonics:
         value = float(json.loads(out)["samples"]["rows"][0][3])
         assert value == pytest.approx(math.exp(2) * 5 ** 1.5, rel=1e-12)
 
-    @pytest.mark.parametrize("v,z", [
-        ("0:1e200:2", "0:1:2"),  # (1 + v^2)^(3/2) overflows to inf
-        ("0:1:2", "0:1000:2"),  # exp(2*z) raises OverflowError
+    @pytest.mark.parametrize("v,z,error", [
+        # (1 + v^2)^(3/2) overflows to inf
+        pytest.param("0:1e200:2", "0:1:2", "is not finite", id="0:1e200:2-0:1:2"),
+        # exp(2*z) raises OverflowError
+        pytest.param("0:1:2", "0:1000:2", "cannot be evaluated", id="0:1:2-0:1000:2"),
     ])
-    def test_grid_values_must_be_finite(self, capsys, v, z):
-        assert_input_error(capsys, "harmonics", "bianchi2", "--point-series", "--n", "2", "--m", "0",
-                           "--nu", "2", "--grid", f"v={v}", "--grid", "y=0:1:2", "--grid", f"z={z}")
+    def test_grid_values_must_be_finite(self, capsys, v, z, error):
+        err = assert_input_error(capsys, "harmonics", "bianchi2", "--point-series", "--n", "2", "--m", "0",
+                                 "--nu", "2", "--grid", f"v={v}", "--grid", "y=0:1:2", "--grid", f"z={z}")
+        assert f"component 'n=2,m=0,nu=2' {error} on the --grid" in err
 
 
 # one document of each kind the library writes, built by the named call
@@ -656,8 +660,8 @@ class TestDeterminism:
     ])
     def test_grid_export_bytes_are_pinned(self, tmp_path, argv, sha):
         """Regression gate for grid evaluation and sample rendering, as
-        released when grids were evaluated by one component program per
-        family.  The cases hold labels that CSV must quote, repeated and
+        released when each component was evaluated on the grid by its own
+        program.  The cases hold labels that CSV must quote, repeated and
         single-point axes, and a coordinate and a value that are -0."""
         path = tmp_path / "grid.out"
         assert main(["harmonics", *argv, "--seed", "0", "--out", str(path)]) == 0

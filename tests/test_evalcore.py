@@ -1,6 +1,7 @@
 """Generated evaluator functions against the tree walk, and the hypergeometric
 series of `casimir.models.hypergeom`."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -36,11 +37,25 @@ def test_program_matches_tree_walk(text, names):
 def test_tuple_of_terms_compiles_to_one_function():
     names = ("theta", "phi")
     e = parse("cot(theta)*cos(phi) + sin(theta)^3 - exp(i*phi)*sin(theta)^3 + 2", names)
-    prog = evalcore.compile_expr(e.terms, names)
-    pts = _points(names)
-    rows = prog.run(pts)
-    singles = [evalcore.compile_expr(t, names).run(pts) for t in e.terms]
-    assert rows == [tuple(col) for col in zip(*singles)]
+    axes = [[0.3, 1.2, 1.2, 2.9], [0.0, 2.5, 4.0]]  # a repeated value, and a point at 0
+    for pts, rows in [
+        (_points(names), evalcore.compile_expr(e.terms, names).run(_points(names))),
+        (list(itertools.product(*axes)), evalcore.compile_expr(e.terms, names, grid=True).run(axes)),
+    ]:
+        singles = [evalcore.compile_expr(t, names).run(pts) for t in e.terms]
+        assert rows == [tuple(col) for col in zip(*singles)]
+
+
+def test_grid_program_hoists_each_node_to_its_loop():
+    prog = evalcore.compile_expr(parse("sin(theta)*cos(phi) + 2^(1/2)", ["theta", "phi"]),
+                                 ["theta", "phi"], grid=True)
+    lines = prog.source.splitlines()
+
+    def depth(text):
+        line = next(line for line in lines if text in line)
+        return (len(line) - len(line.lstrip())) // 4 - 1
+
+    assert [depth(t) for t in ("_sqrt(", "_sin(", "_cos(", "out.append(")] == [0, 1, 2, 2]
 
 
 def test_pole_raises_zero_division():
@@ -99,9 +114,13 @@ def _outcome(fn):
         return type(exc)
 
 
-@given(_trees())
+_VALUES = [0.1 + 0.37 * k for k in range(6)] + [-1.3 + 0.41 * k for k in range(6)]
+
+
+@given(_trees(), st.permutations(_COORDS + ("w",)),
+       st.lists(st.lists(st.sampled_from(_VALUES), min_size=1, max_size=3), min_size=3, max_size=3))
 @settings(max_examples=150, deadline=None)
-def test_generated_function_matches_tree_walk(e):
+def test_generated_function_matches_tree_walk(e, grid_names, axes):
     # both fold sums and products in the canonical node order, so the values
     # agree exactly, not just to rounding
     prog = evalcore.compile_expr(e, _COORDS)
@@ -109,6 +128,16 @@ def test_generated_function_matches_tree_walk(e):
         pt = (0.1 + 0.37 * k, -1.3 + 0.41 * k)
         got = _outcome(lambda: prog.run([pt])[0])
         want = _outcome(lambda: ex.evaluate(e, dict(zip(_COORDS, pt))))
+        assert got == want
+    # the grid form, over axes in any order (no tree uses w) that may repeat
+    # values, computes each node in the loop of the last axis it depends on
+    grid = evalcore.compile_expr(e, grid_names, grid=True)
+    got = _outcome(lambda: grid.run(axes))
+    want = [_outcome(lambda: ex.evaluate(e, dict(zip(grid_names, pt)))) for pt in itertools.product(*axes)]
+    raised = {w for w in want if isinstance(w, type)}
+    if raised:  # a hoisted node may fail before a node the tree walk reaches first
+        assert got in raised
+    else:
         assert got == want
 
 

@@ -639,6 +639,19 @@ class TestDeterminism:
         assert main(["harmonics", *argv, "--seed", "0", "--out", str(path)]) == 0
         assert hashlib.sha256(path.read_bytes()).hexdigest() == sha
 
+    @pytest.mark.parametrize("argv,sha", [
+        (["--l", "12"], "7e19dc58c9d56867a91d1c577876c79dca308696d52b636275d045986549a37f"),
+        (["--type", "2,0", "--l", "4"], "69034b08f9c3afac42e0a2f9c190e3139ac48adc5f8e4817f3d476e7dde397bb"),
+    ])
+    def test_lowered_family_bytes_are_pinned(self, tmp_path, argv, sha):
+        """Regression gate for the so3 lowering recurrence, as released when
+        every member was lowered through the symbolic kernel: every weight of
+        the scalar family at l = 12 (twelve steps each way), and the tensor
+        family at l = 4 (odd and even n, tops with half powers)."""
+        path = tmp_path / "fam.json"
+        assert main(["harmonics", "so3", *argv, "--seed", "0", "--out", str(path)]) == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == sha
+
     def test_partial_scalar_family_bytes_are_pinned(self, capsys, tmp_path, monkeypatch):
         """A one-member family built only down to m = 0, and its `verify
         --family` digest, as released when linear cos bases began to divide

@@ -15,6 +15,7 @@ import csv
 import io
 import itertools
 import json
+import math
 import os
 import sys
 from contextlib import contextmanager
@@ -22,6 +23,7 @@ from pathlib import Path
 
 from . import evalcore
 from . import expr as ex
+from .cnum import RadicandError
 from .lie_algebra import (
     DegenerateCartanError,
     cartan_tensor,
@@ -61,6 +63,9 @@ EXIT_SOLVER_LIMIT = 3
 # at these limits every family ends within minutes (README gives timings).
 SO3_MAX_L = 32
 POINT_SERIES_MAX = 16  # bounds --n and --n - --m (one more than the derivative order)
+# Largest product of --grid axis lengths: an export holds every point, value
+# and rendered row at once, about 0.5 KB per point.
+GRID_MAX_POINTS = 250_000
 
 # the errors of a model file's frame, reported as a failed check rather than raised
 FRAME_ERRORS = (NotEigenFrameError, DualityError, NoClosedFormError, NotSimplyTransitiveError)
@@ -377,8 +382,9 @@ def _grid_points(chart, grid_specs) -> tuple:
     """Parse --grid specs into (coordinate names, their axes, the points of
     the axes' product), each in chart order.
 
-    Needs only the chart, so a bad grid is refused before a family is built."""
-    axes = {}
+    Needs only the chart, so a bad grid is refused before a family is built,
+    and only the specs, so a grid too large is refused before its axes are."""
+    specs = {}
     for spec in grid_specs:
         try:
             name, rng = spec.split("=")
@@ -390,9 +396,12 @@ def _grid_points(chart, grid_specs) -> tuple:
             raise SchemaError(f"--grid names unknown coordinate {name!r}")
         if n < 1:
             raise SchemaError("--grid needs at least one point")
-        axes[name] = [a + (b - a) * j / max(n - 1, 1) for j in range(n)]
-    names = [c for c in chart.coords if c in axes]
-    axes = [axes[n] for n in names]
+        specs[name] = a, b, n
+    names = [c for c in chart.coords if c in specs]
+    total = math.prod(specs[c][2] for c in names)
+    if total > GRID_MAX_POINTS:
+        raise SchemaError(f"--grid asks for {total} points, more than the {GRID_MAX_POINTS} allowed")
+    axes = [[a + (b - a) * j / max(n - 1, 1) for j in range(n)] for a, b, n in (specs[c] for c in names)]
     pts = list(itertools.product(*axes))
     try:
         chart.check_points(names, pts)
@@ -543,7 +552,7 @@ def main(argv=None) -> int:
         if args.seed is None:
             args.seed = _seed_default()
         return commands[args.command](args)
-    except (SchemaError, UndefinedPointError) as e:
+    except (SchemaError, UndefinedPointError, RadicandError) as e:
         print(f"input error: {e}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except (NoClosedFormError, NotSimplyTransitiveError, SeriesNotConvergedError) as e:

@@ -10,7 +10,7 @@ small-integer arithmetic on machine ints.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 
 def as_fraction(x) -> int | Fraction:
@@ -125,14 +125,36 @@ CN_MINUS_ONE = CNum(-1)
 CN_I = CNum(0, 1)
 
 
+# square_part trial-divides up to this bound only, so its cost is bounded too
+SQUARE_PART_BOUND = 10_000
+
+
+class RadicandError(ArithmeticError):
+    """A radicand whose squarefree part trial division up to
+    SQUARE_PART_BOUND cannot settle."""
+
+
 def square_part(n: int) -> tuple[int, int]:
-    """Split n >= 0 as s*s*f with f squarefree (trial division)."""
+    """Split n >= 0 as s*s*f with f squarefree.
+
+    Trial division by d <= SQUARE_PART_BOUND leaves a cofactor m with no
+    prime factor below d.  It is settled exactly when it is a perfect square,
+    or when m < d^3, so that it has at most two prime factors and is
+    squarefree unless a square.  Any other cofactor raises RadicandError."""
     if n in (0, 1):
         return 1, n
     s, f = 1, 1
     d = 2
     m = n
     while d * d <= m:
+        if d > SQUARE_PART_BOUND:
+            r = isqrt(m)
+            if r * r == m:
+                return s * r, f
+            if m >= d ** 3:
+                raise RadicandError(f"cannot find the square part of the radicand {n}: "
+                                    f"it has no prime factor up to {SQUARE_PART_BOUND}")
+            break
         if m % d == 0:
             e = 0
             while m % d == 0:

@@ -905,7 +905,7 @@ def _divisors(n: int) -> list[int]:
 
 
 def _poly_eval(poly: list, x):
-    """poly(x) for ascending Fraction or CNum coefficients, poly not empty."""
+    """poly(x) for ascending int, Fraction or CNum coefficients, poly not empty."""
     out = poly[-1]
     for c in poly[-2::-1]:
         out = out * x + c
@@ -913,7 +913,7 @@ def _poly_eval(poly: list, x):
 
 
 def _deflate(poly: list, r) -> list:
-    # poly = (kernel - r) * out, ascending Fraction or CNum coefficients
+    # poly = (kernel - r) * out, ascending int, Fraction or CNum coefficients
     n = len(poly) - 1
     out = [Fraction(0)] * n
     out[n - 1] = poly[n]

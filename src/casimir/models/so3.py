@@ -13,10 +13,14 @@ ladder moves from the closed-form top member
 A component of covector weight n sits on n raising legs e^+1 (or -n
 lowering legs e^-1), so every weight |n| <= l has its reduced operator,
 shifted ladder and family; each emitted member is certified by its own
-residuals (reduced or Casimir, axis, and each ladder move).  Each (l, n)
-family is cached and extended on demand: a request for weight m lowers from
-the family's lowest built member down to m and no further, so the members
-below the lowest weight asked for are never built.
+residuals (reduced or Casimir, axis, and each ladder move).
+
+A member is N^(-1/2) e^{i m phi} sin^eps(theta) P(cos theta), eps in {0, 1}.
+Each (l, n) family is cached as the integer coefficient lists of P, lowered
+exactly (`So3Model._family_down_to`) from its lowest built member down to
+the weight asked for and no further.  A member becomes an expression, built
+by the kernel, when a caller first asks for it; every certificate is
+computed on that expression.
 
 The generators, structure constants, domain, singular locus and metric are
 those of the built-in model file `modelio.BUILTIN_MODELS["so3"]`, so
@@ -33,6 +37,7 @@ from fractions import Fraction
 
 from .. import expr as ex
 from .. import numcheck as nc
+from ..cnum import CNum
 from ..lie_algebra import StructureConstants
 from ..modelio import SchemaError, load_model
 from ..operator import (
@@ -56,6 +61,7 @@ LADDER_COMPONENTS = (
     ("0", "-i"),
 )
 FRAME_NAMES = ("r", "+1", "-1")
+THETA, PHI = ex.sym("theta"), ex.sym("phi")
 AMPLITUDE_NAMES = ("h_rr", "h_r", "h")
 
 
@@ -108,6 +114,7 @@ class So3Model:
             "so3-ladder", self.space, self.space_ladder, gl, self.frame, self.mu
         )
         self._families: dict = {}
+        self._members: dict = {}
 
     def _sphere_field(self, comps) -> VectorField:
         return VectorField(self.sphere, tuple(parse(s, self.sphere.coords) for s in comps))
@@ -139,11 +146,21 @@ class So3Model:
         Builds whatever part of the cached family is still missing; callers
         that need only weights m >= m0 extend it only down to m0."""
         _check_labels(l, n)
-        return self._family_down_to(l, n, -l)
+        return {m: self._member(l, n, m) for m in self._family_down_to(l, n, -l)}
 
     def _family_down_to(self, l: int, n: int, low: int) -> dict:
         """The cached (l, n) family with every member from m = l down to
-        max(low, -l) built.
+        max(low, -l) built, as {m: (P, eps, N)}: the member is
+        N^(-1/2) e^{i m phi} sin^eps(theta) P(cos theta), P ascending ints
+        (the last may be 0).
+
+        With x = cos theta, the top member has eps = (l - n) mod 2 and
+        P = (1 - x)^((l-n)//2) (1 + x)^((l+n)//2).  The shifted lowering
+        ladder maps a member to e^{i(m-1) phi} sin^(eps-1) Q with
+        Q = (1 - x^2) P' - (m + eps) x P + n P, and N gains the factor
+        c2 = l(l+1) - m(m-1).  So the next member is (Q, 0) when eps = 1 and
+        (Q / (1 - x^2), 1) when eps = 0, a division that is exact for every
+        true member.
 
         A family grows by lowering from its lowest member only as far as a
         caller asks.  A published family dict is never changed: a longer one
@@ -153,22 +170,45 @@ class So3Model:
         key = (l, n)
         fam = self._families.get(key)
         if fam is None:
-            # the top member e^{i l phi} (1 - cos)^{(l-n)/2} (1 + cos)^{(l+n)/2}
-            x = ex.cos(ex.sym("theta"))
-            p = ex.simplify(ex.mul(ex.power(ex.sub(ex.ONE, x), Fraction(l - n, 2)),
-                                   ex.power(ex.add(ex.ONE, x), Fraction(l + n, 2))))
-            fam = {l: ex.simplify(ex.mul(ex.exp(ex.mul(ex.num(0, l), ex.sym("phi"))), p))}
+            a, eps = divmod(l - n, 2)
+            p = [c.re for c in ex._poly_pow([CNum(1), CNum(-1)], a)]
+            for _ in range((l + n) // 2):
+                p = [u + v for u, v in zip(p + [0], [0] + p)]  # times 1 + x
+            fam = {l: (p, eps, 1)}
         elif low in fam:
             return fam
         else:
             fam = dict(fam)
-        lower = self.shifted_ladder(1, n)
         for m in range(min(fam), low, -1):
-            c2 = l * (l + 1) - m * (m - 1)
-            nxt = lower.apply(fam[m])
-            fam[m - 1] = ex.simplify(ex.mul(nxt, ex.power(ex.num(c2), Fraction(-1, 2))))
+            p, eps, norm = fam[m]
+            q = [0] * (len(p) + 1)
+            for k, c in enumerate(p):
+                q[k] += n * c
+                q[k + 1] -= (m + eps + k) * c
+                if k:
+                    q[k - 1] += k * c
+            if not eps:  # divide by 1 - x^2 = -(x - 1)(x + 1)
+                for r in (1, -1):
+                    if ex._poly_eval(q, r):
+                        raise ArithmeticError(f"so3 lowering left a remainder at l={l}, n={n}, m={m}")
+                    q = ex._deflate(q, r)
+                q = [-c for c in q]
+            fam[m - 1] = (q, 1 - eps, norm * (l * (l + 1) - m * (m - 1)))
         self._families[key] = fam
         return fam
+
+    def _member(self, l: int, n: int, m: int) -> ex.Expr:
+        """t^l_{n,m} as an expression, built by the kernel on first request."""
+        key = (l, n, m)
+        t = self._members.get(key)
+        if t is None:
+            p, eps, norm = self._family_down_to(l, n, m)[m]
+            x = ex.cos(THETA)
+            poly = ex.add(*(ex.mul(ex.num(c), ex.power(x, k)) for k, c in enumerate(p) if c))
+            t = self._members[key] = ex.simplify(ex.mul(
+                ex.power(ex.num(norm), Fraction(-1, 2)), ex.exp(ex.mul(ex.num(0, m), PHI)),
+                ex.power(ex.sin(THETA), eps), poly))
+        return t
 
     def ladder_coefficient(self, l: int, m: int, s: int) -> ex.Expr:
         return ex.power(ex.num(l * (l + 1) - m * (m + s)), Fraction(1, 2))
@@ -176,7 +216,7 @@ class So3Model:
     def scalar_harmonic(self, l: int, m: int, seed: int = 0) -> HarmonicFamily:
         """Scalar weight-(l, m) harmonic with axis and Casimir certificates."""
         _check_labels(l, 0, m)
-        t = self._family_down_to(l, 0, m)[m]
+        t = self._member(l, 0, m)
         lam = ex.num(-l * (l + 1))
         return HarmonicFamily(
             model=self.name,
@@ -244,8 +284,7 @@ class So3Model:
         amps = {a: ex.sym(a) for a in AMPLITUDE_NAMES}
         components = {}
         n_values = sorted({n for _u, _lo, n, _a in self.tensor_slots(l)})
-        low = min(m_values, default=l)
-        fams = {n: self._family_down_to(l, n, low) for n in n_values}
+        fams = {n: {m: self._member(l, n, m) for m in m_values} for n in n_values}
         for n in n_values:
             for m in m_values:
                 components[f"n={n},m={m}"] = fams[n][m]
@@ -314,8 +353,7 @@ class So3Model:
         _check_labels(l, n, m)
         if not _is_int(s) or s not in (1, -1):
             raise ValueError(f"a ladder step is +1 or -1, got s={s!r}")
-        fam = self._family_down_to(l, n, min(m, m + s))
-        t = fam[m]
+        t = self._member(l, n, m)
         opn = self.shifted_ladder(0 if s > 0 else 1, n)
         moved = opn.apply(t)
         coef = self.ladder_coefficient(l, m, s)
@@ -323,7 +361,7 @@ class So3Model:
         if abs(m + s) > l:
             rep = nc.is_zero(moved, box, seed)
             return ex.ZERO, None, rep
-        target = fam[m + s]
+        target = self._member(l, n, m + s)
         rep = nc.is_zero(ex.sub(moved, ex.mul(coef, target)), box, seed)
         return coef, m + s, rep
 

@@ -9,7 +9,7 @@ import math
 
 import pytest
 
-from casimir.cli import main
+from casimir.cli import GRID_MAX_POINTS, main
 from casimir.modelio import BUILTIN_MODELS
 from casimir.models import bianchi2_model, so3_model
 from casimir.models.so3 import So3Model
@@ -369,6 +369,19 @@ class TestHarmonics:
 
         monkeypatch.setattr(So3Model, "tensor20_harmonic", build)
         assert_input_error(capsys, "harmonics", "so3", "--type", "2,0", "--l", "2", "--grid", "theta=0:1:2")
+
+    @pytest.mark.parametrize("grids", [
+        ["theta=0.1:3:1000", "phi=0.1:6:1000"],
+        ["theta=0.1:3:1000000000000"],
+    ], ids=["two-axes", "one-axis"])
+    def test_grid_size_is_bounded(self, capsys, monkeypatch, grids):
+        def build(*args, **kwargs):
+            raise AssertionError("family built before the grid was checked")
+
+        monkeypatch.setattr(So3Model, "scalar_family", build)
+        argv = [arg for g in grids for arg in ("--grid", g)]
+        err = assert_input_error(capsys, "harmonics", "so3", "--l", "1", *argv)
+        assert f"more than the {GRID_MAX_POINTS} allowed" in err
 
     def test_grid_may_leave_the_sampling_box(self, capsys):
         # phi is periodic and a point series is closed-form in v, y and z:
@@ -798,6 +811,25 @@ class TestReduceAndResidual:
         p.write_text(json.dumps({"type": [0, 0], "components": ["cos(theta)"]}))
         assert_input_error(capsys, "residual", "--model", "so3", "--tensor", str(p),
                            "--eigenvalue", eigenvalue)
+
+    @pytest.mark.parametrize("eigenvalue", [
+        "-2*(2^60*3^40*61^2*67^2)^(1/2)/(2^30*3^20*61*67)",  # smooth
+        "-2*(1000000000000037^2)^(1/2)/1000000000000037",  # the square of a large prime
+        "-2*(10007*10009)^(1/2)/(10007*10009)^(1/2)",  # two primes above the trial bound
+    ])
+    def test_residual_settles_radicands_it_can_factor(self, capsys, tmp_path, eigenvalue):
+        p = tmp_path / "t.json"
+        p.write_text(json.dumps({"type": [0, 0], "components": ["cos(theta)"]}))
+        assert main(["residual", "--model", "so3", "--tensor", str(p), f"--eigenvalue={eigenvalue}"]) == 0
+        assert json.loads(capsys.readouterr().out)["inputs"]["eigenvalue"] == "-2"
+
+    def test_residual_refuses_a_radicand_it_cannot_factor(self, capsys, tmp_path):
+        # a prime near 10^15: trial division up to its root would take seconds
+        p = tmp_path / "t.json"
+        p.write_text(json.dumps({"type": [0, 0], "components": ["cos(theta)"]}))
+        err = assert_input_error(capsys, "residual", "--model", "so3", "--tensor", str(p),
+                                 "--eigenvalue", "1000000000000037^(1/2)")
+        assert "radicand 1000000000000037" in err
 
     def test_residual_overflow_names_the_sample_point(self, capsys, tmp_path):
         p = tmp_path / "t.json"

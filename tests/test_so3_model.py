@@ -56,7 +56,7 @@ class TestWeightFamilies:
         reduced = {n: model.reduced_operator(n) for n in range(-2, 3)}
         for l in range(25):
             for n in range(-min(l, 2), min(l, 2) + 1):
-                t = model._family_down_to(l, n, l)[l]
+                t = model._member(l, n, l)
                 residual = ex.add(reduced[n].apply(t), ex.mul(ex.num(l * (l + 1)), t))
                 assert nc.is_zero(residual, box).verdict is nc.Verdict.SYMBOLIC_ZERO, (l, n)
 
@@ -65,6 +65,40 @@ class TestWeightFamilies:
         t = model.ladder_family(2, 1)[1]
         val = ex.evaluate(t, {"theta": 1e-6, "phi": 0.3})
         assert abs(val) < 10.0
+
+
+def expr_ladder(model, l, n) -> dict:
+    """The (l, n) family lowered through the symbolic kernel: the closed-form
+    top member, then each step the shifted lowering ladder applied to the
+    member, times c2^(-1/2), simplified."""
+    x = ex.cos(ex.sym("theta"))
+    p = ex.simplify(ex.mul(ex.power(ex.sub(ex.ONE, x), Fraction(l - n, 2)),
+                           ex.power(ex.add(ex.ONE, x), Fraction(l + n, 2))))
+    fam = {l: ex.simplify(ex.mul(ex.exp(ex.mul(ex.num(0, l), ex.sym("phi"))), p))}
+    lower = model.shifted_ladder(1, n)
+    for m in range(l, -l, -1):
+        c2 = l * (l + 1) - m * (m - 1)
+        fam[m - 1] = ex.simplify(ex.mul(lower.apply(fam[m]), ex.power(ex.num(c2), Fraction(-1, 2))))
+    return fam
+
+
+class TestListLowering:
+    """Members lowered on coefficient lists are the very nodes the kernel's
+    own ladder builds."""
+
+    @pytest.mark.parametrize("l", range(9))
+    def test_members_equal_the_expression_ladder(self, l):
+        model = So3Model()
+        for n in range(-l, l + 1):
+            for m, want in expr_ladder(model, l, n).items():
+                got = model._member(l, n, m)
+                assert got == want and ex.unparse(got) == ex.unparse(want), (l, n, m)
+
+    def test_a_remainder_is_refused(self):
+        model = So3Model()
+        model._families[(2, 0)] = {2: ([1], 0, 1)}  # not a member: 1 - x^2 does not divide
+        with pytest.raises(ArithmeticError, match="l=2, n=0, m=2"):
+            model._family_down_to(2, 0, 1)
 
 
 class TestGeneralizedLegendre:
@@ -265,7 +299,7 @@ class TestOnDemandFamilies:
             assert rep.verdict is nc.Verdict.SYMBOLIC_ZERO, (m, s)
             assert target == (m + s if abs(m + s) <= l else None)
             built = model._families[(l, n)]
-            assert {m2: ex.unparse(t) for m2, t in built.items()} == {
+            assert {m2: ex.unparse(model._member(l, n, m2)) for m2 in built} == {
                 m2: want[m2] for m2 in built}
         got = {m: ex.unparse(t) for m, t in model.ladder_family(l, n).items()}
         assert got == want

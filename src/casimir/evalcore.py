@@ -21,11 +21,18 @@ loop, in the point-list program too.  Moving a statement out of a loop
 changes neither its operations nor their operands, so the values are those
 of the point-list program at every point of the product.
 
-Values are bit-for-bit those of a left-to-right fold over the canonical node
-order: sums start from ``0j`` and add each term in turn; products start from
-``complex(1.0)``, multiply by the coefficient (when it is not 1) and then by
-each factor; powers go through `expr._ipow`, with ``cmath.sqrt`` for the half
-of a half-integer exponent.  Sums are accumulated one statement per term, so
+This is the package's only evaluator: every numeric value of an expression,
+from the zero checks of :mod:`casimir.numcheck` to the rank checks of
+:mod:`casimir.split_structure` and the grid exports, comes from a compiled
+program, so how powers, poles and sqrt are computed is decided here.  Values
+are bit-for-bit those of the recursive tree walk kept as a differential
+reference in ``tests/helpers.py``, a left-to-right fold over the canonical
+node order: sums start from ``0j`` and add each term in turn; products start
+from ``complex(1.0)``, multiply by the coefficient (when it is not 1) and then
+by each factor, where the tree walk starts from the coefficient itself, the
+same value since no exact coefficient has a negative-zero part; powers go
+through `_ipow`, with ``cmath.sqrt`` for the half of a half-integer
+exponent.  Sums are accumulated one statement per term, so
 neither ``sum()`` (compensated from Python 3.12) nor a deeply nested infix
 chain is ever emitted.  A pole raises ``ZeroDivisionError`` from `_ipow`.
 Where two nodes would fail at one point, a grid program raises the error of
@@ -44,8 +51,24 @@ _FUNCTIONS = {"sin": "_sin", "cos": "_cos", "exp": "_exp"}
 
 
 def backend_name() -> str:
-    """Name of the numeric evaluator, recorded in report provenance."""
+    """Name of the numeric evaluator, for callers that record which evaluator
+    made their numbers, such as perfbench's run records; no report holds it."""
     return "python"
+
+
+def _ipow(v: complex, k: int) -> complex:
+    if k < 0:
+        if v == 0:
+            raise ZeroDivisionError("pole in expression evaluation")
+        return 1.0 / _ipow(v, -k)
+    out = complex(1.0)
+    base = v
+    while k:
+        if k & 1:
+            out *= base
+        base *= base
+        k >>= 1
+    return out
 
 
 @dataclass(frozen=True)
@@ -67,7 +90,7 @@ def compile_expr(e, varnames, grid: bool = False) -> Program:
     ``itertools.product(*axes)``, in that order."""
     index = {n: i for i, n in enumerate(varnames)}
     loops = [f"for p{i} in axes[{i}]:" for i in range(len(varnames))] if grid else ["for pt in points:"]
-    namespace = {"_ipow": ex._ipow, "_sqrt": cmath.sqrt, "_sin": cmath.sin,
+    namespace = {"_ipow": _ipow, "_sqrt": cmath.sqrt, "_sin": cmath.sin,
                  "_cos": cmath.cos, "_exp": cmath.exp}
     cpool: dict[complex, str] = {}
     names: dict[ex.Expr, str] = {}

@@ -35,9 +35,10 @@ is idempotent.  In a simplified sum:
 The pass decomposes a sum once, lowers every (base, parity) class that fires
 in turn on that decomposition, and rebuilds the sum once; bases that are
 polynomials in one symbol or cosine are lowered and divided on coefficient
-lists, others through ``mul``.  ``simplify``'s loop over the pass stays as
-the fixed-point guard.  Anything the kernel cannot prove zero falls back to
-numeric sampling in :mod:`casimir.numcheck`.
+lists, others through ``mul``.  Anything the kernel cannot prove zero falls
+back to numeric sampling in :mod:`casimir.numcheck`; the kernel builds,
+differentiates and prints expressions, and never evaluates them, which is
+:mod:`casimir.evalcore`'s job.
 
 Every node is a fixed point of its constructor: ``mul(Num(coef), *factors)``
 rebuilds a ``Mul``, ``add(*terms)`` an ``Add``, ``_power(base, e2)`` a ``Pow``
@@ -73,8 +74,7 @@ through module-level memo tables:
   pairs, scales the memoized terms by exact coefficients, merges like
   monomials after each sum (``_merge``) and gathers the result with
   ``_collect``, the same step ``add`` uses;
-* ``_DIFF_CACHE`` and ``_ADD_POWER_CACHE`` memoize ``diff`` and the
-  negative and half-integer powers of sums.
+* ``_DIFF_CACHE`` memoizes ``diff``.
 
 Every table is an idempotent memo: it never changes a result, is cleared
 when it reaches its cap (a ``*_CAP`` constant next to it), and is safe to
@@ -86,7 +86,6 @@ the tables hold.
 
 from __future__ import annotations
 
-import cmath
 import operator
 from fractions import Fraction
 from math import gcd, isqrt
@@ -699,23 +698,7 @@ def _num_power(v: CNum, e2: int) -> Expr:
     return _assemble(CN_ONE, {Num(v): e2})
 
 
-_ADD_POWER_CACHE: dict = {}
-_ADD_POWER_CACHE_CAP = 100_000
-
-
 def _add_power(b: Add, e2: int) -> Expr:
-    key = (b, e2)
-    hit = _ADD_POWER_CACHE.get(key)
-    if hit is not None:
-        return hit
-    out = _add_power_uncached(b, e2)
-    if len(_ADD_POWER_CACHE) >= _ADD_POWER_CACHE_CAP:
-        _ADD_POWER_CACHE.clear()
-    _ADD_POWER_CACHE[key] = out
-    return out
-
-
-def _add_power_uncached(b: Add, e2: int) -> Expr:
     scale, prim = _primitive_sum(b)
     parts = _factor_poly(prim)
     out = [_num_power(scale, e2)]
@@ -1060,57 +1043,6 @@ def subs(e: Expr, mapping: dict) -> Expr:
     return go(e)
 
 
-def _cpow(v: complex, e2: int) -> complex:
-    if e2 & 1:
-        return _ipow(v, (e2 - 1) >> 1) * cmath.sqrt(v)
-    return _ipow(v, e2 >> 1)
-
-
-def _ipow(v: complex, k: int) -> complex:
-    if k < 0:
-        if v == 0:
-            raise ZeroDivisionError("pole in expression evaluation")
-        return 1.0 / _ipow(v, -k)
-    out = complex(1.0)
-    base = v
-    while k:
-        if k & 1:
-            out *= base
-        base *= base
-        k >>= 1
-    return out
-
-
-def evaluate(e: Expr, env: dict) -> complex:
-    """Evaluate at a point; deterministic given the canonical node order."""
-    tt = type(e)
-    if tt is Num:
-        return e.val.to_complex()
-    if tt is Sym:
-        try:
-            return complex(env[e.name])
-        except KeyError:
-            raise EvalError(f"unbound symbol {e.name!r}", dict(env)) from None
-    if tt is Fun:
-        v = evaluate(e.arg, env)
-        if e.fname == "sin":
-            return cmath.sin(v)
-        if e.fname == "cos":
-            return cmath.cos(v)
-        return cmath.exp(v)
-    if tt is Pow:
-        return _cpow(evaluate(e.base, env), e.e2)
-    if tt is Mul:
-        out = e.coef.to_complex()
-        for f in e.factors:
-            out *= evaluate(f, env)
-        return out
-    out = complex(0.0)
-    for t in e.terms:
-        out += evaluate(t, env)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # simplification
 
@@ -1151,14 +1083,7 @@ def _simplify_node(e: Expr) -> Expr:
         return mul(Num(e.coef), *fs)
     ts = [simplify(t) for t in e.terms]
     s = e if all(map(operator.is_, ts, e.terms)) else add(*ts)
-    for _ in range(_FIXED_POINT_ROUNDS):
-        if type(s) is not Add:
-            return s
-        s2 = _common_exponent_pass(s)
-        if s2 is s:
-            return s
-        s = s2
-    raise ExprError("simplify did not reach a fixed point")
+    return _common_exponent_pass(s) if type(s) is Add else s
 
 
 def _term_atom_exp(mono: tuple, base: Expr) -> tuple[int | None, tuple]:
@@ -1189,17 +1114,19 @@ def _common_exponent_pass(s: Add) -> Expr:
     The sum is decomposed once into a {monomial: coefficient} map.  Each round
     lowers the first (base, parity) class in ``_key`` order that fires, on
     that map, exactly as one rebuild of the sum per class would; the rounds
-    run until no class fires and the sum is rebuilt once at the end.
+    run until no class fires and the sum is rebuilt once at the end.  The
+    rebuilt sum decomposes back to the same items, so no class fires on it:
+    one pass is all of simplify's work on a sum.
     """
     items = {mono: c for c, mono in map(_coef_mono, s.terms)}
     lowered = False
     for _ in range(_FIXED_POINT_ROUNDS):
         out = _lower_first_class(items) if len(items) > 1 else None
         if out is None:
-            break
+            return _sum_of_items(list(items.items())) if lowered else s
         items = out
         lowered = True
-    return _sum_of_items(list(items.items())) if lowered else s
+    raise ExprError("simplify did not reach a fixed point")
 
 
 def _lower_first_class(items: dict):

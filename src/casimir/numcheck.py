@@ -111,7 +111,7 @@ def is_zero(e: ex.Expr, box: dict | None = None, seed: int = 0) -> ZeroReport:
         raise ex.EvalError(f"no sampling interval for symbols {missing}")
     if not names:
         try:
-            v = abs(ex.evaluate(s, {}))
+            v = abs(evalcore.compile_expr(s, ()).run([()])[0])
         except OverflowError:
             raise UndefinedPointError("constant overflowed floating point", {}) from None
         if v < REL_TOL:

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import evalcore
 from . import expr as ex
 from . import numcheck as nc
 from .lie_algebra import StructureConstants, ad_matrix
@@ -435,8 +436,7 @@ def solve_invariant_frame(sc: StructureConstants, generators, seed: int = 0) -> 
     box = chart.full_box()
     # linear independence at sample points
     envs = nc.sample_box(box, 8, seed) if box else [{}]
-    for env in envs:
-        mat = [[ex.evaluate(c, env) for c in g.comps] for g in generators]
+    for env, mat in zip(envs, _matrices([g.comps for g in generators], envs)):
         if _numeric_rank(mat) < r:
             raise NotSimplyTransitiveError(f"generators are dependent near {env}")
 
@@ -582,11 +582,19 @@ def _certify_metric(g, sc, generators, provenance, seed) -> InvariantMetric:
                 )
                 reports.append(nc.is_zero(resid, box, seed))
     env = nc.sample_box(box, 1, seed)[0] if box else {}
-    mat = [[ex.evaluate(e, env) for e in row] for row in g]
-    rank = _numeric_rank(mat)
+    rank = _numeric_rank(_matrices(g, [env])[0])
     return InvariantMetric(
         tuple(tuple(row) for row in g), rank, tuple(reports), provenance
     )
+
+
+def _matrices(rows, envs: list) -> list:
+    """The numeric matrix of the expression rows at each point, all points
+    and entries by one compiled program."""
+    names, width = tuple(envs[0]), len(rows[0])
+    prog = evalcore.compile_expr(tuple(e for row in rows for e in row), names)
+    return [[vals[i:i + width] for i in range(0, len(vals), width)]
+            for vals in prog.run([tuple(env[n] for n in names) for env in envs])]
 
 
 def _numeric_rank(m) -> int:

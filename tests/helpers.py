@@ -1,10 +1,12 @@
 """Test-only helpers: the structure constants of three small algebras, a
 seeded polynomial tensor generator, the Lie derivative commutator identity, tensor sums and scalings, the nested
-definition of G, the ladder-built orbit Laplacian, and the rebuild-everything
-simplify kept as a differential oracle."""
+definition of G, the ladder-built orbit Laplacian, and two differential
+oracles: the recursive tree-walk evaluator and the rebuild-everything
+simplify."""
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import random
 from fractions import Fraction
@@ -130,6 +132,53 @@ def ladder_scalar_operator(so3) -> ScalarOperator:
     for idx, c in terms:
         table.setdefault(idx, []).append(ex.neg(c))
     return ScalarOperator.from_table(so3.sphere, {idx: ex.add(*cs) for idx, cs in table.items()})
+
+
+def tree_evaluate(e: ex.Expr, env: dict) -> complex:
+    """The value of `e` at the point `env`, by a recursive walk of the tree:
+    the differential reference for the compiled programs of
+    ``casimir.evalcore``.  Sums fold from 0j, products from the coefficient,
+    each in the canonical node order; a negative power at 0 raises
+    ZeroDivisionError."""
+    tt = type(e)
+    if tt is ex.Num:
+        return e.val.to_complex()
+    if tt is ex.Sym:
+        try:
+            return complex(env[e.name])
+        except KeyError:
+            raise ex.EvalError(f"unbound symbol {e.name!r}", dict(env)) from None
+    if tt is ex.Fun:
+        return getattr(cmath, e.fname)(tree_evaluate(e.arg, env))
+    if tt is ex.Pow:
+        v, e2 = tree_evaluate(e.base, env), e.e2
+        if e2 & 1:
+            return _int_power(v, (e2 - 1) >> 1) * cmath.sqrt(v)
+        return _int_power(v, e2 >> 1)
+    if tt is ex.Mul:
+        out = e.coef.to_complex()
+        for f in e.factors:
+            out *= tree_evaluate(f, env)
+        return out
+    out = complex(0.0)
+    for t in e.terms:
+        out += tree_evaluate(t, env)
+    return out
+
+
+def _int_power(v: complex, k: int) -> complex:
+    if k < 0:
+        if v == 0:
+            raise ZeroDivisionError("pole in expression evaluation")
+        return 1.0 / _int_power(v, -k)
+    out = complex(1.0)
+    base = v
+    while k:
+        if k & 1:
+            out *= base
+        base *= base
+        k >>= 1
+    return out
 
 
 def reference_simplify(e: ex.Expr, cancel: bool = True) -> ex.Expr:

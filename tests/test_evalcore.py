@@ -11,6 +11,7 @@ from casimir import evalcore
 from casimir import expr as ex
 from casimir.models import hypergeom
 from casimir.parser import parse
+from helpers import tree_evaluate
 
 SAMPLES = [
     ("cot(theta)*cos(phi) + sin(theta)^3", ("theta", "phi")),
@@ -31,7 +32,7 @@ def test_program_matches_tree_walk(text, names):
     pts = _points(names)
     vals = prog.run(pts)
     for pt, got in zip(pts, vals):
-        assert got == ex.evaluate(e, dict(zip(names, pt)))
+        assert got == tree_evaluate(e, dict(zip(names, pt)))
 
 
 def test_tuple_of_terms_compiles_to_one_function():
@@ -76,7 +77,7 @@ def test_generated_source_names_no_symbols():
     assert "theta" not in prog.source and "phi" not in prog.source
 
 
-# -- randomized differential test against ex.evaluate ---------------------------
+# -- randomized differential test against the tree walk -------------------------
 
 _COORDS = ("x", "y")
 
@@ -127,13 +128,13 @@ def test_generated_function_matches_tree_walk(e, grid_names, axes):
     for k in range(6):
         pt = (0.1 + 0.37 * k, -1.3 + 0.41 * k)
         got = _outcome(lambda: prog.run([pt])[0])
-        want = _outcome(lambda: ex.evaluate(e, dict(zip(_COORDS, pt))))
+        want = _outcome(lambda: tree_evaluate(e, dict(zip(_COORDS, pt))))
         assert got == want
     # the grid form, over axes in any order (no tree uses w) that may repeat
     # values, computes each node in the loop of the last axis it depends on
     grid = evalcore.compile_expr(e, grid_names, grid=True)
     got = _outcome(lambda: grid.run(axes))
-    want = [_outcome(lambda: ex.evaluate(e, dict(zip(grid_names, pt)))) for pt in itertools.product(*axes)]
+    want = [_outcome(lambda: tree_evaluate(e, dict(zip(grid_names, pt)))) for pt in itertools.product(*axes)]
     raised = {w for w in want if isinstance(w, type)}
     if raised:  # a hoisted node may fail before a node the tree walk reaches first
         assert got in raised

@@ -81,3 +81,18 @@ def test_every_module_level_name_is_used():
         if not (name.startswith("__") and name.endswith("__"))
     )
     assert sorted(name for name, n in defined.items() if words[name] <= n) == []
+
+
+def test_only_evalcore_evaluates_functions():
+    """Expressions are turned into numbers only by `casimir.evalcore`'s
+    compiled programs.  (`hypergeom` takes ``cmath.sqrt`` of a float, not of
+    an expression.)"""
+    calls = re.compile(r"cmath\.(sin|cos|exp)\b")
+    found = [p.relative_to(PACKAGE).as_posix() for p in sorted(PACKAGE.rglob("*.py"))
+             if p.name != "evalcore.py" and calls.search(p.read_text())]
+    assert found == []
+
+
+def test_kernel_has_no_evaluator():
+    """The kernel builds, differentiates and prints expressions; it does not evaluate them."""
+    assert not hasattr(casimir.expr, "evaluate")

@@ -8,6 +8,7 @@ from casimir import evalcore
 from casimir import expr as ex
 from casimir import numcheck as nc
 from casimir.parser import parse
+from helpers import tree_evaluate
 
 BOX = {"theta": (0.01, 3.13)}
 
@@ -31,7 +32,7 @@ def test_nonzero_with_witness():
     r = nc.is_zero(ex.cos(ex.sym("theta")), BOX)
     assert r.verdict is nc.Verdict.NONZERO
     assert r.witness is not None and "theta" in r.witness
-    assert abs(ex.evaluate(ex.cos(ex.sym("theta")), r.witness)) > 1e-6
+    assert abs(tree_evaluate(ex.cos(ex.sym("theta")), r.witness)) > 1e-6
 
 
 def test_missing_box_is_an_error():
@@ -59,7 +60,7 @@ def test_sum_with_many_terms_is_sampled():
     e = parse("(" + " + ".join(f"x^{k}" for k in range(1, 70)) + ")^(1/2) - y", ["x", "y"])
     r = nc.is_zero(e, {"x": (0.1, 0.9), "y": (-1.0, 0.0)})
     assert r.verdict is nc.Verdict.NONZERO
-    assert abs(ex.evaluate(e, r.witness)) == pytest.approx(r.max_abs)
+    assert abs(tree_evaluate(e, r.witness)) == pytest.approx(r.max_abs)
 
 
 def _per_term_report(e, box, seed=0):
@@ -118,6 +119,17 @@ def test_pole_names_the_sample_point_that_hit_it():
 def test_constant_expressions():
     assert nc.is_zero(ex.num(0), {}).verdict is nc.Verdict.SYMBOLIC_ZERO
     assert nc.is_zero(ex.num(1, 1), {}).verdict is nc.Verdict.NONZERO
+    # constants the kernel cannot prove zero: sampled once, at the empty point
+    for text, want in [
+        ("sin(2) - 2*sin(1)*cos(1)", nc.ZeroReport(
+            nc.Verdict.NUMERIC_ZERO, max_abs=1.1102230246251565e-16, scale=1.0)),
+        ("sin(2) - 2*sin(1)*cos(1) + 1/1000", nc.ZeroReport(
+            nc.Verdict.NONZERO, witness={}, max_abs=0.0009999999999998899, scale=1.0)),
+    ]:
+        e = parse(text, [])
+        r = nc.is_zero(e, {})
+        assert r == want
+        assert r.max_abs == abs(tree_evaluate(ex.simplify(e), {}))
 
 
 def test_halton_deterministic_and_seed_dependent():

@@ -21,7 +21,7 @@ import sys
 from contextlib import contextmanager
 from pathlib import Path
 
-from . import evalcore
+from . import evalcore, models
 from . import expr as ex
 from .cnum import RadicandError
 from .lie_algebra import (
@@ -31,9 +31,7 @@ from .lie_algebra import (
     validate,
 )
 from .modelio import BUILTIN_MODELS, SchemaError, load_family, load_model, parse_label, parse_rational
-from .models import bianchi2_model, so3_model
-from .models.family import verdict
-from .models.hypergeom import SeriesNotConvergedError
+from .models.family import SeriesNotConvergedError, verdict
 from .numcheck import UndefinedPointError
 from .operator import CasimirOperator, assemble_from_json, certify_eigen, reduce_to_scalar
 from .parser import ParseError, parse
@@ -71,7 +69,7 @@ GRID_MAX_POINTS = 250_000
 FRAME_ERRORS = (NotEigenFrameError, DualityError, NoClosedFormError, NotSimplyTransitiveError)
 
 # the models whose family documents `verify --family` re-certifies
-FAMILY_MODELS = {"so3": so3_model, "bianchi2": bianchi2_model}
+FAMILY_MODELS = ("so3", "bianchi2")
 
 
 def _seed_default() -> int:
@@ -208,11 +206,10 @@ def _verify_family(args) -> int:
             stored: dict[str, list] = {}
             for c in doc["certificates"]:
                 stored.setdefault(c["name"], []).append(verdict(c))
-        model = FAMILY_MODELS.get(doc["model"]) if isinstance(doc["model"], str) else None
-        if model is None:
+        if doc["model"] not in FAMILY_MODELS:
             raise SchemaError(f"family re-certification supports built-in models, not {doc['model']!r}")
         with _as_input_error("malformed family document"):
-            recertify = model().recertifier(doc)
+            recertify = getattr(models, f"{doc['model']}_model")().recertifier(doc)
         seen: dict[str, int] = {}
         # a document may hold several certificates of one name (a tensor's and
         # its scalar's); the k-th recomputed one answers the k-th stored one
@@ -328,7 +325,7 @@ def cmd_harmonics(args) -> int:
     if args.format == "csv" and not args.grid:
         raise SchemaError("--format csv writes the --grid samples; give at least one --grid")
     if args.model == "so3":
-        model = so3_model()
+        model = models.so3_model()
         grid = _grid_points(model.sphere, args.grid)
         if args.l is None:
             raise SchemaError("harmonics so3 needs --l")
@@ -345,7 +342,7 @@ def cmd_harmonics(args) -> int:
             print(str(e), file=sys.stderr)
             return EXIT_CHECK_FAILED
     else:
-        model = bianchi2_model()
+        model = models.bianchi2_model()
         grid = _grid_points(model.chart, args.grid)
         if args.hyper:
             if args.grid:
@@ -396,6 +393,8 @@ def _grid_points(chart, grid_specs) -> tuple:
             raise SchemaError(f"--grid names unknown coordinate {name!r}")
         if n < 1:
             raise SchemaError("--grid needs at least one point")
+        if not (math.isfinite(a) and math.isfinite(b)):
+            raise SchemaError(f"--grid bounds must be finite numbers, got {spec!r}")
         specs[name] = a, b, n
     names = [c for c in chart.coords if c in specs]
     total = math.prod(specs[c][2] for c in names)
@@ -485,9 +484,9 @@ def cmd_reduce(args) -> int:
     seed = args.seed
     rep = Report("reduce", {"model": args.model, "upper": list(args.upper), "lower": list(args.lower)}, seed)
     if args.model == "so3":
-        op = so3_model().op_ladder
+        op = models.so3_model().op_ladder
     elif args.model == "bianchi2":
-        op = bianchi2_model().op
+        op = models.bianchi2_model().op
     else:
         spec = load_model(args.model)
         rep.inputs["model"] = _model_name(args.model, spec)
@@ -514,9 +513,9 @@ def cmd_reduce(args) -> int:
 def cmd_residual(args) -> int:
     seed = args.seed
     if args.model == "so3":
-        op = so3_model().op_space
+        op = models.so3_model().op_space
     elif args.model == "bianchi2":
-        op = bianchi2_model().op
+        op = models.bianchi2_model().op
     else:
         raise SchemaError("residual supports the built-in models so3 and bianchi2")
     path = Path(args.tensor)

@@ -42,10 +42,9 @@ the one in the outer loop, which the tree walk may reach second.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass, field
-from typing import Callable
 
 from . import expr as ex
+from .record import FrozenRecord
 
 _FUNCTIONS = {"sin": "_sin", "cos": "_cos", "exp": "_exp"}
 
@@ -71,10 +70,14 @@ def _ipow(v: complex, k: int) -> complex:
     return out
 
 
-@dataclass(frozen=True)
-class Program:
-    source: str
-    fn: Callable = field(repr=False, compare=False)
+class Program(FrozenRecord):
+    """Generated source and its compiled function; programs compare by source."""
+
+    _fields = ("source",)
+    _uncompared = ("fn",)
+
+    def __init__(self, source: str, fn):
+        self.__dict__.update(source=source, fn=fn)
 
     def run(self, points) -> list:
         """points: sequence of tuples aligned with the compiled variable names;

@@ -7,8 +7,9 @@ condition are all zero-tolerance checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+
+from .record import FrozenRecord
 
 
 class DegenerateCartanError(Exception):
@@ -19,12 +20,13 @@ def _zeros(r: int):
     return [[Fraction(0)] * r for _ in range(r)]
 
 
-@dataclass(frozen=True)
-class StructureConstants:
+class StructureConstants(FrozenRecord):
     """c[k][i][j] holds the bracket coefficient of generator k in [i, j]."""
 
-    r: int
-    c: tuple
+    _fields = ("r", "c")
+
+    def __init__(self, r: int, c: tuple):
+        self.__dict__.update(r=r, c=c)
 
     @staticmethod
     def from_dense(array) -> "StructureConstants":
@@ -67,10 +69,12 @@ class StructureConstants:
         return StructureConstants.from_dense(arr)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    antisymmetry_violations: tuple
-    jacobi_violations: tuple
+class ValidationReport(FrozenRecord):
+    _fields = ("antisymmetry_violations", "jacobi_violations")
+
+    def __init__(self, antisymmetry_violations: tuple, jacobi_violations: tuple):
+        self.__dict__.update(antisymmetry_violations=antisymmetry_violations,
+                             jacobi_violations=jacobi_violations)
 
     @property
     def ok(self) -> bool:
@@ -110,11 +114,12 @@ def validate(sc: StructureConstants) -> ValidationReport:
     return ValidationReport(tuple(anti), tuple(jac))
 
 
-@dataclass(frozen=True)
-class CartanTensor:
-    g: tuple  # g[i][k], symmetric
-    rank: int
-    invariance_ok: bool
+class CartanTensor(FrozenRecord):
+    _fields = ("g", "rank", "invariance_ok")
+
+    def __init__(self, g: tuple, rank: int, invariance_ok: bool):
+        # g[i][k], symmetric
+        self.__dict__.update(g=g, rank=rank, invariance_ok=invariance_ok)
 
     @property
     def is_degenerate(self) -> bool:
@@ -144,11 +149,12 @@ def cartan_tensor(sc: StructureConstants) -> CartanTensor:
     return CartanTensor(tuple(tuple(row) for row in g), rank=matrix_rank(g), invariance_ok=ok)
 
 
-@dataclass(frozen=True)
-class ConstantMetric:
-    g_inv: tuple  # contravariant components g^{ik}
-    provenance: str
-    killing_ok: bool
+class ConstantMetric(FrozenRecord):
+    _fields = ("g_inv", "provenance", "killing_ok")
+
+    def __init__(self, g_inv: tuple, provenance: str, killing_ok: bool):
+        # g_inv: contravariant components g^{ik}
+        self.__dict__.update(g_inv=g_inv, provenance=provenance, killing_ok=killing_ok)
 
 
 def invert_cartan(ct: CartanTensor, sc: StructureConstants) -> ConstantMetric:

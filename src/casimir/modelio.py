@@ -10,7 +10,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -18,6 +17,7 @@ from . import expr as ex
 from . import numcheck as nc
 from .lie_algebra import StructureConstants
 from .parser import ParseError, parse
+from .record import Record
 from .tensor_fields import Chart, OffChartError, VectorField
 
 
@@ -73,17 +73,22 @@ BUILTIN_MODELS = {
 }
 
 
-@dataclass
-class ModelSpec:
-    name: str
-    chart: Chart
-    constants: StructureConstants
-    generators: tuple
-    frame_vectors: tuple | None
-    frame_names: tuple | None
-    metric: tuple | None  # Expr matrix
-    source: str
-    frame_covectors: tuple | None
+class ModelSpec(Record):
+    _fields = ("name", "chart", "constants", "generators", "frame_vectors", "frame_names",
+               "metric", "source", "frame_covectors")
+
+    def __init__(self, name: str, chart: Chart, constants: StructureConstants, generators: tuple,
+                 frame_vectors: tuple | None, frame_names: tuple | None, metric: tuple | None,
+                 source: str, frame_covectors: tuple | None):
+        self.name = name
+        self.chart = chart
+        self.constants = constants
+        self.generators = generators
+        self.frame_vectors = frame_vectors
+        self.frame_names = frame_names
+        self.metric = metric  # Expr matrix
+        self.source = source
+        self.frame_covectors = frame_covectors
 
 
 def _need(doc: dict, key: str, kind, where: str):
@@ -261,6 +266,8 @@ def load_family(path: str) -> tuple[dict, str]:
         doc = json.loads(raw)
     except (json.JSONDecodeError, UnicodeDecodeError) as e:
         raise SchemaError(f"invalid JSON in {path}: {e}") from None
+    if not isinstance(doc, dict):
+        raise SchemaError("family document must be a JSON object")
     for key in ("model", "kind", "labels", "eigenvalues", "components", "certificates"):
         if key not in doc:
             raise SchemaError(f"family file is missing {key!r}")

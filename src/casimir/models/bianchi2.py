@@ -21,7 +21,6 @@ amplitude parameters.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 from fractions import Fraction
 
@@ -53,7 +52,7 @@ class Bianchi2Model:
         self.name = "bianchi2"
         spec = load_model("bianchi2")
         amp_box = {a: (0.3, 1.6) for a in AMPLITUDE_NAMES}
-        self.chart = dataclasses.replace(spec.chart, params=amp_box)
+        self.chart = spec.chart.replace(params=amp_box)
         self.constants = spec.constants
         self.generators = tuple(VectorField(self.chart, x.comps) for x in spec.generators)
         self.frame_solution = solve_invariant_frame(self.constants, self.generators)

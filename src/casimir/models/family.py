@@ -4,17 +4,21 @@ its residual."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .. import expr as ex
 from .. import numcheck as nc
 from ..operator import certify_eigen
+from ..record import FrozenRecord, Record
 
 
-@dataclass(frozen=True)
-class Certificate:
-    name: str
-    payload: object  # ZeroReport, EigenResult, or a plain dict
+class SeriesNotConvergedError(Exception):
+    """A series did not converge within its term budget (a solver limitation)."""
+
+
+class Certificate(FrozenRecord):
+    _fields = ("name", "payload")
+
+    def __init__(self, name: str, payload):  # payload: ZeroReport, EigenResult, or a plain dict
+        self.__dict__.update(name=name, payload=payload)
 
     @property
     def ok(self) -> bool:
@@ -31,19 +35,24 @@ class Certificate:
         return {"name": self.name, "ok": self.ok, **body}
 
 
-@dataclass
-class HarmonicFamily:
+class HarmonicFamily(Record):
     """A labeled set of eigenfunction scalars/tensors with residual certificates."""
 
-    model: str
-    kind: str
-    labels: dict
-    eigenvalues: dict  # name -> Expr
-    components: dict  # label -> Expr (the family content)
-    amplitudes: tuple = ()
-    assemblies: dict = field(default_factory=dict)  # tag -> list of monomial dicts
-    certificates: list = field(default_factory=list)
-    notes: tuple = ()
+    _fields = ("model", "kind", "labels", "eigenvalues", "components", "amplitudes",
+               "assemblies", "certificates", "notes")
+
+    def __init__(self, model: str, kind: str, labels: dict, eigenvalues: dict, components: dict,
+                 amplitudes: tuple = (), assemblies: dict | None = None,
+                 certificates: list | None = None, notes: tuple = ()):
+        self.model = model
+        self.kind = kind
+        self.labels = labels
+        self.eigenvalues = eigenvalues  # name -> Expr
+        self.components = components  # label -> Expr (the family content)
+        self.amplitudes = amplitudes
+        self.assemblies = {} if assemblies is None else assemblies  # tag -> list of monomial dicts
+        self.certificates = [] if certificates is None else certificates
+        self.notes = notes
 
     @property
     def ok(self) -> bool:

@@ -19,12 +19,10 @@ from __future__ import annotations
 
 import cmath
 
+from .family import SeriesNotConvergedError
+
 HYP2F1_TOL = 1e-15  # stop once a term is below this fraction of 1 + |partial sum|
 HYP2F1_MAX_TERMS = 20000
-
-
-class SeriesNotConvergedError(Exception):
-    """A series did not converge within its term budget (a solver limitation)."""
 
 
 def hyp2f1(a: complex, b: complex, c: complex, zs):

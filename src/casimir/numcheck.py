@@ -11,11 +11,11 @@ writing of a sum of rational functions of cos(u) over powers of 1 -/+ cos(u)
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 from . import evalcore
 from . import expr as ex
+from .record import FrozenRecord
 
 REL_TOL = 1e-9
 NUM_POINTS = 32
@@ -37,12 +37,12 @@ class UndefinedPointError(ex.EvalError):
     """A sample point hit a pole or overflowed; the caller should shrink the box."""
 
 
-@dataclass(frozen=True)
-class ZeroReport:
-    verdict: Verdict
-    witness: dict | None = None
-    max_abs: float = 0.0
-    scale: float = 0.0
+class ZeroReport(FrozenRecord):
+    _fields = ("verdict", "witness", "max_abs", "scale")
+
+    def __init__(self, verdict: Verdict, witness: dict | None = None, max_abs: float = 0.0,
+                 scale: float = 0.0):
+        self.__dict__.update(verdict=verdict, witness=witness, max_abs=max_abs, scale=scale)
 
     @property
     def is_zero(self) -> bool:

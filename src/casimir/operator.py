@@ -21,34 +21,31 @@ families carry the eigenvalue -l(l+1) here; reports state this explicitly.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 
 from . import expr as ex
 from . import numcheck as nc
 from .parser import parse
+from .record import FrozenRecord
 from .split_structure import Frame, MuFactors
 from .tensor_fields import Chart, TensorField, lie_correction_rows, lie_derivative
 
 SIGN_NOTE = "eigenvalue of G = g^{ik} L_i L_k itself; rotation-harmonic conventions quote -G"
 
 
-@dataclass(frozen=True)
-class CasimirOperator:
+class CasimirOperator(FrozenRecord):
     """Generators plus a certified invariant metric in that generator basis."""
 
-    name: str
-    chart: Chart
-    generators: tuple
-    metric: tuple  # metric[i][k]: Expr
-    frame: Frame | None = None
-    mu: MuFactors | None = None
-    # built on first use: G's component matrix per tensor type (p, q), and
-    # the reduced and shifted scalar operators per monomial
-    _matrices: dict = field(default_factory=dict, init=False, compare=False, hash=False, repr=False)
+    _fields = ("name", "chart", "generators", "metric", "frame", "mu")
 
-    def __post_init__(self):
-        if self.mu is not None and tuple(self.mu.generators) != tuple(self.generators):
-            raise ValueError(f"operator {self.name}: the scale factors belong to other generators")
+    def __init__(self, name: str, chart: Chart, generators: tuple, metric: tuple,
+                 frame: Frame | None = None, mu: MuFactors | None = None):
+        # metric[i][k]: Expr
+        if mu is not None and tuple(mu.generators) != tuple(generators):
+            raise ValueError(f"operator {name}: the scale factors belong to other generators")
+        # _matrices is built on first use: G's component matrix per tensor type
+        # (p, q), and the reduced and shifted scalar operators per monomial
+        self.__dict__.update(name=name, chart=chart, generators=generators, metric=metric,
+                             frame=frame, mu=mu, _matrices={})
 
     @property
     def r(self) -> int:
@@ -75,12 +72,13 @@ def apply_casimir(op: CasimirOperator, t: TensorField) -> TensorField:
 # --- scalar differential operators -----------------------------------------
 
 
-@dataclass(frozen=True)
-class ScalarOperator:
+class ScalarOperator(FrozenRecord):
     """Coefficient table {derivative multi-index: Expr} up to second order."""
 
-    chart: Chart
-    table: tuple  # tuple of (multi-index tuple, Expr), sorted
+    _fields = ("chart", "table")
+
+    def __init__(self, chart: Chart, table: tuple):  # table: (multi-index, Expr) pairs, sorted
+        self.__dict__.update(chart=chart, table=table)
 
     @staticmethod
     def from_table(chart: Chart, table: dict) -> "ScalarOperator":
@@ -246,13 +244,14 @@ def _leibniz(coords: tuple, g: ex.Expr, outer: dict, inner: dict):
 # --- monomials ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TensorMonomial:
+class TensorMonomial(FrozenRecord):
     """One frame-basis slot with its scalar component."""
 
-    upper: tuple  # frame leg indices for vector slots
-    lower: tuple  # frame leg indices for covector slots
-    scalar: ex.Expr
+    _fields = ("upper", "lower", "scalar")
+
+    def __init__(self, upper: tuple, lower: tuple, scalar: ex.Expr):
+        # upper/lower: frame leg indices for the vector/covector slots
+        self.__dict__.update(upper=upper, lower=lower, scalar=scalar)
 
 
 def assemble(frame: Frame, monomials, p: int, q: int) -> TensorField:
@@ -324,10 +323,11 @@ def project_component(t: TensorField, frame: Frame, upper: tuple, lower: tuple) 
 # --- certification -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EigenResult:
-    eigenvalue: ex.Expr
-    reports: tuple
+class EigenResult(FrozenRecord):
+    _fields = ("eigenvalue", "reports")
+
+    def __init__(self, eigenvalue: ex.Expr, reports: tuple):
+        self.__dict__.update(eigenvalue=eigenvalue, reports=reports)
 
     @property
     def ok(self) -> bool:

@@ -10,7 +10,8 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import dataclass, field
+
+from .record import Record
 
 
 def format_number(x: float) -> str:
@@ -18,14 +19,17 @@ def format_number(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-@dataclass
-class Report:
-    command: str
-    inputs: dict
-    seed: int
-    checks: list = field(default_factory=list)
-    sections: dict = field(default_factory=dict)
-    timings: dict = field(default_factory=dict)
+class Report(Record):
+    _fields = ("command", "inputs", "seed", "checks", "sections", "timings")
+
+    def __init__(self, command: str, inputs: dict, seed: int, checks: list | None = None,
+                 sections: dict | None = None, timings: dict | None = None):
+        self.command = command
+        self.inputs = inputs
+        self.seed = seed
+        self.checks = [] if checks is None else checks
+        self.sections = {} if sections is None else sections
+        self.timings = {} if timings is None else timings
 
     def add_check(self, name: str, passed: bool, **detail):
         entry = {"name": name, "ok": bool(passed)}

@@ -11,13 +11,13 @@ with rational spectra).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import evalcore
 from . import expr as ex
 from . import numcheck as nc
 from .lie_algebra import StructureConstants, ad_matrix
+from .record import FrozenRecord
 from .tensor_fields import (
     Chart,
     OffChartError,
@@ -93,13 +93,14 @@ def mat_inverse(a):
 # --- frames ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Frame:
-    chart: Chart
-    names: tuple
-    vectors: tuple  # VectorField per leg
-    covectors: tuple  # (0,1) TensorField per leg
-    duality: tuple  # ZeroReport matrix, row = covector, col = vector
+class Frame(FrozenRecord):
+    _fields = ("chart", "names", "vectors", "covectors", "duality")
+
+    def __init__(self, chart: Chart, names: tuple, vectors: tuple, covectors: tuple, duality: tuple):
+        # vectors: VectorField per leg; covectors: (0,1) TensorField per leg;
+        # duality: ZeroReport matrix, row = covector, col = vector
+        self.__dict__.update(chart=chart, names=names, vectors=vectors, covectors=covectors,
+                             duality=duality)
 
     @property
     def dim(self) -> int:
@@ -137,10 +138,11 @@ def frame_from_components(chart: Chart, vectors, covectors, names, seed: int = 0
 # --- projectors ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Projector:
-    name: str
-    tensor: TensorField  # type (1,1)
+class Projector(FrozenRecord):
+    _fields = ("name", "tensor")
+
+    def __init__(self, name: str, tensor: TensorField):  # tensor of type (1,1)
+        self.__dict__.update(name=name, tensor=tensor)
 
 
 def build_projectors(frame: Frame, generators=None, seed: int = 0):
@@ -193,13 +195,15 @@ def build_projectors(frame: Frame, generators=None, seed: int = 0):
 # --- mu factors ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MuFactors:
-    frame: Frame
-    generators: tuple
-    mu: tuple  # mu[a][i]: Expr, covector a, generator i
-    integrability: tuple  # ZeroReport per (a, i, k)
-    dual_action: tuple  # ZeroReport per (a, i, component)
+class MuFactors(FrozenRecord):
+    _fields = ("frame", "generators", "mu", "integrability", "dual_action")
+
+    def __init__(self, frame: Frame, generators: tuple, mu: tuple, integrability: tuple,
+                 dual_action: tuple):
+        # mu[a][i]: Expr, covector a, generator i; integrability: ZeroReport
+        # per (a, i, k); dual_action: ZeroReport per (a, i, component)
+        self.__dict__.update(frame=frame, generators=generators, mu=mu,
+                             integrability=integrability, dual_action=dual_action)
 
     def weight(self, upper: tuple, lower: tuple, i: int) -> ex.Expr:
         """Sum of upper-leg factors minus lower-leg factors for generator i."""
@@ -278,12 +282,12 @@ def compute_mu(frame: Frame, generators, sc: StructureConstants, seed: int = 0) 
 # --- invariant frame for simply transitive actions --------------------------
 
 
-@dataclass(frozen=True)
-class FrameSolution:
-    L: tuple  # L[a][d]: e_d = sum_a L[a][d] xi_a
-    frame: Frame
-    base_point: dict
-    invariance: tuple  # ZeroReport per (b, a, d)
+class FrameSolution(FrozenRecord):
+    _fields = ("L", "frame", "base_point", "invariance")
+
+    def __init__(self, L: tuple, frame: Frame, base_point: dict, invariance: tuple):
+        # L[a][d]: e_d = sum_a L[a][d] xi_a; invariance: ZeroReport per (b, a, d)
+        self.__dict__.update(L=L, frame=frame, base_point=base_point, invariance=invariance)
 
 
 def _polyexp_integrate(terms: dict, lam: Fraction) -> dict:
@@ -538,12 +542,12 @@ def _order_legs(legs, chart: Chart):
 # --- invariant metric -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class InvariantMetric:
-    g: tuple  # g[i][k] Expr in the generator basis
-    rank: int
-    killing: tuple  # ZeroReport per (j, i, k)
-    provenance: str
+class InvariantMetric(FrozenRecord):
+    _fields = ("g", "rank", "killing", "provenance")
+
+    def __init__(self, g: tuple, rank: int, killing: tuple, provenance: str):
+        # g[i][k]: Expr in the generator basis; killing: ZeroReport per (j, i, k)
+        self.__dict__.update(g=g, rank=rank, killing=killing, provenance=provenance)
 
     def killing_ok(self) -> bool:
         return all(r.is_zero for r in self.killing)

@@ -9,11 +9,11 @@ formula for arbitrary type (p, q).  Frame-indexed tensors are handled in
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 
 from . import evalcore
 from . import expr as ex
 from . import numcheck as nc
+from .record import FrozenRecord
 
 LOCUS_TOL = 1e-9  # a point closer than this to a singular locus is off the chart
 
@@ -26,18 +26,18 @@ class OffChartError(Exception):
     """A point, or a whole box, where the chart may not be evaluated."""
 
 
-@dataclass(frozen=True)
-class Chart:
+class Chart(FrozenRecord):
     """Named coordinates with an open sampling box and excluded loci.
 
     `check_points` is the one rule for where the chart may be evaluated:
     model-file domains, `--grid` points and frame base points go through it."""
 
-    name: str
-    coords: tuple
-    box: dict = field(default_factory=dict)
-    singular_loci: tuple = ()
-    params: dict = field(default_factory=dict)
+    _fields = ("name", "coords", "box", "singular_loci", "params")
+
+    def __init__(self, name: str, coords: tuple, box: dict | None = None, singular_loci: tuple = (),
+                 params: dict | None = None):
+        self.__dict__.update(name=name, coords=coords, box={} if box is None else box,
+                             singular_loci=singular_loci, params={} if params is None else params)
 
     @property
     def dim(self) -> int:
@@ -80,14 +80,13 @@ class Chart:
                     raise OffChartError(f"point {where} lies on or beyond the singular locus {ex.unparse(locus)} = 0")
 
 
-@dataclass(frozen=True)
-class VectorField:
-    chart: Chart
-    comps: tuple  # Expr per coordinate
+class VectorField(FrozenRecord):
+    _fields = ("chart", "comps")
 
-    def __post_init__(self):
-        if len(self.comps) != self.chart.dim:
+    def __init__(self, chart: Chart, comps: tuple):  # comps: Expr per coordinate
+        if len(comps) != chart.dim:
             raise ValueError("component count must equal the chart dimension")
+        self.__dict__.update(chart=chart, comps=comps)
 
     def apply(self, f: ex.Expr) -> ex.Expr:
         """Directional derivative X(f)."""
@@ -98,22 +97,19 @@ class VectorField:
         return [(c, ex.diff(f, x)) for c, x in zip(self.comps, self.chart.coords)]
 
 
-@dataclass(frozen=True)
-class TensorField:
+class TensorField(FrozenRecord):
     """Type-(p, q) field; components indexed row-major over (a1..ap, b1..bq)."""
 
-    chart: Chart
-    p: int
-    q: int
-    comps: tuple
+    _fields = ("chart", "p", "q", "comps")
 
-    def __post_init__(self):
-        for n in (self.p, self.q):
+    def __init__(self, chart: Chart, p: int, q: int, comps: tuple):
+        for n in (p, q):
             if type(n) is not int or n < 0:
-                raise ValueError(f"tensor type needs non-negative integers, got ({self.p!r}, {self.q!r})")
-        want = self.chart.dim ** (self.p + self.q)
-        if len(self.comps) != want:
-            raise ValueError(f"need {want} components, got {len(self.comps)}")
+                raise ValueError(f"tensor type needs non-negative integers, got ({p!r}, {q!r})")
+        want = chart.dim ** (p + q)
+        if len(comps) != want:
+            raise ValueError(f"need {want} components, got {len(comps)}")
+        self.__dict__.update(chart=chart, p=p, q=q, comps=comps)
 
     def flat(self, idx: tuple) -> int:
         d = self.chart.dim
@@ -191,20 +187,22 @@ def lie_derivative(x: VectorField, t: TensorField) -> TensorField:
     return TensorField(t.chart, t.p, t.q, out)
 
 
-@dataclass(frozen=True)
-class PairReport:
-    i: int
-    j: int
-    reports: tuple  # ZeroReport per component
+class PairReport(FrozenRecord):
+    _fields = ("i", "j", "reports")
+
+    def __init__(self, i: int, j: int, reports: tuple):  # reports: ZeroReport per component
+        self.__dict__.update(i=i, j=j, reports=reports)
 
     @property
     def ok(self) -> bool:
         return all(r.is_zero for r in self.reports)
 
 
-@dataclass(frozen=True)
-class RealizationReport:
-    pairs: tuple
+class RealizationReport(FrozenRecord):
+    _fields = ("pairs",)
+
+    def __init__(self, pairs: tuple):
+        self.__dict__.update(pairs=pairs)
 
     @property
     def ok(self) -> bool:

@@ -363,6 +363,14 @@ class TestHarmonics:
     def test_grid_must_keep_off_the_singular_locus(self, capsys, grid):
         assert_input_error(capsys, "harmonics", "so3", "--l", "0", "--grid", grid)
 
+    @pytest.mark.parametrize("theta,phi", [("0.3:inf:5", "0:1:2"), ("0.5:2:3", "-inf:1:2"),
+                                           ("0.5:2:3", "nan:1:2")])
+    def test_grid_bounds_must_be_finite(self, capsys, theta, phi):
+        # an infinite theta reached the singular-locus check as a math domain error
+        err = assert_input_error(capsys, "harmonics", "so3", "--l", "1", "--grid", f"theta={theta}",
+                                 "--grid", f"phi={phi}")
+        assert "--grid bounds must be finite numbers" in err
+
     def test_bad_grid_is_refused_before_the_family_is_built(self, capsys, monkeypatch):
         def build(*args, **kwargs):
             raise AssertionError("family built before the grid was checked")
@@ -510,6 +518,13 @@ class TestFamilyRoundTrip:
         doc[field] = value
         p.write_text(json.dumps(doc))
         assert_input_error(capsys, "verify", "--family", str(p))
+
+    @pytest.mark.parametrize("doc", [None, [], "so3", 1])
+    def test_document_must_be_an_object(self, capsys, tmp_path, doc):
+        p = tmp_path / "fam.json"
+        p.write_text(json.dumps(doc))
+        err = assert_input_error(capsys, "verify", "--family", str(p))
+        assert "family document must be a JSON object" in err
 
     @pytest.mark.parametrize("label", ["nan", "x", None, "1e400"])
     def test_bad_hyper_label_is_an_input_error(self, capsys, tmp_path, label):

@@ -53,6 +53,48 @@ def test_every_exported_name_resolves(package):
     assert [name for name in package.__all__ if not hasattr(package, name)] == []
 
 
+# Import the CLI and build one model under `python -S`, so that no site hook
+# preloads modules; print which of the modules named in argv are loaded.
+_COLD_START = """
+import sys
+import casimir.cli
+import casimir.models
+
+casimir.models.{model}_model()
+print(sorted(set(sys.argv[1:]) & set(sys.modules)))
+"""
+_INTROSPECTION = ("dataclasses", "inspect", "typing")
+
+
+@pytest.mark.parametrize("model, absent", [
+    ("so3", _INTROSPECTION + ("casimir.models.bianchi2", "casimir.models.hypergeom")),
+    ("bianchi2", _INTROSPECTION + ("casimir.models.so3",)),
+])
+def test_cold_start_loads_only_the_model_it_builds(model, absent):
+    """A process that builds one model compiles neither the other model nor
+    the standard library's code-generation and introspection modules."""
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", _COLD_START.format(model=model), *absent],
+        cwd=PACKAGE.parent,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_no_module_imports_dataclasses():
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                     else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+            if any(n.split(".")[0] == "dataclasses" for n in names):
+                found.append(path.relative_to(PACKAGE).as_posix())
+    assert found == []
+
+
 def test_no_compiled_or_generated_sources():
     found = [p for pattern in ("*.c", "*.so", "*.pyx") for p in PACKAGE.rglob(pattern)]
     assert found == []

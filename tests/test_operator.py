@@ -1,7 +1,5 @@
 """Generalized Casimir operator: application, reduction, certification."""
 
-import dataclasses
-
 import pytest
 
 from casimir import expr as ex
@@ -112,7 +110,7 @@ class TestCasimirMatrix:
             assert nc.is_zero(ex.sub(a, b), box).verdict is nc.Verdict.SYMBOLIC_ZERO
 
     def test_matrix_built_once_per_type_and_operator(self, so3, monkeypatch):
-        cop = dataclasses.replace(so3.op_space)
+        cop = so3.op_space.replace()
         builds = []
         compose = op._compose
         monkeypatch.setattr(op, "_compose", lambda *a: builds.append(a) or compose(*a))
@@ -120,7 +118,7 @@ class TestCasimirMatrix:
             op.apply_casimir(cop, random_polynomial_tensor(cop.chart, 0, 1, seed=seed))
         assert len(builds) == 1
         assert list(cop._matrices) == [(0, 1)]
-        other = dataclasses.replace(cop)
+        other = cop.replace()
         assert other == cop and other._matrices == {}
         op.apply_casimir(other, random_polynomial_tensor(cop.chart, 0, 1, seed=3))
         assert len(builds) == 2
@@ -179,7 +177,7 @@ class TestReduce:
             op.CasimirOperator("mixed", so3.space, so3.space_generators, so3.metric, so3.frame, so3.mu)
 
     def test_derived_operators_are_built_once(self, so3, monkeypatch):
-        cop = dataclasses.replace(so3.op_ladder)
+        cop = so3.op_ladder.replace()
         builds = []
         compose = op._compose
         monkeypatch.setattr(op, "_compose", lambda *a: builds.append(a) or compose(*a))

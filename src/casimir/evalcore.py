@@ -71,13 +71,13 @@ def _ipow(v: complex, k: int) -> complex:
 
 
 class Program(FrozenRecord):
-    """Generated source and its compiled function; programs compare by source."""
+    """Generated source, the values of the constants c0, c1, ... it names, and its function."""
 
-    _fields = ("source",)
+    _fields = ("source", "constants")
     _uncompared = ("fn",)
 
-    def __init__(self, source: str, fn):
-        self.__dict__.update(source=source, fn=fn)
+    def __init__(self, source: str, constants: tuple, fn):
+        self.__dict__.update(source=source, constants=constants, fn=fn)
 
     def run(self, points) -> list:
         """points: sequence of tuples aligned with the compiled variable names;
@@ -167,4 +167,4 @@ def compile_expr(e, varnames, grid: bool = False) -> Program:
     source += ["    " * len(body) + f"out.append({root})", "    return out"]
     source = "\n".join(source)
     exec(compile(source, "<casimir.evalcore>", "exec"), namespace)
-    return Program(source, namespace["run"])
+    return Program(source, tuple(cpool), namespace["run"])

@@ -498,18 +498,27 @@ def _product(items):
     if coef.is_zero():
         return ZERO
 
-    # merge exp factors: exp(u)^a * exp(w)^b -> exp(a*u + b*w)
-    exp_parts = []
-    for b in [b for b in pmap if type(b) is Fun and b.fname == "exp"]:
-        e2 = pmap.pop(b)
-        exp_parts.append(b.arg if e2 == 2 else mul(Num(CNum(_exp_value(e2))), b.arg))
-    if exp_parts:
+    # one scan: the exp factors, and whether a rule below can fire (a sum base or a peeling sin)
+    exps = []
+    changed = False
+    for b, e2 in pmap.items():
+        tb = type(b)
+        if tb is Add or tb is Fun and b.fname == "sin" and _sin_peels(e2):
+            changed = True
+        elif tb is Fun and b.fname == "exp":
+            exps.append(b)
+
+    # merge exp(u)^a * exp(w)^b -> exp(a*u + b*w); a lone exp(u) with u != 0 is merged already
+    if exps and (len(exps) > 1 or pmap[exps[0]] != 2 or exps[0].arg == ZERO):
+        exp_parts = []
+        for b in exps:
+            e2 = pmap.pop(b)
+            exp_parts.append(b.arg if e2 == 2 else mul(Num(CNum(_exp_value(e2))), b.arg))
         s = add(*exp_parts)
         if s is not ZERO:
             _padd(pmap, Fun("exp", s), 2)
 
     # normalization rules on the power map
-    changed = True
     while changed:
         changed = False
         # pair half powers of 1 -/+ cos(u) back into sin(u)

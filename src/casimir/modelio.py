@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -110,6 +111,21 @@ def _expr_row(row, n: int, what: str, coords, params) -> tuple:
         raise SchemaError(f"{what}: {e}") from None
 
 
+def _ranges(chart_doc: dict, key: str) -> dict:
+    """The chart's optional {name: [lo, hi]} object `key`, with finite real bounds, as floats."""
+    doc = chart_doc.get(key, {})
+    if not isinstance(doc, dict):
+        raise SchemaError(f"chart.{key} must be an object, got {type(doc).__name__}")
+    out = {}
+    for name, rng in doc.items():
+        # a bool is no number, and an int must fit a float
+        if not (isinstance(rng, list) and len(rng) == 2
+                and all(type(x) in (int, float) and abs(x) <= sys.float_info.max for x in rng)):
+            raise SchemaError(f"chart.{key} for {name!r} must be [lo, hi] with finite real numbers")
+        out[name] = (float(rng[0]), float(rng[1]))
+    return out
+
+
 def load_model(ref: str) -> ModelSpec:
     """Load a built-in model by name or a model file by path."""
     if ref in BUILTIN_MODELS:
@@ -132,19 +148,16 @@ def model_from_dict(doc: dict, source: str) -> ModelSpec:
     coords = _need(chart_doc, "coords", list, "chart")
     if len(set(coords)) != len(coords):
         raise SchemaError("chart coordinates must be unique")
-    domain = chart_doc.get("domain", {})
     box = {}
-    for c, rng in domain.items():
+    for c, rng in _ranges(chart_doc, "domain").items():
         if c not in coords:
             raise SchemaError(f"domain names unknown coordinate {c!r}")
-        if not (isinstance(rng, list) and len(rng) == 2 and rng[0] < rng[1]):
+        if not rng[0] < rng[1]:
             raise SchemaError(f"domain for {c!r} must be [lo, hi] with lo < hi")
-        box[c] = (float(rng[0]), float(rng[1]))
+        box[c] = rng
     for c in coords:
         box.setdefault(c, (-1.0, 1.0))
-    params = {}
-    for pname, rng in chart_doc.get("parameters", {}).items():
-        params[pname] = (float(rng[0]), float(rng[1]))
+    params = _ranges(chart_doc, "parameters")
     loci = []
     for s in chart_doc.get("singular_loci", []):
         try:

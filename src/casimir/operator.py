@@ -4,12 +4,15 @@
 components of a type-(p, q) tensor each ``L_i`` is a first-order operator
 ``A_i = xi_i . d + R_i``, with ``R_i`` the correction rows of
 :func:`casimir.tensor_fields.lie_correction_rows`, so G is a fixed matrix of
-second-order scalar operators ``G_IJ``.  One routine composes
-``sum g^{ik} A_i A_k``; ``apply_casimir`` builds the matrix once per
+second-order scalar operators ``G_IJ = delta_IJ K + g^{ik} (R_k[I][J] xi_i +
+R_i[I][J] xi_k + xi_i(R_k[I][J]) + sum_L R_i[I][L] R_k[L][J])``, with ``K =
+g^{ik} xi_i xi_k`` the scalar Casimir operator.  K is composed once per
+operator; one routine adds the corrections, forming each distinct
+coefficient product once.  ``apply_casimir`` builds the matrix once per
 operator and tensor type (memoized on the operator) and applies it
-componentwise.  On a frame that diagonalizes the group action G reduces,
-monomial by monomial, to the 1x1 case of the same composition,
-``A_i = xi_i - phi_i``, whose shift terms come from the frame scale factors.
+componentwise.  On a frame that diagonalizes the group action G
+reduces, monomial by monomial, to the 1x1 case of the same composition,
+``R_i = -phi_i``, whose shift terms come from the frame scale factors.
 Eigenvalue claims are certified by residual checks, never asserted from
 labels.
 
@@ -43,7 +46,8 @@ class CasimirOperator(FrozenRecord):
         if mu is not None and tuple(mu.generators) != tuple(generators):
             raise ValueError(f"operator {name}: the scale factors belong to other generators")
         # _matrices is built on first use: G's component matrix per tensor type
-        # (p, q), and the reduced and shifted scalar operators per monomial
+        # (p, q), K under ("reduced", (), ()), and the reduced and shifted
+        # scalar operators per monomial
         self.__dict__.update(name=name, chart=chart, generators=generators, metric=metric,
                              frame=frame, mu=mu, _matrices={})
 
@@ -164,7 +168,8 @@ def reduce_to_scalar(op: CasimirOperator, upper: tuple = (), lower: tuple = ()) 
     if key not in op._matrices:
         phis = [_weight(op, upper, lower, i) for i in range(op.r)]
         entries = _compose(op, [({0: ex.neg(phi)} if phi != ex.ZERO else {},) for phi in phis])[0]
-        op._matrices[key] = entries[0][1] if entries else ScalarOperator(op.chart, ())
+        # with no legs, keep K as _compose stored it
+        op._matrices.setdefault(key, entries[0][1] if entries else ScalarOperator(op.chart, ()))
     return op._matrices[key]
 
 
@@ -180,65 +185,68 @@ def _first_order(op: CasimirOperator, i: int, shift: ex.Expr) -> dict:
     return tab
 
 
-def _compose(op: CasimirOperator, rows: list) -> tuple:
-    """sum_ik g^{ik} A_i A_k as a matrix of scalar operators.
+def _scalar_casimir(op: CasimirOperator) -> ScalarOperator:
+    """K = g^{ik} xi_i xi_k, composed once per operator from the transport tables."""
+    key = ("reduced", (), ())
+    if key not in op._matrices:
+        transport = [_first_order(op, i, ex.ZERO) for i in range(op.r)]
+        acc = {}  # multi-index -> raw coefficient products
+        for i, k, g in _metric_entries(op):
+            for alpha, s in transport[i].items():
+                axis = op.chart.coords[alpha.index(1)]
+                for beta, c in transport[k].items():
+                    acc.setdefault(beta, []).append((g, s, ex.diff(c, axis)))
+                    acc.setdefault(tuple(map(sum, zip(alpha, beta))), []).append((g, s, c))
+        op._matrices[key] = ScalarOperator.from_table(
+            op.chart, {idx: ex.sum_of_products(ps) for idx, ps in acc.items()})
+    return op._matrices[key]
 
-    A_i = xi_i . d + R_i acts on a column of components, with R_i = rows[i]
-    given as rows {J: factor}.  Raw coefficient products are collected per
-    entry, summed by one `sum_of_products` and simplified once, at the end.
+
+def _metric_entries(op: CasimirOperator) -> list:
+    return [(i, k, g) for i, row in enumerate(op.metric) for k, g in enumerate(row) if g != ex.ZERO]
+
+
+def _compose(op: CasimirOperator, rows: list) -> tuple:
+    """G's component matrix for the correction rows R_i = rows[i], given as
+    rows {J: factor}: K on the diagonal plus the correction terms, each
+    distinct raw product formed once and each entry simplified once.
     Returns, per row I, the nonzero entries as (J, ScalarOperator) pairs."""
-    chart = op.chart
-    n = len(rows[0])
-    a_ops = []  # a_ops[i][I] = {J: first-order table of (A_i)_IJ}
-    for i in range(op.r):
-        transport = _first_order(op, i, ex.ZERO)
-        a_i = []
-        for row_i, row in enumerate(rows[i]):
-            ent = {j: {(0,) * chart.dim: f} for j, f in row.items()}
-            ent.setdefault(row_i, {}).update(transport)
-            a_i.append(ent)
-        a_ops.append(a_i)
-    acc = [{} for _ in range(n)]  # acc[I][K][multi-index] -> raw coefficient products
-    for i in range(op.r):
-        for k in range(op.r):
-            g = op.metric[i][k]
-            if g == ex.ZERO:
-                continue
-            for row_i in range(n):
-                for j, outer in a_ops[i][row_i].items():
-                    for col, inner in a_ops[k][j].items():
-                        products = acc[row_i].setdefault(col, {})
-                        for idx, factors in _leibniz(chart.coords, g, outer, inner):
-                            products.setdefault(idx, []).append(factors)
+    zero = (0,) * op.chart.dim
+    transport = [_first_order(op, i, ex.ZERO) for i in range(op.r)]
+    acc = [{} for _ in rows[0]]  # acc[I][J][multi-index] -> raw coefficient products
+    made = {}  # raw products by their factors, freed on return
+
+    def put(row_i, j, idx, *factors):
+        p = made.get(factors)
+        if p is None:
+            p = made[factors] = ex.mul(*factors)
+        acc[row_i].setdefault(j, {}).setdefault(idx, []).append(p)
+
+    for i, k, g in _metric_entries(op):
+        for row_i in range(len(acc)):
+            for j, rk in rows[k][row_i].items():  # R_k[I][J] xi_i + xi_i(R_k[I][J])
+                for alpha, x in transport[i].items():
+                    put(row_i, j, alpha, g, x, rk)
+                    drk = ex.diff(rk, op.chart.coords[alpha.index(1)])
+                    if drk != ex.ZERO:
+                        put(row_i, j, zero, g, x, drk)
+            for mid, ri in rows[i][row_i].items():  # R_i[I][L] (xi_k + R_k[L][J])
+                for beta, x in transport[k].items():
+                    put(row_i, mid, beta, g, ri, x)
+                for j, rk in rows[k][mid].items():
+                    put(row_i, j, zero, g, ri, rk)
     matrix = []
-    for row_i in range(n):
+    for row_i, out in enumerate(acc):
+        diag = out.setdefault(row_i, {})
+        for idx, c in _scalar_casimir(op).table:
+            diag.setdefault(idx, []).append(c)
         entries = []
-        for col in sorted(acc[row_i]):
-            entry = ScalarOperator.from_table(
-                chart, {idx: ex.sum_of_products(ps) for idx, ps in acc[row_i][col].items()}
-            )
+        for col in sorted(out):
+            entry = ScalarOperator.from_table(op.chart, {idx: ex.add(*ps) for idx, ps in out[col].items()})
             if entry.table:
                 entries.append((col, entry))
         matrix.append(tuple(entries))
     return tuple(matrix)
-
-
-def _leibniz(coords: tuple, g: ex.Expr, outer: dict, inner: dict):
-    """Raw terms (multi-index, coefficient factors) of g * (outer o inner),
-    for a first-order table `outer` and any table `inner`."""
-    for alpha, s in outer.items():
-        if not any(alpha):
-            for beta, c in inner.items():
-                yield beta, (g, s, c)
-            continue
-        axis = alpha.index(1)
-        for beta, c in inner.items():
-            dc = ex.diff(c, coords[axis])
-            if dc != ex.ZERO:
-                yield beta, (g, s, dc)
-            up = list(beta)
-            up[axis] += 1
-            yield tuple(up), (g, s, c)
 
 
 # --- monomials ---------------------------------------------------------------

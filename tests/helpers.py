@@ -1,8 +1,8 @@
 """Test-only helpers: the structure constants of three small algebras, a
 seeded polynomial tensor generator, the Lie derivative commutator identity, tensor sums and scalings, the nested
-definition of G, the ladder-built orbit Laplacian, and two differential
-oracles: the recursive tree-walk evaluator and the rebuild-everything
-simplify."""
+definition of G, the ladder-built orbit Laplacian, and three differential
+oracles: the generic Leibniz composition of G's matrix, the recursive
+tree-walk evaluator and the rebuild-everything simplify."""
 
 from __future__ import annotations
 
@@ -101,6 +101,66 @@ def nested_casimir(op: CasimirOperator, t: TensorField) -> TensorField:
             if op.metric[i][k] != ex.ZERO:
                 total = tensor_add(total, tensor_scale(lie_derivative(gi, first[k]), op.metric[i][k]))
     return total
+
+
+def leibniz_compose(op: CasimirOperator, rows: list) -> tuple:
+    """sum_ik g^{ik} A_i A_k as a matrix of scalar operators, by the generic
+    Leibniz rule on first-order tables: the reference for the library's
+    composition, which builds the same matrix as K plus correction terms.
+
+    A_i = xi_i . d + R_i acts on a column of components, with R_i = rows[i]
+    given as rows {J: factor}.  Returns, per row I, the nonzero entries as
+    (J, ScalarOperator) pairs."""
+    chart = op.chart
+    zero = (0,) * chart.dim
+    a_ops = []  # a_ops[i][I] = {J: first-order table of (A_i)_IJ}
+    for i, x in enumerate(op.generators):
+        a_i = []
+        for row_i, row in enumerate(rows[i]):
+            ent = {j: {zero: f} for j, f in row.items()}
+            ent.setdefault(row_i, {}).update(_vector_table(x))
+            a_i.append(ent)
+        a_ops.append(a_i)
+    acc = [{} for _ in rows[0]]  # acc[I][J][multi-index] -> raw coefficient products
+    for i in range(op.r):
+        for k in range(op.r):
+            g = op.metric[i][k]
+            if g == ex.ZERO:
+                continue
+            for row_i, out in enumerate(acc):
+                for j, outer in a_ops[i][row_i].items():
+                    for col, inner in a_ops[k][j].items():
+                        products = out.setdefault(col, {})
+                        for idx, factors in _leibniz(chart.coords, g, outer, inner):
+                            products.setdefault(idx, []).append(factors)
+    matrix = []
+    for out in acc:
+        entries = []
+        for col in sorted(out):
+            entry = ScalarOperator.from_table(
+                chart, {idx: ex.sum_of_products(ps) for idx, ps in out[col].items()})
+            if entry.table:
+                entries.append((col, entry))
+        matrix.append(tuple(entries))
+    return tuple(matrix)
+
+
+def _leibniz(coords: tuple, g: ex.Expr, outer: dict, inner: dict):
+    """Raw terms (multi-index, coefficient factors) of g * (outer o inner),
+    for a first-order table `outer` and any table `inner`."""
+    for alpha, s in outer.items():
+        if not any(alpha):
+            for beta, c in inner.items():
+                yield beta, (g, s, c)
+            continue
+        axis = alpha.index(1)
+        for beta, c in inner.items():
+            dc = ex.diff(c, coords[axis])
+            if dc != ex.ZERO:
+                yield beta, (g, s, dc)
+            up = list(beta)
+            up[axis] += 1
+            yield tuple(up), (g, s, c)
 
 
 def _vector_table(x: VectorField) -> dict:

@@ -133,6 +133,22 @@ class TestVerify:
         p.write_text(json.dumps(doc))
         assert_input_error(capsys, "verify", "--model", str(p))
 
+    @pytest.mark.parametrize("change", [
+        {"domain": {"v": ["-1", "log(x)"]}},  # strings would compare as strings
+        {"domain": {"v": [None, 1]}},
+        {"domain": {"v": [False, True]}},  # a bool is no number
+        {"domain": {"v": [-10**400, 1]}},  # beyond the float range
+        {"domain": {"v": [-math.inf, 1]}},
+        {"domain": "v"},
+        {"parameters": [1, 2]},
+        {"parameters": {"a": [0, "1"]}},
+    ], ids=["string-bounds", "null-bound", "bool-bounds", "huge-bound", "infinite-bound",
+            "domain-not-object", "parameters-not-object", "string-parameter-bound"])
+    def test_malformed_chart_ranges_are_input_errors(self, capsys, tmp_path, change):
+        doc = json.loads(json.dumps(BUILTIN_MODELS["bianchi2"]))
+        doc["chart"].update(change)
+        assert_input_error(capsys, "verify", "--model", model_file(tmp_path, doc))
+
     def test_locus_may_name_a_parameter(self, capsys, tmp_path):
         doc = json.loads(json.dumps(GOOD_SOLVABLE))
         doc["chart"]["parameters"] = {"a": [0, 1]}

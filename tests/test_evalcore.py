@@ -71,6 +71,17 @@ def test_unbound_symbol_rejected_at_compile_time():
         evalcore.compile_expr(parse("x*y", ["x", "y"]), ["x"])
 
 
+def test_programs_with_other_constants_differ():
+    """The constants live outside the source, so they take part in equality and hashing."""
+    x = ex.sym("x")
+    one, two = evalcore.compile_expr(x + 1, ("x",)), evalcore.compile_expr(x + 2, ("x",))
+    assert one.source == two.source
+    assert one.run([(0.0,)]) == [1] and two.run([(0.0,)]) == [2]
+    assert one != two and hash(one) != hash(two)
+    again = evalcore.compile_expr(x + 1, ("x",))
+    assert again == one and hash(again) == hash(one)
+
+
 def test_generated_source_names_no_symbols():
     prog = evalcore.compile_expr(parse("sin(theta)^2*exp(phi) + theta", ["theta", "phi"]),
                                  ["theta", "phi"])

@@ -753,6 +753,77 @@ class TestNodeMemo:
             assert n._simple is not n
 
 
+def _orders_and_groupings(fs):
+    """mul of every order of fs, each split once into an inner and an outer product."""
+    for perm in itertools.permutations(fs):
+        for j in range(1, len(perm) + 1):
+            yield ex.mul(ex.mul(*perm[:j]), *perm[j:])
+
+
+_SIN_X = parse("sin(x)", _COORDS)
+
+# factor lists for the product kernel's shortcuts, each with its one written form
+_PRODUCT_CASES = [
+    # one exp factor at exponent 1 is left as it is; two merge
+    (["exp(x)", "y", "2"], "2*y*exp(x)"),
+    (["exp(x + y)", "1 + y"], "y*exp(x + y) + exp(x + y)"),
+    (["exp(x)", "y", "exp(-x)"], "y"),
+    (["exp(i*y)", "exp(-i*y)"], "1"),
+    (["exp(x)^2", "exp(y)"], "exp(2*x + y)"),
+    # sin powers that peel into 1 - cos^2, and ones that do not
+    (["sin(x)", "sin(x)", "sin(x)"], "sin(x) - sin(x)*cos(x)^2"),
+    ([ex.Pow(_SIN_X, -1), "y"], "y*sin(x)*(1 + cos(x))^(-1)*(1 - cos(x))^(-1)"),
+    (["sin(x)", "y"], "y*sin(x)"),
+    ([ex.Pow(_SIN_X, Fraction(1, 2)), "sin(x)"], "sin(x)^(3/2)"),
+    ([ex.Pow(_SIN_X, Fraction(3, 2)), "y"], "y*sin(x)^(3/2)"),
+    # odd half powers of 1 -/+ cos(u) pair into sin(u) or shed a copy
+    (["(1 - cos(x))^(1/2)", "(1 + cos(x))^(3/2)"], "cos(x)*sin(x) + sin(x)"),
+    (["(1 - cos(x))^(3/2)", "y"], "-y*cos(x)*(1 - cos(x))^(1/2) + y*(1 - cos(x))^(1/2)"),
+    (["(1 + cos(x))^(-1/2)", "(1 - cos(x))^(-3/2)", "y"],
+     "y*sin(x)*(1 + cos(x))^(-1)*(1 - cos(x))^(-2)"),
+    (["(1 - cos(x))^(1/2)", "(1 + cos(x))^(1/2)", "(1 - cos(y))^(-1/2)"],
+     "sin(x)*(1 - cos(y))^(-1/2)"),
+]
+
+
+class TestProductKernel:
+    """Products of the same factors in any order or grouping agree: in
+    written form for the kernel's shortcut cases, and after `simplify` in
+    general."""
+
+    @pytest.mark.parametrize("factors,want", _PRODUCT_CASES)
+    def test_shortcut_cases_have_one_form(self, factors, want):
+        fs = [parse(f, _COORDS) if isinstance(f, str) else f for f in factors]
+        assert {ex.unparse(p) for p in _orders_and_groupings(fs)} == {want}
+
+    def test_a_lone_exp_of_zero_is_one(self):
+        e0 = ex.Fun("exp", ex.ZERO)  # an atom `fun` would not build
+        x = ex.sym("x")
+        assert ex.mul(e0) == ex.ONE
+        assert ex.mul(e0, x) == ex.mul(x, e0) == x
+        assert ex.mul(e0, ex.exp(x)) == ex.exp(x)
+
+    def test_a_peeled_sin_square_meets_its_pole(self):
+        """sin(x)^2 / (1 - cos(x)) is 1 + cos(x) when the two meet in one
+        product; formed in two steps, the pole stays on each term of
+        1 - cos(x)^2 until `simplify` divides it out."""
+        fs = [ex.Pow(_SIN_X, 2), parse("(1 - cos(x))^(-1)", _COORDS)]
+        forms = {ex.unparse(ex.simplify(p)) for p in _orders_and_groupings(fs)}
+        assert forms == {"1 + cos(x)"}
+
+    @given(st.lists(st.one_of(_rich_exprs(), _cos_rational_exprs()), min_size=2, max_size=4),
+           st.integers(1, 3))
+    @settings(max_examples=150, deadline=None)
+    def test_order_and_grouping(self, fs, j):
+        """Raw products are equal in value but may differ in written form when
+        several sums distribute (see `test_a_peeled_sin_square_meets_its_pole`);
+        their simplified forms agree."""
+        j = min(j, len(fs) - 1)
+        want = ex.simplify(ex.mul(*fs))
+        assert ex.simplify(ex.mul(*reversed(fs))) == want
+        assert ex.simplify(ex.mul(ex.mul(*fs[:j]), *fs[j:])) == want
+
+
 def _sums_of_products():
     """Lists of 1-4 factor products, with zero factors and pairs of products
     that cancel exactly."""

@@ -1,15 +1,17 @@
 """Generalized Casimir operator: application, reduction, certification."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from casimir import expr as ex
 from casimir import numcheck as nc
 from casimir import operator as op
 from casimir import tensor_fields as tf
 from casimir.models import bianchi2_model, so3_model
+from casimir.models.so3 import So3Model
 from casimir.operator import ScalarOperator, TensorMonomial
 from casimir.parser import parse
-from helpers import ladder_scalar_operator, nested_casimir, random_polynomial_tensor
+from helpers import ladder_scalar_operator, leibniz_compose, nested_casimir, random_polynomial_tensor
 
 
 SING = "(1 + cos(theta))^(-1)*(1 - cos(theta))^(-1)"  # sin(theta)^(-2)
@@ -117,12 +119,81 @@ class TestCasimirMatrix:
         for seed in (1, 2):
             op.apply_casimir(cop, random_polynomial_tensor(cop.chart, 0, 1, seed=seed))
         assert len(builds) == 1
-        assert list(cop._matrices) == [(0, 1)]
+        assert list(cop._matrices) == [("reduced", (), ()), (0, 1)]  # K, then G's matrix
         other = cop.replace()
         assert other == cop and other._matrices == {}
         op.apply_casimir(other, random_polynomial_tensor(cop.chart, 0, 1, seed=3))
         assert len(builds) == 2
         assert other._matrices is not cop._matrices
+
+
+def _tables(matrix) -> list:
+    return [[(j, unparsed(entry)) for j, entry in row] for row in matrix]
+
+
+def _reduced_rows(cop, upper, lower) -> list:
+    phis = [op._weight(cop, upper, lower, i) for i in range(cop.r)]
+    return [({0: ex.neg(phi)} if phi != ex.ZERO else {},) for phi in phis]
+
+
+# expressions on the so3 space chart for drawn correction rows
+_ROW_FACTORS = ("1", "-2", "1/3", "i", "r", "cos(theta)", "sin(theta)", "cot(theta)",
+                "sin(theta)^(-1)", "exp(i*phi)", "r*exp(-i*phi)*cos(theta)", "(1 + cos(theta))^(1/2)")
+
+
+class TestComposition:
+    """G's matrix, composed as K plus correction terms, equals the generic
+    Leibniz composition of sum g^{ik} A_i A_k, written form for written form."""
+
+    @pytest.mark.parametrize("pq", [(0, 1), (1, 0), (0, 2), (1, 1), (2, 0)], ids=str)
+    @pytest.mark.parametrize("name", ["op_space", "op_generators", "op_ladder", "bianchi2"])
+    def test_matches_leibniz_composition(self, so3, b2, name, pq):
+        cop = (b2.op if name == "bianchi2" else getattr(so3, name)).replace()
+        rows = [tf.lie_correction_rows(x, *pq) for x in cop.generators]
+        assert _tables(op._compose(cop, rows)) == _tables(leibniz_compose(cop, rows))
+
+    @pytest.mark.parametrize("lower", [(1,) * n if n >= 0 else (2,) * -n for n in range(-2, 3)]
+                             + [(0,), (0, 1), (0, 2), (0, 0), (1, 0, 2)], ids=str)
+    def test_reduced_operators_match_leibniz_composition(self, so3, lower):
+        cop = so3.op_ladder.replace()
+        for upper, low in (((), lower), (lower, ())):
+            want = leibniz_compose(cop, _reduced_rows(cop, upper, low))[0]
+            assert unparsed(op.reduce_to_scalar(cop, upper, low)) == (unparsed(want[0][1]) if want else [])
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_drawn_rows_under_a_nonsymmetric_metric(self, so3, data):
+        """No symmetry of g is assumed: g^{ik} and g^{ki} may differ."""
+        metric = tuple(tuple(ex.num(data.draw(st.integers(-2, 2))) for _ in range(3)) for _ in range(3))
+        gens = so3.space_ladder if data.draw(st.booleans()) else so3.space_generators
+        cop = op.CasimirOperator("drawn", so3.space, gens, metric)
+        n = data.draw(st.integers(1, 3))
+        factor = st.sampled_from(_ROW_FACTORS).map(lambda t: parse(t, so3.space.coords))
+        row = st.dictionaries(st.integers(0, n - 1), factor, max_size=2)
+        rows = [tuple(data.draw(row) for _ in range(n)) for _ in range(3)]
+        assert _tables(op._compose(cop, rows)) == _tables(leibniz_compose(cop, rows))
+
+    def test_scalar_casimir_is_composed_once_per_operator(self, so3):
+        cop = so3.op_ladder.replace()
+        op.apply_casimir(cop, random_polynomial_tensor(cop.chart, 0, 1, seed=1))
+        k = cop._matrices[("reduced", (), ())]
+        assert op.reduce_to_scalar(cop) is k and op.reduce_to_scalar(cop, (), (0,)) == k
+        op.apply_casimir(cop, random_polynomial_tensor(cop.chart, 1, 1, seed=1))
+        assert cop._matrices[("reduced", (), ())] is k
+
+    def test_work_count(self, monkeypatch):
+        """Products the kernel forms while G's type-(0,2) matrix is composed
+        on the so3 space chart from cold caches: 249, where composing every
+        entry by the Leibniz rule forms 570."""
+        for table in (ex._ATOMS, ex._MONO_CACHE, ex._DIFF_CACHE):
+            table.clear()
+        cop = So3Model().op_space
+        rows = [tf.lie_correction_rows(x, 0, 2) for x in cop.generators]
+        calls = []
+        product = ex._product
+        monkeypatch.setattr(ex, "_product", lambda items: calls.append(1) or product(items))
+        op._compose(cop, rows)
+        assert len(calls) <= 270
 
 
 class TestReduce:

@@ -39,7 +39,7 @@ FROZEN = {
     "CartanTensor": lambda: la.CartanTensor(((Fraction(1),),), 1, True),
     "ConstantMetric": lambda: la.ConstantMetric(((Fraction(1),),), "cartan-inverse", True),
     "ZeroReport": lambda: nc.ZeroReport(nc.Verdict.NONZERO, None, 1.5, 2.0),
-    "Program": lambda: evalcore.compile_expr(X, ("x",)),
+    "Program": lambda: evalcore.compile_expr(X + 1, ("x",)),  # with a constant c0
     "Chart": _chart,
     "VectorField": lambda: tf.VectorField(_chart(), (X,)),
     "TensorField": lambda: tf.TensorField(_chart(), 1, 0, (X,)),

@@ -10,7 +10,6 @@ limitation.
 from __future__ import annotations
 
 import argparse
-import cmath
 import csv
 import io
 import itertools
@@ -18,7 +17,7 @@ import json
 import math
 import os
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from pathlib import Path
 
 from . import evalcore, models
@@ -61,8 +60,8 @@ EXIT_SOLVER_LIMIT = 3
 # at these limits every family ends within minutes (README gives timings).
 SO3_MAX_L = 32
 POINT_SERIES_MAX = 16  # bounds --n and --n - --m (one more than the derivative order)
-# Largest product of --grid axis lengths: an export holds every point, value
-# and rendered row at once, about 0.5 KB per point.
+# Largest product of --grid axis lengths: an export holds the float parts of
+# every value at once, 0.37 KB per point for the five so3 --l 2 components.
 GRID_MAX_POINTS = 250_000
 
 # the errors of a model file's frame, reported as a failed check rather than raised
@@ -131,11 +130,12 @@ def build_argparser() -> argparse.ArgumentParser:
     return ap
 
 
-def _emit(args, text: str):
-    if args.out:
-        Path(args.out).write_text(text + "\n")
-    else:
-        print(text)
+def _emit(args, pieces):
+    """Write the output's pieces in order, then a newline, to --out or stdout.
+    Every check has run before: a refused command leaves no --out file."""
+    with open(args.out, "w") if args.out else nullcontext(sys.stdout) as f:
+        f.writelines(pieces)
+        f.write("\n")
 
 
 # --- verify ------------------------------------------------------------------
@@ -155,7 +155,7 @@ def cmd_verify(args) -> int:
         real = verify_realization(spec.generators, spec.constants, seed)
         rep.add_check("realization", real.ok, **real.to_json())
         _check_frame_and_metric(spec, rep, seed)
-    _emit(args, rep.render())
+    _emit(args, [rep.render()])
     return EXIT_OK if rep.ok else EXIT_CHECK_FAILED
 
 
@@ -228,7 +228,7 @@ def _verify_family(args) -> int:
                 for k in range(seen.get(name, 0) + 1, len(wants) + 1):
                     rep.add_check(f"recertify: {name}" + (f" #{k}" if k > 1 else ""), False,
                                   error="not recomputed")
-    _emit(args, rep.render())
+    _emit(args, [rep.render()])
     return EXIT_OK if rep.ok else EXIT_CHECK_FAILED
 
 
@@ -253,7 +253,7 @@ def cmd_build_metric(args) -> int:
         val = validate(spec.constants)
         rep.add_check("structure-constants", val.ok)
         if not val.ok:
-            _emit(args, rep.render())
+            _emit(args, [rep.render()])
             return EXIT_CHECK_FAILED
         ct = cartan_tensor(spec.constants)
         rep.add_section(
@@ -280,7 +280,7 @@ def cmd_build_metric(args) -> int:
                         "guidance",
                         "no closed-form invariant frame; supply a frame block in the model file",
                     )
-                    _emit(args, rep.render())
+                    _emit(args, [rep.render()])
                     return EXIT_SOLVER_LIMIT
             else:
                 rep.add_check("invariant-frame", True, base_point={k: str(v) for k, v in fs.base_point.items()})
@@ -290,7 +290,7 @@ def cmd_build_metric(args) -> int:
                 gmat = [[ex.unparse(e) for e in row] for row in metric.g]
         if gmat is not None:
             rep.add_section("metric", gmat)
-    _emit(args, rep.render())
+    _emit(args, [rep.render()])
     return EXIT_OK if rep.ok else EXIT_CHECK_FAILED
 
 
@@ -367,17 +367,18 @@ def cmd_harmonics(args) -> int:
     doc = fam.to_json()
     doc["seed"] = seed
     if not args.grid:
-        _emit(args, json.dumps(doc, indent=2, sort_keys=True))
+        _emit(args, [json.dumps(doc, indent=2, sort_keys=True)])
     else:
-        columns, rows = _grid_samples(fam, *grid)
-        del grid  # free the points before the samples are rendered
-        _emit(args, _samples_csv(columns, rows) if args.format == "csv" else _samples_json(doc, columns, rows))
+        names, axes = grid
+        columns, values = _grid_samples(fam, names, axes)
+        _emit(args, _samples_csv(columns, axes, values) if args.format == "csv"
+              else _samples_json(doc, columns, axes, values))
     return EXIT_OK if fam.ok else EXIT_CHECK_FAILED
 
 
 def _grid_points(chart, grid_specs) -> tuple:
-    """Parse --grid specs into (coordinate names, their axes, the points of
-    the axes' product), each in chart order.
+    """Parse --grid specs into (coordinate names, their axes), each in chart
+    order, once every point of the axes' product passes `Chart.check_points`.
 
     Needs only the chart, so a bad grid is refused before a family is built,
     and only the specs, so a grid too large is refused before its axes are."""
@@ -391,6 +392,8 @@ def _grid_points(chart, grid_specs) -> tuple:
             raise SchemaError(f"bad --grid spec {spec!r}; expected coord=a:b:n") from None
         if name not in chart.coords:
             raise SchemaError(f"--grid names unknown coordinate {name!r}")
+        if name in specs:
+            raise SchemaError(f"--grid names coordinate {name!r} more than once")
         if n < 1:
             raise SchemaError("--grid needs at least one point")
         if not (math.isfinite(a) and math.isfinite(b)):
@@ -401,18 +404,17 @@ def _grid_points(chart, grid_specs) -> tuple:
     if total > GRID_MAX_POINTS:
         raise SchemaError(f"--grid asks for {total} points, more than the {GRID_MAX_POINTS} allowed")
     axes = [[a + (b - a) * j / max(n - 1, 1) for j in range(n)] for a, b, n in (specs[c] for c in names)]
-    pts = list(itertools.product(*axes))
     try:
-        chart.check_points(names, pts)
+        chart.check_points(names, list(itertools.product(*axes)))
     except OffChartError as e:
         raise SchemaError(f"--grid {e}") from None
-    return names, axes, pts
+    return names, axes
 
 
-def _grid_samples(fam, names, axes, pts) -> tuple:
-    """Columns and rows of the family's component values on a grid already
-    checked by `_grid_points`: a row holds the point's coordinates, then the
-    real and imaginary part of each component, as floats."""
+def _grid_samples(fam, names, axes) -> tuple:
+    """The sample columns, and per point of a grid already checked by
+    `_grid_points` the real and imaginary part of each component's value, as
+    the flat float rows of the grid program."""
     labels = sorted(fam.components)
     comps = tuple(fam.components[label] for label in labels)
     for label, comp in zip(labels, comps):
@@ -423,11 +425,14 @@ def _grid_samples(fam, names, axes, pts) -> tuple:
         values = evalcore.compile_expr(comps, names, grid=True).run(axes)
     except ArithmeticError:
         values = None
-    if values is None or not all(map(cmath.isfinite, itertools.chain.from_iterable(values))):
+    if values is None or not _all_finite(values):
         _refuse_grid_component(labels, comps, names, axes)
     columns = list(names) + [f"{label}.{part}" for label in labels for part in ("re", "im")]
-    parts = [part for col in zip(*values) for part in ([v.real for v in col], [v.imag for v in col])]
-    return columns, list(zip(*zip(*pts), *parts))
+    return columns, values
+
+
+def _all_finite(rows) -> bool:
+    return all(map(math.isfinite, itertools.chain.from_iterable(rows)))
 
 
 def _refuse_grid_component(labels, comps, names, axes):
@@ -438,7 +443,7 @@ def _refuse_grid_component(labels, comps, names, axes):
             vals = evalcore.compile_expr(comp, names, grid=True).run(axes)
         except ArithmeticError as e:
             raise SchemaError(f"component {label!r} cannot be evaluated on the --grid: {e}") from None
-        if not all(map(cmath.isfinite, vals)):
+        if not _all_finite(vals):
             raise SchemaError(f"component {label!r} is not finite on the --grid")
     raise SchemaError("the components cannot be evaluated on the --grid")
 
@@ -447,21 +452,31 @@ def _refuse_grid_component(labels, comps, names, axes):
 _ROWS_PLACEHOLDER = "\0"
 
 
-def _samples_json(doc: dict, columns: list, rows: list) -> str:
-    """The family document with its samples, as `json.dumps(doc, indent=2,
-    sort_keys=True)` would write rows of "%.17g" strings, one template per row."""
+def _samples_json(doc: dict, columns: list, axes: list, values: list):
+    """The family document with its samples, in pieces, as `json.dumps(doc,
+    indent=2, sort_keys=True)` would write rows of "%.17g" strings."""
     doc["samples"] = {"columns": columns, "rows": _ROWS_PLACEHOLDER}
-    text = json.dumps(doc, indent=2, sort_keys=True)
-    row = "      [\n" + ",\n".join(['        "%.17g"'] * len(columns)) + "\n      ]"
-    table = "[\n" + ",\n".join(map(row.__mod__, rows)) + "\n    ]"
-    return text.replace(json.dumps(_ROWS_PLACEHOLDER), table, 1)
+    head, _, tail = json.dumps(doc, indent=2, sort_keys=True).partition(json.dumps(_ROWS_PLACEHOLDER))
+    rows = _sample_rows(axes, values, '\n        "%.17g"', start="      [", end="\n      ]", sep=",\n")
+    return itertools.chain([head, "[\n"], rows, ["\n    ]", tail])
 
 
-def _samples_csv(columns: list, rows: list) -> str:
+def _samples_csv(columns: list, axes: list, values: list):
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerow(columns)  # quotes labels such as "n=0,m=-1.re"
-    row = ",".join(["%.17g"] * len(columns))
-    return buf.getvalue() + "\n".join(map(row.__mod__, rows))
+    return itertools.chain([buf.getvalue()], _sample_rows(axes, values, "%.17g"))
+
+
+def _sample_rows(axes: list, values: list, cell: str, start: str = "", end: str = "", sep: str = "\n"):
+    """The sample rows as text, `sep` between rows: `start`, then the cells
+    of the point's coordinates and values, each `cell` % float, between
+    commas, then `end`.  A coordinate cell is formatted once per axis value
+    and a row's value cells with one template."""
+    cells = [[sep + start + cell % x for x in axes[0]]] + [["," + cell % x for x in axis] for axis in axes[1:]]
+    template = ("," + cell) * len(values[0]) + end
+    rows = map(str.__add__, map("".join, itertools.product(*cells)), map(template.__mod__, values))
+    yield next(rows)[len(sep):]  # a row's first cell opens with `sep`, and no row comes before the first
+    yield from rows
 
 
 # --- reduce ---------------------------------------------------------------------
@@ -494,7 +509,7 @@ def cmd_reduce(args) -> int:
             raise SchemaError("reduce on user models needs both a frame and a metric in the file")
         mu = _check_frame_and_metric(spec, rep, seed)
         if not rep.ok:
-            _emit(args, rep.render())
+            _emit(args, [rep.render()])
             return EXIT_CHECK_FAILED
         op = CasimirOperator(spec.name, spec.chart, spec.generators, spec.metric, mu.frame, mu)
     upper = _leg_indices(args.upper, op.frame.names)
@@ -503,7 +518,7 @@ def cmd_reduce(args) -> int:
     rep.add_check("reduced-operator", True, order=reduced.order())
     rep.add_section("operator", reduced.to_json())
     rep.add_section("pretty", reduced.pretty())
-    _emit(args, rep.render())
+    _emit(args, [rep.render()])
     return EXIT_OK
 
 
@@ -535,7 +550,7 @@ def cmd_residual(args) -> int:
     rep = Report("residual", {"model": args.model, "tensor": args.tensor,
                               "eigenvalue": ex.unparse(lam)}, seed)
     rep.add_check("eigen-residual", res.ok, **res.to_json())
-    _emit(args, rep.render())
+    _emit(args, [rep.render()])
     return EXIT_OK if res.ok else EXIT_CHECK_FAILED
 
 

@@ -19,7 +19,11 @@ node is computed in the loop of the last variable it depends on: on a
 10,000.  Nodes that depend on no variable are computed once, before every
 loop, in the point-list program too.  Moving a statement out of a loop
 changes neither its operations nor their operands, so the values are those
-of the point-list program at every point of the product.
+of the point-list program at every point of the product.  Every grid
+program, of one expression or of a tuple, returns one row per point, a
+flat tuple of floats ``(re0, im0, re1, im1, ...)`` holding the real and
+imaginary part of each expression's value, the form in which a grid export
+writes them.
 
 This is the package's only evaluator: every numeric value of an expression,
 from the zero checks of :mod:`casimir.numcheck` to the rank checks of
@@ -89,8 +93,9 @@ def compile_expr(e, varnames, grid: bool = False) -> Program:
     """Compile an expression, or a tuple of expressions, over `varnames`.
 
     The program takes a sequence of points; with `grid` it takes one axis of
-    values per name and returns the values at every point of
-    ``itertools.product(*axes)``, in that order."""
+    values per name and returns, at every point of ``itertools.product(*axes)``
+    in that order, the flat tuple of the real and imaginary parts of the
+    values."""
     index = {n: i for i, n in enumerate(varnames)}
     loops = [f"for p{i} in axes[{i}]:" for i in range(len(varnames))] if grid else ["for pt in points:"]
     namespace = {"_ipow": _ipow, "_sqrt": cmath.sqrt, "_sin": cmath.sin,
@@ -155,7 +160,10 @@ def compile_expr(e, varnames, grid: bool = False) -> Program:
         names[n] = name
         return name
 
-    if isinstance(e, tuple):
+    if grid:
+        values = map(go, e if isinstance(e, tuple) else (e,))
+        root = "(" + "".join(f"{v}.real, {v}.imag, " for v in values) + ")"
+    elif isinstance(e, tuple):
         root = "(" + "".join(f"{go(t)}, " for t in e) + ")"
     else:
         root = go(e)

@@ -146,6 +146,8 @@ def model_from_dict(doc: dict, source: str) -> ModelSpec:
         raise SchemaError("model document must be a JSON object")
     chart_doc = _need(doc, "chart", dict, "model")
     coords = _need(chart_doc, "coords", list, "chart")
+    if not all(isinstance(c, str) for c in coords):
+        raise SchemaError("chart coordinates must be strings")
     if len(set(coords)) != len(coords):
         raise SchemaError("chart coordinates must be unique")
     box = {}
@@ -158,8 +160,11 @@ def model_from_dict(doc: dict, source: str) -> ModelSpec:
     for c in coords:
         box.setdefault(c, (-1.0, 1.0))
     params = _ranges(chart_doc, "parameters")
+    loci_doc = chart_doc.get("singular_loci", [])
+    if not (isinstance(loci_doc, list) and all(isinstance(s, str) for s in loci_doc)):
+        raise SchemaError("chart.singular_loci must be a list of expression strings")
     loci = []
-    for s in chart_doc.get("singular_loci", []):
+    for s in loci_doc:
         try:
             loci.append(parse(s, coords, params))
         except ParseError as e:

@@ -1,13 +1,17 @@
 """Test-only helpers: the structure constants of three small algebras, a
 seeded polynomial tensor generator, the Lie derivative commutator identity, tensor sums and scalings, the nested
-definition of G, the ladder-built orbit Laplacian, and three differential
+definition of G, the ladder-built orbit Laplacian, and four differential
 oracles: the generic Leibniz composition of G's matrix, the recursive
-tree-walk evaluator and the rebuild-everything simplify."""
+tree-walk evaluator, the rebuild-everything simplify and the per-cell grid
+export renderer."""
 
 from __future__ import annotations
 
 import cmath
+import csv
+import io
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -376,3 +380,21 @@ def _reference_divide(s: ex.Expr, base: ex.Add, x: ex.Expr, b0: Fraction, b1: Fr
                 out.append(ex.mul(ex.num(q[0], q[1]), *rest, xpow, ex._power(base, target + 2)))
         assert rem[lo] == (0, 0)
     return out
+
+
+def reference_grid_export(doc: dict, columns: list, axes: list, values: list, fmt: str) -> str:
+    """The text `harmonics --grid` writes, cell by cell: `values` holds per
+    point of ``itertools.product(*axes)`` the tuple of the components'
+    complex values, and every cell is one float as "%.17g" (the point's
+    coordinates, then each value's real and imaginary part).  JSON is the
+    family document `doc` with the cells under "samples" as `json.dumps`
+    writes it; CSV is the header and the rows."""
+    rows = [["%.17g" % x for x in (*pt, *(part for v in vals for part in (v.real, v.imag)))]
+            for pt, vals in zip(itertools.product(*axes), values, strict=True)]
+    if fmt == "json":
+        return json.dumps({**doc, "samples": {"columns": columns, "rows": rows}}, indent=2, sort_keys=True) + "\n"
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows(rows)
+    return buf.getvalue()

@@ -149,6 +149,16 @@ class TestVerify:
         doc["chart"].update(change)
         assert_input_error(capsys, "verify", "--model", model_file(tmp_path, doc))
 
+    @pytest.mark.parametrize("command", ["verify", "build-metric", "reduce"])
+    @pytest.mark.parametrize("change", [
+        {"coords": [[1], "y", "z"]},  # was a TypeError at the uniqueness check
+        {"singular_loci": [5]},  # was a TypeError in the parser
+    ], ids=["coordinate-not-a-string", "locus-not-a-string"])
+    def test_malformed_chart_names_are_input_errors(self, capsys, tmp_path, command, change):
+        doc = json.loads(json.dumps(BUILTIN_MODELS["bianchi2"]))
+        doc["chart"].update(change)
+        assert_input_error(capsys, command, "--model", model_file(tmp_path, doc))
+
     def test_locus_may_name_a_parameter(self, capsys, tmp_path):
         doc = json.loads(json.dumps(GOOD_SOLVABLE))
         doc["chart"]["parameters"] = {"a": [0, 1]}
@@ -387,6 +397,12 @@ class TestHarmonics:
                                  "--grid", f"phi={phi}")
         assert "--grid bounds must be finite numbers" in err
 
+    def test_grid_names_each_coordinate_once(self, capsys):
+        # the last spec for theta used to replace the first without a word
+        err = assert_input_error(capsys, "harmonics", "so3", "--l", "1", "--grid", "theta=0.5:2.5:2",
+                                 "--grid", "phi=0:1:2", "--grid", "theta=1:2:3")
+        assert "'theta' more than once" in err
+
     def test_bad_grid_is_refused_before_the_family_is_built(self, capsys, monkeypatch):
         def build(*args, **kwargs):
             raise AssertionError("family built before the grid was checked")
@@ -429,6 +445,15 @@ class TestHarmonics:
         err = assert_input_error(capsys, "harmonics", "bianchi2", "--point-series", "--n", "2", "--m", "0",
                                  "--nu", "2", "--grid", f"v={v}", "--grid", "y=0:1:2", "--grid", f"z={z}")
         assert f"component 'n=2,m=0,nu=2' {error} on the --grid" in err
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_refused_grid_writes_no_out_file(self, capsys, tmp_path, fmt):
+        # every value is checked before the output file is opened
+        path = tmp_path / "grid.out"
+        assert_input_error(capsys, "harmonics", "bianchi2", "--point-series", "--n", "2", "--m", "0", "--nu", "2",
+                           "--grid", "v=0:1e200:2", "--grid", "y=0:1:2", "--grid", "z=0:1:2",
+                           "--format", fmt, "--out", str(path))
+        assert not path.exists()
 
 
 # one document of each kind the library writes, built by the named call

@@ -35,16 +35,29 @@ def test_program_matches_tree_walk(text, names):
         assert got == tree_evaluate(e, dict(zip(names, pt)))
 
 
+def _hex(floats) -> list:
+    """Floats by their hex form, so that -0.0 and 0.0 differ."""
+    return [x.hex() for x in floats]
+
+
+def _hex_parts(values) -> list:
+    return _hex(p for v in values for p in (v.real, v.imag))
+
+
 def test_tuple_of_terms_compiles_to_one_function():
     names = ("theta", "phi")
     e = parse("cot(theta)*cos(phi) + sin(theta)^3 - exp(i*phi)*sin(theta)^3 + 2", names)
-    axes = [[0.3, 1.2, 1.2, 2.9], [0.0, 2.5, 4.0]]  # a repeated value, and a point at 0
-    for pts, rows in [
-        (_points(names), evalcore.compile_expr(e.terms, names).run(_points(names))),
-        (list(itertools.product(*axes)), evalcore.compile_expr(e.terms, names, grid=True).run(axes)),
-    ]:
-        singles = [evalcore.compile_expr(t, names).run(pts) for t in e.terms]
-        assert rows == [tuple(col) for col in zip(*singles)]
+    pts = _points(names)
+    singles = [evalcore.compile_expr(t, names).run(pts) for t in e.terms]
+    rows = evalcore.compile_expr(e.terms, names).run(pts)
+    assert [_hex_parts(row) for row in rows] == [_hex_parts(col) for col in zip(*singles)]
+    # a grid program writes each point as one flat row of float parts (re0, im0, re1, im1, ...)
+    axes = [[0.3, 1.2, 1.2, 2.9], [-0.0, 0.0, 2.5, 4.0]]  # a repeated value, -0 and 0
+    pts = list(itertools.product(*axes))
+    singles = [evalcore.compile_expr(t, names).run(pts) for t in e.terms]
+    rows = evalcore.compile_expr(e.terms, names, grid=True).run(axes)
+    assert [_hex(row) for row in rows] == [_hex_parts(col) for col in zip(*singles)]
+    assert "-0x0.0p+0" in {bit for row in rows for bit in _hex(row)}
 
 
 def test_grid_program_hoists_each_node_to_its_loop():
@@ -150,7 +163,7 @@ def test_generated_function_matches_tree_walk(e, grid_names, axes):
     if raised:  # a hoisted node may fail before a node the tree walk reaches first
         assert got in raised
     else:
-        assert got == want
+        assert got == [(w.real, w.imag) for w in want]
 
 
 def test_hyp2f1_binomial_identity():

@@ -22,7 +22,7 @@ from pathlib import Path
 
 from . import evalcore, models
 from . import expr as ex
-from .cnum import RadicandError
+from .cnum import TrialDivisionError
 from .lie_algebra import (
     DegenerateCartanError,
     cartan_tensor,
@@ -566,7 +566,7 @@ def main(argv=None) -> int:
         if args.seed is None:
             args.seed = _seed_default()
         return commands[args.command](args)
-    except (SchemaError, UndefinedPointError, RadicandError) as e:
+    except (SchemaError, UndefinedPointError, TrialDivisionError) as e:
         print(f"input error: {e}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except (NoClosedFormError, NotSimplyTransitiveError, SeriesNotConvergedError) as e:

@@ -125,13 +125,33 @@ CN_MINUS_ONE = CNum(-1)
 CN_I = CNum(0, 1)
 
 
-# square_part trial-divides up to this bound only, so its cost is bounded too
+# square_part and divisors trial-divide up to these bounds only, so their
+# cost is bounded too
 SQUARE_PART_BOUND = 10_000
+DIVISOR_BOUND = 1_000_000
 
 
-class RadicandError(ArithmeticError):
-    """A radicand whose squarefree part trial division up to
-    SQUARE_PART_BOUND cannot settle."""
+class TrialDivisionError(ArithmeticError):
+    """An integer that trial division up to its bound cannot settle: the
+    square part of a radicand, or the divisors of a polynomial coefficient."""
+
+
+def _trial_division(n: int, bound: int) -> tuple[dict, int, int]:
+    """Divide n >= 1 by d = 2, 3, 5, 7, ... while d <= bound and d * d is at
+    most the cofactor: the prime powers [(p, e), ...] found, the cofactor m
+    and the first d not tried.  m has no prime factor below d, so it is 1 or
+    a prime when m < d * d."""
+    powers = []
+    m, d = n, 2
+    while d * d <= m and d <= bound:
+        if m % d == 0:
+            e = 0
+            while m % d == 0:
+                m //= d
+                e += 1
+            powers.append((d, e))
+        d += 1 if d == 2 else 2
+    return powers, m, d
 
 
 def square_part(n: int) -> tuple[int, int]:
@@ -140,32 +160,41 @@ def square_part(n: int) -> tuple[int, int]:
     Trial division by d <= SQUARE_PART_BOUND leaves a cofactor m with no
     prime factor below d.  It is settled exactly when it is a perfect square,
     or when m < d^3, so that it has at most two prime factors and is
-    squarefree unless a square.  Any other cofactor raises RadicandError."""
+    squarefree unless a square.  Any other cofactor raises
+    TrialDivisionError."""
     if n in (0, 1):
         return 1, n
+    powers, m, d = _trial_division(n, SQUARE_PART_BOUND)
     s, f = 1, 1
-    d = 2
-    m = n
-    while d * d <= m:
-        if d > SQUARE_PART_BOUND:
-            r = isqrt(m)
-            if r * r == m:
-                return s * r, f
-            if m >= d ** 3:
-                raise RadicandError(f"cannot find the square part of the radicand {n}: "
-                                    f"it has no prime factor up to {SQUARE_PART_BOUND}")
-            break
-        if m % d == 0:
-            e = 0
-            while m % d == 0:
-                m //= d
-                e += 1
-            s *= d ** (e // 2)
-            if e % 2:
-                f *= d
-        d += 1 if d == 2 else 2
-    f *= m
-    return s, f
+    for p, e in powers:
+        s *= p ** (e // 2)
+        if e % 2:
+            f *= p
+    if m >= d * d:
+        r = isqrt(m)
+        if r * r == m:
+            return s * r, f
+        if m >= d ** 3:
+            raise TrialDivisionError(f"cannot find the square part of the radicand {n}: "
+                                     f"it has no prime factor up to {SQUARE_PART_BOUND}")
+    return s, f * m
+
+
+def divisors(n: int) -> list[int]:
+    """Positive divisors of n >= 0 in ascending order, from its prime powers.
+
+    Trial division by d <= DIVISOR_BOUND settles them when the cofactor left
+    is 1 or a prime (m < d^2); any other cofactor raises TrialDivisionError."""
+    powers, m, d = _trial_division(n, DIVISOR_BOUND)
+    if m >= d * d:
+        raise TrialDivisionError(f"cannot find the divisors of the coefficient {n}: "
+                                 f"it has no prime factor up to {DIVISOR_BOUND}")
+    if m > 1:
+        powers.append((m, 1))
+    out = [1]
+    for p, e in powers:
+        out = [x * p ** k for x in out for k in range(e + 1)]
+    return sorted(out) if n else []
 
 
 def fraction_sqrt(num: int, den: int) -> tuple[int | Fraction, int]:

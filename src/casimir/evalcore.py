@@ -80,9 +80,6 @@ class Program(FrozenRecord):
     _fields = ("source", "constants")
     _uncompared = ("fn",)
 
-    def __init__(self, source: str, constants: tuple, fn):
-        self.__dict__.update(source=source, constants=constants, fn=fn)
-
     def run(self, points) -> list:
         """points: sequence of tuples aligned with the compiled variable names;
         for a grid program, one sequence of values per name."""

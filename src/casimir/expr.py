@@ -88,9 +88,9 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd
 
-from .cnum import CN_I, CN_MINUS_ONE, CN_ONE, CNum, fraction_gcd, fraction_sqrt
+from .cnum import CN_I, CN_MINUS_ONE, CN_ONE, CNum, divisors, fraction_gcd, fraction_sqrt
 
 _FUNCTIONS = ("sin", "cos", "exp")
 
@@ -866,34 +866,17 @@ def _rational_roots(poly: list[Fraction]) -> list[tuple[Fraction, int]]:
             poly[:] = poly[1:]
             record(Fraction(0))
             continue
-        root = None
-        for p in _divisors(abs(a0)):
-            for q in _divisors(abs(an)):
-                for s in (1, -1):
-                    r = Fraction(s * p, q)
-                    if _poly_eval(poly, r) == 0:
-                        root = r
-                        break
-                if root is not None:
-                    break
-            if root is not None:
-                break
+        if len(poly) == 2:
+            root = Fraction(-a0, an)
+        else:
+            qs = divisors(abs(an))
+            candidates = (Fraction(s * p, q) for p in divisors(abs(a0)) for q in qs for s in (1, -1))
+            root = next((r for r in candidates if _poly_eval(poly, r) == 0), None)
         if root is None:
             break
         poly[:] = _deflate(poly, root)
         record(root)
     return found
-
-
-def _divisors(n: int) -> list[int]:
-    """Positive divisors of n in ascending order, from the pairs d * (n // d)."""
-    low, high = [], []
-    for d in range(1, isqrt(n) + 1):
-        if n % d == 0:
-            low.append(d)
-            if d * d != n:
-                high.append(n // d)
-    return low + high[::-1]
 
 
 def _poly_eval(poly: list, x):
@@ -948,14 +931,6 @@ def cos(arg) -> Expr:
 
 def exp(arg) -> Expr:
     return fun("exp", arg)
-
-
-def cot(arg) -> Expr:
-    return fun("cot", arg)
-
-
-def sqrt(arg) -> Expr:
-    return _power(as_expr(arg), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -1102,8 +1077,6 @@ def _term_atom_exp(mono: tuple, base: Expr) -> tuple[int | None, tuple]:
     for f in mono:
         if type(f) is Pow and f.base == base:
             found = f.e2
-        elif f == base:
-            found = 2
         else:
             rest.append(f)
     return found, tuple(rest)

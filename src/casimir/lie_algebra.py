@@ -25,9 +25,6 @@ class StructureConstants(FrozenRecord):
 
     _fields = ("r", "c")
 
-    def __init__(self, r: int, c: tuple):
-        self.__dict__.update(r=r, c=c)
-
     @staticmethod
     def from_dense(array) -> "StructureConstants":
         r = len(array)
@@ -72,10 +69,6 @@ class StructureConstants(FrozenRecord):
 class ValidationReport(FrozenRecord):
     _fields = ("antisymmetry_violations", "jacobi_violations")
 
-    def __init__(self, antisymmetry_violations: tuple, jacobi_violations: tuple):
-        self.__dict__.update(antisymmetry_violations=antisymmetry_violations,
-                             jacobi_violations=jacobi_violations)
-
     @property
     def ok(self) -> bool:
         return not self.antisymmetry_violations and not self.jacobi_violations
@@ -115,11 +108,9 @@ def validate(sc: StructureConstants) -> ValidationReport:
 
 
 class CartanTensor(FrozenRecord):
-    _fields = ("g", "rank", "invariance_ok")
+    """g[i][k], symmetric."""
 
-    def __init__(self, g: tuple, rank: int, invariance_ok: bool):
-        # g[i][k], symmetric
-        self.__dict__.update(g=g, rank=rank, invariance_ok=invariance_ok)
+    _fields = ("g", "rank", "invariance_ok")
 
     @property
     def is_degenerate(self) -> bool:
@@ -150,11 +141,9 @@ def cartan_tensor(sc: StructureConstants) -> CartanTensor:
 
 
 class ConstantMetric(FrozenRecord):
-    _fields = ("g_inv", "provenance", "killing_ok")
+    """g_inv: contravariant components g^{ik}."""
 
-    def __init__(self, g_inv: tuple, provenance: str, killing_ok: bool):
-        # g_inv: contravariant components g^{ik}
-        self.__dict__.update(g_inv=g_inv, provenance=provenance, killing_ok=killing_ok)
+    _fields = ("g_inv", "provenance", "killing_ok")
 
 
 def invert_cartan(ct: CartanTensor, sc: StructureConstants) -> ConstantMetric:

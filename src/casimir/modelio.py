@@ -75,21 +75,11 @@ BUILTIN_MODELS = {
 
 
 class ModelSpec(Record):
+    """metric: Expr matrix, or None; frame_vectors, frame_names and
+    frame_covectors are None when the file declares no frame."""
+
     _fields = ("name", "chart", "constants", "generators", "frame_vectors", "frame_names",
                "metric", "source", "frame_covectors")
-
-    def __init__(self, name: str, chart: Chart, constants: StructureConstants, generators: tuple,
-                 frame_vectors: tuple | None, frame_names: tuple | None, metric: tuple | None,
-                 source: str, frame_covectors: tuple | None):
-        self.name = name
-        self.chart = chart
-        self.constants = constants
-        self.generators = generators
-        self.frame_vectors = frame_vectors
-        self.frame_names = frame_names
-        self.metric = metric  # Expr matrix
-        self.source = source
-        self.frame_covectors = frame_covectors
 
 
 def _need(doc: dict, key: str, kind, where: str):
@@ -173,14 +163,13 @@ def model_from_dict(doc: dict, source: str) -> ModelSpec:
 
     sc_doc = _need(doc, "structure_constants", dict, "model")
     r = _need(sc_doc, "r", int, "structure_constants")
+    gen_rows = _need(doc, "generators", list, "model")
+    if len(gen_rows) != r:  # checked first: from_sparse allocates r^3 entries
+        raise SchemaError(f"expected {r} generators, found {len(gen_rows)}")
     try:
         sc = StructureConstants.from_sparse(r, sc_doc.get("C", []))
-    except (ValueError, TypeError, KeyError) as e:
+    except (ValueError, TypeError, KeyError, ZeroDivisionError) as e:
         raise SchemaError(f"bad structure constants: {e}") from None
-
-    gen_rows = _need(doc, "generators", list, "model")
-    if len(gen_rows) != r:
-        raise SchemaError(f"expected {r} generators, found {len(gen_rows)}")
     generators = [
         VectorField(chart, _expr_row(row, len(coords), f"generator {gi + 1}", coords, params))
         for gi, row in enumerate(gen_rows)

@@ -98,16 +98,11 @@ class Bianchi2Model:
             claim("y-translation-eigenvalue", self.generators[1].apply(t), ex.mul(ex.num(m), t), box, seed),
             claim("z-translation-eigenvalue", self.generators[2].apply(t), ex.mul(ex.num(nu), t), box, seed),
         ]
-        if m - 1 < n:  # lowering: xi_1 t_m = t_{m-1}
-            lower_t = ex.simplify(
-                ex.mul(
-                    ex.exp(
-                        ex.add(ex.mul(ex.num(m - 1), ex.sym("y")), ex.mul(ex.num(nu), ex.sym("z")))
-                    ),
-                    self.point_series_profile(n, m - 1),
-                )
-            )
-            certs.append(claim("lowering-relation", self.generators[0].apply(t), lower_t, box, seed))
+        lower_t = ex.simplify(ex.mul(  # lowering: xi_1 t_m = t_{m-1}
+            ex.exp(ex.add(ex.mul(ex.num(m - 1), ex.sym("y")), ex.mul(ex.num(nu), ex.sym("z")))),
+            self.point_series_profile(n, m - 1),
+        ))
+        certs.append(claim("lowering-relation", self.generators[0].apply(t), lower_t, box, seed))
         return HarmonicFamily(
             model=self.name,
             kind="point-series",
@@ -119,17 +114,13 @@ class Bianchi2Model:
 
     # -- covector harmonics -----------------------------------------------------
 
-    def covector_harmonic(self, n: int, m: int, nu, amplitudes=None, seed: int = 0) -> HarmonicFamily:
+    def covector_harmonic(self, n: int, m: int, nu, seed: int = 0) -> HarmonicFamily:
         """One-form harmonic on the invariant coframe with point-series scalar."""
         scalar_fam = self.point_series(n, m, nu, seed=seed)
         t = next(iter(scalar_fam.components.values()))
         lam = scalar_fam.eigenvalues["G"]
-        if amplitudes is None:
-            amps = [ex.sym(a) for a in AMPLITUDE_NAMES]
-        else:
-            amps = [ex.as_expr(Fraction(a)) for a in amplitudes]
         monos = [
-            TensorMonomial((), (leg,), ex.mul(amps[leg], t)) for leg in range(3)
+            TensorMonomial((), (leg,), ex.mul(ex.sym(a), t)) for leg, a in enumerate(AMPLITUDE_NAMES)
         ]
         tens = assemble(self.frame, monos, 0, 1)
         box = self.chart.full_box()
@@ -151,7 +142,7 @@ class Bianchi2Model:
             labels={"n": n, "m": m, "nu": str(Fraction(nu))},
             eigenvalues=dict(scalar_fam.eigenvalues),
             components=dict(scalar_fam.components),
-            amplitudes=tuple(AMPLITUDE_NAMES) if amplitudes is None else (),
+            amplitudes=tuple(AMPLITUDE_NAMES),
             assemblies={"covector": assembly_to_json(self.frame, monos)},
             certificates=certs,
             notes=("coframe legs: e^1 = dv + v dy, e^2 = dy, e^3 = dz",),

@@ -15,10 +15,9 @@ class SeriesNotConvergedError(Exception):
 
 
 class Certificate(FrozenRecord):
-    _fields = ("name", "payload")
+    """payload: ZeroReport, EigenResult, or a plain dict."""
 
-    def __init__(self, name: str, payload):  # payload: ZeroReport, EigenResult, or a plain dict
-        self.__dict__.update(name=name, payload=payload)
+    _fields = ("name", "payload")
 
     @property
     def ok(self) -> bool:
@@ -36,7 +35,10 @@ class Certificate(FrozenRecord):
 
 
 class HarmonicFamily(Record):
-    """A labeled set of eigenfunction scalars/tensors with residual certificates."""
+    """A labeled set of eigenfunction scalars/tensors with residual certificates.
+
+    eigenvalues: name -> Expr; components: label -> Expr (the family
+    content); assemblies: tag -> list of monomial dicts."""
 
     _fields = ("model", "kind", "labels", "eigenvalues", "components", "amplitudes",
                "assemblies", "certificates", "notes")
@@ -44,15 +46,9 @@ class HarmonicFamily(Record):
     def __init__(self, model: str, kind: str, labels: dict, eigenvalues: dict, components: dict,
                  amplitudes: tuple = (), assemblies: dict | None = None,
                  certificates: list | None = None, notes: tuple = ()):
-        self.model = model
-        self.kind = kind
-        self.labels = labels
-        self.eigenvalues = eigenvalues  # name -> Expr
-        self.components = components  # label -> Expr (the family content)
-        self.amplitudes = amplitudes
-        self.assemblies = {} if assemblies is None else assemblies  # tag -> list of monomial dicts
-        self.certificates = [] if certificates is None else certificates
-        self.notes = notes
+        super().__init__(model, kind, labels, eigenvalues, components, amplitudes,
+                         {} if assemblies is None else assemblies,
+                         [] if certificates is None else certificates, notes)
 
     @property
     def ok(self) -> bool:

@@ -16,11 +16,10 @@ shifted ladder and family; each emitted member is certified by its own
 residuals (reduced or Casimir, axis, and each ladder move).
 
 A member is N^(-1/2) e^{i m phi} sin^eps(theta) P(cos theta), eps in {0, 1}.
-Each (l, n) family is cached as the integer coefficient lists of P, lowered
-exactly (`So3Model._family_down_to`) from its lowest built member down to
-the weight asked for and no further.  A member becomes an expression, built
-by the kernel, when a caller first asks for it; every certificate is
-computed on that expression.
+Each (l, n) family is built whole on first use as the integer coefficient
+lists of P, lowered exactly from the top member (`So3Model._family`).  A
+member becomes an expression, built by the kernel, when a caller first asks
+for it; every certificate is computed on that expression.
 
 The generators, structure constants, domain, singular locus and metric are
 those of the built-in model file `modelio.BUILTIN_MODELS["so3"]`, so
@@ -141,60 +140,26 @@ class So3Model:
 
     def ladder_family(self, l: int, n: int) -> dict:
         """t^l_{n,m} for m = -l..l, normalized so ladder moves carry
-        exactly the sqrt(l(l+1) - m(m+s)) coefficients.
-
-        Builds whatever part of the cached family is still missing; callers
-        that need only weights m >= m0 extend it only down to m0."""
+        exactly the sqrt(l(l+1) - m(m+s)) coefficients."""
         _check_labels(l, n)
-        return {m: self._member(l, n, m) for m in self._family_down_to(l, n, -l)}
+        return {m: self._member(l, n, m) for m in self._family(l, n)}
 
-    def _family_down_to(self, l: int, n: int, low: int) -> dict:
-        """The cached (l, n) family with every member from m = l down to
-        max(low, -l) built, as {m: (P, eps, N)}: the member is
-        N^(-1/2) e^{i m phi} sin^eps(theta) P(cos theta), P ascending ints
-        (the last may be 0).
-
-        With x = cos theta, the top member has eps = (l - n) mod 2 and
-        P = (1 - x)^((l-n)//2) (1 + x)^((l+n)//2).  The shifted lowering
-        ladder maps a member to e^{i(m-1) phi} sin^(eps-1) Q with
-        Q = (1 - x^2) P' - (m + eps) x P + n P, and N gains the factor
-        c2 = l(l+1) - m(m-1).  So the next member is (Q, 0) when eps = 1 and
-        (Q / (1 - x^2), 1) when eps = 0, a division that is exact for every
-        true member.
-
-        A family grows by lowering from its lowest member only as far as a
-        caller asks.  A published family dict is never changed: a longer one
-        is built on a copy and replaces it, so a dict handed to one thread
-        stays whole for its range while another thread extends the family."""
-        low = max(low, -l)
-        key = (l, n)
-        fam = self._families.get(key)
+    def _family(self, l: int, n: int) -> dict:
+        """The (l, n) family, built whole on first use, as {m: (P, eps, N)}:
+        the member is N^(-1/2) e^{i m phi} sin^eps(theta) P(cos theta), P
+        ascending ints (the last may be 0).  With x = cos theta, the top
+        member has eps = (l - n) mod 2 and P = (1 - x)^((l-n)//2)
+        (1 + x)^((l+n)//2); each lower one comes from `_lower`."""
+        fam = self._families.get((l, n))
         if fam is None:
             a, eps = divmod(l - n, 2)
             p = [c.re for c in ex._poly_pow([CNum(1), CNum(-1)], a)]
             for _ in range((l + n) // 2):
                 p = [u + v for u, v in zip(p + [0], [0] + p)]  # times 1 + x
             fam = {l: (p, eps, 1)}
-        elif low in fam:
-            return fam
-        else:
-            fam = dict(fam)
-        for m in range(min(fam), low, -1):
-            p, eps, norm = fam[m]
-            q = [0] * (len(p) + 1)
-            for k, c in enumerate(p):
-                q[k] += n * c
-                q[k + 1] -= (m + eps + k) * c
-                if k:
-                    q[k - 1] += k * c
-            if not eps:  # divide by 1 - x^2 = -(x - 1)(x + 1)
-                for r in (1, -1):
-                    if ex._poly_eval(q, r):
-                        raise ArithmeticError(f"so3 lowering left a remainder at l={l}, n={n}, m={m}")
-                    q = ex._deflate(q, r)
-                q = [-c for c in q]
-            fam[m - 1] = (q, 1 - eps, norm * (l * (l + 1) - m * (m - 1)))
-        self._families[key] = fam
+            for m in range(l, -l, -1):
+                fam[m - 1] = _lower(l, n, m, *fam[m])
+            self._families[(l, n)] = fam
         return fam
 
     def _member(self, l: int, n: int, m: int) -> ex.Expr:
@@ -202,7 +167,7 @@ class So3Model:
         key = (l, n, m)
         t = self._members.get(key)
         if t is None:
-            p, eps, norm = self._family_down_to(l, n, m)[m]
+            p, eps, norm = self._family(l, n)[m]
             x = ex.cos(THETA)
             poly = ex.add(*(ex.mul(ex.num(c), ex.power(x, k)) for k, c in enumerate(p) if c))
             t = self._members[key] = ex.simplify(ex.mul(
@@ -364,6 +329,30 @@ class So3Model:
         target = self._member(l, n, m + s)
         rep = nc.is_zero(ex.sub(moved, ex.mul(coef, target)), box, seed)
         return coef, m + s, rep
+
+
+def _lower(l: int, n: int, m: int, p: list, eps: int, norm: int) -> tuple:
+    """The member below t^l_{n,m} = (P, eps, N) in the form `_family` keeps.
+
+    The shifted lowering ladder maps a member to e^{i(m-1) phi}
+    sin^(eps-1) Q with Q = (1 - x^2) P' - (m + eps) x P + n P, and N gains
+    the factor c2 = l(l+1) - m(m-1).  So the next member is (Q, 0) when
+    eps = 1 and (Q / (1 - x^2), 1) when eps = 0, a division that is exact
+    for every true member."""
+    q = [0] * (len(p) + 1)
+    for k, c in enumerate(p):
+        q[k] += n * c
+        q[k + 1] -= (m + eps + k) * c
+        if k:
+            q[k - 1] += k * c
+    if not eps:  # divide by 1 - x^2: q = (x^2 - 1) s + r1 x + r0, so q_j = s_(j-2) - s_j
+        s = q[2:]
+        for j in range(len(s) - 3, -1, -1):
+            s[j] += s[j + 2]
+        if q[0] + (s[0] if s else 0) or q[1] + (s[1] if len(s) > 1 else 0):
+            raise ArithmeticError(f"so3 lowering left a remainder at l={l}, n={n}, m={m}")
+        q = [-c for c in s]
+    return q, 1 - eps, norm * (l * (l + 1) - m * (m - 1))
 
 
 def _is_int(x) -> bool:

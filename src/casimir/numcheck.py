@@ -42,7 +42,7 @@ class ZeroReport(FrozenRecord):
 
     def __init__(self, verdict: Verdict, witness: dict | None = None, max_abs: float = 0.0,
                  scale: float = 0.0):
-        self.__dict__.update(verdict=verdict, witness=witness, max_abs=max_abs, scale=scale)
+        super().__init__(verdict, witness, max_abs, scale)
 
     @property
     def is_zero(self) -> bool:
@@ -93,7 +93,7 @@ def sample_box(box: dict, n: int, seed: int = 0) -> list[dict]:
     return out
 
 
-def is_zero(e: ex.Expr, box: dict | None = None, seed: int = 0) -> ZeroReport:
+def is_zero(e: ex.Expr, box: dict, seed: int = 0) -> ZeroReport:
     """Decide whether `e` vanishes on the box.
 
     Symbolically zero when simplification reaches the 0 literal; otherwise
@@ -104,8 +104,6 @@ def is_zero(e: ex.Expr, box: dict | None = None, seed: int = 0) -> ZeroReport:
     if s == ex.ZERO:
         return ZeroReport(Verdict.SYMBOLIC_ZERO)
     names = sorted(ex.free_symbols(s))
-    if box is None:
-        box = {}
     missing = [n for n in names if n not in box]
     if missing:
         raise ex.EvalError(f"no sampling interval for symbols {missing}")
@@ -120,7 +118,10 @@ def is_zero(e: ex.Expr, box: dict | None = None, seed: int = 0) -> ZeroReport:
 
     envs = sample_box({n: box[n] for n in names}, NUM_POINTS, seed)
     terms = s.terms if type(s) is ex.Add else (s,)
-    prog = evalcore.compile_expr(terms, names)  # one function: the term values per point
+    try:
+        prog = evalcore.compile_expr(terms, names)  # one function: the term values per point
+    except OverflowError:
+        raise UndefinedPointError("constant overflowed floating point", {}) from None
     pts = [tuple(env[n] for n in names) for env in envs]
     try:
         rows = prog.run(pts)

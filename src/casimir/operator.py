@@ -48,8 +48,8 @@ class CasimirOperator(FrozenRecord):
         # _matrices is built on first use: G's component matrix per tensor type
         # (p, q), K under ("reduced", (), ()), and the reduced and shifted
         # scalar operators per monomial
-        self.__dict__.update(name=name, chart=chart, generators=generators, metric=metric,
-                             frame=frame, mu=mu, _matrices={})
+        super().__init__(name, chart, generators, metric, frame, mu)
+        self.__dict__["_matrices"] = {}
 
     @property
     def r(self) -> int:
@@ -77,12 +77,10 @@ def apply_casimir(op: CasimirOperator, t: TensorField) -> TensorField:
 
 
 class ScalarOperator(FrozenRecord):
-    """Coefficient table {derivative multi-index: Expr} up to second order."""
+    """Coefficient table {derivative multi-index: Expr} up to second order;
+    table: (multi-index, Expr) pairs, sorted."""
 
     _fields = ("chart", "table")
-
-    def __init__(self, chart: Chart, table: tuple):  # table: (multi-index, Expr) pairs, sorted
-        self.__dict__.update(chart=chart, table=table)
 
     @staticmethod
     def from_table(chart: Chart, table: dict) -> "ScalarOperator":
@@ -253,13 +251,10 @@ def _compose(op: CasimirOperator, rows: list) -> tuple:
 
 
 class TensorMonomial(FrozenRecord):
-    """One frame-basis slot with its scalar component."""
+    """One frame-basis slot with its scalar component; upper/lower: frame leg
+    indices for the vector/covector slots."""
 
     _fields = ("upper", "lower", "scalar")
-
-    def __init__(self, upper: tuple, lower: tuple, scalar: ex.Expr):
-        # upper/lower: frame leg indices for the vector/covector slots
-        self.__dict__.update(upper=upper, lower=lower, scalar=scalar)
 
 
 def assemble(frame: Frame, monomials, p: int, q: int) -> TensorField:
@@ -333,9 +328,6 @@ def project_component(t: TensorField, frame: Frame, upper: tuple, lower: tuple) 
 
 class EigenResult(FrozenRecord):
     _fields = ("eigenvalue", "reports")
-
-    def __init__(self, eigenvalue: ex.Expr, reports: tuple):
-        self.__dict__.update(eigenvalue=eigenvalue, reports=reports)
 
     @property
     def ok(self) -> bool:

@@ -24,12 +24,8 @@ class Report(Record):
 
     def __init__(self, command: str, inputs: dict, seed: int, checks: list | None = None,
                  sections: dict | None = None, timings: dict | None = None):
-        self.command = command
-        self.inputs = inputs
-        self.seed = seed
-        self.checks = [] if checks is None else checks
-        self.sections = {} if sections is None else sections
-        self.timings = {} if timings is None else timings
+        super().__init__(command, inputs, seed, [] if checks is None else checks,
+                         {} if sections is None else sections, {} if timings is None else timings)
 
     def add_check(self, name: str, passed: bool, **detail):
         entry = {"name": name, "ok": bool(passed)}

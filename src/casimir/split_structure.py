@@ -94,17 +94,10 @@ def mat_inverse(a):
 
 
 class Frame(FrozenRecord):
+    """vectors: VectorField per leg; covectors: (0,1) TensorField per leg;
+    duality: ZeroReport matrix, row = covector, col = vector."""
+
     _fields = ("chart", "names", "vectors", "covectors", "duality")
-
-    def __init__(self, chart: Chart, names: tuple, vectors: tuple, covectors: tuple, duality: tuple):
-        # vectors: VectorField per leg; covectors: (0,1) TensorField per leg;
-        # duality: ZeroReport matrix, row = covector, col = vector
-        self.__dict__.update(chart=chart, names=names, vectors=vectors, covectors=covectors,
-                             duality=duality)
-
-    @property
-    def dim(self) -> int:
-        return len(self.names)
 
 
 def frame_from_vectors(chart: Chart, vectors, names=None, seed: int = 0) -> Frame:
@@ -139,10 +132,9 @@ def frame_from_components(chart: Chart, vectors, covectors, names, seed: int = 0
 
 
 class Projector(FrozenRecord):
-    _fields = ("name", "tensor")
+    """tensor: of type (1,1)."""
 
-    def __init__(self, name: str, tensor: TensorField):  # tensor of type (1,1)
-        self.__dict__.update(name=name, tensor=tensor)
+    _fields = ("name", "tensor")
 
 
 def build_projectors(frame: Frame, generators=None, seed: int = 0):
@@ -196,14 +188,10 @@ def build_projectors(frame: Frame, generators=None, seed: int = 0):
 
 
 class MuFactors(FrozenRecord):
-    _fields = ("frame", "generators", "mu", "integrability", "dual_action")
+    """mu[a][i]: Expr, covector a, generator i; integrability: ZeroReport
+    per (a, i, k); dual_action: ZeroReport per (a, i, component)."""
 
-    def __init__(self, frame: Frame, generators: tuple, mu: tuple, integrability: tuple,
-                 dual_action: tuple):
-        # mu[a][i]: Expr, covector a, generator i; integrability: ZeroReport
-        # per (a, i, k); dual_action: ZeroReport per (a, i, component)
-        self.__dict__.update(frame=frame, generators=generators, mu=mu,
-                             integrability=integrability, dual_action=dual_action)
+    _fields = ("frame", "generators", "mu", "integrability", "dual_action")
 
     def weight(self, upper: tuple, lower: tuple, i: int) -> ex.Expr:
         """Sum of upper-leg factors minus lower-leg factors for generator i."""
@@ -283,11 +271,9 @@ def compute_mu(frame: Frame, generators, sc: StructureConstants, seed: int = 0) 
 
 
 class FrameSolution(FrozenRecord):
-    _fields = ("L", "frame", "base_point", "invariance")
+    """L[a][d]: e_d = sum_a L[a][d] xi_a; invariance: ZeroReport per (b, a, d)."""
 
-    def __init__(self, L: tuple, frame: Frame, base_point: dict, invariance: tuple):
-        # L[a][d]: e_d = sum_a L[a][d] xi_a; invariance: ZeroReport per (b, a, d)
-        self.__dict__.update(L=L, frame=frame, base_point=base_point, invariance=invariance)
+    _fields = ("L", "frame", "base_point", "invariance")
 
 
 def _polyexp_integrate(terms: dict, lam: Fraction) -> dict:
@@ -543,11 +529,9 @@ def _order_legs(legs, chart: Chart):
 
 
 class InvariantMetric(FrozenRecord):
-    _fields = ("g", "rank", "killing", "provenance")
+    """g[i][k]: Expr in the generator basis; killing: ZeroReport per (j, i, k)."""
 
-    def __init__(self, g: tuple, rank: int, killing: tuple, provenance: str):
-        # g[i][k]: Expr in the generator basis; killing: ZeroReport per (j, i, k)
-        self.__dict__.update(g=g, rank=rank, killing=killing, provenance=provenance)
+    _fields = ("g", "rank", "killing", "provenance")
 
     def killing_ok(self) -> bool:
         return all(r.is_zero for r in self.killing)
@@ -596,9 +580,12 @@ def _matrices(rows, envs: list) -> list:
     """The numeric matrix of the expression rows at each point, all points
     and entries by one compiled program."""
     names, width = tuple(envs[0]), len(rows[0])
-    prog = evalcore.compile_expr(tuple(e for row in rows for e in row), names)
-    return [[vals[i:i + width] for i in range(0, len(vals), width)]
-            for vals in prog.run([tuple(env[n] for n in names) for env in envs])]
+    try:
+        prog = evalcore.compile_expr(tuple(e for row in rows for e in row), names)
+        table = prog.run([tuple(env[n] for n in names) for env in envs])
+    except (ZeroDivisionError, OverflowError):
+        raise nc.UndefinedPointError("a matrix entry has no finite value at the sample points", {}) from None
+    return [[vals[i:i + width] for i in range(0, len(vals), width)] for vals in table]
 
 
 def _numeric_rank(m) -> int:

@@ -36,8 +36,8 @@ class Chart(FrozenRecord):
 
     def __init__(self, name: str, coords: tuple, box: dict | None = None, singular_loci: tuple = (),
                  params: dict | None = None):
-        self.__dict__.update(name=name, coords=coords, box={} if box is None else box,
-                             singular_loci=singular_loci, params={} if params is None else params)
+        super().__init__(name, coords, {} if box is None else box, singular_loci,
+                         {} if params is None else params)
 
     @property
     def dim(self) -> int:
@@ -86,7 +86,7 @@ class VectorField(FrozenRecord):
     def __init__(self, chart: Chart, comps: tuple):  # comps: Expr per coordinate
         if len(comps) != chart.dim:
             raise ValueError("component count must equal the chart dimension")
-        self.__dict__.update(chart=chart, comps=comps)
+        super().__init__(chart, comps)
 
     def apply(self, f: ex.Expr) -> ex.Expr:
         """Directional derivative X(f)."""
@@ -109,7 +109,7 @@ class TensorField(FrozenRecord):
         want = chart.dim ** (p + q)
         if len(comps) != want:
             raise ValueError(f"need {want} components, got {len(comps)}")
-        self.__dict__.update(chart=chart, p=p, q=q, comps=comps)
+        super().__init__(chart, p, q, comps)
 
     def flat(self, idx: tuple) -> int:
         d = self.chart.dim
@@ -120,10 +120,6 @@ class TensorField(FrozenRecord):
 
     def comp(self, *idx) -> ex.Expr:
         return self.comps[self.flat(idx)]
-
-
-def scalar_field(chart: Chart, e: ex.Expr) -> TensorField:
-    return TensorField(chart, 0, 0, (e,))
 
 
 def one_form(chart: Chart, comps) -> TensorField:
@@ -188,10 +184,9 @@ def lie_derivative(x: VectorField, t: TensorField) -> TensorField:
 
 
 class PairReport(FrozenRecord):
-    _fields = ("i", "j", "reports")
+    """reports: ZeroReport per component."""
 
-    def __init__(self, i: int, j: int, reports: tuple):  # reports: ZeroReport per component
-        self.__dict__.update(i=i, j=j, reports=reports)
+    _fields = ("i", "j", "reports")
 
     @property
     def ok(self) -> bool:
@@ -200,9 +195,6 @@ class PairReport(FrozenRecord):
 
 class RealizationReport(FrozenRecord):
     _fields = ("pairs",)
-
-    def __init__(self, pairs: tuple):
-        self.__dict__.update(pairs=pairs)
 
     @property
     def ok(self) -> bool:

@@ -94,16 +94,6 @@ class TestCovectorHarmonics:
         assert fam.eigenvalues["G"] == ex.ONE
         assert fam.amplitudes == ("a_1", "a_2", "a_3")
 
-    def test_unit_first_leg(self, model):
-        fam = model.covector_harmonic(1, 0, 0, amplitudes=(1, 0, 0))
-        assert fam.ok
-        cert = fam.certificate("casimir-eigenvalue")
-        assert cert.ok
-
-    def test_zero_amplitudes_trivially_certified(self, model):
-        fam = model.covector_harmonic(1, 0, 0, amplitudes=(0, 0, 0))
-        assert fam.ok
-
     def test_translation_eigenvalue_nonzero_m(self, model):
         fam = model.covector_harmonic(2, 1, 0)
         assert fam.ok

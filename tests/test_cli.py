@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import math
+import time
 
 import pytest
 
@@ -32,6 +33,7 @@ README_MODEL = {
               "covectors": [["1", "v", "0"], ["0", "1", "0"], ["0", "0", "1"]]},
     "metric": [["(1+v^2)*exp(2*y)", "-v*exp(y)", "0"], ["-v*exp(y)", "1", "0"], ["0", "0", "1"]],
 }
+BIG_PRIME = "1000000000000000000000000000000000000007"  # 10^39 + 7
 SINGULAR_FRAME = [["1", "0", "0"], ["1", "0", "0"], ["0", "0", "1"]]
 IDENTITY = [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
 
@@ -158,6 +160,46 @@ class TestVerify:
         doc = json.loads(json.dumps(BUILTIN_MODELS["bianchi2"]))
         doc["chart"].update(change)
         assert_input_error(capsys, command, "--model", model_file(tmp_path, doc))
+
+    @pytest.mark.parametrize("command, model, at, value", [
+        ("verify", "so3", 0, 10**400),  # a JSON number; was an OverflowError in numcheck.is_zero
+        ("verify", "bianchi2", 1, "1" * 401),
+        ("build-metric", "bianchi2", 1, "1" * 401),  # was an OverflowError in split_structure._matrices
+    ], ids=["verify-so3-number", "verify-bianchi2-string", "build-metric-bianchi2-string"])
+    def test_constants_beyond_float_range_are_input_errors(self, capsys, tmp_path, command, model, at,
+                                                           value):
+        doc = json.loads(json.dumps(BUILTIN_MODELS[model]))
+        doc["generators"][at][at] = value
+        assert_input_error(capsys, command, "--model", model_file(tmp_path, doc))
+
+    @pytest.mark.parametrize("command", ["verify", "build-metric", "reduce"])
+    def test_structure_constant_dividing_by_zero_is_an_input_error(self, capsys, tmp_path, command):
+        doc = json.loads(json.dumps(BUILTIN_MODELS["so3"]))
+        doc["structure_constants"]["C"][0]["value"] = "1/0"  # was a ZeroDivisionError
+        assert "bad structure constants" in assert_input_error(
+            capsys, command, "--model", model_file(tmp_path, doc))
+
+    def test_algebra_dimension_is_checked_against_the_generators_first(self, capsys, tmp_path):
+        doc = json.loads(json.dumps(BUILTIN_MODELS["abelian"]))
+        doc["structure_constants"]["r"] = 10**40  # was an OverflowError allocating r^3 constants
+        assert "expected 10" in assert_input_error(capsys, "verify", "--model", model_file(tmp_path, doc))
+
+    @pytest.mark.parametrize("command, model, section, key, value", [
+        # parsing factors theta^2 - N over its rational roots, which needs the divisors of N
+        ("verify", "so3", "metric", 0, [f"(theta^2 - {BIG_PRIME})^(-1)", "0", "0"]),
+        # the invariant frame's matrix exponential finds the eigenvalue N
+        ("build-metric", "abelian", "structure_constants", "C",
+         [{"k": 1, "i": 1, "j": 2, "value": BIG_PRIME}]),
+    ], ids=["so3-metric-pole", "abelian-eigenvalue"])
+    def test_large_polynomial_coefficients_end_quickly(self, capsys, tmp_path, command, model, section,
+                                                       key, value):
+        """The rational-root search trial-divides a coefficient up to a bound,
+        not up to its square root (about 10^19 steps here)."""
+        doc = json.loads(json.dumps(BUILTIN_MODELS[model]))
+        doc[section][key] = value
+        start = time.perf_counter()
+        assert_input_error(capsys, command, "--model", model_file(tmp_path, doc))
+        assert time.perf_counter() - start < 5
 
     def test_locus_may_name_a_parameter(self, capsys, tmp_path):
         doc = json.loads(json.dumps(GOOD_SOLVABLE))

@@ -1,8 +1,10 @@
 """CLI fuzzing in process through `main`: mutated family documents for
-`verify --family` and random `--grid` specs for `harmonics`.  Every input must
-end in a documented exit code (0/1/2/3) with no traceback.  A mutation may
-still verify (exit 0), since re-certification does not yet check every field
-of a document; these tests do not assert on the exit code beyond its range."""
+`verify --family`, mutated built-in model files for `verify --model`,
+`build-metric` and `reduce`, and random `--grid` specs for `harmonics`.  Every
+input must end in a documented exit code (0/1/2/3) with no traceback.  A
+mutation may still verify (exit 0), since re-certification does not yet check
+every field of a document; these tests do not assert on the exit code beyond
+its range."""
 
 import contextlib
 import copy
@@ -14,6 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from casimir.cli import main
+from casimir.modelio import BUILTIN_MODELS
 
 EXIT_CODES = {0, 1, 2, 3}
 
@@ -64,8 +67,9 @@ def documents(tmp_path_factory):
     return base, docs
 
 
-def _mutate(data, doc):
-    """One random edit at a random place of a JSON tree; returns the new tree."""
+def _mutate(data, doc, values=_JSON):
+    """One random edit at a random place of a JSON tree, drawing new values
+    from `values`; returns the new tree."""
     holder = [doc]
     parent, key = holder, 0
     while isinstance(parent[key], (dict, list)) and parent[key] and data.draw(st.booleans()):
@@ -85,7 +89,7 @@ def _mutate(data, doc):
         cut = data.draw(st.integers(0, 3))
         parent[key] = node[:at] + data.draw(_EXPR_TEXT) + node[at + cut:]
     else:
-        parent[key] = data.draw(_JSON)
+        parent[key] = data.draw(values)
     return holder[0]
 
 
@@ -99,6 +103,27 @@ def test_mutated_family_documents_exit_cleanly(documents, source, data):
     path = base / "mutated.json"
     path.write_text(json.dumps(doc))
     code, err = _run("verify", "--family", str(path))
+    assert code in EXIT_CODES and "Traceback" not in err, err
+
+
+# values that broke model files: beyond float range, exact division by zero,
+# a coefficient too large for an unbounded root search, and wrong types
+_MODEL_VALUES = st.one_of(_JSON, st.sampled_from([
+    10**400, "1" * 401, "1/0", "(2-2)^(-1)", "1000000000000000000000000000000000000007",
+    "theta^2 - 1000000000000000000000000000000000000007", None, [], {}, True, 1.5,
+]))
+
+
+@given(st.sampled_from(sorted(BUILTIN_MODELS)), st.sampled_from(["verify", "build-metric", "reduce"]),
+       st.data())
+@settings(max_examples=300, deadline=None)
+def test_mutated_model_files_exit_cleanly(tmp_path_factory, model, command, data):
+    doc = json.loads(json.dumps(BUILTIN_MODELS[model]))
+    for _ in range(data.draw(st.integers(1, 2), label="edits")):
+        doc = _mutate(data, doc, _MODEL_VALUES)
+    path = tmp_path_factory.getbasetemp() / "model.json"
+    path.write_text(json.dumps(doc))
+    code, err = _run(command, "--model", str(path))
     assert code in EXIT_CODES and "Traceback" not in err, err
 
 

@@ -138,3 +138,39 @@ def test_only_evalcore_evaluates_functions():
 def test_kernel_has_no_evaluator():
     """The kernel builds, differentiates and prints expressions; it does not evaluate them."""
     assert not hasattr(casimir.expr, "evaluate")
+
+
+def _stores_only(init: ast.FunctionDef) -> bool:
+    """Whether an ``__init__`` without defaults does nothing but store its
+    arguments, through ``self.__dict__.update(...)``, ``super().__init__(...)``
+    or ``self.name = ...``."""
+    if init.args.defaults or any(init.args.kw_defaults):
+        return False
+    body = [s for s in init.body
+            if not (isinstance(s, ast.Expr) and isinstance(s.value, ast.Constant))]  # docstring
+    for stmt in body:
+        if isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Call):
+            if ast.unparse(stmt.value.func) not in ("self.__dict__.update", "super().__init__"):
+                return False
+        elif isinstance(stmt, ast.Assign):
+            if not all(ast.unparse(t).startswith("self.") for t in stmt.targets):
+                return False
+        else:
+            return False
+    return True
+
+
+def test_records_leave_field_storing_to_record():
+    """`Record.__init__` binds every record's fields, so a record's own
+    ``__init__`` must check input, fill a default or start a memo."""
+    classes = [node for path in sorted(PACKAGE.rglob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.ClassDef)]
+    records = {"Record"}
+    grew = True
+    while grew:
+        subclasses = {c.name for c in classes if any(ast.unparse(b) in records for b in c.bases)}
+        grew = not subclasses <= records
+        records |= subclasses
+    found = [c.name for c in classes if c.name in records for s in c.body
+             if isinstance(s, ast.FunctionDef) and s.name == "__init__" and _stores_only(s)]
+    assert found == []

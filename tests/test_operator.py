@@ -87,7 +87,7 @@ class TestApply:
 
     def test_tensor_application_matches_scalar_on_functions(self, so3):
         f = parse("cos(theta)", so3.space.coords)
-        t = tf.scalar_field(so3.space, f)
+        t = tf.TensorField(so3.space, 0, 0, (f,))
         gt = op.apply_casimir(so3.op_space, t)
         want = so3.scalar_operator().apply(parse("cos(theta)", so3.sphere.coords))
         assert ex.simplify(ex.sub(gt.comps[0], want)) == ex.ZERO
@@ -295,7 +295,7 @@ class TestCertify:
         assert nc.is_zero(resid, so3.space.full_box()).verdict is nc.Verdict.SYMBOLIC_ZERO
 
     def test_constant_scalar(self, so3):
-        t = tf.scalar_field(so3.space, ex.ONE)
+        t = tf.TensorField(so3.space, 0, 0, (ex.ONE,))
         res = op.certify_eigen(so3.op_space, t, 0)
         assert res.ok
 
@@ -305,12 +305,12 @@ class TestCertify:
         assert fam.ok
 
     def test_wrong_eigenvalue_fails(self, so3):
-        t = tf.scalar_field(so3.space, parse("cos(theta)", so3.space.coords))
+        t = tf.TensorField(so3.space, 0, 0, (parse("cos(theta)", so3.space.coords),))
         res = op.certify_eigen(so3.op_space, t, -4)
         assert not res.ok
 
     def test_convention_note_present(self, so3):
-        t = tf.scalar_field(so3.space, parse("cos(theta)", so3.space.coords))
+        t = tf.TensorField(so3.space, 0, 0, (parse("cos(theta)", so3.space.coords),))
         res = op.certify_eigen(so3.op_space, t, -2)
         assert res.ok
         assert "-G" in res.to_json()["convention"]

@@ -11,7 +11,7 @@ from casimir import expr as ex
 from casimir import numcheck as nc
 from casimir.modelio import load_model
 from casimir.models import so3_model
-from casimir.models.so3 import So3Model
+from casimir.models.so3 import So3Model, _lower
 from casimir.parser import parse
 from helpers import tree_evaluate
 
@@ -96,10 +96,9 @@ class TestListLowering:
                 assert got == want and ex.unparse(got) == ex.unparse(want), (l, n, m)
 
     def test_a_remainder_is_refused(self):
-        model = So3Model()
-        model._families[(2, 0)] = {2: ([1], 0, 1)}  # not a member: 1 - x^2 does not divide
+        # ([1], 0, 1) is not a member at l = 2, n = 0, m = 2: 1 - x^2 does not divide
         with pytest.raises(ArithmeticError, match="l=2, n=0, m=2"):
-            model._family_down_to(2, 0, 1)
+            _lower(2, 0, 2, [1], 0, 1)
 
 
 class TestGeneralizedLegendre:
@@ -304,19 +303,6 @@ class TestOnDemandFamilies:
                 m2: want[m2] for m2 in built}
         got = {m: ex.unparse(t) for m, t in model.ladder_family(l, n).items()}
         assert got == want
-
-    def test_members_are_built_only_down_to_the_request(self):
-        model = So3Model()
-        model.scalar_harmonic(4, 0)
-        assert sorted(model._families[(4, 0)]) == [0, 1, 2, 3, 4]
-        # a raising move needs its own weight m, not only the target m + 1
-        _coef, target, rep = model.apply_ladder(3, 1, -2, +1)
-        assert target == -1 and rep.verdict is nc.Verdict.SYMBOLIC_ZERO
-        assert min(model._families[(3, 1)]) == -2
-        model.apply_ladder(3, 1, -2, -1)
-        assert min(model._families[(3, 1)]) == -3
-        model.tensor20_harmonic(2, m_values=[1])
-        assert {n: min(model._families[(2, n)]) for n in range(-2, 3)} == {n: 1 for n in range(-2, 3)}
 
     def test_threads_extending_one_family_agree(self):
         l, ms = 4, (4, 0, -2, -4)

@@ -140,7 +140,7 @@ class TestRealization:
 class TestLieDerivative:
     def test_scalar_is_directional_derivative(self, sphere, rot_fields):
         f = parse("theta^2*cos(phi)", sphere.coords)
-        t = tf.scalar_field(sphere, f)
+        t = tf.TensorField(sphere, 0, 0, (f,))
         ld = tf.lie_derivative(rot_fields[0], t)
         assert ex.simplify(ex.sub(ld.comps[0], rot_fields[0].apply(f))) == ex.ZERO
 
@@ -152,7 +152,7 @@ class TestLieDerivative:
         assert ex.simplify(ex.sub(h3.apply(t), ex.mul(m, t))) == ex.ZERO
 
     def test_constant_scalar_annihilated(self, sphere, rot_fields):
-        t = tf.scalar_field(sphere, ex.ONE)
+        t = tf.TensorField(sphere, 0, 0, (ex.ONE,))
         for g in rot_fields:
             assert tf.lie_derivative(g, t).comps[0] == ex.ZERO
 

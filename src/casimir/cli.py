@@ -18,7 +18,6 @@ import math
 import os
 import sys
 from contextlib import contextmanager, nullcontext
-from pathlib import Path
 
 from . import evalcore, models
 from . import expr as ex
@@ -29,7 +28,8 @@ from .lie_algebra import (
     invert_cartan,
     validate,
 )
-from .modelio import BUILTIN_MODELS, SchemaError, load_family, load_model, parse_label, parse_rational
+from .modelio import (BUILTIN_MODELS, SchemaError, file_digest, load_family, load_model, parse_label,
+                      parse_rational, read_json)
 from .models.family import SeriesNotConvergedError, verdict
 from .numcheck import UndefinedPointError
 from .operator import CasimirOperator, assemble_from_json, certify_eigen, reduce_to_scalar
@@ -267,14 +267,12 @@ def cmd_build_metric(args) -> int:
         try:
             cm = invert_cartan(ct, spec.constants)
             rep.add_check("killing-condition", cm.killing_ok, provenance=cm.provenance)
-            gmat = [[str(v) for v in row] for row in cm.g_inv]
+            rep.add_section("metric", [[str(v) for v in row] for row in cm.g_inv])
         except DegenerateCartanError:
             try:
                 fs = solve_invariant_frame(spec.constants, spec.generators, seed=seed)
             except (NoClosedFormError, NotSimplyTransitiveError) as e:
-                if spec.frame_vectors is not None:
-                    gmat = _metric_from_user_frame(spec, rep, seed)
-                else:
+                if spec.frame_vectors is None:
                     rep.add_check("invariant-frame", False, error=str(e))
                     rep.add_section(
                         "guidance",
@@ -282,21 +280,22 @@ def cmd_build_metric(args) -> int:
                     )
                     _emit(args, [rep.render()])
                     return EXIT_SOLVER_LIMIT
+                lmat = _user_frame_coefficients(spec, rep, seed)
             else:
                 rep.add_check("invariant-frame", True, base_point={k: str(v) for k, v in fs.base_point.items()})
-                metric = metric_from_frame(fs.L, spec.constants, spec.generators, seed=seed)
+                lmat = fs.L
+            if lmat is not None:
+                metric = metric_from_frame(lmat, spec.constants, spec.generators, seed=seed)
                 rep.add_check("killing-condition", metric.killing_ok(), rank=metric.rank,
                               provenance=metric.provenance)
-                gmat = [[ex.unparse(e) for e in row] for row in metric.g]
-        if gmat is not None:
-            rep.add_section("metric", gmat)
+                rep.add_section("metric", [[ex.unparse(e) for e in row] for row in metric.g])
     _emit(args, [rep.render()])
     return EXIT_OK if rep.ok else EXIT_CHECK_FAILED
 
 
-def _metric_from_user_frame(spec, rep, seed) -> list | None:
-    """The metric built from the model file's frame, or None after a failed
-    `invariant-frame` check."""
+def _user_frame_coefficients(spec, rep, seed) -> list | None:
+    """The coefficients L of the model file's frame, e_d = L^a_d xi_a, or
+    None after a failed `invariant-frame` check."""
     try:
         mu = _spec_frame(spec, seed)
     except FRAME_ERRORS as e:
@@ -310,11 +309,8 @@ def _metric_from_user_frame(spec, rep, seed) -> list | None:
     ximat = [list(g.comps) for g in spec.generators]
     emat = [list(v.comps) for v in mu.frame.vectors]
     lmat_t = [[ex.simplify(e) for e in row] for row in mat_mul(emat, mat_inverse(ximat))]
-    metric = metric_from_frame(list(zip(*lmat_t)), spec.constants, spec.generators, seed)
     rep.add_check("invariant-frame", True, provenance="user-supplied")
-    rep.add_check("killing-condition", metric.killing_ok(), rank=metric.rank,
-                  provenance=metric.provenance)
-    return [[ex.unparse(e) for e in row] for row in metric.g]
+    return list(zip(*lmat_t))
 
 
 # --- harmonics -----------------------------------------------------------------
@@ -533,13 +529,10 @@ def cmd_residual(args) -> int:
         op = models.bianchi2_model().op
     else:
         raise SchemaError("residual supports the built-in models so3 and bianchi2")
-    path = Path(args.tensor)
-    if not path.exists():
-        raise SchemaError(f"tensor file {args.tensor!r} not found")
+    doc, raw = read_json(args.tensor, f"tensor file {args.tensor!r} cannot be read")
     with _as_input_error("bad eigenvalue"):
         lam = parse(str(args.eigenvalue), [], [])
     with _as_input_error("bad tensor file"):
-        doc = json.loads(path.read_text())
         if "monomials" in doc:
             tens = assemble_from_json(op.frame, doc["monomials"])
         else:
@@ -547,7 +540,7 @@ def cmd_residual(args) -> int:
             comps = tuple(parse(s, op.chart.coords, []) for s in doc["components"])
             tens = TensorField(op.chart, p, q, comps)
     res = certify_eigen(op, tens, lam, seed)
-    rep = Report("residual", {"model": args.model, "tensor": args.tensor,
+    rep = Report("residual", {"model": args.model, "tensor": file_digest(raw),
                               "eigenvalue": ex.unparse(lam)}, seed)
     rep.add_check("eigen-residual", res.ok, **res.to_json())
     _emit(args, [rep.render()])
@@ -566,7 +559,7 @@ def main(argv=None) -> int:
         if args.seed is None:
             args.seed = _seed_default()
         return commands[args.command](args)
-    except (SchemaError, UndefinedPointError, TrialDivisionError) as e:
+    except (SchemaError, UndefinedPointError, TrialDivisionError, ex.ExpansionError) as e:
         print(f"input error: {e}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except (NoClosedFormError, NotSimplyTransitiveError, SeriesNotConvergedError) as e:

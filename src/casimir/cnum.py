@@ -9,8 +9,28 @@ small-integer arithmetic on machine ints.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt, lcm, log10
+
+
+# The interpreter's int-string limit, 4300 digits by default: the most digits a
+# literal may write, or a numerator or denominator of an exact power need
+DIGIT_LIMIT = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+
+
+def read_rational(text: str) -> Fraction:
+    """The rational a literal such as ``7``, ``1.5e-3`` or ``2/3`` writes, read
+    by ``fractions.Fraction``.  A literal whose length plus exponent passes
+    DIGIT_LIMIT raises ValueError before that."""
+    mant, _, expo = text.lower().partition("e")
+    try:
+        shift = abs(int(expo)) if expo else 0
+    except ValueError:
+        shift = 0  # Fraction refuses the literal
+    if len(mant) + shift > DIGIT_LIMIT:
+        raise ValueError(f"a literal may write at most {DIGIT_LIMIT} digits, counting its exponent")
+    return Fraction(text)
 
 
 def as_fraction(x) -> int | Fraction:
@@ -100,6 +120,14 @@ class CNum:
 
     def is_zero(self) -> bool:
         return not self.re and not self.im
+
+    def power_fits(self, k: int, digits: int) -> bool:
+        """Whether 1 + k log10 h <= digits, k >= 0, for h = max(|a| d + |c| b, b d),
+        self = a/b + i c/d: h^k bounds the numerators and denominators of self^k."""
+        re, im = self.re, self.im
+        h = max(abs(re.numerator) * im.denominator + abs(im.numerator) * re.denominator,
+                re.denominator * im.denominator)
+        return h == 1 or k <= (digits - 1) / log10(h)  # int-float comparison is exact
 
     def is_one(self) -> bool:
         return not self.im and self.re == 1

@@ -36,11 +36,13 @@ from ``complex(1.0)``, multiply by the coefficient (when it is not 1) and then
 by each factor, where the tree walk starts from the coefficient itself, the
 same value since no exact coefficient has a negative-zero part; powers go
 through `_ipow`, with ``cmath.sqrt`` for the half of a half-integer
-exponent.  Sums are accumulated one statement per term, so
-neither ``sum()`` (compensated from Python 3.12) nor a deeply nested infix
-chain is ever emitted.  A pole raises ``ZeroDivisionError`` from `_ipow`.
-Where two nodes would fail at one point, a grid program raises the error of
-the one in the outer loop, which the tree walk may reach second.
+exponent.  ``complex(1.0)`` times the coefficient is one constant, computed
+when the program is compiled, so a product opens on a factor.  Sums are
+accumulated one statement per term, so neither ``sum()`` (compensated from
+Python 3.12) nor a deeply nested infix chain is ever emitted.  A pole raises
+``ZeroDivisionError`` from `_ipow`.  Where two nodes would fail at one point,
+a grid program raises the error of the one in the outer loop, which the tree
+walk may reach second.
 """
 
 from __future__ import annotations
@@ -145,11 +147,11 @@ def compile_expr(e, varnames, grid: bool = False) -> Program:
             else:
                 emit(name, [base], f"{name} = _ipow({base}, {(p - 1) // 2}) * _sqrt({base})")
         elif tt is ex.Mul:
-            ops = [const(n.coef.to_complex())] if not n.coef.is_one() else []
+            # (1+0j) is complex(1.0); times a coefficient it is one constant
+            ops = ["(1+0j)" if n.coef.is_one() else const((1 + 0j) * n.coef.to_complex())]
             ops += [go(f) for f in n.factors]
             name = fresh()
-            emit(name, ops, f"{name} = (1+0j) * {ops[0]}",  # (1+0j) is complex(1.0)
-                 *(f"{name} *= {op}" for op in ops[1:]))
+            emit(name, ops, f"{name} = {ops[0]} * {ops[1]}", *(f"{name} *= {op}" for op in ops[2:]))
         else:
             ops = [go(t) for t in n.terms]
             name = fresh()

@@ -35,8 +35,9 @@ is idempotent.  In a simplified sum:
 The pass decomposes a sum once, lowers every (base, parity) class that fires
 in turn on that decomposition, and rebuilds the sum once; bases that are
 polynomials in one symbol or cosine are lowered and divided on coefficient
-lists, others through ``mul``.  Anything the kernel cannot prove zero falls
-back to numeric sampling in :mod:`casimir.numcheck`; the kernel builds,
+lists, others through ``mul``.  An expansion past ``EXPANSION_BOUND`` term
+products raises ``ExpansionError``.  Anything the kernel cannot prove zero
+falls back to numeric sampling in :mod:`casimir.numcheck`; the kernel builds,
 differentiates and prints expressions, and never evaluates them, which is
 :mod:`casimir.evalcore`'s job.
 
@@ -90,7 +91,7 @@ import operator
 from fractions import Fraction
 from math import gcd
 
-from .cnum import CN_I, CN_MINUS_ONE, CN_ONE, CNum, divisors, fraction_gcd, fraction_sqrt
+from .cnum import CN_I, CN_MINUS_ONE, CN_ONE, DIGIT_LIMIT, CNum, divisors, fraction_gcd, fraction_sqrt
 
 _FUNCTIONS = ("sin", "cos", "exp")
 
@@ -105,6 +106,17 @@ class EvalError(ExprError):
     def __init__(self, message, point=None):
         super().__init__(message)
         self.point = point
+
+
+# Most term products that multiplying out the sums of one product, or a power of a
+# coefficient list, may form.  Built-in families stay below 1,000; (1 + x)^3000 needs 9 M.
+EXPANSION_BOUND = 100_000
+_TOO_MANY_TERMS = f"expanding this power or product would form more than {EXPANSION_BOUND} term products"
+
+
+class ExpansionError(ExprError):
+    """An expansion past EXPANSION_BOUND term products, or an exact power of a
+    number whose numerators or denominators would pass `cnum.DIGIT_LIMIT` digits."""
 
 
 class Expr:
@@ -563,6 +575,8 @@ def _product(items):
         # polynomial powers of sums expand; half powers >= 3/2 shed one copy
         for b, e2 in list(pmap.items()):
             if type(b) is Add:
+                if e2 >> 1 > EXPANSION_BOUND:  # the copies of b to distribute, at once or shed
+                    raise ExpansionError(_TOO_MANY_TERMS)
                 if not e2 & 1 and e2 > 0:
                     del pmap[b]
                     pend.extend([b] * (e2 >> 1))
@@ -593,8 +607,13 @@ def _product(items):
     # Like monomials merge after each sum but the last (the caller's `_collect`
     # merges that one), so k copies of a two-term sum make O(k^2) products, not 2^k.
     pairs = [_coef_mono(base_expr)]
+    work = 0  # term products of two sums; the first sum only scales the rest
     for i, a in enumerate(pend):
         parts = [_coef_mono(t) for t in a.terms]
+        if i:
+            work += len(pairs) * len(parts)
+            if work > EXPANSION_BOUND:
+                raise ExpansionError(_TOO_MANY_TERMS)
         nxt = []
         for c1, m1 in pairs:
             for c2, m2 in parts:
@@ -686,9 +705,7 @@ def _power(b: Expr, e2: int) -> Expr:
                 f"only integer and half-integer exponents are supported, got {Fraction(p, 4)}")
         return _power(b.base, p >> 1)
     if tt is Add:
-        if not e2 & 1 and e2 > 0:
-            return mul(*([b] * (e2 >> 1)))
-        return _add_power(b, e2)
+        return _atom_power(b, e2) if not e2 & 1 and e2 > 0 else _add_power(b, e2)
     if tt is Fun and b.fname == "exp":
         return fun("exp", mul(Num(CNum(_exp_value(e2))), b.arg))
     if tt is Fun and b.fname == "sin" and _sin_peels(e2):
@@ -698,6 +715,8 @@ def _power(b: Expr, e2: int) -> Expr:
 
 def _num_power(v: CNum, e2: int) -> Expr:
     """v^(e2/2), exact; a half-integer power goes through `_assemble`'s radicand."""
+    if abs(e2) > 3 and not v.power_fits(abs(e2) >> 1, DIGIT_LIMIT):
+        raise ExpansionError(f"an exact power would need more than {DIGIT_LIMIT} digits")
     if not e2 & 1:
         return Num(v ** (e2 >> 1))
     if v.is_zero():
@@ -718,18 +737,13 @@ def _add_power(b: Add, e2: int) -> Expr:
         out.append(_num_power(lead, e2))
         for base, mult in factors:
             fe2 = mult * e2
-            if isinstance(base, Add):
-                if not fe2 & 1 and fe2 > 0:
-                    out.append(mul(*([base] * (fe2 >> 1))))
-                else:
-                    out.append(_atom_power(base, fe2))
-            else:
-                out.append(_power(base, fe2))
+            out.append(_atom_power(base, fe2) if isinstance(base, Add) else _power(base, fe2))
     return mul(*out)
 
 
 def _atom_power(prim: Add, e2: int) -> Expr:
-    # route through mul so the >=3/2 shedding and cos pairing rules apply
+    # route through mul so its rules apply: a positive integer power expands,
+    # a half power >= 3/2 sheds copies, and half powers of 1 -/+ cos pair
     return mul(_pow(prim, e2))
 
 
@@ -754,8 +768,8 @@ def _primitive_sum(b: Add) -> tuple[CNum, Add]:
 
 
 def _univariate(b: Add):
-    """(x, {degree: rational coefficient}) when the sum b is a polynomial with
-    real rational coefficients in one symbol or non-exp function atom x,
+    """(x, ascending rational coefficients) when the sum b is a polynomial
+    with real rational coefficients in one symbol or non-exp function atom x,
     otherwise None."""
     kernel = None
     coeffs: dict[int, Fraction] = {}
@@ -786,7 +800,7 @@ def _univariate(b: Add):
         coeffs[deg] = coeffs.get(deg, 0) + c.re
     if kernel is None:
         return None
-    return kernel, coeffs
+    return kernel, [coeffs.get(d, 0) for d in range(max(coeffs) + 1)]
 
 
 def _factor_poly(b: Add):
@@ -799,23 +813,13 @@ def _factor_poly(b: Add):
     parts = _univariate(b)
     if parts is None:
         return None
-    kernel, coeffs = parts
-    degree = max(coeffs)
-    if degree < 2:
+    kernel, poly = parts
+    if len(poly) < 3:
         return None
-    poly = [Fraction(coeffs.get(d, 0)) for d in range(degree + 1)]
-
+    roots = rational_roots(poly)  # the root 0, as kernel^m, comes first
+    if not roots:
+        return None
     factors: list[tuple[Expr, int]] = []
-    # strip kernel^m
-    low = 0
-    while poly[low] == 0:
-        low += 1
-    if low:
-        poly = poly[low:]
-        factors.append((kernel, low))
-    roots = _rational_roots(poly)
-    if not roots and not factors:
-        return None
     lead = Fraction(1)
     for r, mult in roots:
         # orient the linear factor so its constant (or leading) part is positive
@@ -824,19 +828,15 @@ def _factor_poly(b: Add):
             lead *= Fraction(-1) ** mult
         elif r < 0:
             base = add(kernel, Num(CNum(-r)))  # (k + |r|)
-        else:  # pragma: no cover - zero roots stripped above
-            continue
+        else:
+            base = kernel
         factors.append((base, mult))
     # remainder polynomial
     rem_deg = len(poly) - 1
     if rem_deg == 0:
         lead *= poly[0]
     else:
-        rem_terms = []
-        for d, c in enumerate(poly):
-            if c:
-                rem_terms.append(mul(Num(CNum(c)), power(kernel, d)))
-        rem = add(*rem_terms)
+        rem = polynomial(poly, kernel)
         scale, prim = _primitive_sum(rem) if isinstance(rem, Add) else (CN_ONE, rem)
         if not scale.is_one():
             lead *= scale.re
@@ -846,8 +846,9 @@ def _factor_poly(b: Add):
     return CNum(lead), factors
 
 
-def _rational_roots(poly: list[Fraction]) -> list[tuple[Fraction, int]]:
-    """Rational roots (with multiplicity) of poly, destructively deflating it."""
+def rational_roots(poly: list) -> list[tuple[Fraction, int]]:
+    """Rational roots, with multiplicity, of the ascending rational coefficients
+    `poly`, deflating it in place to the cofactor that has none of them."""
     found: list[tuple[Fraction, int]] = []
 
     def record(r):
@@ -894,6 +895,35 @@ def _deflate(poly: list, r) -> list:
     out[n - 1] = poly[n]
     for d in range(n - 2, -1, -1):
         out[d] = poly[d + 1] + r * out[d + 1]
+    return out
+
+
+# coefficient lists: the one toolkit for ascending int, Fraction or CNum coefficients
+
+
+def polynomial(coeffs, x: Expr) -> Expr:
+    """The sum of c_k x^k over the ascending rational coefficients `coeffs`."""
+    return sum_of_products([(Num(CNum(c)), power(x, k)) for k, c in enumerate(coeffs) if c])
+
+
+def poly_mul(p: list, q: list) -> list:
+    """Ascending coefficients of p * q."""
+    out = [None] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for k, b in enumerate(q):
+            c = a * b
+            got = out[i + k]
+            out[i + k] = c if got is None else got + c
+    return out
+
+
+def poly_pow(p: list, d: int) -> list:
+    """p^d, d >= 0; its d products form len(p) * (d + deg p * d(d - 1)/2) term products."""
+    if len(p) * (d + (len(p) - 1) * d * (d - 1) // 2) > EXPANSION_BOUND:
+        raise ExpansionError(_TOO_MANY_TERMS)
+    out = [p[-1] ** 0]  # one, of the coefficients' type
+    for _ in range(d):
+        out = poly_mul(out, p)
     return out
 
 
@@ -1158,7 +1188,7 @@ def _atom_poly(base: Add):
     x, coeffs = parts
     if type(x) is Fun and x.fname != "cos":
         return None
-    return x, [CNum(coeffs.get(d, 0)) for d in range(max(coeffs) + 1)]
+    return x, [CNum(c) for c in coeffs]
 
 
 def _lower_poly_class(items: dict, base: Add, x: Expr, bpoly: list, odd: int, target: int,
@@ -1194,7 +1224,7 @@ def _lower_poly_class(items: dict, base: Add, x: Expr, bpoly: list, odd: int, ta
         d = (cur - target) >> 1
         bp = powers.get(d)
         if bp is None:
-            bp = powers[d] = _poly_pow(bpoly, d)
+            bp = powers[d] = poly_pow(bpoly, d)
         lifted = lifted or d > 0
         poly = groups.setdefault((tuple(rest), xe2 & 1), {})
         j0 = xe2 >> 1
@@ -1241,18 +1271,6 @@ def _lower_poly_class(items: dict, base: Add, x: Expr, bpoly: list, odd: int, ta
 
 
 _CN_ZERO = CNum(0)
-
-
-def _poly_pow(p: list, d: int) -> list:
-    """Ascending coefficients of p^d, d >= 0."""
-    out = [CN_ONE]
-    for _ in range(d):
-        nxt = [_CN_ZERO] * (len(out) + len(p) - 1)
-        for i, a in enumerate(out):
-            for k, b in enumerate(p):
-                nxt[i + k] = nxt[i + k] + a * b
-        out = nxt
-    return out
 
 
 def _lower_class(items: dict, base: Add, odd: int, target: int) -> dict:

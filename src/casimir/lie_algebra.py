@@ -9,15 +9,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .cnum import read_rational
 from .record import FrozenRecord
 
 
 class DegenerateCartanError(Exception):
     """The Cartan tensor has no inverse; use a frame-built metric instead."""
-
-
-def _zeros(r: int):
-    return [[Fraction(0)] * r for _ in range(r)]
 
 
 class StructureConstants(FrozenRecord):
@@ -55,15 +52,11 @@ class StructureConstants(FrozenRecord):
             k, i, j = ent["k"] - 1, ent["i"] - 1, ent["j"] - 1
             if not (0 <= k < r and 0 <= i < r and 0 <= j < r):
                 raise ValueError(f"index out of range in entry {ent}")
-            v = Fraction(ent["value"])
+            val = ent["value"]
+            v = read_rational(val) if isinstance(val, str) else Fraction(val)
             put(k, i, j, v)
             put(k, j, i, -v)
-        arr = [
-            [[dense[k][i][j] if dense[k][i][j] is not None else Fraction(0) for j in range(r)]
-             for i in range(r)]
-            for k in range(r)
-        ]
-        return StructureConstants.from_dense(arr)
+        return StructureConstants.from_dense([[[v or 0 for v in row] for row in plane] for plane in dense])
 
 
 class ValidationReport(FrozenRecord):
@@ -120,7 +113,7 @@ class CartanTensor(FrozenRecord):
 def cartan_tensor(sc: StructureConstants) -> CartanTensor:
     """g_ik = (1/2) C^l_ij C^j_lk, with rank and the ad-invariance identity."""
     r, c = sc.r, sc.c
-    g = _zeros(r)
+    g = [[Fraction(0)] * r for _ in range(r)]
     for i in range(r):
         for k in range(r):
             tot = Fraction(0)
@@ -170,51 +163,36 @@ def invert_cartan(ct: CartanTensor, sc: StructureConstants) -> ConstantMetric:
 # --- exact linear algebra -------------------------------------------------
 
 
-def matrix_rank(m) -> int:
-    """Rank by fraction-free Gaussian elimination."""
+def _gauss_jordan(m) -> tuple[list, list]:
+    """Exact Gauss-Jordan elimination of a rational matrix: its reduced row
+    echelon form, each pivot scaled to 1, and the pivot columns."""
     a = [list(map(Fraction, row)) for row in m]
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    rank = 0
-    row = 0
-    for col in range(cols):
-        piv = None
-        for rr in range(row, rows):
-            if a[rr][col] != 0:
-                piv = rr
-                break
+    pivots = []
+    for col in range(len(a[0]) if a else 0):
+        row = len(pivots)
+        piv = next((rr for rr in range(row, len(a)) if a[rr][col] != 0), None)
         if piv is None:
             continue
         a[row], a[piv] = a[piv], a[row]
-        for rr in range(rows):
+        pivval = a[row][col]
+        a[row] = [x / pivval for x in a[row]]
+        for rr in range(len(a)):
             if rr != row and a[rr][col] != 0:
-                f = a[rr][col] / a[row][col]
+                f = a[rr][col]
                 a[rr] = [x - f * y for x, y in zip(a[rr], a[row])]
-        row += 1
-        rank += 1
-        if row == rows:
-            break
-    return rank
+        pivots.append(col)
+    return a, pivots
+
+
+def matrix_rank(m) -> int:
+    return len(_gauss_jordan(m)[1])
 
 
 def matrix_inverse(m):
     n = len(m)
-    a = [list(map(Fraction, row)) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(m)]
-    for col in range(n):
-        piv = None
-        for rr in range(col, n):
-            if a[rr][col] != 0:
-                piv = rr
-                break
-        if piv is None:
-            raise DegenerateCartanError("matrix is singular")
-        a[col], a[piv] = a[piv], a[col]
-        pivval = a[col][col]
-        a[col] = [x / pivval for x in a[col]]
-        for rr in range(n):
-            if rr != col and a[rr][col] != 0:
-                f = a[rr][col]
-                a[rr] = [x - f * y for x, y in zip(a[rr], a[col])]
+    a, pivots = _gauss_jordan([list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)])
+    if pivots != list(range(n)):
+        raise DegenerateCartanError("matrix is singular")
     return [row[n:] for row in a]
 
 

@@ -16,6 +16,7 @@ from pathlib import Path
 
 from . import expr as ex
 from . import numcheck as nc
+from .cnum import read_rational
 from .lie_algebra import StructureConstants
 from .parser import ParseError, parse
 from .record import Record
@@ -86,7 +87,7 @@ def _need(doc: dict, key: str, kind, where: str):
     if key not in doc:
         raise SchemaError(f"missing {key!r} in {where}")
     val = doc[key]
-    if not isinstance(val, kind):
+    if not isinstance(val, kind) or type(val) is bool:  # bool is an int, but true is no count
         raise SchemaError(f"{where}.{key} must be {kind.__name__}, got {type(val).__name__}")
     return val
 
@@ -120,15 +121,21 @@ def load_model(ref: str) -> ModelSpec:
     """Load a built-in model by name or a model file by path."""
     if ref in BUILTIN_MODELS:
         return model_from_dict(BUILTIN_MODELS[ref], source=f"builtin:{ref}")
-    path = Path(ref)
-    if not path.exists():
-        raise SchemaError(f"model {ref!r} is neither built in nor a readable file")
-    raw = path.read_bytes()
-    try:
-        doc = json.loads(raw)
-    except (json.JSONDecodeError, UnicodeDecodeError) as e:
-        raise SchemaError(f"invalid JSON in {ref}: {e}") from None
+    doc, raw = read_json(ref, f"model {ref!r} is neither built in nor a readable file")
     return model_from_dict(doc, source=file_digest(raw))
+
+
+def read_json(path: str, unreadable: str) -> tuple:
+    """The JSON document in the file at `path` and its bytes; SchemaError if
+    the file cannot be read (with the message `unreadable`) or decoded."""
+    try:
+        raw = Path(path).read_bytes()
+    except (OSError, ValueError) as e:  # ValueError: a NUL in the path
+        raise SchemaError(f"{unreadable} ({e})") from None
+    try:
+        return json.loads(raw), raw
+    except (ValueError, RecursionError) as e:  # bad JSON or UTF-8, or nested too deep
+        raise SchemaError(f"invalid JSON in {path}: {e}") from None
 
 
 def model_from_dict(doc: dict, source: str) -> ModelSpec:
@@ -244,9 +251,9 @@ def _validate_box_against_loci(chart: Chart):
 def parse_rational(text, what: str) -> Fraction:
     """A rational label, given as text or a number; `what` names it in errors."""
     try:
-        return Fraction(str(text))
-    except (ValueError, ZeroDivisionError):
-        raise SchemaError(f"{what} must be rational, got {text!r}") from None
+        return read_rational(str(text))
+    except (ValueError, ZeroDivisionError) as e:
+        raise SchemaError(f"{what} must be rational: {e}") from None
 
 
 def parse_label(text, what: str) -> float:
@@ -265,14 +272,7 @@ def file_digest(raw: bytes) -> str:
 
 def load_family(path: str) -> tuple[dict, str]:
     """The family document at `path` and its `file_digest`."""
-    p = Path(path)
-    if not p.exists():
-        raise SchemaError(f"family file {path!r} not found")
-    raw = p.read_bytes()
-    try:
-        doc = json.loads(raw)
-    except (json.JSONDecodeError, UnicodeDecodeError) as e:
-        raise SchemaError(f"invalid JSON in {path}: {e}") from None
+    doc, raw = read_json(path, f"family file {path!r} cannot be read")
     if not isinstance(doc, dict):
         raise SchemaError("family document must be a JSON object")
     for key in ("model", "kind", "labels", "eigenvalues", "components", "certificates"):

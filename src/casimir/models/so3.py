@@ -36,7 +36,6 @@ from fractions import Fraction
 
 from .. import expr as ex
 from .. import numcheck as nc
-from ..cnum import CNum
 from ..lie_algebra import StructureConstants
 from ..modelio import SchemaError, load_model
 from ..operator import (
@@ -153,9 +152,7 @@ class So3Model:
         fam = self._families.get((l, n))
         if fam is None:
             a, eps = divmod(l - n, 2)
-            p = [c.re for c in ex._poly_pow([CNum(1), CNum(-1)], a)]
-            for _ in range((l + n) // 2):
-                p = [u + v for u, v in zip(p + [0], [0] + p)]  # times 1 + x
+            p = ex.poly_mul(ex.poly_pow([1, -1], a), ex.poly_pow([1, 1], (l + n) // 2))
             fam = {l: (p, eps, 1)}
             for m in range(l, -l, -1):
                 fam[m - 1] = _lower(l, n, m, *fam[m])
@@ -168,11 +165,9 @@ class So3Model:
         t = self._members.get(key)
         if t is None:
             p, eps, norm = self._family(l, n)[m]
-            x = ex.cos(THETA)
-            poly = ex.add(*(ex.mul(ex.num(c), ex.power(x, k)) for k, c in enumerate(p) if c))
             t = self._members[key] = ex.simplify(ex.mul(
                 ex.power(ex.num(norm), Fraction(-1, 2)), ex.exp(ex.mul(ex.num(0, m), PHI)),
-                ex.power(ex.sin(THETA), eps), poly))
+                ex.power(ex.sin(THETA), eps), ex.polynomial(p, ex.cos(THETA))))
         return t
 
     def ladder_coefficient(self, l: int, m: int, s: int) -> ex.Expr:

@@ -98,7 +98,8 @@ def is_zero(e: ex.Expr, box: dict, seed: int = 0) -> ZeroReport:
 
     Symbolically zero when simplification reaches the 0 literal; otherwise
     numerically zero when max |e| < REL_TOL * (1 + max term magnitude) over
-    NUM_POINTS samples; otherwise nonzero with a witness point.
+    NUM_POINTS samples; otherwise nonzero with a witness point.  A constant is
+    evaluated once, at the empty point, against REL_TOL alone, with scale 1.0.
     """
     s = ex.simplify(e)
     if s == ex.ZERO:
@@ -107,16 +108,7 @@ def is_zero(e: ex.Expr, box: dict, seed: int = 0) -> ZeroReport:
     missing = [n for n in names if n not in box]
     if missing:
         raise ex.EvalError(f"no sampling interval for symbols {missing}")
-    if not names:
-        try:
-            v = abs(evalcore.compile_expr(s, ()).run([()])[0])
-        except OverflowError:
-            raise UndefinedPointError("constant overflowed floating point", {}) from None
-        if v < REL_TOL:
-            return ZeroReport(Verdict.NUMERIC_ZERO, max_abs=v, scale=1.0)
-        return ZeroReport(Verdict.NONZERO, witness={}, max_abs=v, scale=1.0)
-
-    envs = sample_box({n: box[n] for n in names}, NUM_POINTS, seed)
+    envs = sample_box({n: box[n] for n in names}, NUM_POINTS, seed) if names else [{}]
     terms = s.terms if type(s) is ex.Add else (s,)
     try:
         prog = evalcore.compile_expr(terms, names)  # one function: the term values per point
@@ -139,9 +131,13 @@ def is_zero(e: ex.Expr, box: dict, seed: int = 0) -> ZeroReport:
             tot += v
             scale = max(scale, abs(v))
         a = abs(tot)
-        if a > max_total:
+        if a > max_total or a != a:  # a NaN is never zero
             max_total, witness = a, env
-    if max_total < REL_TOL * (1.0 + scale):
+    if names:
+        tol = REL_TOL * (1.0 + scale)
+    else:  # a constant
+        tol, scale = REL_TOL, 1.0
+    if max_total < tol:
         return ZeroReport(Verdict.NUMERIC_ZERO, max_abs=max_total, scale=scale)
     return ZeroReport(Verdict.NONZERO, witness=witness, max_abs=max_total, scale=scale)
 

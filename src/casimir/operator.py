@@ -160,14 +160,15 @@ def reduce_to_scalar(op: CasimirOperator, upper: tuple = (), lower: tuple = ()) 
     """Scalar operator acting on the (upper, lower) monomial component.
 
     The 1x1 case of G's component matrix, g^{ik} (xi_i - phi_i)(xi_k - phi_k);
-    with all scale factors zero, and with no legs at all, this is the plain
-    scalar Casimir operator K = g^{ik} xi_i xi_k."""
+    with all scale factors zero this is the plain scalar Casimir operator
+    K = g^{ik} xi_i xi_k, which a scalar (no legs) gets as it is."""
+    if not upper and not lower:
+        return _scalar_casimir(op)
     key = ("reduced", tuple(upper), tuple(lower))
     if key not in op._matrices:
         phis = [_weight(op, upper, lower, i) for i in range(op.r)]
         entries = _compose(op, [({0: ex.neg(phi)} if phi != ex.ZERO else {},) for phi in phis])[0]
-        # with no legs, keep K as _compose stored it
-        op._matrices.setdefault(key, entries[0][1] if entries else ScalarOperator(op.chart, ()))
+        op._matrices[key] = entries[0][1] if entries else ScalarOperator(op.chart, ())
     return op._matrices[key]
 
 
@@ -295,6 +296,8 @@ def assemble_from_json(frame: Frame, monomials) -> TensorField:
     its parameters (the amplitudes)."""
     if not monomials:
         raise ValueError("an assembly needs at least one monomial")
+    if any(len(mo["upper"]) + len(mo["lower"]) > 4 for mo in monomials):  # `assemble` builds d^legs components
+        raise ValueError("an assembly monomial has at most 4 legs")
     chart = frame.chart
     legs = {name: a for a, name in enumerate(frame.names)}
     monos = [

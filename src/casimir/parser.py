@@ -8,20 +8,23 @@ Grammar (EBNF)::
     power   := primary ('^' unary)?
     primary := NUMBER | 'i' | NAME '(' expr ')' | NAME | '(' expr ')'
     NUMBER  := digits ['.' digits] [('e'|'E') ['+'|'-'] digits]
+    digits  := decimal digits, as str.isdecimal() tests them
 
 Exponents must constant-fold to an integer or half-integer rational.
-Numeric literals are exact (decimals become rationals).  Functions are
-sin, cos, cot, exp, sqrt; `i` is the imaginary unit.  Any other name must
-be a declared coordinate or parameter.
+Numeric literals are exact (`cnum.read_rational` reads them).  Functions are
+sin, cos, cot, exp, sqrt; `i` is the imaginary unit.  Any other name must be
+a declared coordinate or parameter.  Signs, parentheses, function arguments
+and exponents nest at most MAX_NESTING levels deep.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from . import expr as ex
+from .cnum import read_rational
 
 _FUNCTION_NAMES = ("sin", "cos", "cot", "exp", "sqrt")
+# deepest nesting, well inside the interpreter's recursion limit of 1000 frames
+MAX_NESTING = 100
 
 
 class ParseError(Exception):
@@ -49,21 +52,21 @@ def _tokenize(text: str) -> list[_Token]:
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and text[i + 1].isdigit()):
+        if ch.isdecimal() or (ch == "." and i + 1 < n and text[i + 1].isdecimal()):
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             if j < n and text[j] == ".":
                 j += 1
-                while j < n and text[j].isdigit():
+                while j < n and text[j].isdecimal():
                     j += 1
             if j < n and text[j] in "eE":
                 k = j + 1
                 if k < n and text[k] in "+-":
                     k += 1
-                if k < n and text[k].isdigit():
+                if k < n and text[k].isdecimal():
                     j = k
-                    while j < n and text[j].isdigit():
+                    while j < n and text[j].isdecimal():
                         j += 1
             out.append(_Token("num", text[i:j], i))
             i = j
@@ -84,23 +87,12 @@ def _tokenize(text: str) -> list[_Token]:
     return out
 
 
-def _number_fraction(text: str) -> Fraction:
-    mant, _, expo = text.lower().partition("e")
-    if "." in mant:
-        whole, frac = mant.split(".")
-        base = Fraction(int(whole or "0")) + Fraction(int(frac or "0"), 10 ** len(frac))
-    else:
-        base = Fraction(int(mant))
-    if expo:
-        base *= Fraction(10) ** int(expo)
-    return base
-
-
 class _Parser:
     def __init__(self, text: str, names: set[str]):
         self.toks = _tokenize(text)
         self.i = 0
         self.names = names
+        self.depth = 0  # open `unary` calls
 
     def peek(self) -> _Token:
         return self.toks[self.i]
@@ -144,13 +136,16 @@ class _Parser:
 
     def unary(self) -> ex.Expr:
         t = self.peek()
-        if t.kind == "-":
+        self.depth += 1  # each sign, parenthesis, function argument and exponent nests here
+        if self.depth > MAX_NESTING:
+            raise ParseError(f"expression nests deeper than {MAX_NESTING} levels", t.pos)
+        if t.kind in ("+", "-"):
             self.take()
-            return ex.neg(self.unary())
-        if t.kind == "+":
-            self.take()
-            return self.unary()
-        return self.power()
+            e = ex.neg(self.unary()) if t.kind == "-" else self.unary()
+        else:
+            e = self.power()
+        self.depth -= 1
+        return e
 
     def power(self) -> ex.Expr:
         base = self.primary()
@@ -169,7 +164,10 @@ class _Parser:
     def primary(self) -> ex.Expr:
         t = self.take()
         if t.kind == "num":
-            return ex.num(_number_fraction(t.value))
+            try:
+                return ex.num(read_rational(t.value))
+            except ValueError as err:  # too many digits
+                raise ParseError(str(err), t.pos) from None
         if t.kind == "(":
             e = self.expr()
             self.expect(")")

@@ -336,7 +336,7 @@ def expm_rational(a, t: ex.Expr):
     """Symbolic exp(A t) for a rational matrix with rational spectrum."""
     n = len(a)
     coeffs = _char_poly(a)
-    roots = ex._rational_roots(list(coeffs))
+    roots = ex.rational_roots(list(coeffs))
     lams = []
     for r, mult in roots:
         lams.extend([r] * mult)
@@ -354,27 +354,12 @@ def expm_rational(a, t: ex.Expr):
     for j in range(1, n):
         rs.append(_polyexp_integrate(rs[-1], lams[j]))
 
-    def polyexp_expr(terms: dict) -> ex.Expr:
-        parts = []
-        for rho, poly in terms.items():
-            ppart = ex.add(
-                *[ex.mul(ex.num(c), ex.power(t, k)) for k, c in enumerate(poly) if c != 0]
-            )
-            if rho != 0:
-                ppart = ex.mul(ppart, ex.exp(ex.mul(ex.num(rho), t)))
-            parts.append(ppart)
-        return ex.add(*parts)
-
-    r_exprs = [polyexp_expr(r) for r in rs]
-    out = [[ex.ZERO] * n for _ in range(n)]
-    for j in range(n):
-        for i in range(n):
-            for k in range(n):
-                if p_mats[j][i][k] != 0:
-                    out[i][k] = ex.add(
-                        out[i][k], ex.mul(ex.num(p_mats[j][i][k]), r_exprs[j])
-                    )
-    return [[ex.simplify(e) for e in row] for row in out]
+    # r_j(t) = sum over rho of e^{rho t} poly(t); exp(A t) = sum_j r_j(t) P_j
+    r_exprs = [ex.sum_of_products((ex.polynomial(poly, t), ex.exp(ex.mul(ex.num(rho), t)))
+                                  for rho, poly in r.items()) for r in rs]
+    return [[ex.simplify(ex.sum_of_products((ex.num(p_mats[j][i][k]), r_exprs[j])
+                                            for j in range(n) if p_mats[j][i][k] != 0))
+             for k in range(n)] for i in range(n)]
 
 
 def _single_axis(g: VectorField):

@@ -106,9 +106,9 @@ class TensorField(FrozenRecord):
         for n in (p, q):
             if type(n) is not int or n < 0:
                 raise ValueError(f"tensor type needs non-negative integers, got ({p!r}, {q!r})")
-        want = chart.dim ** (p + q)
-        if len(comps) != want:
-            raise ValueError(f"need {want} components, got {len(comps)}")
+        # dim^(p+q) > len(comps) once p + q passes its bit length: no need to compute it
+        if chart.dim > 1 and p + q > len(comps).bit_length() or len(comps) != chart.dim ** (p + q):
+            raise ValueError(f"need {chart.dim}^{p + q} components, got {len(comps)}")
         super().__init__(chart, p, q, comps)
 
     def flat(self, idx: tuple) -> int:

@@ -126,6 +126,30 @@ class TestVerify:
     def test_needs_exactly_one_input(self):
         assert main(["verify"]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ("verify", "--model"), ("verify", "--family"), ("build-metric", "--model"),
+        ("residual", "--model", "so3", "--eigenvalue", "-2", "--tensor"),
+    ], ids=lambda argv: " ".join(argv[:1] + argv[-1:]))
+    def test_a_directory_is_an_input_error(self, capsys, tmp_path, argv):
+        assert_input_error(capsys, *argv, str(tmp_path))
+
+    @pytest.mark.parametrize("command", ["verify", "build-metric"])
+    def test_algebra_dimension_must_not_be_a_bool(self, capsys, tmp_path, command):
+        doc = {"chart": {"coords": ["x"]}, "structure_constants": {"r": True, "C": []}, "generators": [["1"]]}
+        assert "structure_constants.r must be int" in assert_input_error(
+            capsys, command, "--model", model_file(tmp_path, doc))
+
+    @pytest.mark.parametrize("text", [
+        "(" * 400 + "1" + ")" * 400, "\u00b2", "1e99999999", "1" * 5000, "(1+v)^3000", "sin(v)^2000",
+        "9^9999999",
+    ], ids=["nesting", "superscript", "exponent", "digits", "power", "sin-power", "exact-power"])
+    def test_expression_text_bounds_are_input_errors(self, capsys, tmp_path, text):
+        doc = json.loads(json.dumps(BUILTIN_MODELS["bianchi2"]))
+        doc["generators"][1][0] = text
+        start = time.perf_counter()
+        assert_input_error(capsys, "verify", "--model", model_file(tmp_path, doc))
+        assert time.perf_counter() - start < 5
+
     @pytest.mark.parametrize("theta", [[-1, 1], [-1, 2], [0.5, 3.5]])
     def test_domain_must_keep_to_one_side_of_each_locus(self, capsys, tmp_path, theta):
         # [-1, 1] has its centre on sin(theta) = 0; the others straddle a zero
@@ -178,6 +202,14 @@ class TestVerify:
         doc["structure_constants"]["C"][0]["value"] = "1/0"  # was a ZeroDivisionError
         assert "bad structure constants" in assert_input_error(
             capsys, command, "--model", model_file(tmp_path, doc))
+
+    @pytest.mark.parametrize("value", ["1e99999999", "1" * 5000])
+    def test_structure_constant_literal_size_is_bounded(self, capsys, tmp_path, value):
+        doc = json.loads(json.dumps(BUILTIN_MODELS["so3"]))
+        doc["structure_constants"]["C"][0]["value"] = value
+        start = time.perf_counter()
+        assert "digits" in assert_input_error(capsys, "verify", "--model", model_file(tmp_path, doc))
+        assert time.perf_counter() - start < 5
 
     def test_algebra_dimension_is_checked_against_the_generators_first(self, capsys, tmp_path):
         doc = json.loads(json.dumps(BUILTIN_MODELS["abelian"]))
@@ -392,6 +424,16 @@ class TestHarmonics:
         argv = {"--mu": "0", "--nu": "0", "--lam": "1", flag: value}
         assert_input_error(capsys, "harmonics", "bianchi2", "--hyper",
                            *[x for kv in argv.items() for x in kv])
+
+    @pytest.mark.parametrize("argv", [
+        ("--point-series", "--n", "2", "--m", "0", "--nu=1e99999999"),
+        ("--point-series", "--n", "2", "--m", "0", "--nu=" + "1" * 5000),
+        ("--hyper", "--mu=1e99999999", "--nu", "0", "--lam", "1"),
+    ], ids=["exponent", "digits", "hyper-exponent"])
+    def test_label_literal_size_is_bounded(self, capsys, argv):
+        start = time.perf_counter()
+        assert "digits" in assert_input_error(capsys, "harmonics", "bianchi2", *argv)
+        assert time.perf_counter() - start < 5
 
     @pytest.mark.parametrize("labels", [
         ("--l", "100000000000000000000"),
@@ -953,8 +995,84 @@ class TestReduceAndResidual:
         '{"type": [0, 0], "components": ["cot(phi-phi)"]}',
         '{"type": [0, 0], "components": ["exp(exp(exp(theta)))"]}',
         '{"type": [0, 0], "components": ["exp(exp(exp(3)))"]}',
+        '{"type": [1180591620717411303423, 0], "components": ["1"]}',  # 3^(2^70) components: was a hang
     ])
     def test_residual_bad_tensor_file(self, capsys, tmp_path, text):
         p = tmp_path / "t.json"
         p.write_text(text)
         assert_input_error(capsys, "residual", "--model", "so3", "--tensor", str(p), "--eigenvalue", "-2")
+
+    @pytest.mark.parametrize("eigenvalue", [
+        "(" * 400 + "1" + ")" * 400, "-" * 1000 + "1", "\u00b2", "1e99999999", "1" * 5000, "sin(1)^2000",
+        "9^9999999",
+    ], ids=["nesting", "signs", "superscript", "exponent", "digits", "sin-power", "exact-power"])
+    def test_residual_eigenvalue_text_bounds(self, capsys, tmp_path, eigenvalue):
+        p = tmp_path / "t.json"
+        p.write_text(json.dumps({"type": [0, 0], "components": ["cos(theta)"]}))
+        start = time.perf_counter()
+        assert_input_error(capsys, "residual", "--model", "so3", "--tensor", str(p), f"--eigenvalue={eigenvalue}")
+        assert time.perf_counter() - start < 5
+
+    def test_residual_names_its_tensor_file_by_digest(self, capsys, tmp_path):
+        """The same tensor bytes in two directories give one report digest."""
+        text = json.dumps({"type": [0, 0], "components": ["cos(theta)"]})
+        docs = []
+        for d in ("a", "b"):
+            (tmp_path / d).mkdir()
+            (tmp_path / d / "t.json").write_text(text)
+            argv = ("residual", "--model", "so3", "--tensor", str(tmp_path / d / "t.json"), "--eigenvalue", "-2")
+            docs.append(json.loads(run(capsys, *argv)[1]))
+        assert docs[0]["digest"] == docs[1]["digest"]
+        assert docs[0]["inputs"]["tensor"] == "sha256:" + hashlib.sha256(text.encode()).hexdigest()
+
+
+# Jacobi fails: [e1, e2] = e3, [e2, e3] = e1 and [e3, e1] = e1
+JACOBI_VIOLATING = {**BUILTIN_MODELS["abelian"], "structure_constants": {"r": 3, "C": [
+    {"k": 3, "i": 1, "j": 2, "value": "1"}, {"k": 1, "i": 2, "j": 3, "value": "1"},
+    {"k": 1, "i": 3, "j": 1, "value": "1"}]}}
+
+
+def _family_missing_a_certificate(tmp_path) -> str:
+    """An so3 scalar family document whose `axis-eigenvalue m=0` was deleted."""
+    p = tmp_path / "fam.json"
+    assert main(["harmonics", "so3", "--l", "1", "--out", str(p)]) == 0
+    doc = json.loads(p.read_text())
+    doc["certificates"] = [c for c in doc["certificates"] if c["name"] != "axis-eigenvalue m=0"]
+    p.write_text(json.dumps(doc))
+    return str(p)
+
+
+# argv builders of CLI error paths, by the exit code each must give
+ERROR_PATHS = {
+    "so3 without --l": (2, lambda tmp: ["harmonics", "so3"]),
+    "unsupported tensor type": (2, lambda tmp: ["harmonics", "so3", "--type", "1,1", "--l", "1"]),
+    "hyper without --lam": (2, lambda tmp: ["harmonics", "bianchi2", "--hyper", "--mu", "0", "--nu", "0"]),
+    "point series without --nu": (2, lambda tmp: ["harmonics", "bianchi2", "--point-series", "--n", "2",
+                                                  "--m", "0"]),
+    "bianchi2 without a mode": (2, lambda tmp: ["harmonics", "bianchi2"]),
+    "residual on a model file": (2, lambda tmp: ["residual", "--model", "abelian", "--tensor", "t.json",
+                                                 "--eigenvalue", "0"]),
+    "missing tensor file": (2, lambda tmp: ["residual", "--model", "so3", "--tensor", str(tmp / "none.json"),
+                                            "--eigenvalue", "0"]),
+    "Jacobi-violating constants": (1, lambda tmp: ["build-metric", "--model",
+                                                   model_file(tmp, JACOBI_VIOLATING)]),
+    "no stored certificate": (1, lambda tmp: ["verify", "--family", _family_missing_a_certificate(tmp)]),
+}
+
+
+@pytest.mark.parametrize("case", list(ERROR_PATHS))
+def test_error_paths(capsys, tmp_path, case):
+    want, argv = ERROR_PATHS[case]
+    argv = argv(tmp_path)
+    capsys.readouterr()
+    if want == 2:
+        assert_input_error(capsys, *argv)
+        return
+    code, out = run(capsys, *argv)
+    assert code == 1
+    failed = [c for c in json.loads(out)["checks"] if not c["ok"]]
+    assert [c["name"] for c in failed] == {
+        "Jacobi-violating constants": ["structure-constants"],
+        "no stored certificate": ["recertify: axis-eigenvalue m=0"],
+    }[case]
+    assert case != "no stored certificate" or failed[0]["error"] == "no stored certificate"

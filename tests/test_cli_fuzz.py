@@ -1,6 +1,7 @@
 """CLI fuzzing in process through `main`: mutated family documents for
 `verify --family`, mutated built-in model files for `verify --model`,
-`build-metric` and `reduce`, and random `--grid` specs for `harmonics`.  Every
+`build-metric` and `reduce`, mutated tensor files and random eigenvalue
+strings for `residual`, and random `--grid` specs for `harmonics`.  Every
 input must end in a documented exit code (0/1/2/3) with no traceback.  A
 mutation may still verify (exit 0), since re-certification does not yet check
 every field of a document; these tests do not assert on the exit code beyond
@@ -160,4 +161,42 @@ def test_random_grid_specs_exit_cleanly(source, fmt, data):
     for spec in data.draw(_grid_specs(COORDS[source])):
         argv += ["--grid", spec]
     code, err = _run(*argv)
+    assert code in EXIT_CODES and "Traceback" not in err, err
+
+
+# a tensor file per built-in model, with an eigenvalue it satisfies
+TENSORS = {
+    "so3": ({"type": [0, 0], "components": ["cos(theta)"]}, "-2"),
+    "bianchi2": ({"monomials": [{"upper": [], "lower": ["1"], "scalar": "exp(z)*(1+v^2)^(1/2)"}]}, "2"),
+}
+
+
+@given(st.sampled_from(sorted(TENSORS)), st.data())
+@settings(max_examples=150, deadline=None)
+def test_mutated_tensor_files_exit_cleanly(tmp_path_factory, model, data):
+    doc, eigenvalue = TENSORS[model]
+    doc = json.loads(json.dumps(doc))
+    for _ in range(data.draw(st.integers(1, 2), label="edits")):
+        doc = _mutate(data, doc, _MODEL_VALUES)
+    path = tmp_path_factory.getbasetemp() / "tensor.json"
+    path.write_text(json.dumps(doc))
+    code, err = _run("residual", "--model", model, "--tensor", str(path), "--eigenvalue", eigenvalue)
+    assert code in EXIT_CODES and "Traceback" not in err, err
+
+
+# eigenvalue text: constant expressions, plus inputs that nest, expand or write long literals
+_EIGENVALUES = st.one_of(
+    st.text(alphabet="0123456789+-*/^().eisncoxpqrt ", max_size=24),
+    st.sampled_from(["(" * 400 + "1" + ")" * 400, "-" * 1000 + "1", "1e99999999", "1" * 5000,
+                     "sin(1)^2000", "9^9999999", "\u00b2", "2^(1/3)", "(-1)^(1/2)"]),
+)
+
+
+@given(st.sampled_from(sorted(TENSORS)), _EIGENVALUES)
+@settings(max_examples=200, deadline=None)
+def test_eigenvalue_strings_exit_cleanly(tmp_path_factory, model, text):
+    doc, _ = TENSORS[model]
+    path = tmp_path_factory.getbasetemp() / f"{model}-tensor.json"
+    path.write_text(json.dumps(doc))
+    code, err = _run("residual", "--model", model, "--tensor", str(path), f"--eigenvalue={text}")
     assert code in EXIT_CODES and "Traceback" not in err, err

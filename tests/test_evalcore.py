@@ -2,6 +2,7 @@
 series of `casimir.models.hypergeom`."""
 
 import itertools
+import re
 from fractions import Fraction
 
 import pytest
@@ -70,6 +71,30 @@ def test_grid_program_hoists_each_node_to_its_loop():
         return (len(line) - len(line.lstrip())) // 4 - 1
 
     assert [depth(t) for t in ("_sqrt(", "_sin(", "_cos(", "out.append(")] == [0, 1, 2, 2]
+
+
+def test_no_inner_loop_statement_reads_only_constants():
+    """A product opens on its coefficient times complex(1.0), folded into one
+    constant at compile time, so the innermost loop of the so3 --l 2 grid
+    program computes no product of constants alone."""
+    from casimir.models import so3_model
+
+    fam = so3_model().scalar_family(2)
+    comps = tuple(fam.components[label] for label in sorted(fam.components))
+    lines = evalcore.compile_expr(comps, ["theta", "phi"], grid=True).source.splitlines()
+    constants, inner = set(), []
+    for line in lines[2:-1]:
+        text = line.strip()
+        if text.startswith(("for ", "out.append")):
+            continue
+        target, op, value = re.fullmatch(r"(\w+) (\S*=) (.*)", text).groups()
+        reads = set(re.findall(r"\b[cvxp]\d+\b", value)) | ({target} if op != "=" else set())
+        if len(line) - len(text) == 4:  # before every loop
+            constants.add(target)
+        elif len(line) - len(text) == 12:
+            inner.append((text, reads))
+    assert len(inner) == 23  # the parent program had 31: eight opened on (1+0j) * cK
+    assert [text for text, reads in inner if all(r in constants or r.startswith("c") for r in reads)] == []
 
 
 def test_pole_raises_zero_division():

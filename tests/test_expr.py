@@ -5,6 +5,7 @@ import itertools
 import math
 import sys
 import threading
+import time
 from fractions import Fraction
 
 import pytest
@@ -87,6 +88,58 @@ class TestParse:
     def test_parameters_allowed(self):
         e = parse("exp(m*y)", ["y"], ["m"])
         assert ex.free_symbols(e) == {"m", "y"}
+
+    @pytest.mark.parametrize("text", [
+        "(" * 400 + "1" + ")" * 400, "-" * 1000 + "1", "sin(" * 200 + "x" + ")" * 200, "2^" * 300 + "2",
+    ], ids=["parentheses", "signs", "arguments", "exponents"])
+    def test_nesting_is_bounded(self, text):
+        with pytest.raises(ParseError, match="nests deeper than 100 levels"):
+            parse(text, ["x"])
+
+    def test_nesting_at_the_bound_parses(self):
+        assert parse("(" * 99 + "x" + ")" * 99, ["x"]) == ex.sym("x")
+
+    def test_digits_are_decimal_digits(self):
+        with pytest.raises(ParseError, match="unexpected character"):
+            parse("\u00b2", [])  # a superscript two is a digit to str.isdigit, not to int()
+        assert parse("\u0663", []) == ex.num(3)  # an Arabic-Indic three is a decimal digit
+
+    @pytest.mark.parametrize("text", ["1e99999999", "1e-99999999", "1" * 5000, "0." + "0" * 5000 + "1"])
+    def test_literal_size_is_bounded(self, text):
+        start = time.perf_counter()
+        with pytest.raises(ParseError, match=f"at most {sys.get_int_max_str_digits()} digits"):
+            parse(text, [])
+        assert time.perf_counter() - start < 1
+
+    def test_literal_at_the_digit_limit_reads_exactly(self):
+        assert parse(f"1e{sys.get_int_max_str_digits() - 1}", []) == ex.num(10 ** (sys.get_int_max_str_digits() - 1))
+
+    @pytest.mark.parametrize("text", [
+        "(1+x)^3000", "sin(x)^2000", "(1+x)^1000000000", "(1+x)^(2000000001/2)", "(1+x+x^2)^200*(1+x)^300",
+    ])
+    def test_expansion_is_bounded(self, text):
+        start = time.perf_counter()
+        with pytest.raises(ParseError, match=f"more than {ex.EXPANSION_BOUND} term products"):
+            parse(text, ["x"])
+        assert time.perf_counter() - start < 2
+
+    @pytest.mark.parametrize("text", ["9^9999999", "2^2^2^2^2", "2^5^500", "2^(99999999/2)", "(1/2 + i/3)^9999"])
+    def test_exact_power_size_is_bounded(self, text):
+        start = time.perf_counter()
+        with pytest.raises(ParseError, match=f"more than {sys.get_int_max_str_digits()} digits"):
+            parse(text, [])
+        assert time.perf_counter() - start < 1
+
+    def test_exact_power_within_the_digit_limit(self):
+        assert parse("2^14000", []) == ex.num(2 ** 14000)
+        assert parse("(-1)^99999999 + i^99999998 + 0^5^500", []) == ex.num(-2)
+
+    def test_expansion_below_the_bound(self):
+        assert len(parse("(1+x)^300", ["x"]).terms) == 301
+
+    def test_simplify_refuses_a_lift_past_the_bound(self):
+        with pytest.raises(ex.ExpansionError):
+            ex.simplify(parse("(1+x)^(-3000) + (1+x)^(-1)", ["x"]))
 
 
 class TestDiff:
@@ -414,7 +467,18 @@ class TestRationalRoots:
         e = parse("((u - 999983)*(u^2 + 1000003))^(-1/2)", ["u"])
         assert ex.unparse(e) == "-i*(999983 - u)^(-1/2)*(1000003 + u^2)^(-1/2)"
         poly = [Fraction(c) for c in (-999983 * 1000003, 1000003, -999983, 1)]
-        assert ex._rational_roots(poly) == [(999983, 1)]
+        assert ex.rational_roots(poly) == [(999983, 1)]
+
+
+def test_coefficient_list_toolkit():
+    x = ex.sym("x")
+    assert ex.poly_mul([1, -1], [1, 1]) == [1, 0, -1]
+    assert ex.poly_pow([1, 1], 3) == [1, 3, 3, 1]
+    assert ex.poly_pow([CNum(1), CNum(0, 1)], 2) == [CNum(1), CNum(0, 2), CNum(-1)]
+    assert ex.poly_pow([Fraction(1, 2)], 0) == [1]
+    assert ex.polynomial([1, 0, Fraction(-1, 2)], x) == ex.add(ex.ONE, ex.mul(ex.num(Fraction(-1, 2)), ex.power(x, 2)))
+    poly = [Fraction(c) for c in ex.poly_mul(ex.poly_pow([-2, 1], 2), [1, 0, 1])]  # (x - 2)^2 (1 + x^2)
+    assert ex.rational_roots(poly) == [(2, 2)] and poly == [1, 0, 1]
 
 
 # -- CNum against a Fraction-pair reference -----------------------------------

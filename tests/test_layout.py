@@ -174,3 +174,29 @@ def test_records_leave_field_storing_to_record():
     found = [c.name for c in classes if c.name in records for s in c.body
              if isinstance(s, ast.FunctionDef) and s.name == "__init__" and _stores_only(s)]
     assert found == []
+
+
+def _private_reads(path: pathlib.Path) -> list:
+    """The `_`-prefixed names that a module reads from another module of the
+    package: through an attribute of an imported module, or by import."""
+    tree = ast.parse(path.read_text())
+    modules = set()  # names bound to a package module in this file
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            for alias in node.names:
+                if not node.module:  # `from . import expr as ex` binds modules
+                    modules.add(alias.asname or alias.name)
+                elif alias.name.startswith("_"):
+                    found.append(f"{node.module}.{alias.name}")
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules and node.attr.startswith("_") and not node.attr.startswith("__")):
+            found.append(f"{node.value.id}.{node.attr}")
+    return found
+
+
+def test_no_module_reads_another_modules_private_names():
+    """A module's `_`-prefixed names are its own: what another module needs is public."""
+    found = {path.relative_to(PACKAGE).as_posix(): _private_reads(path) for path in sorted(PACKAGE.rglob("*.py"))}
+    assert {name: reads for name, reads in found.items() if reads} == {}

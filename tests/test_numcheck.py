@@ -1,5 +1,6 @@
 """Tri-state zero verification and sampling determinism."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -130,6 +131,13 @@ def test_constant_expressions():
         r = nc.is_zero(e, {})
         assert r == want
         assert r.max_abs == abs(tree_evaluate(ex.simplify(e), {}))
+
+
+@pytest.mark.parametrize("text", ["10^308*exp(10)*x - 10^308*exp(9)*x", "10^308*exp(10) - 10^308*exp(9)"])
+def test_a_value_lost_to_overflow_is_not_zero(text):
+    """Terms that overflow to inf - inf sum to NaN, which no verdict may call zero."""
+    r = nc.is_zero(parse(text, ["x"]), {"x": (1.0, 2.0)})
+    assert r.verdict is nc.Verdict.NONZERO and math.isnan(r.max_abs)
 
 
 def test_halton_deterministic_and_seed_dependent():

@@ -374,7 +374,7 @@ def cmd_harmonics(args) -> int:
 
 def _grid_points(chart, grid_specs) -> tuple:
     """Parse --grid specs into (coordinate names, their axes), each in chart
-    order, once every point of the axes' product passes `Chart.check_points`.
+    order, once every point of the axes' product passes `Chart.check_grid`.
 
     Needs only the chart, so a bad grid is refused before a family is built,
     and only the specs, so a grid too large is refused before its axes are."""
@@ -401,7 +401,7 @@ def _grid_points(chart, grid_specs) -> tuple:
         raise SchemaError(f"--grid asks for {total} points, more than the {GRID_MAX_POINTS} allowed")
     axes = [[a + (b - a) * j / max(n - 1, 1) for j in range(n)] for a, b, n in (specs[c] for c in names)]
     try:
-        chart.check_points(names, list(itertools.product(*axes)))
+        chart.check_grid(names, axes)
     except OffChartError as e:
         raise SchemaError(f"--grid {e}") from None
     return names, axes
@@ -492,24 +492,29 @@ def _leg_indices(text: str, names: tuple) -> tuple:
 
 
 def cmd_reduce(args) -> int:
+    """The report records the legs by their frame names, so every spelling
+    of one leg list gives one digest."""
     seed = args.seed
-    rep = Report("reduce", {"model": args.model, "upper": list(args.upper), "lower": list(args.lower)}, seed)
+    spec = None
     if args.model == "so3":
         op = models.so3_model().op_ladder
     elif args.model == "bianchi2":
         op = models.bianchi2_model().op
     else:
         spec = load_model(args.model)
-        rep.inputs["model"] = _model_name(args.model, spec)
         if spec.frame_vectors is None or spec.metric is None:
             raise SchemaError("reduce on user models needs both a frame and a metric in the file")
+    names = op.frame.names if spec is None else spec.frame_names
+    upper = _leg_indices(args.upper, names)
+    lower = _leg_indices(args.lower, names)
+    rep = Report("reduce", {"model": args.model if spec is None else _model_name(args.model, spec),
+                            "upper": [names[a] for a in upper], "lower": [names[b] for b in lower]}, seed)
+    if spec is not None:
         mu = _check_frame_and_metric(spec, rep, seed)
         if not rep.ok:
             _emit(args, [rep.render()])
             return EXIT_CHECK_FAILED
         op = CasimirOperator(spec.name, spec.chart, spec.generators, spec.metric, mu.frame, mu)
-    upper = _leg_indices(args.upper, op.frame.names)
-    lower = _leg_indices(args.lower, op.frame.names)
     reduced = reduce_to_scalar(op, upper, lower)
     rep.add_check("reduced-operator", True, order=reduced.order())
     rep.add_section("operator", reduced.to_json())

@@ -11,6 +11,7 @@ writing of a sum of rational functions of cos(u) over powers of 1 -/+ cos(u)
 
 from __future__ import annotations
 
+import cmath
 from enum import Enum
 
 from . import evalcore
@@ -34,7 +35,8 @@ class Verdict(Enum):
 
 
 class UndefinedPointError(ex.EvalError):
-    """A sample point hit a pole or overflowed; the caller should shrink the box."""
+    """A sample point hit a pole, overflowed or gave a value that is not
+    finite; the caller should shrink the box."""
 
 
 class ZeroReport(FrozenRecord):
@@ -100,6 +102,9 @@ def is_zero(e: ex.Expr, box: dict, seed: int = 0) -> ZeroReport:
     numerically zero when max |e| < REL_TOL * (1 + max term magnitude) over
     NUM_POINTS samples; otherwise nonzero with a witness point.  A constant is
     evaluated once, at the empty point, against REL_TOL alone, with scale 1.0.
+    A sample point where a term or the sum has no finite value (a pole, or an
+    overflow, which complex arithmetic gives as inf or nan without raising)
+    raises UndefinedPointError naming the point.
     """
     s = ex.simplify(e)
     if s == ex.ZERO:
@@ -130,8 +135,11 @@ def is_zero(e: ex.Expr, box: dict, seed: int = 0) -> ZeroReport:
         for v in vals:
             tot += v
             scale = max(scale, abs(v))
+        # an inf or nan term leaves the sum non-finite, so this tests every term too
+        if not cmath.isfinite(tot):
+            raise UndefinedPointError(f"sample point has no finite value at {env}; shrink the domain box", env)
         a = abs(tot)
-        if a > max_total or a != a:  # a NaN is never zero
+        if a > max_total:
             max_total, witness = a, env
     if names:
         tol = REL_TOL * (1.0 + scale)

@@ -10,11 +10,12 @@ g^{ik} xi_i xi_k`` the scalar Casimir operator.  K is composed once per
 operator; one routine adds the corrections, forming each distinct
 coefficient product once.  ``apply_casimir`` builds the matrix once per
 operator and tensor type (memoized on the operator) and applies it
-componentwise.  On a frame that diagonalizes the group action G
-reduces, monomial by monomial, to the 1x1 case of the same composition,
-``R_i = -phi_i``, whose shift terms come from the frame scale factors.
-Eigenvalue claims are certified by residual checks, never asserted from
-labels.
+componentwise, one row per orbit of the slot permutations under which T's
+components are equal, since G commutes with them.  On a frame that
+diagonalizes the group action G reduces, monomial by monomial, to the 1x1
+case of the same composition, ``R_i = -phi_i``, whose shift terms come from
+the frame scale factors.  Eigenvalue claims are certified by residual
+checks, never asserted from labels.
 
 Sign convention: eigenvalues are stored for G itself.  On the rotation
 model the familiar spherical-harmonic convention quotes -G, so weight-l
@@ -23,6 +24,7 @@ families carry the eigenvalue -l(l+1) here; reports state this explicitly.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 from . import expr as ex
@@ -57,7 +59,13 @@ class CasimirOperator(FrozenRecord):
 
 
 def apply_casimir(op: CasimirOperator, t: TensorField) -> TensorField:
-    """G T componentwise: (G T)_I = sum_J G_IJ T_J, exact and simplified."""
+    """G T componentwise: (G T)_I = sum_J G_IJ T_J, exact and simplified.
+
+    G commutes with every permutation of the upper slots and of the lower
+    slots (`lie_correction_rows` treats every slot by one rule), so when T's
+    components are equal under such permutations so are G T's: only the
+    representative rows of `symmetric_representatives` are summed, and
+    every other component is its representative's expression."""
     if t.chart != op.chart:
         raise ValueError("tensor lives on a different chart")
     key = (t.p, t.q)
@@ -65,12 +73,44 @@ def apply_casimir(op: CasimirOperator, t: TensorField) -> TensorField:
     if matrix is None:
         rows = [lie_correction_rows(x, t.p, t.q) for x in op.generators]
         matrix = op._matrices[key] = _compose(op, rows)
-    comps = tuple(
-        ex.simplify(ex.sum_of_products(
-            itertools.chain.from_iterable(entry.products(t.comps[j]) for j, entry in row)))
-        for row in matrix
-    )
-    return TensorField(t.chart, t.p, t.q, comps)
+    reps = symmetric_representatives(t)
+    comps = []
+    for i, row in enumerate(matrix):
+        if reps[i] != i:
+            comps.append(comps[reps[i]])
+            continue
+        comps.append(ex.simplify(ex.sum_of_products(
+            itertools.chain.from_iterable(entry.products(t.comps[j]) for j, entry in row))))
+    return TensorField(t.chart, t.p, t.q, tuple(comps))
+
+
+@functools.lru_cache(maxsize=64)
+def _representatives(d: int, p: int, q: int, upper: bool, lower: bool) -> tuple:
+    """Per flat component index of a type-(p, q) tensor on a d-dimensional
+    chart, the flat index with its upper legs sorted when `upper` is true and
+    its lower legs sorted when `lower` is true: the least index of its orbit
+    under those slot permutations, so it comes first in row-major order."""
+    reps = []
+    for idx in itertools.product(range(d), repeat=p + q):
+        legs = (sorted(idx[:p]) if upper else list(idx[:p])) + (sorted(idx[p:]) if lower else list(idx[p:]))
+        flat = 0
+        for a in legs:
+            flat = flat * d + a
+        reps.append(flat)
+    return tuple(reps)
+
+
+def symmetric_representatives(t: TensorField) -> tuple:
+    """`_representatives` for the slot groups in which T is symmetric, read
+    off exact equality of its components: T_I == T_sigma(I) for every index I
+    and permutation sigma of its upper (or lower) slots.  The identity map
+    for a tensor with no symmetric slot group."""
+    d, p, q = t.chart.dim, t.p, t.q
+
+    def symmetric(upper: bool) -> bool:
+        return all(c == t.comps[j] for c, j in zip(t.comps, _representatives(d, p, q, upper, not upper)))
+
+    return _representatives(d, p, q, p > 1 and symmetric(True), q > 1 and symmetric(False))
 
 
 # --- scalar differential operators -----------------------------------------
@@ -259,22 +299,53 @@ class TensorMonomial(FrozenRecord):
 
 
 def assemble(frame: Frame, monomials, p: int, q: int) -> TensorField:
-    """Sum of scalar * basis tensor products, in coordinate components."""
+    """Sum of scalar * basis tensor products, in coordinate components.
+
+    Only the components of `_representatives` are summed for the slot
+    groups in which the monomials are symmetric (`_symmetric_slots`); every
+    other component is its representative's expression."""
     chart = frame.chart
     d = chart.dim
-    products = {idx: [] for idx in itertools.product(range(d), repeat=p + q)}
+    monomials = list(monomials)
     for mono in monomials:
         if len(mono.upper) != p or len(mono.lower) != q:
             raise ValueError("monomial slot count does not match the tensor type")
-        for idx, ps in products.items():
+    reps = _representatives(d, p, q, p > 1 and _symmetric_slots(monomials, p, True),
+                            q > 1 and _symmetric_slots(monomials, q, False))
+    comps = []
+    for i, idx in enumerate(itertools.product(range(d), repeat=p + q)):
+        if reps[i] != i:
+            comps.append(comps[reps[i]])
+            continue
+        products = []
+        for mono in monomials:
             parts = [mono.scalar]
             for slot, a in enumerate(mono.upper):
                 parts.append(frame.vectors[a].comps[idx[slot]])
             for slot, b in enumerate(mono.lower):
                 parts.append(frame.covectors[b].comps[idx[p + slot]])
-            ps.append(parts)
-    comps = tuple(ex.simplify(ex.sum_of_products(ps)) for ps in products.values())
-    return TensorField(chart, p, q, comps)
+            products.append(parts)
+        comps.append(ex.simplify(ex.sum_of_products(products)))
+    return TensorField(chart, p, q, tuple(comps))
+
+
+def _symmetric_slots(monomials: list, n: int, upper: bool) -> bool:
+    """Whether the n upper (or lower) slots of the monomials' sum are
+    symmetric: for every two neighbouring legs of that group, the scalars of
+    each leg tuple are, counted with multiplicity, those of the leg tuple with
+    the two swapped, so every monomial's partner with permuted legs is
+    present with an equal scalar."""
+    scalars = {}
+    for mo in monomials:
+        scalars.setdefault((tuple(mo.upper), tuple(mo.lower)), []).append(mo.scalar)
+    for (u, lo), mine in scalars.items():
+        legs = u if upper else lo
+        for k in range(n - 1):
+            swapped = legs[:k] + (legs[k + 1], legs[k]) + legs[k + 2:]
+            theirs = scalars.get((swapped, lo) if upper else (u, swapped), [])
+            if len(theirs) != len(mine) or any(mine.count(s) != theirs.count(s) for s in mine):
+                return False
+    return True
 
 
 def assembly_to_json(frame: Frame, monomials) -> list:
@@ -349,10 +420,12 @@ def certify_eigen(op: CasimirOperator, t: TensorField, lam, seed: int = 0) -> Ei
     lam = ex.as_expr(lam)
     gt = apply_casimir(op, t)
     box = op.chart.full_box()
-    reports = tuple(
-        nc.is_zero(ex.sub(a, ex.mul(lam, b)), box, seed) for a, b in zip(gt.comps, t.comps)
-    )
-    return EigenResult(lam, reports)
+    pairs = list(zip(gt.comps, t.comps))
+    verdicts = {}  # one check per distinct (G T_I, T_I), as mirrored components of a symmetric T share
+    for a, b in pairs:
+        if (a, b) not in verdicts:
+            verdicts[a, b] = nc.is_zero(ex.sub(a, ex.mul(lam, b)), box, seed)
+    return EigenResult(lam, tuple(verdicts[pair] for pair in pairs))
 
 
 def check_commutes(op: CasimirOperator, j: int, t: TensorField, seed: int = 0):

@@ -14,7 +14,9 @@ Exponents must constant-fold to an integer or half-integer rational.
 Numeric literals are exact (`cnum.read_rational` reads them).  Functions are
 sin, cos, cot, exp, sqrt; `i` is the imaginary unit.  Any other name must be
 a declared coordinate or parameter.  Signs, parentheses, function arguments
-and exponents nest at most MAX_NESTING levels deep.
+and exponents nest at most MAX_NESTING levels deep, and the products of one
+term, formed factor by factor, form at most ``expr.EXPANSION_BOUND`` term
+products together.
 """
 
 from __future__ import annotations
@@ -124,10 +126,17 @@ class _Parser:
         return e
 
     def term(self) -> ex.Expr:
+        """Products formed factor by factor: each `ex.mul` stays under the
+        kernel's bound while their work grows with the square of the text,
+        so the term products of every step count against one bound."""
         e = self.unary()
+        work = 0
         while self.peek().kind in ("*", "/"):
             op = self.take()
             rhs = self.unary()
+            work += _term_count(e) * (_term_count(rhs) if op.kind == "*" else 1)
+            if work > ex.EXPANSION_BOUND:
+                raise ParseError(f"this product would form more than {ex.EXPANSION_BOUND} term products", op.pos)
             try:
                 e = ex.mul(e, rhs) if op.kind == "*" else ex.div(e, rhs)
             except (ex.ExprError, ZeroDivisionError) as err:
@@ -196,6 +205,10 @@ def _kernel_error(err: Exception, tok: _Token) -> ParseError:
     zero, an unsupported power) as a ParseError at its position."""
     msg = "division by zero" if isinstance(err, ZeroDivisionError) else str(err)
     return ParseError(msg, tok.pos)
+
+
+def _term_count(e: ex.Expr) -> int:
+    return len(e.terms) if type(e) is ex.Add else 1
 
 
 def _const_rational(e: ex.Expr):

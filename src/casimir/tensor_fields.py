@@ -30,7 +30,8 @@ class Chart(FrozenRecord):
     """Named coordinates with an open sampling box and excluded loci.
 
     `check_points` is the one rule for where the chart may be evaluated:
-    model-file domains, `--grid` points and frame base points go through it."""
+    model-file domains and frame base points go through it, and `--grid`
+    points through `check_grid`, which applies it to a product of axes."""
 
     _fields = ("name", "coords", "box", "singular_loci", "params")
 
@@ -48,6 +49,11 @@ class Chart(FrozenRecord):
         out.update(self.params)
         return out
 
+    def _centre(self) -> dict:
+        centre = dict.fromkeys(self.coords, 0.0)
+        centre.update((c, (lo + hi) / 2) for c, (lo, hi) in self.full_box().items())
+        return centre
+
     def check_points(self, names, points) -> None:
         """Raise OffChartError unless the chart may be evaluated at every point.
 
@@ -58,26 +64,60 @@ class Chart(FrozenRecord):
         centre, since the kernel's rewrites hold on the side of each locus
         where the box lies.  A centre on a locus refuses every point.  Each
         locus is one compiled program over all the points."""
-        if not self.singular_loci:
-            return
-        centre = dict.fromkeys(self.coords, 0.0)
-        centre.update((c, (lo + hi) / 2) for c, (lo, hi) in self.full_box().items())
+        centre = self._centre()
         names = tuple(names)
+        points = [tuple(pt) for pt in points]
         rest = tuple(c for c in centre if c not in names)
         fill = tuple(centre[c] for c in rest)
-        rows = [tuple(centre[c] for c in names) + fill] + [tuple(pt) + fill for pt in points]
+        rows = [tuple(centre[c] for c in names) + fill] + [pt + fill for pt in points]
         for locus in self.singular_loci:
-            try:
+            def values():
                 vals = evalcore.compile_expr(locus, names + rest).run(rows)
-            except ArithmeticError as e:
-                raise OffChartError(f"the singular locus {ex.unparse(locus)} cannot be evaluated: {e}") from None
-            if abs(vals[0]) <= LOCUS_TOL:
-                raise OffChartError(f"the box centre lies on the singular locus {ex.unparse(locus)} = 0")
-            side = vals[0].real > 0
-            for pt, val in zip(points, vals[1:]):
-                if abs(val) <= LOCUS_TOL or (val.real > 0) != side:
-                    where = ", ".join(f"{c}={v:g}" for c, v in zip(names, pt))
-                    raise OffChartError(f"point {where} lies on or beyond the singular locus {ex.unparse(locus)} = 0")
+                return vals[0], vals[1:]
+            _check_locus(locus, values, names, points.__getitem__)
+
+    def check_grid(self, names, axes) -> None:
+        """`check_points` at every point of ``itertools.product(*axes)``,
+        `axes` one sequence of values per name, without a list of the points:
+        each locus is one grid program over the axes it depends on, so
+        sin(theta) on a theta x phi grid is evaluated once per theta.  An
+        error names the first point of the product at which a locus fails."""
+        centre = self._centre()
+        names = tuple(names)
+        for locus in self.singular_loci:
+            free = ex.free_symbols(locus)
+            own = [i for i, c in enumerate(names) if c in free]
+            others = [c for c in centre if c in free and c not in names]
+
+            def values():
+                prog = evalcore.compile_expr(locus, [names[i] for i in own] + others, grid=True)
+                ((re, im),) = prog.run([[centre[names[i]]] for i in own] + [[centre[c]] for c in others])
+                rows = prog.run([axes[i] for i in own] + [[centre[c]] for c in others]) if all(axes) else []
+                return complex(re, im), [complex(*row) for row in rows]
+
+            def point(k):
+                idx = [0] * len(names)
+                for i in reversed(own):
+                    k, idx[i] = divmod(k, len(axes[i]))
+                return tuple(axis[j] for axis, j in zip(axes, idx))
+
+            _check_locus(locus, values, names, point)
+
+
+def _check_locus(locus: ex.Expr, values, names: tuple, point) -> None:
+    """`Chart.check_points`'s rule for one locus: `values()` gives its value
+    at the box centre and its values at the points, `point(k)` the k-th point."""
+    try:
+        at_centre, vals = values()
+    except ArithmeticError as e:
+        raise OffChartError(f"the singular locus {ex.unparse(locus)} cannot be evaluated: {e}") from None
+    if abs(at_centre) <= LOCUS_TOL:
+        raise OffChartError(f"the box centre lies on the singular locus {ex.unparse(locus)} = 0")
+    side = at_centre.real > 0
+    for k, val in enumerate(vals):
+        if abs(val) <= LOCUS_TOL or (val.real > 0) != side:
+            where = ", ".join(f"{c}={v:g}" for c, v in zip(names, point(k)))
+            raise OffChartError(f"point {where} lies on or beyond the singular locus {ex.unparse(locus)} = 0")
 
 
 class VectorField(FrozenRecord):

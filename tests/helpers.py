@@ -1,9 +1,10 @@
 """Test-only helpers: the structure constants of three small algebras, a
-seeded polynomial tensor generator, the Lie derivative commutator identity, tensor sums and scalings, the nested
-definition of G, the ladder-built orbit Laplacian, and four differential
-oracles: the generic Leibniz composition of G's matrix, the recursive
-tree-walk evaluator, the rebuild-everything simplify and the per-cell grid
-export renderer."""
+seeded polynomial tensor generator, the Lie derivative commutator identity,
+tensor sums and scalings, the nested definition of G, the ladder-built
+orbit Laplacian, and six differential oracles: G applied row by row,
+tensors assembled component by component, the generic Leibniz composition
+of G's matrix, the recursive tree-walk evaluator, the rebuild-everything
+simplify and the per-cell grid export renderer."""
 
 from __future__ import annotations
 
@@ -18,8 +19,9 @@ from fractions import Fraction
 from casimir import expr as ex
 from casimir import numcheck as nc
 from casimir.lie_algebra import StructureConstants
-from casimir.operator import CasimirOperator, ScalarOperator
-from casimir.tensor_fields import Chart, TensorField, VectorField, lie_bracket, lie_derivative
+from casimir.operator import CasimirOperator, ScalarOperator, _compose
+from casimir.tensor_fields import (Chart, TensorField, VectorField, lie_bracket, lie_correction_rows,
+                                   lie_derivative)
 
 
 def abelian_constants(r: int = 3) -> StructureConstants:
@@ -105,6 +107,31 @@ def nested_casimir(op: CasimirOperator, t: TensorField) -> TensorField:
             if op.metric[i][k] != ex.ZERO:
                 total = tensor_add(total, tensor_scale(lie_derivative(gi, first[k]), op.metric[i][k]))
     return total
+
+
+def all_rows_casimir(op: CasimirOperator, t: TensorField) -> TensorField:
+    """G T with every row of G's matrix summed and simplified, also where a
+    symmetric T lets ``apply_casimir`` sum one row per orbit of the slot
+    permutations: the reference for that shortcut."""
+    matrix = _compose(op, [lie_correction_rows(x, t.p, t.q) for x in op.generators])
+    comps = tuple(
+        ex.simplify(ex.sum_of_products([p for j, entry in row for p in entry.products(t.comps[j])]))
+        for row in matrix
+    )
+    return TensorField(t.chart, t.p, t.q, comps)
+
+
+def every_component_assembly(frame, monomials, p: int, q: int) -> TensorField:
+    """The sum of scalar * basis tensor products with every coordinate
+    component summed and simplified, also where symmetric monomials let
+    ``assemble`` sum one component per orbit: the reference for that shortcut."""
+    comps = []
+    for idx in itertools.product(range(frame.chart.dim), repeat=p + q):
+        products = [[mo.scalar, *(frame.vectors[a].comps[idx[s]] for s, a in enumerate(mo.upper)),
+                     *(frame.covectors[b].comps[idx[p + s]] for s, b in enumerate(mo.lower))]
+                    for mo in monomials]
+        comps.append(ex.simplify(ex.sum_of_products(products)))
+    return TensorField(frame.chart, p, q, tuple(comps))
 
 
 def leibniz_compose(op: CasimirOperator, rows: list) -> tuple:

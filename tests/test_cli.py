@@ -614,6 +614,23 @@ class TestFamilyRoundTrip:
         assert code == 0
         assert json.loads(out)["ok"]
 
+    def test_corrupted_mirrored_slot_fails(self, capsys, tmp_path):
+        """The (+1, -1) and (-1, +1) slots of an assembly carry one scalar; with
+        two different ones the tensor is not symmetric and its certificate
+        is recomputed from every component."""
+        p = tmp_path / "fam.json"
+        assert main(["harmonics", "so3", "--type", "2,0", "--l", "2", "--m", "0", "--out", str(p)]) == 0
+        doc = json.loads(p.read_text())
+        for mono in doc["assemblies"]["m=0"]:
+            if mono["lower"] == ["-1", "+1"]:
+                mono["scalar"] = "h*cos(theta)"
+        p.write_text(json.dumps(doc))
+        code, out = run(capsys, "verify", "--family", str(p))
+        assert code == 1
+        failed = [c for c in json.loads(out)["checks"] if not c["ok"]]
+        assert [(c["name"], c["stored"], c["recomputed"]) for c in failed] == [
+            ("recertify: casimir-eigenvalue m=0", "ok", "failed")]
+
     @pytest.mark.parametrize("monomials", [
         [],
         [{"upper": [], "lower": ["+1", "-1"], "scalar": "m*h*cos(theta)"}],
@@ -920,6 +937,12 @@ class TestReduceAndResidual:
         assert error is None or error in doc["checks"][0]["error"]
         assert "operator" not in doc
 
+    def test_reduce_records_legs_by_frame_name(self, capsys):
+        docs = [json.loads(run(capsys, "reduce", "--model", "so3", f"--lower={legs}")[1])
+                for legs in ("+1,+1", " +1 , +1 ")]
+        assert docs[0]["inputs"] == {"model": "so3", "upper": [], "lower": ["+1", "+1"]}
+        assert docs[0]["digest"] == docs[1]["digest"]
+
     def test_reduce_unknown_leg(self, capsys):
         assert main(["reduce", "--model", "so3", "--lower", "nope"]) == 2
 
@@ -979,6 +1002,15 @@ class TestReduceAndResidual:
         assert err.startswith("input error: sample point overflowed floating point at {'theta': ")
         assert "Traceback" not in err
 
+    def test_residual_non_finite_value_names_the_sample_point(self, capsys, tmp_path):
+        """Complex arithmetic overflows to inf or nan without raising; a
+        report never holds such a value."""
+        p = tmp_path / "t.json"
+        p.write_text(json.dumps({"type": [0, 0], "components": ["10^308*exp(10)*v - 10^308*exp(9)*v"]}))
+        err = assert_input_error(capsys, "residual", "--model", "bianchi2", "--tensor", str(p),
+                                 "--eigenvalue", "0")
+        assert err.startswith("input error: sample point has no finite value at {'v': ")
+
     @pytest.mark.parametrize("tensor_type", [[1, -1], [-1, 1], [1.5, 0], [True, False]])
     def test_residual_tensor_type_must_be_counts(self, capsys, tmp_path, tensor_type):
         p = tmp_path / "t.json"
@@ -1001,6 +1033,16 @@ class TestReduceAndResidual:
         p = tmp_path / "t.json"
         p.write_text(text)
         assert_input_error(capsys, "residual", "--model", "so3", "--tensor", str(p), "--eigenvalue", "-2")
+
+    def test_residual_product_of_written_sums_is_bounded(self, capsys, tmp_path):
+        """Each factor's product stays under the kernel's bound while the
+        work grows with the square of the text: the whole term is bounded."""
+        p = tmp_path / "t.json"
+        p.write_text(json.dumps({"type": [0, 0], "components": ["*".join(["(1+r)"] * 800)]}))
+        start = time.perf_counter()
+        err = assert_input_error(capsys, "residual", "--model", "so3", "--tensor", str(p), "--eigenvalue", "-2")
+        assert time.perf_counter() - start < 1
+        assert "term products" in err
 
     @pytest.mark.parametrize("eigenvalue", [
         "(" * 400 + "1" + ")" * 400, "-" * 1000 + "1", "\u00b2", "1e99999999", "1" * 5000, "sin(1)^2000",

@@ -63,6 +63,12 @@ class TestParse:
             parse("sin(theta", ["theta"])
         assert err.value.pos == 9
 
+    def test_product_of_written_sums_is_bounded(self):
+        x = ["x"]
+        assert parse("*".join(["(1+x)"] * 50), x) == parse("(1+x)^50", x)
+        with pytest.raises(ParseError, match="more than 100000 term products"):
+            parse("*".join(["(1+x)"] * 400), x)
+
     def test_unknown_symbol(self):
         with pytest.raises(ParseError, match="unknown symbol"):
             parse("sin(psi)", ["theta"])

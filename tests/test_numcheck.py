@@ -1,6 +1,5 @@
 """Tri-state zero verification and sampling determinism."""
 
-import math
 from fractions import Fraction
 
 import pytest
@@ -55,6 +54,14 @@ def test_overflow_reports_undefined_point():
     assert set(err.value.point) == {"x"}
     with pytest.raises(nc.UndefinedPointError, match="overflowed floating point"):
         nc.is_zero(parse("exp(exp(exp(3)))", []), {})
+
+
+def test_a_sum_lost_to_overflow_reports_undefined_point():
+    """Every term is finite, their sum is not."""
+    box = {"x": (1.0, 1.3)}
+    with pytest.raises(nc.UndefinedPointError, match="has no finite value") as err:
+        nc.is_zero(parse("10^308*x + 10^308*x^2", ["x"]), box)
+    assert err.value.point == nc.sample_box(box, nc.NUM_POINTS)[0]
 
 
 def test_sum_with_many_terms_is_sampled():
@@ -135,9 +142,11 @@ def test_constant_expressions():
 
 @pytest.mark.parametrize("text", ["10^308*exp(10)*x - 10^308*exp(9)*x", "10^308*exp(10) - 10^308*exp(9)"])
 def test_a_value_lost_to_overflow_is_not_zero(text):
-    """Terms that overflow to inf - inf sum to NaN, which no verdict may call zero."""
-    r = nc.is_zero(parse(text, ["x"]), {"x": (1.0, 2.0)})
-    assert r.verdict is nc.Verdict.NONZERO and math.isnan(r.max_abs)
+    """Complex multiplication overflows to inf or nan without raising: such
+    a sample point gets no verdict, as one that overflows in exp does."""
+    with pytest.raises(nc.UndefinedPointError, match="has no finite value") as err:
+        nc.is_zero(parse(text, ["x"]), {"x": (1.0, 2.0)})
+    assert set(err.value.point) <= {"x"}
 
 
 def test_halton_deterministic_and_seed_dependent():

@@ -1,5 +1,7 @@
 """Generalized Casimir operator: application, reduction, certification."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -11,7 +13,8 @@ from casimir.models import bianchi2_model, so3_model
 from casimir.models.so3 import So3Model
 from casimir.operator import ScalarOperator, TensorMonomial
 from casimir.parser import parse
-from helpers import ladder_scalar_operator, leibniz_compose, nested_casimir, random_polynomial_tensor
+from helpers import (all_rows_casimir, every_component_assembly, ladder_scalar_operator, leibniz_compose,
+                     nested_casimir, random_polynomial_tensor)
 
 
 SING = "(1 + cos(theta))^(-1)*(1 - cos(theta))^(-1)"  # sin(theta)^(-2)
@@ -127,6 +130,81 @@ class TestCasimirMatrix:
         assert other._matrices is not cop._matrices
 
 
+SYM_TYPES = [(0, 2), (2, 0), (1, 2)]
+
+
+def _slot_swap(d: int, n: int, a: int, b: int) -> list:
+    """Per flat component index of an n-slot tensor, the index with the legs
+    in slots a and b swapped."""
+    out = []
+    for idx in itertools.product(range(d), repeat=n):
+        legs = list(idx)
+        legs[a], legs[b] = legs[b], legs[a]
+        out.append(sum(leg * d ** (n - 1 - s) for s, leg in enumerate(legs)))
+    return out
+
+
+class TestSlotSymmetry:
+    """G commutes with every permutation of the upper slots and of the lower
+    slots, so on a tensor symmetric in a slot group one row per orbit of
+    those permutations gives G T."""
+
+    @pytest.mark.parametrize("pq", SYM_TYPES, ids=str)
+    @pytest.mark.parametrize("name", ["op_space", "op_ladder", "bianchi2"])
+    def test_matrix_commutes_with_slot_swaps(self, so3, b2, name, pq):
+        """G_{sigma I, sigma J} = G_IJ, written form for written form."""
+        cop = (b2.op if name == "bianchi2" else getattr(so3, name)).replace()
+        p, q = pq
+        rows = [tf.lie_correction_rows(x, p, q) for x in cop.generators]
+        table = [dict(row) for row in _tables(op._compose(cop, rows))]
+        swaps = [(a, b) for a, b in itertools.combinations(range(p + q), 2) if (a < p) == (b < p)]
+        assert swaps
+        for a, b in swaps:
+            sigma = _slot_swap(cop.chart.dim, p + q, a, b)
+            for i, row in enumerate(table):
+                assert {sigma[j]: entry for j, entry in row.items()} == table[sigma[i]]
+
+    @pytest.mark.parametrize("pq", SYM_TYPES, ids=str)
+    @pytest.mark.parametrize("model", ["so3", "bianchi2"])
+    def test_symmetric_tensor_matches_every_row(self, so3, b2, model, pq):
+        cop = so3.op_space if model == "so3" else b2.op
+        p, q = pq
+        reps = op._representatives(cop.chart.dim, p, q, True, True)
+        drawn = random_polynomial_tensor(cop.chart, p, q, seed=11 * p + q)
+        t = tf.TensorField(cop.chart, p, q, tuple(drawn.comps[j] for j in reps))
+        assert op.symmetric_representatives(t) == reps != tuple(range(len(reps)))
+        got = op.apply_casimir(cop, t)
+        assert got.comps == all_rows_casimir(cop, t).comps
+        box = cop.chart.full_box()
+        for a, b in zip(got.comps, nested_casimir(cop, t).comps):
+            assert nc.is_zero(ex.sub(a, b), box).verdict is nc.Verdict.SYMBOLIC_ZERO
+
+    def test_symmetric_in_value_only_takes_every_row(self, so3):
+        """sin(2 theta) and 2 sin(theta) cos(theta) are one value written
+        twice: the map reads written forms, so every row is summed."""
+        coords = so3.space.coords
+        texts = ["r", "sin(2*theta)", "1", "2*sin(theta)*cos(theta)", "r^2", "cos(phi)", "1", "cos(phi)", "r"]
+        t = tf.TensorField(so3.space, 0, 2, tuple(parse(s, coords) for s in texts))
+        assert op.symmetric_representatives(t) == tuple(range(9))
+        assert op.apply_casimir(so3.op_space, t).comps == all_rows_casimir(so3.op_space, t).comps
+
+    def test_rank_one_and_scalar_tensors_keep_every_index(self, so3):
+        for p, q in ((0, 0), (1, 0), (0, 1), (1, 1)):
+            t = random_polynomial_tensor(so3.space, p, q, seed=3)
+            assert op.symmetric_representatives(t) == tuple(range(3 ** (p + q)))
+
+    @pytest.mark.parametrize("partner", ["equal", "other scalar", "missing"])
+    def test_assembly_sums_one_component_per_orbit(self, so3, partner):
+        t = so3.ladder_family(2, 0)[1]
+        monos = [TensorMonomial((), (0, 0), t), TensorMonomial((), (1, 2), ex.mul(ex.sym("h"), t))]
+        if partner != "missing":
+            scalar = monos[1].scalar if partner == "equal" else ex.mul(ex.sym("h_r"), t)
+            monos.append(TensorMonomial((), (2, 1), scalar))
+        assert op._symmetric_slots(monos, 2, False) is (partner == "equal")
+        got = op.assemble(so3.frame, monos, 0, 2)
+        assert got.comps == every_component_assembly(so3.frame, monos, 0, 2).comps
+
+
 def _tables(matrix) -> list:
     return [[(j, unparsed(entry)) for j, entry in row] for row in matrix]
 
@@ -194,6 +272,24 @@ class TestComposition:
         monkeypatch.setattr(ex, "_product", lambda items: calls.append(1) or product(items))
         op._compose(cop, rows)
         assert len(calls) <= 270
+
+    def test_symmetric_certificate_work_count(self, monkeypatch):
+        """Zero checks and simplified nodes while the five assemblies of the
+        so3 type-(0,2) family of weight 2 are re-assembled from their
+        document and certified from cold caches: 29 and 235, where checking
+        all nine components of each takes 45 and 304."""
+        docs = list(So3Model().tensor20_harmonic(2).assemblies.values())
+        for table in (ex._ATOMS, ex._MONO_CACHE, ex._DIFF_CACHE):
+            table.clear()
+        model = So3Model()
+        tensors = [op.assemble_from_json(model.frame, doc) for doc in docs]
+        checks, nodes = [], []
+        is_zero, simplify_node = nc.is_zero, ex._simplify_node
+        monkeypatch.setattr(nc, "is_zero", lambda *a: checks.append(1) or is_zero(*a))
+        monkeypatch.setattr(ex, "_simplify_node", lambda e: nodes.append(1) or simplify_node(e))
+        assert all(op.certify_eigen(model.op_space, t, -6, 1).ok for t in tensors)
+        assert len(checks) <= 30
+        assert len(nodes) <= 245
 
 
 class TestReduce:

@@ -1,5 +1,6 @@
 """Brackets, realizations, and Lie derivatives of type-(p,q) tensors."""
 
+import itertools
 import math
 
 import pytest
@@ -61,6 +62,33 @@ class TestChartPoints:
     def test_points_on_or_beyond_the_locus_are_refused(self, sphere, theta):
         with pytest.raises(tf.OffChartError, match=r"lies on or beyond the singular locus sin\(theta\) = 0"):
             sphere.check_points(("theta",), [(1.0,), (theta,)])
+
+    @pytest.mark.parametrize("grid", [
+        {"theta": [0.5, 3.0, 3.1], "phi": [1.0, 6.0, -7.0]},
+        {"theta": [1.0, 0.0, 4.0, -0.5], "phi": [0.1, 0.2]},
+        {"theta": [2.0, 4.0], "phi": []},
+        {"x": [0.5, 3.0], "y": [0.2, 1.5, 1.0], "z": [0.3, 0.7]},  # fails on x - y >= 1 alone
+        {"x": [0.5, -3.0], "z": [0.3]},  # fails on x + 1, y at the centre
+    ], ids=["usable", "theta-fails", "empty-axis", "two-axis-locus", "centre-filled"])
+    def test_grid_is_judged_as_its_points(self, sphere, grid):
+        """`check_grid` accepts and refuses what `check_points` does on the
+        product's points, in every axis order, naming the same first
+        failing point."""
+        x, y = ex.sym("x"), ex.sym("y")
+        cube = tf.Chart("cube", ("x", "y", "z"), {c: (0.0, 1.0) for c in "xyz"},
+                        (ex.add(x, ex.ONE), ex.add(ex.sub(y, x), ex.ONE)))
+        chart = sphere if "theta" in grid else cube
+        for names in itertools.permutations(grid):
+            axes = [grid[c] for c in names]
+            outcomes = []
+            for check in (lambda: chart.check_points(names, itertools.product(*axes)),
+                          lambda: chart.check_grid(names, axes)):
+                try:
+                    check()
+                    outcomes.append(None)
+                except tf.OffChartError as e:
+                    outcomes.append(str(e))
+            assert outcomes[0] == outcomes[1]
 
     def test_a_centre_on_the_locus_refuses_the_box(self):
         chart = tf.Chart("c", ("x",), {"x": (-1.0, 1.0)}, (ex.sym("x"),))

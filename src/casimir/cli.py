@@ -306,9 +306,13 @@ def _user_frame_coefficients(spec, rep, seed) -> list | None:
                       error="supplied frame is not invariant: its scale factors are not all zero")
         return None
     # e_d = L^a_d xi_a  =>  E = L^T Xi
-    ximat = [list(g.comps) for g in spec.generators]
+    try:
+        xinv = mat_inverse([list(g.comps) for g in spec.generators])
+    except DualityError:
+        rep.add_check("invariant-frame", False, error="the generators are dependent: their matrix is singular")
+        return None
     emat = [list(v.comps) for v in mu.frame.vectors]
-    lmat_t = [[ex.simplify(e) for e in row] for row in mat_mul(emat, mat_inverse(ximat))]
+    lmat_t = [[ex.simplify(e) for e in row] for row in mat_mul(emat, xinv)]
     rep.add_check("invariant-frame", True, provenance="user-supplied")
     return list(zip(*lmat_t))
 

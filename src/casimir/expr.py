@@ -1039,20 +1039,50 @@ def free_symbols(e: Expr) -> set:
 def subs(e: Expr, mapping: dict) -> Expr:
     """Substitute symbols by expressions (values coerced via as_expr)."""
     m = {k: as_expr(v) for k, v in mapping.items()}
+    return _rebuild(e, lambda n: m.get(n.name, n) if type(n) is Sym else n)
 
+
+class _RadicandChanged(Exception):
+    """The base of a half-integer power changed under `conj`."""
+
+
+def conj(e: Expr, flip=()) -> Expr | None:
+    """The complex conjugate of e, every symbol taken real and those named in
+    `flip` negated; None when the base of a half-integer power changes, since
+    that root is then not known to be real."""
+    def leaf(n):
+        if type(n) is Sym:
+            return neg(n) if n.name in flip else n
+        return Num(CNum(n.val.re, -n.val.im)) if n.val.im else n
+
+    try:
+        return _rebuild(e, leaf, fixed_radicands=True)
+    except _RadicandChanged:
+        return None
+
+
+def _rebuild(e: Expr, leaf, fixed_radicands: bool = False) -> Expr:
+    """e rebuilt by the kernel's constructors, each Num and Sym node n (and
+    product coefficient, as a Num) replaced by leaf(n); a node whose parts come
+    back unchanged is kept, as every node is a fixed point of its constructor.
+    With `fixed_radicands` a half power whose base changes raises `_RadicandChanged`."""
     def go(n):
         tt = type(n)
-        if tt is Num:
-            return n
-        if tt is Sym:
-            return m.get(n.name, n)
+        if tt is Num or tt is Sym:
+            return leaf(n)
         if tt is Fun:
-            return fun(n.fname, go(n.arg))
+            a = go(n.arg)
+            return n if a is n.arg else fun(n.fname, a)
         if tt is Pow:
-            return _power(go(n.base), n.e2)
+            b = go(n.base)
+            if fixed_radicands and n.e2 & 1 and b != n.base:
+                raise _RadicandChanged
+            return n if b is n.base else _power(b, n.e2)
         if tt is Mul:
-            return mul(Num(n.coef), *[go(f) for f in n.factors])
-        return add(*[go(t) for t in n.terms])
+            c, fs = leaf(Num(n.coef)), [go(f) for f in n.factors]
+            return n if c.val == n.coef and all(map(operator.is_, fs, n.factors)) else mul(c, *fs)
+        ts = [go(t) for t in n.terms]
+        return n if all(map(operator.is_, ts, n.terms)) else add(*ts)
 
     return go(e)
 

@@ -13,7 +13,8 @@ ladder moves from the closed-form top member
 A component of covector weight n sits on n raising legs e^+1 (or -n
 lowering legs e^-1), so every weight |n| <= l has its reduced operator,
 shifted ladder and family; each emitted member is certified by its own
-residuals (reduced or Casimir, axis, and each ladder move).
+residuals (reduced or Casimir, axis, and each ladder move), or at m < 0 by
+those of its complex-conjugate partner at -m (`_casimir_certificates`).
 
 A member is N^(-1/2) e^{i m phi} sin^eps(theta) P(cos theta), eps in {0, 1}.
 Each (l, n) family is built whole on first use as the integer coefficient
@@ -61,6 +62,7 @@ LADDER_COMPONENTS = (
 FRAME_NAMES = ("r", "+1", "-1")
 THETA, PHI = ex.sym("theta"), ex.sym("phi")
 AMPLITUDE_NAMES = ("h_rr", "h_r", "h")
+SIGMA_FLIP = ("h_r",)  # conjugation swaps the +1 and -1 legs, so the r-s slots change sign
 
 
 class So3Model:
@@ -242,30 +244,30 @@ class So3Model:
         m_values = _weights(l, m_values)
         lam = ex.num(-l * (l + 1))
         amps = {a: ex.sym(a) for a in AMPLITUDE_NAMES}
-        components = {}
         n_values = sorted({n for _u, _lo, n, _a in self.tensor_slots(l)})
         fams = {n: {m: self._member(l, n, m) for m in m_values} for n in n_values}
-        for n in n_values:
-            for m in m_values:
-                components[f"n={n},m={m}"] = fams[n][m]
-        certs = []
-        assemblies = {}
+        components = {f"n={n},m={m}": fams[n][m] for n in n_values for m in m_values}
+        assemblies, tensors, scalar = {}, {}, {}
         box = self.space.full_box()
         reduced = {n: self.reduced_operator(n) for n in n_values}
         for m in m_values:
-            tag = f"m={m}"
-            monos = []
-            for upper, lower, n, amp in self.tensor_slots(l):
-                scalar = ex.mul(amps[amp], fams[n][m])
-                monos.append(TensorMonomial(upper, lower, scalar))
-            assemblies[tag] = assembly_to_json(self.frame, monos)
+            monos = [TensorMonomial(upper, lower, ex.mul(amps[amp], fams[n][m]))
+                     for upper, lower, n, amp in self.tensor_slots(l)]
+            assemblies[f"m={m}"] = assembly_to_json(self.frame, monos)
+            tensors[f"m={m}"] = assemble(self.frame, monos, 0, 2)
+        for m in sorted(dict.fromkeys(m_values), key=lambda m: m < 0):
             for n in n_values:
-                t = fams[n][m]
-                red = reduced[n].apply(t)
-                certs.append(claim(f"reduced-eigenvalue n={n} {tag}", red, ex.mul(lam, t), box, seed))
-                axis = self.ladder[2].apply(t)
-                certs.append(claim(f"axis-eigenvalue n={n} {tag}", axis, ex.mul(ex.num(m), t), box, seed))
-            certs.append(assembly_claim(self.op_space, assemble(self.frame, monos, 0, 2), lam, seed, tag))
+                t, known = fams[n][m], scalar.get((-n, -m)) if m < 0 else None
+                names = (f"reduced-eigenvalue n={n} m={m}", f"axis-eigenvalue n={n} m={m}")
+                if not (known and self._conjugate_weights and _conjugates(
+                        [(t, fams[-n][-m])], n + m, (), [c.payload for c in known])):
+                    known = [claim(names[0], reduced[n].apply(t), ex.mul(lam, t), box, seed),
+                             claim(names[1], self.ladder[2].apply(t), ex.mul(ex.num(m), t), box, seed)]
+                scalar[n, m] = [Certificate(name, c.payload) for name, c in zip(names, known)]
+        casimir = self._casimir_certificates(tensors, lam, seed)
+        certs = []
+        for m in m_values:
+            certs += [c for n in n_values for c in scalar[n, m]] + [casimir[f"m={m}"]]
         return HarmonicFamily(
             model=self.name,
             kind="tensor20",
@@ -297,14 +299,50 @@ class So3Model:
                     out += certs if single else _at_weight(certs, m)
                 return out
         elif kind == "tensor20":
-            tensors = [(tag, assemble_from_json(self.frame, monos))
-                       for tag, monos in doc.get("assemblies", {}).items()]
+            tensors = {tag: assemble_from_json(self.frame, monos)
+                       for tag, monos in doc.get("assemblies", {}).items()}
 
             def recertify(seed):
-                return [assembly_claim(self.op_space, tens, lam, seed, tag) for tag, tens in tensors]
+                return list(self._casimir_certificates(tensors, lam, seed).values())
         else:
             raise SchemaError(f"unknown so3 family kind {kind!r}")
         return recertify
+
+    @functools.cached_property
+    def _sigma_commutes(self) -> bool:
+        """Whether G commutes with sigma, `ex.conj` with h_r negated: sigma
+        fixes the generator components and metric entries of `op_space`."""
+        op = self.op_space
+        entries = [c for x in op.generators for c in x.comps] + [g for row in op.metric for g in row]
+        return all(ex.conj(e, SIGMA_FLIP) == e for e in entries)
+
+    @functools.cached_property
+    def _conjugate_weights(self) -> bool:
+        """Whether conjugation negates the axis generator and maps the reduced
+        operator of each weight n to that of -n."""
+        conj = {n: [(idx, ex.conj(c)) for idx, c in self.reduced_operator(n).table] for n in range(-2, 3)}
+        return (all(ex.conj(c) == ex.neg(c) for c in self.ladder[2].comps)
+                and all(c is not None for table in conj.values() for _, c in table)
+                and all(ScalarOperator(self.space, tuple(table)).equal_to(self.reduced_operator(-n))
+                        for n, table in conj.items()))
+
+    def _casimir_certificates(self, tensors: dict, lam, seed: int) -> dict:
+        """tag -> the `casimir-eigenvalue` certificate of each assembly.  T(m) at
+        m < 0 reuses T(-m)'s result when G commutes with sigma, lam is real,
+        T(m) = (-1)^m sigma(T(-m)) on every component and T(-m)'s residuals are
+        symbolically zero, as T(m)'s are then (-1)^m sigma of them."""
+        weight = {tag: int(tag[2:]) for tag in tensors
+                  if tag[:2] == "m=" and tag[2:].removeprefix("-").isdecimal()}
+        real, out = self._sigma_commutes and ex.conj(lam) == lam, {}
+        for tag in sorted(tensors, key=lambda tag: weight.get(tag, 0) < 0):
+            m, t = weight.get(tag, 0), tensors[tag]
+            known, other = out.get(f"m={-m}") if m < 0 else None, tensors.get(f"m={-m}")
+            if (real and known is not None and (t.p, t.q) == (other.p, other.q)
+                    and _conjugates(set(zip(t.comps, other.comps)), m, SIGMA_FLIP, known.payload.reports)):
+                out[tag] = Certificate(f"casimir-eigenvalue {tag}", known.payload)
+            else:
+                out[tag] = assembly_claim(self.op_space, t, lam, seed, tag)
+        return {tag: out[tag] for tag in tensors}
 
     def apply_ladder(self, l: int, n: int, m: int, s: int, seed: int = 0):
         """One ladder move on t^l_{n,m}; returns (coefficient, target m, report).
@@ -348,6 +386,15 @@ def _lower(l: int, n: int, m: int, p: list, eps: int, norm: int) -> tuple:
             raise ArithmeticError(f"so3 lowering left a remainder at l={l}, n={n}, m={m}")
         q = [-c for c in s]
     return q, 1 - eps, norm * (l * (l + 1) - m * (m - 1))
+
+
+def _conjugates(pairs, k: int, flip, reports) -> bool:
+    """Whether every report is symbolically zero and a = (-1)^k conj(b)
+    exactly, with the symbols in `flip` negated, for every pair (a, b)."""
+    minus_sign = ex.num(1 if k % 2 else -1)
+    return all(r.verdict is nc.Verdict.SYMBOLIC_ZERO for r in reports) and all(
+        (c := ex.conj(b, flip)) is not None and ex.simplify(ex.add(a, ex.mul(minus_sign, c))) == ex.ZERO
+        for a, b in pairs)
 
 
 def _is_int(x) -> bool:

@@ -364,19 +364,17 @@ def assemble_from_json(frame: Frame, monomials) -> TensorField:
     """Rebuild an assembled tensor from monomials serialized by `assembly_to_json`.
 
     Legs are named by the frame; scalars may use the chart coordinates and
-    its parameters (the amplitudes)."""
+    its parameters (the amplitudes); each distinct scalar text is parsed once."""
     if not monomials:
         raise ValueError("an assembly needs at least one monomial")
     if any(len(mo["upper"]) + len(mo["lower"]) > 4 for mo in monomials):  # `assemble` builds d^legs components
         raise ValueError("an assembly monomial has at most 4 legs")
     chart = frame.chart
     legs = {name: a for a, name in enumerate(frame.names)}
+    scalar = functools.lru_cache(maxsize=None)(lambda text: parse(text, chart.coords, chart.params))
     monos = [
-        TensorMonomial(
-            tuple(legs[a] for a in mo["upper"]),
-            tuple(legs[b] for b in mo["lower"]),
-            parse(mo["scalar"], chart.coords, chart.params),
-        )
+        TensorMonomial(tuple(legs[a] for a in mo["upper"]), tuple(legs[b] for b in mo["lower"]),
+                       scalar(mo["scalar"]))
         for mo in monomials
     ]
     return assemble(frame, monos, len(monos[0].upper), len(monos[0].lower))

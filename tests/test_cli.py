@@ -346,6 +346,23 @@ class TestBuildMetric:
         assert error in doc["checks"][1]["error"]
         assert "metric" not in doc
 
+    def test_dependent_generators_with_a_user_frame_fail_the_build(self, capsys, tmp_path):
+        """A zero generator makes the generator matrix singular, so the user
+        frame has no coefficients in the generator basis: a failed check, not
+        a traceback."""
+        path = model_file(tmp_path, {
+            **json.loads(json.dumps(BUILTIN_MODELS["bianchi2"])),
+            "generators": [["exp(-y)", "0", "0"], ["0", "0", "0"], ["0", "0", "1"]],
+            "frame": {"vectors": [["exp(-y)", "0", "0"], ["-v", "1", "0"], ["0", "0", "1"]]},
+        })
+        code, out = run(capsys, "build-metric", "--model", path)
+        assert code == 1
+        doc = json.loads(out)
+        assert [(c["name"], c["ok"]) for c in doc["checks"]] == [
+            ("structure-constants", True), ("invariant-frame", False)]
+        assert "dependent" in doc["checks"][1]["error"]
+        assert "metric" not in doc
+
 
 class TestHarmonics:
     def test_point_series_eigenvalue(self, capsys):
@@ -631,6 +648,24 @@ class TestFamilyRoundTrip:
         assert [(c["name"], c["stored"], c["recomputed"]) for c in failed] == [
             ("recertify: casimir-eigenvalue m=0", "ok", "failed")]
 
+    @pytest.mark.parametrize("tag", ["m=-1", "m=1"])
+    def test_corrupted_conjugate_pair_fails(self, capsys, tmp_path, tag):
+        """The m = -1 certificate is derived from the m = 1 one only when the
+        two assemblies are conjugates; a corrupted assembly on either side
+        is certified in full and fails, and its partner still passes."""
+        p = tmp_path / "fam.json"
+        assert main(["harmonics", "so3", "--type", "2,0", "--l", "2", "--out", str(p)]) == 0
+        doc = json.loads(p.read_text())
+        for mono in doc["assemblies"][tag]:
+            if mono["lower"] == ["r", "r"]:
+                mono["scalar"] = "h_rr*cos(theta)"
+        p.write_text(json.dumps(doc))
+        code, out = run(capsys, "verify", "--family", str(p))
+        assert code == 1
+        failed = [c for c in json.loads(out)["checks"] if not c["ok"]]
+        assert [(c["name"], c["stored"], c["recomputed"]) for c in failed] == [
+            (f"recertify: casimir-eigenvalue {tag}", "ok", "failed")]
+
     @pytest.mark.parametrize("monomials", [
         [],
         [{"upper": [], "lower": ["+1", "-1"], "scalar": "m*h*cos(theta)"}],
@@ -794,6 +829,21 @@ class TestDeterminism:
                      "--out", str(path)]) == 0
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
             "29cc502567c536322363bc6d161a26cac5e422dca857ffbc10dffe648f5d99b1")
+
+    @pytest.mark.parametrize("l,digest", [
+        (2, "78bc60b8d38b331903e7b0d1314659303501aa08308cf21138c15178b537f3a5"),
+        (4, "a2d7055bc10609c215b2fd622ba6e876b21e275b69c052ff479cd528e8ad4c1d"),
+    ])
+    def test_tensor_family_verify_digests_are_pinned(self, capsys, tmp_path, l, digest):
+        """The `verify --family` digests of the `--type 2,0 --l 2` and `--l 4`
+        documents, as released before the m < 0 certificates were derived
+        by conjugation."""
+        path = tmp_path / "fam.json"
+        assert main(["harmonics", "so3", "--type", "2,0", "--l", str(l), "--seed", "0",
+                     "--out", str(path)]) == 0
+        code, out = run(capsys, "verify", "--family", str(path), "--seed", "0")
+        assert code == 0
+        assert json.loads(out)["digest"] == digest
 
     @pytest.mark.parametrize("argv,sha", [
         (["so3", "--l", "4"], "d6420ae5b3c7f6ba88be97f45ffb67695c6a281a3656f9cdca6f6ba52110b521"),

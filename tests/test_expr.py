@@ -9,8 +9,9 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from casimir import evalcore
 from casimir import expr as ex
 from casimir import operator as op
 from casimir.cnum import CNum, divisors
@@ -910,3 +911,48 @@ def test_sum_of_products_matches_adding_the_products(ps):
     got = ex.sum_of_products(ps)
     assert ex.unparse(got) == ex.unparse(want)
     assert got == want
+
+
+# -- complex conjugation --------------------------------------------------------
+
+_FLIPS = st.sampled_from([(), ("y",)])
+
+
+@given(st.one_of(_rich_exprs(), _multi_base_sums()), _FLIPS)
+@settings(max_examples=150, deadline=None)
+def test_conjugation_is_an_involution(e, flip):
+    c = ex.conj(e, flip)
+    assume(c is not None)
+    assert ex.conj(c, flip) == e
+
+
+@given(_rich_exprs(), _FLIPS)
+@settings(max_examples=150, deadline=None)
+def test_conjugate_evaluates_to_the_conjugate_value(e, flip):
+    """At real points, conj(e) takes the conjugate values of e, and with y
+    negated those of e at -y."""
+    c = ex.conj(e, flip)
+    assume(c is not None)
+    points = [(0.3 + 0.17 * k, 0.2 + 0.13 * k) for k in range(8)]
+    try:
+        want = evalcore.compile_expr(e, _COORDS).run([(x, -y if flip else y) for x, y in points])
+        got = evalcore.compile_expr(c, _COORDS).run(points)
+    except (ZeroDivisionError, OverflowError):
+        assume(False)
+    for a, b in zip(got, want):
+        assume(cmath.isfinite(b))
+        assert abs(a - b.conjugate()) <= 1e-9 * (1 + abs(b))
+
+
+def test_conjugation_rules():
+    def conj(text, flip=()):
+        c = ex.conj(parse(text, _COORDS), flip)
+        return c if c is None else ex.unparse(c)
+
+    assert conj("(2 - 3*i)*x*exp(i*y) + sin(x + i)") == "(2+3*i)*x*exp(-i*y) - sin(i - x)"
+    assert conj("(1 + x^2)^(1/2) + 3^(1/2)*y", ("y",)) == "-y*3^(1/2) + (1 + x^2)^(1/2)"
+    # a half power is its own conjugate only while its base is
+    for text in ("(1 + i)^(1/2)", "(x + i*y)^(-1/2)", "(1 + exp(i*x))^(3/2)"):
+        assert conj(text) is None
+    assert conj("(2 + y)^(1/2)", ("y",)) is None
+    assert conj("(2 + y)^2", ("y",)) == "4 - 4*y + y^2"

@@ -10,9 +10,11 @@ import pytest
 from casimir import expr as ex
 from casimir import numcheck as nc
 from casimir.modelio import load_model
-from casimir.models import so3_model
+from casimir.models import family, so3_model
 from casimir.models.so3 import So3Model, _lower
+from casimir.operator import ScalarOperator
 from casimir.parser import parse
+from casimir.tensor_fields import VectorField
 from helpers import tree_evaluate
 
 BOX = {"theta": (0.01, math.pi - 0.01)}
@@ -222,6 +224,87 @@ class TestTensorFamilies:
         assert any("h_rr" in s for s in scalars)
         assert any("h_r" in s for s in scalars)
         assert fam.amplitudes == ("h_rr", "h_r", "h")
+
+
+def _count_certificates(monkeypatch, numeric=False) -> dict:
+    """Counts of `certify_eigen` and `numcheck.is_zero` calls from now on;
+    with `numeric`, every symbolically-zero verdict reads numerically-zero."""
+    calls = {"eigen": 0, "zero": 0}
+    certify_eigen, is_zero = family.certify_eigen, nc.is_zero
+
+    def counted_eigen(*args):
+        calls["eigen"] += 1
+        return certify_eigen(*args)
+
+    def counted_zero(*args):
+        calls["zero"] += 1
+        rep = is_zero(*args)
+        return nc.ZeroReport(nc.Verdict.NUMERIC_ZERO) if numeric and rep.verdict is nc.Verdict.SYMBOLIC_ZERO else rep
+
+    monkeypatch.setattr(family, "certify_eigen", counted_eigen)
+    monkeypatch.setattr(nc, "is_zero", counted_zero)
+    return calls
+
+
+class TestConjugateHalf:
+    """The m < 0 certificates of a tensor family are derived from their m > 0
+    partners by conjugation, under exact checks, and certified in full
+    whenever a check fails."""
+
+    def test_work_count(self, monkeypatch):
+        """From cold kernel caches, the weight-2 family makes 3 Lie-derivative
+        certificates and 47 zero checks (5 and 79 when every weight is
+        certified in full), and its re-certifier 3 certificates."""
+        for table in (ex._ATOMS, ex._MONO_CACHE, ex._DIFF_CACHE):
+            table.clear()
+        model = So3Model()
+        calls = _count_certificates(monkeypatch)
+        doc = model.tensor20_harmonic(2).to_json()
+        assert doc["certified"]
+        assert calls["eigen"] <= 3 and calls["zero"] <= 50
+        calls.update(eigen=0, zero=0)
+        assert all(c.ok for c in So3Model().recertifier(doc)(0))
+        assert calls["eigen"] <= 3
+
+    def test_derived_certificates_equal_the_full_ones(self):
+        derived = So3Model().tensor20_harmonic(2, seed=3).to_json()
+        for m in range(-2, 0):  # each weight alone has no partner
+            alone = So3Model().tensor20_harmonic(2, m_values=[m], seed=3).to_json()
+            assert alone["certificates"] == [c for c in derived["certificates"] if c["name"].endswith(f" m={m}")]
+
+    def test_an_imaginary_metric_takes_the_full_path(self, monkeypatch):
+        """The same G written with the generators L+, i L-, L3, whose metric
+        has the imaginary entries i/2: every certificate still holds
+        symbolically, but G is not shown to commute with sigma."""
+        model = So3Model()
+        raising, lowering, axis = model.space_ladder
+        lowering = VectorField(model.space, tuple(ex.mul(ex.I, c) for c in lowering.comps))
+        half_i = ex.num(0, Fraction(1, 2))
+        metric = ((ex.ZERO, half_i, ex.ZERO), (half_i, ex.ZERO, ex.ZERO), (ex.ZERO, ex.ZERO, ex.MINUS_ONE))
+        model.op_space = model.op_space.replace(generators=(raising, lowering, axis), metric=metric)
+        calls = _count_certificates(monkeypatch)
+        fam = model.tensor20_harmonic(1)
+        assert fam.ok and calls["eigen"] == 3
+
+    def test_unconjugate_reduced_operators_take_the_full_path(self, monkeypatch):
+        """i d/dr annihilates every member, so each reduced certificate still
+        holds symbolically, but conjugation no longer maps the reduced
+        operator of n to that of -n: 29 zero checks at l = 1, not 23."""
+        model = So3Model()
+        reduced = model.reduced_operator
+        model.reduced_operator = lambda n: ScalarOperator(
+            model.space, tuple(sorted(reduced(n).table + (((1, 0, 0), ex.I),))))
+        calls = _count_certificates(monkeypatch)
+        fam = model.tensor20_harmonic(1)
+        assert fam.ok and calls["zero"] == 29
+
+    def test_numeric_partner_verdicts_take_the_full_path(self, monkeypatch):
+        """A sampled verdict proves nothing exact, so no certificate is derived from it."""
+        model = So3Model()
+        calls = _count_certificates(monkeypatch, numeric=True)
+        fam = model.tensor20_harmonic(2)
+        assert calls == {"eigen": 5, "zero": 79}
+        assert fam.ok
 
 
 class TestCancelledForms:

@@ -339,7 +339,7 @@ def _coef_mono(t: Expr) -> tuple[CNum, tuple]:
     return CN_ONE, (t,)
 
 
-def _terms_of(e: Expr) -> tuple:
+def terms_of(e: Expr) -> tuple:
     """The (coefficient, monomial) pairs of a canonical expression's terms."""
     return tuple([_coef_mono(t) for t in (e.terms if type(e) is Add else (e,))])
 
@@ -632,7 +632,7 @@ def _mono_product(m1: tuple, m2: tuple) -> tuple:
     key = (m1, m2)
     hit = _MONO_CACHE.get(key)
     if hit is None:
-        hit = _terms_of(mul(*m1, *m2))
+        hit = terms_of(mul(*m1, *m2))
         if len(_MONO_CACHE) >= _MONO_CACHE_CAP:
             _MONO_CACHE.clear()
         _MONO_CACHE[key] = hit
@@ -1316,9 +1316,9 @@ def _lower_class(items: dict, base: Add, odd: int, target: int) -> dict:
             pairs.append((c, mono))
             continue
         # term by term: mul would fold a whole base^k straight back into the atom
-        for cp, pm in _terms_of(_power(base, cur - target)):
+        for cp, pm in terms_of(_power(base, cur - target)):
             ccp = c * cp
-            pairs.extend([(ccp * c3, m3) for c3, m3 in _terms_of(mul(*rest, atom, *pm))])
+            pairs.extend([(ccp * c3, m3) for c3, m3 in terms_of(mul(*rest, atom, *pm))])
     return dict(_merge(pairs))
 
 

@@ -163,39 +163,42 @@ def invert_cartan(ct: CartanTensor, sc: StructureConstants) -> ConstantMetric:
 # --- exact linear algebra -------------------------------------------------
 
 
-def _gauss_jordan(m) -> tuple[list, list]:
+def gauss_jordan(m) -> tuple[list, list]:
     """Exact Gauss-Jordan elimination of a rational matrix: its reduced row
-    echelon form, each pivot scaled to 1, and the pivot columns."""
-    a = [list(map(Fraction, row)) for row in m]
+    echelon form, each pivot scaled to 1, and the pivot columns.  Each step
+    touches only the nonzero entries of the pivot row, so a sparse system
+    costs in proportion to its nonzeros."""
+    a = [[x if type(x) is Fraction else Fraction(x) for x in row] for row in m]
     pivots = []
     for col in range(len(a[0]) if a else 0):
         row = len(pivots)
-        piv = next((rr for rr in range(row, len(a)) if a[rr][col] != 0), None)
+        piv = next((rr for rr in range(row, len(a)) if a[rr][col]), None)
         if piv is None:
             continue
         a[row], a[piv] = a[piv], a[row]
-        pivval = a[row][col]
-        a[row] = [x / pivval for x in a[row]]
-        for rr in range(len(a)):
-            if rr != row and a[rr][col] != 0:
-                f = a[rr][col]
-                a[rr] = [x - f * y for x, y in zip(a[rr], a[row])]
+        prow = a[row]
+        nonzero = [j for j in range(col, len(prow)) if prow[j]]  # left of col it is all zero
+        pivval = prow[col]
+        if pivval != 1:
+            for j in nonzero:
+                prow[j] /= pivval
+        for rr, other in enumerate(a):
+            f = other[col]
+            if f and rr != row:
+                for j in nonzero:
+                    other[j] -= f * prow[j]
         pivots.append(col)
     return a, pivots
 
 
 def matrix_rank(m) -> int:
-    return len(_gauss_jordan(m)[1])
+    return len(gauss_jordan(m)[1])
 
 
 def matrix_inverse(m):
     n = len(m)
-    a, pivots = _gauss_jordan([list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)])
+    a, pivots = gauss_jordan([list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)])
     if pivots != list(range(n)):
         raise DegenerateCartanError("matrix is singular")
     return [row[n:] for row in a]
 
-
-def ad_matrix(sc: StructureConstants, b: int):
-    """(ad_b)^a_q = C^a_{bq}; the coefficient matrix of bracketing with xi_b."""
-    return [[sc.c[a][b][q] for q in range(sc.r)] for a in range(sc.r)]

@@ -1,4 +1,5 @@
-"""Built-in model for the three-parameter solvable group with one bracket.
+"""Built-in model for the three-parameter solvable group with one bracket
+(Bianchi type III).
 
 Generators on the (v, y, z) chart (after straightening the first generator
 with v = x e^{-y}): xi_1 = e^{-y} d/dv, xi_2 = d/dy, xi_3 = d/dz, with

@@ -4,9 +4,10 @@ This is the machinery that diagonalizes the generalized Casimir operator:
 a frame of vectors/covectors in which every generator acts by scaling
 (the mu factors), rank-one projectors built from dual pairs, and for simply
 transitive actions the invariant frame solved from the linear system
-``xi_b L^a_d + C^a_{bq} L^q_d = 0`` by integrating constant-coefficient
-flows one coordinate at a time (closed form via exact matrix exponentials
-with rational spectra).
+``xi_b L^a_d + C^a_{bq} L^q_d = 0`` by undetermined coefficients: each
+``L^a_d`` is a rational combination of degree-one monomials in the
+coordinates times exponentials taken from the generators, and equating the
+coefficients of the kernel's monomials leaves one linear system over Q.
 """
 
 from __future__ import annotations
@@ -16,11 +17,10 @@ from fractions import Fraction
 from . import evalcore
 from . import expr as ex
 from . import numcheck as nc
-from .lie_algebra import StructureConstants, ad_matrix
+from .lie_algebra import StructureConstants, gauss_jordan
 from .record import FrozenRecord
 from .tensor_fields import (
     Chart,
-    OffChartError,
     TensorField,
     VectorField,
     lie_derivative,
@@ -34,7 +34,7 @@ class NotSimplyTransitiveError(Exception):
 
 
 class NoClosedFormError(Exception):
-    """The structured frame ansatz failed; supply the frame explicitly."""
+    """No invariant frame in the solver's basis; supply the frame explicitly."""
 
 
 class NotEigenFrameError(Exception):
@@ -276,129 +276,85 @@ class FrameSolution(FrozenRecord):
     _fields = ("L", "frame", "base_point", "invariance")
 
 
-def _polyexp_integrate(terms: dict, lam: Fraction) -> dict:
-    """Solve r' = lam*r + sum_rho e^{rho t} poly(t), r(0) = 0.
-
-    terms maps rho -> ascending poly coefficients; returns same encoding.
-    """
-    out: dict[Fraction, list] = {}
-
-    def acc(rho, poly):
-        cur = out.setdefault(rho, [])
-        while len(cur) < len(poly):
-            cur.append(Fraction(0))
-        for k, c in enumerate(poly):
-            cur[k] += c
-
-    for rho, poly in terms.items():
-        if rho == lam:
-            anti = [Fraction(0)] + [c / (k + 1) for k, c in enumerate(poly)]
-            acc(lam, anti)
-        else:
-            delta = rho - lam
-            # int e^{delta s} poly ds = e^{delta t} Q(t) - Q(0)
-            q = [Fraction(0)] * len(poly)
-            deriv = list(poly)
-            sign = 1
-            power_ = 1
-            while any(deriv):
-                for k, c in enumerate(deriv):
-                    q[k] += sign * c / delta**power_
-                deriv = [c * (k + 1) for k, c in enumerate(deriv[1:])]
-                deriv += [Fraction(0)] * (len(q) - len(deriv))
-                sign = -sign
-                power_ += 1
-            acc(rho, q)
-            acc(lam, [-q[0]])
-    return {rho: poly for rho, poly in out.items() if any(poly)}
+# Most unknowns the frame solver takes on.  The elimination's work and memory
+# grow with their square; three generators with 40 exponentials give 972.
+FRAME_MAX_UNKNOWNS = 1_000
 
 
-def _char_poly(a) -> list:
-    """Characteristic polynomial coefficients (ascending) via Faddeev-LeVerrier."""
-    n = len(a)
-    coeffs = [Fraction(0)] * (n + 1)
-    coeffs[n] = Fraction(1)
-    m = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for k in range(1, n + 1):
-        # M_k = A M_{k-1} + c_{n-k+1} I, with M_1 = I
-        if k > 1:
-            m = [
-                [am[i][j] + (coeffs[n - k + 1] if i == j else 0) for j in range(n)]
-                for i in range(n)
-            ]
-        am = mat_mul(a, m)
-        tr = sum(am[i][i] for i in range(n))
-        coeffs[n - k] = -tr / k
-    return coeffs
+def _frame_basis(generators) -> list:
+    """The functions each L^a_d is sought among: 1 and every coordinate,
+    times 1 and exp(+-u) for every exp(u) factor of the generators' terms,
+    where u must be a rational linear form in the coordinates."""
+    coords = generators[0].chart.coords
+    scales = {ex.ONE: None}  # an ordered set
+    for g in generators:
+        for comp in g.comps:
+            for _, mono in ex.terms_of(comp):
+                for f in mono:
+                    if type(f) is not ex.Fun or f.fname != "exp":
+                        continue
+                    if not all(not c.im and len(m) == 1 and type(m[0]) is ex.Sym and m[0].name in coords
+                               for c, m in ex.terms_of(f.arg)):
+                        raise NoClosedFormError(
+                            f"{ex.unparse(f)} in the generators is not the exponential of a rational "
+                            "linear form in the coordinates")
+                    scales.update(dict.fromkeys((f, ex.exp(ex.neg(f.arg)))))
+    return [ex.mul(p, s) for s in scales for p in (ex.ONE, *map(ex.sym, coords))]
 
 
-def expm_rational(a, t: ex.Expr):
-    """Symbolic exp(A t) for a rational matrix with rational spectrum."""
-    n = len(a)
-    coeffs = _char_poly(a)
-    roots = ex.rational_roots(list(coeffs))
-    lams = []
-    for r, mult in roots:
-        lams.extend([r] * mult)
-    if len(lams) != n:
-        raise NoClosedFormError("matrix exponential needs a rational spectrum")
-    # Putzer recursion
-    ident = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    p_mats = [ident]
-    for j in range(1, n):
-        shifted = [
-            [a[i][k] - (lams[j - 1] if i == k else 0) for k in range(n)] for i in range(n)
-        ]
-        p_mats.append(mat_mul(p_mats[-1], shifted))
-    rs = [{lams[0]: [Fraction(1)]}]
-    for j in range(1, n):
-        rs.append(_polyexp_integrate(rs[-1], lams[j]))
+def _frame_coefficients(sc: StructureConstants, generators) -> list:
+    """L with L^a_d = sum_k c^a_dk phi_k over the basis phi of `_frame_basis`.
 
-    # r_j(t) = sum over rho of e^{rho t} poly(t); exp(A t) = sum_j r_j(t) P_j
-    r_exprs = [ex.sum_of_products((ex.polynomial(poly, t), ex.exp(ex.mul(ex.num(rho), t)))
-                                  for rho, poly in r.items()) for r in rs]
-    return [[ex.simplify(ex.sum_of_products((ex.num(p_mats[j][i][k]), r_exprs[j])
-                                            for j in range(n) if p_mats[j][i][k] != 0))
-             for k in range(n)] for i in range(n)]
+    Equating the coefficient of every kernel monomial in xi_b L^a_d +
+    C^a_{bq} L^q_d = 0 gives one homogeneous system over Q in the c^a_k,
+    the same for every column d.  Its null space normalized to L(0) = I is
+    the unique solution of the system with L^a_d(0) = delta_ad added, which
+    one Gauss-Jordan elimination finds for every d at once: the null space
+    must have dimension r and its values at the origin must be independent."""
+    basis = _frame_basis(generators)
+    r, nb = sc.r, len(basis)
+    n = r * nb  # c^a_k is unknown a * nb + k; column n + d is the right-hand side for d
+    if n > FRAME_MAX_UNKNOWNS:
+        raise NoClosedFormError(f"the solver's basis gives {n} unknowns, more than {FRAME_MAX_UNKNOWNS}")
+    rows: dict = {}  # (b, a, monomial) -> its equation
+    zero = Fraction(0)
 
+    def put(b, a, mono, col, c):
+        row = rows.get((b, a, mono))
+        if row is None:
+            row = rows[b, a, mono] = [zero] * (n + r)
+        row[col] += c
 
-def _single_axis(g: VectorField):
-    """(axis, factor) when the generator has exactly one nonzero component."""
-    hits = [(c, comp) for c, comp in enumerate(g.comps) if ex.simplify(comp) != ex.ZERO]
-    if len(hits) != 1:
-        return None
-    return hits[0]
-
-
-def _base_point(chart: Chart) -> dict:
-    candidates = [dict.fromkeys(chart.coords, Fraction(0))]
-    mid = {
-        c: Fraction(round(2 * (chart.box[c][0] + chart.box[c][1]) / 2)) / 2 if c in chart.box else Fraction(0)
-        for c in chart.coords
-    }
-    candidates.append(mid)
-    for cand in candidates:
-        ok = all(
-            c not in chart.box or chart.box[c][0] < float(v) < chart.box[c][1]
-            for c, v in cand.items()
-        )
-        if not ok:
-            continue
-        try:
-            chart.check_points(chart.coords, [tuple(float(cand[c]) for c in chart.coords)])
-        except OffChartError:
-            continue
-        return cand
-    raise NoClosedFormError("no usable rational base point inside the domain box")
+    for b, g in enumerate(generators):
+        for k, phi in enumerate(basis):
+            moved = ex.terms_of(g.apply(phi))
+            if any(c.im for c, _ in moved):
+                raise NoClosedFormError("the invariance equations have a complex coefficient")
+            ((_, own),) = ex.terms_of(phi)
+            for a in range(r):
+                for c, mono in moved:
+                    put(b, a, mono, a * nb + k, c.re)
+                for q in range(r):
+                    if sc.c[a][b][q]:
+                        put(b, a, own, q * nb + k, sc.c[a][b][q])
+    origin = dict.fromkeys(generators[0].chart.coords, 0)
+    at_origin = [Fraction(ex.subs(phi, origin).val.re) for phi in basis]
+    norm = [[zero] * (a * nb) + at_origin + [zero] * ((r - 1 - a) * nb) + [Fraction(d == a) for d in range(r)]
+            for a in range(r)]
+    red, pivots = gauss_jordan([*rows.values(), *norm])
+    if pivots != list(range(n)):
+        raise NoClosedFormError("no invariant frame in the solver's basis: the invariance "
+                                "equations have no unique solution with L(0) = I")
+    return [[ex.sum_of_products((ex.num(red[a * nb + k][n + d]), phi) for k, phi in enumerate(basis)
+                                if red[a * nb + k][n + d])
+             for d in range(r)] for a in range(r)]
 
 
 def solve_invariant_frame(sc: StructureConstants, generators, seed: int = 0) -> FrameSolution:
     """Invariant frame e_d = L^a_d xi_a for a simply transitive action.
 
-    Strategy: order the generators so each one moves a single coordinate
-    whose flow factor depends only on coordinates moved later, then compose
-    exact matrix exponentials of the bracket coefficient matrices along that
-    path from a rational base point.  The candidate is certified against the
+    L is solved over Q by undetermined coefficients (`_frame_coefficients`),
+    normalized to the identity at the origin, and certified against the
     defining linear system; any failure raises NoClosedFormError.
     """
     generators = tuple(generators)
@@ -414,47 +370,7 @@ def solve_invariant_frame(sc: StructureConstants, generators, seed: int = 0) -> 
     for env, mat in zip(envs, _matrices([g.comps for g in generators], envs)):
         if _numeric_rank(mat) < r:
             raise NotSimplyTransitiveError(f"generators are dependent near {env}")
-
-    ident = [[ex.ONE if i == j else ex.ZERO for j in range(d)] for i in range(d)]
-    if all(sc.c[k][i][j] == 0 for k in range(r) for i in range(r) for j in range(r)):
-        lmat = ident
-        base = dict.fromkeys(chart.coords, Fraction(0))
-    else:
-        legs = []
-        for b, g in enumerate(generators):
-            hit = _single_axis(g)
-            if hit is None:
-                raise NoClosedFormError(
-                    f"generator {b + 1} moves several coordinates; the flow ansatz does not apply"
-                )
-            axis, factor = hit
-            deps = ex.free_symbols(factor) & set(chart.coords)
-            if chart.coords[axis] in deps:
-                raise NoClosedFormError(
-                    f"flow factor of generator {b + 1} depends on its own coordinate"
-                )
-            legs.append({"gen": b, "axis": axis, "factor": factor, "deps": deps})
-        if len({leg["axis"] for leg in legs}) != d:
-            raise NoClosedFormError("generators do not move distinct coordinates")
-        order = _order_legs(legs, chart)
-        base = _base_point(chart)
-        lmat = ident
-        for pos, leg in enumerate(order):
-            later = {chart.coords[l2["axis"]]: base[chart.coords[l2["axis"]]] for l2 in order[pos + 1 :]}
-            f0 = ex.simplify(ex.subs(leg["factor"], later))
-            if type(f0) is not ex.Num or f0.val.is_zero():
-                raise NoClosedFormError(
-                    f"flow factor of generator {leg['gen'] + 1} is not an exact nonzero constant at the base point"
-                )
-            cname = chart.coords[leg["axis"]]
-            delta = ex.mul(
-                ex.sub(ex.sym(cname), ex.num(base[cname])), ex.num(f0.val.inverse())
-            )
-            cb = ad_matrix(sc, leg["gen"])
-            negcb = [[-x for x in row] for row in cb]
-            step = expm_rational(negcb, delta)
-            lmat = mat_mul(step, lmat)
-        lmat = [[ex.simplify(e) for e in row] for row in lmat]
+    lmat = _frame_coefficients(sc, generators)
 
     # certify the defining equations
     invariance = []
@@ -486,28 +402,7 @@ def solve_invariant_frame(sc: StructureConstants, generators, seed: int = 0) -> 
         raise NoClosedFormError("frame vectors are degenerate on the domain")
     frame = frame_from_vectors(chart, vectors, seed=seed)
     lt = tuple(tuple(lmat[a][dd] for dd in range(r)) for a in range(r))
-    base_named = {c: base[c] for c in chart.coords}
-    return FrameSolution(lt, frame, base_named, tuple(invariance))
-
-
-def _order_legs(legs, chart: Chart):
-    """Topological order: a leg precedes every leg whose coordinate it reads."""
-    remaining = list(legs)
-    order = []
-    while remaining:
-        progressed = False
-        for leg in remaining:
-            # leg can be placed now iff none of its deps belong to already-moved axes
-            moved = {chart.coords[l2["axis"]] for l2 in order}
-            if leg["deps"] & moved:
-                continue
-            order.append(leg)
-            remaining.remove(leg)
-            progressed = True
-            break
-        if not progressed:
-            raise NoClosedFormError("flow factors have cyclic coordinate dependencies")
-    return order
+    return FrameSolution(lt, frame, dict.fromkeys(chart.coords, Fraction(0)), tuple(invariance))
 
 
 # --- invariant metric -------------------------------------------------------

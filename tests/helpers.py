@@ -1,10 +1,11 @@
-"""Test-only helpers: the structure constants of three small algebras, a
-seeded polynomial tensor generator, the Lie derivative commutator identity,
-tensor sums and scalings, the nested definition of G, the ladder-built
-orbit Laplacian, and six differential oracles: G applied row by row,
-tensors assembled component by component, the generic Leibniz composition
-of G's matrix, the recursive tree-walk evaluator, the rebuild-everything
-simplify and the per-cell grid export renderer."""
+"""Test-only helpers: the structure constants of three small algebras, the
+path of the Heisenberg model file, a seeded polynomial tensor generator,
+the Lie derivative commutator identity, tensor sums and scalings, the
+nested definition of G, the ladder-built orbit Laplacian, and six
+differential oracles: G applied row by row, tensors assembled component
+by component, the generic Leibniz composition of G's matrix, the recursive
+tree-walk evaluator, the rebuild-everything simplify and the per-cell grid
+export renderer."""
 
 from __future__ import annotations
 
@@ -13,6 +14,7 @@ import csv
 import io
 import itertools
 import json
+import pathlib
 import random
 from fractions import Fraction
 
@@ -38,6 +40,10 @@ def so3_constants() -> StructureConstants:
 def bianchi2_constants() -> StructureConstants:
     """The algebra of the second built-in model: the single bracket [xi_1, xi_2] = xi_1."""
     return StructureConstants.from_sparse(3, [{"k": 1, "i": 1, "j": 2, "value": "1"}])
+
+
+# the model file of Bianchi type II, the Heisenberg algebra [e2, e3] = e1
+HEISENBERG = pathlib.Path(__file__).resolve().parent.parent / "model_files" / "heisenberg.json"
 
 
 def random_polynomial_tensor(chart: Chart, p: int, q: int, seed: int, degree: int = 2) -> TensorField:

@@ -14,6 +14,7 @@ from casimir.cli import GRID_MAX_POINTS, main
 from casimir.modelio import BUILTIN_MODELS
 from casimir.models import bianchi2_model, so3_model
 from casimir.models.so3 import So3Model
+from helpers import HEISENBERG
 
 GOOD_SOLVABLE = {
     "name": "solvable-custom",
@@ -219,10 +220,7 @@ class TestVerify:
     @pytest.mark.parametrize("command, model, section, key, value", [
         # parsing factors theta^2 - N over its rational roots, which needs the divisors of N
         ("verify", "so3", "metric", 0, [f"(theta^2 - {BIG_PRIME})^(-1)", "0", "0"]),
-        # the invariant frame's matrix exponential finds the eigenvalue N
-        ("build-metric", "abelian", "structure_constants", "C",
-         [{"k": 1, "i": 1, "j": 2, "value": BIG_PRIME}]),
-    ], ids=["so3-metric-pole", "abelian-eigenvalue"])
+    ], ids=["so3-metric-pole"])
     def test_large_polynomial_coefficients_end_quickly(self, capsys, tmp_path, command, model, section,
                                                        key, value):
         """The rational-root search trial-divides a coefficient up to a bound,
@@ -231,6 +229,19 @@ class TestVerify:
         doc[section][key] = value
         start = time.perf_counter()
         assert_input_error(capsys, command, "--model", model_file(tmp_path, doc))
+        assert time.perf_counter() - start < 5
+
+    def test_large_structure_constant_in_the_frame_solver_ends_quickly(self, capsys, tmp_path):
+        """A 40-digit bracket coefficient is one more rational in the frame
+        solver's exact elimination, and no step searches its divisors.  The
+        coordinate fields do not realize [xi_1, xi_2] = N xi_1, so there is
+        no invariant frame: a solver limitation, as for any other N."""
+        doc = json.loads(json.dumps(BUILTIN_MODELS["abelian"]))
+        doc["structure_constants"]["C"] = [{"k": 1, "i": 1, "j": 2, "value": BIG_PRIME}]
+        start = time.perf_counter()
+        code, out = run(capsys, "build-metric", "--model", model_file(tmp_path, doc))
+        assert code == 3
+        assert json.loads(out)["checks"][1]["name"] == "invariant-frame"
         assert time.perf_counter() - start < 5
 
     def test_locus_may_name_a_parameter(self, capsys, tmp_path):
@@ -292,6 +303,40 @@ class TestBuildMetric:
         p.write_text(json.dumps(doc))
         code = main(["build-metric", "--model", str(p)])
         assert code == 3
+
+    def test_heisenberg_frame_metric(self, capsys):
+        """Bianchi type II (the paper's G3II), whose third generator moves
+        two coordinates: the frame is solved, based at the origin."""
+        code, out = run(capsys, "build-metric", "--model", str(HEISENBERG))
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["cartan"]["rank"] == 0
+        assert doc["checks"][1] == {"name": "invariant-frame", "ok": True,
+                                    "base_point": {"x": "0", "y": "0", "z": "0"}}
+        assert doc["checks"][2]["name"] == "killing-condition" and doc["checks"][2]["ok"]
+        assert doc["metric"] == [["1 + x^2 + y^2", "y", "-x"], ["y", "1", "0"], ["-x", "0", "1"]]
+
+    @pytest.mark.parametrize("generators,error", [
+        ([["i*exp(-y)", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]], "complex coefficient"),
+        ([["exp(1-y)", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]], "exp(1 - y)"),
+        ([["1", "0", "0"], ["x", "1", "0"], ["0", "0", "1"]], "no unique solution"),
+    ], ids=["imaginary-coefficient", "constant-in-exponent", "null-space-size"])
+    def test_frame_solver_failures_exit_cleanly(self, capsys, tmp_path, generators, error):
+        """Each way the frame solver can fail is a solver limitation (exit 3)
+        with a report, not a traceback.  Every case is a valid realization of
+        [xi_1, xi_2] = xi_1; the last needs exp(y), which its generators lack,
+        so its invariance equations have a two-dimensional null space."""
+        doc = {**GOOD_SOLVABLE, "chart": {"coords": ["x", "y", "z"]}, "generators": generators}
+        path = model_file(tmp_path, doc)
+        assert main(["verify", "--model", path]) == 0
+        capsys.readouterr()
+        code = main(["build-metric", "--model", path])
+        out, err = capsys.readouterr()
+        assert code == 3
+        assert "Traceback" not in err
+        frame = json.loads(out)["checks"][1]
+        assert frame["name"] == "invariant-frame" and not frame["ok"]
+        assert error in frame["error"]
 
     def _frame_model(self, tmp_path, vectors):
         return model_file(tmp_path, {**GOOD_SOLVABLE, "frame": {"vectors": vectors}})
@@ -842,6 +887,20 @@ class TestDeterminism:
         assert main(["harmonics", "so3", "--type", "2,0", "--l", str(l), "--seed", "0",
                      "--out", str(path)]) == 0
         code, out = run(capsys, "verify", "--family", str(path), "--seed", "0")
+        assert code == 0
+        assert json.loads(out)["digest"] == digest
+
+    @pytest.mark.parametrize("model,seed,digest", [
+        ("bianchi2", 0, "ca880e1a226ed7a02708340e2acaeb0e4a2e9173cc2a5c2c87c685bd4924dc96"),
+        ("bianchi2", 1, "2d6707e01800cf1769432eaf183e81749a198ecd34cdee5384aa49dd1a6be00b"),
+        ("abelian", 0, "c25c28a4ff6dccaf8e13d2e2b48f821d749862a355bdcee48b9029bd29e3a1f0"),
+        ("abelian", 1, "0a7422158ee63ea558e19a1bd19c49b9f5fe882e46cb7084b673734d1ef61354"),
+    ])
+    def test_build_metric_digests_are_pinned(self, capsys, model, seed, digest):
+        """Regression gate for the invariant-frame solver: the `build-metric`
+        digests of the built-in models whose Cartan tensor is degenerate, as
+        released while the frame was integrated along generator flows."""
+        code, out = run(capsys, "build-metric", "--model", model, "--seed", str(seed))
         assert code == 0
         assert json.loads(out)["digest"] == digest
 

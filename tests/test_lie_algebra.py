@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy
+from hypothesis import given, settings, strategies as st
 
 from casimir import lie_algebra as la
 from helpers import abelian_constants, bianchi2_constants, so3_constants
@@ -171,6 +173,31 @@ class TestInverse:
             for i in range(3)
         ]
         assert prod == [[Fraction(int(i == j)) for j in range(3)] for i in range(3)]
+
+
+# sparse rational matrices as int and Fraction entries, most of them zero
+_ENTRIES = st.one_of(st.just(0), st.just(0), st.integers(-3, 3),
+                     st.fractions(min_value=-4, max_value=4, max_denominator=5))
+_MATRICES = st.integers(1, 6).flatmap(
+    lambda w: st.lists(st.lists(_ENTRIES, min_size=w, max_size=w), min_size=1, max_size=7))
+
+
+class TestGaussJordan:
+    @given(_MATRICES)
+    @settings(max_examples=150, deadline=None)
+    def test_matches_sympy_rref(self, m):
+        """The reduced rows (zero rows last) and pivot columns are sympy's,
+        every entry a Fraction."""
+        rows, pivots = la.gauss_jordan(m)
+        want, want_pivots = sympy.Matrix(m).rref()
+        assert pivots == list(want_pivots)
+        assert all(type(x) is Fraction for row in rows for x in row)
+        assert rows == [[Fraction(int(x.p), int(x.q)) for x in want.row(i)] for i in range(len(m))]
+
+    def test_input_is_not_modified(self):
+        m = [[Fraction(2), 4], [1, 3]]
+        la.gauss_jordan(m)
+        assert m == [[Fraction(2), 4], [1, 3]]
 
 
 class TestJsonRoundTrip:

@@ -1,7 +1,6 @@
 """Invariant frames, projectors, scale factors, and invariant metrics."""
 
 import math
-from fractions import Fraction
 
 import pytest
 
@@ -10,8 +9,9 @@ from casimir import lie_algebra as la
 from casimir import numcheck as nc
 from casimir import split_structure as ss
 from casimir import tensor_fields as tf
+from casimir.modelio import load_model
 from casimir.parser import parse
-from helpers import abelian_constants, bianchi2_constants, so3_constants
+from helpers import HEISENBERG, abelian_constants, bianchi2_constants, so3_constants
 
 
 @pytest.fixture(scope="module")
@@ -122,45 +122,26 @@ class TestInvariantFrame:
         with pytest.raises(ss.NoClosedFormError):
             ss.solve_invariant_frame(bianchi2_constants(), gens)
 
+    def test_basis_size_is_bounded(self):
+        """Fifty exponentials give a basis of 3 * 4 * 101 unknowns, past the bound."""
+        chart = tf.Chart("xyz", ("x", "y", "z"), {c: (-1, 1) for c in ("x", "y", "z")})
+        first = " + ".join(f"exp({k}*y)" for k in range(1, 51))
+        gens = [
+            tf.VectorField(chart, tuple(parse(s, chart.coords) for s in row))
+            for row in ((first, "0", "0"), ("0", "1", "0"), ("0", "0", "1"))
+        ]
+        with pytest.raises(ss.NoClosedFormError, match="1212 unknowns"):
+            ss.solve_invariant_frame(bianchi2_constants(), gens)
 
-class TestMatrixExponential:
-    def test_nilpotent(self):
-        a = [[Fraction(0), Fraction(1)], [Fraction(0), Fraction(0)]]
-        t = ex.sym("t")
-        m = ss.expm_rational(a, t)
-        assert m[0][0] == ex.ONE and m[1][1] == ex.ONE
-        assert m[0][1] == t and m[1][0] == ex.ZERO
-
-    def test_diagonalizable(self):
-        a = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(-2)]]
-        t = ex.sym("t")
-        m = ss.expm_rational(a, t)
-        assert ex.simplify(ex.sub(m[0][0], ex.exp(t))) == ex.ZERO
-        assert ex.simplify(ex.sub(m[1][1], ex.exp(ex.mul(ex.num(-2), t)))) == ex.ZERO
-
-    def test_jordan_block(self):
-        a = [[Fraction(1), Fraction(1)], [Fraction(0), Fraction(1)]]
-        t = ex.sym("t")
-        m = ss.expm_rational(a, t)
-        assert ex.simplify(ex.sub(m[0][1], ex.mul(t, ex.exp(t)))) == ex.ZERO
-
-    def test_irrational_spectrum_rejected(self):
-        a = [[Fraction(0), Fraction(1)], [Fraction(2), Fraction(0)]]  # eigenvalues +-sqrt(2)
-        with pytest.raises(ss.NoClosedFormError):
-            ss.expm_rational(a, ex.sym("t"))
-
-    def test_derivative_property(self):
-        # d/dt exp(At) = A exp(At) for a mixed-spectrum matrix
-        a = [[Fraction(1), Fraction(1), Fraction(0)],
-             [Fraction(0), Fraction(1), Fraction(0)],
-             [Fraction(0), Fraction(0), Fraction(-1)]]
-        t = ex.sym("t")
-        m = ss.expm_rational(a, t)
-        for i in range(3):
-            for j in range(3):
-                lhs = ex.diff(m[i][j], "t")
-                rhs = ex.add(*[ex.mul(ex.num(a[i][k]), m[k][j]) for k in range(3)])
-                assert ex.simplify(ex.sub(lhs, rhs)) == ex.ZERO
+    def test_heisenberg_frame(self):
+        """Bianchi type II, the paper's G3II: the generators move several
+        coordinates, and the frame is polynomial."""
+        spec = load_model(str(HEISENBERG))
+        fs = ss.solve_invariant_frame(spec.constants, spec.generators)
+        want = (("1", "y", "-x"), ("0", "1", "0"), ("0", "0", "1"))
+        assert [[ex.unparse(e) for e in row] for row in fs.L] == [list(row) for row in want]
+        assert fs.base_point == {"x": 0, "y": 0, "z": 0}
+        assert all(r.verdict is nc.Verdict.SYMBOLIC_ZERO for r in fs.invariance)
 
 
 class TestProjectors:

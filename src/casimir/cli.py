@@ -272,6 +272,12 @@ def cmd_build_metric(args) -> int:
             try:
                 fs = solve_invariant_frame(spec.constants, spec.generators, seed=seed)
             except (NoClosedFormError, NotSimplyTransitiveError) as e:
+                # a wrong realization is the input's fault, not the solver's
+                real = verify_realization(spec.generators, spec.constants, seed)
+                if not real.ok:
+                    rep.add_check("realization", False, **real.to_json())
+                    _emit(args, [rep.render()])
+                    return EXIT_CHECK_FAILED
                 if spec.frame_vectors is None:
                     rep.add_check("invariant-frame", False, error=str(e))
                     rep.add_section(

@@ -27,6 +27,11 @@ class SchemaError(Exception):
     """Malformed model or family document."""
 
 
+# Most chart coordinates a model file may declare: the symbolic determinants
+# of a frame grow as d!, and `build-metric` on 8 unit generators takes 2.6 s.
+MAX_COORDINATES = 8
+
+
 BUILTIN_MODELS = {
     "so3": {
         "name": "so3",
@@ -147,6 +152,8 @@ def model_from_dict(doc: dict, source: str) -> ModelSpec:
         raise SchemaError("chart coordinates must be strings")
     if len(set(coords)) != len(coords):
         raise SchemaError("chart coordinates must be unique")
+    if len(coords) > MAX_COORDINATES:
+        raise SchemaError(f"a chart has at most {MAX_COORDINATES} coordinates, got {len(coords)}")
     box = {}
     for c, rng in _ranges(chart_doc, "domain").items():
         if c not in coords:
@@ -167,6 +174,9 @@ def model_from_dict(doc: dict, source: str) -> ModelSpec:
         except ParseError as e:
             raise SchemaError(f"bad singular locus {s!r}: {e}") from None
     chart = Chart(doc.get("name", "model"), tuple(coords), box, tuple(loci), params)
+    if len(chart.full_box()) > nc.MAX_DIMENSIONS:
+        raise SchemaError(f"a chart has at most {nc.MAX_DIMENSIONS} coordinates and parameters together, "
+                          f"got {len(chart.full_box())}")
 
     sc_doc = _need(doc, "structure_constants", dict, "model")
     r = _need(sc_doc, "r", int, "structure_constants")

@@ -22,6 +22,7 @@ REL_TOL = 1e-9
 NUM_POINTS = 32
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
+MAX_DIMENSIONS = len(_PRIMES)  # most names a sample point can have, one Halton base each
 
 
 class Verdict(Enum):
@@ -71,7 +72,7 @@ def _radical_inverse(index: int, base: int) -> float:
 
 def halton_points(dim: int, n: int, seed: int = 0) -> list[tuple[float, ...]]:
     """Deterministic low-discrepancy points in [0,1)^dim, offset by seed."""
-    if dim > len(_PRIMES):
+    if dim > MAX_DIMENSIONS:
         raise ValueError(f"too many dimensions for the Halton table ({dim})")
     start = 13 + (seed % 1009) * 17
     return [

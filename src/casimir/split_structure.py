@@ -1,13 +1,14 @@
-"""Invariant frames, projectors, frame scale factors, invariant metrics.
+"""Invariant frames, frame scale factors, invariant metrics.
 
 This is the machinery that diagonalizes the generalized Casimir operator:
 a frame of vectors/covectors in which every generator acts by scaling
-(the mu factors), rank-one projectors built from dual pairs, and for simply
-transitive actions the invariant frame solved from the linear system
-``xi_b L^a_d + C^a_{bq} L^q_d = 0`` by undetermined coefficients: each
-``L^a_d`` is a rational combination of degree-one monomials in the
-coordinates times exponentials taken from the generators, and equating the
-coefficients of the kernel's monomials leaves one linear system over Q.
+(the mu factors), so that the rank-one projectors e_a (x) e^a of its dual
+pairs are invariant, and for simply transitive actions the invariant frame
+solved from the linear system ``xi_b L^a_d + C^a_{bq} L^q_d = 0`` by
+undetermined coefficients: each ``L^a_d`` is a rational combination of
+degree-one monomials in the coordinates times exponentials taken from the
+generators, and equating the coefficients of the kernel's monomials leaves
+one linear system over Q.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from .tensor_fields import (
     VectorField,
     lie_derivative,
     one_form,
-    vector_as_tensor,
 )
 
 
@@ -128,70 +128,14 @@ def frame_from_components(chart: Chart, vectors, covectors, names, seed: int = 0
     return Frame(chart, names, vectors, covectors, tuple(dual))
 
 
-# --- projectors ------------------------------------------------------------
-
-
-class Projector(FrozenRecord):
-    """tensor: of type (1,1)."""
-
-    _fields = ("name", "tensor")
-
-
-def build_projectors(frame: Frame, generators=None, seed: int = 0):
-    """Rank-one projectors e_a (x) e^a; algebra and completeness certified.
-
-    With generators given, also certifies invariance of every projector.
-    """
-    chart = frame.chart
-    d = chart.dim
-    box = chart.full_box()
-    projs = []
-    for a, name in enumerate(frame.names):
-        comps = tuple(
-            ex.mul(frame.vectors[a].comps[c], frame.covectors[a].comps[e])
-            for c in range(d)
-            for e in range(d)
-        )
-        projs.append(Projector(name, TensorField(chart, 1, 1, comps)))
-
-    def entries(t):
-        return [[t.comp(i, j) for j in range(d)] for i in range(d)]
-
-    for a, pa in enumerate(projs):
-        for b, pb in enumerate(projs):
-            prod = mat_mul(entries(pa.tensor), entries(pb.tensor))
-            want = entries(pb.tensor) if a == b else [[ex.ZERO] * d for _ in range(d)]
-            for i in range(d):
-                for j in range(d):
-                    rep = nc.is_zero(ex.sub(prod[i][j], want[i][j]), box, seed)
-                    if not rep.is_zero:
-                        raise DualityError(f"projector algebra failed at H^{pa.name} H^{pb.name}")
-    for i in range(d):
-        for j in range(d):
-            tot = ex.add(*[p.tensor.comp(i, j) for p in projs])
-            want = ex.ONE if i == j else ex.ZERO
-            if not nc.is_zero(ex.sub(tot, want), box, seed).is_zero:
-                raise DualityError("projectors do not sum to the identity")
-    if generators is not None:
-        for g in generators:
-            for p in projs:
-                ld = lie_derivative(g, p.tensor)
-                for c in ld.comps:
-                    if not nc.is_zero(c, box, seed).is_zero:
-                        raise NotEigenFrameError(
-                            f"projector H^{p.name} is not invariant under a generator"
-                        )
-    return projs
-
-
 # --- mu factors ------------------------------------------------------------
 
 
 class MuFactors(FrozenRecord):
     """mu[a][i]: Expr, covector a, generator i; integrability: ZeroReport
-    per (a, i, k); dual_action: ZeroReport per (a, i, component)."""
+    per (a, i, k)."""
 
-    _fields = ("frame", "generators", "mu", "integrability", "dual_action")
+    _fields = ("frame", "generators", "mu", "integrability")
 
     def weight(self, upper: tuple, lower: tuple, i: int) -> ex.Expr:
         """Sum of upper-leg factors minus lower-leg factors for generator i."""
@@ -204,14 +148,17 @@ def compute_mu(frame: Frame, generators, sc: StructureConstants, seed: int = 0) 
     """Extract mu^a_i from L_{xi_i} e^a = mu^a_i e^a and certify it.
 
     The ratio is taken on the first covector component that is not
-    identically zero, then verified against every component and against the
-    off-axis condition (L_{xi_i} e^a) . e_b = 0 for b != a.
+    identically zero, then verified against every component.  With the
+    frame's certified duality that is the whole eigenframe condition: the
+    pairing (L_{xi_i} e^a) . e_b = mu^a_i delta_ab, and the Leibniz rule on
+    the constant pairing gives L_{xi_i} e_b = -mu^b_i e_b, so every
+    projector e_a (x) e^a is invariant.  The integrability identity ties
+    the factors to the structure constants.
     """
     chart = frame.chart
     d = chart.dim
     box = chart.full_box()
     mu_rows = []
-    dual_reports = []
     for a, w in enumerate(frame.covectors):
         pivot = None
         for c in range(d):
@@ -230,21 +177,6 @@ def compute_mu(frame: Frame, generators, sc: StructureConstants, seed: int = 0) 
                     raise NotEigenFrameError(
                         f"L along generator {i + 1} moves covector {frame.names[a]} off its axis"
                     )
-            for b in range(d):
-                if b != a:
-                    rep = nc.is_zero(pairing(lw, frame.vectors[b]), box, seed)
-                    if not rep.is_zero:
-                        raise NotEigenFrameError(
-                            f"off-axis component (L e^{frame.names[a]}) . e_{frame.names[b]} is nonzero"
-                        )
-            # dual action: L_{xi_i} e_a = -mu^a_i e_a
-            lv = lie_derivative(g, vector_as_tensor(frame.vectors[a]))
-            for c in range(d):
-                dual_reports.append(
-                    nc.is_zero(
-                        ex.add(lv.comps[c], ex.mul(mu, frame.vectors[a].comps[c])), box, seed
-                    )
-                )
             row.append(mu)
         mu_rows.append(tuple(row))
     integ = []
@@ -259,12 +191,9 @@ def compute_mu(frame: Frame, generators, sc: StructureConstants, seed: int = 0) 
                     *[ex.mul(ex.num(sc.c[j][i][k]), mu_rows[a][j]) for j in range(r)]
                 )
                 integ.append(nc.is_zero(ex.sub(lhs, rhs), box, seed))
-    mf = MuFactors(frame, tuple(generators), tuple(mu_rows), tuple(integ), tuple(dual_reports))
     if not all(rep.is_zero for rep in integ):
         raise NotEigenFrameError("mu factors failed the integrability identity")
-    if not all(rep.is_zero for rep in dual_reports):
-        raise NotEigenFrameError("mu factors failed the dual action identity")
-    return mf
+    return MuFactors(frame, tuple(generators), tuple(mu_rows), tuple(integ))
 
 
 # --- invariant frame for simply transitive actions --------------------------
@@ -488,10 +417,3 @@ def _numeric_rank(m) -> int:
             break
     return rank
 
-
-def project_vector(proj: Projector, x: VectorField) -> VectorField:
-    d = x.chart.dim
-    comps = tuple(
-        ex.sum_of_products([(proj.tensor.comp(c, e), x.comps[e]) for e in range(d)]) for c in range(d)
-    )
-    return VectorField(x.chart, comps)

@@ -166,10 +166,6 @@ def one_form(chart: Chart, comps) -> TensorField:
     return TensorField(chart, 0, 1, tuple(comps))
 
 
-def vector_as_tensor(x: VectorField) -> TensorField:
-    return TensorField(x.chart, 1, 0, x.comps)
-
-
 def lie_bracket(x: VectorField, y: VectorField) -> VectorField:
     """[X, Y]^a = X^c d_c Y^a - Y^c d_c X^a."""
     if x.chart != y.chart:

@@ -11,7 +11,8 @@ import time
 import pytest
 
 from casimir.cli import GRID_MAX_POINTS, main
-from casimir.modelio import BUILTIN_MODELS
+from casimir import numcheck as nc
+from casimir.modelio import BUILTIN_MODELS, MAX_COORDINATES
 from casimir.models import bianchi2_model, so3_model
 from casimir.models.so3 import So3Model
 from helpers import HEISENBERG
@@ -117,6 +118,27 @@ class TestVerify:
         p = tmp_path / "bad.json"
         p.write_text(json.dumps({**GOOD_SOLVABLE, key: value}))
         assert_input_error(capsys, "verify", "--model", str(p))
+
+    @pytest.mark.parametrize("command,extra", [
+        ("build-metric", {}),
+        ("verify", {"singular_loci": ["1 + x^2"]}),
+    ])
+    def test_too_many_sample_dimensions_is_an_input_error(self, capsys, command, extra, tmp_path):
+        """3 coordinates and 14 parameters pass the 16 bases of the sample points."""
+        doc = json.loads(HEISENBERG.read_text())
+        doc["chart"].update(extra, parameters={f"a{k}": [0, 1] for k in range(14)})
+        err = assert_input_error(capsys, command, "--model", model_file(tmp_path, doc))
+        assert f"at most {nc.MAX_DIMENSIONS} coordinates and parameters" in err
+
+    @pytest.mark.parametrize("command", ["verify", "build-metric", "reduce"])
+    def test_too_many_coordinates_is_an_input_error(self, capsys, command, tmp_path):
+        d = MAX_COORDINATES + 1
+        coords = [f"x{k}" for k in range(d)]
+        unit = [["1" if j == k else "0" for j in range(d)] for k in range(d)]
+        doc = {"chart": {"coords": coords}, "structure_constants": {"r": d, "C": []},
+               "generators": unit, "frame": {"vectors": unit}, "metric": unit}
+        err = assert_input_error(capsys, command, "--model", model_file(tmp_path, doc))
+        assert f"at most {MAX_COORDINATES} coordinates, got {d}" in err
 
     @pytest.mark.parametrize("flag", ["--model", "--family"])
     def test_undecodable_file_is_an_input_error(self, capsys, tmp_path, flag):
@@ -235,13 +257,15 @@ class TestVerify:
         """A 40-digit bracket coefficient is one more rational in the frame
         solver's exact elimination, and no step searches its divisors.  The
         coordinate fields do not realize [xi_1, xi_2] = N xi_1, so there is
-        no invariant frame: a solver limitation, as for any other N."""
+        no invariant frame, and the report gives the failed realization
+        check behind it, as for any other N."""
         doc = json.loads(json.dumps(BUILTIN_MODELS["abelian"]))
         doc["structure_constants"]["C"] = [{"k": 1, "i": 1, "j": 2, "value": BIG_PRIME}]
         start = time.perf_counter()
         code, out = run(capsys, "build-metric", "--model", model_file(tmp_path, doc))
-        assert code == 3
-        assert json.loads(out)["checks"][1]["name"] == "invariant-frame"
+        assert code == 1
+        assert json.loads(out)["checks"][1]["name"] == "realization"
+        assert not json.loads(out)["checks"][1]["ok"]
         assert time.perf_counter() - start < 5
 
     def test_locus_may_name_a_parameter(self, capsys, tmp_path):
@@ -303,6 +327,19 @@ class TestBuildMetric:
         p.write_text(json.dumps(doc))
         code = main(["build-metric", "--model", str(p)])
         assert code == 3
+
+    def test_wrong_realization_fails_its_check(self, capsys, tmp_path):
+        """The built-in abelian generators with [xi_1, xi_2] = 2 xi_1: the
+        solver finds no frame because the generators do not realize the
+        constants, and the report says so, as `verify --model` does."""
+        doc = {**BUILTIN_MODELS["abelian"],
+               "structure_constants": {"r": 3, "C": [{"k": 1, "i": 1, "j": 2, "value": "2"}]}}
+        code, out = run(capsys, "build-metric", "--model", model_file(tmp_path, doc))
+        assert code == 1
+        real = json.loads(out)["checks"][-1]
+        assert real["name"] == "realization" and not real["ok"]
+        first = real["pairs"][0]
+        assert (first["i"], first["j"]) == (1, 2) and first["components"][0]["verdict"] == "nonzero"
 
     def test_heisenberg_frame_metric(self, capsys):
         """Bianchi type II (the paper's G3II), whose third generator moves
@@ -394,9 +431,11 @@ class TestBuildMetric:
     def test_dependent_generators_with_a_user_frame_fail_the_build(self, capsys, tmp_path):
         """A zero generator makes the generator matrix singular, so the user
         frame has no coefficients in the generator basis: a failed check, not
-        a traceback."""
+        a traceback.  The constants are abelian, which the zero generator
+        still realizes."""
         path = model_file(tmp_path, {
             **json.loads(json.dumps(BUILTIN_MODELS["bianchi2"])),
+            "structure_constants": {"r": 3, "C": []},
             "generators": [["exp(-y)", "0", "0"], ["0", "0", "0"], ["0", "0", "1"]],
             "frame": {"vectors": [["exp(-y)", "0", "0"], ["-v", "1", "0"], ["0", "0", "1"]]},
         })
@@ -901,6 +940,32 @@ class TestDeterminism:
         digests of the built-in models whose Cartan tensor is degenerate, as
         released while the frame was integrated along generator flows."""
         code, out = run(capsys, "build-metric", "--model", model, "--seed", str(seed))
+        assert code == 0
+        assert json.loads(out)["digest"] == digest
+
+    @pytest.mark.parametrize("argv,digest", [
+        (["verify", "--model", "so3"], "e7e93c5ee9b1cb912951868dd02530c8a4e990d456be0e5da3eee03a6fbc96e0"),
+        (["verify", "--model", "bianchi2"], "d793406a89f9db8296be6d30321fc80d0c560695b5a6833228b5c72124a895ad"),
+        (["verify", "--model", "abelian"], "652fc4c671708befdf9ad5a2619a662d7d4d9f2f224ffe77af5b893307cf251a"),
+        (["verify", "--model", str(HEISENBERG)],
+         "4182a7eaf442328e0eb422558b4f0102466c859d3aa21cbd8c0b9d125d05a5da"),
+        (["verify", "--model", README_MODEL],
+         "78b733576ea3452b94a87cc075115b1c96e6cfc8f9e1c28d81547eda9397f936"),
+        (["reduce", "--model", "so3", "--lower", "+1,+1"],
+         "4e126d4ee83ea79f8cddc6092f15c752f936b94bf2e9d4ff2beae0a82712071b"),
+        (["reduce", "--model", "bianchi2", "--lower", "1"],
+         "403400d4df4c952645ffc6be5a849e877c704df4f9c3edba371616866917025c"),
+        (["reduce", "--model", README_MODEL, "--lower", "1"],
+         "dd502c80734f9bb219e88f874edf23bebc5dbcdc40296f394561fe307b998674"),
+    ])
+    def test_model_report_digests_are_pinned(self, capsys, tmp_path, argv, digest):
+        """Regression gate for the frame layer (`compute_mu` feeds every one
+        of these reports): `verify --model` and `reduce` on the built-in
+        models, the Heisenberg file and README's model file, as released
+        while `compute_mu` also checked the off-axis pairings and the dual
+        action."""
+        argv = [model_file(tmp_path, a) if isinstance(a, dict) else a for a in argv]
+        code, out = run(capsys, *argv, "--seed", "0")
         assert code == 0
         assert json.loads(out)["digest"] == digest
 

@@ -110,9 +110,10 @@ def _module_level_names(path: pathlib.Path):
             yield node.target.id
 
 
-# Names kept on purpose although only the tests call them: the invariant
-# projectors, which ROADMAP's reduction-once item may adopt.
-KEPT_FOR_TESTS = {"build_projectors", "project_vector", "project_component"}
+# Names kept on purpose although only the tests call them: the frame
+# components of a tensor, which ROADMAP's item on `verify --family`
+# recomputing every stored claim may adopt.
+KEPT_FOR_TESTS = {"project_component"}
 
 
 def test_every_module_level_name_is_used():

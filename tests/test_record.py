@@ -46,8 +46,7 @@ FROZEN = {
     "PairReport": lambda: tf.PairReport(0, 1, (ZERO,)),
     "RealizationReport": lambda: tf.RealizationReport((tf.PairReport(0, 1, (ZERO,)),)),
     "Frame": _frame,
-    "Projector": lambda: ss.Projector("1", tf.TensorField(_chart(), 1, 1, (X,))),
-    "MuFactors": lambda: ss.MuFactors(_frame(), ("xi",), ((X,),), (ZERO,), (ZERO,)),
+    "MuFactors": lambda: ss.MuFactors(_frame(), ("xi",), ((X,),), (ZERO,)),
     "FrameSolution": lambda: ss.FrameSolution(((Fraction(1),),), _frame(), {"x": 0.0}, (ZERO,)),
     "InvariantMetric": lambda: ss.InvariantMetric(((X,),), 1, (ZERO,), "frame"),
     "CasimirOperator": lambda: op.CasimirOperator("line", _chart(), ("xi",), ((ex.ONE,),)),

@@ -1,4 +1,4 @@
-"""Invariant frames, projectors, scale factors, and invariant metrics."""
+"""Invariant frames, invariant projectors, scale factors, and invariant metrics."""
 
 import math
 
@@ -7,9 +7,11 @@ import pytest
 from casimir import expr as ex
 from casimir import lie_algebra as la
 from casimir import numcheck as nc
+from casimir import operator as op
 from casimir import split_structure as ss
 from casimir import tensor_fields as tf
 from casimir.modelio import load_model
+from casimir.models import bianchi2_model, so3_model
 from casimir.parser import parse
 from helpers import HEISENBERG, abelian_constants, bianchi2_constants, so3_constants
 
@@ -85,7 +87,7 @@ class TestInvariantFrame:
         box = chart.full_box()
         for g in gens:
             for v in solv_solution.frame.vectors:
-                ld = tf.lie_derivative(g, tf.vector_as_tensor(v))
+                ld = tf.lie_derivative(g, tf.TensorField(chart, 1, 0, v.comps))
                 assert all(nc.is_zero(c, box).is_zero for c in ld.comps)
 
     def test_abelian_gives_identity(self):
@@ -144,41 +146,61 @@ class TestInvariantFrame:
         assert all(r.verdict is nc.Verdict.SYMBOLIC_ZERO for r in fs.invariance)
 
 
+def _projector(frame, a) -> tf.TensorField:
+    """The rank-one projector e_a (x) e^a of the frame's a-th dual pair."""
+    d = frame.chart.dim
+    v, w = frame.vectors[a].comps, frame.covectors[a].comps
+    return tf.TensorField(frame.chart, 1, 1, tuple(ex.mul(v[c], w[e]) for c in range(d) for e in range(d)))
+
+
+def assert_projectors_invariant(frame, generators):
+    """The paper's invariant projection operators: on an eigenframe every
+    e_a (x) e^a is annihilated by every generator."""
+    box = frame.chart.full_box()
+    for a in range(frame.chart.dim):
+        proj = _projector(frame, a)
+        for g in generators:
+            assert all(nc.is_zero(c, box).is_zero for c in tf.lie_derivative(g, proj).comps)
+
+
 class TestProjectors:
     def test_solvable_projectors(self, solv, solv_solution):
-        chart, gens, _ = solv
-        projs = ss.build_projectors(solv_solution.frame, gens)
-        assert len(projs) == 3
+        chart, gens, sc = solv
+        ss.compute_mu(solv_solution.frame, gens, sc)
+        assert_projectors_invariant(solv_solution.frame, gens)
 
     def test_one_dimensional_trivial_frame(self):
         chart = tf.Chart("line", ("x",), {"x": (-1, 1)})
-        v = tf.VectorField(chart, (ex.ONE,))
-        frame = ss.frame_from_vectors(chart, [v])
-        projs = ss.build_projectors(frame)
-        assert projs[0].tensor.comps == (ex.ONE,)
+        frame = ss.frame_from_vectors(chart, [tf.VectorField(chart, (ex.ONE,))])
+        assert _projector(frame, 0).comps == (ex.ONE,)
+        dilation = [tf.VectorField(chart, (ex.sym("x"),))]
+        mf = ss.compute_mu(frame, dilation, abelian_constants(1))
+        assert mf.mu == ((ex.ONE,),)  # L e^1 = e^1, L e_1 = -e_1
+        assert_projectors_invariant(frame, dilation)
 
-    def test_rotation_eigenframe_projectors(self, rot3):
-        chart, ladder, sc, frame = rot3
-        projs = ss.build_projectors(frame, ladder)
-        assert len(projs) == 3
+    def test_rotation_eigenframe_projectors(self):
+        so3 = so3_model()
+        assert_projectors_invariant(so3.frame, so3.space_ladder)
+        assert_projectors_invariant(so3.frame, so3.space_generators)
+
+    def test_heisenberg_projectors(self):
+        spec = load_model(str(HEISENBERG))
+        frame = ss.solve_invariant_frame(spec.constants, spec.generators).frame
+        ss.compute_mu(frame, spec.generators, spec.constants)
+        assert_projectors_invariant(frame, spec.generators)
 
     def test_decomposition_fidelity(self, solv, solv_solution):
+        """x = sum_a x^a e_a with x^a = e^a(x), the frame component."""
         chart, gens, _ = solv
-        projs = ss.build_projectors(solv_solution.frame)
+        frame = solv_solution.frame
         x = tf.VectorField(
             chart, tuple(parse(s, chart.coords) for s in ("v*y", "1+z^2", "y"))
         )
-        pieces = [ss.project_vector(p, x) for p in projs]
-        box = chart.full_box()
+        xt = tf.TensorField(chart, 1, 0, x.comps)
+        parts = [op.project_component(xt, frame, (a,), ()) for a in range(3)]
         for c in range(3):
-            total = ex.add(*[pc.comps[c] for pc in pieces])
+            total = ex.add(*[ex.mul(parts[a], frame.vectors[a].comps[c]) for a in range(3)])
             assert ex.simplify(ex.sub(total, x.comps[c])) == ex.ZERO
-        # covector components annihilate foreign pieces
-        for a, w in enumerate(solv_solution.frame.covectors):
-            for b, pc in enumerate(pieces):
-                rep = nc.is_zero(ss.pairing(w, pc), box)
-                if a != b:
-                    assert rep.is_zero
 
 
 class TestMuFactors:
@@ -199,7 +221,6 @@ class TestMuFactors:
                 assert ex.simplify(ex.sub(mf.mu[a][i], want)) == ex.ZERO
             assert mf.mu[a][2] == ex.ZERO
         assert all(r.verdict is nc.Verdict.SYMBOLIC_ZERO for r in mf.integrability)
-        assert all(r.is_zero for r in mf.dual_action)
 
     def test_invariant_frame_mu_vanishes(self, solv, solv_solution):
         chart, gens, sc = solv
@@ -215,6 +236,39 @@ class TestMuFactors:
         frame = ss.frame_from_vectors(chart, ident, ("r", "theta", "phi"))
         with pytest.raises(ss.NotEigenFrameError):
             ss.compute_mu(frame, ladder, sc)
+
+    def test_tilted_covector_is_off_its_axis(self, solv, solv_solution):
+        """e^1 + y e^3 with e_3 - y e_1 is still a dual frame, but the y
+        translation maps the tilted covector onto e^3."""
+        chart, gens, sc = solv
+        fr = solv_solution.frame
+        tilted = tf.TensorField(chart, 0, 1, tuple(ex.add(a, ex.mul(ex.sym("y"), b))
+                                                   for a, b in zip(fr.covectors[0].comps, fr.covectors[2].comps)))
+        third = tf.VectorField(chart, tuple(ex.sub(a, ex.mul(ex.sym("y"), b))
+                                            for a, b in zip(fr.vectors[2].comps, fr.vectors[0].comps)))
+        frame = ss.frame_from_components(chart, (*fr.vectors[:2], third), (tilted, *fr.covectors[1:]), fr.names)
+        with pytest.raises(ss.NotEigenFrameError, match="generator 2 moves covector 1 off its axis"):
+            ss.compute_mu(frame, gens, sc)
+
+    @pytest.mark.parametrize("build,constants", [(so3_model, "ladder_constants"), (bianchi2_model, "constants")])
+    def test_work_per_model_frame(self, monkeypatch, build, constants):
+        """Each fact of a three-leg eigenframe is certified once: one Lie
+        derivative per (covector, generator), one zero test per covector
+        component and one per integrability triple."""
+        model = build()
+        calls = {"lie": 0, "zero": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kw):
+                calls[name] += 1
+                return fn(*args, **kw)
+            return wrapper
+
+        monkeypatch.setattr(ss, "lie_derivative", counted("lie", ss.lie_derivative))
+        monkeypatch.setattr(nc, "is_zero", counted("zero", nc.is_zero))
+        mu = model.mu
+        assert ss.compute_mu(mu.frame, mu.generators, getattr(model, constants)) == mu
+        assert calls == {"lie": 9, "zero": 3 * 3 * 3 + 3 * 3}
 
 
 class TestInvariantMetric:

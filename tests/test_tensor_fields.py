@@ -191,7 +191,7 @@ class TestLieDerivative:
 
     def test_vector_derivative_is_bracket(self, sphere, rot_fields):
         x, y = rot_fields[0], rot_fields[1]
-        ld = tf.lie_derivative(x, tf.vector_as_tensor(y))
+        ld = tf.lie_derivative(x, tf.TensorField(sphere, 1, 0, y.comps))
         br = tf.lie_bracket(x, y)
         assert all(
             ex.simplify(ex.sub(a, b)) == ex.ZERO for a, b in zip(ld.comps, br.comps)

@@ -288,7 +288,7 @@ def cmd_build_metric(args) -> int:
                     return EXIT_SOLVER_LIMIT
                 lmat = _user_frame_coefficients(spec, rep, seed)
             else:
-                rep.add_check("invariant-frame", True, base_point={k: str(v) for k, v in fs.base_point.items()})
+                rep.add_check("invariant-frame", True, base_point=dict.fromkeys(spec.chart.coords, "0"))
                 lmat = fs.L
             if lmat is not None:
                 metric = metric_from_frame(lmat, spec.constants, spec.generators, seed=seed)
@@ -307,7 +307,7 @@ def _user_frame_coefficients(spec, rep, seed) -> list | None:
     except FRAME_ERRORS as e:
         rep.add_check("invariant-frame", False, error=str(e))
         return None
-    if any(e != ex.ZERO for row in mu.mu for e in row):
+    if not mu.invariant():
         rep.add_check("invariant-frame", False,
                       error="supplied frame is not invariant: its scale factors are not all zero")
         return None

@@ -38,7 +38,7 @@ from ..operator import (
     reduce_to_scalar,
 )
 from ..parser import parse
-from ..split_structure import compute_mu, metric_from_frame, solve_invariant_frame
+from ..split_structure import metric_from_frame, solve_invariant_frame
 from ..tensor_fields import VectorField, lie_derivative
 from .family import Certificate, HarmonicFamily, assembly_claim, claim
 from .hypergeom import RadialProfile
@@ -57,9 +57,8 @@ class Bianchi2Model:
         self.constants = spec.constants
         self.generators = tuple(VectorField(self.chart, x.comps) for x in spec.generators)
         self.frame_solution = solve_invariant_frame(self.constants, self.generators)
-        self.frame = self.frame_solution.frame
+        self.frame, self.mu = self.frame_solution.frame, self.frame_solution.mu
         self.metric = metric_from_frame(self.frame_solution.L, self.constants, self.generators)
-        self.mu = compute_mu(self.frame, self.generators, self.constants)
         self.op = CasimirOperator(
             "bianchi2", self.chart, self.generators, self.metric.g, self.frame, self.mu
         )

@@ -289,8 +289,10 @@ class So3Model:
         lam = parse(doc["eigenvalues"]["G"], [], [])
         if kind == "scalar":
             single = "m" in doc["labels"]  # one harmonic: its certificates carry no weight
-            comps = [(int(key.split("m=")[1]), parse(comp, self.sphere.coords))
+            comps = [(_weight(key.removeprefix("n=0,")), parse(comp, self.sphere.coords))
                      for key, comp in doc["components"].items()]
+            if any(m is None for m, _ in comps):
+                raise SchemaError("a scalar component is not named n=0,m=<weight>")
 
             def recertify(seed):
                 out = []
@@ -331,11 +333,10 @@ class So3Model:
         m < 0 reuses T(-m)'s result when G commutes with sigma, lam is real,
         T(m) = (-1)^m sigma(T(-m)) on every component and T(-m)'s residuals are
         symbolically zero, as T(m)'s are then (-1)^m sigma of them."""
-        weight = {tag: int(tag[2:]) for tag in tensors
-                  if tag[:2] == "m=" and tag[2:].removeprefix("-").isdecimal()}
+        weight = {tag: _weight(tag) or 0 for tag in tensors}  # 0: a full certificate
         real, out = self._sigma_commutes and ex.conj(lam) == lam, {}
-        for tag in sorted(tensors, key=lambda tag: weight.get(tag, 0) < 0):
-            m, t = weight.get(tag, 0), tensors[tag]
+        for tag in sorted(tensors, key=lambda tag: weight[tag] < 0):
+            m, t = weight[tag], tensors[tag]
             known, other = out.get(f"m={-m}") if m < 0 else None, tensors.get(f"m={-m}")
             if (real and known is not None and (t.p, t.q) == (other.p, other.q)
                     and _conjugates(set(zip(t.comps, other.comps)), m, SIGMA_FLIP, known.payload.reports)):
@@ -418,6 +419,12 @@ def _weights(l, m_values) -> list:
     m_values = list(range(-l, l + 1) if m_values is None else m_values)
     _check_labels(l, 0, *m_values)
     return m_values
+
+
+def _weight(label: str) -> int | None:
+    """The weight of a plain ``m=<int>`` label, as the builders write it, or None."""
+    digits = label.removeprefix("m=")
+    return int(digits) if digits.removeprefix("-").isdecimal() and label == f"m={int(digits)}" else None
 
 
 def _at_weight(certs, m: int) -> list:

@@ -94,10 +94,10 @@ def mat_inverse(a):
 
 
 class Frame(FrozenRecord):
-    """vectors: VectorField per leg; covectors: (0,1) TensorField per leg;
-    duality: ZeroReport matrix, row = covector, col = vector."""
+    """vectors: VectorField per leg; covectors: (0,1) TensorField per leg,
+    certified dual to the vectors when the frame is built."""
 
-    _fields = ("chart", "names", "vectors", "covectors", "duality")
+    _fields = ("chart", "names", "vectors", "covectors")
 
 
 def frame_from_vectors(chart: Chart, vectors, names=None, seed: int = 0) -> Frame:
@@ -116,16 +116,11 @@ def frame_from_components(chart: Chart, vectors, covectors, names, seed: int = 0
     """A frame from given vectors and covectors, certified dual to each other."""
     names, vectors, covectors = tuple(names), tuple(vectors), tuple(covectors)
     box = chart.full_box()
-    dual = []
-    for a, w in enumerate(covectors):
-        row = []
-        for b, v in enumerate(vectors):
-            want = ex.ONE if a == b else ex.ZERO
-            row.append(nc.is_zero(ex.sub(pairing(w, v), want), box, seed))
-        dual.append(tuple(row))
-    if not all(r.is_zero for row in dual for r in row):
+    dual = [nc.is_zero(ex.sub(pairing(w, v), ex.ONE if a == b else ex.ZERO), box, seed)
+            for a, w in enumerate(covectors) for b, v in enumerate(vectors)]
+    if not all(r.is_zero for r in dual):
         raise DualityError(f"frame {names} failed the duality check")
-    return Frame(chart, names, vectors, covectors, tuple(dual))
+    return Frame(chart, names, vectors, covectors)
 
 
 # --- mu factors ------------------------------------------------------------
@@ -142,6 +137,10 @@ class MuFactors(FrozenRecord):
         parts = [self.mu[a][i] for a in upper]
         parts += [ex.neg(self.mu[b][i]) for b in lower]
         return ex.add(*parts) if parts else ex.ZERO
+
+    def invariant(self) -> bool:
+        """Whether every scale factor is exactly zero: the frame is invariant."""
+        return all(e == ex.ZERO for row in self.mu for e in row)
 
 
 def compute_mu(frame: Frame, generators, sc: StructureConstants, seed: int = 0) -> MuFactors:
@@ -200,9 +199,14 @@ def compute_mu(frame: Frame, generators, sc: StructureConstants, seed: int = 0) 
 
 
 class FrameSolution(FrozenRecord):
-    """L[a][d]: e_d = sum_a L[a][d] xi_a; invariance: ZeroReport per (b, a, d)."""
+    """L[a][d]: e_d = sum_a L[a][d] xi_a; mu: the frame's scale factors, every
+    one zero, which certify the frame invariant."""
 
-    _fields = ("L", "frame", "base_point", "invariance")
+    _fields = ("L", "mu")
+
+    @property
+    def frame(self) -> Frame:
+        return self.mu.frame
 
 
 # Most unknowns the frame solver takes on.  The elimination's work and memory
@@ -282,9 +286,10 @@ def _frame_coefficients(sc: StructureConstants, generators) -> list:
 def solve_invariant_frame(sc: StructureConstants, generators, seed: int = 0) -> FrameSolution:
     """Invariant frame e_d = L^a_d xi_a for a simply transitive action.
 
-    L is solved over Q by undetermined coefficients (`_frame_coefficients`),
-    normalized to the identity at the origin, and certified against the
-    defining linear system; any failure raises NoClosedFormError.
+    L is solved over Q by undetermined coefficients (`_frame_coefficients`)
+    and normalized to the identity at the origin.  Its frame is certified
+    invariant by `compute_mu`, every scale factor zero, as a user frame is;
+    any failure raises NoClosedFormError.
     """
     generators = tuple(generators)
     chart = generators[0].chart
@@ -300,38 +305,18 @@ def solve_invariant_frame(sc: StructureConstants, generators, seed: int = 0) -> 
         if _numeric_rank(mat) < r:
             raise NotSimplyTransitiveError(f"generators are dependent near {env}")
     lmat = _frame_coefficients(sc, generators)
-
-    # certify the defining equations
-    invariance = []
-    for b in range(r):
-        for a in range(r):
-            for dd in range(r):
-                resid = ex.sum_of_products(
-                    generators[b].products(lmat[a][dd])
-                    + [(ex.num(sc.c[a][b][q]), lmat[q][dd]) for q in range(r)]
-                )
-                invariance.append(nc.is_zero(resid, box, seed))
-    if not all(rep.is_zero for rep in invariance):
-        raise NoClosedFormError("candidate frame failed the invariance equations")
-
-    vectors = tuple(
-        VectorField(
-            chart,
-            tuple(
-                ex.simplify(
-                    ex.sum_of_products([(lmat[a][dd], generators[a].comps[c]) for a in range(r)])
-                )
-                for c in range(d)
-            ),
-        )
-        for dd in range(r)
-    )
-    emat = [list(v.comps) for v in vectors]
+    emat = [[ex.simplify(ex.sum_of_products([(lmat[a][dd], generators[a].comps[c]) for a in range(r)]))
+             for c in range(d)] for dd in range(r)]  # component c of e_dd = L^a_dd xi_a
     if nc.is_zero(mat_det(emat), box, seed).is_zero:
         raise NoClosedFormError("frame vectors are degenerate on the domain")
-    frame = frame_from_vectors(chart, vectors, seed=seed)
-    lt = tuple(tuple(lmat[a][dd] for dd in range(r)) for a in range(r))
-    return FrameSolution(lt, frame, dict.fromkeys(chart.coords, Fraction(0)), tuple(invariance))
+    frame = frame_from_vectors(chart, [VectorField(chart, tuple(row)) for row in emat], seed=seed)
+    try:
+        mu = compute_mu(frame, generators, sc, seed)
+    except NotEigenFrameError:
+        mu = None
+    if mu is None or not mu.invariant():
+        raise NoClosedFormError("candidate frame failed the invariance equations")
+    return FrameSolution(tuple(map(tuple, lmat)), mu)
 
 
 # --- invariant metric -------------------------------------------------------

@@ -30,8 +30,8 @@ class Chart(FrozenRecord):
     """Named coordinates with an open sampling box and excluded loci.
 
     `check_points` is the one rule for where the chart may be evaluated:
-    model-file domains and frame base points go through it, and `--grid`
-    points through `check_grid`, which applies it to a product of axes."""
+    model-file domains go through it, and `--grid` points through
+    `check_grid`, which applies it to a product of axes."""
 
     _fields = ("name", "coords", "box", "singular_loci", "params")
 
@@ -157,9 +157,6 @@ class TensorField(FrozenRecord):
         for i in idx:
             out = out * d + i
         return out
-
-    def comp(self, *idx) -> ex.Expr:
-        return self.comps[self.flat(idx)]
 
 
 def one_form(chart: Chart, comps) -> TensorField:

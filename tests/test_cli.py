@@ -11,8 +11,10 @@ import time
 import pytest
 
 from casimir.cli import GRID_MAX_POINTS, main
+from casimir import expr as ex
 from casimir import numcheck as nc
-from casimir.modelio import BUILTIN_MODELS, MAX_COORDINATES
+from casimir import split_structure as ss
+from casimir.modelio import BUILTIN_MODELS, MAX_COORDINATES, load_model
 from casimir.models import bianchi2_model, so3_model
 from casimir.models.so3 import So3Model
 from helpers import HEISENBERG
@@ -374,6 +376,23 @@ class TestBuildMetric:
         frame = json.loads(out)["checks"][1]
         assert frame["name"] == "invariant-frame" and not frame["ok"]
         assert error in frame["error"]
+
+    def test_a_wrong_frame_solve_cannot_pass(self, capsys, monkeypatch):
+        """The solved frame is certified invariant by its scale factors.  A
+        solve that returned L = I for bianchi2, whose generators are no
+        invariant frame, fails the solver and the build (exit 3)."""
+        spec = load_model("bianchi2")
+        identity = [[ex.ONE if a == d else ex.ZERO for d in range(3)] for a in range(3)]
+        monkeypatch.setattr(ss, "_frame_coefficients", lambda sc, generators: identity)
+        with pytest.raises(ss.NoClosedFormError, match="failed the invariance equations"):
+            ss.solve_invariant_frame(spec.constants, spec.generators)
+        code = main(["build-metric", "--model", "bianchi2"])
+        out, err = capsys.readouterr()
+        assert code == 3
+        assert "Traceback" not in err
+        frame = json.loads(out)["checks"][1]
+        assert frame == {"name": "invariant-frame", "ok": False,
+                         "error": "candidate frame failed the invariance equations"}
 
     def _frame_model(self, tmp_path, vectors):
         return model_file(tmp_path, {**GOOD_SOLVABLE, "frame": {"vectors": vectors}})
@@ -777,6 +796,21 @@ class TestFamilyRoundTrip:
         assert main(["harmonics", "so3", "--l", "1", "--m", "0", "--out", str(p)]) == 0
         doc = json.loads(p.read_text())
         doc[field] = value
+        p.write_text(json.dumps(doc))
+        assert_input_error(capsys, "verify", "--family", str(p))
+
+    @pytest.mark.parametrize("names", [
+        {"n=0,m=1": "n=0,m=+1", "n=0,m=0": "n=0,m=0_0"},
+        {"n=0,m=1": "n=0,m= 1"},
+        {"n=0,m=1": "n=0,m=01"},
+    ], ids=["signed-and-underscored", "spaced", "leading-zero"])
+    def test_scalar_key_without_a_plain_weight_is_an_input_error(self, capsys, tmp_path, names):
+        """A scalar component's key carries its weight as the builder writes
+        it, n=0,m=<int>; any other spelling of a weight is refused."""
+        p = tmp_path / "fam.json"
+        assert main(["harmonics", "so3", "--l", "1", "--out", str(p)]) == 0
+        doc = json.loads(p.read_text())
+        doc["components"] = {names.get(key, key): comp for key, comp in doc["components"].items()}
         p.write_text(json.dumps(doc))
         assert_input_error(capsys, "verify", "--family", str(p))
 

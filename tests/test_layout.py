@@ -169,9 +169,8 @@ def _stores_only(init: ast.FunctionDef) -> bool:
     return True
 
 
-def test_records_leave_field_storing_to_record():
-    """`Record.__init__` binds every record's fields, so a record's own
-    ``__init__`` must check input, fill a default or start a memo."""
+def _record_classes() -> list:
+    """The class definitions of `Record` and of every subclass of it in the package."""
     classes = [node for path in sorted(PACKAGE.rglob("*.py"))
                for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.ClassDef)]
     records = {"Record"}
@@ -180,7 +179,13 @@ def test_records_leave_field_storing_to_record():
         subclasses = {c.name for c in classes if any(ast.unparse(b) in records for b in c.bases)}
         grew = not subclasses <= records
         records |= subclasses
-    found = [c.name for c in classes if c.name in records for s in c.body
+    return [c for c in classes if c.name in records]
+
+
+def test_records_leave_field_storing_to_record():
+    """`Record.__init__` binds every record's fields, so a record's own
+    ``__init__`` must check input, fill a default or start a memo."""
+    found = [c.name for c in _record_classes() for s in c.body
              if isinstance(s, ast.FunctionDef) and s.name == "__init__" and _stores_only(s)]
     assert found == []
 
@@ -209,3 +214,25 @@ def test_no_module_reads_another_modules_private_names():
     """A module's `_`-prefixed names are its own: what another module needs is public."""
     found = {path.relative_to(PACKAGE).as_posix(): _private_reads(path) for path in sorted(PACKAGE.rglob("*.py"))}
     assert {name: reads for name, reads in found.items() if reads} == {}
+
+
+# Record fields that nothing in the package reads, kept because the
+# acceptance tests read them: the Cartan tensor's invariance verdict
+# (criterion 1) and the integrability reports of the scale factors
+# (criterion 5).
+READ_BY_ACCEPTANCE = {"CartanTensor.invariance_ok", "MuFactors.integrability"}
+
+
+def test_every_record_field_is_read():
+    """Each field of a record is read as an attribute (``x.field``) somewhere
+    in the sources or the benchmark: a field that nothing reads is state the
+    program stores for nothing.  `Record` reads every field by name for
+    equality and repr; that does not count."""
+    reads = {node.attr for d in ("src", "perfbench") for p in sorted((REPO / d).rglob("*.py"))
+             for node in ast.walk(ast.parse(p.read_text()))
+             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = {f"{c.name}.{field}" for c in _record_classes() for s in c.body
+              if isinstance(s, ast.Assign) and [ast.unparse(t) for t in s.targets] == ["_fields"]
+              for field in ast.literal_eval(s.value) if field not in reads}
+    assert sorted(unread - READ_BY_ACCEPTANCE) == []
+    assert sorted(READ_BY_ACCEPTANCE - unread) == []  # the set names only such fields

@@ -29,7 +29,11 @@ def _chart():
 def _frame():
     chart = _chart()
     return ss.Frame(chart, ("1",), (tf.VectorField(chart, (X,)),),
-                    (tf.TensorField(chart, 0, 1, (X,)),), ((ZERO,),))
+                    (tf.TensorField(chart, 0, 1, (X,)),))
+
+
+def _mu():
+    return ss.MuFactors(_frame(), ("xi",), ((X,),), (ZERO,))
 
 
 # one builder per frozen record; each call builds an equal, distinct instance
@@ -46,8 +50,8 @@ FROZEN = {
     "PairReport": lambda: tf.PairReport(0, 1, (ZERO,)),
     "RealizationReport": lambda: tf.RealizationReport((tf.PairReport(0, 1, (ZERO,)),)),
     "Frame": _frame,
-    "MuFactors": lambda: ss.MuFactors(_frame(), ("xi",), ((X,),), (ZERO,)),
-    "FrameSolution": lambda: ss.FrameSolution(((Fraction(1),),), _frame(), {"x": 0.0}, (ZERO,)),
+    "MuFactors": _mu,
+    "FrameSolution": lambda: ss.FrameSolution(((Fraction(1),),), _mu()),
     "InvariantMetric": lambda: ss.InvariantMetric(((X,),), 1, (ZERO,), "frame"),
     "CasimirOperator": lambda: op.CasimirOperator("line", _chart(), ("xi",), ((ex.ONE,),)),
     "ScalarOperator": lambda: op.ScalarOperator(_chart(), (((2,), ex.ONE),)),

@@ -1,6 +1,7 @@
 """Invariant frames, invariant projectors, scale factors, and invariant metrics."""
 
 import math
+import sys
 
 import pytest
 
@@ -12,6 +13,7 @@ from casimir import split_structure as ss
 from casimir import tensor_fields as tf
 from casimir.modelio import load_model
 from casimir.models import bianchi2_model, so3_model
+from casimir.models.bianchi2 import Bianchi2Model
 from casimir.parser import parse
 from helpers import HEISENBERG, abelian_constants, bianchi2_constants, so3_constants
 
@@ -72,7 +74,7 @@ class TestInvariantFrame:
             for c in range(3):
                 w = parse(want_vectors[d][c], chart.coords)
                 assert ex.simplify(ex.sub(fs.frame.vectors[d].comps[c], w)) == ex.ZERO
-        assert all(r.verdict is nc.Verdict.SYMBOLIC_ZERO for r in fs.invariance)
+        assert fs.mu.invariant() and fs.mu.frame is fs.frame
 
     def test_dual_covectors(self, solv, solv_solution):
         chart, _, _ = solv
@@ -142,8 +144,7 @@ class TestInvariantFrame:
         fs = ss.solve_invariant_frame(spec.constants, spec.generators)
         want = (("1", "y", "-x"), ("0", "1", "0"), ("0", "0", "1"))
         assert [[ex.unparse(e) for e in row] for row in fs.L] == [list(row) for row in want]
-        assert fs.base_point == {"x": 0, "y": 0, "z": 0}
-        assert all(r.verdict is nc.Verdict.SYMBOLIC_ZERO for r in fs.invariance)
+        assert fs.mu.invariant()
 
 
 def _projector(frame, a) -> tf.TensorField:
@@ -257,18 +258,34 @@ class TestMuFactors:
         component and one per integrability triple."""
         model = build()
         calls = {"lie": 0, "zero": 0}
-
-        def counted(name, fn):
-            def wrapper(*args, **kw):
-                calls[name] += 1
-                return fn(*args, **kw)
-            return wrapper
-
-        monkeypatch.setattr(ss, "lie_derivative", counted("lie", ss.lie_derivative))
-        monkeypatch.setattr(nc, "is_zero", counted("zero", nc.is_zero))
+        monkeypatch.setattr(ss, "lie_derivative", _counted(calls, "lie", ss.lie_derivative))
+        monkeypatch.setattr(nc, "is_zero", _counted(calls, "zero", nc.is_zero))
         mu = model.mu
         assert ss.compute_mu(mu.frame, mu.generators, getattr(model, constants)) == mu
         assert calls == {"lie": 9, "zero": 3 * 3 * 3 + 3 * 3}
+
+    def test_work_per_bianchi2_build(self, monkeypatch):
+        """The bianchi2 model certifies its solved frame once, by `compute_mu`:
+        one zero test of the frame determinant, 3 * 3 of the duality,
+        3 * 3 * 3 + 3 * 3 of `compute_mu` and 3 * 3 * 3 Killing residuals of
+        the metric, with no invariance residuals of the solver's own."""
+        calls = {"mu": 0, "zero": 0}
+        counted_mu = _counted(calls, "mu", ss.compute_mu)
+        for module in [m for name, m in sys.modules.items()
+                       if name.startswith("casimir") and getattr(m, "compute_mu", None) is ss.compute_mu]:
+            monkeypatch.setattr(module, "compute_mu", counted_mu)
+        monkeypatch.setattr(nc, "is_zero", _counted(calls, "zero", nc.is_zero))
+        model = Bianchi2Model()
+        assert model.mu.invariant()
+        assert calls == {"mu": 1, "zero": 1 + 3 * 3 + (3 * 3 * 3 + 3 * 3) + 3 * 3 * 3}
+
+
+def _counted(calls: dict, name: str, fn):
+    """`fn`, counting its calls in ``calls[name]``."""
+    def wrapper(*args, **kw):
+        calls[name] += 1
+        return fn(*args, **kw)
+    return wrapper
 
 
 class TestInvariantMetric:

@@ -28,8 +28,8 @@ from .lie_algebra import (
     invert_cartan,
     validate,
 )
-from .modelio import (BUILTIN_MODELS, SchemaError, file_digest, load_family, load_model, parse_label,
-                      parse_rational, read_json)
+from .modelio import (BUILTIN_MODELS, POINT_SERIES_MAX, SchemaError, file_digest, load_family, load_model,
+                      parse_label, parse_rational, read_json)
 from .models.family import SeriesNotConvergedError, verdict
 from .numcheck import UndefinedPointError
 from .operator import CasimirOperator, assemble_from_json, certify_eigen, reduce_to_scalar
@@ -43,10 +43,9 @@ from .split_structure import (
     compute_mu,
     frame_from_components,
     frame_from_vectors,
-    mat_inverse,
-    mat_mul,
     metric_from_exprs,
     metric_from_frame,
+    pairing,
     solve_invariant_frame,
 )
 from .tensor_fields import OffChartError, TensorField, one_form, verify_realization
@@ -56,10 +55,10 @@ EXIT_CHECK_FAILED = 1
 EXIT_INPUT_ERROR = 2
 EXIT_SOLVER_LIMIT = 3
 
-# Largest labels `harmonics` accepts: the work grows steeply with them, and
-# at these limits every family ends within minutes (README gives timings).
+# Largest so3 label `harmonics` accepts (modelio bounds the point series): the
+# work grows steeply with it, and at this limit a family ends within minutes
+# (README gives timings).
 SO3_MAX_L = 32
-POINT_SERIES_MAX = 16  # bounds --n and --n - --m (one more than the derivative order)
 # Largest product of --grid axis lengths: an export holds the float parts of
 # every value at once, 0.37 KB per point for the five so3 --l 2 components.
 GRID_MAX_POINTS = 250_000
@@ -301,7 +300,9 @@ def cmd_build_metric(args) -> int:
 
 def _user_frame_coefficients(spec, rep, seed) -> list | None:
     """The coefficients L of the model file's frame, e_d = L^a_d xi_a, or
-    None after a failed `invariant-frame` check."""
+    None after a failed `invariant-frame` check.  Each is a pairing
+    L^a_d = <theta^a, e_d> with the generators' dual coframe theta, which
+    `frame_from_vectors` inverts and certifies."""
     try:
         mu = _spec_frame(spec, seed)
     except FRAME_ERRORS as e:
@@ -311,16 +312,13 @@ def _user_frame_coefficients(spec, rep, seed) -> list | None:
         rep.add_check("invariant-frame", False,
                       error="supplied frame is not invariant: its scale factors are not all zero")
         return None
-    # e_d = L^a_d xi_a  =>  E = L^T Xi
     try:
-        xinv = mat_inverse([list(g.comps) for g in spec.generators])
+        coframe = frame_from_vectors(spec.chart, spec.generators, seed=seed).covectors
     except DualityError:
         rep.add_check("invariant-frame", False, error="the generators are dependent: their matrix is singular")
         return None
-    emat = [list(v.comps) for v in mu.frame.vectors]
-    lmat_t = [[ex.simplify(e) for e in row] for row in mat_mul(emat, xinv)]
     rep.add_check("invariant-frame", True, provenance="user-supplied")
-    return list(zip(*lmat_t))
+    return [[ex.simplify(pairing(theta, e)) for e in mu.frame.vectors] for theta in coframe]
 
 
 # --- harmonics -----------------------------------------------------------------
@@ -514,7 +512,7 @@ def cmd_reduce(args) -> int:
         spec = load_model(args.model)
         if spec.frame_vectors is None or spec.metric is None:
             raise SchemaError("reduce on user models needs both a frame and a metric in the file")
-    names = op.frame.names if spec is None else spec.frame_names
+    names = op.mu.frame.names if spec is None else spec.frame_names
     upper = _leg_indices(args.upper, names)
     lower = _leg_indices(args.lower, names)
     rep = Report("reduce", {"model": args.model if spec is None else _model_name(args.model, spec),
@@ -524,7 +522,7 @@ def cmd_reduce(args) -> int:
         if not rep.ok:
             _emit(args, [rep.render()])
             return EXIT_CHECK_FAILED
-        op = CasimirOperator(spec.name, spec.chart, spec.generators, spec.metric, mu.frame, mu)
+        op = CasimirOperator(spec.name, spec.chart, spec.generators, spec.metric, mu)
     reduced = reduce_to_scalar(op, upper, lower)
     rep.add_check("reduced-operator", True, order=reduced.order())
     rep.add_section("operator", reduced.to_json())
@@ -539,9 +537,11 @@ def cmd_reduce(args) -> int:
 def cmd_residual(args) -> int:
     seed = args.seed
     if args.model == "so3":
-        op = models.so3_model().op_space
+        model = models.so3_model()
+        op = model.op_space
     elif args.model == "bianchi2":
-        op = models.bianchi2_model().op
+        model = models.bianchi2_model()
+        op = model.op
     else:
         raise SchemaError("residual supports the built-in models so3 and bianchi2")
     doc, raw = read_json(args.tensor, f"tensor file {args.tensor!r} cannot be read")
@@ -549,7 +549,7 @@ def cmd_residual(args) -> int:
         lam = parse(str(args.eigenvalue), [], [])
     with _as_input_error("bad tensor file"):
         if "monomials" in doc:
-            tens = assemble_from_json(op.frame, doc["monomials"])
+            tens = assemble_from_json(model.frame, doc["monomials"])
         else:
             p, q = doc["type"]
             comps = tuple(parse(s, op.chart.coords, []) for s in doc["components"])

@@ -139,35 +139,6 @@ class Expr:
     def __repr__(self):
         return f"<expr {unparse(self)}>"
 
-    # arithmetic sugar; right variants cover int/Fraction on the left
-    def __add__(self, other):
-        return add(self, as_expr(other))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return add(self, neg(as_expr(other)))
-
-    def __rsub__(self, other):
-        return add(as_expr(other), neg(self))
-
-    def __mul__(self, other):
-        return mul(self, as_expr(other))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, as_expr(other))
-
-    def __rtruediv__(self, other):
-        return div(as_expr(other), self)
-
-    def __pow__(self, e):
-        return power(self, e)
-
-    def __neg__(self):
-        return neg(self)
-
 
 # the node memo of a node that is its own simplified form; see `simplify`
 _FIXED = object()

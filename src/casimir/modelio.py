@@ -31,6 +31,10 @@ class SchemaError(Exception):
 # of a frame grow as d!, and `build-metric` on 8 unit generators takes 2.6 s.
 MAX_COORDINATES = 8
 
+# Largest point-series labels `harmonics` builds and `verify --family`
+# re-certifies: it bounds n and n - m, one more than the profile's derivative order.
+POINT_SERIES_MAX = 16
+
 
 BUILTIN_MODELS = {
     "so3": {

@@ -27,7 +27,7 @@ from fractions import Fraction
 
 from .. import expr as ex
 from .. import numcheck as nc
-from ..modelio import load_model, parse_label
+from ..modelio import POINT_SERIES_MAX, SchemaError, load_model, parse_label, parse_rational
 from ..operator import (
     CasimirOperator,
     ScalarOperator,
@@ -59,26 +59,17 @@ class Bianchi2Model:
         self.frame_solution = solve_invariant_frame(self.constants, self.generators)
         self.frame, self.mu = self.frame_solution.frame, self.frame_solution.mu
         self.metric = metric_from_frame(self.frame_solution.L, self.constants, self.generators)
-        self.op = CasimirOperator(
-            "bianchi2", self.chart, self.generators, self.metric.g, self.frame, self.mu
-        )
+        self.op = CasimirOperator("bianchi2", self.chart, self.generators, self.metric.g, self.mu)
 
     def scalar_operator(self) -> ScalarOperator:
         return reduce_to_scalar(self.op)
-
-    def casimir_certificate(self, t: ex.Expr, lam: ex.Expr, seed: int = 0) -> Certificate:
-        """Residual certificate of a scalar: K t = lam t."""
-        box = self.chart.full_box()
-        return claim("casimir-eigenvalue", self.scalar_operator().apply(t), ex.mul(lam, t), box, seed)
 
     # -- point series ---------------------------------------------------------
 
     def point_series_profile(self, n: int, m: int) -> ex.Expr:
         """d^(n-m-1)/dv^(n-m-1) (1+v^2)^(n-1/2), exact."""
-        if not (isinstance(n, int) and isinstance(m, int) and n >= 1 and m < n):
-            raise ValueError(f"point series needs integers m < n with n >= 1, got n={n}, m={m}")
-        base = ex.power(ex.add(ex.ONE, ex.power(ex.sym("v"), 2)), Fraction(2 * n - 1, 2))
-        out = base
+        _check_series(n, m)
+        out = ex.power(ex.add(ex.ONE, ex.power(ex.sym("v"), 2)), Fraction(2 * n - 1, 2))
         for _ in range(n - m - 1):
             out = ex.diff(out, "v")
         return out
@@ -86,31 +77,37 @@ class Bianchi2Model:
     def point_series(self, n: int, m: int, nu, seed: int = 0) -> HarmonicFamily:
         """Discrete family t = e^(m y + nu z) * profile(v); all certificates symbolic."""
         nu = Fraction(nu)
-        profile = self.point_series_profile(n, m)
-        t = ex.mul(
-            ex.exp(ex.add(ex.mul(ex.num(m), ex.sym("y")), ex.mul(ex.num(nu), ex.sym("z")))),
-            profile,
-        )
+        t = self._series_member(n, m, nu)
         lam = ex.num(nu * nu + n * n)
-        box = self.chart.full_box()
-        certs = [
-            self.casimir_certificate(t, lam, seed),
-            claim("y-translation-eigenvalue", self.generators[1].apply(t), ex.mul(ex.num(m), t), box, seed),
-            claim("z-translation-eigenvalue", self.generators[2].apply(t), ex.mul(ex.num(nu), t), box, seed),
-        ]
-        lower_t = ex.simplify(ex.mul(  # lowering: xi_1 t_m = t_{m-1}
-            ex.exp(ex.add(ex.mul(ex.num(m - 1), ex.sym("y")), ex.mul(ex.num(nu), ex.sym("z")))),
-            self.point_series_profile(n, m - 1),
-        ))
-        certs.append(claim("lowering-relation", self.generators[0].apply(t), lower_t, box, seed))
         return HarmonicFamily(
             model=self.name,
             kind="point-series",
             labels={"n": n, "m": m, "nu": str(nu)},
             eigenvalues={"G": lam, "y-translation": ex.num(m), "z-translation": ex.num(nu)},
             components={f"n={n},m={m},nu={nu}": t},
-            certificates=certs,
+            certificates=self.point_series_certificates(t, lam, n, m, nu, seed),
         )
+
+    def _series_member(self, n: int, m: int, nu: Fraction) -> ex.Expr:
+        """The point-series scalar e^(m y + nu z) * profile(v)."""
+        return ex.mul(
+            ex.exp(ex.add(ex.mul(ex.num(m), ex.sym("y")), ex.mul(ex.num(nu), ex.sym("z")))),
+            self.point_series_profile(n, m),
+        )
+
+    def point_series_certificates(self, t: ex.Expr, lam: ex.Expr, n: int, m: int, nu: Fraction,
+                                  seed: int = 0) -> list:
+        """The four certificates of a point-series scalar t with labels n, m,
+        nu: K t = lam t, xi_2 t = m t, xi_3 t = nu t, and the lowering relation
+        xi_1 t = t_(m-1), the member one weight down."""
+        box = self.chart.full_box()
+        return [
+            claim("casimir-eigenvalue", self.scalar_operator().apply(t), ex.mul(lam, t), box, seed),
+            claim("y-translation-eigenvalue", self.generators[1].apply(t), ex.mul(ex.num(m), t), box, seed),
+            claim("z-translation-eigenvalue", self.generators[2].apply(t), ex.mul(ex.num(nu), t), box, seed),
+            claim("lowering-relation", self.generators[0].apply(t), ex.simplify(self._series_member(n, m - 1, nu)),
+                  box, seed),
+        ]
 
     # -- covector harmonics -----------------------------------------------------
 
@@ -123,19 +120,7 @@ class Bianchi2Model:
             TensorMonomial((), (leg,), ex.mul(ex.sym(a), t)) for leg, a in enumerate(AMPLITUDE_NAMES)
         ]
         tens = assemble(self.frame, monos, 0, 1)
-        box = self.chart.full_box()
-        ly = lie_derivative(self.generators[1], tens)
-        certs = [
-            assembly_claim(self.op, tens, lam, seed),
-            Certificate(
-                "y-translation-eigenvalue",
-                _all_components_zero(
-                    [ex.sub(a, ex.mul(ex.num(m), b)) for a, b in zip(ly.comps, tens.comps)],
-                    box,
-                    seed,
-                ),
-            ),
-        ] + scalar_fam.certificates
+        certs = self.covector_certificates(tens, lam, m, seed) + scalar_fam.certificates
         return HarmonicFamily(
             model=self.name,
             kind="covector",
@@ -147,6 +132,15 @@ class Bianchi2Model:
             certificates=certs,
             notes=("coframe legs: e^1 = dv + v dy, e^2 = dy, e^3 = dz",),
         )
+
+    def covector_certificates(self, tens, lam: ex.Expr, m: int, seed: int = 0) -> list:
+        """The certificates of an assembled covector: G T = lam T, and
+        L_(xi_2) T = m T on every component."""
+        casimir, box = assembly_claim(self.op, tens, lam, seed), self.chart.full_box()
+        ly = lie_derivative(self.generators[1], tens)
+        reports = [nc.is_zero(ex.sub(a, ex.mul(ex.num(m), b)), box, seed) for a, b in zip(ly.comps, tens.comps)]
+        translation = {"ok": all(r.is_zero for r in reports), "components": [r.to_json() for r in reports]}
+        return [casimir, Certificate("y-translation-eigenvalue", translation)]
 
     # -- hypergeometric branch ---------------------------------------------------
 
@@ -195,35 +189,39 @@ class Bianchi2Model:
 
     def recertifier(self, doc: dict):
         """seed -> the certificates of a family document this model wrote,
-        recomputed by the builders' code: the Lie-derivative one of each tensor
-        assembly, then the Casimir one of each scalar (a covector document's
-        order), and a hypergeometric family's radial residual, rebuilt from its
-        labels.  Every field is read (and may raise) before this returns."""
+        recomputed by the builders' code from its components, assemblies and
+        labels, in a document's order: those of its covector assembly, then
+        those of its point-series scalar; or a hypergeometric family's radial
+        residual.  Every field is read (and may raise) before this returns."""
+        kind, lab = doc["kind"], doc["labels"]
         lam = parse(doc["eigenvalues"]["G"], [], [])
-        comps = [parse(comp, self.chart.coords, []) for comp in doc["components"].values()]
-        tensors = [assemble_from_json(self.frame, monos) for monos in doc.get("assemblies", {}).values()]
-        hyper = None
-        if doc["kind"] == "hypergeometric":
-            lab = doc["labels"]
+        if kind == "hypergeometric":
             keys = (("mu", None), ("nu", None), ("lambda", None), ("A", 1), ("B", 0))
             hyper = [parse_label(lab.get(k, default), f"label {k!r}") for k, default in keys]
+            if doc["components"] or doc.get("assemblies"):
+                raise SchemaError("a hypergeometric family has no components or assemblies")
+            return lambda seed: self.hypergeometric_harmonic(*hyper, seed=seed).certificates
+        if kind not in ("point-series", "covector"):
+            raise SchemaError(f"unknown bianchi2 family kind {kind!r}")
+        n, m, nu = lab["n"], lab["m"], parse_rational(lab["nu"], "label 'nu'")
+        _check_series(n, m)
+        if max(n, n - m) > POINT_SERIES_MAX:
+            raise SchemaError(f"point series labels n and n - m above {POINT_SERIES_MAX} are refused, "
+                              f"got n={n}, m={m}")
+        comps = [parse(comp, self.chart.coords, []) for comp in doc["components"].values()]
+        tensors = [assemble_from_json(self.frame, monos) for monos in doc.get("assemblies", {}).values()]
 
         def recertify(seed):
-            out = [assembly_claim(self.op, tens, lam, seed) for tens in tensors]
-            out += [self.casimir_certificate(t, lam, seed) for t in comps]
-            if hyper is not None:
-                out += self.hypergeometric_harmonic(*hyper, seed=seed).certificates
-            return out
+            out = [c for tens in tensors for c in self.covector_certificates(tens, lam, m, seed)]
+            return out + [c for t in comps for c in self.point_series_certificates(t, lam, n, m, nu, seed)]
 
         return recertify
 
 
-def _all_components_zero(exprs, box, seed) -> dict:
-    reports = [nc.is_zero(e, box, seed) for e in exprs]
-    return {
-        "ok": all(r.is_zero for r in reports),
-        "components": [r.to_json() for r in reports],
-    }
+def _check_series(n, m) -> None:
+    """Refuse labels that name no point series: integers m < n with n >= 1."""
+    if not (isinstance(n, int) and isinstance(m, int) and n >= 1 and m < n):
+        raise ValueError(f"point series needs integers m < n with n >= 1, got n={n}, m={m}")
 
 
 @functools.lru_cache(maxsize=1)

@@ -107,12 +107,8 @@ class So3Model:
         self.op_generators = CasimirOperator(
             "so3", self.sphere, self.generators, self.metric
         )
-        self.op_space = CasimirOperator(
-            "so3-space", self.space, self.space_generators, self.metric, self.frame
-        )
-        self.op_ladder = CasimirOperator(
-            "so3-ladder", self.space, self.space_ladder, gl, self.frame, self.mu
-        )
+        self.op_space = CasimirOperator("so3-space", self.space, self.space_generators, self.metric)
+        self.op_ladder = CasimirOperator("so3-ladder", self.space, self.space_ladder, gl, self.mu)
         self._families: dict = {}
         self._members: dict = {}
 
@@ -203,17 +199,17 @@ class So3Model:
     def scalar_family(self, l: int, m_values=None, seed: int = 0) -> HarmonicFamily:
         """All scalar weight-l members in one family document."""
         m_values = _weights(l, m_values)
+        lam = ex.num(-l * (l + 1))
         components = {}
         certs = []
         for m in m_values:
-            one = self.scalar_harmonic(l, m, seed=seed)
-            components.update(one.components)
-            certs += _at_weight(one.certificates, m)
+            t = components[f"n=0,m={m}"] = self._member(l, 0, m)
+            certs += _at_weight(self.scalar_certificates(t, lam, m, seed), m)
         return HarmonicFamily(
             model=self.name,
             kind="scalar",
             labels={"l": l},
-            eigenvalues={"G": ex.num(-l * (l + 1))},
+            eigenvalues={"G": lam},
             components=components,
             certificates=certs,
         )

@@ -38,19 +38,21 @@ SIGN_NOTE = "eigenvalue of G = g^{ik} L_i L_k itself; rotation-harmonic conventi
 
 
 class CasimirOperator(FrozenRecord):
-    """Generators plus a certified invariant metric in that generator basis."""
+    """Generators plus a certified invariant metric in that generator basis,
+    and optionally the scale factors `mu` of a frame of those generators,
+    which reduction needs; the frame itself is `mu.frame`."""
 
-    _fields = ("name", "chart", "generators", "metric", "frame", "mu")
+    _fields = ("name", "chart", "generators", "metric", "mu")
 
     def __init__(self, name: str, chart: Chart, generators: tuple, metric: tuple,
-                 frame: Frame | None = None, mu: MuFactors | None = None):
+                 mu: MuFactors | None = None):
         # metric[i][k]: Expr
         if mu is not None and tuple(mu.generators) != tuple(generators):
             raise ValueError(f"operator {name}: the scale factors belong to other generators")
         # _matrices is built on first use: G's component matrix per tensor type
         # (p, q), K under ("reduced", (), ()), and the reduced and shifted
         # scalar operators per monomial
-        super().__init__(name, chart, generators, metric, frame, mu)
+        super().__init__(name, chart, generators, metric, mu)
         self.__dict__["_matrices"] = {}
 
     @property

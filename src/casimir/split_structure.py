@@ -53,11 +53,6 @@ def pairing(omega: TensorField, x: VectorField) -> ex.Expr:
 # --- symbolic matrices -----------------------------------------------------
 
 
-def mat_mul(a, b):
-    """Product of nested-list matrices with exact Fraction or Expr entries."""
-    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
-
-
 def mat_det(a) -> ex.Expr:
     n = len(a)
     if n == 1:
@@ -71,7 +66,8 @@ def mat_det(a) -> ex.Expr:
 
 
 def mat_inverse(a):
-    """Adjugate inverse; exact for symbolic entries."""
+    """Adjugate inverse; exact for symbolic entries.  Only `frame_from_vectors`
+    calls it, once per frame, so each frame's determinant is expanded once."""
     n = len(a)
     det = ex.simplify(mat_det(a))
     if det == ex.ZERO:
@@ -104,6 +100,8 @@ def frame_from_vectors(chart: Chart, vectors, names=None, seed: int = 0) -> Fram
     """Complete a vector frame with its dual covectors (adjugate inverse)."""
     vectors = tuple(vectors)
     n = len(vectors)
+    if n != chart.dim:
+        raise DualityError(f"{n} vectors on a {chart.dim}-dimensional chart have no dual frame")
     if names is None:
         names = tuple(str(a + 1) for a in range(n))
     emat = [list(v.comps) for v in vectors]
@@ -287,9 +285,11 @@ def solve_invariant_frame(sc: StructureConstants, generators, seed: int = 0) -> 
     """Invariant frame e_d = L^a_d xi_a for a simply transitive action.
 
     L is solved over Q by undetermined coefficients (`_frame_coefficients`)
-    and normalized to the identity at the origin.  Its frame is certified
-    invariant by `compute_mu`, every scale factor zero, as a user frame is;
-    any failure raises NoClosedFormError.
+    and normalized to the identity at the origin.  `frame_from_vectors`
+    inverts the frame, expanding its determinant once, and certifies the
+    duality; `compute_mu` certifies it invariant, every scale factor zero, as
+    a user frame is.  A singular frame (a DualityError) or any other failure
+    raises NoClosedFormError.
     """
     generators = tuple(generators)
     chart = generators[0].chart
@@ -307,12 +307,10 @@ def solve_invariant_frame(sc: StructureConstants, generators, seed: int = 0) -> 
     lmat = _frame_coefficients(sc, generators)
     emat = [[ex.simplify(ex.sum_of_products([(lmat[a][dd], generators[a].comps[c]) for a in range(r)]))
              for c in range(d)] for dd in range(r)]  # component c of e_dd = L^a_dd xi_a
-    if nc.is_zero(mat_det(emat), box, seed).is_zero:
-        raise NoClosedFormError("frame vectors are degenerate on the domain")
-    frame = frame_from_vectors(chart, [VectorField(chart, tuple(row)) for row in emat], seed=seed)
     try:
+        frame = frame_from_vectors(chart, [VectorField(chart, tuple(row)) for row in emat], seed=seed)
         mu = compute_mu(frame, generators, sc, seed)
-    except NotEigenFrameError:
+    except (DualityError, NotEigenFrameError):
         mu = None
     if mu is None or not mu.invariant():
         raise NoClosedFormError("candidate frame failed the invariance equations")

@@ -466,6 +466,25 @@ class TestBuildMetric:
         assert "dependent" in doc["checks"][1]["error"]
         assert "metric" not in doc
 
+    @pytest.mark.parametrize("generators", [[["1", "0"], ["0", "1"], ["0", "1"]], [["1", "0"]]],
+                             ids=["three-on-a-plane", "one-on-a-plane"])
+    def test_generators_that_are_no_basis_fail_the_build(self, capsys, tmp_path, generators):
+        """Commuting generators more or fewer than the coordinates give a user
+        frame no coefficients in their basis: a failed check, not a traceback
+        (three) or a metric from coefficients that do not exist (one)."""
+        path = model_file(tmp_path, {
+            "name": "plane", "chart": {"coords": ["x", "y"], "domain": {"x": [-1, 1], "y": [-1, 1]}},
+            "structure_constants": {"r": len(generators), "C": []},
+            "generators": generators,
+            "frame": {"vectors": [["1", "0"], ["0", "1"]]},
+        })
+        code, out = run(capsys, "build-metric", "--model", path)
+        assert code == 1
+        doc = json.loads(out)
+        assert [(c["name"], c["ok"]) for c in doc["checks"]] == [
+            ("structure-constants", True), ("invariant-frame", False)]
+        assert "metric" not in doc
+
 
 class TestHarmonics:
     def test_point_series_eigenvalue(self, capsys):
@@ -843,8 +862,9 @@ class TestFamilyRoundTrip:
             main(["verify", "--family", str(p)])
 
     def test_covector_family_recertifies(self, capsys, tmp_path):
-        # the document holds casimir-eigenvalue twice, the tensor's and then its
-        # scalar's; each recomputed check answers its own stored certificate
+        # the document holds casimir-eigenvalue and y-translation-eigenvalue
+        # twice, the tensor's and then its scalar's; each recomputed check
+        # answers its own stored certificate, one check per certificate
         doc = bianchi2_model().covector_harmonic(2, 0, 1).to_json()
         assert doc["certified"]
         p = tmp_path / "fam.json"
@@ -852,16 +872,22 @@ class TestFamilyRoundTrip:
         code, out = run(capsys, "verify", "--family", str(p))
         assert code == 0
         checks = json.loads(out)["checks"]
+        zero = "symbolically-zero"
         assert [(c["name"], c["stored"], c["recomputed"]) for c in checks] == [
             ("recertify: casimir-eigenvalue", "ok", "ok"),
-            ("recertify: casimir-eigenvalue #2", "symbolically-zero", "symbolically-zero"),
+            ("recertify: y-translation-eigenvalue", "ok", "ok"),
+            ("recertify: casimir-eigenvalue #2", zero, zero),
+            ("recertify: y-translation-eigenvalue #2", zero, zero),
+            ("recertify: z-translation-eigenvalue", zero, zero),
+            ("recertify: lowering-relation", zero, zero),
         ]
+        assert len(checks) == len(doc["certificates"])
         leg = doc["assemblies"]["covector"][1]
         leg["scalar"] = f"v*({leg['scalar']})"
         p.write_text(json.dumps(doc))
         code, out = run(capsys, "verify", "--family", str(p))
         assert code == 1
-        assert [c["ok"] for c in json.loads(out)["checks"]] == [False, True]
+        assert [c["ok"] for c in json.loads(out)["checks"]] == [False, True, True, True, True, True]
 
     def test_point_series_recertifies(self, capsys, tmp_path):
         p = tmp_path / "fam.json"
@@ -871,6 +897,38 @@ class TestFamilyRoundTrip:
         code, out = run(capsys, "verify", "--family", str(p))
         assert code == 0
         assert json.loads(out)["ok"]
+
+    def _point_series_document(self, tmp_path):
+        p = tmp_path / "fam.json"
+        assert main(["harmonics", "bianchi2", "--point-series",
+                     "--n", "3", "--m", "1", "--nu", "1/2", "--out", str(p)]) == 0
+        return p, json.loads(p.read_text())
+
+    def test_point_series_recomputes_every_certificate(self, capsys, tmp_path):
+        """Each stored certificate is recomputed from the component and the
+        labels, so a document whose nu label no longer matches its component
+        fails (the z translation and the lowering relation)."""
+        p, doc = self._point_series_document(tmp_path)
+        code, out = run(capsys, "verify", "--family", str(p))
+        assert code == 0
+        checks = json.loads(out)["checks"]
+        assert len(checks) == len(doc["certificates"]) == 4
+        assert [c["name"] for c in checks] == [f"recertify: {c['name']}" for c in doc["certificates"]]
+        doc["labels"]["nu"] = "1"
+        p.write_text(json.dumps(doc))
+        code, out = run(capsys, "verify", "--family", str(p))
+        assert code == 1
+        assert [c["ok"] for c in json.loads(out)["checks"]] == [True, True, False, False]
+
+    @pytest.mark.parametrize("labels", [{"n": 2**70}, {"m": -100}, {"n": "3"}, {"m": 3}, {"nu": "x"}],
+                             ids=["n-too-large", "n-m-too-large", "n-text", "m-not-below-n", "nu-text"])
+    def test_point_series_labels_are_input(self, capsys, tmp_path, labels):
+        """Labels the builder would refuse are an input error (exit 2), and a
+        label past the builder's bound is refused before any work."""
+        p, doc = self._point_series_document(tmp_path)
+        doc["labels"].update(labels)
+        p.write_text(json.dumps(doc))
+        assert_input_error(capsys, "verify", "--family", str(p))
 
 
 # small grid exports, pinned byte for byte in both formats

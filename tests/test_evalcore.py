@@ -112,11 +112,12 @@ def test_unbound_symbol_rejected_at_compile_time():
 def test_programs_with_other_constants_differ():
     """The constants live outside the source, so they take part in equality and hashing."""
     x = ex.sym("x")
-    one, two = evalcore.compile_expr(x + 1, ("x",)), evalcore.compile_expr(x + 2, ("x",))
+    one = evalcore.compile_expr(ex.add(x, ex.num(1)), ("x",))
+    two = evalcore.compile_expr(ex.add(x, ex.num(2)), ("x",))
     assert one.source == two.source
     assert one.run([(0.0,)]) == [1] and two.run([(0.0,)]) == [2]
     assert one != two and hash(one) != hash(two)
-    again = evalcore.compile_expr(x + 1, ("x",))
+    again = evalcore.compile_expr(ex.add(x, ex.num(1)), ("x",))
     assert again == one and hash(again) == hash(one)
 
 

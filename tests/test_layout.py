@@ -216,6 +216,13 @@ def test_no_module_reads_another_modules_private_names():
     assert {name: reads for name, reads in found.items() if reads} == {}
 
 
+def _attribute_reads() -> set:
+    """The names read as an attribute (``x.name``) in the sources or the benchmark."""
+    return {node.attr for d in ("src", "perfbench") for p in sorted((REPO / d).rglob("*.py"))
+            for node in ast.walk(ast.parse(p.read_text()))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
 # Record fields that nothing in the package reads, kept because the
 # acceptance tests read them: the Cartan tensor's invariance verdict
 # (criterion 1) and the integrability reports of the scale factors
@@ -228,11 +235,28 @@ def test_every_record_field_is_read():
     in the sources or the benchmark: a field that nothing reads is state the
     program stores for nothing.  `Record` reads every field by name for
     equality and repr; that does not count."""
-    reads = {node.attr for d in ("src", "perfbench") for p in sorted((REPO / d).rglob("*.py"))
-             for node in ast.walk(ast.parse(p.read_text()))
-             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    reads = _attribute_reads()
     unread = {f"{c.name}.{field}" for c in _record_classes() for s in c.body
               if isinstance(s, ast.Assign) and [ast.unparse(t) for t in s.targets] == ["_fields"]
               for field in ast.literal_eval(s.value) if field not in reads}
     assert sorted(unread - READ_BY_ACCEPTANCE) == []
     assert sorted(READ_BY_ACCEPTANCE - unread) == []  # the set names only such fields
+
+
+# Methods that nothing in the package reads, kept because the acceptance tests
+# call them: the ladder family of criterion 4 and a family's certificate by name.
+METHODS_READ_BY_ACCEPTANCE = {"So3Model.ladder_family", "HarmonicFamily.certificate"}
+
+
+def test_every_method_is_used():
+    """Each method and property defined on a class in the package is read as
+    an attribute (``x.method``) somewhere in the sources or the benchmark: a
+    method that nothing calls is dead code, as an unused function is.  Dunder
+    methods are called by Python, not by name."""
+    reads = _attribute_reads()
+    unused = {f"{c.name}.{s.name}" for path in sorted(PACKAGE.rglob("*.py"))
+              for c in ast.walk(ast.parse(path.read_text())) if isinstance(c, ast.ClassDef)
+              for s in c.body if isinstance(s, (ast.FunctionDef, ast.AsyncFunctionDef))
+              and not (s.name.startswith("__") and s.name.endswith("__")) and s.name not in reads}
+    assert sorted(unused - METHODS_READ_BY_ACCEPTANCE) == []
+    assert sorted(METHODS_READ_BY_ACCEPTANCE - unused) == []  # the set names only such methods

@@ -207,7 +207,7 @@ def test_two_writings_of_one_residual_get_one_report():
            for lower, text in _OLD_M1_ASSEMBLY]
     assert [mo["lower"] for mo in new] == [mo["lower"] for mo in old]
     assert all(_POLE not in mo["scalar"] for mo in new)
-    reports = [certify_eigen(op, assemble_from_json(op.frame, doc), -11).reports for doc in (old, new)]
+    reports = [certify_eigen(op, assemble_from_json(so3.frame, doc), -11).reports for doc in (old, new)]
     assert [r.verdict for r in reports[0]].count(nc.Verdict.NONZERO) == 8
     assert [(r.verdict, r.max_abs, r.scale) for r in reports[0]] == [
         (r.verdict, r.max_abs, r.scale) for r in reports[1]]

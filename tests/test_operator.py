@@ -337,11 +337,11 @@ class TestReduce:
         """The ladder basis's scale factors mean nothing on the rotation
         generators: G on the space chart carries none, and an operator built
         with another basis's factors is refused."""
-        assert so3.op_space.mu is None and so3.op_space.frame is so3.frame
+        assert so3.op_space.mu is None
         with pytest.raises(ValueError, match="no frame scale factors"):
             op.reduce_to_scalar(so3.op_space, (), (1,))
         with pytest.raises(ValueError, match="other generators"):
-            op.CasimirOperator("mixed", so3.space, so3.space_generators, so3.metric, so3.frame, so3.mu)
+            op.CasimirOperator("mixed", so3.space, so3.space_generators, so3.metric, so3.mu)
 
     def test_derived_operators_are_built_once(self, so3, monkeypatch):
         cop = so3.op_ladder.replace()

@@ -266,18 +266,23 @@ class TestMuFactors:
 
     def test_work_per_bianchi2_build(self, monkeypatch):
         """The bianchi2 model certifies its solved frame once, by `compute_mu`:
-        one zero test of the frame determinant, 3 * 3 of the duality,
-        3 * 3 * 3 + 3 * 3 of `compute_mu` and 3 * 3 * 3 Killing residuals of
-        the metric, with no invariance residuals of the solver's own."""
+        3 * 3 zero tests of the duality, 3 * 3 * 3 + 3 * 3 of `compute_mu` and
+        3 * 3 * 3 Killing residuals of the metric, with no invariance
+        residuals or determinant test of the solver's own.  The frame's
+        inverse expands its 3 x 3 determinant once."""
         calls = {"mu": 0, "zero": 0}
         counted_mu = _counted(calls, "mu", ss.compute_mu)
         for module in [m for name, m in sys.modules.items()
                        if name.startswith("casimir") and getattr(m, "compute_mu", None) is ss.compute_mu]:
             monkeypatch.setattr(module, "compute_mu", counted_mu)
         monkeypatch.setattr(nc, "is_zero", _counted(calls, "zero", nc.is_zero))
+        dets = []
+        mat_det = ss.mat_det
+        monkeypatch.setattr(ss, "mat_det", lambda a: dets.append(len(a)) or mat_det(a))
         model = Bianchi2Model()
         assert model.mu.invariant()
-        assert calls == {"mu": 1, "zero": 1 + 3 * 3 + (3 * 3 * 3 + 3 * 3) + 3 * 3 * 3}
+        assert calls == {"mu": 1, "zero": 3 * 3 + (3 * 3 * 3 + 3 * 3) + 3 * 3 * 3}
+        assert dets.count(3) == 1
 
 
 def _counted(calls: dict, name: str, fn):

@@ -315,7 +315,10 @@ def _user_frame_coefficients(spec, rep, seed) -> list | None:
     try:
         coframe = frame_from_vectors(spec.chart, spec.generators, seed=seed).covectors
     except DualityError:
-        rep.add_check("invariant-frame", False, error="the generators are dependent: their matrix is singular")
+        n, dim = len(spec.generators), spec.chart.dim
+        error = (f"the generators are not a basis: {n} of them on a {dim}-dimensional chart" if n != dim
+                 else "the generators are dependent: their matrix is singular")
+        rep.add_check("invariant-frame", False, error=error)
         return None
     rep.add_check("invariant-frame", True, provenance="user-supplied")
     return [[ex.simplify(pairing(theta, e)) for e in mu.frame.vectors] for theta in coframe]

@@ -57,7 +57,8 @@ class Bianchi2Model:
         self.constants = spec.constants
         self.generators = tuple(VectorField(self.chart, x.comps) for x in spec.generators)
         self.frame_solution = solve_invariant_frame(self.constants, self.generators)
-        self.frame, self.mu = self.frame_solution.frame, self.frame_solution.mu
+        self.mu = self.frame_solution.mu
+        self.frame = self.mu.frame
         self.metric = metric_from_frame(self.frame_solution.L, self.constants, self.generators)
         self.op = CasimirOperator("bianchi2", self.chart, self.generators, self.metric.g, self.mu)
 

@@ -3,7 +3,10 @@
 ``G = g^{ik} L_i L_k`` is built from Lie derivatives.  On the coordinate
 components of a type-(p, q) tensor each ``L_i`` is a first-order operator
 ``A_i = xi_i . d + R_i``, with ``R_i`` the correction rows of
-:func:`casimir.tensor_fields.lie_correction_rows`, so G is a fixed matrix of
+:func:`casimir.tensor_fields.lie_correction_rows`, whose entries come from
+the simplified generator Jacobian, so that no product below multiplies raw
+derivative sums whose terms cancel later (``expr.diff`` itself stays raw:
+most of its results are added, not multiplied).  G is then a fixed matrix of
 second-order scalar operators ``G_IJ = delta_IJ K + g^{ik} (R_k[I][J] xi_i +
 R_i[I][J] xi_k + xi_i(R_k[I][J]) + sum_L R_i[I][L] R_k[L][J])``, with ``K =
 g^{ik} xi_i xi_k`` the scalar Casimir operator.  K is composed once per

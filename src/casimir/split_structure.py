@@ -204,6 +204,8 @@ class FrameSolution(FrozenRecord):
 
     @property
     def frame(self) -> Frame:
+        """The frame of `mu`.  The package reads `mu.frame`; only the
+        acceptance suite reads this property."""
         return self.mu.frame
 
 

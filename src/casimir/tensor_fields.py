@@ -179,11 +179,19 @@ def lie_correction_rows(x: VectorField, p: int, q: int) -> tuple:
     (L_X T)_I = X(T_I) + sum_J rows[I][J] T_J over flat component indices:
     one correction per lower index with the derivative of X loading the
     index, minus one per upper index.
+
+    The rows are built on the simplified Jacobian d_a X^c, so every entry is
+    in canonical form before `lie_derivative` or the composition of G
+    multiplies it.  A raw derivative such as d_theta(cos(phi)*cot(theta)) is
+    a sum of four terms that simplifies to one, and products of such sums
+    form terms that cancel only later.  `expr.diff` itself stays raw: most
+    of its results are added, not multiplied, and simplifying each of them
+    costs more than it saves.
     """
     chart = x.chart
     d = chart.dim
     # dx[c][a] = d_a X^c
-    dx = [[ex.diff(comp, coord) for coord in chart.coords] for comp in x.comps]
+    dx = [[ex.simplify(ex.diff(comp, coord)) for coord in chart.coords] for comp in x.comps]
     stride = [d ** (p + q - 1 - slot) for slot in range(p + q)]
     rows = []
     for i, idx in enumerate(itertools.product(range(d), repeat=p + q)):

@@ -463,15 +463,19 @@ class TestBuildMetric:
         doc = json.loads(out)
         assert [(c["name"], c["ok"]) for c in doc["checks"]] == [
             ("structure-constants", True), ("invariant-frame", False)]
-        assert "dependent" in doc["checks"][1]["error"]
+        assert doc["checks"][1]["error"] == "the generators are dependent: their matrix is singular"
         assert "metric" not in doc
 
-    @pytest.mark.parametrize("generators", [[["1", "0"], ["0", "1"], ["0", "1"]], [["1", "0"]]],
-                             ids=["three-on-a-plane", "one-on-a-plane"])
-    def test_generators_that_are_no_basis_fail_the_build(self, capsys, tmp_path, generators):
+    @pytest.mark.parametrize("generators,error", [
+        ([["1", "0"], ["0", "1"], ["0", "1"]], "the generators are not a basis: 3 of them on a 2-dimensional chart"),
+        ([["1", "0"]], "the generators are not a basis: 1 of them on a 2-dimensional chart"),
+    ], ids=["three-on-a-plane", "one-on-a-plane"])
+    def test_generators_that_are_no_basis_fail_the_build(self, capsys, tmp_path, generators, error):
         """Commuting generators more or fewer than the coordinates give a user
         frame no coefficients in their basis: a failed check, not a traceback
-        (three) or a metric from coefficients that do not exist (one)."""
+        (three) or a metric from coefficients that do not exist (one).  Its
+        error names the count, since their matrix is not square, so not
+        singular either."""
         path = model_file(tmp_path, {
             "name": "plane", "chart": {"coords": ["x", "y"], "domain": {"x": [-1, 1], "y": [-1, 1]}},
             "structure_constants": {"r": len(generators), "C": []},
@@ -483,6 +487,7 @@ class TestBuildMetric:
         doc = json.loads(out)
         assert [(c["name"], c["ok"]) for c in doc["checks"]] == [
             ("structure-constants", True), ("invariant-frame", False)]
+        assert doc["checks"][1]["error"] == error
         assert "metric" not in doc
 
 

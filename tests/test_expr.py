@@ -424,7 +424,8 @@ def test_products_of_repeated_sums_merge_as_they_distribute(monkeypatch):
 
 
 def test_each_sum_is_lowered_in_one_pass(monkeypatch):
-    """On G of a type-(0,2) tensor, no sum that the common-exponent pass
+    """While the so3 type-(0,2) family of weight 2 is built and certified
+    from cold caches (40 sums lowered), no sum that the common-exponent pass
     returned is handed to a pass again, whether or not that pass would
     change it, and no cofactor base^(cur - target) is expanded as an
     expression: every base there is a polynomial in cos(theta), lowered on
@@ -457,7 +458,7 @@ def test_each_sum_is_lowered_in_one_pass(monkeypatch):
     monkeypatch.setattr(ex, "_common_exponent_pass", counted_pass)
     monkeypatch.setattr(ex, "_power", counted_power)
     _clear_kernel_caches()
-    _casimir_of_tensor02(So3Model())  # a new model composes G cold
+    So3Model().tensor20_harmonic(2)  # a new model composes G cold
     assert len(changed) > 20
     assert not second
     assert not expanded

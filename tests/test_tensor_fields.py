@@ -8,6 +8,7 @@ import pytest
 from casimir import expr as ex
 from casimir import numcheck as nc
 from casimir import tensor_fields as tf
+from casimir.models import bianchi2_model, so3_model
 from casimir.parser import parse
 from helpers import (
     bianchi2_constants,
@@ -196,6 +197,21 @@ class TestLieDerivative:
         assert all(
             ex.simplify(ex.sub(a, b)) == ex.ZERO for a, b in zip(ld.comps, br.comps)
         )
+
+
+class TestCorrectionRows:
+    @pytest.mark.parametrize("ptype", [(0, 1), (1, 0), (0, 2), (1, 1)])
+    @pytest.mark.parametrize("generators", [
+        lambda: so3_model().op_space.generators,
+        lambda: so3_model().op_ladder.generators,
+        lambda: bianchi2_model().op.generators,
+    ], ids=["so3-space", "so3-ladder", "bianchi2"])
+    def test_every_entry_is_simplified(self, generators, ptype):
+        """The rows come from the simplified generator Jacobian, so no entry
+        is a raw derivative that cancels only after it has been multiplied."""
+        entries = [f for x in generators() for row in tf.lie_correction_rows(x, *ptype) for f in row.values()]
+        assert entries
+        assert all(ex.simplify(f) == f for f in entries)
 
 
 class TestCommutatorIdentity:

@@ -14,7 +14,7 @@ A component of covector weight n sits on n raising legs e^+1 (or -n
 lowering legs e^-1), so every weight |n| <= l has its reduced operator,
 shifted ladder and family; each emitted member is certified by its own
 residuals (reduced or Casimir, axis, and each ladder move), or at m < 0 by
-those of its complex-conjugate partner at -m (`_casimir_certificates`).
+those of its conjugate partner at -m, scalar or tensor (`_conjugate_half`).
 
 A member is N^(-1/2) e^{i m phi} sin^eps(theta) P(cos theta), eps in {0, 1}.
 Each (l, n) family is built whole on first use as the integer coefficient
@@ -191,27 +191,27 @@ class So3Model:
     def scalar_certificates(self, t: ex.Expr, lam: ex.Expr, m: int, seed: int = 0) -> list:
         """Residual certificates of a scalar on the sphere: K t = lam t and L_3 t = m t."""
         box = self.sphere.full_box()
-        return [
-            claim("casimir-eigenvalue", self.scalar_operator().apply(t), ex.mul(lam, t), box, seed),
-            claim("axis-eigenvalue", self.ladder[2].apply(t), ex.mul(ex.num(m), t), box, seed),
-        ]
+        return [claim("casimir-eigenvalue", self.scalar_operator().apply(t), ex.mul(lam, t), box, seed),
+                claim("axis-eigenvalue", self.ladder[2].apply(t), ex.mul(ex.num(m), t), box, seed)]
+
+    def _scalar_claims(self, comps: dict, lam, seed: int) -> dict:
+        """(0, m) -> the `scalar_certificates` of each member t of comps, (0, m) -> t."""
+        return _conjugate_half(comps, lambda key: self.scalar_certificates(comps[key], lam, key[1], seed),
+                               self._conjugate_scalars and ex.conj(lam) == lam)
 
     def scalar_family(self, l: int, m_values=None, seed: int = 0) -> HarmonicFamily:
         """All scalar weight-l members in one family document."""
         m_values = _weights(l, m_values)
         lam = ex.num(-l * (l + 1))
-        components = {}
-        certs = []
-        for m in m_values:
-            t = components[f"n=0,m={m}"] = self._member(l, 0, m)
-            certs += _at_weight(self.scalar_certificates(t, lam, m, seed), m)
+        comps = {(0, m): self._member(l, 0, m) for m in m_values}
+        claims = self._scalar_claims(comps, lam, seed)
         return HarmonicFamily(
             model=self.name,
             kind="scalar",
             labels={"l": l},
             eigenvalues={"G": lam},
-            components=components,
-            certificates=certs,
+            components={f"n=0,m={m}": t for (_n, m), t in comps.items()},
+            certificates=[c for m in m_values for c in _labelled(claims[0, m], f"m={m}")],
         )
 
     def tensor_slots(self, l: int):
@@ -241,29 +241,27 @@ class So3Model:
         lam = ex.num(-l * (l + 1))
         amps = {a: ex.sym(a) for a in AMPLITUDE_NAMES}
         n_values = sorted({n for _u, _lo, n, _a in self.tensor_slots(l)})
-        fams = {n: {m: self._member(l, n, m) for m in m_values} for n in n_values}
-        components = {f"n={n},m={m}": fams[n][m] for n in n_values for m in m_values}
-        assemblies, tensors, scalar = {}, {}, {}
+        slots = {(n, m): self._member(l, n, m) for n in n_values for m in m_values}
+        components = {f"n={n},m={m}": t for (n, m), t in slots.items()}
+        assemblies, tensors = {}, {}
         box = self.space.full_box()
         reduced = {n: self.reduced_operator(n) for n in n_values}
         for m in m_values:
-            monos = [TensorMonomial(upper, lower, ex.mul(amps[amp], fams[n][m]))
+            monos = [TensorMonomial(upper, lower, ex.mul(amps[amp], slots[n, m]))
                      for upper, lower, n, amp in self.tensor_slots(l)]
             assemblies[f"m={m}"] = assembly_to_json(self.frame, monos)
             tensors[f"m={m}"] = assemble(self.frame, monos, 0, 2)
-        for m in sorted(dict.fromkeys(m_values), key=lambda m: m < 0):
-            for n in n_values:
-                t, known = fams[n][m], scalar.get((-n, -m)) if m < 0 else None
-                names = (f"reduced-eigenvalue n={n} m={m}", f"axis-eigenvalue n={n} m={m}")
-                if not (known and self._conjugate_weights and _conjugates(
-                        [(t, fams[-n][-m])], n + m, (), [c.payload for c in known])):
-                    known = [claim(names[0], reduced[n].apply(t), ex.mul(lam, t), box, seed),
-                             claim(names[1], self.ladder[2].apply(t), ex.mul(ex.num(m), t), box, seed)]
-                scalar[n, m] = [Certificate(name, c.payload) for name, c in zip(names, known)]
+
+        def full(key):
+            (n, m), t = key, slots[key]
+            return [claim("reduced-eigenvalue", reduced[n].apply(t), ex.mul(lam, t), box, seed),
+                    claim("axis-eigenvalue", self.ladder[2].apply(t), ex.mul(ex.num(m), t), box, seed)]
+
+        scalar = _conjugate_half(slots, full, self._conjugate_weights and ex.conj(lam) == lam)
         casimir = self._casimir_certificates(tensors, lam, seed)
         certs = []
         for m in m_values:
-            certs += [c for n in n_values for c in scalar[n, m]] + [casimir[f"m={m}"]]
+            certs += [c for n in n_values for c in _labelled(scalar[n, m], f"n={n} m={m}")] + casimir[f"m={m}"]
         return HarmonicFamily(
             model=self.name,
             kind="tensor20",
@@ -285,23 +283,20 @@ class So3Model:
         lam = parse(doc["eigenvalues"]["G"], [], [])
         if kind == "scalar":
             single = "m" in doc["labels"]  # one harmonic: its certificates carry no weight
-            comps = [(_weight(key.removeprefix("n=0,")), parse(comp, self.sphere.coords))
-                     for key, comp in doc["components"].items()]
-            if any(m is None for m, _ in comps):
+            comps = {(0, _weight(key, "n=0,m=")): parse(comp, self.sphere.coords)
+                     for key, comp in doc["components"].items()}
+            if (0, None) in comps:
                 raise SchemaError("a scalar component is not named n=0,m=<weight>")
 
             def recertify(seed):
-                out = []
-                for m, t in comps:
-                    certs = self.scalar_certificates(t, lam, m, seed)
-                    out += certs if single else _at_weight(certs, m)
-                return out
+                return [c for (_n, m), certs in self._scalar_claims(comps, lam, seed).items()
+                        for c in (certs if single else _labelled(certs, f"m={m}"))]
         elif kind == "tensor20":
             tensors = {tag: assemble_from_json(self.frame, monos)
                        for tag, monos in doc.get("assemblies", {}).items()}
 
             def recertify(seed):
-                return list(self._casimir_certificates(tensors, lam, seed).values())
+                return [c for certs in self._casimir_certificates(tensors, lam, seed).values() for c in certs]
         else:
             raise SchemaError(f"unknown so3 family kind {kind!r}")
         return recertify
@@ -315,6 +310,12 @@ class So3Model:
         return all(ex.conj(e, SIGMA_FLIP) == e for e in entries)
 
     @functools.cached_property
+    def _conjugate_scalars(self) -> bool:
+        """Whether conjugation fixes the orbit Laplacian K and negates the axis generator."""
+        return (all(ex.conj(c) == c for _, c in self.scalar_operator().table)
+                and all(ex.conj(c) == ex.neg(c) for c in self.ladder[2].comps))
+
+    @functools.cached_property
     def _conjugate_weights(self) -> bool:
         """Whether conjugation negates the axis generator and maps the reduced
         operator of each weight n to that of -n."""
@@ -325,21 +326,17 @@ class So3Model:
                         for n, table in conj.items()))
 
     def _casimir_certificates(self, tensors: dict, lam, seed: int) -> dict:
-        """tag -> the `casimir-eigenvalue` certificate of each assembly.  T(m) at
-        m < 0 reuses T(-m)'s result when G commutes with sigma, lam is real,
-        T(m) = (-1)^m sigma(T(-m)) on every component and T(-m)'s residuals are
-        symbolically zero, as T(m)'s are then (-1)^m sigma of them."""
-        weight = {tag: _weight(tag) or 0 for tag in tensors}  # 0: a full certificate
-        real, out = self._sigma_commutes and ex.conj(lam) == lam, {}
-        for tag in sorted(tensors, key=lambda tag: weight[tag] < 0):
-            m, t = weight[tag], tensors[tag]
-            known, other = out.get(f"m={-m}") if m < 0 else None, tensors.get(f"m={-m}")
-            if (real and known is not None and (t.p, t.q) == (other.p, other.q)
-                    and _conjugates(set(zip(t.comps, other.comps)), m, SIGMA_FLIP, known.payload.reports)):
-                out[tag] = Certificate(f"casimir-eigenvalue {tag}", known.payload)
-            else:
-                out[tag] = assembly_claim(self.op_space, t, lam, seed, tag)
-        return {tag: out[tag] for tag in tensors}
+        """tag -> [the `casimir-eigenvalue` certificate of each assembly]; T(m) at m < 0
+        takes T(-m)'s when G commutes with sigma and T(m) = (-1)^m sigma(T(-m))."""
+        def plan(m, t):  # m = 0: a full certificate
+            other = tensors.get(f"m={-m}")
+            if m < 0 and other is not None and (t.p, t.q) == (other.p, other.q):
+                return f"m={-m}", set(zip(t.comps, other.comps)), m
+
+        certs = _conjugate_half(tensors, lambda tag: [assembly_claim(self.op_space, tensors[tag], lam, seed)],
+                                self._sigma_commutes and ex.conj(lam) == lam, SIGMA_FLIP,
+                                {tag: plan(_weight(tag) or 0, t) for tag, t in tensors.items()})
+        return {tag: _labelled(c, tag) for tag, c in certs.items()}
 
     def apply_ladder(self, l: int, n: int, m: int, s: int, seed: int = 0):
         """One ladder move on t^l_{n,m}; returns (coefficient, target m, report).
@@ -385,11 +382,28 @@ def _lower(l: int, n: int, m: int, p: list, eps: int, norm: int) -> tuple:
     return q, 1 - eps, norm * (l * (l + 1) - m * (m - 1))
 
 
-def _conjugates(pairs, k: int, flip, reports) -> bool:
-    """Whether every report is symbolically zero and a = (-1)^k conj(b)
-    exactly, with the symbols in `flip` negated, for every pair (a, b)."""
+def _conjugate_half(comps: dict, full, derivable: bool, flip=(), plans=None) -> dict:
+    """key -> `full(key)`, the certificates of each key of comps, or p's for a
+    key planned (p, pairs, k) when `derivable` (conjugation maps the claims'
+    operators as they need, lam is real) and `_conjugates(pairs, k, flip, p's)`.
+    By default t[n,m] at m < 0 is planned with t[-n,-m], (-1)^(n+m) its conj."""
+    if plans is None:
+        plans = {(n, m): ((-n, -m), [(t, comps[-n, -m])], n + m) if m < 0 and (-n, -m) in comps else None
+                 for (n, m), t in comps.items()}
+    out = {}
+    for key in sorted(plans, key=lambda key: plans[key] is not None):
+        known = plans[key] and out.get(plans[key][0])
+        out[key] = known if derivable and known and _conjugates(*plans[key][1:], flip, known) else full(key)
+    return {key: out[key] for key in plans}
+
+
+def _conjugates(pairs, k: int, flip, certs) -> bool:
+    """Whether every report of certs is symbolically zero and a = (-1)^k
+    conj(b) exactly, with the symbols in `flip` negated, for every pair (a, b):
+    the one test of a derived scalar weight, tensor slot and tensor assembly."""
     minus_sign = ex.num(1 if k % 2 else -1)
-    return all(r.verdict is nc.Verdict.SYMBOLIC_ZERO for r in reports) and all(
+    return all(r.verdict is nc.Verdict.SYMBOLIC_ZERO
+               for c in certs for r in getattr(c.payload, "reports", (c.payload,))) and all(
         (c := ex.conj(b, flip)) is not None and ex.simplify(ex.add(a, ex.mul(minus_sign, c))) == ex.ZERO
         for a, b in pairs)
 
@@ -417,15 +431,15 @@ def _weights(l, m_values) -> list:
     return m_values
 
 
-def _weight(label: str) -> int | None:
-    """The weight of a plain ``m=<int>`` label, as the builders write it, or None."""
-    digits = label.removeprefix("m=")
-    return int(digits) if digits.removeprefix("-").isdecimal() and label == f"m={int(digits)}" else None
+def _weight(label: str, prefix: str = "m=") -> int | None:
+    """The weight of a plain ``<prefix><int>`` label, as the builders write it, or None."""
+    digits = label.removeprefix(prefix)
+    return int(digits) if digits.removeprefix("-").isdecimal() and label == f"{prefix}{int(digits)}" else None
 
 
-def _at_weight(certs, m: int) -> list:
-    """A weight's certificates as named in a document of several weights."""
-    return [Certificate(f"{c.name} m={m}", c.payload) for c in certs]
+def _labelled(certs, label: str) -> list:
+    """Certificates as named in a document of several weights: `<name> <label>`."""
+    return [Certificate(f"{c.name} {label}", c.payload) for c in certs]
 
 
 def _leg_weight(leg: int) -> int:

@@ -793,6 +793,40 @@ class TestFamilyRoundTrip:
         assert [(c["name"], c["stored"], c["recomputed"]) for c in failed] == [
             (f"recertify: casimir-eigenvalue {tag}", "ok", "failed")]
 
+    @pytest.mark.parametrize("case,code,zero_checks", [
+        ("m=-2 tripled", 0, 16),
+        ("m=-1 without its sign", 0, 16),
+        ("non-real eigenvalue", 1, 26),
+        ("one weight, m=-2", 0, 2),
+    ])
+    def test_scalar_conjugate_half_takes_the_full_claims(self, capsys, tmp_path, monkeypatch,
+                                                        case, code, zero_checks):
+        """An m < 0 scalar weight is derived from its partner -m only when its
+        component is (-1)^m conj of the partner's and G is real.  Each case
+        breaks a condition, so that weight, or with a non-real G every
+        weight, is certified in full (14 zero checks when none is); a tripled
+        or negated member is still an eigenfunction, and only the corrupted
+        eigenvalue fails."""
+        p = tmp_path / "fam.json"
+        weights = ["--m", "-2"] if case.startswith("one weight") else []
+        assert main(["harmonics", "so3", "--l", "6", *weights, "--out", str(p)]) == 0
+        doc = json.loads(p.read_text())
+        comps = doc["components"]
+        if case == "m=-2 tripled":
+            comps["n=0,m=-2"] = f"3*({comps['n=0,m=-2']})"
+        elif case == "m=-1 without its sign":
+            comps["n=0,m=-1"] = f"-({comps['n=0,m=-1']})"
+        elif case == "non-real eigenvalue":
+            doc["eigenvalues"]["G"] = "-42 + i"
+        p.write_text(json.dumps(doc))
+        so3_model()  # built before the count
+        calls, is_zero = [], nc.is_zero
+        monkeypatch.setattr(nc, "is_zero", lambda *args: calls.append(args) or is_zero(*args))
+        result, out = run(capsys, "verify", "--family", str(p))
+        assert (result, len(calls)) == (code, zero_checks)
+        failed = {c["name"] for c in json.loads(out)["checks"] if not c["ok"]}
+        assert failed == {f"recertify: casimir-eigenvalue m={m}" for m in range(-6, 7) if code}
+
     @pytest.mark.parametrize("monomials", [
         [],
         [{"upper": [], "lower": ["+1", "-1"], "scalar": "m*h*cos(theta)"}],
@@ -827,7 +861,8 @@ class TestFamilyRoundTrip:
         {"n=0,m=1": "n=0,m=+1", "n=0,m=0": "n=0,m=0_0"},
         {"n=0,m=1": "n=0,m= 1"},
         {"n=0,m=1": "n=0,m=01"},
-    ], ids=["signed-and-underscored", "spaced", "leading-zero"])
+        {"n=0,m=1": "m=1"},
+    ], ids=["signed-and-underscored", "spaced", "leading-zero", "no-n-prefix"])
     def test_scalar_key_without_a_plain_weight_is_an_input_error(self, capsys, tmp_path, names):
         """A scalar component's key carries its weight as the builder writes
         it, n=0,m=<int>; any other spelling of a weight is refused."""
@@ -1092,6 +1127,28 @@ class TestDeterminism:
         path = tmp_path / "fam.json"
         assert main(["harmonics", "so3", *argv, "--seed", "0", "--out", str(path)]) == 0
         assert hashlib.sha256(path.read_bytes()).hexdigest() == sha
+
+    def test_benchmarked_scalar_family_bytes_are_pinned(self, tmp_path):
+        """The `--l 6` family the library-session benchmark builds, as
+        released before its m < 0 certificates were derived by conjugation."""
+        path = tmp_path / "fam.json"
+        assert main(["harmonics", "so3", "--l", "6", "--seed", "0", "--out", str(path)]) == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "6bf7ab13a52e3a123a7e5b109b04353d14011bf49becc1d2cba2464afd9fc869")
+
+    @pytest.mark.parametrize("l,digest", [
+        (4, "e0c80078dfc5608f96e3f0af949f91ef52c44218d2892d21a72e01a0d15d5b21"),
+        (6, "268bbdfaa823108d5e0c605337fc0f82e49a518b536cb4053d288b66f3374836"),
+    ])
+    def test_scalar_family_verify_digests_are_pinned(self, capsys, tmp_path, l, digest):
+        """The `verify --family` digests of the `--l 4` and `--l 6` scalar
+        documents, as released before their m < 0 certificates were derived
+        by conjugation."""
+        path = tmp_path / "fam.json"
+        assert main(["harmonics", "so3", "--l", str(l), "--seed", "0", "--out", str(path)]) == 0
+        code, out = run(capsys, "verify", "--family", str(path), "--seed", "0")
+        assert code == 0
+        assert json.loads(out)["digest"] == digest
 
     def test_partial_scalar_family_bytes_are_pinned(self, capsys, tmp_path, monkeypatch):
         """A one-member family built only down to m = 0, and its `verify

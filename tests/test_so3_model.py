@@ -226,6 +226,11 @@ class TestTensorFamilies:
         assert fam.amplitudes == ("h_rr", "h_r", "h")
 
 
+def _clear_kernel_caches() -> None:
+    for table in (ex._ATOMS, ex._MONO_CACHE, ex._DIFF_CACHE):
+        table.clear()
+
+
 def _count_certificates(monkeypatch, numeric=False) -> dict:
     """Counts of `certify_eigen` and `numcheck.is_zero` calls from now on;
     with `numeric`, every symbolically-zero verdict reads numerically-zero."""
@@ -254,17 +259,16 @@ class TestConjugateHalf:
     def test_work_count(self, monkeypatch):
         """From cold kernel caches, the weight-2 family makes 3 Lie-derivative
         certificates and 47 zero checks (5 and 79 when every weight is
-        certified in full), and its re-certifier 3 certificates."""
-        for table in (ex._ATOMS, ex._MONO_CACHE, ex._DIFF_CACHE):
-            table.clear()
-        model = So3Model()
+        certified in full), and its re-certifier 3 certificates and 17 zero checks."""
+        _clear_kernel_caches()
+        model, reader = So3Model(), So3Model()
         calls = _count_certificates(monkeypatch)
         doc = model.tensor20_harmonic(2).to_json()
         assert doc["certified"]
-        assert calls["eigen"] <= 3 and calls["zero"] <= 50
+        assert calls == {"eigen": 3, "zero": 47}
         calls.update(eigen=0, zero=0)
-        assert all(c.ok for c in So3Model().recertifier(doc)(0))
-        assert calls["eigen"] <= 3
+        assert all(c.ok for c in reader.recertifier(doc)(0))
+        assert calls == {"eigen": 3, "zero": 17}
 
     def test_derived_certificates_equal_the_full_ones(self):
         derived = So3Model().tensor20_harmonic(2, seed=3).to_json()
@@ -305,6 +309,59 @@ class TestConjugateHalf:
         fam = model.tensor20_harmonic(2)
         assert calls == {"eigen": 5, "zero": 79}
         assert fam.ok
+
+
+class TestScalarConjugateHalf:
+    """The m < 0 certificates of a scalar family are derived from their m > 0
+    partners by conjugation, in the builder and the re-certifier alike, and
+    certified in full whenever a check fails."""
+
+    def test_work_count(self, monkeypatch):
+        """From cold kernel caches, the weight-6 family makes 14 zero checks
+        (26 when every weight is certified in full), and so does its re-certifier."""
+        _clear_kernel_caches()
+        model, reader = So3Model(), So3Model()
+        calls = _count_certificates(monkeypatch)
+        doc = model.scalar_family(6).to_json()
+        assert doc["certified"] and calls["zero"] == 14
+        calls["zero"] = 0
+        assert all(c.ok for c in reader.recertifier(doc)(0))
+        assert calls["zero"] == 14
+
+    def test_derived_certificates_equal_the_full_ones(self):
+        derived = So3Model().scalar_family(6, seed=3).to_json()
+        for m in range(-6, 0):  # each weight alone has no partner
+            alone = So3Model().scalar_family(6, m_values=[m], seed=3).to_json()
+            assert alone["certificates"] == [c for c in derived["certificates"] if c["name"].endswith(f" m={m}")]
+
+    def test_numeric_partner_verdicts_take_the_full_path(self, monkeypatch):
+        model = So3Model()
+        calls = _count_certificates(monkeypatch, numeric=True)
+        assert model.scalar_family(6).ok and calls["zero"] == 26
+
+    def test_a_non_real_eigenvalue_takes_the_full_path(self, monkeypatch):
+        """The re-certifier reads lam from the document.  With every residual
+        read as symbolically zero, only lam's realness blocks the derivation."""
+        model = So3Model()
+        doc = model.scalar_family(6).to_json()
+        calls = []
+        monkeypatch.setattr(nc, "is_zero", lambda *args: calls.append(args) or nc.ZeroReport(nc.Verdict.SYMBOLIC_ZERO))
+        model.recertifier(doc)(0)
+        assert len(calls) == 14
+        calls.clear()
+        model.recertifier({**doc, "eigenvalues": {"G": "-42 + i"}})(0)
+        assert len(calls) == 26
+
+    def test_an_imaginary_orbit_laplacian_takes_the_full_path(self, monkeypatch):
+        """K plus i d/dr annihilates every member the same, so each certificate
+        still holds symbolically, but conjugation no longer fixes K."""
+        model = So3Model()
+        k = model.scalar_operator()
+        table = tuple(sorted([((0,) + idx, c) for idx, c in k.table] + [((1, 0, 0), ex.I)]))
+        model.scalar_operator = lambda: ScalarOperator(model.space, table)
+        assert not model._conjugate_scalars
+        calls = _count_certificates(monkeypatch)
+        assert model.scalar_family(6).ok and calls["zero"] == 26
 
 
 class TestCancelledForms:

@@ -227,6 +227,8 @@ def _verify_family(args) -> int:
                 for k in range(seen.get(name, 0) + 1, len(wants) + 1):
                     rep.add_check(f"recertify: {name}" + (f" #{k}" if k > 1 else ""), False,
                                   error="not recomputed")
+        if not rep.checks:
+            raise SchemaError("the family document has nothing to recertify")
     _emit(args, [rep.render()])
     return EXIT_OK if rep.ok else EXIT_CHECK_FAILED
 

@@ -64,12 +64,16 @@ product is built only to be taken apart by the sum.  ``mul`` is
 ``_collect`` of the same pairs.
 
 Products of sums are the kernel's hot path, so construction shares work
-through module-level memo tables:
+through module-level tables:
 
-* ``_ATOMS`` interns atoms (hash-consing): ``Fun`` and ``Pow`` look up
-  their fields on construction, so equal atoms are one object, equality
-  tests hit on identity, and the other tables share atoms instead of
-  holding copies;
+* ``_ATOMS`` makes atoms canonical (hash-consing): ``Sym``, ``Fun`` and
+  ``Pow`` look up their fields on construction and return the one live atom
+  of that key, so equal atoms are one object and compare and hash by
+  identity, in C.  The table holds each atom by a weak reference whose
+  callback drops only that entry when the atom dies, so it needs no cap;
+  it is never cleared, which would let a second atom equal to a live one
+  exist.  Interning commits through ``dict.setdefault``, so threads that
+  race to build one atom get one object;
 * ``_MONO_CACHE`` maps a pair of coefficient-free monomials to the terms of
   their product; ``mul`` distributes sums as flat (coefficient, monomial)
   pairs, scales the memoized terms by exact coefficients, merges like
@@ -77,17 +81,19 @@ through module-level memo tables:
   ``_collect``, the same step ``add`` uses;
 * ``_DIFF_CACHE`` memoizes ``diff``.
 
-Every table is an idempotent memo: it never changes a result, is cleared
-when it reaches its cap (a ``*_CAP`` constant next to it), and is safe to
-share between threads.  A race or a
-clear can only build a second atom equal to an existing one, and equality
-stays structural through ``_key``, so canonical forms do not depend on what
-the tables hold.
+The last two are idempotent memos: they never change a result, are cleared
+when they reach their caps (a ``*_CAP`` constant next to each), and are safe
+to share between threads.  An atom keeps its structural ``_key`` and
+``_hash`` slots, and sums and products key, compare and sort by them; a
+product hashes its factor tuple by identity, so hashes vary between runs
+but canonical order, ``unparse`` and digests do not.
 """
 
 from __future__ import annotations
 
 import operator
+import weakref
+from _weakref import _remove_dead_weakref
 from fractions import Fraction
 from math import gcd
 
@@ -158,33 +164,52 @@ class Num(Expr):
     # hashes instead of rehashing whole subtrees
 
 
-class Sym(Expr):
-    __slots__ = ("name",)
-    _simple = _FIXED
-
-    def __init__(self, name: str):
-        self.name = name
-        self._key = (1, name)
-        self._hash = hash(self._key)
-
-
-# interned Fun and Pow atoms by (tag, fields); see the module docstring
+# the one live Sym, Fun or Pow atom of each (tag, fields) key, held by a weak
+# reference whose callback drops the entry; see the module docstring
 _ATOMS: dict = {}
-_ATOMS_CAP = 100_000
 
 
-def _intern(key: tuple, atom: Expr) -> None:
-    if len(_ATOMS) >= _ATOMS_CAP:
-        _ATOMS.clear()
-    _ATOMS[key] = atom
+def _no_atom():
+    """The `_ATOMS.get` default: reads as a dead weak reference."""
+    return None
+
+
+def _intern(key: tuple, atom: Expr) -> Expr:
+    """The live atom of `key`: `atom`, unless a racing thread interned one first."""
+    ref = weakref.ref(atom, lambda _ref: _remove_dead_weakref(_ATOMS, key))
+    while True:
+        live = _ATOMS.setdefault(key, ref)()
+        if live is not None:
+            return live
+        _remove_dead_weakref(_ATOMS, key)  # an entry whose atom died, before its callback ran
+
+
+class Sym(Expr):
+    __slots__ = ("name", "__weakref__")
+    _simple = _FIXED
+    __eq__ = object.__eq__  # atoms are canonical: equal means identical
+    __hash__ = object.__hash__
+
+    def __new__(cls, name: str):
+        key = (1, name)
+        self = _ATOMS.get(key, _no_atom)()
+        if self is None:
+            self = object.__new__(cls)
+            self.name = name
+            self._key = key
+            self._hash = hash(key)
+            self = _intern(key, self)
+        return self
 
 
 class Fun(Expr):
-    __slots__ = ("fname", "arg", "_simple")
+    __slots__ = ("fname", "arg", "_simple", "__weakref__")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     def __new__(cls, fname: str, arg: Expr):
         key = (2, fname, arg)
-        self = _ATOMS.get(key)
+        self = _ATOMS.get(key, _no_atom)()
         if self is None:
             self = object.__new__(cls)
             self.fname = fname
@@ -192,14 +217,16 @@ class Fun(Expr):
             self._simple = None
             self._key = (2, fname, arg._key)
             self._hash = hash((2, fname, arg._hash))
-            _intern(key, self)
+            self = _intern(key, self)
         return self
 
 
 class Pow(Expr):
     """base^exp; ``exp`` is an int or a half-integer Fraction, ``e2`` twice it."""
 
-    __slots__ = ("base", "exp", "e2", "_simple")
+    __slots__ = ("base", "exp", "e2", "_simple", "__weakref__")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     def __new__(cls, base: Expr, exp):
         return _pow(base, _as_exp(exp))
@@ -208,7 +235,7 @@ class Pow(Expr):
 def _pow(base: Expr, e2: int) -> Pow:
     """The interned atom base^(e2/2)."""
     key = (3, base, e2)
-    self = _ATOMS.get(key)
+    self = _ATOMS.get(key, _no_atom)()
     if self is None:
         self = object.__new__(Pow)
         self.base = base
@@ -217,7 +244,7 @@ def _pow(base: Expr, e2: int) -> Pow:
         self._simple = None
         self._key = (3, base._key, exp)
         self._hash = hash((3, base._hash, exp.numerator, exp.denominator))
-        _intern(key, self)
+        self = _intern(key, self)
     return self
 
 
@@ -231,10 +258,7 @@ class Mul(Expr):
         self.factors = factors
         self._simple = None
         self._key = (4, tuple([f._key for f in factors]), coef.re, coef.im)
-        self._hash = hash(
-            (4, tuple([f._hash for f in factors]),
-             coef.re.numerator, coef.re.denominator, coef.im.numerator, coef.im.denominator)
-        )
+        self._hash = hash((4, factors, coef.re, coef.im))
 
 
 class Add(Expr):

@@ -424,10 +424,13 @@ def _check_labels(l, n, *ms) -> None:
 
 def _weights(l, m_values) -> list:
     """The weights m a weight-l family asks for (all of -l..l by default),
-    refused by `_check_labels` unless each names a member."""
+    refused by `_check_labels` unless each names a member, and refused when
+    empty or repeated, since a family certifies each weight once."""
     _check_labels(l, 0)
     m_values = list(range(-l, l + 1) if m_values is None else m_values)
     _check_labels(l, 0, *m_values)
+    if not m_values or len(set(m_values)) < len(m_values):
+        raise ValueError(f"a family needs distinct weights m, got {m_values}")
     return m_values
 
 

@@ -6,9 +6,15 @@ import hashlib
 import io
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 import time
 
 import pytest
+
+import casimir
 
 from casimir.cli import GRID_MAX_POINTS, main
 from casimir import expr as ex
@@ -725,6 +731,24 @@ class TestFamilyRoundTrip:
         assert [(c["name"], c["ok"], c["error"]) for c in checks[answered:]] == [
             (f"recertify: casimir-eigenvalue {m}".rstrip(), False, "not recomputed") for m in missing]
 
+    @pytest.mark.parametrize("argv", [
+        ["so3", "--l", "1"],
+        ["so3", "--type", "2,0", "--l", "2"],
+        ["bianchi2", "--point-series", "--n", "3", "--m", "1", "--nu=1/2"],
+    ], ids=["scalar", "tensor", "point-series"])
+    def test_document_with_nothing_to_recertify_is_an_input_error(self, capsys, tmp_path, argv):
+        """A document emptied of its components, assemblies and certificates
+        verifies nothing, so it is refused rather than reported ok."""
+        p = tmp_path / "fam.json"
+        assert main(["harmonics", *argv, "--out", str(p)]) == 0
+        doc = json.loads(p.read_text())
+        doc.update(components={}, certificates=[])
+        if "assemblies" in doc:
+            doc["assemblies"] = {}
+        p.write_text(json.dumps(doc))
+        err = assert_input_error(capsys, "verify", "--family", str(p))
+        assert "nothing to recertify" in err
+
     @pytest.mark.parametrize("kind", sorted(LIBRARY_DOCUMENTS))
     def test_library_document_recertifies(self, capsys, tmp_path, kind):
         doc = LIBRARY_DOCUMENTS[kind]().to_json()
@@ -1036,6 +1060,21 @@ class TestDeterminism:
         assert code == 0
         assert json.loads(out)["digest"] == (
             "baea38f3be2030ffea72f4e677dcdcb4db8aa741ab1f14eb62d6a6b1b212ad12")
+
+    @pytest.mark.parametrize("hash_seed", ["0", "1"])
+    def test_tensor_family_bytes_do_not_follow_hash_order(self, tmp_path, hash_seed):
+        """Atoms hash by address and strings by the interpreter's hash seed,
+        so a fresh interpreter under each of two seeds must still write the
+        pinned `--type 2,0 --l 1` document."""
+        src = str(pathlib.Path(casimir.__file__).parent.parent)
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed,
+               "PYTHONPATH": os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        proc = subprocess.run([sys.executable, "-m", "casimir.cli", "harmonics", "so3", "--type", "2,0",
+                               "--l", "1", "--seed", "0", "--out", "fam.json"],
+                              cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert hashlib.sha256((tmp_path / "fam.json").read_bytes()).hexdigest() == (
+            "6c4ac835549926a50a1a5fda17e41548aeb45e3deab47c695621e73554428a77")
 
     def test_benchmarked_tensor_family_bytes_are_pinned(self, tmp_path):
         """The `--type 2,0 --l 2` family the tensor-cert benchmark runs, as

@@ -1,8 +1,10 @@
 """Expression kernel: parsing, calculus, canonical form, printing."""
 
 import cmath
+import gc
 import itertools
 import math
+import operator
 import sys
 import threading
 import time
@@ -289,10 +291,10 @@ class TestUnparse:
         assert parse(ex.unparse(e), ["v"]) == e
 
 
-# every memo table of the kernel, by the name of its cap
+# every memo table of the kernel, by the name of its cap; the table of
+# canonical atoms is not one, and clearing it would let a second equal atom exist
 _TABLES = {
     "_MONO_CACHE_CAP": "_MONO_CACHE",
-    "_ATOMS_CAP": "_ATOMS",
     "_DIFF_CACHE_CAP": "_DIFF_CACHE",
 }
 
@@ -307,12 +309,22 @@ def _set_caps(monkeypatch, cap: int):
         monkeypatch.setattr(ex, name, cap)
 
 
-def _casimir_of_tensor02(so3=None) -> list:
-    """Canonical forms of G applied to a small type-(0,2) so3 tensor."""
+def _casimir_components(so3=None) -> list:
+    """G applied to a small type-(0,2) so3 tensor: its components."""
     so3 = so3 or so3_model()
     t = so3.ladder_family(2, 1)[1]
     tens = op.assemble(so3.frame, [op.TensorMonomial((), (1, 1), t)], 0, 2)
-    return [ex.unparse(c) for c in op.apply_casimir(so3.op_space, tens).comps]
+    return list(op.apply_casimir(so3.op_space, tens).comps)
+
+
+def _casimir_of_tensor02(so3=None) -> list:
+    """Canonical forms of G applied to a small type-(0,2) so3 tensor."""
+    return [ex.unparse(c) for c in _casimir_components(so3)]
+
+
+def _atoms(exprs) -> list:
+    """The Sym, Fun and Pow nodes reachable from `exprs`."""
+    return [n for e in exprs for n in _nodes(e) if type(n) in (ex.Sym, ex.Fun, ex.Pow)]
 
 
 class TestKernelCaches:
@@ -325,6 +337,23 @@ class TestKernelCaches:
         assert ex.Pow(b1, Fraction(-1, 2)) is ex.Pow(b2, Fraction(-1, 2))
         assert ex.Fun("cos", x) is ex.Fun("cos", ex.sym("x"))
         assert ex.Pow(b1, Fraction(1, 2)) is not ex.Pow(b1, Fraction(-1, 2))
+        assert ex.sym("x") is ex.sym("x") is x
+
+    @pytest.mark.parametrize("cls", [ex.Sym, ex.Fun, ex.Pow])
+    def test_atoms_compare_by_identity(self, cls):
+        assert cls.__hash__ is object.__hash__ and cls.__eq__ is object.__eq__
+
+    def test_dead_atoms_leave_the_table(self):
+        _clear_kernel_caches()
+        gc.collect()
+        before = len(ex._ATOMS)
+        fresh = [ex.fun("cos", ex.sym(f"gone{k}")) for k in range(50)]
+        fresh += [ex.power(parse(f"1 + gone{k}^2", [f"gone{k}"]), Fraction(1, 2)) for k in range(50)]
+        assert len(ex._ATOMS) >= before + 200
+        del fresh
+        _clear_kernel_caches()
+        gc.collect()
+        assert len(ex._ATOMS) == before
 
     def test_clearing_the_caches_keeps_canonical_forms(self):
         warm = _casimir_of_tensor02()
@@ -354,10 +383,14 @@ class TestKernelCaches:
         shared = _unsimplified_sums()
         want_shared = [ex.unparse(reference_simplify(e)) for e in shared]
         assert all(e._simple is None for e in shared)
-        results = []
+        results, atoms, raced = [], [], []
 
         def work():
-            results.append((_casimir_of_tensor02(), [ex.unparse(ex.simplify(e)) for e in shared]))
+            comps = _casimir_components()
+            results.append(([ex.unparse(c) for c in comps], [ex.unparse(ex.simplify(e)) for e in shared]))
+            atoms.extend(_atoms(comps))
+            # atoms no other thread holds yet: every thread races to intern them
+            raced.append([ex.fun("cos", ex.power(ex.sym(f"race{k}"), 3)) for k in range(200)])
 
         old = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -371,6 +404,9 @@ class TestKernelCaches:
             sys.setswitchinterval(old)
         assert not any(th.is_alive() for th in threads)
         assert results == [(want, want_shared)] * 4
+        # one object per atom key
+        assert len({a._key for a in atoms}) == len({id(a) for a in atoms})
+        assert len(raced) == 4 and all(map(operator.is_, raced[0] * 3, raced[1] + raced[2] + raced[3]))
 
 
 def _unsimplified_sums() -> list:
@@ -557,7 +593,7 @@ def test_integral_parts_key_and_hash_like_fractions(re, im):
         n, m = ex.Num(c), ex.Mul(c, (x,))
         assert n._key == (0, fr, fi) and m._key == (4, (x._key,), fr, fi)
         assert n._hash == hash((0, fr.numerator, fr.denominator, fi.numerator, fi.denominator))
-        assert m._hash == hash((4, (x._hash,), fr.numerator, fr.denominator, fi.numerator, fi.denominator))
+        assert m._hash == hash((4, (x,), fr, fi))
 
 
 # -- randomized properties ----------------------------------------------------
@@ -808,9 +844,13 @@ class TestNodeMemo:
     def test_memo_matches_a_fresh_node(self, e):
         first = ex.simplify(e)
         assert ex.simplify(e) is first  # read back from the memo
-        # the same expression with no memo anywhere: new atoms, new nodes
+        # the same expression with no memo on any of its nodes: new sums and
+        # products, and the canonical atoms they share with e and first reset
         _clear_kernel_caches()
         fresh = parse(ex.unparse(e), _COORDS)
+        for n in itertools.chain(_nodes(e), _nodes(first), _nodes(fresh)):
+            if type(n) not in (ex.Num, ex.Sym):
+                n._simple = None
         assert fresh == e
         assert all(n._simple is None for n in _nodes(fresh) if type(n) not in (ex.Num, ex.Sym))
         assert ex.unparse(ex.simplify(fresh)) == ex.unparse(first)

@@ -260,3 +260,30 @@ def test_every_method_is_used():
               and not (s.name.startswith("__") and s.name.endswith("__")) and s.name not in reads}
     assert sorted(unused - METHODS_READ_BY_ACCEPTANCE) == []
     assert sorted(METHODS_READ_BY_ACCEPTANCE - unused) == []  # the set names only such methods
+
+
+def _atom_table_writes(path: pathlib.Path) -> list:
+    """The lines of `path` that clear the kernel's table of canonical atoms
+    or store into it: ``_ATOMS.clear()``, ``_ATOMS[...] = ...`` or ``del _ATOMS[...]``."""
+    def is_table(node):
+        return (isinstance(node, ast.Name) and node.id == "_ATOMS"
+                or isinstance(node, ast.Attribute) and node.attr == "_ATOMS")
+
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "clear" and is_table(node.func.value)):
+            found.append(node.lineno)
+        elif isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign, ast.Delete)):
+            targets = node.targets if isinstance(node, (ast.Assign, ast.Delete)) else [node.target]
+            found += [node.lineno for t in targets if isinstance(t, ast.Subscript) and is_table(t.value)]
+    return found
+
+
+def test_only_the_kernel_writes_its_atom_table():
+    """Each atom is one object per key, so equality is identity; clearing
+    the table or storing into it from outside `expr.py` could let a second
+    equal atom exist."""
+    paths = [p for d in ("src", "tests") for p in sorted((REPO / d).rglob("*.py")) if p.name != "expr.py"]
+    found = {p.relative_to(REPO).as_posix(): lines for p in paths if (lines := _atom_table_writes(p))}
+    assert found == {}

@@ -264,7 +264,7 @@ class TestComposition:
         on the so3 space chart from cold caches: 160 on correction rows built
         from the simplified generator Jacobian, 249 on rows of raw
         derivatives, and 570 composing every entry by the Leibniz rule."""
-        for table in (ex._ATOMS, ex._MONO_CACHE, ex._DIFF_CACHE):
+        for table in (ex._MONO_CACHE, ex._DIFF_CACHE):
             table.clear()
         cop = So3Model().op_space
         rows = [tf.lie_correction_rows(x, 0, 2) for x in cop.generators]
@@ -281,7 +281,7 @@ class TestComposition:
         rows of raw derivatives they were 29 and 235, and checking all nine
         components of each took 45 and 304."""
         docs = list(So3Model().tensor20_harmonic(2).assemblies.values())
-        for table in (ex._ATOMS, ex._MONO_CACHE, ex._DIFF_CACHE):
+        for table in (ex._MONO_CACHE, ex._DIFF_CACHE):
             table.clear()
         model = So3Model()
         tensors = [op.assemble_from_json(model.frame, doc) for doc in docs]

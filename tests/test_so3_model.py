@@ -227,7 +227,7 @@ class TestTensorFamilies:
 
 
 def _clear_kernel_caches() -> None:
-    for table in (ex._ATOMS, ex._MONO_CACHE, ex._DIFF_CACHE):
+    for table in (ex._MONO_CACHE, ex._DIFF_CACHE):
         table.clear()
 
 
@@ -409,6 +409,14 @@ class TestLabelValidation:
         # not an empty family marked certified, and not a bare KeyError
         with pytest.raises(ValueError, match="labels"):
             getattr(model, build)(l, m_values=m_values)
+
+    @pytest.mark.parametrize("build", ["scalar_family", "tensor20_harmonic"])
+    @pytest.mark.parametrize("m_values", [[], [1, 1], [0, 1, 0]], ids=["empty", "repeated", "repeated-apart"])
+    def test_families_refuse_empty_or_repeated_weights(self, model, build, m_values):
+        # not a family certified with no certificate, nor one that writes
+        # each certificate twice and then fails its own `verify --family`
+        with pytest.raises(ValueError, match="distinct weights"):
+            getattr(model, build)(1, m_values=m_values)
 
 
 class TestOnDemandFamilies:

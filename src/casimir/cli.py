@@ -100,17 +100,17 @@ def build_argparser() -> argparse.ArgumentParser:
 
     h = sub.add_parser("harmonics", parents=[common], help="generate certified harmonic families")
     h.add_argument("model", choices=("so3", "bianchi2"))
-    h.add_argument("--type", dest="tensor_type", help="tensor type, e.g. 2,0")
+    h.add_argument("--type", help="tensor type, e.g. 2,0")
     h.add_argument("--l", type=int)
     h.add_argument("--m", type=int)
-    h.add_argument("--point-series", action="store_true")
-    h.add_argument("--hyper", action="store_true")
+    h.add_argument("--point-series", action="store_true", default=None)  # None: not given
+    h.add_argument("--hyper", action="store_true", default=None)
     h.add_argument("--n", type=int)
     h.add_argument("--nu", default=None)
     h.add_argument("--mu", default=None)
     h.add_argument("--lam", default=None)
-    h.add_argument("--A", default="1")
-    h.add_argument("--B", default="0")
+    h.add_argument("--A", default=None)  # --hyper defaults: A = 1, B = 0
+    h.add_argument("--B", default=None)
     h.add_argument("--grid", action="append", default=[], metavar="coord=a:b:n")
     h.add_argument("--format", choices=("json", "csv"), default="json",
                    help="csv writes only the --grid samples")
@@ -329,11 +329,19 @@ def _user_frame_coefficients(spec, rep, seed) -> list | None:
 # --- harmonics -----------------------------------------------------------------
 
 
+def _refuse_other_flags(args, family: str, takes: str):
+    """Refuse each label flag given that `family` does not take; `takes` names the ones it does."""
+    for k in "type l m point_series hyper n nu mu lam A B".split():
+        if k not in takes.split() and getattr(args, k) is not None:
+            raise SchemaError(f"--{k.replace('_', '-')} does not apply to harmonics {family}")
+
+
 def cmd_harmonics(args) -> int:
     seed = args.seed
     if args.format == "csv" and not args.grid:
         raise SchemaError("--format csv writes the --grid samples; give at least one --grid")
     if args.model == "so3":
+        _refuse_other_flags(args, "so3", "type l m")
         model = models.so3_model()
         grid = _grid_points(model.sphere, args.grid)
         if args.l is None:
@@ -342,9 +350,9 @@ def cmd_harmonics(args) -> int:
             raise SchemaError(f"so3 labels must lie in the machine integer range, |--l|, |--m| <= {sys.maxsize}")
         if args.l > SO3_MAX_L:
             raise SchemaError(f"so3 --l above {SO3_MAX_L} is refused, got {args.l}")
-        if args.tensor_type and args.tensor_type.replace(" ", "") not in ("2,0", "0,2"):
-            raise SchemaError(f"unsupported tensor type {args.tensor_type!r}")
-        build = model.tensor20_harmonic if args.tensor_type else model.scalar_family
+        if args.type and args.type.replace(" ", "") not in ("2,0", "0,2"):
+            raise SchemaError(f"unsupported tensor type {args.type!r}")
+        build = model.tensor20_harmonic if args.type else model.scalar_family
         try:
             fam = build(args.l, m_values=None if args.m is None else [args.m], seed=seed)
         except ValueError as e:  # labels outside the weight-l family
@@ -354,13 +362,16 @@ def cmd_harmonics(args) -> int:
         model = models.bianchi2_model()
         grid = _grid_points(model.chart, args.grid)
         if args.hyper:
+            _refuse_other_flags(args, "bianchi2 --hyper", "hyper mu nu lam A B")
             if args.grid:
                 raise SchemaError("--grid samples symbolic components, and a --hyper family has none")
             if args.mu is None or args.nu is None or args.lam is None:
                 raise SchemaError("hyper families need --mu --nu --lam")
-            labels = [parse_label(getattr(args, k), f"--{k}") for k in ("mu", "nu", "lam", "A", "B")]
+            labels = [parse_label(v, f"--{k}") for k, v in (("mu", args.mu), ("nu", args.nu), ("lam", args.lam),
+                      ("A", "1" if args.A is None else args.A), ("B", "0" if args.B is None else args.B))]
             fam = model.hypergeometric_harmonic(*labels, seed=seed)
         elif args.point_series:
+            _refuse_other_flags(args, "bianchi2 --point-series", "point_series n m nu")
             if args.n is None or args.m is None or args.nu is None:
                 raise SchemaError("point series needs --n --m --nu")
             if max(args.n, args.n - args.m) > POINT_SERIES_MAX:

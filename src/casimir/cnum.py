@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, isqrt, lcm, log10
 
 
@@ -225,6 +226,7 @@ def divisors(n: int) -> list[int]:
     return sorted(out) if n else []
 
 
+@lru_cache(maxsize=512)  # products meet few radicands, each many times
 def fraction_sqrt(num: int, den: int) -> tuple[int | Fraction, int]:
     """Write sqrt(num/den) > 0 as q * sqrt(f) with q rational, f a squarefree int."""
     if num <= 0 or den <= 0:

@@ -83,10 +83,13 @@ through module-level tables:
 
 The last two are idempotent memos: they never change a result, are cleared
 when they reach their caps (a ``*_CAP`` constant next to each), and are safe
-to share between threads.  An atom keeps its structural ``_key`` and
-``_hash`` slots, and sums and products key, compare and sort by them; a
-product hashes its factor tuple by identity, so hashes vary between runs
-but canonical order, ``unparse`` and digests do not.
+to share between threads, as is ``cnum.fraction_sqrt``'s bounded memo, which
+factors each numeric radicand of ``_assemble`` once.  An atom builds its
+structural sort key ``_key`` on construction, a ``Mul`` or ``Add`` on first
+read, since few are ever sorted; they compare by their parts, which is key
+equality as atoms are canonical.  A product hashes its factor tuple by
+identity, so hashes vary between runs but canonical order, ``unparse`` and
+digests do not.
 """
 
 from __future__ import annotations
@@ -126,18 +129,13 @@ class ExpansionError(ExprError):
 
 
 class Expr:
-    """Immutable expression node; compare and hash by canonical key."""
+    """Immutable expression node: canonical sort key ``_key``, hash ``_hash``."""
 
     __slots__ = ("_key", "_hash")
 
     def __eq__(self, other):
-        if self is other:
-            return True
-        return (
-            isinstance(other, Expr)
-            and self._hash == other._hash
-            and self._key == other._key
-        )
+        return self is other or (isinstance(other, Expr) and self._hash == other._hash
+                                 and self._key == other._key)
 
     def __hash__(self):
         return self._hash
@@ -248,29 +246,54 @@ def _pow(base: Expr, e2: int) -> Pow:
     return self
 
 
+def _key_on_read(build):
+    """A `_key` property: `build(node)` on the first read, kept in the slot `Expr._key`.
+    Not `__getattr__`, which would take every node attribute off the interpreter's fast path."""
+    def get(node):
+        try:
+            return Expr._key.__get__(node)
+        except AttributeError:
+            key = build(node)
+            Expr._key.__set__(node, key)
+            return key
+    return property(get)
+
+
 class Mul(Expr):
     """coef * f1 * f2 * ...; factors are sorted Sym/Fun/Pow atoms."""
 
     __slots__ = ("coef", "factors", "_simple")
+    __hash__ = Expr.__hash__  # defining __eq__ would otherwise leave the class unhashable
 
     def __init__(self, coef: CNum, factors: tuple):
         self.coef = coef
         self.factors = factors
         self._simple = None
-        self._key = (4, tuple([f._key for f in factors]), coef.re, coef.im)
         self._hash = hash((4, factors, coef.re, coef.im))
+
+    def __eq__(self, other):  # the keys' equality, since atoms are canonical
+        return self is other or (type(other) is Mul and self._hash == other._hash
+                                 and self.factors == other.factors and self.coef == other.coef)
+
+    _key = _key_on_read(lambda m: (4, tuple([f._key for f in m.factors]), m.coef.re, m.coef.im))
 
 
 class Add(Expr):
     """Sorted sum of terms with distinct monomial parts."""
 
     __slots__ = ("terms", "_simple")
+    __hash__ = Expr.__hash__
 
     def __init__(self, terms: tuple):
         self.terms = terms
         self._simple = None
-        self._key = (5, tuple(t._key for t in terms))
         self._hash = hash((5, tuple(t._hash for t in terms)))
+
+    def __eq__(self, other):
+        return self is other or (type(other) is Add and self._hash == other._hash
+                                 and self.terms == other.terms)
+
+    _key = _key_on_read(lambda a: (5, tuple([t._key for t in a.terms])))
 
 
 ZERO = Num(CNum(0))
@@ -481,7 +504,8 @@ def sum_of_products(products) -> Expr:
 def _product(items):
     """The product of `items`: a finished term when no sum is left to
     distribute, otherwise the uncollected list of its (coefficient,
-    monomial) pairs, like monomials not yet merged."""
+    monomial) pairs, like monomials not yet merged.  The power-map rules run
+    only when one can fire, which the first scan decides."""
     coef = CN_ONE
     pmap: dict[Expr, int] = {}  # base -> twice its exponent
     pend: list[Add] = []
@@ -505,12 +529,15 @@ def _product(items):
     if coef.is_zero():
         return ZERO
 
-    # one scan: the exp factors, and whether a rule below can fire (a sum base or a peeling sin)
-    exps = []
-    changed = False
+    # one scan: the exp factors, and whether a rule below can fire: a cos pair
+    # (two odd powers of sums), a sum to expand or shed (e >= 1), a peeling sin
+    exps, changed, odd_sums = [], False, 0
     for b, e2 in pmap.items():
         tb = type(b)
-        if tb is Add or tb is Fun and b.fname == "sin" and _sin_peels(e2):
+        if tb is Add:
+            odd_sums += e2 & 1
+            changed = changed or e2 >= 2 or odd_sums > 1
+        elif tb is Fun and b.fname == "sin" and _sin_peels(e2):
             changed = True
         elif tb is Fun and b.fname == "exp":
             exps.append(b)
@@ -529,22 +556,22 @@ def _product(items):
     while changed:
         changed = False
         # pair half powers of 1 -/+ cos(u) back into sin(u)
-        cos_pairs: dict[tuple, dict] = {}
+        cos_pairs: dict[Expr, dict] = {}
         if any(type(b) is Add and e2 & 1 for b, e2 in pmap.items()):
             for b, e2 in pmap.items():
                 if not e2 & 1:
                     continue
                 tag = _classify_cos_base(b)
                 if tag is not None:
-                    cos_pairs.setdefault(tag[1]._key, {"u": tag[1]})[tag[0]] = (b, e2)
-        for ent in cos_pairs.values():
+                    cos_pairs.setdefault(tag[1], {})[tag[0]] = (b, e2)
+        for u, ent in cos_pairs.items():
             if _ONE_MINUS_COS in ent and _ONE_PLUS_COS in ent:
                 bm, hm = ent[_ONE_MINUS_COS]
                 bp, hp = ent[_ONE_PLUS_COS]
                 m = min(hm, hp)
                 del pmap[bm]
                 del pmap[bp]
-                _padd(pmap, Fun("sin", ent["u"]), 2 * m)
+                _padd(pmap, Fun("sin", u), 2 * m)
                 if hm > m:
                     _padd(pmap, bm, hm - m)
                 elif hp > m:

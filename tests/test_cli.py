@@ -557,6 +557,30 @@ class TestHarmonics:
     def test_csv_needs_a_grid(self, capsys):
         assert_input_error(capsys, "harmonics", "so3", "--l", "0", "--format", "csv")
 
+    @pytest.mark.parametrize("argv,flag", [
+        (["so3", "--l", "2", "--hyper"], "--hyper"),
+        (["so3", "--l", "2", "--point-series"], "--point-series"),
+        (["so3", "--l", "2", "--nu", "3"], "--nu"),
+        (["so3", "--l", "2", "--A", "5"], "--A"),
+        (["so3", "--type", "0,2", "--l", "1", "--n", "1"], "--n"),
+        (["bianchi2", "--point-series", "--n", "2", "--m", "0", "--nu", "1", "--l", "3"], "--l"),
+        (["bianchi2", "--point-series", "--n", "2", "--m", "0", "--nu", "1", "--type", "2,0"], "--type"),
+        (["bianchi2", "--point-series", "--n", "2", "--m", "0", "--nu", "1", "--mu", "4"], "--mu"),
+        (["bianchi2", "--hyper", "--mu", "0", "--nu", "0", "--lam", "1", "--n", "3"], "--n"),
+        (["bianchi2", "--hyper", "--mu", "0", "--nu", "0", "--lam", "1", "--m", "0"], "--m"),
+        (["bianchi2", "--point-series", "--hyper", "--mu", "0", "--nu", "0", "--lam", "1"],
+         "--point-series"),
+    ])
+    def test_flags_of_another_family_are_refused(self, capsys, argv, flag):
+        """A label flag the requested family does not take is an input error,
+        not silently ignored; a zero value counts as given."""
+        err = assert_input_error(capsys, "harmonics", *argv)
+        assert err.startswith(f"input error: {flag} does not apply to harmonics ")
+
+    def test_hyper_defaults_are_the_written_ones(self, capsys):
+        base = ["harmonics", "bianchi2", "--hyper", "--mu", "0", "--nu", "0", "--lam", "1"]
+        assert run(capsys, *base) == run(capsys, *base, "--A", "1", "--B", "0")
+
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_hyper_family_refuses_a_grid(self, capsys, fmt):
         assert_input_error(capsys, "harmonics", "bianchi2", "--hyper", "--mu=0.1", "--nu=0.5", "--lam=1.5",

@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from casimir import evalcore
+from casimir import cnum, evalcore
 from casimir import expr as ex
 from casimir import operator as op
 from casimir.cnum import CNum, divisors
@@ -408,6 +408,40 @@ class TestKernelCaches:
         assert len({a._key for a in atoms}) == len({id(a) for a in atoms})
         assert len(raced) == 4 and all(map(operator.is_, raced[0] * 3, raced[1] + raced[2] + raced[3]))
 
+    def test_products_and_sums_build_their_keys_when_read(self):
+        """`_key` of a product or sum is a property over the slot `Expr._key`,
+        which stays empty until the first read fills it."""
+        slot = ex.Expr._key
+        x, y = ex.sym("lazy_x"), ex.sym("lazy_y")
+        p = ex.mul(ex.num(3), x, ex.cos(y))
+        s = ex.add(p, x, ex.num(1))
+        assert (type(p), type(s)) == (ex.Mul, ex.Add)
+        for n in (p, s):
+            with pytest.raises(AttributeError):
+                slot.__get__(n)
+        assert p._key == (4, (x._key, ex.cos(y)._key), 3, 0)
+        assert s._key == (5, tuple(t._key for t in s.terms))
+        for n in (p, s):
+            assert slot.__get__(n) is n._key
+        # a class-level __getattr__ would take every node attribute off the fast path
+        assert all("__getattr__" not in vars(c) for c in ex.Expr.__subclasses__() + [ex.Expr])
+
+    def test_each_radicand_is_factored_once(self, monkeypatch):
+        """200 products carrying 55^(1/2) trial-divide 55 once."""
+        calls = []
+        real = cnum.square_part
+
+        def counted(n):
+            calls.append(n)
+            return real(n)
+
+        monkeypatch.setattr(cnum, "square_part", counted)
+        cnum.fraction_sqrt.cache_clear()
+        root, x = ex.power(ex.num(55), Fraction(1, 2)), ex.sym("x")
+        got = {ex.unparse(ex.mul(root, ex.num(k), x, root, root)) for k in range(1, 201)}
+        assert len(got) == 200 and "110*x*55^(1/2)" in got
+        assert calls == [55]
+
 
 def _unsimplified_sums() -> list:
     """First and second derivatives of products of radicals: sums in which
@@ -797,6 +831,20 @@ def _nodes(e):
             stack.extend(n.terms)
 
 
+@given(st.one_of(_rich_exprs(), _multi_base_sums(), _cos_rational_exprs()),
+       st.one_of(_rich_exprs(), _multi_base_sums(), _cos_rational_exprs()))
+@settings(max_examples=150, deadline=None)
+def test_equality_is_equality_of_keys(a, b):
+    """Products and sums compare by their parts and build `_key` only when
+    read; equal nodes have equal keys and hashes, and unequal ones do not
+    share a key.  The nodes of a rebuilt copy of a meet a's nodes as equals."""
+    nodes = [*_nodes(a), *_nodes(b), *_nodes(parse(ex.unparse(a), _COORDS))][:80]
+    for m, n in itertools.product(nodes, repeat=2):
+        assert (m == n) == (m._key == n._key)
+        if m == n:
+            assert hash(m) == hash(n)
+
+
 @given(st.one_of(_rich_exprs(), _multi_base_sums(), _cos_rational_exprs()))
 @settings(max_examples=200, deadline=None)
 def test_every_node_is_a_fixed_point_of_its_constructor(e):
@@ -897,6 +945,25 @@ _PRODUCT_CASES = [
      "sin(x)*(1 - cos(y))^(-1/2)"),
 ]
 
+# three factors whose written product depends on the grouping: the forms of
+# the flat product, then of the product with factor 0, 1 or 2 left outside a
+# product of the other two (in any order).  The cos-pair rule takes
+# (1 - cos(x))^(1/2) * (1 + cos(x))^(1/2) as sin(x) only when the two meet in
+# one product; the first case keeps two written forms even after `simplify`.
+_GROUPED_CASES = [
+    (["(1 - cos(x))^(1/2)", "(1 + cos(x))^(1/2)", "(1 - cos(x))^(1/2)"],
+     ["-cos(x)*(1 + cos(x))^(1/2) + (1 + cos(x))^(1/2)", "sin(x)*(1 - cos(x))^(1/2)",
+      "-cos(x)*(1 + cos(x))^(1/2) + (1 + cos(x))^(1/2)", "sin(x)*(1 - cos(x))^(1/2)"]),
+    (["(1 - cos(x))^(1/2)", "(1 + cos(x))^(-1/2)", "1 + cos(x)"],
+     ["sin(x)", "sin(x)", "cos(x)*sin(x)*(1 + cos(x))^(-1) + sin(x)*(1 + cos(x))^(-1)", "sin(x)"]),
+    (["(1 - cos(x))^(1/2)", "(1 - cos(x))^(-1/2)", "(1 + cos(x))^(1/2)"],
+     ["(1 + cos(x))^(1/2)", "sin(x)*(1 - cos(x))^(-1/2)", "sin(x)*(1 - cos(x))^(-1/2)",
+      "(1 + cos(x))^(1/2)"]),
+    (["(1 - cos(x))^(1/2)", "1 - cos(x)", "(1 - cos(x))^(-1)"],
+     ["(1 - cos(x))^(1/2)", "(1 - cos(x))^(1/2)", "(1 - cos(x))^(1/2)",
+      "-cos(x)*(1 - cos(x))^(-1/2) + (1 - cos(x))^(-1/2)"]),
+]
+
 
 class TestProductKernel:
     """Products of the same factors in any order or grouping agree: in
@@ -907,6 +974,18 @@ class TestProductKernel:
     def test_shortcut_cases_have_one_form(self, factors, want):
         fs = [parse(f, _COORDS) if isinstance(f, str) else f for f in factors]
         assert {ex.unparse(p) for p in _orders_and_groupings(fs)} == {want}
+
+    @pytest.mark.parametrize("factors,want", _GROUPED_CASES)
+    def test_grouping_dependent_forms_are_pinned(self, factors, want):
+        """Which rule fires in which grouping is part of the written form: a
+        change to when `mul`'s rules run must leave each of these as it is."""
+        fs = [parse(f, _COORDS) for f in factors]
+        flat, *grouped = want
+        assert {ex.unparse(ex.mul(*p)) for p in itertools.permutations(fs)} == {flat}
+        for k, form in enumerate(grouped):
+            a, b = (f for i, f in enumerate(fs) if i != k)
+            got = {ex.mul(ex.mul(a, b), fs[k]), ex.mul(ex.mul(b, a), fs[k]), ex.mul(fs[k], ex.mul(a, b))}
+            assert {ex.unparse(p) for p in got} == {form}
 
     def test_a_lone_exp_of_zero_is_one(self):
         e0 = ex.Fun("exp", ex.ZERO)  # an atom `fun` would not build

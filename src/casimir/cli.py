@@ -369,7 +369,11 @@ def cmd_harmonics(args) -> int:
                 raise SchemaError("hyper families need --mu --nu --lam")
             labels = [parse_label(v, f"--{k}") for k, v in (("mu", args.mu), ("nu", args.nu), ("lam", args.lam),
                       ("A", "1" if args.A is None else args.A), ("B", "0" if args.B is None else args.B))]
-            fam = model.hypergeometric_harmonic(*labels, seed=seed)
+            try:
+                fam = model.hypergeometric_harmonic(*labels, seed=seed)
+            except ValueError as e:  # A = B = 0 names no eigenfunction
+                print(str(e), file=sys.stderr)
+                return EXIT_CHECK_FAILED
         elif args.point_series:
             _refuse_other_flags(args, "bianchi2 --point-series", "point_series n m nu")
             if args.n is None or args.m is None or args.nu is None:
@@ -573,9 +577,13 @@ def cmd_residual(args) -> int:
     res = certify_eigen(op, tens, lam, seed)
     rep = Report("residual", {"model": args.model, "tensor": file_digest(raw),
                               "eigenvalue": ex.unparse(lam)}, seed)
-    rep.add_check("eigen-residual", res.ok, **res.to_json())
+    body = res.to_json()
+    zero = all(ex.simplify(c) == ex.ZERO for c in tens.comps)
+    if zero:
+        body["error"] = "every component is 0, and an eigenfunction is nonzero"
+    rep.add_check("eigen-residual", res.ok and not zero, **body)
     _emit(args, [rep.render()])
-    return EXIT_OK if res.ok else EXIT_CHECK_FAILED
+    return EXIT_OK if rep.ok else EXIT_CHECK_FAILED
 
 
 # --- entry ------------------------------------------------------------------------

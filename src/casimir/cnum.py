@@ -1,10 +1,18 @@
 """Exact complex-rational scalars used as expression coefficients.
 
-A real or imaginary part is a Python ``int`` whenever it is integral and a
-``fractions.Fraction`` only when a denominator is really present.  An int
+A real coefficient is a plain Python number: an ``int`` when integral, a
+``fractions.Fraction`` only when a denominator is really present.  A
+``CNum`` holds only a value whose imaginary part is nonzero: ``CNum(re, im)``
+returns the plain real ``re`` when ``im`` is 0, so CNum arithmetic returns a
+real whenever the imaginary part cancels.  The kernel therefore computes
+with native operators and tests with ``not c`` and ``c == 1``.  An int
 compares, hashes and prints the same as the equal Fraction, so the choice is
-invisible to keys, hashes and printed forms; it only keeps the common
-small-integer arithmetic on machine ints.
+invisible to keys, hashes and printed forms.  Values are stored in this form
+(``normal``), since an integral Fraction would keep later arithmetic off
+machine ints.  ``int / int`` and ``int ** -n`` are floats, so every division
+and power goes through ``div`` and ``power``, which CNum leaves to them; code
+outside the kernel reads a coefficient through ``re_im``, ``is_real`` and
+``complex(c)``.
 """
 
 from __future__ import annotations
@@ -34,124 +42,126 @@ def read_rational(text: str) -> Fraction:
     return Fraction(text)
 
 
-def as_fraction(x) -> int | Fraction:
-    """The exact rational x, as an int when its denominator is 1."""
-    if type(x) is int:
+def normal(x):
+    """The coefficient x in normal form: an integral Fraction or a bool as its
+    int; an int, a Fraction with a denominator or a CNum as it is."""
+    t = type(x)
+    if t is int or t is CNum:
         return x
-    if type(x) is Fraction:
+    if t is Fraction:
         return x.numerator if x.denominator == 1 else x
     if isinstance(x, (Fraction, int)):
-        return as_fraction(Fraction(x))
-    raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
+        return normal(Fraction(x))
+    raise TypeError(f"expected int, Fraction or CNum, got {type(x).__name__}")
 
 
-def _div(a, b) -> int | Fraction:
-    """Exact a / b of two rationals (b nonzero)."""
-    if type(a) is int and type(b) is int:
-        return as_fraction(Fraction(a, b))
-    return as_fraction(a / b)
+def is_real(c) -> bool:
+    return type(c) is not CNum
+
+
+def re_im(c) -> tuple:
+    """(real part, imaginary part) of a coefficient."""
+    return (c.re, c.im) if type(c) is CNum else (c, 0)
+
+
+def div(a, b):
+    """The exact a / b of two coefficients; ZeroDivisionError when b is 0."""
+    if not b:
+        raise ZeroDivisionError("division by exact zero")
+    if type(b) is CNum:
+        d = b.re * b.re + b.im * b.im
+        return a * CNum(div(b.re, d), div(-b.im, d))
+    if type(a) is CNum:
+        return CNum(div(a.re, b), div(a.im, b))
+    return normal(Fraction(a, b) if type(a) is int and type(b) is int else a / b)
+
+
+def power(c, n: int):
+    """The exact c ** n for an int n; ZeroDivisionError for 0 ** -k."""
+    if n < 0:
+        c, n = div(1, c), -n
+    elif type(c) is int:
+        return c ** n
+    if type(c) is not CNum:
+        return normal(c ** n)
+    out = 1
+    while n:
+        if n & 1:
+            out = c * out
+        n >>= 1
+        if n:
+            c = c * c
+    return out
+
+
+def negative_lead(c) -> bool:
+    """Sign used for canonical orientation: (re, im) lexicographic."""
+    if type(c) is CNum:
+        return c.re < 0 or (not c.re and c.im < 0)
+    return c < 0
+
+
+def power_fits(v, k: int, digits: int) -> bool:
+    """Whether 1 + k log10 h <= digits, k >= 0, for h = max(|a| d + |c| b, b d),
+    v = a/b + i c/d: h^k bounds the numerators and denominators of v^k."""
+    re, im = re_im(v)
+    h = max(abs(re.numerator) * im.denominator + abs(im.numerator) * re.denominator,
+            re.denominator * im.denominator)
+    return h == 1 or k <= (digits - 1) / log10(h)  # int-float comparison is exact
 
 
 class CNum:
-    """Complex number with exact rational real and imaginary parts.
+    """Complex number with exact rational parts and a nonzero imaginary part.
 
-    Immutable; all arithmetic is exact, so identities that hold over the
-    rationals hold bit-for-bit here.  ``re`` and ``im`` are ints when
-    integral, Fractions otherwise (see the module docstring).
+    Immutable; ``re`` and ``im`` are in normal form.  Constructing or
+    computing a value whose imaginary part is 0 returns the plain real.
     """
 
     __slots__ = ("re", "im")
 
-    def __init__(self, re=0, im=0):
-        self.re = re if type(re) is int else as_fraction(re)
-        self.im = im if type(im) is int else as_fraction(im)
+    def __new__(cls, re=0, im=0):
+        re, im = normal(re), normal(im)
+        if not im:
+            return re
+        self = object.__new__(cls)
+        self.re, self.im = re, im
+        return self
 
-    # real-only fast paths test `not im`; multiplying by the shared CN_ONE
-    # returns the other side
-    def __add__(self, other: "CNum") -> "CNum":
-        if not self.im and not other.im:
-            return CNum(self.re + other.re)
-        return CNum(self.re + other.re, self.im + other.im)
+    def __add__(self, other):
+        if type(other) is CNum:
+            return CNum(self.re + other.re, self.im + other.im)
+        return CNum(self.re + other, self.im)
 
-    def __sub__(self, other: "CNum") -> "CNum":
-        return CNum(self.re - other.re, self.im - other.im)
+    __radd__ = __add__
 
-    def __mul__(self, other: "CNum") -> "CNum":
-        if other is CN_ONE:
-            return self
-        if self is CN_ONE:
-            return other
-        if not self.im and not other.im:
-            return CNum(self.re * other.re)
-        return CNum(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+    def __sub__(self, other):
+        return self + -other
 
-    def __neg__(self) -> "CNum":
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        re, im = self.re, self.im
+        if type(other) is CNum:
+            return CNum(re * other.re - im * other.im, re * other.im + im * other.re)
+        return CNum(re * other, im * other)
+
+    __rmul__ = __mul__
+
+    def __neg__(self):
         return CNum(-self.re, -self.im)
 
-    def inverse(self) -> "CNum":
-        re, im = self.re, self.im
-        d = re * re + im * im
-        if not d:
-            raise ZeroDivisionError("division by exact zero")
-        return CNum(_div(re, d), _div(-im, d))
-
-    def __truediv__(self, other: "CNum") -> "CNum":
-        return self * other.inverse()
-
-    def __pow__(self, n: int) -> "CNum":
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = CN_ONE
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     def __eq__(self, other) -> bool:
-        return isinstance(other, CNum) and self.re == other.re and self.im == other.im
+        return type(other) is CNum and self.re == other.re and self.im == other.im
 
     def __hash__(self) -> int:
         return hash((self.re, self.im))
 
-    def is_zero(self) -> bool:
-        return not self.re and not self.im
-
-    def power_fits(self, k: int, digits: int) -> bool:
-        """Whether 1 + k log10 h <= digits, k >= 0, for h = max(|a| d + |c| b, b d),
-        self = a/b + i c/d: h^k bounds the numerators and denominators of self^k."""
-        re, im = self.re, self.im
-        h = max(abs(re.numerator) * im.denominator + abs(im.numerator) * re.denominator,
-                re.denominator * im.denominator)
-        return h == 1 or k <= (digits - 1) / log10(h)  # int-float comparison is exact
-
-    def is_one(self) -> bool:
-        return not self.im and self.re == 1
-
-    def is_real(self) -> bool:
-        return not self.im
-
-    def negative_lead(self) -> bool:
-        """Sign used for canonical orientation: (re, im) lexicographic."""
-        return self.re < 0 or (not self.re and self.im < 0)
-
-    def to_complex(self) -> complex:
+    def __complex__(self) -> complex:
         return complex(float(self.re), float(self.im))
 
     def __repr__(self) -> str:
-        if not self.im:
-            return f"CNum({self.re})"
         return f"CNum({self.re}, {self.im})"
-
-
-CN_ONE = CNum(1)
-CN_MINUS_ONE = CNum(-1)
-CN_I = CNum(0, 1)
 
 
 # square_part and divisors trial-divide up to these bounds only, so their
@@ -234,9 +244,9 @@ def fraction_sqrt(num: int, den: int) -> tuple[int | Fraction, int]:
     g = gcd(num, den)
     num, den = num // g, den // g
     s, f = square_part(num * den)
-    return as_fraction(Fraction(s, den)), f
+    return normal(Fraction(s, den)), f
 
 
 def fraction_gcd(a, b) -> int | Fraction:
     """Greatest common divisor of two nonnegative rationals."""
-    return as_fraction(Fraction(gcd(a.numerator, b.numerator), lcm(a.denominator, b.denominator)))
+    return normal(Fraction(gcd(a.numerator, b.numerator), lcm(a.denominator, b.denominator)))

@@ -125,7 +125,7 @@ def compile_expr(e, varnames, grid: bool = False) -> Program:
             return name
         tt = type(n)
         if tt is ex.Num:
-            name = const(n.val.to_complex())
+            name = const(complex(n.val))
         elif tt is ex.Sym:
             try:
                 i = index[n.name]
@@ -148,7 +148,7 @@ def compile_expr(e, varnames, grid: bool = False) -> Program:
                 emit(name, [base], f"{name} = _ipow({base}, {(p - 1) // 2}) * _sqrt({base})")
         elif tt is ex.Mul:
             # (1+0j) is complex(1.0); times a coefficient it is one constant
-            ops = ["(1+0j)" if n.coef.is_one() else const((1 + 0j) * n.coef.to_complex())]
+            ops = ["(1+0j)" if n.coef == 1 else const((1 + 0j) * complex(n.coef))]
             ops += [go(f) for f in n.factors]
             name = fresh()
             emit(name, ops, f"{name} = {ops[0]} * {ops[1]}", *(f"{name} *= {op}" for op in ops[2:]))

@@ -3,12 +3,15 @@
 A deliberately small kernel: exact complex-rational coefficients, flattened
 and sorted sums/products, integer and half-integer powers, and the function
 set sin/cos/exp (cot and sqrt are rewritten on input).  Exact scalars stay on
-machine ints: coefficient parts are ints unless a denominator is present
-(:mod:`casimir.cnum`), and every exponent is carried as the int twice its
-value (``Pow.e2``), doubled once on input by ``_as_exp``, so the power-map
-rules below run on int arithmetic.  ``Pow.exp`` is the public value: an int
-when integral, otherwise the equal half-integer Fraction.  Construction
-keeps expressions in an expanded normal form:
+machine ints: a real coefficient (``Num.val``, ``Mul.coef``, coefficient
+lists) is a plain int, or a Fraction when a denominator is present, and only
+a non-real one is a ``CNum`` (:mod:`casimir.cnum`, which also says where
+values are put in normal form), so coefficient arithmetic uses native
+operators (``c * d``, ``not c``, ``c == 1``).  Every exponent is carried as
+the int twice its value (``Pow.e2``), doubled once on input by ``_as_exp``,
+so the power-map rules below run on int arithmetic.  ``Pow.exp`` is the
+public value: an int when integral, otherwise the equal half-integer
+Fraction.  Construction keeps expressions in an expanded normal form:
 
 * products distribute over sums; positive integer powers of sums expand;
 * even powers of sin collapse to polynomials in cos, so the Pythagorean
@@ -100,7 +103,10 @@ from _weakref import _remove_dead_weakref
 from fractions import Fraction
 from math import gcd
 
-from .cnum import CN_I, CN_MINUS_ONE, CN_ONE, DIGIT_LIMIT, CNum, divisors, fraction_gcd, fraction_sqrt
+from .cnum import (DIGIT_LIMIT, CNum, divisors, fraction_gcd, fraction_sqrt, negative_lead, normal,
+                   power_fits, re_im)
+from .cnum import div as num_div
+from .cnum import power as num_power
 
 _FUNCTIONS = ("sin", "cos", "exp")
 
@@ -152,10 +158,10 @@ class Num(Expr):
     __slots__ = ("val",)
     _simple = _FIXED
 
-    def __init__(self, val: CNum):
-        self.val = val
-        self._key = (0, val.re, val.im)
-        re, im = val.re, val.im
+    def __init__(self, val):
+        self.val = val = val if type(val) is int else normal(val)
+        re, im = (val.re, val.im) if type(val) is CNum else (val, 0)
+        self._key = (0, re, im)
         self._hash = hash((0, re.numerator, re.denominator, im.numerator, im.denominator))
 
     # hashes must be cheap: every composite node combines the cached child
@@ -265,17 +271,17 @@ class Mul(Expr):
     __slots__ = ("coef", "factors", "_simple")
     __hash__ = Expr.__hash__  # defining __eq__ would otherwise leave the class unhashable
 
-    def __init__(self, coef: CNum, factors: tuple):
-        self.coef = coef
+    def __init__(self, coef, factors: tuple):
+        self.coef = coef = coef if type(coef) is int else normal(coef)
         self.factors = factors
         self._simple = None
-        self._hash = hash((4, factors, coef.re, coef.im))
+        self._hash = hash((4, factors, coef, 0) if type(coef) is not CNum else (4, factors, coef.re, coef.im))
 
     def __eq__(self, other):  # the keys' equality, since atoms are canonical
         return self is other or (type(other) is Mul and self._hash == other._hash
                                  and self.factors == other.factors and self.coef == other.coef)
 
-    _key = _key_on_read(lambda m: (4, tuple([f._key for f in m.factors]), m.coef.re, m.coef.im))
+    _key = _key_on_read(lambda m: (4, tuple([f._key for f in m.factors]), *re_im(m.coef)))
 
 
 class Add(Expr):
@@ -296,15 +302,13 @@ class Add(Expr):
     _key = _key_on_read(lambda a: (5, tuple([t._key for t in a.terms])))
 
 
-ZERO = Num(CNum(0))
-ONE = Num(CN_ONE)
-MINUS_ONE = Num(CN_MINUS_ONE)
-I = Num(CN_I)
+ZERO = Num(0)
+ONE = Num(1)
+MINUS_ONE = Num(-1)
+I = Num(CNum(0, 1))
 
 
 def num(re, im=0) -> Num:
-    if isinstance(re, CNum):
-        return Num(re)
     return Num(CNum(re, im))
 
 
@@ -318,16 +322,16 @@ def as_expr(x) -> Expr:
     if isinstance(x, Expr):
         return x
     if isinstance(x, (int, Fraction)):
-        return Num(CNum(x))
+        return Num(x)
     raise TypeError(f"cannot coerce {type(x).__name__} to Expr")
 
 
 def _as_exp(e) -> int:
     """Twice the exponent e: an int, a Fraction or a real Num, integral or half-integral."""
     if isinstance(e, Num):
-        if e.val.im:
+        if type(e.val) is CNum:
             raise ExprError("exponent must be a real rational")
-        e = e.val.re
+        e = e.val
     if isinstance(e, int):
         return 2 * e
     if not isinstance(e, Fraction):
@@ -347,14 +351,14 @@ def _sin_peels(e2: int) -> bool:
     return not e2 & 1 and (e2 >= 4 or e2 <= -2)
 
 
-def _coef_mono(t: Expr) -> tuple[CNum, tuple]:
+def _coef_mono(t: Expr) -> tuple:
     """Split a canonical term into (coefficient, monomial factor tuple)."""
     tt = type(t)
     if tt is Num:
         return t.val, ()
     if tt is Mul:
         return t.coef, t.factors
-    return CN_ONE, (t,)
+    return 1, (t,)
 
 
 def terms_of(e: Expr) -> tuple:
@@ -362,25 +366,25 @@ def terms_of(e: Expr) -> tuple:
     return tuple([_coef_mono(t) for t in (e.terms if type(e) is Add else (e,))])
 
 
-def _lead_cnum(e: Expr) -> CNum:
+def _lead_coef(e: Expr):
     tt = type(e)
     if tt is Num:
         return e.val
     if tt is Mul:
         return e.coef
     if tt is Add:
-        return _lead_cnum(e.terms[0])
-    return CN_ONE
+        return _lead_coef(e.terms[0])
+    return 1
 
 
 # ---------------------------------------------------------------------------
 # sums
 
 
-def _term_expr(c: CNum, mono: tuple) -> Expr:
+def _term_expr(c, mono: tuple) -> Expr:
     if not mono:
         return Num(c)
-    if c.is_one() and len(mono) == 1:
+    if c == 1 and len(mono) == 1:
         return mono[0]
     return Mul(c, mono)
 
@@ -405,12 +409,12 @@ def add(*items) -> Expr:
 
 def _merge(pairs) -> list:
     """(monomial, coefficient) items of (coefficient, monomial) pairs, like
-    monomials merged by exact sums and zero sums dropped."""
-    acc: dict[tuple, CNum] = {}
+    monomials merged by exact sums in normal form and zero sums dropped."""
+    acc: dict = {}
     for c, mono in pairs:
         cur = acc.get(mono)
         acc[mono] = c if cur is None else cur + c
-    return [(mono, c) for mono, c in acc.items() if not c.is_zero()]
+    return [(mono, c if type(c) is int else normal(c)) for mono, c in acc.items() if c]
 
 
 def _collect(pairs) -> Expr:
@@ -449,21 +453,21 @@ def _classify_cos_base(b: Expr):
     if type(b) is not Add or len(b.terms) != 2:
         return None
     t0, t1 = b.terms
-    if type(t0) is not Num or t0.val != CN_ONE:
+    if type(t0) is not Num or t0.val != 1:
         return None
     c, mono = _coef_mono(t1)
     if len(mono) != 1 or type(mono[0]) is not Fun or mono[0].fname != "cos":
         return None
-    if c == CN_ONE:
+    if c == 1:
         return (_ONE_PLUS_COS, mono[0].arg)
-    if c == CN_MINUS_ONE:
+    if c == -1:
         return (_ONE_MINUS_COS, mono[0].arg)
     return None
 
 
 def _cos_bases(u: Expr) -> tuple[Expr, Expr]:
     cos_u = Fun("cos", u)
-    minus = Add((ONE, Mul(CN_MINUS_ONE, (cos_u,))))
+    minus = Add((ONE, Mul(-1, (cos_u,))))
     plus = Add((ONE, cos_u))
     return minus, plus
 
@@ -506,7 +510,7 @@ def _product(items):
     distribute, otherwise the uncollected list of its (coefficient,
     monomial) pairs, like monomials not yet merged.  The power-map rules run
     only when one can fire, which the first scan decides."""
-    coef = CN_ONE
+    coef = 1
     pmap: dict[Expr, int] = {}  # base -> twice its exponent
     pend: list[Add] = []
     stack = list(items)
@@ -526,7 +530,7 @@ def _product(items):
             _padd(pmap, e, 2)
         else:
             raise TypeError(f"cannot multiply {e!r}")
-    if coef.is_zero():
+    if not coef:
         return ZERO
 
     # one scan: the exp factors, and whether a rule below can fire: a cos pair
@@ -547,7 +551,7 @@ def _product(items):
         exp_parts = []
         for b in exps:
             e2 = pmap.pop(b)
-            exp_parts.append(b.arg if e2 == 2 else mul(Num(CNum(_exp_value(e2))), b.arg))
+            exp_parts.append(b.arg if e2 == 2 else mul(Num(_exp_value(e2)), b.arg))
         s = add(*exp_parts)
         if s is not ZERO:
             _padd(pmap, Fun("exp", s), 2)
@@ -637,10 +641,11 @@ def _product(items):
             if work > EXPANSION_BOUND:
                 raise ExpansionError(_TOO_MANY_TERMS)
         nxt = []
+        # a Fraction times 1 is a new Fraction: skip the unit factors, which most are
         for c1, m1 in pairs:
             for c2, m2 in parts:
-                c12 = c1 * c2
-                nxt.extend([(c12 * c, m) for c, m in _mono_product(m1, m2)])
+                c12 = c2 if c1 == 1 else c1 * c2
+                nxt.extend([(c12 if c == 1 else c12 * c, m) for c, m in _mono_product(m1, m2)])
         pairs = nxt if i == len(pend) - 1 else [(c, m) for m, c in _merge(nxt)]
     return pairs
 
@@ -661,22 +666,23 @@ def _mono_product(m1: tuple, m2: tuple) -> tuple:
     return hit
 
 
-def _assemble(coef: CNum, pmap: dict) -> Expr:
+def _assemble(coef, pmap: dict) -> Expr:
     factors = []
     rad_num = rad_den = 1  # the radicand rad_num/rad_den of the numeric half powers
     for b, e2 in pmap.items():
         if type(b) is Num:
             if not e2 & 1:
-                coef = coef * (b.val ** (e2 >> 1))
+                coef = coef * num_power(b.val, e2 >> 1)
                 continue
-            coef = coef * (b.val ** ((e2 - 1) >> 1))
-            if not b.val.is_real():
+            if e2 != 1:
+                coef = coef * num_power(b.val, (e2 - 1) >> 1)
+            r = b.val
+            if type(r) is CNum:
                 # exact complex roots are out of scope; keep an opaque square root
                 factors.append(_pow(b, 1))
                 continue
-            r = b.val.re
             if r < 0:
-                coef = coef * CN_I
+                coef = coef * I.val
                 r = -r
             rad_num *= r.numerator
             rad_den *= r.denominator
@@ -684,15 +690,16 @@ def _assemble(coef: CNum, pmap: dict) -> Expr:
             factors.append(b if e2 == 2 else _pow(b, e2))
     if rad_num != rad_den:
         q, f = fraction_sqrt(rad_num, rad_den)
-        coef = coef * CNum(q)
+        if q != 1:
+            coef = coef * q
         if f != 1:
-            factors.append(_pow(Num(CNum(f)), 1))
-    if coef.is_zero():
+            factors.append(_pow(Num(f), 1))
+    if not coef:
         return ZERO
     if not factors:
         return Num(coef)
     factors.sort(key=_by_key)
-    if coef.is_one() and len(factors) == 1:
+    if coef == 1 and len(factors) == 1:
         return factors[0]
     return Mul(coef, tuple(factors))
 
@@ -729,23 +736,23 @@ def _power(b: Expr, e2: int) -> Expr:
     if tt is Add:
         return _atom_power(b, e2) if not e2 & 1 and e2 > 0 else _add_power(b, e2)
     if tt is Fun and b.fname == "exp":
-        return fun("exp", mul(Num(CNum(_exp_value(e2))), b.arg))
+        return fun("exp", mul(Num(_exp_value(e2)), b.arg))
     if tt is Fun and b.fname == "sin" and _sin_peels(e2):
         return mul(_pow(b, e2))
     return _pow(b, e2)
 
 
-def _num_power(v: CNum, e2: int) -> Expr:
+def _num_power(v, e2: int) -> Expr:
     """v^(e2/2), exact; a half-integer power goes through `_assemble`'s radicand."""
-    if abs(e2) > 3 and not v.power_fits(abs(e2) >> 1, DIGIT_LIMIT):
+    if abs(e2) > 3 and not power_fits(v, abs(e2) >> 1, DIGIT_LIMIT):
         raise ExpansionError(f"an exact power would need more than {DIGIT_LIMIT} digits")
     if not e2 & 1:
-        return Num(v ** (e2 >> 1))
-    if v.is_zero():
+        return Num(num_power(v, e2 >> 1))
+    if not v:
         if e2 > 0:
             return ZERO
         raise ExprError("0 raised to a negative half-integer power")
-    return _assemble(CN_ONE, {Num(v): e2})
+    return _assemble(1, {Num(v): e2})
 
 
 def _add_power(b: Add, e2: int) -> Expr:
@@ -769,22 +776,20 @@ def _atom_power(prim: Add, e2: int) -> Expr:
     return mul(_pow(prim, e2))
 
 
-def _primitive_sum(b: Add) -> tuple[CNum, Add]:
+def _primitive_sum(b: Add) -> tuple:
     """Extract content and orientation sign: b == scale * primitive."""
     content = None
     for t in b.terms:
         c, _ = _coef_mono(t)
-        for part in (abs(c.re), abs(c.im)):
-            if part != 0:
+        for part in map(abs, re_im(c)):
+            if part:
                 content = part if content is None else fraction_gcd(content, part)
     if content is None:
         raise ExprError("empty sum")
-    scale = CNum(content)
-    if _lead_cnum(b).negative_lead():
-        scale = -scale
-    if scale.is_one():
-        return CN_ONE, b
-    inv = Num(scale.inverse())
+    scale = -content if negative_lead(_lead_coef(b)) else content
+    if scale == 1:
+        return 1, b
+    inv = Num(num_div(1, scale))
     prim = sum_of_products([(inv, t) for t in b.terms])
     return scale, prim
 
@@ -797,7 +802,7 @@ def _univariate(b: Add):
     coeffs: dict[int, Fraction] = {}
     for t in b.terms:
         c, mono = _coef_mono(t)
-        if not c.is_real():
+        if type(c) is CNum:
             return None
         if len(mono) == 0:
             deg = 0
@@ -819,7 +824,7 @@ def _univariate(b: Add):
                 return None
         else:
             return None
-        coeffs[deg] = coeffs.get(deg, 0) + c.re
+        coeffs[deg] = coeffs.get(deg, 0) + c
     if kernel is None:
         return None
     return kernel, [coeffs.get(d, 0) for d in range(max(coeffs) + 1)]
@@ -842,14 +847,14 @@ def _factor_poly(b: Add):
     if not roots:
         return None
     factors: list[tuple[Expr, int]] = []
-    lead = Fraction(1)
+    lead = 1
     for r, mult in roots:
         # orient the linear factor so its constant (or leading) part is positive
         if r > 0:
-            base = add(Num(CNum(r)), neg(kernel))  # (r - k)
-            lead *= Fraction(-1) ** mult
+            base = add(Num(r), neg(kernel))  # (r - k)
+            lead *= (-1) ** mult
         elif r < 0:
-            base = add(kernel, Num(CNum(-r)))  # (k + |r|)
+            base = add(kernel, Num(-r))  # (k + |r|)
         else:
             base = kernel
         factors.append((base, mult))
@@ -859,13 +864,12 @@ def _factor_poly(b: Add):
         lead *= poly[0]
     else:
         rem = polynomial(poly, kernel)
-        scale, prim = _primitive_sum(rem) if isinstance(rem, Add) else (CN_ONE, rem)
-        if not scale.is_one():
-            lead *= scale.re
+        scale, prim = _primitive_sum(rem) if isinstance(rem, Add) else (1, rem)
+        lead *= scale
         factors.append((prim, 1))
     if len(factors) == 1 and factors[0][1] == 1 and isinstance(factors[0][0], Add):
         return None
-    return CNum(lead), factors
+    return normal(lead), factors
 
 
 def rational_roots(poly: list) -> list[tuple[Fraction, int]]:
@@ -903,7 +907,7 @@ def rational_roots(poly: list) -> list[tuple[Fraction, int]]:
 
 
 def _poly_eval(poly: list, x):
-    """poly(x) for ascending int, Fraction or CNum coefficients, poly not empty."""
+    """poly(x) for ascending coefficients, poly not empty."""
     out = poly[-1]
     for c in poly[-2::-1]:
         out = out * x + c
@@ -911,21 +915,21 @@ def _poly_eval(poly: list, x):
 
 
 def _deflate(poly: list, r) -> list:
-    # poly = (kernel - r) * out, ascending int, Fraction or CNum coefficients
+    # poly = (kernel - r) * out, ascending coefficients
     n = len(poly) - 1
-    out = [Fraction(0)] * n
+    out = [0] * n
     out[n - 1] = poly[n]
     for d in range(n - 2, -1, -1):
         out[d] = poly[d + 1] + r * out[d + 1]
     return out
 
 
-# coefficient lists: the one toolkit for ascending int, Fraction or CNum coefficients
+# coefficient lists: the one toolkit for ascending coefficients
 
 
 def polynomial(coeffs, x: Expr) -> Expr:
     """The sum of c_k x^k over the ascending rational coefficients `coeffs`."""
-    return sum_of_products([(Num(CNum(c)), power(x, k)) for k, c in enumerate(coeffs) if c])
+    return sum_of_products([(Num(c), power(x, k)) for k, c in enumerate(coeffs) if c])
 
 
 def poly_mul(p: list, q: list) -> list:
@@ -943,7 +947,7 @@ def poly_pow(p: list, d: int) -> list:
     """p^d, d >= 0; its d products form len(p) * (d + deg p * d(d - 1)/2) term products."""
     if len(p) * (d + (len(p) - 1) * d * (d - 1) // 2) > EXPANSION_BOUND:
         raise ExpansionError(_TOO_MANY_TERMS)
-    out = [p[-1] ** 0]  # one, of the coefficients' type
+    out = [1]
     for _ in range(d):
         out = poly_mul(out, p)
     return out
@@ -967,7 +971,7 @@ def fun(name: str, arg) -> Expr:
         return Fun("exp", arg)
     if arg == ZERO:
         return ZERO if name == "sin" else ONE
-    if _lead_cnum(arg).negative_lead():
+    if negative_lead(_lead_coef(arg)):
         inner = Fun(name, neg(arg))
         return mul(MINUS_ONE, inner) if name == "sin" else inner
     return Fun(name, arg)
@@ -1026,7 +1030,7 @@ def _diff(e: Expr, x: str) -> Expr:
         db = diff(e.base, x)
         if db is ZERO:
             return ZERO
-        return mul(Num(CNum(e.exp)), _power(e.base, e.e2 - 2), db)
+        return mul(Num(e.exp), _power(e.base, e.e2 - 2), db)
     if tt is Mul:
         products = []
         fs = e.factors
@@ -1075,7 +1079,7 @@ def conj(e: Expr, flip=()) -> Expr | None:
     def leaf(n):
         if type(n) is Sym:
             return neg(n) if n.name in flip else n
-        return Num(CNum(n.val.re, -n.val.im)) if n.val.im else n
+        return Num(CNum(n.val.re, -n.val.im)) if type(n.val) is CNum else n
 
     try:
         return _rebuild(e, leaf, fixed_radicands=True)
@@ -1240,7 +1244,7 @@ def _atom_poly(base: Add):
     x, coeffs = parts
     if type(x) is Fun and x.fname != "cos":
         return None
-    return x, [CNum(c) for c in coeffs]
+    return x, coeffs
 
 
 def _lower_poly_class(items: dict, base: Add, x: Expr, bpoly: list, odd: int, target: int,
@@ -1254,9 +1258,9 @@ def _lower_poly_class(items: dict, base: Add, x: Expr, bpoly: list, odd: int, ta
     all of them vanish at its root, raising `target` by one towards 0.  The
     groups are rebuilt as monomials; no rule of ``mul`` fires on them, since
     only powers of x and of the base change.  None when nothing changes."""
-    out: dict[tuple, CNum] = {}
-    groups: dict[tuple, dict[int, CNum]] = {}
-    powers = {0: [CN_ONE]}  # d -> ascending coefficients of base(x)^d
+    out: dict = {}
+    groups: dict[tuple, dict] = {}
+    powers = {0: [1]}  # d -> ascending coefficients of base(x)^d
     lifted = False
     for mono, c in items.items():
         cur, xe2, rest = None, 0, []
@@ -1281,24 +1285,25 @@ def _lower_poly_class(items: dict, base: Add, x: Expr, bpoly: list, odd: int, ta
         poly = groups.setdefault((tuple(rest), xe2 & 1), {})
         j0 = xe2 >> 1
         for k, bc in enumerate(bp):
-            if not bc.is_zero():
+            if bc:
+                cb = c if bc == 1 else c * bc
                 got = poly.get(j0 + k)
-                poly[j0 + k] = c * bc if got is None else got + c * bc
-    root = -(bpoly[0] / bpoly[1]) if cancel else None
+                poly[j0 + k] = cb if got is None else got + cb
+    root = -num_div(bpoly[0], bpoly[1]) if cancel else None
     lists = {}  # key -> (lowest degree, dense ascending coefficients)
     for key, poly in groups.items():
-        js = [j for j, c in poly.items() if not c.is_zero()]
+        js = [j for j, c in poly.items() if c]
         if js:
             lo = min(js)
-            lists[key] = (lo, [poly.get(j, _CN_ZERO) for j in range(lo, max(js) + 1)])
+            lists[key] = (lo, [poly.get(j, 0) for j in range(lo, max(js) + 1)])
             # with one exponent only a division can change the class, and
             # each group must vanish at the root for it
-            if not lifted and not (cancel and target < 0 and _poly_eval(lists[key][1], root).is_zero()):
+            if not lifted and not (cancel and target < 0 and not _poly_eval(lists[key][1], root)):
                 return None
     divided = False
     if cancel:
-        scale = bpoly[1].inverse()
-        while target < 0 and all(_poly_eval(p, root).is_zero() for _lo, p in lists.values()):
+        scale = num_div(1, bpoly[1])
+        while target < 0 and not any(_poly_eval(p, root) for _lo, p in lists.values()):
             lists = {key: (lo, [c * scale for c in _deflate(p, root)]) for key, (lo, p) in lists.items()}
             target += 2
             divided = True
@@ -1307,7 +1312,7 @@ def _lower_poly_class(items: dict, base: Add, x: Expr, bpoly: list, odd: int, ta
     atom = _pow(base, target) if target else None
     for (rest, par), (lo, p) in lists.items():
         for j, c in enumerate(p, lo):
-            if c.is_zero():
+            if not c:
                 continue
             e2 = 2 * j + par
             fs = list(rest)
@@ -1319,10 +1324,7 @@ def _lower_poly_class(items: dict, base: Add, x: Expr, bpoly: list, odd: int, ta
             mono = tuple(fs)
             got = out.get(mono)
             out[mono] = c if got is None else got + c
-    return {mono: c for mono, c in out.items() if not c.is_zero()}
-
-
-_CN_ZERO = CNum(0)
+    return {mono: normal(c) for mono, c in out.items() if c}
 
 
 def _lower_class(items: dict, base: Add, odd: int, target: int) -> dict:
@@ -1348,9 +1350,9 @@ def _lower_class(items: dict, base: Add, odd: int, target: int) -> dict:
 # printing
 
 
-def _num_str(v: CNum) -> str:
-    if not v.im:
-        return str(v.re)
+def _num_str(v) -> str:
+    if type(v) is not CNum:
+        return str(v)
     im = f"{v.im}*i" if v.im not in (1, -1) else ("i" if v.im == 1 else "-i")
     if v.re == 0:
         return im
@@ -1364,7 +1366,7 @@ def _pow_str(p: Pow) -> str:
         bs = b.name
     elif tb is Fun:
         bs = _fun_str(b)
-    elif tb is Num and b.val.is_real() and b.val.re.denominator == 1 and b.val.re >= 0:
+    elif tb is Num and type(b.val) is int and b.val >= 0:
         bs = _num_str(b.val)
     else:
         bs = f"({unparse(b)})"
@@ -1393,13 +1395,13 @@ def _term_parts(t: Expr) -> tuple[str, str]:
     """(sign, body) with the sign pulled out of the coefficient."""
     c, mono = _coef_mono(t)
     sign = ""
-    if c.negative_lead():
+    if negative_lead(c):
         sign = "-"
         c = -c
     if not mono:
         return sign, _num_str(c)
     body = "*".join(_factor_str(f) for f in mono)
-    if not c.is_one():
+    if c != 1:
         body = f"{_num_str(c)}*{body}"
     return sign, body
 

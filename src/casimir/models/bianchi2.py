@@ -46,6 +46,7 @@ from .hypergeom import RadialProfile
 AMPLITUDE_NAMES = ("a_1", "a_2", "a_3")
 HYPER_POINTS = 16  # sample points of the radial-equation residual
 HYPER_TOL = 1e-8  # bound on max |residual| relative to max(1, max |f|)
+ZERO_AMPLITUDES = "hypergeometric amplitudes A = B = 0 give the zero function, not an eigenfunction"
 
 
 class Bianchi2Model:
@@ -148,7 +149,11 @@ class Bianchi2Model:
     def hypergeometric_harmonic(self, mu, nu, lam, amp_even=1.0, amp_odd=0.0,
                                 seed: int = 0) -> HarmonicFamily:
         """Continuous-spectrum family; numeric residual certificate on the
-        series domain (restricted to v > 0 when the odd branch is present)."""
+        series domain (restricted to v > 0 when the odd branch is present).
+        Amplitudes A = B = 0 raise ValueError: the profile is then 0, and an
+        eigenfunction is nonzero."""
+        if not (amp_even or amp_odd):
+            raise ValueError(ZERO_AMPLITUDES)
         prof = RadialProfile(mu, nu, lam, amp_even, amp_odd)
         lo, hi = self.chart.box["v"]
         if amp_odd:
@@ -201,6 +206,9 @@ class Bianchi2Model:
             hyper = [parse_label(lab.get(k, default), f"label {k!r}") for k, default in keys]
             if doc["components"] or doc.get("assemblies"):
                 raise SchemaError("a hypergeometric family has no components or assemblies")
+            if not (hyper[3] or hyper[4]):  # a stored zero function fails its recomputed residual
+                failed = Certificate("radial-equation-residual", {"ok": False, "error": ZERO_AMPLITUDES})
+                return lambda seed: [failed]
             return lambda seed: self.hypergeometric_harmonic(*hyper, seed=seed).certificates
         if kind not in ("point-series", "covector"):
             raise SchemaError(f"unknown bianchi2 family kind {kind!r}")

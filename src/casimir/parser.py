@@ -22,7 +22,7 @@ products together.
 from __future__ import annotations
 
 from . import expr as ex
-from .cnum import read_rational
+from .cnum import is_real, read_rational
 
 _FUNCTION_NAMES = ("sin", "cos", "cot", "exp", "sqrt")
 # deepest nesting, well inside the interpreter's recursion limit of 1000 frames
@@ -212,8 +212,8 @@ def _term_count(e: ex.Expr) -> int:
 
 
 def _const_rational(e: ex.Expr):
-    if type(e) is ex.Num and e.val.is_real():
-        return e.val.re
+    if type(e) is ex.Num and is_real(e.val):
+        return e.val
     return None
 
 

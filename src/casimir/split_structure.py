@@ -18,6 +18,7 @@ from fractions import Fraction
 from . import evalcore
 from . import expr as ex
 from . import numcheck as nc
+from .cnum import is_real, re_im
 from .lie_algebra import StructureConstants, gauss_jordan
 from .record import FrozenRecord
 from .tensor_fields import (
@@ -226,7 +227,7 @@ def _frame_basis(generators) -> list:
                 for f in mono:
                     if type(f) is not ex.Fun or f.fname != "exp":
                         continue
-                    if not all(not c.im and len(m) == 1 and type(m[0]) is ex.Sym and m[0].name in coords
+                    if not all(is_real(c) and len(m) == 1 and type(m[0]) is ex.Sym and m[0].name in coords
                                for c, m in ex.terms_of(f.arg)):
                         raise NoClosedFormError(
                             f"{ex.unparse(f)} in the generators is not the exponential of a rational "
@@ -261,17 +262,17 @@ def _frame_coefficients(sc: StructureConstants, generators) -> list:
     for b, g in enumerate(generators):
         for k, phi in enumerate(basis):
             moved = ex.terms_of(g.apply(phi))
-            if any(c.im for c, _ in moved):
+            if not all(is_real(c) for c, _ in moved):
                 raise NoClosedFormError("the invariance equations have a complex coefficient")
             ((_, own),) = ex.terms_of(phi)
             for a in range(r):
                 for c, mono in moved:
-                    put(b, a, mono, a * nb + k, c.re)
+                    put(b, a, mono, a * nb + k, c)
                 for q in range(r):
                     if sc.c[a][b][q]:
                         put(b, a, own, q * nb + k, sc.c[a][b][q])
     origin = dict.fromkeys(generators[0].chart.coords, 0)
-    at_origin = [Fraction(ex.subs(phi, origin).val.re) for phi in basis]
+    at_origin = [Fraction(re_im(ex.subs(phi, origin).val)[0]) for phi in basis]
     norm = [[zero] * (a * nb) + at_origin + [zero] * ((r - 1 - a) * nb) + [Fraction(d == a) for d in range(r)]
             for a in range(r)]
     red, pivots = gauss_jordan([*rows.values(), *norm])

@@ -20,6 +20,7 @@ from fractions import Fraction
 
 from casimir import expr as ex
 from casimir import numcheck as nc
+from casimir.cnum import CNum, is_real, re_im
 from casimir.lie_algebra import StructureConstants
 from casimir.operator import CasimirOperator, ScalarOperator, _compose
 from casimir.tensor_fields import (Chart, TensorField, VectorField, lie_bracket, lie_correction_rows,
@@ -239,7 +240,7 @@ def tree_evaluate(e: ex.Expr, env: dict) -> complex:
     ZeroDivisionError."""
     tt = type(e)
     if tt is ex.Num:
-        return e.val.to_complex()
+        return complex(e.val)
     if tt is ex.Sym:
         try:
             return complex(env[e.name])
@@ -253,7 +254,7 @@ def tree_evaluate(e: ex.Expr, env: dict) -> complex:
             return _int_power(v, (e2 - 1) >> 1) * cmath.sqrt(v)
         return _int_power(v, e2 >> 1)
     if tt is ex.Mul:
-        out = e.coef.to_complex()
+        out = complex(e.coef)
         for f in e.factors:
             out *= tree_evaluate(f, env)
         return out
@@ -276,6 +277,40 @@ def _int_power(v: complex, k: int) -> complex:
         base *= base
         k >>= 1
     return out
+
+
+def expr_nodes(e: ex.Expr):
+    """Every node of e, e first."""
+    stack = [e]
+    while stack:
+        n = stack.pop()
+        yield n
+        tt = type(n)
+        if tt is ex.Fun:
+            stack.append(n.arg)
+        elif tt is ex.Pow:
+            stack.append(n.base)
+        elif tt is ex.Mul:
+            stack.extend(n.factors)
+        elif tt is ex.Add:
+            stack.extend(n.terms)
+
+
+def is_normal_coefficient(c) -> bool:
+    """An int, a Fraction with a denominator other than 1, or a CNum with a
+    nonzero imaginary part and both parts of those two kinds: the only
+    coefficients the kernel stores.  Never a float or a bool."""
+    def real(x):
+        return type(x) is int or (type(x) is Fraction and x.denominator != 1)
+    if type(c) is CNum:
+        return real(c.re) and real(c.im) and c.im != 0
+    return real(c)
+
+
+def abnormal_coefficients(e: ex.Expr) -> list:
+    """The Num values and Mul coefficients of e that are not normal coefficients."""
+    coefs = (n.val if type(n) is ex.Num else n.coef for n in expr_nodes(e) if type(n) in (ex.Num, ex.Mul))
+    return [c for c in coefs if not is_normal_coefficient(c)]
 
 
 def reference_simplify(e: ex.Expr, cancel: bool = True) -> ex.Expr:
@@ -360,11 +395,11 @@ def _reference_linear_base(base: ex.Add):
         return None
     b0 = base.terms[0].val
     b1, mono = ex._coef_mono(base.terms[1])
-    if not (b0.is_real() and b1.is_real()) or len(mono) != 1:
+    if not (is_real(b0) and is_real(b1)) or len(mono) != 1:
         return None
     x = mono[0]
     if type(x) is ex.Sym or (type(x) is ex.Fun and x.fname == "cos"):
-        return x, Fraction(b0.re), Fraction(b1.re)
+        return x, Fraction(b0), Fraction(b1)
     return None
 
 
@@ -395,7 +430,8 @@ def _reference_divide(s: ex.Expr, base: ex.Add, x: ex.Expr, b0: Fraction, b1: Fr
         poly = groups.setdefault((tuple(rest), xe2 % 2), {})
         j = (xe2 - xe2 % 2) // 2
         poly[j] = poly.get(j, (Fraction(0), Fraction(0)))
-        poly[j] = (poly[j][0] + Fraction(c.re), poly[j][1] + Fraction(c.im))
+        re, im = re_im(c)
+        poly[j] = (poly[j][0] + Fraction(re), poly[j][1] + Fraction(im))
     out = list(others)
     for (rest, par), poly in groups.items():
         for part in (0, 1):

@@ -133,6 +133,12 @@ class TestRadialProfiles:
         assert cert.ok, cert.payload
         assert cert.payload["max_abs"] < 1e-8 * cert.payload["scale"]
 
+    @pytest.mark.parametrize("A,B", [(0, 0), (0.0, 0.0), (0j, -0.0)])
+    def test_zero_amplitudes_are_refused(self, model, A, B):
+        """A = B = 0 is the zero function, which no eigenvalue certifies."""
+        with pytest.raises(ValueError, match="A = B = 0"):
+            model.hypergeometric_harmonic(0.0, 0.0, 1.0, A, B)
+
     def test_residuals_against_independent_oracle(self):
         """High-precision finite differences of an independent implementation.
 

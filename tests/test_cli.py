@@ -577,6 +577,11 @@ class TestHarmonics:
         err = assert_input_error(capsys, "harmonics", *argv)
         assert err.startswith(f"input error: {flag} does not apply to harmonics ")
 
+    def test_hyper_zero_amplitudes_fail_the_label_check(self, capsys):
+        assert main(["harmonics", "bianchi2", "--hyper", "--mu=0", "--nu=0", "--lam=1", "--A=0", "--B=0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "A = B = 0" in captured.err
+
     def test_hyper_defaults_are_the_written_ones(self, capsys):
         base = ["harmonics", "bianchi2", "--hyper", "--mu", "0", "--nu", "0", "--lam", "1"]
         assert run(capsys, *base) == run(capsys, *base, "--A", "1", "--B", "0")
@@ -937,6 +942,20 @@ class TestFamilyRoundTrip:
         doc["labels"]["lambda"] = label
         p.write_text(json.dumps(doc))
         assert_input_error(capsys, "verify", "--family", str(p))
+
+    def test_stored_zero_hyper_amplitudes_fail(self, capsys, tmp_path):
+        """A stored hypergeometric family with A = B = 0 claims the zero function
+        as an eigenfunction; re-certification fails it."""
+        p = tmp_path / "fam.json"
+        assert main(["harmonics", "bianchi2", "--hyper", "--mu=0", "--nu=0", "--lam=1", "--out", str(p)]) == 0
+        doc = json.loads(p.read_text())
+        doc["labels"]["A"] = 0.0
+        p.write_text(json.dumps(doc))
+        code, out = run(capsys, "verify", "--family", str(p))
+        assert code == 1
+        (check,) = json.loads(out)["checks"]
+        assert check == {"name": "recertify: radial-equation-residual", "ok": False,
+                         "stored": "numerically-zero", "recomputed": "failed"}
 
     def test_certification_errors_are_not_input_errors(self, capsys, tmp_path, monkeypatch):
         p = tmp_path / "fam.json"
@@ -1342,6 +1361,21 @@ class TestReduceAndResidual:
         p.write_text(json.dumps({"type": [0, 0], "components": ["cos(theta)"]}))
         assert main(["residual", "--model", "so3", "--tensor", str(p),
                      "--eigenvalue", "-2"]) == 0
+
+    @pytest.mark.parametrize("model,tensor", [
+        ("so3", {"type": [0, 0], "components": ["0"]}),
+        ("so3", {"type": [0, 0], "components": ["sin(theta)^2 + cos(theta)^2 - 1"]}),
+        ("bianchi2", {"type": [0, 1], "components": ["0", "0", "0"]}),
+    ])
+    def test_residual_fails_the_zero_tensor(self, capsys, tmp_path, model, tensor):
+        """(G - lambda) 0 = 0 for every lambda, but 0 is no eigenfunction."""
+        p = tmp_path / "t.json"
+        p.write_text(json.dumps(tensor))
+        code, out = run(capsys, "residual", "--model", model, "--tensor", str(p), "--eigenvalue", "7")
+        assert code == 1
+        (check,) = json.loads(out)["checks"]
+        assert not check["ok"] and check["error"] == "every component is 0, and an eigenfunction is nonzero"
+        assert {r["verdict"] for r in check["residuals"]} == {"symbolically-zero"}
 
     def test_residual_rejects_wrong_eigenvalue(self, capsys, tmp_path):
         p = tmp_path / "t.json"

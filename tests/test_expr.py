@@ -20,7 +20,7 @@ from casimir.cnum import CNum, divisors
 from casimir.models import so3_model
 from casimir.models.so3 import So3Model
 from casimir.parser import ParseError, parse
-from helpers import reference_simplify, tree_evaluate
+from helpers import abnormal_coefficients, expr_nodes, is_normal_coefficient, reference_simplify, tree_evaluate
 
 
 def central_difference(f, x0: float, h: float = 1e-6) -> float:
@@ -324,7 +324,7 @@ def _casimir_of_tensor02(so3=None) -> list:
 
 def _atoms(exprs) -> list:
     """The Sym, Fun and Pow nodes reachable from `exprs`."""
-    return [n for e in exprs for n in _nodes(e) if type(n) in (ex.Sym, ex.Fun, ex.Pow)]
+    return [n for e in exprs for n in expr_nodes(e) if type(n) in (ex.Sym, ex.Fun, ex.Pow)]
 
 
 class TestKernelCaches:
@@ -552,20 +552,22 @@ def test_coefficient_list_toolkit():
     x = ex.sym("x")
     assert ex.poly_mul([1, -1], [1, 1]) == [1, 0, -1]
     assert ex.poly_pow([1, 1], 3) == [1, 3, 3, 1]
-    assert ex.poly_pow([CNum(1), CNum(0, 1)], 2) == [CNum(1), CNum(0, 2), CNum(-1)]
+    assert ex.poly_pow([1, CNum(0, 1)], 2) == [1, CNum(0, 2), -1]
     assert ex.poly_pow([Fraction(1, 2)], 0) == [1]
     assert ex.polynomial([1, 0, Fraction(-1, 2)], x) == ex.add(ex.ONE, ex.mul(ex.num(Fraction(-1, 2)), ex.power(x, 2)))
     poly = [Fraction(c) for c in ex.poly_mul(ex.poly_pow([-2, 1], 2), [1, 0, 1])]  # (x - 2)^2 (1 + x^2)
     assert ex.rational_roots(poly) == [(2, 2)] and poly == [1, 0, 1]
 
 
-# -- CNum against a Fraction-pair reference -----------------------------------
+# -- coefficients against a Fraction-pair reference ---------------------------
 
 _RATIONALS = st.one_of(
     st.integers(-40, 40),
     st.fractions(min_value=-20, max_value=20, max_denominator=12),
     st.integers(-40, 40).map(Fraction),  # integral Fractions must normalize to ints
 )
+# imaginary parts: zero half the time, so real and complex operands mix
+_IMAGINARY = st.one_of(st.just(0), st.just(Fraction(0)), _RATIONALS)
 
 
 def _ref_mul(a, b):
@@ -582,52 +584,115 @@ def _ref_pow(a, n):
     return out
 
 
-def _matches(c: CNum, ref) -> bool:
-    """Equal parts, each an int exactly when integral."""
-    return all(
-        part == want and (type(part) is int) == (Fraction(want).denominator == 1)
-        for part, want in ((c.re, ref[0]), (c.im, ref[1]))
-    )
+def _matches(c, ref) -> bool:
+    """c equals the pair ref and has the type its value asks for: an int
+    exactly when integral, a Fraction exactly when a denominator remains, a
+    CNum exactly when the imaginary part is nonzero; never a float or a bool."""
+    re, im = Fraction(ref[0]), Fraction(ref[1])
+    want = CNum if im else int if re.denominator == 1 else Fraction
+    return type(c) is want and is_normal_coefficient(c) and cnum.re_im(c) == (re, im)
 
 
-@given(_RATIONALS, _RATIONALS, _RATIONALS, _RATIONALS, st.integers(-3, 3))
+@given(_RATIONALS, _IMAGINARY, _RATIONALS, _IMAGINARY, st.integers(-3, 3))
 @settings(max_examples=200, deadline=None)
 def test_cnum_matches_fraction_pairs(a_re, a_im, b_re, b_im, n):
     a, b = CNum(a_re, a_im), CNum(b_re, b_im)
     ra, rb = (Fraction(a_re), Fraction(a_im)), (Fraction(b_re), Fraction(b_im))
     assert _matches(a, ra) and _matches(b, rb)
-    assert _matches(a + b, (ra[0] + rb[0], ra[1] + rb[1]))
-    assert _matches(a - b, (ra[0] - rb[0], ra[1] - rb[1]))
-    assert _matches(a * b, _ref_mul(ra, rb))
-    assert _matches(-a, (-ra[0], -ra[1]))
+    # native operators on two reals may leave an integral Fraction, which the
+    # kernel puts in normal form where it stores the value; CNum arithmetic does so itself
+    exact = cnum.normal if cnum.is_real(a) and cnum.is_real(b) else (lambda c: c)
+    assert _matches(exact(a + b), (ra[0] + rb[0], ra[1] + rb[1]))
+    assert _matches(exact(a - b), (ra[0] - rb[0], ra[1] - rb[1]))
+    assert _matches(exact(a * b), _ref_mul(ra, rb))
+    assert _matches(exact(-a), (-ra[0], -ra[1]))
+    # division and powers go through the exact helpers: int / int and int ** -n are floats
     if any(ra):
-        assert _matches(a.inverse(), _ref_pow(ra, -1))
-        assert _matches(b / a, _ref_mul(rb, _ref_pow(ra, -1)))
-        assert _matches(a ** n, _ref_pow(ra, n))
+        assert _matches(cnum.div(1, a), _ref_pow(ra, -1))
+        assert _matches(cnum.div(b, a), _ref_mul(rb, _ref_pow(ra, -1)))
+        assert _matches(cnum.power(a, n), _ref_pow(ra, n))
     else:
-        with pytest.raises(ZeroDivisionError):
-            a.inverse()
-    assert a.is_zero() == (ra == (0, 0))
-    assert a.is_one() == (ra == (1, 0))
-    assert a.is_real() == (ra[1] == 0)
-    assert a.negative_lead() == (ra[0] < 0 or (ra[0] == 0 and ra[1] < 0))
+        for zero_division in (lambda: cnum.div(1, a), lambda: cnum.div(b, a), lambda: cnum.power(a, -1)):
+            with pytest.raises(ZeroDivisionError):
+                zero_division()
+        assert _matches(cnum.power(a, 0), (1, 0)) and _matches(cnum.power(a, 2), (0, 0))
+    assert (not a) == (ra == (0, 0))
+    assert (a == 1) == (ra == (1, 0))
+    assert cnum.is_real(a) == (ra[1] == 0)
+    assert cnum.negative_lead(a) == (ra[0] < 0 or (ra[0] == 0 and ra[1] < 0))
     assert (a == b) == (ra == rb)
+    assert complex(a) == complex(float(ra[0]), float(ra[1]))
 
 
-@given(_RATIONALS, _RATIONALS)
+@given(_RATIONALS, _IMAGINARY)
 @settings(max_examples=100, deadline=None)
 def test_integral_parts_key_and_hash_like_fractions(re, im):
-    """An int part keys and hashes as the equal Fraction did, so canonical
-    order, hashes and digests do not depend on how a value was built."""
+    """An int keys and hashes as the equal Fraction did, so canonical order,
+    hashes and digests do not depend on how a value was built; a real
+    coefficient c keys as (re, im) = (c, 0)."""
     fr, fi = Fraction(re), Fraction(im)
     built = [CNum(re, im), CNum(fr, fi), CNum(fr.numerator, fi) if fr.denominator == 1 else CNum(fr, fi)]
-    assert len({hash(c) for c in built}) == 1 and hash(built[0]) == hash((fr, fi))
+    assert len({hash(c) for c in built}) == 1 and hash(built[0]) == (hash((fr, fi)) if fi else hash(fr))
     x = ex.sym("x")
     for c in built:
         n, m = ex.Num(c), ex.Mul(c, (x,))
         assert n._key == (0, fr, fi) and m._key == (4, (x._key,), fr, fi)
         assert n._hash == hash((0, fr.numerator, fr.denominator, fi.numerator, fi.denominator))
         assert m._hash == hash((4, (x,), fr, fi))
+
+
+class TestCoefficientTraps:
+    """Plain-number coefficients meet Python's float and bool conversions."""
+
+    def test_a_bool_is_stored_as_its_int(self):
+        for e in (ex.as_expr(True), ex.Num(False), ex.num(True, False), ex.Mul(True, (ex.sym("x"),))):
+            c = e.val if type(e) is ex.Num else e.coef
+            assert type(c) is int
+        assert cnum.normal(True) == 1 and type(cnum.normal(True)) is int
+
+    def test_integral_fractions_are_stored_as_ints(self):
+        assert type(ex.Num(Fraction(4, 2)).val) is int
+        assert type(ex.Mul(Fraction(-3, 1), (ex.sym("x"),)).coef) is int
+        half, x = ex.num(Fraction(1, 2)), ex.sym("x")
+        for e in (ex.mul(half, ex.num(2)), ex.add(half, half), ex.mul(half, ex.add(ex.num(2), ex.mul(ex.num(4), x)))):
+            assert abnormal_coefficients(e) == []
+
+    def test_division_of_ints_is_exact(self):
+        assert cnum.div(1, 2) == Fraction(1, 2) and type(cnum.div(1, 2)) is Fraction
+        assert type(cnum.div(4, 2)) is int and type(cnum.div(1, -1)) is int
+        assert type(cnum.power(2, -2)) is Fraction and type(cnum.power(Fraction(1, 2), -2)) is int
+
+    def test_a_linear_base_with_integer_coefficients_divides_out(self):
+        """The common-exponent pass divides 1 - 2 cos(x) out at its root 1/2,
+        an exact quotient of the base's int coefficients, not 0.5."""
+        cases = {
+            "(cos(x) - 1/2)*(1 - 2*cos(x))^(-1)": "-1/2",
+            "(3*cos(x) - 3/2)*(1 - 2*cos(x))^(-2) + x*(1 - 2*cos(x))^(-1)":
+                "x*(1 - 2*cos(x))^(-1) - 3/2*(1 - 2*cos(x))^(-1)",
+        }
+        for text, want in cases.items():
+            s = ex.simplify(parse(text, _COORDS))
+            assert ex.unparse(s) == want and abnormal_coefficients(s) == []
+
+    def test_negative_powers_of_integer_coefficients_are_exact(self):
+        x = ex.sym("x")
+        cases = [
+            (ex.power(ex.num(2), -3), "1/8"),
+            (ex.power(ex.num(-2), -2), "1/4"),
+            (ex.power(ex.num(3), Fraction(-3, 2)), "1/9*3^(1/2)"),
+            (ex.power(ex.num(-4), Fraction(-5, 2)), "-1/32*i"),
+            (ex.power(ex.mul(ex.num(2), x), -2), "1/4*x^(-2)"),
+            (ex.mul(ex.power(ex.num(2), Fraction(-1, 2)), ex.power(ex.num(8), Fraction(-1, 2))), "1/4"),
+            (ex.power(ex.num(0, 2), -3), "1/8*i"),
+            (ex.power(ex.num(Fraction(2, 3), 1), -2), "-(45/169+108/169*i)"),
+        ]
+        assert [ex.unparse(e) for e, _ in cases] == [want for _, want in cases]
+        assert all(abnormal_coefficients(e) == [] for e, _ in cases)
+
+    def test_complex_of_a_real_coefficient_is_the_pair_of_floats(self):
+        for c in (2 ** 60 + 1, -7, 0, Fraction(1, 3), Fraction(-10 ** 30 + 7, 3 ** 40)):
+            got, want = complex(c), complex(float(c), float(0))
+            assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
 
 
 # -- randomized properties ----------------------------------------------------
@@ -771,7 +836,7 @@ def _mp_value(e, x, mp):
     """e at the real point x, in mpmath at its working precision."""
     tt = type(e)
     if tt is ex.Num:
-        re, im = (Fraction(part) for part in (e.val.re, e.val.im))
+        re, im = (Fraction(part) for part in cnum.re_im(e.val))
         return mp.mpc(mp.mpf(re.numerator) / re.denominator, mp.mpf(im.numerator) / im.denominator)
     if tt is ex.Sym:
         return mp.mpf(x)
@@ -815,22 +880,6 @@ def _cos_rational_exprs():
     return _cos_rational_sums().map(lambda case: case[0])
 
 
-def _nodes(e):
-    stack = [e]
-    while stack:
-        n = stack.pop()
-        yield n
-        tt = type(n)
-        if tt is ex.Fun:
-            stack.append(n.arg)
-        elif tt is ex.Pow:
-            stack.append(n.base)
-        elif tt is ex.Mul:
-            stack.extend(n.factors)
-        elif tt is ex.Add:
-            stack.extend(n.terms)
-
-
 @given(st.one_of(_rich_exprs(), _multi_base_sums(), _cos_rational_exprs()),
        st.one_of(_rich_exprs(), _multi_base_sums(), _cos_rational_exprs()))
 @settings(max_examples=150, deadline=None)
@@ -838,7 +887,7 @@ def test_equality_is_equality_of_keys(a, b):
     """Products and sums compare by their parts and build `_key` only when
     read; equal nodes have equal keys and hashes, and unequal ones do not
     share a key.  The nodes of a rebuilt copy of a meet a's nodes as equals."""
-    nodes = [*_nodes(a), *_nodes(b), *_nodes(parse(ex.unparse(a), _COORDS))][:80]
+    nodes = [*expr_nodes(a), *expr_nodes(b), *expr_nodes(parse(ex.unparse(a), _COORDS))][:80]
     for m, n in itertools.product(nodes, repeat=2):
         assert (m == n) == (m._key == n._key)
         if m == n:
@@ -849,7 +898,7 @@ def test_equality_is_equality_of_keys(a, b):
 @settings(max_examples=200, deadline=None)
 def test_every_node_is_a_fixed_point_of_its_constructor(e):
     # simplify returns a node whose children come back unchanged as it is
-    for n in itertools.chain(_nodes(e), _nodes(ex.simplify(e))):
+    for n in itertools.chain(expr_nodes(e), expr_nodes(ex.simplify(e))):
         tt = type(n)
         if tt is ex.Mul:
             assert ex.mul(ex.Num(n.coef), *n.factors) == n
@@ -859,6 +908,15 @@ def test_every_node_is_a_fixed_point_of_its_constructor(e):
             assert ex._power(n.base, n.e2) == n
         elif tt is ex.Fun:
             assert ex.fun(n.fname, n.arg) == n
+
+
+@given(st.one_of(_rich_exprs(), _multi_base_sums(), _cos_rational_exprs()))
+@settings(max_examples=200, deadline=None)
+def test_every_coefficient_is_in_normal_form(e):
+    """Each Num value and Mul coefficient, built or simplified, is an int, a
+    Fraction with a denominator other than 1, or a CNum with a nonzero
+    imaginary part."""
+    assert abnormal_coefficients(e) == [] and abnormal_coefficients(ex.simplify(e)) == []
 
 
 @given(st.one_of(_rich_exprs(), _multi_base_sums(), _cos_rational_exprs()))
@@ -896,11 +954,11 @@ class TestNodeMemo:
         # products, and the canonical atoms they share with e and first reset
         _clear_kernel_caches()
         fresh = parse(ex.unparse(e), _COORDS)
-        for n in itertools.chain(_nodes(e), _nodes(first), _nodes(fresh)):
+        for n in itertools.chain(expr_nodes(e), expr_nodes(first), expr_nodes(fresh)):
             if type(n) not in (ex.Num, ex.Sym):
                 n._simple = None
         assert fresh == e
-        assert all(n._simple is None for n in _nodes(fresh) if type(n) not in (ex.Num, ex.Sym))
+        assert all(n._simple is None for n in expr_nodes(fresh) if type(n) not in (ex.Num, ex.Sym))
         assert ex.unparse(ex.simplify(fresh)) == ex.unparse(first)
 
     @given(st.one_of(_rich_exprs(), _multi_base_sums(), _cos_rational_exprs()))
@@ -908,7 +966,7 @@ class TestNodeMemo:
     def test_simplify_is_idempotent_and_memos_hold_no_cycles(self, e):
         s = ex.simplify(e)
         assert ex.simplify(s) is s
-        for n in itertools.chain(_nodes(e), _nodes(s)):
+        for n in itertools.chain(expr_nodes(e), expr_nodes(s)):
             # a node that is its own simplified form holds the sentinel
             assert n._simple is not n
 

@@ -287,3 +287,25 @@ def test_only_the_kernel_writes_its_atom_table():
     paths = [p for d in ("src", "tests") for p in sorted((REPO / d).rglob("*.py")) if p.name != "expr.py"]
     found = {p.relative_to(REPO).as_posix(): lines for p in paths if (lines := _atom_table_writes(p))}
     assert found == {}
+
+
+# CNum's representation: its constructor, its parts and its former real-valued
+# helpers.  Other modules read a coefficient through `cnum.re_im`,
+# `cnum.is_real` and `complex(c)`, so real coefficients can stay plain numbers.
+_COEFFICIENT_INTERNALS = {"re", "im", "to_complex", "is_real"}
+
+
+def test_only_the_kernel_touches_coefficient_internals():
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        if path.name in ("cnum.py", "expr.py") and path.parent == PACKAGE:
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) == "CNum":
+                    found.append(f"{path.relative_to(PACKAGE).as_posix()}:{node.lineno} CNum(")
+            elif (isinstance(node, ast.Attribute) and node.attr in _COEFFICIENT_INTERNALS
+                  and not (isinstance(node.value, ast.Name) and node.value.id == "cnum")):
+                found.append(f"{path.relative_to(PACKAGE).as_posix()}:{node.lineno} .{node.attr}")
+    assert found == []
